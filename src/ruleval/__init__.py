@@ -34,7 +34,6 @@ from .estimators import (
     RewardEstimate,
     bootstrap_ci,
     cv_fold_reward,
-    cv_reward,
     estimate_reward,
     leave_l_out_reward,
     naive_reward,
@@ -50,9 +49,7 @@ from .experiments import (
     FoldAssignment,
     RewardSpec,
     assign_folds,
-    blend_mean_and_se,
     decide,
-    decide_on_folds,
     significance_set,
 )
 from .figures import run_figure
@@ -98,15 +95,12 @@ __all__ = [
     "SimulationResult",
     "SweepSpec",
     "assign_folds",
-    "blend_mean_and_se",
     "bootstrap_ci",
     "check_poisson_rescaling",
     "check_rule_selection",
     "cv_expectation",
     "cv_fold_reward",
-    "cv_reward",
     "decide",
-    "decide_on_folds",
     "draw_experiment",
     "estimate_reward",
     "evaluate_rules",

@@ -22,10 +22,11 @@ be compared directly against Monte Carlo:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 __all__ = [
     "EffectModel",
@@ -144,7 +145,8 @@ def mills_conditional(
     if not sigma_b > 0:
         raise ValueError(f"sigma_b must be > 0, got {sigma_b}")
     z = -mu_b / sigma_b
-    hazard = float(np.exp(stats.norm.logpdf(z) - stats.norm.logsf(z)))
+    log_pdf = -z * z / 2.0 - math.log(math.sqrt(2.0 * math.pi))
+    hazard = float(np.exp(log_pdf - special.log_ndtr(-z)))
     return float(mu_a + (sigma_ab / sigma_b) * hazard)
 
 

@@ -14,6 +14,7 @@ An optional weight file (``experiment_id,weight``) is joined by id.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,7 @@ from .estimators import (
     aggregate,
     bootstrap_aggregates,
     per_experiment_rewards,
+    percentile_interval,
 )
 from .experiments import ArmData, DecisionRule, ExperimentData, RewardSpec
 from .simulator import ProxySpec, joint_proxy_model
@@ -80,8 +82,9 @@ def ingest_csv(path: str, weights_path: str | None = None) -> ExperimentCorpus:
     """Load a corpus from CSV, validating the schema strictly.
 
     Errors name the offending file line and column.  Duplicate
-    (experiment_id, arm, unit_id) triples, missing or non-numeric cells,
-    ragged rows, and non-contiguous arm indices are all rejected.
+    (experiment_id, arm, unit_id) triples, missing, non-numeric or
+    non-finite cells, ragged rows, and non-contiguous arm indices are all
+    rejected.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -149,12 +152,18 @@ def ingest_csv(path: str, weights_path: str | None = None) -> ExperimentCorpus:
                         f"{path}: line {line_no}: missing value in column {col!r}"
                     )
                 try:
-                    values.append(float(cell))
+                    value = float(cell)
                 except ValueError:
                     raise CorpusFormatError(
                         f"{path}: line {line_no}: column {col!r} is not "
                         f"numeric: {cell!r}"
                     ) from None
+                if not math.isfinite(value):
+                    raise CorpusFormatError(
+                        f"{path}: line {line_no}: column {col!r} is not "
+                        f"finite: {cell!r}"
+                    )
+                values.append(value)
             grouped.setdefault(exp_id, {}).setdefault(arm, []).append(
                 (unit_id, values)
             )
@@ -225,11 +234,17 @@ def _read_weights(path: str, known_ids: set[str]) -> dict[str, float]:
                 w = float(row[1])
             except ValueError:
                 raise CorpusFormatError(
-                    f"{path}: line {line_no}: weight is not numeric: {row[1]!r}"
+                    f"{path}: line {line_no}: column 'weight' is not numeric: "
+                    f"{row[1]!r}"
                 ) from None
+            if not math.isfinite(w):
+                raise CorpusFormatError(
+                    f"{path}: line {line_no}: column 'weight' is not finite: "
+                    f"{row[1]!r}"
+                )
             if w < 0:
                 raise CorpusFormatError(
-                    f"{path}: line {line_no}: weight must be nonnegative"
+                    f"{path}: line {line_no}: column 'weight' must be nonnegative"
                 )
             weights[exp_id] = w
     return weights
@@ -409,7 +424,6 @@ def evaluate_rules(
     exps = sorted(corpus.experiments, key=lambda e: e.experiment_id)
     weights = np.array([e.weight for e in exps])
     can_bootstrap = len(exps) >= 2
-    alpha = 1.0 - level
 
     configs: list[tuple[str, int, EstimatorConfig]] = [
         ("naive", 0, EstimatorConfig(kind="naive", mode=mode))
@@ -437,10 +451,7 @@ def evaluate_rules(
                 draws, _ = bootstrap_aggregates(
                     contributions, weights, mode, bootstrap_replicates, rng
                 )
-                intervals[key] = (
-                    float(np.quantile(draws, alpha / 2.0)),
-                    float(np.quantile(draws, 1.0 - alpha / 2.0)),
-                )
+                intervals[key] = percentile_interval(draws, level)
             else:
                 intervals[key] = None
 

@@ -15,6 +15,12 @@ Three families are implemented:
   full experiment, when the per-arm unit count is Poisson with mean ``m0``
   (fixed enrollment rate over a fixed window).
 
+Every estimator decides through the one kernel ``experiments.decide_kept``.
+The naive estimate makes one full-data decision.  k-fold feeds it all P
+held-out folds at once, with per-fold sums from ``np.bincount`` on the fold
+labels subtracted from the arm totals.  Leave-l-out feeds it every held-out
+subset at once, gathered by an (S, l) array of unit positions.
+
 Aggregates over experiments come in two modes: ``mean`` (weighted mean of
 per-experiment estimates) and ``cumulative`` (weighted sum), the latter
 being the natural readout for "total return across the program".
@@ -36,8 +42,9 @@ from .experiments import (
     FoldAssignment,
     RewardSpec,
     assign_folds,
+    blend_values,
     decide,
-    decide_on_folds,
+    decide_kept,
 )
 from .streams import substream
 
@@ -48,7 +55,6 @@ __all__ = [
     "aggregate",
     "bootstrap_ci",
     "cv_fold_reward",
-    "cv_reward",
     "estimate_reward",
     "leave_l_out_reward",
     "naive_reward",
@@ -135,6 +141,65 @@ def naive_reward(exp: ExperimentData, rule: DecisionRule, reward: RewardSpec) ->
     return float(_reward_values(exp.arm(chosen), reward).mean())
 
 
+def _fold_rewards(
+    exp: ExperimentData,
+    rule: DecisionRule,
+    reward: RewardSpec,
+    folds: FoldAssignment,
+) -> np.ndarray:
+    """Reward of every fold's held-out decision, measured on that fold.
+
+    Fold p's decision sees every unit outside fold p; its reward is the
+    held-out reward sum over fold p's units of the chosen arm divided by
+    their count.  Raises DegenerateFoldError when holding a fold out leaves
+    an arm without a unit (two under a significance gate), or when the
+    chosen arm has no unit in the fold; silent skips would bias any
+    estimator built on top.
+    """
+    num_folds = folds.num_folds
+    gated = rule.gate != "none"
+    values = blend_values(exp, rule)
+    shape = (num_folds, exp.num_arms, values[0].shape[1])
+    counts = np.empty(shape[:2])
+    sums = np.empty(shape)
+    squares = np.empty(shape) if gated else None
+    held_counts = np.empty((exp.num_arms, num_folds))
+    held_rewards = np.empty((exp.num_arms, num_folds))
+    for k, (arm, v) in enumerate(zip(exp.arms, values)):
+        labels = folds.folds[arm.arm_index]
+        if labels.shape != (arm.num_units,):
+            raise ValueError(
+                f"fold assignment for experiment {exp.experiment_id!r} arm "
+                f"{arm.arm_index} covers {labels.shape[0]} units, "
+                f"arm has {arm.num_units}"
+            )
+        labels = labels - 1
+        held_counts[k] = np.bincount(labels, minlength=num_folds)
+        held_rewards[k] = np.bincount(labels, _reward_values(arm, reward), num_folds)
+        counts[:, k] = arm.num_units - held_counts[k]
+        for b, col in enumerate(v.T):
+            sums[:, k, b] = col.sum() - np.bincount(labels, col, num_folds)
+            if gated:
+                sq = col * col
+                squares[:, k, b] = sq.sum() - np.bincount(labels, sq, num_folds)
+    min_units = 2 if gated else 1
+    for p, k in np.argwhere(counts < min_units):
+        raise DegenerateFoldError(
+            f"experiment {exp.experiment_id!r}: removing fold {p + 1} "
+            f"leaves arm {k + 1} with {int(counts[p, k])} unit(s), "
+            f"needs >= {min_units}"
+        )
+    chosen = decide_kept(counts, sums, squares, rule, exp.experiment_id) - 1
+    fold = np.arange(num_folds)
+    n = held_counts[chosen, fold]
+    for p in np.flatnonzero(n == 0):
+        raise DegenerateFoldError(
+            f"experiment {exp.experiment_id!r}: fold {p + 1} contains no units "
+            f"of the chosen arm {chosen[p] + 1}"
+        )
+    return held_rewards[chosen, fold] / n
+
+
 def cv_fold_reward(
     exp: ExperimentData,
     rule: DecisionRule,
@@ -147,15 +212,9 @@ def cv_fold_reward(
     The decision sees every unit outside the fold; the estimate is the mean
     reward over the fold's units in the chosen arm only.
     """
-    chosen = decide_on_folds(exp, rule, folds, p)
-    arm = exp.arm(chosen)
-    mask = folds.folds[chosen] == p
-    if not mask.any():
-        raise DegenerateFoldError(
-            f"experiment {exp.experiment_id!r}: fold {p} contains no units "
-            f"of the chosen arm {chosen}"
-        )
-    return float(_reward_values(arm, reward)[mask].mean())
+    if not 1 <= p <= folds.num_folds:
+        raise ValueError(f"held-out fold {p} out of range [1, {folds.num_folds}]")
+    return float(_fold_rewards(exp, rule, reward, folds)[p - 1])
 
 
 def _experiment_cv_mean(
@@ -166,11 +225,7 @@ def _experiment_cv_mean(
     fold_seed: int,
 ) -> float:
     folds = assign_folds(exp, num_folds, fold_seed)
-    values = [
-        cv_fold_reward(exp, rule, reward, folds, p)
-        for p in range(1, num_folds + 1)
-    ]
-    return float(np.mean(values))
+    return float(_fold_rewards(exp, rule, reward, folds).mean())
 
 
 def aggregate(values: np.ndarray, weights: np.ndarray, mode: str) -> float:
@@ -185,86 +240,38 @@ def aggregate(values: np.ndarray, weights: np.ndarray, mode: str) -> float:
     return float(np.sum(weights * values) / total)
 
 
-def cv_reward(
-    exps: list[ExperimentData],
-    rule: DecisionRule,
-    reward: RewardSpec,
-    num_folds: int,
-    seed: int = 0,
-    mode: str = "mean",
-) -> RewardEstimate:
-    """k-fold cross-validation estimate aggregated over experiments.
-
-    Each experiment contributes the unweighted mean of its fold rewards;
-    contributions are then combined by experiment weight.
-    """
-    if num_folds < 2:
-        raise ValueError("num_folds must be >= 2")
-    contributions = []
-    for exp in exps:
-        try:
-            contributions.append(
-                _experiment_cv_mean(exp, rule, reward, num_folds, seed)
-            )
-        except Exception as err:
-            raise type(err)(
-                f"experiment {exp.experiment_id!r}: {err}"
-            ) from err
-    weights = np.array([e.weight for e in exps])
-    value = aggregate(np.array(contributions), weights, mode)
-    return RewardEstimate(
-        value=value,
-        estimator="cv-kfold",
-        mode=mode,
-        params={"num_folds": num_folds, "fold_seed": seed},
-        per_experiment=tuple(contributions),
-        weights=tuple(float(w) for w in weights),
-    )
-
-
-def _loo_sum_fast(
-    exp: ExperimentData, rule: DecisionRule, reward: RewardSpec
-) -> float:
-    """Exact leave-one-out sum for ungated rules in one pass.
-
-    Holding out position m removes unit m from every arm, so the blend
-    mean of arm k without m is (total_k - blend_km) / (M - 1).  The fold
-    reward is the reward value of unit m in the arm chosen without it.
-    """
-    m = exp.arms[0].num_units
-    blend_vals = np.stack([arm.units @ rule.blend for arm in exp.arms])
-    psi_vals = np.stack([_reward_values(arm, reward) for arm in exp.arms])
-    loo_means = (blend_vals.sum(axis=1, keepdims=True) - blend_vals) / (m - 1)
-    chosen = np.argmax(loo_means, axis=0)  # first max = lowest arm index
-    return float(psi_vals[chosen, np.arange(m)].sum())
-
-
-def _subset_fold_reward(
+def _subset_rewards(
     exp: ExperimentData,
     rule: DecisionRule,
     reward: RewardSpec,
-    subset: tuple[int, ...],
-) -> float:
-    """Fold reward for one held-out set of unit positions (all arms)."""
-    m = exp.arms[0].num_units
-    keep = np.ones(m, dtype=bool)
-    keep[list(subset)] = False
-    min_units = 2 if rule.gate == "significant-vs-reference" else 1
-    if int(keep.sum()) < min_units:
+    subsets: np.ndarray,
+) -> np.ndarray:
+    """Fold reward of every held-out subset of unit positions (all arms).
+
+    ``subsets`` is (S, l); each row's positions are removed from every arm,
+    the rule decides on the rest, and the fold reward is the mean raw
+    reward over the row's positions in the chosen arm.
+    """
+    num_subsets, leave_out = subsets.shape
+    gated = rule.gate != "none"
+    values = np.stack(blend_values(exp, rule))  # (K, M, B)
+    kept = values.shape[1] - leave_out
+    min_units = 2 if gated else 1
+    if kept < min_units:
         raise DegenerateFoldError(
-            f"experiment {exp.experiment_id!r}: holding out {len(subset)} "
-            f"unit(s) leaves {int(keep.sum())}, needs >= {min_units}"
+            f"experiment {exp.experiment_id!r}: holding out {leave_out} "
+            f"unit(s) leaves {kept}, needs >= {min_units}"
         )
-    reduced = ExperimentData(
-        experiment_id=exp.experiment_id,
-        arms=tuple(
-            ArmData(arm_index=a.arm_index, units=a.units[keep]) for a in exp.arms
-        ),
-        weight=exp.weight,
-    )
-    chosen = decide(reduced, rule)
-    vals = _reward_values(exp.arm(chosen), reward)
-    return float(vals[list(subset)].mean())
+
+    def kept_sums(x: np.ndarray) -> np.ndarray:
+        held = x[:, subsets].sum(axis=2)  # (K, S, B)
+        return (x.sum(axis=1)[:, None] - held).transpose(1, 0, 2)
+
+    counts = np.full((num_subsets, exp.num_arms), float(kept))
+    squares = kept_sums(values * values) if gated else None
+    chosen = decide_kept(counts, kept_sums(values), squares, rule, exp.experiment_id)
+    rewards = np.stack([_reward_values(arm, reward) for arm in exp.arms])
+    return rewards[chosen[:, None] - 1, subsets].mean(axis=1)
 
 
 def leave_l_out_reward(
@@ -300,22 +307,17 @@ def leave_l_out_reward(
             f"experiment {exp.experiment_id!r}: leave_out={leave_out} "
             f"requires arms larger than {leave_out}, got {m}"
         )
-    if leave_out == 1 and rule.gate == "none":
-        return _loo_sum_fast(exp, rule, reward)
-
     num_subsets = math.comb(m, leave_out)
     if max_folds is None:
         max_folds = num_subsets if leave_out == 1 else 10_000
     if num_subsets <= max_folds:
-        total = 0.0
-        for subset in combinations(range(m), leave_out):
-            total += _subset_fold_reward(exp, rule, reward, subset)
-        return total
+        subsets = np.array(list(combinations(range(m), leave_out)))
+        return float(_subset_rewards(exp, rule, reward, subsets).sum())
     rng = substream(seed, "leave-l-out", exp.experiment_id, leave_out)
-    acc = 0.0
-    for _ in range(max_folds):
-        subset = tuple(rng.choice(m, size=leave_out, replace=False))
-        acc += _subset_fold_reward(exp, rule, reward, subset)
+    subsets = np.array(
+        [rng.choice(m, size=leave_out, replace=False) for _ in range(max_folds)]
+    )
+    acc = float(_subset_rewards(exp, rule, reward, subsets).sum())
     return num_subsets * acc / max_folds
 
 
@@ -415,28 +417,39 @@ def bootstrap_aggregates(
 ) -> tuple[np.ndarray, int]:
     """Experiment-level cluster bootstrap of the aggregate.
 
-    Experiments are resampled with replacement; per-experiment
-    contributions are held fixed (fold assignments and decisions are not
-    recomputed).  Resamples with zero total weight in mean mode are
-    redrawn and counted, up to ``max_redraws`` total.
+    Experiments are resampled with replacement, every replicate in one
+    (n_replicates, n) index draw; per-experiment contributions are held
+    fixed (fold assignments and decisions are not recomputed).  Resamples
+    with zero total weight in mean mode are then redrawn in replicate
+    order and counted, up to ``max_redraws`` total.
     """
     n = len(contributions)
-    out = np.empty(n_replicates)
+    idx = rng.integers(0, n, size=(n_replicates, n))
     redraws = 0
-    for b in range(n_replicates):
-        while True:
-            idx = rng.integers(0, n, size=n)
-            w = weights[idx]
-            if mode == "cumulative" or w.sum() > 0:
-                break
-            redraws += 1
-            if redraws > max_redraws:
-                raise RuntimeError(
-                    "bootstrap exceeded the redraw cap: all-zero-weight "
-                    "resamples keep occurring"
-                )
-        out[b] = aggregate(contributions[idx], w, mode)
-    return out, redraws
+    if mode != "cumulative":
+        for b in np.flatnonzero(~(weights[idx].sum(axis=1) > 0)):
+            while not weights[idx[b]].sum() > 0:
+                redraws += 1
+                if redraws > max_redraws:
+                    raise RuntimeError(
+                        "bootstrap exceeded the redraw cap: all-zero-weight "
+                        "resamples keep occurring"
+                    )
+                idx[b] = rng.integers(0, n, size=n)
+    w = weights[idx]
+    totals = np.sum(w * contributions[idx], axis=1)
+    if mode == "cumulative":
+        return totals, redraws
+    return totals / w.sum(axis=1), redraws
+
+
+def percentile_interval(draws: np.ndarray, level: float) -> tuple[float, float]:
+    """Equal-tailed empirical quantiles of bootstrap draws at ``level``."""
+    alpha = 1.0 - level
+    return (
+        float(np.quantile(draws, alpha / 2.0)),
+        float(np.quantile(draws, 1.0 - alpha / 2.0)),
+    )
 
 
 def bootstrap_ci(
@@ -466,7 +479,5 @@ def bootstrap_ci(
     draws, _ = bootstrap_aggregates(
         contributions, weights, config.mode, n_replicates, rng
     )
-    alpha = 1.0 - level
-    lower = float(np.quantile(draws, alpha / 2.0))
-    upper = float(np.quantile(draws, 1.0 - alpha / 2.0))
+    lower, upper = percentile_interval(draws, level)
     return ConfidenceInterval(lower=lower, upper=upper, level=level)

@@ -5,6 +5,11 @@ maps those observations to a single arm to launch.  Rules are built from a
 linear blend of the outcome metrics, optionally gated on statistical
 significance versus the reference arm (arm 1).  All operations here are
 pure functions of immutable inputs.
+
+Every decision, on the full data or with units held out, goes through one
+kernel, ``decide_kept``.  It decides many held-out subsets at once from each
+arm's kept unit count and the sums and sums of squares of the rule's blend
+columns over the kept units, so estimators never rebuild an experiment.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .streams import substream
 
@@ -25,9 +30,9 @@ __all__ = [
     "FoldAssignment",
     "RewardSpec",
     "assign_folds",
-    "blend_mean_and_se",
+    "blend_values",
     "decide",
-    "decide_on_folds",
+    "decide_kept",
     "significance_set",
 ]
 
@@ -37,7 +42,7 @@ class DegenerateArmError(ValueError):
 
 
 class DegenerateFoldError(ValueError):
-    """Removing a held-out fold left an arm without enough units."""
+    """Holding out a fold or subset left an arm without enough units."""
 
 
 @dataclass(frozen=True)
@@ -59,6 +64,8 @@ class ArmData:
             )
         if units.shape[0] < 1:
             raise DegenerateArmError(f"arm {self.arm_index} has no units")
+        if not np.isfinite(units).all():
+            raise ValueError(f"arm {self.arm_index}: units must be finite")
         if self.arm_index < 1:
             raise ValueError(f"arm index must be >= 1, got {self.arm_index}")
         object.__setattr__(self, "units", units)
@@ -103,9 +110,10 @@ class ExperimentData:
                     f"experiment {self.experiment_id!r}: arm {arm.arm_index} has "
                     f"{arm.num_metrics} metrics, expected {num_metrics}"
                 )
-        if not self.weight >= 0:
+        if not 0 <= self.weight < np.inf:
             raise ValueError(
-                f"experiment {self.experiment_id!r}: weight must be nonnegative"
+                f"experiment {self.experiment_id!r}: weight must be finite "
+                f"and nonnegative, got {self.weight}"
             )
         object.__setattr__(self, "arms", arms)
 
@@ -201,7 +209,6 @@ class DecisionRule:
     gate_metrics: tuple[np.ndarray, ...] | None = None
     gate_combine: str = "all"
     fallback_arm: int = 1
-    tie_break: str = "lowest-index"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "blend", np.asarray(self.blend, dtype=float))
@@ -213,8 +220,6 @@ class DecisionRule:
             raise ValueError(f"unknown gate_sides {self.gate_sides!r}")
         if self.gate_combine not in ("all", "any"):
             raise ValueError(f"unknown gate_combine {self.gate_combine!r}")
-        if self.tie_break != "lowest-index":
-            raise ValueError("only lowest-index tie-breaking is supported")
         if self.fallback_arm < 1:
             raise ValueError("fallback_arm must be >= 1")
         if self.gate_metrics is not None:
@@ -248,10 +253,6 @@ class FoldAssignment:
         if self.num_folds < 2:
             raise ValueError("num_folds must be >= 2")
 
-    def fold_of(self, arm_index: int, unit_position: int) -> int:
-        """Fold label of a unit, addressed by arm index and 0-based position."""
-        return int(self.folds[arm_index][unit_position])
-
 
 def assign_folds(exp: ExperimentData, num_folds: int, seed: int) -> FoldAssignment:
     """Randomly split each arm's units into ``num_folds`` near-equal folds.
@@ -276,45 +277,105 @@ def assign_folds(exp: ExperimentData, num_folds: int, seed: int) -> FoldAssignme
     )
 
 
-def blend_mean_and_se(arm: ArmData, blend: np.ndarray) -> tuple[float, float]:
-    """Sample mean and standard error of the blended outcome over an arm.
+def blend_values(exp: ExperimentData, rule: DecisionRule) -> list[np.ndarray]:
+    """Each arm's (units, B) blend values, all shifted by one shared constant.
 
-    The standard error uses the unbiased sample variance (divisor M - 1),
-    so the arm must have at least two units.
+    Column 0 is the rule blend; a gated rule with ``gate_metrics`` adds one
+    column per gate blend.  The shift is arm 1's first unit: subtracting
+    one constant from every arm changes no comparison, keeps ties on
+    integer data exact, and keeps large metric levels from cancelling in
+    the sums of squares (Chan, Golub & LeVeque 1983).
     """
-    blend = np.asarray(blend, dtype=float)
-    if blend.shape != (arm.num_metrics,):
-        raise ValueError(
-            f"blend has shape {blend.shape}, expected ({arm.num_metrics},)"
-        )
-    m = arm.num_units
-    if m < 2:
-        raise DegenerateArmError(
-            f"arm {arm.arm_index} has {m} unit(s); standard error needs >= 2"
-        )
-    values = arm.units @ blend
-    mean = float(values.mean())
-    se = float(values.std(ddof=1) / np.sqrt(m))
-    return mean, se
+    blends = [rule.blend]
+    if rule.gate != "none" and rule.gate_metrics is not None:
+        blends += list(rule.gate_metrics)
+    for blend in blends:
+        if blend.shape != (exp.num_metrics,):
+            raise ValueError(
+                f"blend has shape {blend.shape}, expected ({exp.num_metrics},)"
+            )
+    matrix = np.column_stack(blends)
+    values = [arm.units @ matrix for arm in exp.arms]
+    shift = values[0][0].copy()
+    return [v - shift for v in values]
 
 
-def _blend_means(exp: ExperimentData, blend: np.ndarray) -> np.ndarray:
-    blend = np.asarray(blend, dtype=float)
-    if blend.shape != (exp.num_metrics,):
-        raise ValueError(
-            f"blend has shape {blend.shape}, expected ({exp.num_metrics},)"
-        )
-    return np.array([float((arm.units @ blend).mean()) for arm in exp.arms])
+def _gate_mask(
+    counts: np.ndarray, sums: np.ndarray, squares: np.ndarray, rule: DecisionRule
+) -> np.ndarray:
+    """(S, K) mask of arms whose gate blends beat the reference arm.
+
+    Two-sample z-test with unpooled standard errors from the unbiased
+    sample variance; column 0 (the reference arm) is always False.
+    """
+    cols = slice(0, 1) if rule.gate_metrics is None else slice(1, None)
+    n = counts[:, :, None]
+    means = sums[:, :, cols] / n
+    var = np.maximum(squares[:, :, cols] - sums[:, :, cols] * means, 0.0) / (n - 1)
+    se2 = var / n
+    diff = means[:, 1:] - means[:, :1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = np.where(diff == 0.0, 0.0, diff / np.sqrt(se2[:, 1:] + se2[:, :1]))
+    if rule.gate_sides == "two-sided":
+        passed = np.abs(z) > -special.ndtri(rule.gate_alpha / 2.0)
+    else:
+        passed = z > -special.ndtri(rule.gate_alpha)
+    passed = passed.all(axis=2) if rule.gate_combine == "all" else passed.any(axis=2)
+    mask = np.zeros(counts.shape, dtype=bool)
+    mask[:, 1:] = passed
+    return mask
 
 
-def _z_statistic(mean_k: float, se_k: float, mean_ref: float, se_ref: float) -> float:
-    diff = mean_k - mean_ref
-    denom = float(np.hypot(se_k, se_ref))
-    if denom == 0.0:
-        if diff == 0.0:
-            return 0.0
-        return float(np.inf) if diff > 0 else float(-np.inf)
-    return diff / denom
+def decide_kept(
+    counts: np.ndarray,
+    sums: np.ndarray,
+    squares: np.ndarray | None,
+    rule: DecisionRule,
+    experiment_id: str,
+) -> np.ndarray:
+    """Decide S held-out subsets of one experiment at once.
+
+    ``counts`` is (S, K): each arm's kept unit count per subset; ``sums``
+    and ``squares`` are (S, K, B): sums and sums of squares of the
+    ``blend_values`` columns over the kept units (``squares`` may be None
+    for an ungated rule).  Returns the chosen 1-based arm per subset:
+    the argmax of blend means, restricted under a gate to the arms that
+    pass it, or the fallback arm when none does.  Exact ties go to the
+    lowest index.  Gated callers must keep at least two units per arm.
+    """
+    score = sums[:, :, 0] / counts
+    if rule.gate == "none":
+        return np.argmax(score, axis=1) + 1
+    mask = _gate_mask(counts, sums, squares, rule)
+    chosen = np.argmax(np.where(mask, score, -np.inf), axis=1) + 1
+    empty = ~mask.any(axis=1)
+    if empty.any():
+        if rule.fallback_arm > counts.shape[1]:
+            raise ValueError(
+                f"fallback arm {rule.fallback_arm} does not exist in "
+                f"experiment {experiment_id!r}"
+            )
+        chosen[empty] = rule.fallback_arm
+    return chosen
+
+
+def _full_data_stats(
+    exp: ExperimentData, rule: DecisionRule
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Kernel inputs for the one subset that holds nothing out."""
+    values = blend_values(exp, rule)
+    counts = np.array([[v.shape[0] for v in values]], dtype=float)
+    sums = np.stack([v.sum(axis=0) for v in values])[None]
+    if rule.gate == "none":
+        return counts, sums, None
+    for arm in exp.arms:
+        if arm.num_units < 2:
+            raise DegenerateArmError(
+                f"experiment {exp.experiment_id!r}: arm {arm.arm_index} has "
+                f"{arm.num_units} unit(s); the significance gate needs >= 2"
+            )
+    squares = np.stack([(v * v).sum(axis=0) for v in values])[None]
+    return counts, sums, squares
 
 
 def significance_set(exp: ExperimentData, rule: DecisionRule) -> set[int]:
@@ -326,36 +387,8 @@ def significance_set(exp: ExperimentData, rule: DecisionRule) -> set[int]:
     """
     if rule.gate != "significant-vs-reference":
         raise ValueError("significance_set requires gate='significant-vs-reference'")
-    for arm in exp.arms:
-        if arm.num_units < 2:
-            raise DegenerateArmError(
-                f"experiment {exp.experiment_id!r}: arm {arm.arm_index} has "
-                f"{arm.num_units} unit(s); the significance gate needs >= 2"
-            )
-    if rule.gate_sides == "one-sided-greater":
-        crit = float(stats.norm.isf(rule.gate_alpha))
-    else:
-        crit = float(stats.norm.isf(rule.gate_alpha / 2.0))
-
-    ref = exp.arm(1)
-    members: set[int] = set()
-    gate_stats = []
-    for blend in rule.gate_blends():
-        ref_mean, ref_se = blend_mean_and_se(ref, blend)
-        gate_stats.append((blend, ref_mean, ref_se))
-    for arm in exp.arms[1:]:
-        passed = []
-        for blend, ref_mean, ref_se in gate_stats:
-            mean_k, se_k = blend_mean_and_se(arm, blend)
-            z = _z_statistic(mean_k, se_k, ref_mean, ref_se)
-            if rule.gate_sides == "two-sided":
-                passed.append(abs(z) > crit)
-            else:
-                passed.append(z > crit)
-        ok = all(passed) if rule.gate_combine == "all" else any(passed)
-        if ok:
-            members.add(arm.arm_index)
-    return members
+    mask = _gate_mask(*_full_data_stats(exp, rule), rule)
+    return {int(k) + 1 for k in np.flatnonzero(mask[0])}
 
 
 def decide(exp: ExperimentData, rule: DecisionRule) -> int:
@@ -365,71 +398,5 @@ def decide(exp: ExperimentData, rule: DecisionRule) -> int:
     rules take the argmax restricted to the significance set, or the
     fallback arm when the set is empty.  Exact ties go to the lowest index.
     """
-    means = _blend_means(exp, rule.blend)
-    if rule.gate == "none":
-        return int(np.argmax(means)) + 1
-    eligible = significance_set(exp, rule)
-    if not eligible:
-        if rule.fallback_arm > exp.num_arms:
-            raise ValueError(
-                f"fallback arm {rule.fallback_arm} does not exist in "
-                f"experiment {exp.experiment_id!r}"
-            )
-        return rule.fallback_arm
-    best = None
-    best_mean = -np.inf
-    for k in sorted(eligible):
-        if means[k - 1] > best_mean:
-            best = k
-            best_mean = means[k - 1]
-    return int(best)
-
-
-def remove_fold(
-    exp: ExperimentData,
-    folds: FoldAssignment,
-    held_out: int,
-    min_units: int,
-) -> ExperimentData:
-    """Experiment with the held-out fold's units removed from every arm."""
-    if not 1 <= held_out <= folds.num_folds:
-        raise ValueError(
-            f"held-out fold {held_out} out of range [1, {folds.num_folds}]"
-        )
-    arms = []
-    for arm in exp.arms:
-        labels = folds.folds[arm.arm_index]
-        if labels.shape[0] != arm.num_units:
-            raise ValueError(
-                f"fold assignment for experiment {exp.experiment_id!r} arm "
-                f"{arm.arm_index} covers {labels.shape[0]} units, "
-                f"arm has {arm.num_units}"
-            )
-        keep = labels != held_out
-        kept = int(keep.sum())
-        if kept < min_units:
-            raise DegenerateFoldError(
-                f"experiment {exp.experiment_id!r}: removing fold {held_out} "
-                f"leaves arm {arm.arm_index} with {kept} unit(s), "
-                f"needs >= {min_units}"
-            )
-        arms.append(ArmData(arm_index=arm.arm_index, units=arm.units[keep]))
-    return ExperimentData(
-        experiment_id=exp.experiment_id, arms=tuple(arms), weight=exp.weight
-    )
-
-
-def decide_on_folds(
-    exp: ExperimentData,
-    rule: DecisionRule,
-    folds: FoldAssignment,
-    held_out: int,
-) -> int:
-    """Decision made with the held-out fold's units removed from every arm.
-
-    Raises DegenerateFoldError when the removal empties an arm (or leaves a
-    single unit under a significance gate); silent skips would bias any
-    estimator built on top.
-    """
-    min_units = 2 if rule.gate == "significant-vs-reference" else 1
-    return decide(remove_fold(exp, folds, held_out, min_units), rule)
+    counts, sums, squares = _full_data_stats(exp, rule)
+    return int(decide_kept(counts, sums, squares, rule, exp.experiment_id)[0])

@@ -26,7 +26,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .closed_form import EffectModel, cv_expectation, naive_expectation, true_reward
 from .experiments import ArmData, DegenerateFoldError, ExperimentData
@@ -327,7 +327,7 @@ def _simulate_estimates(
             launch_full = score_full > 0
             launch_loo = score_loo > 0
         else:
-            crit = float(stats.norm.isf(rule.gate_alpha))
+            crit = float(-special.ndtri(rule.gate_alpha))
             gate_var = 2.0 * float(blend @ noise_cov @ blend)
             launch_full = score_full > crit * np.sqrt(gate_var / m)
             launch_loo = score_loo > crit * np.sqrt(gate_var / (m - sizes))[None, :]

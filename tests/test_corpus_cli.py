@@ -404,6 +404,37 @@ def test_cli_missing_corpus_file_exits_one(tmp_path):
     ) == 1
 
 
+def test_cli_evaluate_rejects_non_finite_cells_and_weights(tmp_path, capsys):
+    # Non-finite metric cells and weights are input errors that name the
+    # file, line and column; accepted, they would surface only as nan/inf
+    # estimates.
+    corpus_path = tmp_path / "corpus.csv"
+    rules_path = tmp_path / "rules.json"
+    weights_path = tmp_path / "weights.csv"
+    write(
+        rules_path,
+        json.dumps({"reward": {"metric": "m1"},
+                    "rules": [{"name": "r", "blend": {"metric": "m1"}}]}),
+    )
+    good = "experiment_id,arm,unit_id,m1\ne,1,u1,1.0\ne,1,u2,2.0\ne,2,u1,3.0\ne,2,u2,4.0\n"
+    argv = ["evaluate", "--corpus", str(corpus_path), "--rules", str(rules_path),
+            "--out", str(tmp_path / "r.csv")]
+    for cell in ("nan", "inf", "-Infinity"):
+        write(corpus_path, good.replace("u2,4.0", f"u2,{cell}"))
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "corpus.csv" in err and "line 5" in err and "'m1'" in err
+        assert "not finite" in err
+    write(corpus_path, good)
+    for weight in ("inf", "nan"):
+        write(weights_path, f"experiment_id,weight\ne,{weight}\n")
+        assert main(argv + ["--weights", str(weights_path)]) == 1
+        err = capsys.readouterr().err
+        assert "weights.csv" in err and "line 2" in err and "'weight'" in err
+        assert "not finite" in err
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_cli_degenerate_arm_exits_two(tmp_path):
     # A single-unit arm cannot support the significance gate: exit code 2.
     corpus_path = tmp_path / "corpus.csv"

@@ -1,0 +1,177 @@
+"""Property tests: the vectorized decision kernel against the unit-level oracle.
+
+Every estimator decides through ``experiments.decide_kept``.  On small
+random experiments the kernel must pick the oracle's arm for the full data
+(naive), for every held-out fold (k-fold) and for every held-out subset
+(leave-one-out, leave-two-out), and its estimates must match the oracle's
+to 1e-12 relative.  The experiments cover exact ties on integer data,
+single-arm and three-arm experiments, zero-variance arms, unequal arm
+sizes, gates on several blends combined with any/all, two-sided gates and
+metric levels shifted by 1e6.
+"""
+
+import math
+from contextlib import contextmanager
+from itertools import combinations
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import unit_oracle as oracle
+from ruleval import (
+    ArmData,
+    DecisionRule,
+    EstimatorConfig,
+    ExperimentData,
+    RewardSpec,
+    assign_folds,
+    decide,
+    estimate_reward,
+    leave_l_out_reward,
+    naive_reward,
+    significance_set,
+)
+from ruleval import estimators
+
+PROPERTY = settings(max_examples=300, deadline=None, derandomize=True)
+REL = 1e-12
+COEFFICIENTS = (-1.0, 0.0, 0.5, 1.0, 2.0)  # dyadic: integer data stays exact
+
+
+@contextmanager
+def kernel_decisions():
+    """Record every array of decisions the estimators get from the kernel."""
+    seen = []
+    original = estimators.decide_kept
+
+    def spy(*args, **kwargs):
+        chosen = original(*args, **kwargs)
+        seen.append(chosen.copy())
+        return chosen
+
+    estimators.decide_kept = spy
+    try:
+        yield seen
+    finally:
+        estimators.decide_kept = original
+
+
+@st.composite
+def cases(draw, sizes):
+    """(experiment, rule, reward) with arm sizes drawn by ``sizes(draw, k)``."""
+    k = draw(st.integers(1, 3))
+    j = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    integer = draw(st.booleans())
+    level = draw(st.sampled_from((0.0, 1e6)))
+    arms = []
+    for i, m in enumerate(sizes(draw, k)):
+        if integer:
+            units = rng.integers(-2, 3, size=(m, j)).astype(float)
+        else:
+            units = rng.normal(rng.normal(0.0, 0.5, j), 1.0, size=(m, j))
+        if draw(st.booleans()):
+            units[:] = units[0]  # zero-variance arm
+        arms.append(ArmData(i + 1, units + level))
+    exp = ExperimentData("e", tuple(arms))
+
+    blend = st.lists(st.sampled_from(COEFFICIENTS), min_size=j, max_size=j).map(
+        np.array
+    )
+    gated = draw(st.booleans())
+    rule = DecisionRule(
+        blend=draw(blend),
+        gate="significant-vs-reference" if gated else "none",
+        gate_alpha=draw(st.sampled_from((0.05, 0.2, 0.7))),
+        gate_sides=draw(st.sampled_from(("one-sided-greater", "two-sided"))),
+        gate_metrics=draw(st.none() | st.lists(blend, min_size=1, max_size=2).map(tuple)),
+        gate_combine=draw(st.sampled_from(("all", "any"))),
+        fallback_arm=draw(st.integers(1, k)),
+    )
+    reward = RewardSpec.metric(draw(st.integers(1, j)))
+    return exp, rule, reward
+
+
+def free_sizes(draw, k):
+    return [draw(st.integers(2, 7)) for _ in range(k)]
+
+
+def close(got: float, want: float, scale: float) -> bool:
+    """Within REL of the oracle, relative to the size of the summed terms."""
+    return math.isclose(got, want, rel_tol=REL, abs_tol=REL * scale)
+
+
+def reward_scale(exp: ExperimentData, reward: RewardSpec) -> float:
+    w = reward.weights(exp.num_metrics)
+    return max(float(np.abs(arm.units @ w).max()) for arm in exp.arms)
+
+
+def two_arm(units1, units2):
+    return ExperimentData(
+        "e", (ArmData(1, np.asarray(units1, float)), ArmData(2, np.asarray(units2, float)))
+    )
+
+
+GATED = DecisionRule(blend=[1.0], gate="significant-vs-reference")
+
+
+@PROPERTY
+@given(cases(free_sizes))
+@example((two_arm([[1.0], [3.0]], [[2.0], [2.0]]), DecisionRule(blend=[1.0]),
+          RewardSpec.metric(1)))  # exact tie
+@example((two_arm([[1e6], [1e6]], [[1e6 + 1], [1e6 + 1]]), GATED,
+          RewardSpec.metric(1)))  # two zero-variance arms at a 1e6 level
+@example((ExperimentData("solo", (ArmData(1, np.array([[2.0], [5.0]])),)), GATED,
+          RewardSpec.metric(1)))  # single arm
+def test_naive_decisions_match_oracle(case):
+    exp, rule, reward = case
+    chosen = decide(exp, rule)
+    assert chosen == oracle.decide(exp, rule)
+    if rule.gate != "none":
+        assert significance_set(exp, rule) == oracle.significance_set(exp, rule)
+    w = reward.weights(exp.num_metrics)
+    assert naive_reward(exp, rule, reward) == oracle.naive_reward(exp, rule, w)
+
+
+@PROPERTY
+@given(st.integers(2, 3).flatmap(
+    lambda p: st.tuples(
+        st.just(p),
+        cases(lambda draw, k: [draw(st.integers(2 * p, 2 * p + 3)) for _ in range(k)]),
+        st.integers(0, 1000),
+    )
+))
+def test_kfold_decisions_and_estimates_match_oracle(args):
+    num_folds, (exp, rule, reward), seed = args
+    config = EstimatorConfig(kind="cv-kfold", num_folds=num_folds, fold_seed=seed)
+    with kernel_decisions() as seen:
+        got = estimate_reward([exp], rule, reward, config).per_experiment[0]
+    folds = assign_folds(exp, num_folds, seed)
+    expected = [
+        oracle.decide_on_fold(exp, rule, folds, p) for p in range(1, num_folds + 1)
+    ]
+    assert len(seen) == 1 and seen[0].tolist() == expected
+    w = reward.weights(exp.num_metrics)
+    want = oracle.kfold_reward(exp, rule, w, folds)
+    assert close(got, want, reward_scale(exp, reward))
+
+
+@PROPERTY
+@given(st.integers(1, 2).flatmap(
+    lambda l: st.tuples(
+        st.just(l),
+        st.integers(l + 2, 7).flatmap(lambda m: cases(lambda draw, k: [m] * k)),
+    )
+))
+def test_leave_l_out_decisions_and_estimates_match_oracle(args):
+    leave_out, (exp, rule, reward) = args
+    with kernel_decisions() as seen:
+        got = leave_l_out_reward(exp, rule, reward, leave_out)
+    m = exp.arms[0].num_units
+    subsets = list(combinations(range(m), leave_out))
+    expected = [oracle.decide_without(exp, rule, s) for s in subsets]
+    assert len(seen) == 1 and seen[0].tolist() == expected
+    w = reward.weights(exp.num_metrics)
+    want = oracle.leave_l_out_sum(exp, rule, w, leave_out)
+    assert close(got, want, len(subsets) * reward_scale(exp, reward))

@@ -16,7 +16,6 @@ from ruleval import (
     assign_folds,
     bootstrap_ci,
     cv_fold_reward,
-    cv_reward,
     decide,
     estimate_reward,
     leave_l_out_reward,
@@ -26,6 +25,7 @@ from ruleval import (
 from ruleval.estimators import aggregate, bootstrap_aggregates
 from ruleval.experiments import FoldAssignment
 from ruleval.streams import substream
+import unit_oracle as oracle
 
 REWARD = RewardSpec.metric(1)
 CONSTANT_RULE = DecisionRule(blend=[0.0])  # all blend means tie, arm 1 wins
@@ -110,7 +110,14 @@ def test_cv_fold_reward_identical_units_returns_constant():
 
 
 # ---------------------------------------------------------------------------
-# cv_reward
+# k-fold through estimate_reward
+
+
+def kfold(exps, rule, num_folds, seed=0, mode="mean"):
+    config = EstimatorConfig(
+        kind="cv-kfold", num_folds=num_folds, fold_seed=seed, mode=mode
+    )
+    return estimate_reward(exps, rule, REWARD, config)
 
 
 def test_cv_reward_constant_rule_matches_naive_in_expectation():
@@ -122,7 +129,7 @@ def test_cv_reward_constant_rule_matches_naive_in_expectation():
         rng = substream(55, "cvnaive", i)
         exp = random_two_arm(rng, m=10, exp_id=f"e{i}", loc=(0.3, 0.5))
         nv = naive_reward(exp, CONSTANT_RULE, REWARD)
-        cv = cv_reward([exp], CONSTANT_RULE, REWARD, num_folds=3, seed=i)
+        cv = kfold([exp], CONSTANT_RULE, num_folds=3, seed=i)
         diffs[i] = nv - cv.value
     assert diffs.std() > 0
     se = diffs.std(ddof=1) / np.sqrt(reps)
@@ -140,7 +147,7 @@ def test_cv_reward_zero_weights_isolate_one_experiment():
         )
         for i in range(4)
     ]
-    est = cv_reward(exps, ARGMAX_RULE, REWARD, num_folds=2, seed=0)
+    est = kfold(exps, ARGMAX_RULE, num_folds=2, seed=0)
     assert est.value == pytest.approx(est.per_experiment[2], abs=1e-15)
 
 
@@ -156,7 +163,7 @@ def test_reward_estimate_aggregate_invariant():
         for i in range(5)
     ]
     for mode in ("mean", "cumulative"):
-        est = cv_reward(exps, ARGMAX_RULE, REWARD, num_folds=3, seed=1, mode=mode)
+        est = kfold(exps, ARGMAX_RULE, num_folds=3, seed=1, mode=mode)
         recomputed = aggregate(
             np.array(est.per_experiment), np.array(est.weights), mode
         )
@@ -295,8 +302,16 @@ def test_estimate_reward_kinds_agree_with_direct_calls():
     cv = estimate_reward(
         exps, ARGMAX_RULE, REWARD, EstimatorConfig(kind="cv-kfold", num_folds=2)
     )
-    direct = cv_reward(exps, ARGMAX_RULE, REWARD, num_folds=2, seed=0)
-    assert cv.value == direct.value
+    direct = np.mean(
+        [
+            np.mean(
+                [cv_fold_reward(e, ARGMAX_RULE, REWARD, assign_folds(e, 2, 0), p)
+                 for p in (1, 2)]
+            )
+            for e in exps
+        ]
+    )
+    assert cv.value == pytest.approx(direct, abs=1e-15)
     loo = estimate_reward(
         exps, ARGMAX_RULE, REWARD, EstimatorConfig(kind="cv-leave-l-out", leave_out=1)
     )
@@ -359,6 +374,24 @@ def test_bootstrap_percentile_definition():
     )
     assert np.array_equal(draws, again)
     assert lo <= np.median(draws) <= hi
+
+
+def test_bootstrap_draws_equal_the_per_replicate_loop():
+    # Without zero-weight resamples, the one (B, n) index draw consumes the
+    # stream exactly as one draw per replicate does.
+    rng = np.random.default_rng(31)
+    for n in (7, 60):
+        contributions = rng.standard_normal(n)
+        weights = rng.uniform(0.5, 2.0, n)
+        for mode in ("mean", "cumulative"):
+            draws, redraws = bootstrap_aggregates(
+                contributions, weights, mode, 200, substream(4, "loop", n, mode)
+            )
+            expected = oracle.bootstrap_loop(
+                contributions, weights, mode, 200, substream(4, "loop", n, mode)
+            )
+            assert redraws == 0
+            assert np.array_equal(draws, expected)
 
 
 def test_bootstrap_redraws_zero_weight_resamples():

@@ -1,5 +1,9 @@
 """Rule-engine behavior: blend statistics, significance gating, decisions,
-and fold machinery."""
+and fold machinery.
+
+``blend_mean_and_se`` is the unit-level oracle's (tests/unit_oracle.py);
+held-out-fold decisions are observed through ``cv_fold_reward``.
+"""
 
 import statistics
 
@@ -14,13 +18,15 @@ from ruleval import (
     ExperimentData,
     RewardSpec,
     assign_folds,
-    blend_mean_and_se,
+    cv_fold_reward,
     decide,
-    decide_on_folds,
     significance_set,
 )
-from ruleval.experiments import FoldAssignment, remove_fold
+from ruleval.experiments import FoldAssignment
 from ruleval.streams import substream
+from unit_oracle import blend_mean_and_se
+
+REWARD = RewardSpec.metric(1)
 
 
 def two_arm(units1, units2, weight=1.0, exp_id="e"):
@@ -289,8 +295,9 @@ def test_decide_on_folds_mirror_halves():
     exp = two_arm(units1, units2)
     folds = FoldAssignment("e", 2, {1: np.array([1, 2]), 2: np.array([1, 2])}, 0)
     rule = DecisionRule(blend=[1.0])
-    assert decide_on_folds(exp, rule, folds, 1) == decide(exp, rule) == 2
-    assert decide_on_folds(exp, rule, folds, 2) == 2
+    assert decide(exp, rule) == 2
+    assert cv_fold_reward(exp, rule, REWARD, folds, 1) == 2.0  # arm 2's unit
+    assert cv_fold_reward(exp, rule, REWARD, folds, 2) == 2.0
 
 
 def test_decide_on_folds_data_independent_rule():
@@ -299,7 +306,8 @@ def test_decide_on_folds_data_independent_rule():
     folds = assign_folds(exp, 3, seed=0)
     rule = DecisionRule(blend=[0.0])
     for p in (1, 2, 3):
-        assert decide_on_folds(exp, rule, folds, p) == 1
+        arm1_fold = exp.arm(1).units[folds.folds[1] == p, 0]
+        assert cv_fold_reward(exp, rule, REWARD, folds, p) == arm1_fold.mean()
 
 
 def test_decide_on_folds_matches_brute_force_subsets():
@@ -315,14 +323,16 @@ def test_decide_on_folds_matches_brute_force_subsets():
                 keep = folds.folds[arm.arm_index] != p
                 manual_arms.append(ArmData(arm.arm_index, arm.units[keep]))
             manual = ExperimentData(exp.experiment_id, tuple(manual_arms))
-            assert decide_on_folds(exp, rule, folds, p) == decide(manual, rule)
+            chosen = decide(manual, rule)
+            held = exp.arm(chosen).units[folds.folds[chosen] == p, 0]
+            assert cv_fold_reward(exp, rule, REWARD, folds, p) == held.mean()
 
 
 def test_decide_on_folds_degenerate_fold_names_arm_and_fold():
     exp = two_arm([[1.0], [2.0]], [[3.0], [4.0]])
     folds = FoldAssignment("e", 2, {1: np.array([1, 1]), 2: np.array([1, 2])}, 0)
     with pytest.raises(DegenerateFoldError, match="fold 1") as excinfo:
-        decide_on_folds(exp, DecisionRule(blend=[1.0]), folds, 1)
+        cv_fold_reward(exp, DecisionRule(blend=[1.0]), REWARD, folds, 1)
     assert "arm 1" in str(excinfo.value)
 
 
@@ -331,11 +341,12 @@ def test_remove_fold_gated_needs_two_remaining_units():
     folds = FoldAssignment(
         "e", 2, {1: np.array([1, 1, 2]), 2: np.array([1, 1, 2])}, 0
     )
-    # Removing the two-unit fold leaves one unit per arm: fine ungated,
-    # degenerate under a significance gate.
-    assert decide_on_folds(exp, DecisionRule(blend=[1.0]), folds, 1) == 2
+    # Removing the two-unit fold leaves one unit per arm: fine ungated
+    # (arm 2 wins and scores its held-out units 4 and 5), degenerate under
+    # a significance gate.
+    assert cv_fold_reward(exp, DecisionRule(blend=[1.0]), REWARD, folds, 1) == 4.5
     with pytest.raises(DegenerateFoldError):
-        remove_fold(exp, folds, 1, min_units=2)
+        cv_fold_reward(exp, gated_rule(), REWARD, folds, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +362,11 @@ def test_experiment_validation():
         )
     with pytest.raises(ValueError, match="weight"):
         two_arm([[1.0]], [[2.0]], weight=-1.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="weight"):
+            two_arm([[1.0]], [[2.0]], weight=bad)
+        with pytest.raises(ValueError, match="finite"):
+            ArmData(1, np.array([[1.0], [bad]]))
     with pytest.raises(DegenerateArmError):
         ArmData(1, np.zeros((0, 1)))
 

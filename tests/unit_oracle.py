@@ -1,0 +1,175 @@
+"""Unit-level reference implementation of the decision rule and estimators.
+
+This is the straightforward version of what ``ruleval`` computes with its
+vectorized decision kernel: every held-out fold or subset rebuilds a
+smaller ``ExperimentData`` and decides on it from per-arm means and
+standard errors.  Tests compare the library against it.
+"""
+
+from itertools import combinations
+
+import numpy as np
+from scipy import stats
+
+from ruleval import (
+    ArmData,
+    DecisionRule,
+    DegenerateArmError,
+    DegenerateFoldError,
+    ExperimentData,
+    FoldAssignment,
+)
+
+
+def blend_mean_and_se(arm: ArmData, blend: np.ndarray) -> tuple[float, float]:
+    """Sample mean and standard error of the blended outcome over an arm.
+
+    The standard error uses the unbiased sample variance (divisor M - 1),
+    so the arm must have at least two units.
+    """
+    blend = np.asarray(blend, dtype=float)
+    if blend.shape != (arm.num_metrics,):
+        raise ValueError(
+            f"blend has shape {blend.shape}, expected ({arm.num_metrics},)"
+        )
+    m = arm.num_units
+    if m < 2:
+        raise DegenerateArmError(
+            f"arm {arm.arm_index} has {m} unit(s); standard error needs >= 2"
+        )
+    values = arm.units @ blend
+    mean = float(values.mean())
+    se = float(values.std(ddof=1) / np.sqrt(m))
+    return mean, se
+
+
+def _z_statistic(mean_k: float, se_k: float, mean_ref: float, se_ref: float) -> float:
+    diff = mean_k - mean_ref
+    denom = float(np.hypot(se_k, se_ref))
+    if denom == 0.0:
+        if diff == 0.0:
+            return 0.0
+        return float(np.inf) if diff > 0 else float(-np.inf)
+    return diff / denom
+
+
+def significance_set(exp: ExperimentData, rule: DecisionRule) -> set[int]:
+    """Arms whose gate blends beat the reference arm (two-sample z-test)."""
+    for arm in exp.arms:
+        if arm.num_units < 2:
+            raise DegenerateArmError(
+                f"experiment {exp.experiment_id!r}: arm {arm.arm_index} has "
+                f"{arm.num_units} unit(s); the significance gate needs >= 2"
+            )
+    if rule.gate_sides == "one-sided-greater":
+        crit = float(stats.norm.isf(rule.gate_alpha))
+    else:
+        crit = float(stats.norm.isf(rule.gate_alpha / 2.0))
+    ref = exp.arm(1)
+    gate_stats = [(b, *blend_mean_and_se(ref, b)) for b in rule.gate_blends()]
+    members: set[int] = set()
+    for arm in exp.arms[1:]:
+        passed = []
+        for blend, ref_mean, ref_se in gate_stats:
+            z = _z_statistic(*blend_mean_and_se(arm, blend), ref_mean, ref_se)
+            passed.append(abs(z) > crit if rule.gate_sides == "two-sided" else z > crit)
+        if all(passed) if rule.gate_combine == "all" else any(passed):
+            members.add(arm.arm_index)
+    return members
+
+
+def decide(exp: ExperimentData, rule: DecisionRule) -> int:
+    """Argmax of blend means, over the significance set when gated."""
+    means = np.array([float((arm.units @ rule.blend).mean()) for arm in exp.arms])
+    if rule.gate == "none":
+        return int(np.argmax(means)) + 1
+    eligible = significance_set(exp, rule)
+    if not eligible:
+        return rule.fallback_arm
+    best, best_mean = None, -np.inf
+    for k in sorted(eligible):
+        if means[k - 1] > best_mean:
+            best, best_mean = k, means[k - 1]
+    return int(best)
+
+
+def remove_fold(
+    exp: ExperimentData, folds: FoldAssignment, held_out: int, min_units: int
+) -> ExperimentData:
+    """Experiment with the held-out fold's units removed from every arm."""
+    arms = []
+    for arm in exp.arms:
+        keep = folds.folds[arm.arm_index] != held_out
+        if int(keep.sum()) < min_units:
+            raise DegenerateFoldError(
+                f"removing fold {held_out} leaves arm {arm.arm_index} with "
+                f"{int(keep.sum())} unit(s)"
+            )
+        arms.append(ArmData(arm.arm_index, arm.units[keep]))
+    return ExperimentData(exp.experiment_id, tuple(arms), weight=exp.weight)
+
+
+def _min_units(rule: DecisionRule) -> int:
+    return 2 if rule.gate == "significant-vs-reference" else 1
+
+
+def decide_on_fold(
+    exp: ExperimentData, rule: DecisionRule, folds: FoldAssignment, held_out: int
+) -> int:
+    return decide(remove_fold(exp, folds, held_out, _min_units(rule)), rule)
+
+
+def naive_reward(exp: ExperimentData, rule: DecisionRule, reward_w: np.ndarray) -> float:
+    return float((exp.arm(decide(exp, rule)).units @ reward_w).mean())
+
+
+def kfold_reward(
+    exp: ExperimentData, rule: DecisionRule, reward_w: np.ndarray, folds: FoldAssignment
+) -> float:
+    """Mean over folds of the held-out fold reward of the chosen arm."""
+    values = []
+    for p in range(1, folds.num_folds + 1):
+        chosen = decide_on_fold(exp, rule, folds, p)
+        mask = folds.folds[chosen] == p
+        values.append(float((exp.arm(chosen).units @ reward_w)[mask].mean()))
+    return float(np.mean(values))
+
+
+def decide_without(exp: ExperimentData, rule: DecisionRule, subset) -> int:
+    """Decision with the given unit positions removed from every arm."""
+    keep = np.ones(exp.arms[0].num_units, dtype=bool)
+    keep[list(subset)] = False
+    reduced = ExperimentData(
+        exp.experiment_id,
+        tuple(ArmData(a.arm_index, a.units[keep]) for a in exp.arms),
+        weight=exp.weight,
+    )
+    return decide(reduced, rule)
+
+
+def leave_l_out_sum(
+    exp: ExperimentData, rule: DecisionRule, reward_w: np.ndarray, leave_out: int
+) -> float:
+    """Sum over every size-l subset of its held-out mean reward in the chosen arm."""
+    total = 0.0
+    for subset in combinations(range(exp.arms[0].num_units), leave_out):
+        chosen = decide_without(exp, rule, subset)
+        total += float((exp.arm(chosen).units @ reward_w)[list(subset)].mean())
+    return total
+
+
+def bootstrap_loop(
+    contributions: np.ndarray, weights: np.ndarray, mode: str, n_replicates: int, rng
+) -> np.ndarray:
+    """One resample per replicate, redrawing zero-weight resamples in place."""
+    n = len(contributions)
+    out = np.empty(n_replicates)
+    for b in range(n_replicates):
+        while True:
+            idx = rng.integers(0, n, size=n)
+            w = weights[idx]
+            if mode == "cumulative" or w.sum() > 0:
+                break
+        total = np.sum(w * contributions[idx])
+        out[b] = total if mode == "cumulative" else total / float(w.sum())
+    return out
