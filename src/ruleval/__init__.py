@@ -59,7 +59,6 @@ from .simulator import (
     ProxySpec,
     RescalingCheckReport,
     SelectionCheckReport,
-    SimRule,
     SimulationConfig,
     SimulationResult,
     SweepSpec,
@@ -90,7 +89,6 @@ __all__ = [
     "RewardSpec",
     "RuleEstimateRow",
     "SelectionCheckReport",
-    "SimRule",
     "SimulationConfig",
     "SimulationResult",
     "SweepSpec",

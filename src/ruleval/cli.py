@@ -48,7 +48,6 @@ from .simulator import (
     DEFAULT_MODEL,
     DEFAULT_PROXIES,
     ProxySpec,
-    SimRule,
     SimulationConfig,
     SweepSpec,
     check_poisson_rescaling,
@@ -159,14 +158,14 @@ def _parse_sim_config(obj: dict, overrides: argparse.Namespace) -> SimulationCon
     _check_keys(obj, allowed, set(), "simulate config")
     model = _parse_model(obj["model"], "simulate config.model") if "model" in obj \
         else DEFAULT_MODEL
-    rule = SimRule()
+    rule = DecisionRule(blend=[0.0, 1.0])
     if "rule" in obj:
         _check_keys(
             obj["rule"], {"blend", "gate", "gate_alpha"}, {"blend"},
             "simulate config.rule",
         )
         try:
-            rule = SimRule(
+            rule = DecisionRule(
                 blend=np.array(obj["rule"]["blend"], dtype=float),
                 gate=obj["rule"].get("gate", "none"),
                 gate_alpha=float(obj["rule"].get("gate_alpha", 0.05)),

@@ -45,6 +45,7 @@ from .experiments import (
     blend_values,
     decide,
     decide_kept,
+    sample_variance,
 )
 from .streams import substream
 
@@ -189,7 +190,8 @@ def _fold_rewards(
             f"leaves arm {k + 1} with {int(counts[p, k])} unit(s), "
             f"needs >= {min_units}"
         )
-    chosen = decide_kept(counts, sums, squares, rule, exp.experiment_id) - 1
+    variances = sample_variance(counts, sums, squares) if gated else None
+    chosen = decide_kept(counts, sums, variances, rule, exp.experiment_id) - 1
     fold = np.arange(num_folds)
     n = held_counts[chosen, fold]
     for p in np.flatnonzero(n == 0):
@@ -268,8 +270,11 @@ def _subset_rewards(
         return (x.sum(axis=1)[:, None] - held).transpose(1, 0, 2)
 
     counts = np.full((num_subsets, exp.num_arms), float(kept))
-    squares = kept_sums(values * values) if gated else None
-    chosen = decide_kept(counts, kept_sums(values), squares, rule, exp.experiment_id)
+    sums = kept_sums(values)
+    variances = (
+        sample_variance(counts, sums, kept_sums(values * values)) if gated else None
+    )
+    chosen = decide_kept(counts, sums, variances, rule, exp.experiment_id)
     rewards = np.stack([_reward_values(arm, reward) for arm in exp.arms])
     return rewards[chosen[:, None] - 1, subsets].mean(axis=1)
 

@@ -8,8 +8,11 @@ pure functions of immutable inputs.
 
 Every decision, on the full data or with units held out, goes through one
 kernel, ``decide_kept``.  It decides many held-out subsets at once from each
-arm's kept unit count and the sums and sums of squares of the rule's blend
-columns over the kept units, so estimators never rebuild an experiment.
+arm's kept unit count, the sums of the rule's blend columns over the kept
+units and the per-unit variance of each column, so estimators never rebuild
+an experiment.  The library estimators compute that variance from the kept
+units (``sample_variance``); the Monte Carlo fast path supplies the model's
+known variance.
 """
 
 from __future__ import annotations
@@ -30,9 +33,11 @@ __all__ = [
     "FoldAssignment",
     "RewardSpec",
     "assign_folds",
+    "blend_matrix",
     "blend_values",
     "decide",
     "decide_kept",
+    "sample_variance",
     "significance_set",
 ]
 
@@ -277,80 +282,118 @@ def assign_folds(exp: ExperimentData, num_folds: int, seed: int) -> FoldAssignme
     )
 
 
-def blend_values(exp: ExperimentData, rule: DecisionRule) -> list[np.ndarray]:
-    """Each arm's (units, B) blend values, all shifted by one shared constant.
+def blend_matrix(rule: DecisionRule, num_metrics: int) -> np.ndarray:
+    """The rule's (metrics, B) blend matrix.
 
     Column 0 is the rule blend; a gated rule with ``gate_metrics`` adds one
-    column per gate blend.  The shift is arm 1's first unit: subtracting
-    one constant from every arm changes no comparison, keeps ties on
-    integer data exact, and keeps large metric levels from cancelling in
-    the sums of squares (Chan, Golub & LeVeque 1983).
+    column per gate blend.
     """
     blends = [rule.blend]
     if rule.gate != "none" and rule.gate_metrics is not None:
         blends += list(rule.gate_metrics)
     for blend in blends:
-        if blend.shape != (exp.num_metrics,):
+        if blend.shape != (num_metrics,):
             raise ValueError(
-                f"blend has shape {blend.shape}, expected ({exp.num_metrics},)"
+                f"blend has shape {blend.shape}, expected ({num_metrics},)"
             )
-    matrix = np.column_stack(blends)
+    return np.column_stack(blends)
+
+
+def blend_values(exp: ExperimentData, rule: DecisionRule) -> list[np.ndarray]:
+    """Each arm's (units, B) ``blend_matrix`` values, all shifted by one
+    shared constant.
+
+    The shift is arm 1's first unit: subtracting one constant from every
+    arm changes no comparison, keeps ties on integer data exact, and keeps
+    large metric levels from cancelling in the sums of squares (Chan,
+    Golub & LeVeque 1983).
+    """
+    matrix = blend_matrix(rule, exp.num_metrics)
     values = [arm.units @ matrix for arm in exp.arms]
     shift = values[0][0].copy()
     return [v - shift for v in values]
 
 
-def _gate_mask(
-    counts: np.ndarray, sums: np.ndarray, squares: np.ndarray, rule: DecisionRule
+def sample_variance(
+    counts: np.ndarray, sums: np.ndarray, squares: np.ndarray
 ) -> np.ndarray:
-    """(S, K) mask of arms whose gate blends beat the reference arm.
+    """Unbiased per-unit variance of each column from counts, sums and sums
+    of squares: ``counts`` is (..., K), the others are (..., K, B)."""
+    n = counts[..., None]
+    return np.maximum(squares - sums * (sums / n), 0.0) / (n - 1)
 
-    Two-sample z-test with unpooled standard errors from the unbiased
-    sample variance; column 0 (the reference arm) is always False.
+
+def _first_argmax(score: np.ndarray) -> np.ndarray:
+    """``np.argmax`` over the last (arm) axis, lowest index on exact ties,
+    as one vectorized comparison per arm: ``np.argmax`` makes one short
+    reduction per row, which dominates on large batches of few arms."""
+    best = score[..., 0]
+    chosen = np.zeros(best.shape, dtype=np.intp)
+    for k in range(1, score.shape[-1]):
+        better = score[..., k] > best
+        chosen[better] = k
+        if k + 1 < score.shape[-1]:
+            best = np.maximum(best, score[..., k])
+    return chosen
+
+
+def _gate_mask(
+    counts: np.ndarray, sums: np.ndarray, variances: np.ndarray, rule: DecisionRule
+) -> np.ndarray:
+    """(..., K) mask of arms whose gate blends beat the reference arm.
+
+    Two-sample z-test with unpooled standard errors from the per-unit
+    variances; arm 0 (the reference arm) is always False.
     """
     cols = slice(0, 1) if rule.gate_metrics is None else slice(1, None)
-    n = counts[:, :, None]
-    means = sums[:, :, cols] / n
-    var = np.maximum(squares[:, :, cols] - sums[:, :, cols] * means, 0.0) / (n - 1)
-    se2 = var / n
-    diff = means[:, 1:] - means[:, :1]
+    n = counts[..., None]
+    means = sums[..., cols] / n
+    se2 = variances[..., cols] / n
+    diff = means[..., 1:, :] - means[..., :1, :]
     with np.errstate(divide="ignore", invalid="ignore"):
-        z = np.where(diff == 0.0, 0.0, diff / np.sqrt(se2[:, 1:] + se2[:, :1]))
+        z = np.where(
+            diff == 0.0, 0.0, diff / np.sqrt(se2[..., 1:, :] + se2[..., :1, :])
+        )
     if rule.gate_sides == "two-sided":
         passed = np.abs(z) > -special.ndtri(rule.gate_alpha / 2.0)
     else:
         passed = z > -special.ndtri(rule.gate_alpha)
-    passed = passed.all(axis=2) if rule.gate_combine == "all" else passed.any(axis=2)
-    mask = np.zeros(counts.shape, dtype=bool)
-    mask[:, 1:] = passed
+    passed = passed.all(axis=-1) if rule.gate_combine == "all" else passed.any(axis=-1)
+    mask = np.zeros(passed.shape[:-1] + (passed.shape[-1] + 1,), dtype=bool)
+    mask[..., 1:] = passed
     return mask
 
 
 def decide_kept(
     counts: np.ndarray,
     sums: np.ndarray,
-    squares: np.ndarray | None,
+    variances: np.ndarray | None,
     rule: DecisionRule,
     experiment_id: str,
 ) -> np.ndarray:
-    """Decide S held-out subsets of one experiment at once.
+    """Decide many held-out subsets of one or more experiments at once.
 
-    ``counts`` is (S, K): each arm's kept unit count per subset; ``sums``
-    and ``squares`` are (S, K, B): sums and sums of squares of the
-    ``blend_values`` columns over the kept units (``squares`` may be None
-    for an ungated rule).  Returns the chosen 1-based arm per subset:
-    the argmax of blend means, restricted under a gate to the arms that
-    pass it, or the fallback arm when none does.  Exact ties go to the
-    lowest index.  Gated callers must keep at least two units per arm.
+    ``sums`` is (..., K, B): per subset, each arm's sum of the
+    ``blend_matrix`` columns over its kept units; ``counts`` is each arm's
+    kept unit count, (..., K) or any shape that broadcasts against
+    ``sums[..., 0]``.  ``variances`` is each arm's per-unit variance of
+    every blend column, broadcastable to ``sums`` (None for an ungated
+    rule): the library passes the kept units' ``sample_variance``, the
+    Monte Carlo fast path the model's known variance.  Returns the chosen
+    1-based arm per subset: the argmax of blend means, restricted under a
+    gate to the arms that pass it, or the fallback arm when none does.
+    Exact ties go to the lowest index.
     """
-    score = sums[:, :, 0] / counts
+    score = sums[..., 0] / counts
     if rule.gate == "none":
-        return np.argmax(score, axis=1) + 1
-    mask = _gate_mask(counts, sums, squares, rule)
-    chosen = np.argmax(np.where(mask, score, -np.inf), axis=1) + 1
-    empty = ~mask.any(axis=1)
+        return _first_argmax(score) + 1
+    mask = _gate_mask(counts, sums, variances, rule)
+    chosen = _first_argmax(np.where(mask, score, -np.inf)) + 1
+    # The reference arm never passes the gate, so it comes out of the
+    # masked argmax exactly when no arm does.
+    empty = chosen == 1
     if empty.any():
-        if rule.fallback_arm > counts.shape[1]:
+        if rule.fallback_arm > score.shape[-1]:
             raise ValueError(
                 f"fallback arm {rule.fallback_arm} does not exist in "
                 f"experiment {experiment_id!r}"
@@ -375,7 +418,7 @@ def _full_data_stats(
                 f"{arm.num_units} unit(s); the significance gate needs >= 2"
             )
     squares = np.stack([(v * v).sum(axis=0) for v in values])[None]
-    return counts, sums, squares
+    return counts, sums, sample_variance(counts, sums, squares)
 
 
 def significance_set(exp: ExperimentData, rule: DecisionRule) -> set[int]:
@@ -398,5 +441,5 @@ def decide(exp: ExperimentData, rule: DecisionRule) -> int:
     rules take the argmax restricted to the significance set, or the
     fallback arm when the set is empty.  Exact ties go to the lowest index.
     """
-    counts, sums, squares = _full_data_stats(exp, rule)
-    return int(decide_kept(counts, sums, squares, rule, exp.experiment_id)[0])
+    counts, sums, variances = _full_data_stats(exp, rule)
+    return int(decide_kept(counts, sums, variances, rule, exp.experiment_id)[0])

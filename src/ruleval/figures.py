@@ -57,6 +57,17 @@ SWEEP_HEADER = [
 
 LEVELSET_HEADER = ["rho_tau", "rho", "true", "naive", "cv"]
 
+# Figures 2-4: (swept field, default grid, CSV name, (variant, model) pairs).
+_SWEEPS = {
+    2: ("noise_sd_proxy", FIG2_NOISE_GRID, "figure2_noise_sweep.csv",
+        (("default", DEFAULT_MODEL),)),
+    3: ("units_per_arm", FIG3_UNITS_GRID, "figure3_units_sweep.csv",
+        tuple((p.name, bivariate_model_for_proxy(DEFAULT_MODEL, p))
+              for p in DEFAULT_PROXIES)),
+    4: ("num_experiments", FIG4_EXPERIMENTS_GRID, "figure4_experiments_sweep.csv",
+        (("default", DEFAULT_MODEL),)),
+}
+
 
 def _sweep_rows(result) -> list[list]:
     return [
@@ -76,15 +87,6 @@ def _sweep_rows(result) -> list[list]:
     ]
 
 
-def _manifest(figure: int, config: dict, outputs: list[str]) -> dict:
-    return {
-        "command": f"replicate-figure {figure}",
-        "config": config,
-        "version": __version__,
-        "outputs": outputs,
-    }
-
-
 def run_figure(
     figure: int,
     out_dir: str,
@@ -100,74 +102,35 @@ def run_figure(
     reps = DEFAULT_REPLICATIONS if replications is None else int(replications)
 
     if figure == 1:
-        table = levelset_grid(DEFAULT_MODEL, resolution=resolution)
-        csv_path = os.path.join(out_dir, "figure1_levelsets.csv")
-        write_csv_atomic(csv_path, LEVELSET_HEADER, table.tolist())
-        manifest = _manifest(
-            1,
-            {"resolution": resolution, "model": _model_dict(DEFAULT_MODEL)},
-            ["figure1_levelsets.csv"],
-        )
-        manifest_path = os.path.join(out_dir, "figure1_manifest.json")
-        write_json_atomic(manifest_path, manifest)
-        return [csv_path, manifest_path]
-
-    if figure == 2:
-        sweep = SweepSpec("noise_sd_proxy", grid or FIG2_NOISE_GRID)
-        config = SimulationConfig(
-            model=DEFAULT_MODEL,
-            num_replications=reps,
-            seed=seed,
-            sweep=sweep,
-            mode="cumulative",
-        )
-        result = run_bias_sweep(config)
-        name = "figure2_noise_sweep.csv"
-        csv_path = os.path.join(out_dir, name)
-        write_csv_atomic(csv_path, SWEEP_HEADER, _sweep_rows(result))
-        manifest_path = os.path.join(out_dir, "figure2_manifest.json")
-        write_json_atomic(
-            manifest_path, _manifest(2, _config_dict(config), [name])
-        )
-        return [csv_path, manifest_path]
-
-    if figure == 3:
-        sweep = SweepSpec("units_per_arm", grid or FIG3_UNITS_GRID)
-        rows: list[list] = []
-        configs = {}
-        for proxy in DEFAULT_PROXIES:
-            model = bivariate_model_for_proxy(DEFAULT_MODEL, proxy)
-            config = SimulationConfig(
+        name, header = "figure1_levelsets.csv", LEVELSET_HEADER
+        rows = levelset_grid(DEFAULT_MODEL, resolution=resolution).tolist()
+        config = {"resolution": resolution, "model": _model_dict(DEFAULT_MODEL)}
+    else:
+        sweep_field, default_grid, name, variants = _SWEEPS[figure]
+        sweep = SweepSpec(sweep_field, grid or default_grid)
+        header, rows, configs = SWEEP_HEADER, [], {}
+        for variant, model in variants:
+            sim_config = SimulationConfig(
                 model=model,
                 num_replications=reps,
                 seed=seed,
                 sweep=sweep,
                 mode="cumulative",
             )
-            result = run_bias_sweep(config, variant=proxy.name)
-            rows.extend(_sweep_rows(result))
-            configs[proxy.name] = _config_dict(config)
-        name = "figure3_units_sweep.csv"
-        csv_path = os.path.join(out_dir, name)
-        write_csv_atomic(csv_path, SWEEP_HEADER, rows)
-        manifest_path = os.path.join(out_dir, "figure3_manifest.json")
-        write_json_atomic(manifest_path, _manifest(3, configs, [name]))
-        return [csv_path, manifest_path]
-
-    sweep = SweepSpec("num_experiments", grid or FIG4_EXPERIMENTS_GRID)
-    config = SimulationConfig(
-        model=DEFAULT_MODEL,
-        num_replications=reps,
-        seed=seed,
-        sweep=sweep,
-        mode="cumulative",
-    )
-    result = run_bias_sweep(config)
-    name = "figure4_experiments_sweep.csv"
+            rows.extend(_sweep_rows(run_bias_sweep(sim_config, variant=variant)))
+            configs[variant] = _config_dict(sim_config)
+        # Figure 3 keeps one config per proxy; the others have a single one.
+        config = configs if figure == 3 else configs["default"]
     csv_path = os.path.join(out_dir, name)
-    write_csv_atomic(csv_path, SWEEP_HEADER, _sweep_rows(result))
-    manifest_path = os.path.join(out_dir, "figure4_manifest.json")
-    write_json_atomic(manifest_path, _manifest(4, _config_dict(config), [name]))
+    write_csv_atomic(csv_path, header, rows)
+    manifest = {
+        "command": f"replicate-figure {figure}",
+        "config": config,
+        "version": __version__,
+        "outputs": [name],
+    }
+    manifest_path = os.path.join(out_dir, f"figure{figure}_manifest.json")
+    write_json_atomic(manifest_path, manifest)
     return [csv_path, manifest_path]
 
 

@@ -8,10 +8,15 @@ Two simulation paths share the same generative model:
   directly.  For ungated linear-blend rules every quantity the estimators
   touch (full-data means, leave-fold-out means, held-out fold rewards) is a
   function of fold means, whose joint law is exactly multivariate normal,
-  so the fast path is exact, not an approximation.  Gated rules use a
-  known-variance z-gate on top of the fold means, which treats the
-  unit-level covariance as known; that is accurate in the large-M regime
-  the model targets.
+  so the fast path is exact, not an approximation.
+
+Both paths decide through the library's one kernel,
+``experiments.decide_kept``, with the library's ``DecisionRule``.  The fast
+path feeds it arm sums of the rule's blends built from fold means, and in
+place of a sample variance the model's known per-unit blend variance
+``diag(M' noise_cov M)``.  That known variance is the one difference from
+the unit-level engine: a gated rule tests against the true unit noise, which
+is accurate in the large-M regime the model targets.
 
 Reductions are deterministic and independent of parallelism: work is cut
 into fixed-size chunks keyed by (seed, point, chunk), executed in any
@@ -24,12 +29,19 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
-from scipy import special
 
 from .closed_form import EffectModel, cv_expectation, naive_expectation, true_reward
-from .experiments import ArmData, DegenerateFoldError, ExperimentData
+from .experiments import (
+    ArmData,
+    DecisionRule,
+    DegenerateFoldError,
+    ExperimentData,
+    blend_matrix,
+    decide_kept,
+)
 from .streams import substream
 
 __all__ = [
@@ -38,7 +50,6 @@ __all__ = [
     "ProxySpec",
     "RescalingCheckReport",
     "SelectionCheckReport",
-    "SimRule",
     "SimulationConfig",
     "SimulationResult",
     "SweepPointRow",
@@ -52,6 +63,7 @@ __all__ = [
 
 PARALLELISM_ENV_VAR = "RULEVAL_PARALLEL"
 CHUNK_REPLICATIONS = 256
+SUBSET_BLOCK_ELEMENTS = 1 << 16
 
 # Default generative parameters: a weak signal-to-noise regime with one
 # hundred experiments of a million units per arm.
@@ -88,29 +100,6 @@ DEFAULT_PROXIES = (
 
 
 @dataclass(frozen=True)
-class SimRule:
-    """Decision rule in metric space for the fast path.
-
-    ``blend`` has one coefficient per metric.  The treatment arm launches
-    when the blended effect estimate is positive (ties go to control).
-    With ``gate="significant-vs-reference"`` the launch additionally
-    requires a one-sided z-statistic above the alpha critical value, with
-    the unit-level covariance treated as known.
-    """
-
-    blend: np.ndarray = field(default_factory=lambda: np.array([0.0, 1.0]))
-    gate: str = "none"
-    gate_alpha: float = 0.05
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "blend", np.asarray(self.blend, dtype=float))
-        if self.gate not in ("none", "significant-vs-reference"):
-            raise ValueError(f"unknown gate {self.gate!r}")
-        if not 0.0 < self.gate_alpha < 1.0:
-            raise ValueError("gate_alpha must be in (0, 1)")
-
-
-@dataclass(frozen=True)
 class SweepSpec:
     """One swept model field and its grid (strictly increasing)."""
 
@@ -139,7 +128,9 @@ class SimulationConfig:
     m0: float | None = None
     num_replications: int = DEFAULT_REPLICATIONS
     seed: int = 0
-    rule: SimRule = field(default_factory=SimRule)
+    rule: DecisionRule = field(
+        default_factory=lambda: DecisionRule(blend=[0.0, 1.0])
+    )
     estimators: tuple[str, ...] = ("true", "naive", "cv")
     sweep: SweepSpec | None = None
     mode: str = "cumulative"
@@ -201,6 +192,23 @@ def _ordered_parallel_map(fn, jobs: list) -> list:
         return [fn(job) for job in jobs]
     with ThreadPoolExecutor(max_workers=degree) as pool:
         return list(pool.map(fn, jobs))
+
+
+def _chunk_plan(replications: int) -> list[tuple[int, int]]:
+    """(chunk index, replication count) pairs cutting ``replications`` into
+    fixed-size chunks."""
+    return [
+        (chunk_idx, min(CHUNK_REPLICATIONS, replications - start))
+        for chunk_idx, start in enumerate(range(0, replications, CHUNK_REPLICATIONS))
+    ]
+
+
+def _mean_and_var(total: float, squares: float, r: int) -> tuple[float, float]:
+    """Mean and unbiased variance of ``r`` draws from their sum and sum of
+    squares (variance 0 for a single draw)."""
+    mean = total / r
+    var = max(squares / r - mean**2, 0.0) * (r / (r - 1)) if r > 1 else 0.0
+    return mean, var
 
 
 def _fold_sizes(m: int, num_folds: int) -> np.ndarray:
@@ -277,17 +285,20 @@ def _simulate_estimates(
     m: int,
     num_folds: int,
     n: int,
-    rules: tuple[SimRule, ...],
+    rules: tuple[DecisionRule, ...],
     psi: np.ndarray,
     rng: np.random.Generator,
 ) -> dict[str, np.ndarray]:
-    """Fast-path draws for ``n`` experiments; returns (n, n_rules) arrays.
+    """Fast-path draws for ``n`` two-arm experiments; returns (n, n_rules)
+    arrays.
 
     Simulates true effects and per-arm fold-mean vectors, then evaluates
     for each rule the true earned reward, the plug-in estimate, and the
     k-fold cross-validation estimate.  Fold means carry ``noise_cov / m_p``
-    covariance; leave-fold-out means recombine the remaining folds with
-    their exact size weights, so decisions match the unit-level engine.
+    covariance.  The fold means are projected on the rule's blend matrix,
+    and ``decide_kept`` decides once on the full arm sums and once per
+    held-out fold on the remaining folds' sums (exact size weights), with
+    the known per-unit blend variance for the gate; launch means arm 2.
     """
     n_metrics = effect_chol.shape[0]
     if m < num_folds:
@@ -301,45 +312,34 @@ def _simulate_estimates(
     eps /= np.sqrt(sizes)[None, None, :, None]
     fold_means = eps
     fold_means[:, 1] += tau[:, None, :]
+    arm_means = np.einsum("napj,p->naj", fold_means, sizes / m)
 
-    weights = sizes / m
-    arm_means = np.einsum("napj,p->naj", fold_means, weights)
-    effect_full = arm_means[:, 1] - arm_means[:, 0]
-    # Leave-fold-out effect estimates: remove one fold's (weighted) share.
-    arm_sums = arm_means * m
-    loo = (arm_sums[:, :, None, :] - fold_means * sizes[None, None, :, None]) / (
-        m - sizes
-    )[None, None, :, None]
-    effect_loo = loo[:, 1] - loo[:, 0]
-
-    out_true = np.empty((n, len(rules)))
-    out_naive = np.empty((n, len(rules)))
-    out_cv = np.empty((n, len(rules)))
+    true = tau @ psi
+    naive = (arm_means[:, 0] @ psi, arm_means[:, 1] @ psi)
+    fold_psi = fold_means @ psi  # (n, 2, P)
+    full_counts = np.full(2, float(m))
+    kept_counts = np.repeat((m - sizes)[:, None], 2, axis=1).astype(float)  # (P, 2)
+    out = {key: np.empty((n, len(rules))) for key in ("true", "naive", "cv")}
     for r, rule in enumerate(rules):
-        blend = rule.blend
-        if blend.shape != (n_metrics,):
-            raise ValueError(
-                f"rule blend has shape {blend.shape}, expected ({n_metrics},)"
-            )
-        score_full = effect_full @ blend
-        score_loo = effect_loo @ blend
-        if rule.gate == "none":
-            launch_full = score_full > 0
-            launch_loo = score_loo > 0
-        else:
-            crit = float(-special.ndtri(rule.gate_alpha))
-            gate_var = 2.0 * float(blend @ noise_cov @ blend)
-            launch_full = score_full > crit * np.sqrt(gate_var / m)
-            launch_loo = score_loo > crit * np.sqrt(gate_var / (m - sizes))[None, :]
-
-        out_true[:, r] = np.where(launch_full, tau @ psi, 0.0)
-        out_naive[:, r] = np.where(
-            launch_full, arm_means[:, 1] @ psi, arm_means[:, 0] @ psi
+        matrix = blend_matrix(rule, n_metrics)
+        variances = (
+            None if rule.gate == "none" else np.diag(matrix.T @ noise_cov @ matrix)
         )
-        fold_psi = fold_means @ psi  # (n, 2, P)
-        picked = np.where(launch_loo, fold_psi[:, 1, :], fold_psi[:, 0, :])
-        out_cv[:, r] = picked.mean(axis=1)
-    return {"true": out_true, "naive": out_naive, "cv": out_cv}
+        projected = (fold_means.reshape(-1, n_metrics) @ matrix).reshape(
+            n, 2, num_folds, -1
+        )
+        full_sums = (arm_means @ matrix) * m  # (n, 2, B)
+        kept_sums = full_sums[:, :, None] - projected * sizes[:, None]
+        launch = decide_kept(full_counts, full_sums, variances, rule, "simulated") == 2
+        launch_loo = decide_kept(  # (n, P), from an (n, P, 2, B) view
+            kept_counts, kept_sums.transpose(0, 2, 1, 3), variances, rule, "simulated"
+        ) == 2
+        out["true"][:, r] = np.where(launch, true, 0.0)
+        out["naive"][:, r] = np.where(launch, naive[1], naive[0])
+        out["cv"][:, r] = np.where(
+            launch_loo, fold_psi[:, 1, :], fold_psi[:, 0, :]
+        ).mean(axis=1)
+    return out
 
 
 def _model_at(model: EffectModel, sweep_field: str | None, value: float) -> EffectModel:
@@ -361,7 +361,7 @@ def _model_at(model: EffectModel, sweep_field: str | None, value: float) -> Effe
 
 
 def _closed_forms(
-    model: EffectModel, rule: SimRule, psi: np.ndarray
+    model: EffectModel, rule: DecisionRule, psi: np.ndarray
 ) -> dict[str, float] | None:
     """Exact expectations when the rule is the ungated positive-proxy rule.
 
@@ -462,13 +462,8 @@ def run_bias_sweep(config: SimulationConfig, variant: str = "default") -> Simula
     for point_idx, (sweep_field, value) in enumerate(points):
         model = _model_at(config.model, sweep_field, value)
         point_models.append(model)
-        reps_left = config.num_replications
-        chunk_idx = 0
-        while reps_left > 0:
-            chunk = min(CHUNK_REPLICATIONS, reps_left)
+        for chunk_idx, chunk in _chunk_plan(config.num_replications):
             jobs.append((config, variant, point_idx, chunk_idx, chunk, model))
-            reps_left -= chunk
-            chunk_idx += 1
 
     results = _ordered_parallel_map(_sweep_chunk, jobs)
 
@@ -496,10 +491,8 @@ def run_bias_sweep(config: SimulationConfig, variant: str = "default") -> Simula
         for estimator in ("true", "naive", "cv"):
             if estimator not in config.estimators:
                 continue
-            s, s2 = acc[point_idx][estimator]
-            mean = s / r
-            var = max(s2 / r - mean**2, 0.0) * (r / (r - 1)) if r > 1 else 0.0
-            se = math.sqrt(var / r) if r > 1 else 0.0
+            mean, var = _mean_and_var(*acc[point_idx][estimator], r)
+            se = math.sqrt(var / r)
             cf = closed[estimator] * scale if closed else None
             rel = (mean - truth) / truth if truth else None
             rows.append(
@@ -547,6 +540,11 @@ class RescalingCheckReport:
         return self.passed and self.negative_control_rejected
 
 
+# The rescaling check's data-driven rule: launch the arm with the highest
+# mean of its single metric.
+_ARGMAX_RULE = DecisionRule(blend=[1.0])
+
+
 def _subset_reward_sums(
     x: np.ndarray,
     leave_out: int,
@@ -556,49 +554,39 @@ def _subset_reward_sums(
 ) -> np.ndarray:
     """Raw leave-l-out fold-reward sums for a batch of equal-size experiments.
 
-    ``x`` has shape (n, arms, m), reward = the single metric itself.
-    Decisions on an emptied experiment fall back to ``fallback_arm`` so the
-    estimator stays defined down to m == leave_out; constant rules ignore
-    the data entirely.
+    ``x`` has shape (n, arms, m), reward = the single metric itself.  Every
+    size-l subset of unit positions is gathered at once by one (S, l) index
+    array, and the data-driven rule decides on the kept units through
+    ``decide_kept``.  Decisions on an emptied experiment fall back to
+    ``fallback_arm`` so the estimator stays defined down to m == leave_out;
+    constant rules ignore the data entirely.
     """
     n, n_arms, m = x.shape
     if leave_out not in (1, 2):
         raise ValueError("only leave_out in (1, 2) is supported here")
+    if rule_kind not in ("argmax", "constant"):
+        raise ValueError(f"unknown rule kind {rule_kind!r}")
     if m < leave_out:
         return np.zeros(n)
 
+    subsets = np.array(list(combinations(range(m), leave_out)))  # (S, l)
+    held = sum(x[:, :, col] for col in subsets.T)  # (n, K, S)
+    fold_means = held / leave_out
     if rule_kind == "constant":
-        decisions_value = x[:, constant_arm - 1, :]
-        if leave_out == 1:
-            return decisions_value.sum(axis=1)
-        total = np.zeros(n)
-        for j1 in range(m):
-            for j2 in range(j1 + 1, m):
-                total += 0.5 * (decisions_value[:, j1] + decisions_value[:, j2])
-        return total
-    if rule_kind != "argmax":
-        raise ValueError(f"unknown rule kind {rule_kind!r}")
-
-    if leave_out == 1:
-        if m == 1:
-            return x[:, fallback_arm - 1, 0]
-        loo_means = (x.sum(axis=2, keepdims=True) - x) / (m - 1)
-        chosen = np.argmax(loo_means, axis=1)
-        picked = np.take_along_axis(x, chosen[:, None, :], axis=1)[:, 0, :]
-        return picked.sum(axis=1)
-
-    totals = np.zeros(n)
-    sums = x.sum(axis=2)
-    for j1 in range(m):
-        for j2 in range(j1 + 1, m):
-            fold_mean = 0.5 * (x[:, :, j1] + x[:, :, j2])
-            if m == 2:
-                chosen = np.full(n, fallback_arm - 1)
-            else:
-                rem = (sums - x[:, :, j1] - x[:, :, j2]) / (m - 2)
-                chosen = np.argmax(rem, axis=1)
-            totals += np.take_along_axis(fold_mean, chosen[:, None], axis=1)[:, 0]
-    return totals
+        return fold_means[:, constant_arm - 1].sum(axis=1)
+    if m == leave_out:
+        chosen = np.full((n, len(subsets)), fallback_arm - 1)
+    else:
+        kept = x.sum(axis=2)[:, :, None] - held
+        chosen = decide_kept(
+            np.full(n_arms, float(m - leave_out)),
+            kept.transpose(0, 2, 1)[..., None],
+            None,
+            _ARGMAX_RULE,
+            "rescaling check",
+        ) - 1  # (n, S)
+    picked = np.take_along_axis(fold_means, chosen[:, None, :], axis=1)[:, 0]
+    return picked.sum(axis=1)
 
 
 def check_poisson_rescaling(
@@ -652,23 +640,31 @@ def check_poisson_rescaling(
         x = (rng.random((idx_count, n_arms, int(m))) < means[None, :, None]).astype(
             float
         )
-        raw = _subset_reward_sums(x, leave_out, rule_kind, constant_arm, fallback_arm)
+        # Row blocks bound the (rows, arms, subsets) temporaries.
+        step = max(1, SUBSET_BLOCK_ELEMENTS // max(1, math.comb(int(m), leave_out)))
+        raw = np.concatenate([
+            _subset_reward_sums(
+                x[i:i + step], leave_out, rule_kind, constant_arm, fallback_arm
+            )
+            for i in range(0, idx_count, step)
+        ])
         lhs = raw * scale
         if rule_kind == "constant":
-            chosen = np.full(idx_count, constant_arm - 1)
+            chosen = np.full(idx_count, constant_arm)
         else:
-            chosen = np.argmax(x.mean(axis=2), axis=1)
-        rhs = means[chosen]
+            chosen = decide_kept(
+                np.full(n_arms, float(m)), x.sum(axis=2)[..., None], None,
+                _ARGMAX_RULE, "rescaling check",
+            )
+        rhs = means[chosen - 1]
         lhs_sum += float(lhs.sum())
         lhs_sq += float((lhs**2).sum())
         rhs_sum += float(rhs.sum())
         rhs_sq += float((rhs**2).sum())
 
     r = replications
-    lhs_mean = lhs_sum / r
-    rhs_mean = rhs_sum / r
-    lhs_var = max(lhs_sq / r - lhs_mean**2, 0.0) * r / (r - 1)
-    rhs_var = max(rhs_sq / r - rhs_mean**2, 0.0) * r / (r - 1)
+    lhs_mean, lhs_var = _mean_and_var(lhs_sum, lhs_sq, r)
+    rhs_mean, rhs_var = _mean_and_var(rhs_sum, rhs_sq, r)
     se = math.sqrt(lhs_var / r + rhs_var / r)
     diff = lhs_mean - rhs_mean
     passed = abs(diff) < 4.0 * se
@@ -773,7 +769,7 @@ def _selection_chunk(args) -> tuple[float, float, int, int]:
     psi = np.zeros(n_metrics)
     psi[0] = 1.0
     rules = tuple(
-        SimRule(blend=np.eye(n_metrics)[1 + j]) for j in range(len(proxies))
+        DecisionRule(blend=np.eye(n_metrics)[1 + j]) for j in range(len(proxies))
     )
     rng = substream(seed, "selection", point_idx, chunk_idx)
     got = _simulate_estimates(
@@ -820,15 +816,10 @@ def check_rule_selection(
 
     jobs = []
     for point_idx, n_exps in enumerate(n_grid):
-        reps_left = replications
-        chunk_idx = 0
-        while reps_left > 0:
-            chunk = min(CHUNK_REPLICATIONS, reps_left)
+        for chunk_idx, chunk in _chunk_plan(replications):
             jobs.append(
                 (base, proxies, int(n_exps), chunk, seed, point_idx, chunk_idx, gammas)
             )
-            reps_left -= chunk
-            chunk_idx += 1
     results = _ordered_parallel_map(_selection_chunk, jobs)
 
     sums = {i: [0.0, 0.0, 0, 0] for i in range(len(n_grid))}
@@ -842,10 +833,9 @@ def check_rule_selection(
     regrets, ses, accuracies = [], [], []
     for i in range(len(n_grid)):
         s, s2, correct, r = sums[i]
-        mean = s / r
-        var = max(s2 / r - mean**2, 0.0) * (r / (r - 1)) if r > 1 else 0.0
+        mean, var = _mean_and_var(s, s2, r)
         regrets.append(mean)
-        ses.append(math.sqrt(var / r) if r > 1 else 0.0)
+        ses.append(math.sqrt(var / r))
         accuracies.append(correct / r)
 
     nonincreasing = all(b <= a for a, b in zip(regrets, regrets[1:]))

@@ -1,6 +1,9 @@
 """Simulation engine: generative fidelity, fast-path exactness, determinism,
 and the two statistical checks."""
 
+from itertools import combinations
+from statistics import NormalDist
+
 import numpy as np
 import pytest
 
@@ -12,7 +15,6 @@ from ruleval import (
     ExperimentData,
     ProxySpec,
     RewardSpec,
-    SimRule,
     SimulationConfig,
     SweepSpec,
     assign_folds,
@@ -141,7 +143,14 @@ def test_effect_estimate_spread_at_reference_scale():
 # fast path vs unit-level engine
 
 
-def test_fast_path_matches_unit_level_distributions():
+@pytest.mark.parametrize(
+    "gate, units_per_arm",
+    # The fast path's gate uses the known unit variance, the library's the
+    # sample variance; at 200 units per arm the two gates differ negligibly.
+    [("none", 40), ("significant-vs-reference", 200)],
+    ids=["ungated", "gated"],
+)
+def test_fast_path_matches_unit_level_distributions(gate, units_per_arm):
     model = EffectModel.from_correlations(
         effect_sd_y=0.2,
         effect_sd_proxy=0.25,
@@ -149,10 +158,10 @@ def test_fast_path_matches_unit_level_distributions():
         noise_sd_y=1.0,
         noise_sd_proxy=1.2,
         noise_corr=0.4,
-        units_per_arm=40,
+        units_per_arm=units_per_arm,
         num_folds=5,
     )
-    rule = DecisionRule(blend=[0.0, 1.0])
+    rule = DecisionRule(blend=[0.0, 1.0], gate=gate)
     psi = RewardSpec.metric(1)
     reps = 4000
     unit = {"naive": np.empty(reps), "cv": np.empty(reps), "true": np.empty(reps)}
@@ -168,8 +177,8 @@ def test_fast_path_matches_unit_level_distributions():
     ec = cov_factor(model.effect_cov)
     nc = cov_factor(model.noise_cov)
     fast = _simulate_estimates(
-        ec, nc, model.noise_cov, 40, 5, 50_000,
-        (SimRule(blend=[0.0, 1.0]),), np.array([1.0, 0.0]), substream(98, "fast"),
+        ec, nc, model.noise_cov, units_per_arm, 5, 50_000,
+        (rule,), np.array([1.0, 0.0]), substream(98, "fast"),
     )
     for key in ("naive", "cv", "true"):
         u, f = unit[key], fast[key][:, 0]
@@ -182,23 +191,51 @@ def test_fast_path_matches_unit_level_distributions():
         assert abs(u.var(ddof=1) - f.var(ddof=1)) < 4 * se_var
 
 
+def _z_gate_cv(ec, nc, noise_cov, m, num_folds, n, blend, alpha, psi, rng):
+    """Fast-path CV estimates of a one-sided known-variance z-gate, written
+    out directly from the same draws as ``_simulate_estimates``."""
+    sizes = _fold_sizes(m, num_folds)
+    tau = rng.standard_normal((n, 2)) @ ec.T
+    fold_means = rng.standard_normal((n, 2, num_folds, 2)) @ nc.T
+    fold_means /= np.sqrt(sizes)[None, None, :, None]
+    fold_means[:, 1] += tau[:, None, :]
+    held = fold_means * sizes[:, None]
+    kept = (held.sum(axis=2)[:, :, None] - held) / (m - sizes)[:, None]
+    effect = (kept[:, 1] - kept[:, 0]) @ blend  # (n, P)
+    se = np.sqrt(2.0 * (blend @ noise_cov @ blend) / (m - sizes))
+    launch = effect / se > NormalDist().inv_cdf(1.0 - alpha)
+    fold_psi = fold_means @ psi
+    return np.where(launch, fold_psi[:, 1], fold_psi[:, 0]).mean(axis=1)
+
+
 def test_fast_path_gate_reduces_launch_rate():
     model = bivariate_model_for_proxy(DEFAULT_MODEL, ProxySpec("p", 0.8, 0.4))
     ec = cov_factor(model.effect_cov)
     nc = cov_factor(model.noise_cov)
     psi = np.array([1.0, 0.0])
-    ungated = _simulate_estimates(
-        ec, nc, model.noise_cov, model.units_per_arm, model.num_folds, 20_000,
-        (SimRule(),), psi, substream(6, "u"),
+    ungated_rule = DecisionRule(blend=[0.0, 1.0])
+    gated_rule = DecisionRule(
+        blend=[0.0, 1.0], gate="significant-vs-reference", gate_alpha=0.05
     )
-    gated = _simulate_estimates(
-        ec, nc, model.noise_cov, model.units_per_arm, model.num_folds, 20_000,
-        (SimRule(gate="significant-vs-reference", gate_alpha=0.05),), psi,
-        substream(6, "u"),
-    )
-    launched_ungated = (ungated["true"][:, 0] != 0).mean()
-    launched_gated = (gated["true"][:, 0] != 0).mean()
-    assert launched_gated < launched_ungated
+    # Two units in two folds: each held-out fold leaves one unit per arm, so
+    # only the known-variance gate can decide.
+    for m, num_folds in ((model.units_per_arm, model.num_folds), (2, 2)):
+        ungated = _simulate_estimates(
+            ec, nc, model.noise_cov, m, num_folds, 20_000,
+            (ungated_rule,), psi, substream(6, "u"),
+        )
+        gated = _simulate_estimates(
+            ec, nc, model.noise_cov, m, num_folds, 20_000,
+            (gated_rule,), psi, substream(6, "u"),
+        )
+        launched_ungated = (ungated["true"][:, 0] != 0).mean()
+        launched_gated = (gated["true"][:, 0] != 0).mean()
+        assert launched_gated < launched_ungated
+        expected = _z_gate_cv(
+            ec, nc, model.noise_cov, m, num_folds, 20_000, gated_rule.blend, 0.05,
+            psi, substream(6, "u"),
+        )
+        np.testing.assert_allclose(gated["cv"][:, 0], expected, rtol=1e-12, atol=0)
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +247,7 @@ def test_sweep_wiring_data_independent_rule_recovers_zero():
         model=SMALL_MODEL,
         num_replications=2000,
         seed=5,
-        rule=SimRule(blend=[0.0, 0.0]),
+        rule=DecisionRule(blend=[0.0, 0.0]),
         mode="mean",
     )
     result = run_bias_sweep(config)
@@ -340,6 +377,14 @@ def test_rescaling_kernel_agrees_with_library_estimator():
             kernel = _subset_reward_sums(x, leave_out, "argmax", 1, 1)[0]
             library = leave_l_out_reward(exp, rule, reward, leave_out)
             assert kernel == pytest.approx(library, abs=1e-12)
+        # A constant rule's leave-two-out sum is its arm's mean over every
+        # held-out pair of positions, enumerated directly.
+        for arm in range(1, k + 1):
+            values = x[0, arm - 1]
+            pairs = sum(
+                (values[a] + values[b]) / 2 for a, b in combinations(range(m), 2)
+            )
+            assert _subset_reward_sums(x, 2, "constant", arm, 1)[0] == pairs
 
 
 def test_rescaling_kernel_fallback_edges():
