@@ -449,6 +449,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         },
         "version": __version__,
         "outputs": [os.path.basename(args.out)],
+        "bootstrap_redraws": report.bootstrap_redraws,
     }
     write_json_atomic(args.out + ".manifest.json", manifest)
     print(args.out)

@@ -23,13 +23,15 @@ from .estimators import (
     EstimatorConfig,
     aggregate,
     bootstrap_aggregates,
+    kfold_rewards,
     per_experiment_rewards,
     percentile_interval,
 )
 from .experiments import ArmData, DecisionRule, ExperimentData, RewardSpec
 from .simulator import ProxySpec, joint_proxy_model
 from .streams import substream
-from .tableio import write_csv_atomic
+from . import tableio
+from .tableio import quote, write_csv_atomic
 
 __all__ = [
     "CorpusFormatError",
@@ -84,7 +86,8 @@ def ingest_csv(path: str, weights_path: str | None = None) -> ExperimentCorpus:
     Errors name the offending file line and column.  Duplicate
     (experiment_id, arm, unit_id) triples, missing, non-numeric or
     non-finite cells, ragged rows, and non-contiguous arm indices are all
-    rejected.
+    rejected.  Cells are converted and checked in bulk; only when a check
+    fails are the rows walked one by one to name the first fault.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -103,106 +106,92 @@ def ingest_csv(path: str, weights_path: str | None = None) -> ExperimentCorpus:
             raise CorpusFormatError(f"{path}: no metric columns in header")
         if len(set(metric_names)) != len(metric_names):
             raise CorpusFormatError(f"{path}: duplicate metric names in header")
+        rows = list(reader)
 
-        width = len(header)
-        seen: set[tuple[str, int, str]] = set()
-        grouped: dict[str, dict[int, list[tuple[str, list[float]]]]] = {}
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != width:
-                raise CorpusFormatError(
-                    f"{path}: line {line_no} has {len(row)} fields, "
-                    f"header has {width}"
-                )
-            exp_id = row[0].strip()
-            if not exp_id:
-                raise CorpusFormatError(
-                    f"{path}: line {line_no}: missing value in column "
-                    f"'experiment_id'"
-                )
-            try:
-                arm = int(row[1])
-            except ValueError:
-                raise CorpusFormatError(
-                    f"{path}: line {line_no}: column 'arm' must be a positive "
-                    f"integer, got {row[1]!r}"
-                ) from None
-            if arm < 1:
-                raise CorpusFormatError(
-                    f"{path}: line {line_no}: column 'arm' must be >= 1, got {arm}"
-                )
-            unit_id = row[2].strip()
-            if not unit_id:
-                raise CorpusFormatError(
-                    f"{path}: line {line_no}: missing value in column 'unit_id'"
-                )
-            key = (exp_id, arm, unit_id)
-            if key in seen:
-                raise CorpusFormatError(
-                    f"{path}: line {line_no}: duplicate unit "
-                    f"(experiment_id={exp_id!r}, arm={arm}, unit_id={unit_id!r})"
-                )
-            seen.add(key)
-            values = []
-            for col, cell in zip(metric_names, row[3:]):
-                cell = cell.strip()
-                if cell == "":
-                    raise CorpusFormatError(
-                        f"{path}: line {line_no}: missing value in column {col!r}"
-                    )
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise CorpusFormatError(
-                        f"{path}: line {line_no}: column {col!r} is not "
-                        f"numeric: {cell!r}"
-                    ) from None
-                if not math.isfinite(value):
-                    raise CorpusFormatError(
-                        f"{path}: line {line_no}: column {col!r} is not "
-                        f"finite: {cell!r}"
-                    )
-                values.append(value)
-            grouped.setdefault(exp_id, {}).setdefault(arm, []).append(
-                (unit_id, values)
-            )
-
-    if not grouped:
+    data = rows if all(rows) else [row for row in rows if row]
+    if not data:
         raise CorpusFormatError(f"{path}: no data rows")
+    try:
+        if set(map(len, data)) != {len(header)}:
+            raise ValueError
+        ids, arms, units, *cells = zip(*data)
+        ids = np.array(list(map(str.strip, ids)))
+        units = np.array(list(map(str.strip, units)))
+        arms = np.fromiter(map(int, arms), np.int64, len(data))
+        values = np.array([np.fromiter(map(float, c), float, len(data)) for c in cells])
+        if not ((ids != "").all() and (units != "").all() and arms.min() >= 1
+                and np.isfinite(values).all()):
+            raise ValueError
+        order = np.lexsort((units, arms, ids))
+        ids, arms, units = ids[order], arms[order], units[order]
+        new_exp = ids[1:] != ids[:-1]
+        new_arm = new_exp | (arms[1:] != arms[:-1])
+        if not (new_arm | (units[1:] != units[:-1])).all():  # a duplicate unit
+            raise ValueError
+    except (ValueError, OverflowError):
+        raise _first_fault(path, rows, header) from None
 
-    weights = _read_weights(weights_path, set(grouped)) if weights_path else {}
-
+    values = np.ascontiguousarray(values.T[order])
+    exp_starts = np.flatnonzero(np.r_[True, new_exp, True])
+    arm_starts = np.flatnonzero(np.r_[True, new_arm, True])
+    exp_ids = ids[exp_starts[:-1]].tolist()
+    weights = _read_weights(weights_path, set(exp_ids)) if weights_path else {}
     experiments = []
-    for exp_id in sorted(grouped):
-        arms_dict = grouped[exp_id]
-        arm_indices = sorted(arms_dict)
+    for exp_id, a, b in zip(exp_ids, exp_starts, exp_starts[1:]):
+        blocks = arm_starts[(arm_starts >= a) & (arm_starts <= b)]
+        arm_indices = arms[blocks[:-1]].tolist()
         if arm_indices != list(range(1, len(arm_indices) + 1)):
             raise CorpusFormatError(
                 f"{path}: experiment {exp_id!r} has arm indices {arm_indices}; "
                 f"they must be contiguous starting at 1 (1 = reference)"
             )
-        arms = []
-        for arm_index in arm_indices:
-            units = sorted(arms_dict[arm_index], key=lambda item: item[0])
-            arms.append(
-                ArmData(
-                    arm_index=arm_index,
-                    units=np.array([v for _, v in units], dtype=float),
-                )
-            )
-        experiments.append(
-            ExperimentData(
-                experiment_id=exp_id,
-                arms=tuple(arms),
-                weight=weights.get(exp_id, 1.0),
-            )
+        arms_data = tuple(
+            ArmData(arm_index=k, units=values[lo:hi])
+            for k, lo, hi in zip(arm_indices, blocks, blocks[1:])
         )
-    return ExperimentCorpus(
-        experiments=tuple(experiments),
-        metric_names=metric_names,
-        provenance=path,
-    )
+        experiments.append(ExperimentData(exp_id, arms_data, weights.get(exp_id, 1.0)))
+    return ExperimentCorpus(tuple(experiments), metric_names, provenance=path)
+
+
+def _first_fault(path: str, rows: list[list[str]], header: list[str]) -> CorpusFormatError:
+    """The error for the first faulty data row, in file order (the bulk parse
+    also fails on an arm index beyond 64 bits, which no row check names)."""
+    seen: set[tuple[str, int, str]] = set()
+    for line_no, row in enumerate(rows, start=2):
+        fault = row and _row_fault(row, header, seen)
+        if fault:
+            return CorpusFormatError(f"{path}: line {line_no}{fault}")
+    return CorpusFormatError(f"{path}: column 'arm' is out of range")
+
+
+def _row_fault(row: list[str], header: list[str], seen: set) -> str | None:
+    """What is wrong with one data row (the message after its line number)."""
+    if len(row) != len(header):
+        return f" has {len(row)} fields, header has {len(header)}"
+    exp_id, unit_id = row[0].strip(), row[2].strip()
+    if not exp_id:
+        return ": missing value in column 'experiment_id'"
+    try:
+        arm = int(row[1])
+    except ValueError:
+        return f": column 'arm' must be a positive integer, got {row[1]!r}"
+    if arm < 1:
+        return f": column 'arm' must be >= 1, got {arm}"
+    if not unit_id:
+        return ": missing value in column 'unit_id'"
+    if (exp_id, arm, unit_id) in seen:
+        return (f": duplicate unit (experiment_id={exp_id!r}, arm={arm}, "
+                f"unit_id={unit_id!r})")
+    seen.add((exp_id, arm, unit_id))
+    for col, cell in zip(header[3:], map(str.strip, row[3:])):
+        if not cell:
+            return f": missing value in column {col!r}"
+        try:
+            if not math.isfinite(float(cell)):
+                return f": column {col!r} is not finite: {cell!r}"
+        except ValueError:
+            return f": column {col!r} is not numeric: {cell!r}"
+    return None
 
 
 def _read_weights(path: str, known_ids: set[str]) -> dict[str, float]:
@@ -217,51 +206,46 @@ def _read_weights(path: str, known_ids: set[str]) -> dict[str, float]:
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
+            exp_id, fault = row[0].strip(), None
             if len(row) != 2:
-                raise CorpusFormatError(
-                    f"{path}: line {line_no} has {len(row)} fields, expected 2"
-                )
-            exp_id = row[0].strip()
-            if exp_id not in known_ids:
-                raise CorpusFormatError(
-                    f"{path}: line {line_no}: unknown experiment_id {exp_id!r}"
-                )
-            if exp_id in weights:
-                raise CorpusFormatError(
-                    f"{path}: line {line_no}: duplicate experiment_id {exp_id!r}"
-                )
-            try:
-                w = float(row[1])
-            except ValueError:
-                raise CorpusFormatError(
-                    f"{path}: line {line_no}: column 'weight' is not numeric: "
-                    f"{row[1]!r}"
-                ) from None
-            if not math.isfinite(w):
-                raise CorpusFormatError(
-                    f"{path}: line {line_no}: column 'weight' is not finite: "
-                    f"{row[1]!r}"
-                )
-            if w < 0:
-                raise CorpusFormatError(
-                    f"{path}: line {line_no}: column 'weight' must be nonnegative"
-                )
-            weights[exp_id] = w
+                fault = f" has {len(row)} fields, expected 2"
+            elif exp_id not in known_ids:
+                fault = f": unknown experiment_id {exp_id!r}"
+            elif exp_id in weights:
+                fault = f": duplicate experiment_id {exp_id!r}"
+            else:
+                try:
+                    weights[exp_id] = w = float(row[1])
+                except ValueError:
+                    fault = f": column 'weight' is not numeric: {row[1]!r}"
+                else:
+                    if not math.isfinite(w):
+                        fault = f": column 'weight' is not finite: {row[1]!r}"
+                    elif w < 0:
+                        fault = ": column 'weight' must be nonnegative"
+            if fault:
+                raise CorpusFormatError(f"{path}: line {line_no}{fault}")
     return weights
 
 
 def write_corpus_csv(corpus: ExperimentCorpus, path: str) -> None:
-    """Export a corpus in the ingestion schema (canonical unit ids)."""
-    header = list(_FIXED_COLUMNS) + list(corpus.metric_names)
-    rows = []
+    """Export a corpus in the ingestion schema (canonical unit ids).
+
+    Each arm is one ``%`` over its positions and values with a row template
+    holding the experiment id and arm; ``"%.17g" % v == format(v, ".17g")``.
+    """
+    row = ",u%06d" + ",%.17g" * len(corpus.metric_names) + "\n"
+    text = [",".join(map(quote, (*_FIXED_COLUMNS, *corpus.metric_names))) + "\n"]
     for exp in corpus.experiments:
+        prefix = quote(exp.experiment_id).replace("%", "%%")
         for arm in exp.arms:
-            for pos in range(arm.num_units):
-                rows.append(
-                    [exp.experiment_id, arm.arm_index, f"u{pos:06d}"]
-                    + [float(v) for v in arm.units[pos]]
-                )
-    write_csv_atomic(path, header, rows)
+            cells = np.column_stack([np.arange(arm.num_units), arm.units])
+            text.append(
+                (f"{prefix},{arm.arm_index}{row}" * arm.num_units)
+                % tuple(cells.ravel().tolist())
+            )
+    # Through the module, so a wrapper of it (the benchmark tracer) sees it.
+    tableio.write_text_atomic(path, "".join(text))
 
 
 def make_synthetic_corpus(
@@ -335,12 +319,17 @@ class RuleEstimateRow:
 
 @dataclass(frozen=True)
 class EvaluationReport:
-    """Per-rule estimates across estimators, with bootstrap intervals."""
+    """Per-rule estimates across estimators, with bootstrap intervals.
+
+    ``bootstrap_redraws`` counts the zero-weight resamples redrawn over all
+    rows' bootstraps (mean mode only; deterministic given the seed).
+    """
 
     rows: tuple[RuleEstimateRow, ...]
     mode: str
     level: float
     baseline: str | None = None
+    bootstrap_redraws: int = 0
 
     HEADER = (
         "rule",
@@ -425,35 +414,28 @@ def evaluate_rules(
     weights = np.array([e.weight for e in exps])
     can_bootstrap = len(exps) >= 2
 
-    configs: list[tuple[str, int, EstimatorConfig]] = [
-        ("naive", 0, EstimatorConfig(kind="naive", mode=mode))
-    ]
-    for p in fold_counts:
-        configs.append(
-            (
-                "cv-kfold",
-                int(p),
-                EstimatorConfig(
-                    kind="cv-kfold", num_folds=int(p), fold_seed=seed, mode=mode
-                ),
-            )
-        )
+    naive = EstimatorConfig(kind="naive", mode=mode)
+    contributions = {
+        (name, "naive", 0): per_experiment_rewards(exps, rule, reward, naive)
+        for name, rule in rules
+    }
+    kfold = kfold_rewards(exps, [rule for _, rule in rules], reward, fold_counts, seed)
+    for (name, _), per_count in zip(rules, kfold):
+        for p, column in zip(fold_counts, per_count):
+            contributions[(name, "cv-kfold", int(p))] = column
 
     values: dict[tuple[str, str, int], float] = {}
     intervals: dict[tuple[str, str, int], tuple[float, float] | None] = {}
-    for name, rule in rules:
-        for estimator, num_folds, config in configs:
-            key = (name, estimator, num_folds)
-            contributions = per_experiment_rewards(exps, rule, reward, config)
-            values[key] = aggregate(contributions, weights, mode)
-            if can_bootstrap:
-                rng = substream(seed, "evaluate", name, estimator, num_folds)
-                draws, _ = bootstrap_aggregates(
-                    contributions, weights, mode, bootstrap_replicates, rng
-                )
-                intervals[key] = percentile_interval(draws, level)
-            else:
-                intervals[key] = None
+    redraws = 0
+    for key, column in contributions.items():
+        values[key], intervals[key] = aggregate(column, weights, mode), None
+        if can_bootstrap:
+            rng = substream(seed, "evaluate", *key)
+            draws, count = bootstrap_aggregates(
+                column, weights, mode, bootstrap_replicates, rng
+            )
+            intervals[key] = percentile_interval(draws, level)
+            redraws += count
 
     scale = None
     if baseline is not None:
@@ -464,9 +446,10 @@ def evaluate_rules(
                 f"{scale}; normalization needs a positive baseline"
             )
 
+    keys = [("naive", 0)] + [("cv-kfold", int(p)) for p in fold_counts]
     rows = []
     for name, _ in rules:
-        for estimator, num_folds, _config in configs:
+        for estimator, num_folds in keys:
             key = (name, estimator, num_folds)
             ci = intervals[key]
             rows.append(
@@ -481,5 +464,6 @@ def evaluate_rules(
                 )
             )
     return EvaluationReport(
-        rows=tuple(rows), mode=mode, level=level, baseline=baseline
+        rows=tuple(rows), mode=mode, level=level, baseline=baseline,
+        bootstrap_redraws=redraws,
     )

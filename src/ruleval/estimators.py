@@ -16,10 +16,10 @@ Three families are implemented:
   (fixed enrollment rate over a fixed window).
 
 Every estimator decides through the one kernel ``experiments.decide_kept``.
-The naive estimate makes one full-data decision.  k-fold feeds it all P
-held-out folds at once, with per-fold sums from ``np.bincount`` on the fold
-labels subtracted from the arm totals.  Leave-l-out feeds it every held-out
-subset at once, gathered by an (S, l) array of unit positions.
+The naive estimate makes one full-data decision.  k-fold feeds it the folds
+of every fold count at once, with per-fold sums from ``np.bincount`` on the
+fold labels subtracted from the arm totals.  Leave-l-out feeds it every
+held-out subset at once, gathered by an (S, l) array of unit positions.
 
 Aggregates over experiments come in two modes: ``mean`` (weighted mean of
 per-experiment estimates) and ``cumulative`` (weighted sum), the latter
@@ -41,10 +41,10 @@ from .experiments import (
     ExperimentData,
     FoldAssignment,
     RewardSpec,
-    assign_folds,
     blend_values,
     decide,
     decide_kept,
+    fold_permutations,
     sample_variance,
 )
 from .streams import substream
@@ -142,64 +142,80 @@ def naive_reward(exp: ExperimentData, rule: DecisionRule, reward: RewardSpec) ->
     return float(_reward_values(exp.arm(chosen), reward).mean())
 
 
+def _fold_name(fold_counts: tuple[int, ...], t: int) -> str:
+    """Name of fold t, counted (from 0) over the folds of every partition."""
+    ends = np.cumsum(fold_counts)
+    f = int(np.searchsorted(ends, t, side="right"))
+    return f"fold {t - ends[f] + fold_counts[f] + 1} of {fold_counts[f]}"
+
+
 def _fold_rewards(
     exp: ExperimentData,
-    rule: DecisionRule,
+    rules: list[DecisionRule],
     reward: RewardSpec,
-    folds: FoldAssignment,
+    labels: list[np.ndarray],
+    fold_counts: tuple[int, ...],
 ) -> np.ndarray:
-    """Reward of every fold's held-out decision, measured on that fold.
+    """(rules, folds): each rule's reward of every fold's held-out decision.
 
-    Fold p's decision sees every unit outside fold p; its reward is the
-    held-out reward sum over fold p's units of the chosen arm divided by
-    their count.  Raises DegenerateFoldError when holding a fold out leaves
-    an arm without a unit (two under a significance gate), or when the
-    chosen arm has no unit in the fold; silent skips would bias any
-    estimator built on top.
+    ``labels`` holds each arm's 0-based fold labels of one or more
+    partitions, concatenated, partition f numbering its ``fold_counts[f]``
+    folds after the earlier ones.  Fold t's decision sees every unit outside
+    it; its reward is the mean reward of the chosen arm's units in fold t.
+    Per rule, one bincount gives every fold's blend sums (and, gated, sums
+    of squares) and one kernel call decides all folds.  Raises
+    DegenerateFoldError when holding a fold out leaves an arm without a
+    unit (two under a gate), or when the chosen arm has no unit in the
+    fold; silent skips would bias any estimator built on top.
     """
-    num_folds = folds.num_folds
-    gated = rule.gate != "none"
-    values = blend_values(exp, rule)
-    shape = (num_folds, exp.num_arms, values[0].shape[1])
-    counts = np.empty(shape[:2])
-    sums = np.empty(shape)
-    squares = np.empty(shape) if gated else None
-    held_counts = np.empty((exp.num_arms, num_folds))
-    held_rewards = np.empty((exp.num_arms, num_folds))
-    for k, (arm, v) in enumerate(zip(exp.arms, values)):
-        labels = folds.folds[arm.arm_index]
-        if labels.shape != (arm.num_units,):
-            raise ValueError(
-                f"fold assignment for experiment {exp.experiment_id!r} arm "
-                f"{arm.arm_index} covers {labels.shape[0]} units, "
-                f"arm has {arm.num_units}"
+    num_arms, total = exp.num_arms, sum(fold_counts)
+    size = num_arms * total
+    bounds = np.cumsum([0] + [arm.num_units for arm in exp.arms])
+    # Each (arm, partition, unit): its (arm, fold) bin and its unit's row
+    # in the arms' stacked units, each arm's units in order.
+    bins = np.concatenate([lab + k * total for k, lab in enumerate(labels)])
+    rows = np.concatenate([np.arange(len(lab)) % (b - a) + a
+                           for lab, a, b in zip(labels, bounds, bounds[1:])])
+    held_counts = np.bincount(bins, minlength=size).reshape(num_arms, total)
+    rewards = np.concatenate([_reward_values(arm, reward) for arm in exp.arms])
+    held_rewards = np.bincount(bins, rewards[rows], size).reshape(num_arms, total)
+    counts = (np.diff(bounds)[:, None] - held_counts).T
+    fold = np.arange(total)
+    out = np.empty((len(rules), total))
+    for r, rule in enumerate(rules):
+        gated = rule.gate != "none"
+        if counts.min() < 1 + gated:
+            t, k = np.argwhere(counts < 1 + gated)[0]
+            raise DegenerateFoldError(
+                f"experiment {exp.experiment_id!r}: removing "
+                f"{_fold_name(fold_counts, t)} leaves arm {k + 1} with "
+                f"{counts[t, k]} unit(s), needs >= {1 + gated}"
             )
-        labels = labels - 1
-        held_counts[k] = np.bincount(labels, minlength=num_folds)
-        held_rewards[k] = np.bincount(labels, _reward_values(arm, reward), num_folds)
-        counts[:, k] = arm.num_units - held_counts[k]
-        for b, col in enumerate(v.T):
-            sums[:, k, b] = col.sum() - np.bincount(labels, col, num_folds)
-            if gated:
-                sq = col * col
-                squares[:, k, b] = sq.sum() - np.bincount(labels, sq, num_folds)
-    min_units = 2 if gated else 1
-    for p, k in np.argwhere(counts < min_units):
-        raise DegenerateFoldError(
-            f"experiment {exp.experiment_id!r}: removing fold {p + 1} "
-            f"leaves arm {k + 1} with {int(counts[p, k])} unit(s), "
-            f"needs >= {min_units}"
+        stacked = np.concatenate(blend_values(exp, rule))
+        blends = stacked.shape[1]
+        columns = np.vstack([stacked.T] + ([(stacked * stacked).T] if gated else []))
+        width = len(columns)
+        arm_totals = np.stack([columns[:, a:b].sum(axis=1)
+                               for a, b in zip(bounds, bounds[1:])], axis=1)
+        index = (np.arange(width)[:, None] * size + bins).ravel()
+        held = np.bincount(index, columns[:, rows].ravel(), width * size)
+        sums = (arm_totals[..., None] - held.reshape(width, num_arms, total)).T
+        variances = (
+            sample_variance(counts, sums[..., :blends], sums[..., blends:])
+            if gated else None
         )
-    variances = sample_variance(counts, sums, squares) if gated else None
-    chosen = decide_kept(counts, sums, variances, rule, exp.experiment_id) - 1
-    fold = np.arange(num_folds)
-    n = held_counts[chosen, fold]
-    for p in np.flatnonzero(n == 0):
-        raise DegenerateFoldError(
-            f"experiment {exp.experiment_id!r}: fold {p + 1} contains no units "
-            f"of the chosen arm {chosen[p] + 1}"
-        )
-    return held_rewards[chosen, fold] / n
+        chosen = decide_kept(
+            counts, sums[..., :blends], variances, rule, exp.experiment_id
+        ) - 1
+        n = held_counts[chosen, fold]
+        if not n.all():
+            t = np.flatnonzero(n == 0)[0]
+            raise DegenerateFoldError(
+                f"experiment {exp.experiment_id!r}: {_fold_name(fold_counts, t)} "
+                f"contains no units of the chosen arm {chosen[t] + 1}"
+            )
+        out[r] = held_rewards[chosen, fold] / n
+    return out
 
 
 def cv_fold_reward(
@@ -214,20 +230,47 @@ def cv_fold_reward(
     The decision sees every unit outside the fold; the estimate is the mean
     reward over the fold's units in the chosen arm only.
     """
-    if not 1 <= p <= folds.num_folds:
-        raise ValueError(f"held-out fold {p} out of range [1, {folds.num_folds}]")
-    return float(_fold_rewards(exp, rule, reward, folds)[p - 1])
+    num_folds = folds.num_folds
+    if not 1 <= p <= num_folds:
+        raise ValueError(f"held-out fold {p} out of range [1, {num_folds}]")
+    labels = [folds.folds[arm.arm_index] - 1 for arm in exp.arms]
+    for arm, lab in zip(exp.arms, labels):
+        if lab.shape != (arm.num_units,) or not 0 <= lab.min() <= lab.max() < num_folds:
+            raise ValueError(
+                f"fold assignment for experiment {exp.experiment_id!r} arm "
+                f"{arm.arm_index} must give its {arm.num_units} units folds 1..{num_folds}"
+            )
+    return float(_fold_rewards(exp, [rule], reward, labels, (num_folds,))[0, p - 1])
 
 
-def _experiment_cv_mean(
-    exp: ExperimentData,
-    rule: DecisionRule,
+def kfold_rewards(
+    exps: list[ExperimentData],
+    rules: list[DecisionRule],
     reward: RewardSpec,
-    num_folds: int,
+    fold_counts: tuple[int, ...],
     fold_seed: int,
-) -> float:
-    folds = assign_folds(exp, num_folds, fold_seed)
-    return float(_fold_rewards(exp, rule, reward, folds).mean())
+) -> np.ndarray:
+    """(rules, fold counts, experiments) k-fold contributions: the mean fold
+    reward over the experiment's partition into that many folds.  All fold
+    counts and rules share each arm's one ``fold_permutations`` draw, taken
+    modulo the fold count as in ``assign_folds``.
+    """
+    fold_counts = tuple(int(p) for p in fold_counts)
+    if any(p < 2 for p in fold_counts):
+        raise ValueError("cv-kfold needs num_folds >= 2")
+    offsets = np.cumsum((0,) + fold_counts)[:-1]
+    out = np.empty((len(rules), len(fold_counts), len(exps)))
+    if not fold_counts:
+        return out
+    for i, exp in enumerate(exps):
+        labels = [
+            np.concatenate([perm % p + o for p, o in zip(fold_counts, offsets)])
+            for perm in fold_permutations(exp, fold_seed)
+        ]
+        rewards = _fold_rewards(exp, rules, reward, labels, fold_counts)
+        for f, (p, o) in enumerate(zip(fold_counts, offsets)):
+            out[:, f, i] = rewards[:, o : o + p].sum(axis=1) / p
+    return out
 
 
 def aggregate(values: np.ndarray, weights: np.ndarray, mode: str) -> float:
@@ -360,14 +403,14 @@ def per_experiment_rewards(
     cv-leave-l-out: mean over held-out subsets; poisson-rescaled: the
     rescaled leave-l-out sum.
     """
+    if config.kind == "cv-kfold":
+        return kfold_rewards(
+            exps, [rule], reward, (config.num_folds,), config.fold_seed
+        )[0, 0]
     out = np.empty(len(exps))
     for i, exp in enumerate(exps):
         if config.kind == "naive":
             out[i] = naive_reward(exp, rule, reward)
-        elif config.kind == "cv-kfold":
-            out[i] = _experiment_cv_mean(
-                exp, rule, reward, config.num_folds, config.fold_seed
-            )
         elif config.kind == "cv-leave-l-out":
             m = exp.arms[0].num_units
             total = leave_l_out_reward(

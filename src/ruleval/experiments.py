@@ -259,27 +259,30 @@ class FoldAssignment:
             raise ValueError("num_folds must be >= 2")
 
 
-def assign_folds(exp: ExperimentData, num_folds: int, seed: int) -> FoldAssignment:
-    """Randomly split each arm's units into ``num_folds`` near-equal folds.
-
-    The draw is a deterministic function of (seed, experiment id, arm
-    sizes): each arm gets its own substream, so the same experiment always
-    receives the same assignment regardless of what else was sampled.
+def fold_permutations(exp: ExperimentData, seed: int) -> list[np.ndarray]:
+    """Each arm's random permutation of its unit positions, a deterministic
+    function of (seed, experiment id, arm sizes): each arm gets its own
+    substream, so the draw does not depend on what else was sampled.
     """
+    return [
+        substream(seed, "folds", exp.experiment_id, arm.arm_index).permutation(
+            arm.num_units
+        )
+        for arm in exp.arms
+    ]
+
+
+def assign_folds(exp: ExperimentData, num_folds: int, seed: int) -> FoldAssignment:
+    """Randomly split each arm's units into ``num_folds`` near-equal folds:
+    unit i of an arm with permutation ``perm`` goes to fold
+    ``perm[i] % num_folds + 1``, so every fold count shares one draw."""
     if num_folds < 2:
         raise ValueError("num_folds must be >= 2")
-    folds: dict[int, np.ndarray] = {}
-    for arm in exp.arms:
-        rng = substream(seed, "folds", exp.experiment_id, arm.arm_index)
-        m = arm.num_units
-        labels = np.arange(m) % num_folds + 1
-        folds[arm.arm_index] = labels[rng.permutation(m)]
-    return FoldAssignment(
-        experiment_id=exp.experiment_id,
-        num_folds=num_folds,
-        folds=folds,
-        seed=seed,
-    )
+    folds = {
+        arm.arm_index: perm % num_folds + 1
+        for arm, perm in zip(exp.arms, fold_permutations(exp, seed))
+    }
+    return FoldAssignment(exp.experiment_id, num_folds, folds, seed)
 
 
 def blend_matrix(rule: DecisionRule, num_metrics: int) -> np.ndarray:

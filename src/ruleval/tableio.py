@@ -2,7 +2,9 @@
 
 All output files are written atomically (temp file in the target directory,
 then rename) and floats are formatted with 17 significant digits so values
-round-trip exactly and repeated runs are byte-identical.
+round-trip exactly and repeated runs are byte-identical.  Text cells are
+quoted as the ``csv`` module quotes them by default: only when they hold a
+comma, a double quote or a line break, with inner quotes doubled.
 """
 
 from __future__ import annotations
@@ -12,7 +14,14 @@ import os
 import tempfile
 from typing import Iterable
 
-__all__ = ["fmt", "write_csv_atomic", "write_json_atomic", "write_text_atomic"]
+__all__ = ["fmt", "quote", "write_csv_atomic", "write_json_atomic", "write_text_atomic"]
+
+
+def quote(text: str) -> str:
+    """A text cell, quoted when it holds a comma, a quote or a line break."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def fmt(value) -> str:
@@ -23,7 +32,7 @@ def fmt(value) -> str:
         return "true" if value else "false"
     if isinstance(value, float):
         return format(value, ".17g")
-    return str(value)
+    return quote(str(value))
 
 
 def write_text_atomic(path: str, text: str) -> None:
@@ -41,7 +50,7 @@ def write_text_atomic(path: str, text: str) -> None:
 
 
 def write_csv_atomic(path: str, header: list[str], rows: Iterable[Iterable]) -> None:
-    lines = [",".join(header)]
+    lines = [",".join(map(quote, header))]
     for row in rows:
         lines.append(",".join(fmt(cell) for cell in row))
     write_text_atomic(path, "\n".join(lines) + "\n")

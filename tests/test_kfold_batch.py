@@ -1,0 +1,163 @@
+"""The batched k-fold path of ``evaluate_rules``: one fold permutation per
+arm shared by every fold count, checked against separate ``assign_folds``
+calls per fold count, and the bootstrap redraw count it reports."""
+
+import json
+
+import numpy as np
+import pytest
+
+from ruleval import (
+    ArmData,
+    DecisionRule,
+    EstimatorConfig,
+    ExperimentCorpus,
+    ExperimentData,
+    RewardSpec,
+    assign_folds,
+    cv_fold_reward,
+    evaluate_rules,
+    per_experiment_rewards,
+    write_corpus_csv,
+)
+from ruleval.cli import main
+from ruleval.estimators import aggregate, bootstrap_aggregates, percentile_interval
+from ruleval.streams import substream
+import unit_oracle as oracle
+
+FOLD_COUNTS = (2, 3, 5, 7)
+RULES = [
+    ("ungated", DecisionRule(blend=[0.0, 1.0, 0.3])),
+    ("gated", DecisionRule(blend=[0.2, 1.0, 0.0], gate="significant-vs-reference",
+                           gate_alpha=0.2)),
+    ("gate-metrics", DecisionRule(
+        blend=[0.0, 0.0, 1.0], gate="significant-vs-reference", gate_alpha=0.3,
+        gate_sides="two-sided", gate_metrics=([1.0, 0.0, 0.0], [0.0, 1.0, 0.0]),
+        gate_combine="any")),
+]
+
+
+def corpus(num_experiments=9, seed=0):
+    """Three arms of unequal sizes (some not divisible by any fold count),
+    treatment effects large enough that the gates pass and fail, and
+    unequal weights."""
+    rng = np.random.default_rng(seed)
+    exps = []
+    for i in range(num_experiments):
+        arms = []
+        for k in range(3):
+            m = int(rng.integers(15, 24))
+            units = rng.standard_normal((m, 3)) + rng.normal(0.0, 0.6, 3) * k
+            arms.append(ArmData(k + 1, units))
+        exps.append(ExperimentData(f"x{i}", tuple(arms), weight=float(rng.uniform(0.2, 3.0))))
+    return ExperimentCorpus(tuple(exps), ("y", "p1", "p2"))
+
+
+def oracle_rows(corp, reward, mode, seed, replicates, level):
+    """(rule, estimator, folds) -> (estimate, ci_lower, ci_upper), with k-fold
+    contributions from one ``assign_folds`` call per experiment and fold count."""
+    exps = sorted(corp.experiments, key=lambda e: e.experiment_id)
+    weights = np.array([e.weight for e in exps])
+    reward_w = reward.weights(len(corp.metric_names))
+    rows = {}
+    for name, rule in RULES:
+        columns = {("naive", 0): per_experiment_rewards(
+            exps, rule, reward, EstimatorConfig(kind="naive", mode=mode))}
+        for p in FOLD_COUNTS:
+            per_fold = []
+            for exp in exps:
+                folds = assign_folds(exp, p, seed)
+                fold_rewards = np.array(
+                    [cv_fold_reward(exp, rule, reward, folds, q) for q in range(1, p + 1)]
+                )
+                # Unit-level reference: same decisions, sums in another order.
+                assert fold_rewards.mean() == pytest.approx(
+                    oracle.kfold_reward(exp, rule, reward_w, folds), rel=1e-12, abs=1e-12
+                )
+                per_fold.append(fold_rewards.mean())
+            columns[("cv-kfold", p)] = np.array(per_fold)
+        for (estimator, p), contributions in columns.items():
+            rng = substream(seed, "evaluate", name, estimator, p)
+            draws, _ = bootstrap_aggregates(contributions, weights, mode, replicates, rng)
+            rows[(name, estimator, p)] = (
+                aggregate(contributions, weights, mode), *percentile_interval(draws, level)
+            )
+    return rows
+
+
+@pytest.mark.parametrize("mode", ["cumulative", "mean"])
+def test_evaluate_rows_match_per_fold_count_assignments(mode):
+    corp = corpus()
+    reward = RewardSpec.combination([1.0, 0.0, 0.5])
+    report = evaluate_rules(
+        corp, RULES, reward, fold_counts=FOLD_COUNTS, bootstrap_replicates=200,
+        level=0.9, seed=11, mode=mode,
+    )
+    expected = oracle_rows(corp, reward, mode, seed=11, replicates=200, level=0.9)
+    assert len(report.rows) == len(expected) == len(RULES) * (1 + len(FOLD_COUNTS))
+    for row in report.rows:
+        assert (row.estimate, row.ci_lower, row.ci_upper) == expected[
+            (row.rule, row.estimator, row.num_folds)
+        ]
+    # The rules decide differently, so the comparison covers distinct paths.
+    assert len({report.value(name, "cv-kfold", 5) for name, _ in RULES}) == len(RULES)
+
+
+@pytest.mark.parametrize("num_folds", [2, 3, 5, 10, 20])
+def test_assign_folds_is_the_permutation_modulo_the_fold_count(num_folds):
+    rng = np.random.default_rng(num_folds)
+    sizes = [m for m in (23, 41, 57) if m % num_folds][:2]
+    exp = ExperimentData(
+        "perm", tuple(ArmData(k + 1, rng.standard_normal((m, 1))) for k, m in enumerate(sizes))
+    )
+    for seed in (0, 7):
+        folds = assign_folds(exp, num_folds, seed)
+        for arm in exp.arms:
+            perm = substream(seed, "folds", "perm", arm.arm_index).permutation(arm.num_units)
+            assert np.array_equal(folds.folds[arm.arm_index], perm % num_folds + 1)
+            assert np.array_equal(
+                folds.folds[arm.arm_index], (np.arange(arm.num_units) % num_folds + 1)[perm]
+            )
+
+
+def test_bootstrap_redraws_are_counted_and_reported(tmp_path):
+    # Mean mode with mostly zero weights: many resamples carry no weight.
+    base = corpus(num_experiments=6, seed=4)
+    exps = tuple(
+        ExperimentData(e.experiment_id, e.arms, weight=1.0 if i == 0 else 0.0)
+        for i, e in enumerate(base.experiments)
+    )
+    corp = ExperimentCorpus(exps, base.metric_names)
+    rules = RULES[:1]
+    report = evaluate_rules(
+        corp, rules, RewardSpec.metric(1), fold_counts=(2, 3),
+        bootstrap_replicates=100, seed=5, mode="mean",
+    )
+    weights = np.array([e.weight for e in exps])
+    expected = 0
+    for estimator, p, config in [
+        ("naive", 0, EstimatorConfig(kind="naive", mode="mean")),
+        ("cv-kfold", 2, EstimatorConfig(kind="cv-kfold", num_folds=2, fold_seed=5)),
+        ("cv-kfold", 3, EstimatorConfig(kind="cv-kfold", num_folds=3, fold_seed=5)),
+    ]:
+        contributions = per_experiment_rewards(list(exps), rules[0][1], RewardSpec.metric(1), config)
+        rng = substream(5, "evaluate", "ungated", estimator, p)
+        expected += bootstrap_aggregates(contributions, weights, "mean", 100, rng)[1]
+    assert report.bootstrap_redraws == expected > 0
+
+    corpus_path = tmp_path / "c.csv"
+    write_corpus_csv(corp, str(corpus_path))
+    (tmp_path / "w.csv").write_text(
+        "experiment_id,weight\n" + "".join(f"{e.experiment_id},{e.weight}\n" for e in exps)
+    )
+    (tmp_path / "rules.json").write_text(json.dumps({
+        "reward": {"metric": "y"},
+        "rules": [{"name": "ungated", "blend": {"coefficients": {"p1": 1.0, "p2": 0.3}}}],
+        "fold_counts": [2, 3], "bootstrap_replicates": 100, "mode": "mean",
+    }))
+    out = tmp_path / "report.csv"
+    assert main(["evaluate", "--corpus", str(corpus_path), "--rules",
+                 str(tmp_path / "rules.json"), "--weights", str(tmp_path / "w.csv"),
+                 "--out", str(out), "--seed", "5"]) == 0
+    manifest = json.loads((tmp_path / "report.csv.manifest.json").read_text())
+    assert manifest["bootstrap_redraws"] == expected

@@ -16,9 +16,11 @@ from ruleval import (
     DecisionRule,
     DegenerateArmError,
     DegenerateFoldError,
+    ExperimentCorpus,
     ExperimentData,
     FoldAssignment,
 )
+from ruleval.tableio import write_csv_atomic
 
 
 def blend_mean_and_se(arm: ArmData, blend: np.ndarray) -> tuple[float, float]:
@@ -173,3 +175,17 @@ def bootstrap_loop(
         total = np.sum(w * contributions[idx])
         out[b] = total if mode == "cumulative" else total / float(w.sum())
     return out
+
+
+def write_corpus_csv(corpus: ExperimentCorpus, path: str) -> None:
+    """Corpus export with one ``tableio.fmt`` call per cell."""
+    header = ["experiment_id", "arm", "unit_id"] + list(corpus.metric_names)
+    rows = []
+    for exp in corpus.experiments:
+        for arm in exp.arms:
+            for pos in range(arm.num_units):
+                rows.append(
+                    [exp.experiment_id, arm.arm_index, f"u{pos:06d}"]
+                    + [float(v) for v in arm.units[pos]]
+                )
+    write_csv_atomic(path, header, rows)
