@@ -332,6 +332,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    # Selection runs first, so bad selection input fails before the long
+    # rescaling run; the report order below is unchanged.
+    selection = check_rule_selection(
+        replications=args.selection_replications, seed=args.seed
+    )
     rescaling = check_poisson_rescaling(
         m0=args.m0,
         leave_out=args.leave_out,
@@ -349,9 +354,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
         f"poisson-rescaling negative control: {nc_status} "
         f"|diff|={abs(rescaling.negative_control_difference):.3e} "
         f"threshold={4 * rescaling.negative_control_se:.3e}"
-    )
-    selection = check_rule_selection(
-        replications=args.selection_replications, seed=args.seed
     )
     status = "PASS" if selection.passed else "FAIL"
     regrets = ", ".join(

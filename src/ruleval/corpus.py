@@ -20,11 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimators import (
-    EstimatorConfig,
     aggregate,
+    batch_rewards,
     bootstrap_aggregates,
-    kfold_rewards,
-    per_experiment_rewards,
     percentile_interval,
 )
 from .experiments import ArmData, DecisionRule, ExperimentData, RewardSpec
@@ -414,15 +412,13 @@ def evaluate_rules(
     weights = np.array([e.weight for e in exps])
     can_bootstrap = len(exps) >= 2
 
-    naive = EstimatorConfig(kind="naive", mode=mode)
+    keys = [("naive", 0)] + [("cv-kfold", int(p)) for p in fold_counts]
+    batch = batch_rewards(exps, [rule for _, rule in rules], reward, fold_counts, seed)
     contributions = {
-        (name, "naive", 0): per_experiment_rewards(exps, rule, reward, naive)
-        for name, rule in rules
+        (name, *key): column
+        for (name, _), per_key in zip(rules, batch)
+        for key, column in zip(keys, per_key)
     }
-    kfold = kfold_rewards(exps, [rule for _, rule in rules], reward, fold_counts, seed)
-    for (name, _), per_count in zip(rules, kfold):
-        for p, column in zip(fold_counts, per_count):
-            contributions[(name, "cv-kfold", int(p))] = column
 
     values: dict[tuple[str, str, int], float] = {}
     intervals: dict[tuple[str, str, int], tuple[float, float] | None] = {}
@@ -446,7 +442,6 @@ def evaluate_rules(
                 f"{scale}; normalization needs a positive baseline"
             )
 
-    keys = [("naive", 0)] + [("cv-kfold", int(p)) for p in fold_counts]
     rows = []
     for name, _ in rules:
         for estimator, num_folds in keys:

@@ -18,8 +18,10 @@ Three families are implemented:
 Every estimator decides through the one kernel ``experiments.decide_kept``.
 The naive estimate makes one full-data decision.  k-fold feeds it the folds
 of every fold count at once, with per-fold sums from ``np.bincount`` on the
-fold labels subtracted from the arm totals.  Leave-l-out feeds it every
-held-out subset at once, gathered by an (S, l) array of unit positions.
+fold labels subtracted from the arm totals; the same call decides the full
+data from the arm totals, which gives ``evaluate_rules`` its naive rows.
+Leave-l-out feeds it every held-out subset at once, gathered by an (S, l)
+array of unit positions.
 
 Aggregates over experiments come in two modes: ``mean`` (weighted mean of
 per-experiment estimates) and ``cumulative`` (weighted sum), the latter
@@ -37,6 +39,7 @@ import numpy as np
 from .experiments import (
     ArmData,
     DecisionRule,
+    DegenerateArmError,
     DegenerateFoldError,
     ExperimentData,
     FoldAssignment,
@@ -156,17 +159,21 @@ def _fold_rewards(
     labels: list[np.ndarray],
     fold_counts: tuple[int, ...],
 ) -> np.ndarray:
-    """(rules, folds): each rule's reward of every fold's held-out decision.
+    """(rules, folds + 1): each rule's reward of every fold's held-out
+    decision, then of its full-data decision (the plug-in estimate).
 
-    ``labels`` holds each arm's 0-based fold labels of one or more
+    ``labels`` holds each arm's 0-based fold labels of zero or more
     partitions, concatenated, partition f numbering its ``fold_counts[f]``
     folds after the earlier ones.  Fold t's decision sees every unit outside
     it; its reward is the mean reward of the chosen arm's units in fold t.
-    Per rule, one bincount gives every fold's blend sums (and, gated, sums
-    of squares) and one kernel call decides all folds.  Raises
-    DegenerateFoldError when holding a fold out leaves an arm without a
-    unit (two under a gate), or when the chosen arm has no unit in the
-    fold; silent skips would bias any estimator built on top.
+    The full-data decision sees every unit and is rewarded on all of the
+    chosen arm's units.  Per rule, one bincount gives every fold's blend
+    sums (and, gated, sums of squares) and one kernel call decides all
+    folds and the full data.  Raises DegenerateFoldError when holding a
+    fold out leaves an arm without a unit (two under a gate), or when the
+    chosen arm has no unit in the fold; silent skips would bias any
+    estimator built on top.  With no fold at all, a gated rule on an arm of
+    one unit raises DegenerateArmError, as ``decide`` does.
     """
     num_arms, total = exp.num_arms, sum(fold_counts)
     size = num_arms * total
@@ -179,13 +186,20 @@ def _fold_rewards(
     held_counts = np.bincount(bins, minlength=size).reshape(num_arms, total)
     rewards = np.concatenate([_reward_values(arm, reward) for arm in exp.arms])
     held_rewards = np.bincount(bins, rewards[rows], size).reshape(num_arms, total)
-    counts = (np.diff(bounds)[:, None] - held_counts).T
+    full_rewards = np.array([rewards[a:b].mean() for a, b in zip(bounds, bounds[1:])])
+    # Kept unit counts: one row per fold, then the full data.
+    counts = np.vstack([(np.diff(bounds)[:, None] - held_counts).T, np.diff(bounds)])
     fold = np.arange(total)
-    out = np.empty((len(rules), total))
+    out = np.empty((len(rules), total + 1))
     for r, rule in enumerate(rules):
         gated = rule.gate != "none"
         if counts.min() < 1 + gated:
             t, k = np.argwhere(counts < 1 + gated)[0]
+            if t == total:
+                raise DegenerateArmError(
+                    f"experiment {exp.experiment_id!r}: arm {k + 1} has "
+                    f"{counts[t, k]} unit(s); the significance gate needs >= 2"
+                )
             raise DegenerateFoldError(
                 f"experiment {exp.experiment_id!r}: removing "
                 f"{_fold_name(fold_counts, t)} leaves arm {k + 1} with "
@@ -199,7 +213,8 @@ def _fold_rewards(
                                for a, b in zip(bounds, bounds[1:])], axis=1)
         index = (np.arange(width)[:, None] * size + bins).ravel()
         held = np.bincount(index, columns[:, rows].ravel(), width * size)
-        sums = (arm_totals[..., None] - held.reshape(width, num_arms, total)).T
+        held = held.reshape(width, num_arms, total)
+        sums = np.concatenate([(arm_totals[..., None] - held).T, arm_totals.T[None]])
         variances = (
             sample_variance(counts, sums[..., :blends], sums[..., blends:])
             if gated else None
@@ -207,14 +222,15 @@ def _fold_rewards(
         chosen = decide_kept(
             counts, sums[..., :blends], variances, rule, exp.experiment_id
         ) - 1
-        n = held_counts[chosen, fold]
+        n = held_counts[chosen[:total], fold]
         if not n.all():
             t = np.flatnonzero(n == 0)[0]
             raise DegenerateFoldError(
                 f"experiment {exp.experiment_id!r}: {_fold_name(fold_counts, t)} "
                 f"contains no units of the chosen arm {chosen[t] + 1}"
             )
-        out[r] = held_rewards[chosen, fold] / n
+        out[r, :total] = held_rewards[chosen[:total], fold] / n
+        out[r, total] = full_rewards[chosen[total]]
     return out
 
 
@@ -243,33 +259,35 @@ def cv_fold_reward(
     return float(_fold_rewards(exp, [rule], reward, labels, (num_folds,))[0, p - 1])
 
 
-def kfold_rewards(
+def batch_rewards(
     exps: list[ExperimentData],
     rules: list[DecisionRule],
     reward: RewardSpec,
     fold_counts: tuple[int, ...],
     fold_seed: int,
 ) -> np.ndarray:
-    """(rules, fold counts, experiments) k-fold contributions: the mean fold
-    reward over the experiment's partition into that many folds.  All fold
-    counts and rules share each arm's one ``fold_permutations`` draw, taken
-    modulo the fold count as in ``assign_folds``.
+    """(rules, 1 + fold counts, experiments) contributions: slot 0 the
+    plug-in estimate, slot 1 + f the k-fold estimate at ``fold_counts[f]``,
+    the mean fold reward over the experiment's partition into that many
+    folds.  All fold counts and rules share each arm's one
+    ``fold_permutations`` draw, taken modulo the fold count as in
+    ``assign_folds``, and each (rule, experiment) makes one kernel call.
     """
     fold_counts = tuple(int(p) for p in fold_counts)
     if any(p < 2 for p in fold_counts):
         raise ValueError("cv-kfold needs num_folds >= 2")
-    offsets = np.cumsum((0,) + fold_counts)[:-1]
-    out = np.empty((len(rules), len(fold_counts), len(exps)))
-    if not fold_counts:
-        return out
+    periods = np.array(fold_counts, dtype=int)[:, None]
+    offsets = np.cumsum((0,) + fold_counts)[:-1, None]
+    out = np.empty((len(rules), 1 + len(fold_counts), len(exps)))
     for i, exp in enumerate(exps):
         labels = [
-            np.concatenate([perm % p + o for p, o in zip(fold_counts, offsets)])
+            (perm % periods + offsets).ravel()
             for perm in fold_permutations(exp, fold_seed)
         ]
         rewards = _fold_rewards(exp, rules, reward, labels, fold_counts)
-        for f, (p, o) in enumerate(zip(fold_counts, offsets)):
-            out[:, f, i] = rewards[:, o : o + p].sum(axis=1) / p
+        out[:, 0, i] = rewards[:, -1]
+        for f, (p, o) in enumerate(zip(fold_counts, offsets[:, 0])):
+            out[:, 1 + f, i] = rewards[:, o : o + p].sum(axis=1) / p
     return out
 
 
@@ -404,9 +422,9 @@ def per_experiment_rewards(
     rescaled leave-l-out sum.
     """
     if config.kind == "cv-kfold":
-        return kfold_rewards(
+        return batch_rewards(
             exps, [rule], reward, (config.num_folds,), config.fold_seed
-        )[0, 0]
+        )[0, 1]
     out = np.empty(len(exps))
     for i, exp in enumerate(exps):
         if config.kind == "naive":

@@ -12,11 +12,19 @@ Two simulation paths share the same generative model:
 
 Both paths decide through the library's one kernel,
 ``experiments.decide_kept``, with the library's ``DecisionRule``.  The fast
-path feeds it arm sums of the rule's blends built from fold means, and in
-place of a sample variance the model's known per-unit blend variance
-``diag(M' noise_cov M)``.  That known variance is the one difference from
-the unit-level engine: a gated rule tests against the true unit noise, which
-is accurate in the large-M regime the model targets.
+path feeds it arm sums of the rule's blends, and in place of a sample
+variance the model's known per-unit blend variance ``diag(M' noise_cov M)``.
+That known variance is the one difference from the unit-level engine: a
+gated rule tests against the true unit noise, which is accurate in the
+large-M regime the model targets.
+
+The fast path never forms fold-mean vectors.  Everything it reads is a
+projection of them, so one GEMM maps the standard-normal draws onto the
+reward and every blend direction at once, and a second maps each blend's
+fold projections to its leave-fold-out and full-data sums.  Draws come in
+row blocks that continue one random stream, with at most ``BLOCK_ELEMENTS``
+values per temporary, so memory stays bounded and the block size never
+changes a result.
 
 Reductions are deterministic and independent of parallelism: work is cut
 into fixed-size chunks keyed by (seed, point, chunk), executed in any
@@ -63,7 +71,7 @@ __all__ = [
 
 PARALLELISM_ENV_VAR = "RULEVAL_PARALLEL"
 CHUNK_REPLICATIONS = 256
-SUBSET_BLOCK_ELEMENTS = 1 << 16
+BLOCK_ELEMENTS = 1 << 16
 
 # Default generative parameters: a weak signal-to-noise regime with one
 # hundred experiments of a million units per arm.
@@ -292,13 +300,20 @@ def _simulate_estimates(
     """Fast-path draws for ``n`` two-arm experiments; returns (n, n_rules)
     arrays.
 
-    Simulates true effects and per-arm fold-mean vectors, then evaluates
-    for each rule the true earned reward, the plug-in estimate, and the
-    k-fold cross-validation estimate.  Fold means carry ``noise_cov / m_p``
-    covariance.  The fold means are projected on the rule's blend matrix,
-    and ``decide_kept`` decides once on the full arm sums and once per
-    held-out fold on the remaining folds' sums (exact size weights), with
-    the known per-unit blend variance for the gate; launch means arm 2.
+    Simulates true effects and per-arm fold means, then evaluates for each
+    rule the true earned reward, the plug-in estimate, and the k-fold
+    cross-validation estimate.  Fold means carry ``noise_cov / m_p``
+    covariance and are only ever seen through their projections on the
+    reward ``psi`` and on every rule's blend matrix, so one GEMM maps the
+    standard-normal draws straight onto those directions.  A second GEMM
+    turns each blend direction's P fold projections into every
+    leave-fold-out sum (a sum over the other folds, with no cancellation
+    against the total) and the full sum.  ``decide_kept`` decides once on
+    the full arm sums and once per held-out fold on the remaining folds'
+    sums, with the known per-unit blend variance for the gate; launch
+    means arm 2.  The draws are taken in row blocks, each temporary holding
+    at most ``BLOCK_ELEMENTS`` values, that continue one stream, so the
+    result does not depend on the block size.
     """
     n_metrics = effect_chol.shape[0]
     if m < num_folds:
@@ -306,39 +321,60 @@ def _simulate_estimates(
             f"fast path needs units_per_arm >= num_folds, got {m} < {num_folds}"
         )
     sizes = _fold_sizes(m, num_folds)
-
-    tau = rng.standard_normal((n, n_metrics)) @ effect_chol.T
-    eps = rng.standard_normal((n, 2, num_folds, n_metrics)) @ noise_chol.T
-    eps /= np.sqrt(sizes)[None, None, :, None]
-    fold_means = eps
-    fold_means[:, 1] += tau[:, None, :]
-    arm_means = np.einsum("napj,p->naj", fold_means, sizes / m)
-
-    true = tau @ psi
-    naive = (arm_means[:, 0] @ psi, arm_means[:, 1] @ psi)
-    fold_psi = fold_means @ psi  # (n, 2, P)
+    root = np.sqrt(sizes)
+    matrices = [blend_matrix(rule, n_metrics) for rule in rules]
+    directions = np.column_stack([psi] + matrices)  # (J, D): reward, then blends
+    ends = np.cumsum([0] + [mat.shape[1] for mat in matrices])
+    variances = [
+        None if rule.gate == "none" else np.diag(mat.T @ noise_cov @ mat)
+        for rule, mat in zip(rules, matrices)
+    ]
+    noise_directions = (noise_chol.T @ directions).T  # (D, J)
+    # Fold q's blend sum is sqrt(m_q) times its projection, plus m_q effects
+    # in arm 2.  Column p < P sums every fold but p; column P sums them all.
+    fold_sums = root[:, None] * (1.0 - np.eye(num_folds, num_folds + 1))
+    effect_units = np.append(m - sizes, m).astype(float)
+    weights = sizes / m
     full_counts = np.full(2, float(m))
     kept_counts = np.repeat((m - sizes)[:, None], 2, axis=1).astype(float)  # (P, 2)
+
+    tau = rng.standard_normal((n, n_metrics)) @ effect_chol.T
+    effects = (tau @ directions).T  # (D, n)
     out = {key: np.empty((n, len(rules))) for key in ("true", "naive", "cv")}
-    for r, rule in enumerate(rules):
-        matrix = blend_matrix(rule, n_metrics)
-        variances = (
-            None if rule.gate == "none" else np.diag(matrix.T @ noise_cov @ matrix)
+    width = 2 * (num_folds + 1) * max(n_metrics, directions.shape[1])
+    step = max(1, BLOCK_ELEMENTS // width)
+    for start in range(0, n, step):
+        rows = slice(start, min(start + step, n))
+        z = rng.standard_normal((rows.stop - start, 2, num_folds, n_metrics))
+        # Direction-major: (D, rows, 2, P).
+        proj = (noise_directions @ z.reshape(-1, n_metrics).T).reshape(
+            (-1,) + z.shape[:3]
         )
-        projected = (fold_means.reshape(-1, n_metrics) @ matrix).reshape(
-            n, 2, num_folds, -1
-        )
-        full_sums = (arm_means @ matrix) * m  # (n, 2, B)
-        kept_sums = full_sums[:, :, None] - projected * sizes[:, None]
-        launch = decide_kept(full_counts, full_sums, variances, rule, "simulated") == 2
-        launch_loo = decide_kept(  # (n, P), from an (n, P, 2, B) view
-            kept_counts, kept_sums.transpose(0, 2, 1, 3), variances, rule, "simulated"
-        ) == 2
-        out["true"][:, r] = np.where(launch, true, 0.0)
-        out["naive"][:, r] = np.where(launch, naive[1], naive[0])
-        out["cv"][:, r] = np.where(
-            launch_loo, fold_psi[:, 1, :], fold_psi[:, 0, :]
-        ).mean(axis=1)
+        fold_means = proj[0] / root  # reward fold means, (rows, 2, P)
+        fold_means[:, 1] += effects[0, rows, None]
+        # Arm means as size-weighted sums of the fold means in fold order,
+        # the rounding of the fold-mean algebra in tests/unit_oracle.py.
+        naive = fold_means[:, :, 0] * weights[0]
+        for p in range(1, num_folds):
+            naive += fold_means[:, :, p] * weights[p]
+        sums = (proj[1:].reshape(-1, num_folds) @ fold_sums).reshape(
+            (-1,) + z.shape[:2] + (num_folds + 1,)
+        )  # (blend columns, rows, 2, P + 1)
+        sums[:, :, 1] += effects[1:, rows, None] * effect_units
+        sums = sums.transpose(1, 3, 2, 0)  # (rows, P + 1, 2, blend columns) view
+        for r, rule in enumerate(rules):
+            cols = slice(ends[r], ends[r + 1])
+            launch = decide_kept(
+                full_counts, sums[:, -1, :, cols], variances[r], rule, "simulated"
+            ) == 2
+            launch_loo = decide_kept(
+                kept_counts, sums[:, :-1, :, cols], variances[r], rule, "simulated"
+            ) == 2
+            out["true"][rows, r] = np.where(launch, effects[0, rows], 0.0)
+            out["naive"][rows, r] = np.where(launch, naive[:, 1], naive[:, 0])
+            out["cv"][rows, r] = np.where(
+                launch_loo, fold_means[:, 1], fold_means[:, 0]
+            ).mean(axis=1)
     return out
 
 
@@ -641,7 +677,7 @@ def check_poisson_rescaling(
             float
         )
         # Row blocks bound the (rows, arms, subsets) temporaries.
-        step = max(1, SUBSET_BLOCK_ELEMENTS // max(1, math.comb(int(m), leave_out)))
+        step = max(1, BLOCK_ELEMENTS // max(1, math.comb(int(m), leave_out)))
         raw = np.concatenate([
             _subset_reward_sums(
                 x[i:i + step], leave_out, rule_kind, constant_arm, fallback_arm
@@ -808,6 +844,12 @@ def check_rule_selection(
     """
     if len(proxies) < 2:
         raise ValueError("need at least two candidate proxies")
+    if replications < 1:
+        raise ValueError(f"replications must be >= 1, got {replications}")
+    if not n_grid:
+        raise ValueError("n_grid is empty")
+    if min(n_grid) < 1:
+        raise ValueError(f"every N in n_grid must be >= 1, got {tuple(n_grid)}")
     if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
         raise ValueError("n_grid must be strictly increasing")
     gammas = np.array(

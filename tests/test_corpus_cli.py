@@ -479,6 +479,14 @@ def test_cli_check_command_passes_and_reports(capsys):
     assert "rule-selection" in out
 
 
+def test_cli_check_rejects_zero_selection_replications(capsys):
+    code = main(["check-theorems", "--selection-replications", "0"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: replications must be >= 1")
+    assert "Traceback" not in err
+
+
 def test_cli_figure_output_is_parallelism_invariant(tmp_path, monkeypatch):
     args = ["replicate-figure", "2", "--out-dir", None, "--replications", "300",
             "--grid", "5,10", "--seed", "3"]

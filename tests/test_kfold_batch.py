@@ -10,6 +10,7 @@ import pytest
 from ruleval import (
     ArmData,
     DecisionRule,
+    DegenerateArmError,
     EstimatorConfig,
     ExperimentCorpus,
     ExperimentData,
@@ -21,7 +22,12 @@ from ruleval import (
     write_corpus_csv,
 )
 from ruleval.cli import main
-from ruleval.estimators import aggregate, bootstrap_aggregates, percentile_interval
+from ruleval.estimators import (
+    aggregate,
+    batch_rewards,
+    bootstrap_aggregates,
+    percentile_interval,
+)
 from ruleval.streams import substream
 import unit_oracle as oracle
 
@@ -101,6 +107,41 @@ def test_evaluate_rows_match_per_fold_count_assignments(mode):
         ]
     # The rules decide differently, so the comparison covers distinct paths.
     assert len({report.value(name, "cv-kfold", 5) for name, _ in RULES}) == len(RULES)
+
+
+def test_batch_naive_slot_is_the_plug_in_estimate():
+    # Pure noise, so held-out decisions often differ from the full-data one.
+    rng = np.random.default_rng(3)
+    exps = [
+        ExperimentData(f"n{i}", tuple(ArmData(k + 1, rng.standard_normal((12, 3)))
+                                      for k in range(3)))
+        for i in range(40)
+    ]
+    reward = RewardSpec.metric(1)
+    batch = batch_rewards(exps, [rule for _, rule in RULES], reward, (2, 5), fold_seed=1)
+    for (_, rule), got in zip(RULES, batch[:, 0]):
+        want = per_experiment_rewards(exps, rule, reward, EstimatorConfig(kind="naive"))
+        assert np.array_equal(got, want)
+
+
+def test_evaluate_without_fold_counts_scores_the_naive_rows_only():
+    corp = corpus()
+    reward = RewardSpec.metric(1)
+    report = evaluate_rules(corp, RULES, reward, fold_counts=(), bootstrap_replicates=50)
+    exps = sorted(corp.experiments, key=lambda e: e.experiment_id)
+    weights = np.array([e.weight for e in exps])
+    naive = EstimatorConfig(kind="naive", mode="cumulative")
+    assert [(row.rule, row.estimator) for row in report.rows] == [
+        (name, "naive") for name, _ in RULES
+    ]
+    for (name, rule), row in zip(RULES, report.rows):
+        want = per_experiment_rewards(exps, rule, reward, naive)
+        assert row.estimate == aggregate(want, weights, "cumulative")
+    # A gated rule on a one-unit arm fails as the full-data decision does.
+    solo = ExperimentData("solo", (ArmData(1, np.ones((3, 3))), ArmData(2, np.ones((1, 3)))))
+    with pytest.raises(DegenerateArmError, match="arm 2 has 1 unit"):
+        evaluate_rules(ExperimentCorpus((solo,), ("y", "p1", "p2")), RULES[1:2],
+                       reward, fold_counts=())
 
 
 @pytest.mark.parametrize("num_folds", [2, 3, 5, 10, 20])

@@ -421,6 +421,20 @@ def test_selection_check_identical_rules_zero_regret():
     assert report.passed
 
 
+@pytest.mark.parametrize(
+    "kwargs, match",
+    [
+        ({"replications": 0}, "replications must be >= 1"),
+        ({"n_grid": ()}, "n_grid is empty"),
+        ({"n_grid": (0, 1)}, "every N in n_grid must be >= 1"),
+    ],
+    ids=["zero-replications", "empty-grid", "zero-experiments"],
+)
+def test_selection_check_rejects_bad_input(kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        check_rule_selection(**kwargs)
+
+
 def test_joint_proxy_model_marginals_match_bivariate():
     base = DEFAULT_MODEL
     proxies = (ProxySpec("g", 0.8, 0.1), ProxySpec("b", 0.05, 0.9))

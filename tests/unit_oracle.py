@@ -20,6 +20,8 @@ from ruleval import (
     ExperimentData,
     FoldAssignment,
 )
+from ruleval.experiments import blend_matrix, decide_kept
+from ruleval.simulator import _fold_sizes
 from ruleval.tableio import write_csv_atomic
 
 
@@ -189,3 +191,60 @@ def write_corpus_csv(corpus: ExperimentCorpus, path: str) -> None:
                     + [float(v) for v in arm.units[pos]]
                 )
     write_csv_atomic(path, header, rows)
+
+
+def simulate_estimates(
+    effect_chol, noise_chol, noise_cov, m, num_folds, n, rules, psi, rng
+) -> dict[str, np.ndarray]:
+    """The fast path written over full fold-mean vectors: one (n, 2, P, J)
+    draw, the noise transform, fold means, then one projection per rule.
+
+    Takes the same arguments and draws the same stream as
+    ``simulator._simulate_estimates``; besides its three estimates, returns
+    each rule's full-data launch decisions (``launch``, (n, rules)) and
+    held-out ones (``launch_loo``, (n, rules, P)).
+    """
+    n_metrics = effect_chol.shape[0]
+    if m < num_folds:
+        raise DegenerateFoldError(
+            f"fast path needs units_per_arm >= num_folds, got {m} < {num_folds}"
+        )
+    sizes = _fold_sizes(m, num_folds)
+
+    tau = rng.standard_normal((n, n_metrics)) @ effect_chol.T
+    eps = rng.standard_normal((n, 2, num_folds, n_metrics)) @ noise_chol.T
+    eps /= np.sqrt(sizes)[None, None, :, None]
+    fold_means = eps
+    fold_means[:, 1] += tau[:, None, :]
+    arm_means = np.einsum("napj,p->naj", fold_means, sizes / m)
+
+    true = tau @ psi
+    naive = (arm_means[:, 0] @ psi, arm_means[:, 1] @ psi)
+    fold_psi = fold_means @ psi  # (n, 2, P)
+    full_counts = np.full(2, float(m))
+    kept_counts = np.repeat((m - sizes)[:, None], 2, axis=1).astype(float)  # (P, 2)
+    out = {key: np.empty((n, len(rules))) for key in ("true", "naive", "cv")}
+    out["launch"] = np.empty((n, len(rules)), dtype=bool)
+    out["launch_loo"] = np.empty((n, len(rules), num_folds), dtype=bool)
+    for r, rule in enumerate(rules):
+        matrix = blend_matrix(rule, n_metrics)
+        variances = (
+            None if rule.gate == "none" else np.diag(matrix.T @ noise_cov @ matrix)
+        )
+        projected = (fold_means.reshape(-1, n_metrics) @ matrix).reshape(
+            n, 2, num_folds, -1
+        )
+        full_sums = (arm_means @ matrix) * m  # (n, 2, B)
+        kept_sums = full_sums[:, :, None] - projected * sizes[:, None]
+        launch = decide_kept(full_counts, full_sums, variances, rule, "simulated") == 2
+        launch_loo = decide_kept(  # (n, P), from an (n, P, 2, B) view
+            kept_counts, kept_sums.transpose(0, 2, 1, 3), variances, rule, "simulated"
+        ) == 2
+        out["launch"][:, r] = launch
+        out["launch_loo"][:, r] = launch_loo
+        out["true"][:, r] = np.where(launch, true, 0.0)
+        out["naive"][:, r] = np.where(launch, naive[1], naive[0])
+        out["cv"][:, r] = np.where(
+            launch_loo, fold_psi[:, 1, :], fold_psi[:, 0, :]
+        ).mean(axis=1)
+    return out
