@@ -64,7 +64,6 @@ from .simulator import (
     SweepSpec,
     check_poisson_rescaling,
     check_rule_selection,
-    draw_experiment,
     run_bias_sweep,
 )
 
@@ -99,7 +98,6 @@ __all__ = [
     "cv_expectation",
     "cv_fold_reward",
     "decide",
-    "draw_experiment",
     "estimate_reward",
     "evaluate_rules",
     "ingest_csv",

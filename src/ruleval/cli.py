@@ -258,13 +258,6 @@ def _parse_rule(obj: dict, metric_names: tuple[str, ...], where: str) -> tuple[s
     return str(obj["name"]), rule
 
 
-def _parse_reward(obj, metric_names: tuple[str, ...], where: str) -> RewardSpec:
-    vec = _parse_blend(obj, metric_names, where)
-    if "metric" in obj:
-        return RewardSpec.metric(int(np.argmax(vec)) + 1)
-    return RewardSpec.combination(vec)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -429,7 +422,9 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         _parse_rule(r, corpus.metric_names, f"evaluate rules.rules[{i}]")
         for i, r in enumerate(obj["rules"])
     ]
-    reward = _parse_reward(obj["reward"], corpus.metric_names, "evaluate rules.reward")
+    reward = RewardSpec.combination(
+        _parse_blend(obj["reward"], corpus.metric_names, "evaluate rules.reward")
+    )
     report = evaluate_rules(
         corpus,
         rules,

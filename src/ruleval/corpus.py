@@ -68,15 +68,6 @@ class ExperimentCorpus:
                     f"metrics, corpus schema has {j}"
                 )
 
-    def metric_index(self, name: str) -> int:
-        """1-based index of a metric by name."""
-        try:
-            return self.metric_names.index(name) + 1
-        except ValueError:
-            raise KeyError(
-                f"unknown metric {name!r}; corpus has {list(self.metric_names)}"
-            ) from None
-
 
 def ingest_csv(path: str, weights_path: str | None = None) -> ExperimentCorpus:
     """Load a corpus from CSV, validating the schema strictly.

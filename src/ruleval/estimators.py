@@ -15,13 +15,15 @@ Three families are implemented:
   full experiment, when the per-arm unit count is Poisson with mean ``m0``
   (fixed enrollment rate over a fixed window).
 
-Every estimator decides through the one kernel ``experiments.decide_kept``.
-The naive estimate makes one full-data decision.  k-fold feeds it the folds
-of every fold count at once, with per-fold sums from ``np.bincount`` on the
-fold labels subtracted from the arm totals; the same call decides the full
-data from the arm totals, which gives ``evaluate_rules`` its naive rows.
-Leave-l-out feeds it every held-out subset at once, gathered by an (S, l)
-array of unit positions.
+Every estimator decides through the one kernel ``experiments.decide_kept``,
+fed by one of two producers.  ``experiments.fold_stats`` builds its inputs
+from per-unit fold bins: per-fold sums from ``np.bincount`` subtracted from
+the arm totals for every fold of every fold count at once, then the arm
+totals themselves.  k-fold decides all of them in one call per rule, and
+the naive estimate is that call's full-data row (with no fold at all when
+it runs alone).  ``subset_rewards`` gathers every held-out subset of an
+(S, l) array of unit positions, for a batch of experiments at once, and
+serves leave-l-out here and the Poisson-rescaling check in the simulator.
 
 Aggregates over experiments come in two modes: ``mean`` (weighted mean of
 per-experiment estimates) and ``cumulative`` (weighted sum), the latter
@@ -39,15 +41,16 @@ import numpy as np
 from .experiments import (
     ArmData,
     DecisionRule,
-    DegenerateArmError,
     DegenerateFoldError,
     ExperimentData,
     FoldAssignment,
     RewardSpec,
+    _NO_FOLDS,
+    _fold_name,
     blend_values,
-    decide,
     decide_kept,
     fold_permutations,
+    fold_stats,
     sample_variance,
 )
 from .streams import substream
@@ -141,88 +144,40 @@ def _reward_values(arm: ArmData, reward: RewardSpec) -> np.ndarray:
 
 def naive_reward(exp: ExperimentData, rule: DecisionRule, reward: RewardSpec) -> float:
     """Plug-in estimate: mean reward over the units of the arm the rule picks."""
-    chosen = decide(exp, rule)
-    return float(_reward_values(exp.arm(chosen), reward).mean())
-
-
-def _fold_name(fold_counts: tuple[int, ...], t: int) -> str:
-    """Name of fold t, counted (from 0) over the folds of every partition."""
-    ends = np.cumsum(fold_counts)
-    f = int(np.searchsorted(ends, t, side="right"))
-    return f"fold {t - ends[f] + fold_counts[f] + 1} of {fold_counts[f]}"
+    return float(batch_rewards([exp], [rule], reward, (), 0)[0, 0, 0])
 
 
 def _fold_rewards(
     exp: ExperimentData,
     rules: list[DecisionRule],
     reward: RewardSpec,
-    labels: list[np.ndarray],
+    bins: np.ndarray,
     fold_counts: tuple[int, ...],
 ) -> np.ndarray:
     """(rules, folds + 1): each rule's reward of every fold's held-out
     decision, then of its full-data decision (the plug-in estimate).
 
-    ``labels`` holds each arm's 0-based fold labels of zero or more
-    partitions, concatenated, partition f numbering its ``fold_counts[f]``
-    folds after the earlier ones.  Fold t's decision sees every unit outside
-    it; its reward is the mean reward of the chosen arm's units in fold t.
-    The full-data decision sees every unit and is rewarded on all of the
-    chosen arm's units.  Per rule, one bincount gives every fold's blend
-    sums (and, gated, sums of squares) and one kernel call decides all
-    folds and the full data.  Raises DegenerateFoldError when holding a
-    fold out leaves an arm without a unit (two under a gate), or when the
-    chosen arm has no unit in the fold; silent skips would bias any
-    estimator built on top.  With no fold at all, a gated rule on an arm of
-    one unit raises DegenerateArmError, as ``decide`` does.
+    ``bins`` holds every unit's fold bin per partition, as ``fold_stats``
+    takes them.  Fold t's decision sees every unit outside it; its reward
+    is the mean reward of the chosen arm's units in fold t.  The full-data
+    decision sees every unit and is rewarded on all of the chosen arm's
+    units.  Per rule, one kernel call decides all folds and the full data.
+    Raises DegenerateFoldError when the chosen arm has no unit in the fold,
+    besides the errors of ``fold_stats``.
     """
     num_arms, total = exp.num_arms, sum(fold_counts)
-    size = num_arms * total
-    bounds = np.cumsum([0] + [arm.num_units for arm in exp.arms])
-    # Each (arm, partition, unit): its (arm, fold) bin and its unit's row
-    # in the arms' stacked units, each arm's units in order.
-    bins = np.concatenate([lab + k * total for k, lab in enumerate(labels)])
-    rows = np.concatenate([np.arange(len(lab)) % (b - a) + a
-                           for lab, a, b in zip(labels, bounds, bounds[1:])])
-    held_counts = np.bincount(bins, minlength=size).reshape(num_arms, total)
     rewards = np.concatenate([_reward_values(arm, reward) for arm in exp.arms])
-    held_rewards = np.bincount(bins, rewards[rows], size).reshape(num_arms, total)
+    held_rewards = np.bincount(
+        bins.ravel(), np.tile(rewards, len(bins)), num_arms * total
+    ).reshape(num_arms, total)
+    bounds = np.cumsum([0] + [arm.num_units for arm in exp.arms])
     full_rewards = np.array([rewards[a:b].mean() for a, b in zip(bounds, bounds[1:])])
-    # Kept unit counts: one row per fold, then the full data.
-    counts = np.vstack([(np.diff(bounds)[:, None] - held_counts).T, np.diff(bounds)])
     fold = np.arange(total)
     out = np.empty((len(rules), total + 1))
     for r, rule in enumerate(rules):
-        gated = rule.gate != "none"
-        if counts.min() < 1 + gated:
-            t, k = np.argwhere(counts < 1 + gated)[0]
-            if t == total:
-                raise DegenerateArmError(
-                    f"experiment {exp.experiment_id!r}: arm {k + 1} has "
-                    f"{counts[t, k]} unit(s); the significance gate needs >= 2"
-                )
-            raise DegenerateFoldError(
-                f"experiment {exp.experiment_id!r}: removing "
-                f"{_fold_name(fold_counts, t)} leaves arm {k + 1} with "
-                f"{counts[t, k]} unit(s), needs >= {1 + gated}"
-            )
-        stacked = np.concatenate(blend_values(exp, rule))
-        blends = stacked.shape[1]
-        columns = np.vstack([stacked.T] + ([(stacked * stacked).T] if gated else []))
-        width = len(columns)
-        arm_totals = np.stack([columns[:, a:b].sum(axis=1)
-                               for a, b in zip(bounds, bounds[1:])], axis=1)
-        index = (np.arange(width)[:, None] * size + bins).ravel()
-        held = np.bincount(index, columns[:, rows].ravel(), width * size)
-        held = held.reshape(width, num_arms, total)
-        sums = np.concatenate([(arm_totals[..., None] - held).T, arm_totals.T[None]])
-        variances = (
-            sample_variance(counts, sums[..., :blends], sums[..., blends:])
-            if gated else None
-        )
-        chosen = decide_kept(
-            counts, sums[..., :blends], variances, rule, exp.experiment_id
-        ) - 1
-        n = held_counts[chosen[:total], fold]
+        counts, sums, variances = fold_stats(exp, rule, bins, fold_counts)
+        chosen = decide_kept(counts, sums, variances, rule, exp.experiment_id) - 1
+        n = counts[-1, chosen[:total]] - counts[fold, chosen[:total]]
         if not n.all():
             t = np.flatnonzero(n == 0)[0]
             raise DegenerateFoldError(
@@ -256,7 +211,8 @@ def cv_fold_reward(
                 f"fold assignment for experiment {exp.experiment_id!r} arm "
                 f"{arm.arm_index} must give its {arm.num_units} units folds 1..{num_folds}"
             )
-    return float(_fold_rewards(exp, [rule], reward, labels, (num_folds,))[0, p - 1])
+    bins = np.concatenate([lab + k * num_folds for k, lab in enumerate(labels)])[None]
+    return float(_fold_rewards(exp, [rule], reward, bins, (num_folds,))[0, p - 1])
 
 
 def batch_rewards(
@@ -272,19 +228,23 @@ def batch_rewards(
     folds.  All fold counts and rules share each arm's one
     ``fold_permutations`` draw, taken modulo the fold count as in
     ``assign_folds``, and each (rule, experiment) makes one kernel call.
+    With no fold count, only slot 0 is filled and nothing is drawn.
     """
     fold_counts = tuple(int(p) for p in fold_counts)
     if any(p < 2 for p in fold_counts):
         raise ValueError("cv-kfold needs num_folds >= 2")
     periods = np.array(fold_counts, dtype=int)[:, None]
     offsets = np.cumsum((0,) + fold_counts)[:-1, None]
+    total = sum(fold_counts)
     out = np.empty((len(rules), 1 + len(fold_counts), len(exps)))
     for i, exp in enumerate(exps):
-        labels = [
-            (perm % periods + offsets).ravel()
-            for perm in fold_permutations(exp, fold_seed)
-        ]
-        rewards = _fold_rewards(exp, rules, reward, labels, fold_counts)
+        bins = _NO_FOLDS
+        if fold_counts:
+            bins = np.concatenate([
+                perm % periods + offsets + k * total
+                for k, perm in enumerate(fold_permutations(exp, fold_seed))
+            ], axis=1)
+        rewards = _fold_rewards(exp, rules, reward, bins, fold_counts)
         out[:, 0, i] = rewards[:, -1]
         for f, (p, o) in enumerate(zip(fold_counts, offsets[:, 0])):
             out[:, 1 + f, i] = rewards[:, o : o + p].sum(axis=1) / p
@@ -303,41 +263,48 @@ def aggregate(values: np.ndarray, weights: np.ndarray, mode: str) -> float:
     return float(np.sum(weights * values) / total)
 
 
-def _subset_rewards(
-    exp: ExperimentData,
-    rule: DecisionRule,
-    reward: RewardSpec,
+def subset_rewards(
+    values: np.ndarray,
+    rewards: np.ndarray,
     subsets: np.ndarray,
+    rule: DecisionRule,
+    experiment_id: str,
 ) -> np.ndarray:
-    """Fold reward of every held-out subset of unit positions (all arms).
+    """(n, S) held-out reward of every subset of unit positions, in each of
+    n experiments whose K arms have m units each.
 
-    ``subsets`` is (S, l); each row's positions are removed from every arm,
-    the rule decides on the rest, and the fold reward is the mean raw
-    reward over the row's positions in the chosen arm.
+    ``values`` is (n, K, m, B): each unit's ``blend_matrix`` values;
+    ``rewards`` is (n, K, m).  ``subsets`` is (S, l); each row's positions
+    are removed from every arm, the rule decides on the rest through one
+    kernel call, and the subset's reward is the mean reward over the row's
+    positions in the chosen arm.  Raises DegenerateFoldError when holding l
+    units out leaves fewer than one (two under a gate).
     """
-    num_subsets, leave_out = subsets.shape
+    leave_out = subsets.shape[1]
     gated = rule.gate != "none"
-    values = np.stack(blend_values(exp, rule))  # (K, M, B)
-    kept = values.shape[1] - leave_out
+    kept = values.shape[2] - leave_out
     min_units = 2 if gated else 1
     if kept < min_units:
         raise DegenerateFoldError(
-            f"experiment {exp.experiment_id!r}: holding out {leave_out} "
+            f"experiment {experiment_id!r}: holding out {leave_out} "
             f"unit(s) leaves {kept}, needs >= {min_units}"
         )
 
     def kept_sums(x: np.ndarray) -> np.ndarray:
-        held = x[:, subsets].sum(axis=2)  # (K, S, B)
-        return (x.sum(axis=1)[:, None] - held).transpose(1, 0, 2)
+        held = x[:, :, subsets].sum(axis=3)  # (n, K, S, B)
+        return (x.sum(axis=2)[:, :, None] - held).transpose(0, 2, 1, 3)
 
-    counts = np.full((num_subsets, exp.num_arms), float(kept))
+    counts = np.full(values.shape[1], float(kept))
     sums = kept_sums(values)
     variances = (
         sample_variance(counts, sums, kept_sums(values * values)) if gated else None
     )
-    chosen = decide_kept(counts, sums, variances, rule, exp.experiment_id)
-    rewards = np.stack([_reward_values(arm, reward) for arm in exp.arms])
-    return rewards[chosen[:, None] - 1, subsets].mean(axis=1)
+    chosen = decide_kept(counts, sums, variances, rule, experiment_id)  # (n, S)
+    held = rewards[:, :, subsets].mean(axis=3)  # (n, K, S)
+    out = held[:, 0]
+    for k in range(1, held.shape[1]):
+        out = np.where(chosen == k + 1, held[:, k], out)
+    return out
 
 
 def leave_l_out_reward(
@@ -378,13 +345,16 @@ def leave_l_out_reward(
         max_folds = num_subsets if leave_out == 1 else 10_000
     if num_subsets <= max_folds:
         subsets = np.array(list(combinations(range(m), leave_out)))
-        return float(_subset_rewards(exp, rule, reward, subsets).sum())
-    rng = substream(seed, "leave-l-out", exp.experiment_id, leave_out)
-    subsets = np.array(
-        [rng.choice(m, size=leave_out, replace=False) for _ in range(max_folds)]
-    )
-    acc = float(_subset_rewards(exp, rule, reward, subsets).sum())
-    return num_subsets * acc / max_folds
+    else:
+        rng = substream(seed, "leave-l-out", exp.experiment_id, leave_out)
+        subsets = np.array(
+            [rng.choice(m, size=leave_out, replace=False) for _ in range(max_folds)]
+        )
+    values = np.stack(blend_values(exp, rule))[None]
+    rewards = np.stack([_reward_values(arm, reward) for arm in exp.arms])[None]
+    held_out = subset_rewards(values, rewards, subsets, rule, exp.experiment_id)
+    acc = float(held_out[0].sum())
+    return acc if num_subsets <= max_folds else num_subsets * acc / max_folds
 
 
 def poisson_rescaled_reward(
@@ -425,11 +395,11 @@ def per_experiment_rewards(
         return batch_rewards(
             exps, [rule], reward, (config.num_folds,), config.fold_seed
         )[0, 1]
+    if config.kind == "naive":
+        return batch_rewards(exps, [rule], reward, (), config.fold_seed)[0, 0]
     out = np.empty(len(exps))
     for i, exp in enumerate(exps):
-        if config.kind == "naive":
-            out[i] = naive_reward(exp, rule, reward)
-        elif config.kind == "cv-leave-l-out":
+        if config.kind == "cv-leave-l-out":
             m = exp.arms[0].num_units
             total = leave_l_out_reward(
                 exp, rule, reward, config.leave_out, config.max_folds,

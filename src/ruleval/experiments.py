@@ -12,7 +12,9 @@ arm's kept unit count, the sums of the rule's blend columns over the kept
 units and the per-unit variance of each column, so estimators never rebuild
 an experiment.  The library estimators compute that variance from the kept
 units (``sample_variance``); the Monte Carlo fast path supplies the model's
-known variance.
+known variance.  ``fold_stats`` produces those inputs from unit data split
+into folds, for every held-out fold and then the full data; ``decide`` and
+``significance_set`` read its full-data row.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ __all__ = [
     "blend_values",
     "decide",
     "decide_kept",
+    "fold_stats",
     "sample_variance",
     "significance_set",
 ]
@@ -143,37 +146,35 @@ class RewardSpec:
     """The reward functional: a linear map from an outcome vector to a scalar.
 
     Either a single metric picked by 1-based index (the default reward is
-    metric 1) or an explicit linear combination of all metrics.
+    metric 1), or, when ``coefficients`` is given, an explicit linear
+    combination of all metrics.
     """
 
-    kind: str = "metric-index"
     index: int = 1
     coefficients: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("metric-index", "linear-combination"):
-            raise ValueError(f"unknown reward kind {self.kind!r}")
-        if self.kind == "metric-index":
+        if self.coefficients is None:
             if self.index < 1:
                 raise ValueError("metric index must be >= 1")
         else:
-            if self.coefficients is None:
-                raise ValueError("linear-combination reward needs coefficients")
             object.__setattr__(
                 self, "coefficients", np.asarray(self.coefficients, dtype=float)
             )
 
     @classmethod
     def metric(cls, index: int = 1) -> "RewardSpec":
-        return cls(kind="metric-index", index=index)
+        return cls(index=index)
 
     @classmethod
     def combination(cls, coefficients) -> "RewardSpec":
-        return cls(kind="linear-combination", coefficients=coefficients)
+        if coefficients is None:
+            raise ValueError("linear-combination reward needs coefficients")
+        return cls(coefficients=coefficients)
 
     def weights(self, num_metrics: int) -> np.ndarray:
         """Coefficient vector of length ``num_metrics`` implementing the reward."""
-        if self.kind == "metric-index":
+        if self.coefficients is None:
             if self.index > num_metrics:
                 raise ValueError(
                     f"reward metric index {self.index} out of range "
@@ -405,23 +406,73 @@ def decide_kept(
     return chosen
 
 
-def _full_data_stats(
-    exp: ExperimentData, rule: DecisionRule
+def _fold_name(fold_counts: tuple[int, ...], t: int) -> str:
+    """Name of fold t, counted (from 0) over the folds of every partition."""
+    ends = np.cumsum(fold_counts)
+    f = int(np.searchsorted(ends, t, side="right"))
+    return f"fold {t - ends[f] + fold_counts[f] + 1} of {fold_counts[f]}"
+
+
+# Fold bins of zero partitions: only the full data is decided.
+_NO_FOLDS = np.empty((0, 0), dtype=np.intp)
+
+
+def fold_stats(
+    exp: ExperimentData,
+    rule: DecisionRule,
+    bins: np.ndarray,
+    fold_counts: tuple[int, ...],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Kernel inputs for the one subset that holds nothing out."""
+    """``decide_kept`` inputs for every held-out fold, then the full data.
+
+    ``bins`` is (partitions, units), one row per entry of ``fold_counts``:
+    each unit of the arms' stacked units (each arm's in order) gets the bin
+    ``(arm - 1) * total + fold``, with ``total = sum(fold_counts)`` and
+    partition f numbering its ``fold_counts[f]`` 0-based folds after the
+    earlier partitions' ones.  Returns kept counts (total + 1, K), blend
+    sums (total + 1, K, B) and, for a gated rule, their ``sample_variance``
+    (else None): row t < total keeps every unit outside fold t, the last
+    row keeps every unit.  One bincount gives every fold's held-out sums,
+    which are subtracted from the arm totals.  Raises DegenerateFoldError
+    when holding a fold out leaves an arm without a unit (two under a
+    gate); silent skips would bias any estimator built on top.  A gated
+    rule on an arm of one unit raises DegenerateArmError.
+    """
     values = blend_values(exp, rule)
-    counts = np.array([[v.shape[0] for v in values]], dtype=float)
-    sums = np.stack([v.sum(axis=0) for v in values])[None]
-    if rule.gate == "none":
-        return counts, sums, None
-    for arm in exp.arms:
-        if arm.num_units < 2:
+    num_arms, total = exp.num_arms, sum(fold_counts)
+    size = num_arms * total
+    sizes = np.array([v.shape[0] for v in values])
+    held = np.bincount(bins.ravel(), minlength=size).reshape(num_arms, total)
+    counts = np.vstack([(sizes[:, None] - held).T, sizes])
+    gated = rule.gate != "none"
+    if counts.min() < 1 + gated:
+        t, k = np.argwhere(counts < 1 + gated)[0]
+        if t == total:
             raise DegenerateArmError(
-                f"experiment {exp.experiment_id!r}: arm {arm.arm_index} has "
-                f"{arm.num_units} unit(s); the significance gate needs >= 2"
+                f"experiment {exp.experiment_id!r}: arm {k + 1} has "
+                f"{counts[t, k]} unit(s); the significance gate needs >= 2"
             )
-    squares = np.stack([(v * v).sum(axis=0) for v in values])[None]
-    return counts, sums, sample_variance(counts, sums, squares)
+        raise DegenerateFoldError(
+            f"experiment {exp.experiment_id!r}: removing "
+            f"{_fold_name(fold_counts, t)} leaves arm {k + 1} with "
+            f"{counts[t, k]} unit(s), needs >= {1 + gated}"
+        )
+    stacked = np.concatenate(values)
+    blends = stacked.shape[1]
+    columns = np.vstack([stacked.T] + ([(stacked * stacked).T] if gated else []))
+    width = len(columns)
+    bounds = np.cumsum(np.append(0, sizes))
+    arm_totals = np.stack([columns[:, a:b].sum(axis=1)
+                           for a, b in zip(bounds, bounds[1:])], axis=1)
+    index = (np.arange(width)[:, None] * size + bins.reshape(1, -1)).ravel()
+    held_sums = np.bincount(index, np.tile(columns, len(bins)).ravel(), width * size)
+    held_sums = held_sums.reshape(width, num_arms, total)
+    sums = np.concatenate([(arm_totals[..., None] - held_sums).T, arm_totals.T[None]])
+    variances = (
+        sample_variance(counts, sums[..., :blends], sums[..., blends:])
+        if gated else None
+    )
+    return counts, sums[..., :blends], variances
 
 
 def significance_set(exp: ExperimentData, rule: DecisionRule) -> set[int]:
@@ -433,7 +484,7 @@ def significance_set(exp: ExperimentData, rule: DecisionRule) -> set[int]:
     """
     if rule.gate != "significant-vs-reference":
         raise ValueError("significance_set requires gate='significant-vs-reference'")
-    mask = _gate_mask(*_full_data_stats(exp, rule), rule)
+    mask = _gate_mask(*fold_stats(exp, rule, _NO_FOLDS, ()), rule)
     return {int(k) + 1 for k in np.flatnonzero(mask[0])}
 
 
@@ -444,5 +495,5 @@ def decide(exp: ExperimentData, rule: DecisionRule) -> int:
     rules take the argmax restricted to the significance set, or the
     fallback arm when the set is empty.  Exact ties go to the lowest index.
     """
-    counts, sums, variances = _full_data_stats(exp, rule)
+    counts, sums, variances = fold_stats(exp, rule, _NO_FOLDS, ())
     return int(decide_kept(counts, sums, variances, rule, exp.experiment_id)[0])

@@ -1,22 +1,22 @@
 """Monte Carlo engine for the Gaussian experiment model.
 
-Two simulation paths share the same generative model:
+The bias sweeps and the rule-selection check simulate through a
+sufficient-statistics fast path that draws fold-level means directly.  For
+ungated linear-blend rules every quantity the estimators touch (full-data
+means, leave-fold-out means, held-out fold rewards) is a function of fold
+means, whose joint law is exactly multivariate normal, so the fast path is
+exact, not an approximation.  The unit-level draw it replaces lives on as
+the reference ``draw_experiment`` in ``tests/unit_oracle.py``.
 
-* a unit-level path (``draw_experiment``) that materializes every outcome
-  vector, used for small experiments and for cross-checking;
-* a sufficient-statistics fast path that simulates fold-level mean vectors
-  directly.  For ungated linear-blend rules every quantity the estimators
-  touch (full-data means, leave-fold-out means, held-out fold rewards) is a
-  function of fold means, whose joint law is exactly multivariate normal,
-  so the fast path is exact, not an approximation.
-
-Both paths decide through the library's one kernel,
-``experiments.decide_kept``, with the library's ``DecisionRule``.  The fast
-path feeds it arm sums of the rule's blends, and in place of a sample
-variance the model's known per-unit blend variance ``diag(M' noise_cov M)``.
-That known variance is the one difference from the unit-level engine: a
-gated rule tests against the true unit noise, which is accurate in the
-large-M regime the model targets.
+The fast path decides through the library's one kernel,
+``experiments.decide_kept``, with the library's ``DecisionRule``.  It feeds
+it arm sums of the rule's blends, and in place of a sample variance the
+model's known per-unit blend variance ``diag(M' noise_cov M)``.  That known
+variance is the one difference from scoring unit data: a gated rule tests
+against the true unit noise, which is accurate in the large-M regime the
+model targets.  The Poisson-rescaling check draws unit-level Bernoulli
+outcomes and scores them with the library's leave-l-out producer,
+``estimators.subset_rewards``.
 
 The fast path never forms fold-mean vectors.  Everything it reads is a
 projection of them, so one GEMM maps the standard-normal draws onto the
@@ -42,11 +42,10 @@ from itertools import combinations
 import numpy as np
 
 from .closed_form import EffectModel, cv_expectation, naive_expectation, true_reward
+from .estimators import subset_rewards
 from .experiments import (
-    ArmData,
     DecisionRule,
     DegenerateFoldError,
-    ExperimentData,
     blend_matrix,
     decide_kept,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "SweepSpec",
     "check_poisson_rescaling",
     "check_rule_selection",
-    "draw_experiment",
     "parallelism_degree",
     "run_bias_sweep",
 ]
@@ -241,51 +239,6 @@ def cov_factor(mat: np.ndarray) -> np.ndarray:
         return eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
 
 
-def draw_experiment(
-    model: EffectModel,
-    size_mode: str,
-    rng: np.random.Generator,
-    m0: float | None = None,
-    experiment_id: str = "sim",
-    counters: dict[str, int] | None = None,
-) -> tuple[ExperimentData, tuple[float, float]]:
-    """Draw one unit-level two-arm experiment and its true effects.
-
-    Control units are centered at zero, treatment units at the drawn true
-    effect vector; both share the model's unit-level noise covariance.  In
-    poisson mode the per-arm unit count is drawn once per experiment; a
-    draw of zero is rejected and redrawn (counted in ``counters`` under
-    ``"zero_size_redraws"``) because no decision is defined on an empty
-    experiment.
-    """
-    if size_mode == "fixed":
-        m = model.units_per_arm
-    elif size_mode == "poisson":
-        if m0 is None or not m0 > 0:
-            raise ValueError("poisson size mode needs m0 > 0")
-        m = int(rng.poisson(m0))
-        while m == 0:
-            if counters is not None:
-                counters["zero_size_redraws"] = counters.get("zero_size_redraws", 0) + 1
-            m = int(rng.poisson(m0))
-    else:
-        raise ValueError(f"unknown size_mode {size_mode!r}")
-
-    effect_chol = cov_factor(model.effect_cov)
-    noise_chol = cov_factor(model.noise_cov)
-    tau = effect_chol @ rng.standard_normal(2)
-    control = rng.standard_normal((m, 2)) @ noise_chol.T
-    treatment = tau + rng.standard_normal((m, 2)) @ noise_chol.T
-    exp = ExperimentData(
-        experiment_id=experiment_id,
-        arms=(
-            ArmData(arm_index=1, units=control),
-            ArmData(arm_index=2, units=treatment),
-        ),
-    )
-    return exp, (float(tau[0]), float(tau[1]))
-
-
 def _simulate_estimates(
     effect_chol: np.ndarray,
     noise_chol: np.ndarray,
@@ -308,12 +261,12 @@ def _simulate_estimates(
     standard-normal draws straight onto those directions.  A second GEMM
     turns each blend direction's P fold projections into every
     leave-fold-out sum (a sum over the other folds, with no cancellation
-    against the total) and the full sum.  ``decide_kept`` decides once on
-    the full arm sums and once per held-out fold on the remaining folds'
-    sums, with the known per-unit blend variance for the gate; launch
-    means arm 2.  The draws are taken in row blocks, each temporary holding
-    at most ``BLOCK_ELEMENTS`` values, that continue one stream, so the
-    result does not depend on the block size.
+    against the total) and the full sum.  Per rule, one ``decide_kept``
+    call decides every held-out fold on the remaining folds' sums and the
+    full data on the arm sums, with the known per-unit blend variance for
+    the gate; launch means arm 2.  The draws are taken in row blocks, each
+    temporary holding at most ``BLOCK_ELEMENTS`` values, that continue one
+    stream, so the result does not depend on the block size.
     """
     n_metrics = effect_chol.shape[0]
     if m < num_folds:
@@ -335,8 +288,8 @@ def _simulate_estimates(
     fold_sums = root[:, None] * (1.0 - np.eye(num_folds, num_folds + 1))
     effect_units = np.append(m - sizes, m).astype(float)
     weights = sizes / m
-    full_counts = np.full(2, float(m))
-    kept_counts = np.repeat((m - sizes)[:, None], 2, axis=1).astype(float)  # (P, 2)
+    # Both arms' kept unit counts: per held-out fold, then the full data.
+    counts = np.repeat(effect_units[:, None], 2, axis=1)  # (P + 1, 2)
 
     tau = rng.standard_normal((n, n_metrics)) @ effect_chol.T
     effects = (tau @ directions).T  # (D, n)
@@ -365,15 +318,12 @@ def _simulate_estimates(
         for r, rule in enumerate(rules):
             cols = slice(ends[r], ends[r + 1])
             launch = decide_kept(
-                full_counts, sums[:, -1, :, cols], variances[r], rule, "simulated"
-            ) == 2
-            launch_loo = decide_kept(
-                kept_counts, sums[:, :-1, :, cols], variances[r], rule, "simulated"
-            ) == 2
-            out["true"][rows, r] = np.where(launch, effects[0, rows], 0.0)
-            out["naive"][rows, r] = np.where(launch, naive[:, 1], naive[:, 0])
+                counts, sums[..., cols], variances[r], rule, "simulated"
+            ) == 2  # (rows, P + 1)
+            out["true"][rows, r] = np.where(launch[:, -1], effects[0, rows], 0.0)
+            out["naive"][rows, r] = np.where(launch[:, -1], naive[:, 1], naive[:, 0])
             out["cv"][rows, r] = np.where(
-                launch_loo, fold_means[:, 1], fold_means[:, 0]
+                launch[:, :-1], fold_means[:, 1], fold_means[:, 0]
             ).mean(axis=1)
     return out
 
@@ -591,13 +541,13 @@ def _subset_reward_sums(
     """Raw leave-l-out fold-reward sums for a batch of equal-size experiments.
 
     ``x`` has shape (n, arms, m), reward = the single metric itself.  Every
-    size-l subset of unit positions is gathered at once by one (S, l) index
-    array, and the data-driven rule decides on the kept units through
-    ``decide_kept``.  Decisions on an emptied experiment fall back to
+    size-l subset of unit positions is scored at once by
+    ``estimators.subset_rewards``, the data-driven rule deciding on the kept
+    units.  Decisions on an emptied experiment fall back to
     ``fallback_arm`` so the estimator stays defined down to m == leave_out;
     constant rules ignore the data entirely.
     """
-    n, n_arms, m = x.shape
+    n, _, m = x.shape
     if leave_out not in (1, 2):
         raise ValueError("only leave_out in (1, 2) is supported here")
     if rule_kind not in ("argmax", "constant"):
@@ -606,23 +556,12 @@ def _subset_reward_sums(
         return np.zeros(n)
 
     subsets = np.array(list(combinations(range(m), leave_out)))  # (S, l)
-    held = sum(x[:, :, col] for col in subsets.T)  # (n, K, S)
-    fold_means = held / leave_out
-    if rule_kind == "constant":
-        return fold_means[:, constant_arm - 1].sum(axis=1)
-    if m == leave_out:
-        chosen = np.full((n, len(subsets)), fallback_arm - 1)
-    else:
-        kept = x.sum(axis=2)[:, :, None] - held
-        chosen = decide_kept(
-            np.full(n_arms, float(m - leave_out)),
-            kept.transpose(0, 2, 1)[..., None],
-            None,
-            _ARGMAX_RULE,
-            "rescaling check",
-        ) - 1  # (n, S)
-    picked = np.take_along_axis(fold_means, chosen[:, None, :], axis=1)[:, 0]
-    return picked.sum(axis=1)
+    if rule_kind == "constant" or m == leave_out:
+        arm = constant_arm if rule_kind == "constant" else fallback_arm
+        return x[:, arm - 1, subsets].mean(axis=2).sum(axis=1)
+    return subset_rewards(
+        x[..., None], x, subsets, _ARGMAX_RULE, "rescaling check"
+    ).sum(axis=1)
 
 
 def check_poisson_rescaling(

@@ -7,7 +7,8 @@ random experiments the kernel must pick the oracle's arm for the full data
 to 1e-12 relative.  The experiments cover exact ties on integer data,
 single-arm and three-arm experiments, zero-variance arms, unequal arm
 sizes, gates on several blends combined with any/all, two-sided gates and
-metric levels shifted by 1e6.
+metric levels shifted by 1e6.  The leave-l-out producer is also checked on
+batches of several experiments, one row each.
 """
 
 import math
@@ -33,6 +34,8 @@ from ruleval import (
     significance_set,
 )
 from ruleval import estimators
+from ruleval.estimators import subset_rewards
+from ruleval.experiments import blend_values
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True)
 REL = 1e-12
@@ -172,7 +175,47 @@ def test_leave_l_out_decisions_and_estimates_match_oracle(args):
     m = exp.arms[0].num_units
     subsets = list(combinations(range(m), leave_out))
     expected = [oracle.decide_without(exp, rule, s) for s in subsets]
-    assert len(seen) == 1 and seen[0].tolist() == expected
+    # One kernel call decides every subset of the one experiment: (1, S).
+    assert len(seen) == 1 and seen[0].tolist() == [expected]
     w = reward.weights(exp.num_metrics)
     want = oracle.leave_l_out_sum(exp, rule, w, leave_out)
     assert close(got, want, len(subsets) * reward_scale(exp, reward))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    st.integers(1, 2), st.integers(2, 3), st.integers(2, 4), st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_subsets_producer_scores_each_experiment_of_a_batch(
+    leave_out, k, n, gated, seed
+):
+    # n experiments in one call: row i of the (n, S) result must be
+    # experiment i's held-out rewards, each taken from the arm the oracle
+    # picks.  Dyadic data keeps every sum exact, so the comparison is exact.
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(leave_out + 2, 7))
+    units = rng.integers(-4, 5, size=(n, k, m, 2)) / 2.0
+    rule = DecisionRule(
+        blend=[1.0, 0.5],
+        gate="significant-vs-reference" if gated else "none",
+        gate_alpha=0.3,
+        fallback_arm=int(rng.integers(1, k + 1)),
+    )
+    w = np.array([1.0, 0.0])
+    exps = [
+        ExperimentData(f"e{i}", tuple(ArmData(a + 1, units[i, a]) for a in range(k)))
+        for i in range(n)
+    ]
+    values = np.stack([np.stack(blend_values(exp, rule)) for exp in exps])
+    subsets = np.array(list(combinations(range(m), leave_out)))
+    got = subset_rewards(values, units @ w, subsets, rule, "batch")
+    assert got.shape == (n, len(subsets))
+    for i, exp in enumerate(exps):
+        chosen = [oracle.decide_without(exp, rule, s) for s in subsets]
+        want = [
+            float((exp.arm(c).units @ w)[list(s)].mean())
+            for c, s in zip(chosen, subsets)
+        ]
+        assert got[i].tolist() == want
+        assert got[i].sum() == oracle.leave_l_out_sum(exp, rule, w, leave_out)

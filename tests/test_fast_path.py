@@ -100,12 +100,11 @@ def test_fast_path_matches_fold_mean_oracle(name, monkeypatch):
         effect_chol, noise_chol, noise_cov, m, num_folds, n, rules, psi,
         substream(17, "oracle", name),
     )
-    # Per row block, each rule in turn decides the full data, then the
-    # held-out folds.
-    calls = 2 * len(rules)
+    # Per row block, each rule in turn decides the held-out folds and the
+    # full data in one call: (rows, P + 1), the full data last.
     for r in range(len(rules)):
-        full = np.concatenate(decisions[2 * r::calls]) == 2
-        held_out = np.concatenate(decisions[2 * r + 1::calls]) == 2
+        launch = np.concatenate(decisions[r::len(rules)]) == 2
+        full, held_out = launch[:, -1], launch[:, :-1]
         np.testing.assert_array_equal(full, want["launch"][:, r])
         np.testing.assert_array_equal(held_out, want["launch_loo"][:, r])
         np.testing.assert_array_equal(got["true"][:, r] != 0, want["launch"][:, r])

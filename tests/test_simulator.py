@@ -7,6 +7,7 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
+from unit_oracle import draw_experiment
 from ruleval import (
     DEFAULT_MODEL,
     ArmData,
@@ -22,7 +23,6 @@ from ruleval import (
     check_rule_selection,
     cv_fold_reward,
     decide,
-    draw_experiment,
     leave_l_out_reward,
     naive_reward,
     run_bias_sweep,

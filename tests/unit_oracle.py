@@ -3,7 +3,9 @@
 This is the straightforward version of what ``ruleval`` computes with its
 vectorized decision kernel: every held-out fold or subset rebuilds a
 smaller ``ExperimentData`` and decides on it from per-arm means and
-standard errors.  Tests compare the library against it.
+standard errors.  Tests compare the library against it.  It also keeps
+the unit-level draw of the simulator's Gaussian model (``draw_experiment``),
+whose fold-mean law the fast path samples directly.
 """
 
 from itertools import combinations
@@ -16,12 +18,13 @@ from ruleval import (
     DecisionRule,
     DegenerateArmError,
     DegenerateFoldError,
+    EffectModel,
     ExperimentCorpus,
     ExperimentData,
     FoldAssignment,
 )
 from ruleval.experiments import blend_matrix, decide_kept
-from ruleval.simulator import _fold_sizes
+from ruleval.simulator import _fold_sizes, cov_factor
 from ruleval.tableio import write_csv_atomic
 
 
@@ -248,3 +251,48 @@ def simulate_estimates(
             launch_loo, fold_psi[:, 1, :], fold_psi[:, 0, :]
         ).mean(axis=1)
     return out
+
+
+def draw_experiment(
+    model: EffectModel,
+    size_mode: str,
+    rng: np.random.Generator,
+    m0: float | None = None,
+    experiment_id: str = "sim",
+    counters: dict[str, int] | None = None,
+) -> tuple[ExperimentData, tuple[float, float]]:
+    """Draw one unit-level two-arm experiment and its true effects.
+
+    Control units are centered at zero, treatment units at the drawn true
+    effect vector; both share the model's unit-level noise covariance.  In
+    poisson mode the per-arm unit count is drawn once per experiment; a
+    draw of zero is rejected and redrawn (counted in ``counters`` under
+    ``"zero_size_redraws"``) because no decision is defined on an empty
+    experiment.
+    """
+    if size_mode == "fixed":
+        m = model.units_per_arm
+    elif size_mode == "poisson":
+        if m0 is None or not m0 > 0:
+            raise ValueError("poisson size mode needs m0 > 0")
+        m = int(rng.poisson(m0))
+        while m == 0:
+            if counters is not None:
+                counters["zero_size_redraws"] = counters.get("zero_size_redraws", 0) + 1
+            m = int(rng.poisson(m0))
+    else:
+        raise ValueError(f"unknown size_mode {size_mode!r}")
+
+    effect_chol = cov_factor(model.effect_cov)
+    noise_chol = cov_factor(model.noise_cov)
+    tau = effect_chol @ rng.standard_normal(2)
+    control = rng.standard_normal((m, 2)) @ noise_chol.T
+    treatment = tau + rng.standard_normal((m, 2)) @ noise_chol.T
+    exp = ExperimentData(
+        experiment_id=experiment_id,
+        arms=(
+            ArmData(arm_index=1, units=control),
+            ArmData(arm_index=2, units=treatment),
+        ),
+    )
+    return exp, (float(tau[0]), float(tau[1]))
