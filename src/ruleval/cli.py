@@ -43,18 +43,19 @@ from .experiments import (
     DegenerateFoldError,
     RewardSpec,
 )
-from .figures import FIGURE_IDS, SWEEP_HEADER, run_figure, _config_dict, _sweep_rows
+from .figures import FIGURE_IDS, run_figure, _config_dict
 from .simulator import (
     DEFAULT_MODEL,
     DEFAULT_PROXIES,
     ProxySpec,
     SimulationConfig,
+    SweepPointRow,
     SweepSpec,
     check_poisson_rescaling,
     check_rule_selection,
     run_bias_sweep,
 )
-from .tableio import fmt, write_csv_atomic, write_json_atomic
+from .tableio import fmt, write_csv_atomic, write_json_atomic, write_rows_atomic
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -73,6 +74,11 @@ def _check_keys(obj: dict, allowed: set[str], required: set[str], where: str) ->
     missing = required - set(obj)
     if missing:
         raise ConfigError(f"{where}: missing required keys {sorted(missing)}")
+
+
+def _is_int(value) -> bool:
+    """Whether a JSON value is an integer (JSON true/false are not)."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _load_json(path: str, where: str) -> dict:
@@ -309,7 +315,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     result = run_bias_sweep(config)
     os.makedirs(args.out_dir, exist_ok=True)
     csv_path = os.path.join(args.out_dir, "simulation.csv")
-    write_csv_atomic(csv_path, SWEEP_HEADER, _sweep_rows(result))
+    write_rows_atomic(csv_path, SweepPointRow, result.rows)
     manifest = {
         "command": "simulate",
         "config": _config_dict(config),
@@ -418,6 +424,24 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         "seed", "mode", "baseline",
     }
     _check_keys(obj, allowed, {"rules", "reward"}, "evaluate rules")
+    if not isinstance(obj["rules"], list) or not obj["rules"]:
+        raise ConfigError("evaluate rules.rules: must be a non-empty list")
+    fold_counts = obj.get("fold_counts", [2, 5, 10, 20])
+    if not (isinstance(fold_counts, list)
+            and all(_is_int(p) and p >= 2 for p in fold_counts)
+            and len(set(fold_counts)) == len(fold_counts)):
+        raise ConfigError(
+            f"evaluate rules.fold_counts: must be a list of distinct integers "
+            f">= 2, got {fold_counts!r}"
+        )
+    for key in ("bootstrap_replicates", "seed"):
+        if key in obj and not _is_int(obj[key]):
+            raise ConfigError(
+                f"evaluate rules.{key}: must be an integer, got {obj[key]!r}"
+            )
+    level = obj.get("level", 0.95)
+    if isinstance(level, bool) or not isinstance(level, (int, float)):
+        raise ConfigError(f"evaluate rules.level: must be a number, got {level!r}")
     rules = [
         _parse_rule(r, corpus.metric_names, f"evaluate rules.rules[{i}]")
         for i, r in enumerate(obj["rules"])
@@ -429,10 +453,10 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         corpus,
         rules,
         reward,
-        fold_counts=tuple(int(p) for p in obj.get("fold_counts", (2, 5, 10, 20))),
-        bootstrap_replicates=int(obj.get("bootstrap_replicates", 1000)),
-        level=float(obj.get("level", 0.95)),
-        seed=int(obj.get("seed", 0) if args.seed is None else args.seed),
+        fold_counts=tuple(fold_counts),
+        bootstrap_replicates=obj.get("bootstrap_replicates", 1000),
+        level=level,
+        seed=obj.get("seed", 0) if args.seed is None else args.seed,
         mode=obj.get("mode", "cumulative"),
         baseline=obj.get("baseline"),
     )

@@ -198,13 +198,8 @@ def cv_expectation(model: EffectModel, num_folds: int | None = None) -> float:
     return _launch_probability_factor() * mills_conditional(0.0, cov_ab, 0.0, sigma_b)
 
 
-def levelset_grid(
-    model_template: EffectModel,
-    effect_corr_range: tuple[float, float] = (-1.0, 1.0),
-    noise_corr_range: tuple[float, float] = (-1.0, 1.0),
-    resolution: int = 41,
-) -> np.ndarray:
-    """Evaluate the three closed forms over a correlation grid.
+def levelset_grid(model_template: EffectModel, resolution: int = 41) -> np.ndarray:
+    """Evaluate the three closed forms over the correlation square [-1, 1]^2.
 
     Returns an array of shape (resolution**2, 5) with columns
     (effect corr, noise corr, true, naive, cv), ordered row-major with the
@@ -216,11 +211,10 @@ def levelset_grid(
     effect_sd_proxy = float(np.sqrt(model_template.effect_cov[1, 1]))
     noise_sd_y = float(np.sqrt(model_template.noise_cov[0, 0]))
     noise_sd_proxy = float(np.sqrt(model_template.noise_cov[1, 1]))
-    rho_tau_grid = np.linspace(*effect_corr_range, resolution)
-    rho_grid = np.linspace(*noise_corr_range, resolution)
+    rho_grid = np.linspace(-1.0, 1.0, resolution)
     rows = np.empty((resolution * resolution, 5))
     i = 0
-    for rho_tau in rho_tau_grid:
+    for rho_tau in rho_grid:
         for rho in rho_grid:
             model = EffectModel.from_correlations(
                 effect_sd_y,

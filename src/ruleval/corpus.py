@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimators import (
+    AGGREGATE_MODES,
     aggregate,
     batch_rewards,
     bootstrap_aggregates,
@@ -29,7 +30,7 @@ from .experiments import ArmData, DecisionRule, ExperimentData, RewardSpec
 from .simulator import ProxySpec, joint_proxy_model
 from .streams import substream
 from . import tableio
-from .tableio import quote, write_csv_atomic
+from .tableio import quote, write_rows_atomic
 
 __all__ = [
     "CorpusFormatError",
@@ -246,7 +247,6 @@ def make_synthetic_corpus(
     noise_sd_proxy: float,
     proxies: tuple[ProxySpec, ...],
     seed: int = 0,
-    north_star_name: str = "north_star",
 ) -> tuple[ExperimentCorpus, np.ndarray]:
     """Generate a unit-level corpus from the joint Gaussian model.
 
@@ -289,7 +289,7 @@ def make_synthetic_corpus(
         )
     corpus = ExperimentCorpus(
         experiments=tuple(experiments),
-        metric_names=(north_star_name,) + tuple(p.name for p in proxies),
+        metric_names=("north_star",) + tuple(p.name for p in proxies),
         provenance=f"synthetic(seed={seed})",
     )
     return corpus, effects
@@ -320,16 +320,6 @@ class EvaluationReport:
     baseline: str | None = None
     bootstrap_redraws: int = 0
 
-    HEADER = (
-        "rule",
-        "estimator",
-        "num_folds",
-        "estimate",
-        "ci_lower",
-        "ci_upper",
-        "normalized",
-    )
-
     def value(self, rule: str, estimator: str, num_folds: int = 0) -> float:
         for row in self.rows:
             if (
@@ -341,22 +331,7 @@ class EvaluationReport:
         raise KeyError(f"no row for ({rule!r}, {estimator!r}, {num_folds})")
 
     def write_csv(self, path: str) -> None:
-        write_csv_atomic(
-            path,
-            list(self.HEADER),
-            (
-                [
-                    row.rule,
-                    row.estimator,
-                    row.num_folds,
-                    row.estimate,
-                    row.ci_lower,
-                    row.ci_upper,
-                    row.normalized,
-                ]
-                for row in self.rows
-            ),
-        )
+        write_rows_atomic(path, RuleEstimateRow, self.rows)
 
 
 def evaluate_rules(
@@ -380,7 +355,17 @@ def evaluate_rules(
 
     Experiments are processed in experiment-id order regardless of their
     order in the corpus, so the report does not depend on input layout.
+    Raises ValueError for a ``mode`` outside ``AGGREGATE_MODES``, a
+    ``level`` outside (0, 1) or fewer than one bootstrap replicate.
     """
+    if mode not in AGGREGATE_MODES:
+        raise ValueError(f"mode must be one of {AGGREGATE_MODES}, got {mode!r}")
+    if not 0.0 < level < 1.0:
+        raise ValueError(f"level must be in (0, 1), got {level!r}")
+    if bootstrap_replicates < 1:
+        raise ValueError(
+            f"bootstrap_replicates must be >= 1, got {bootstrap_replicates!r}"
+        )
     names = [name for name, _ in rules]
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate rule names: {names}")

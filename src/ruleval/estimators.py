@@ -71,6 +71,7 @@ __all__ = [
 
 ESTIMATOR_KINDS = ("naive", "cv-kfold", "cv-leave-l-out", "poisson-rescaled")
 AGGREGATE_MODES = ("mean", "cumulative")
+MAX_BOOTSTRAP_REDRAWS = 10_000
 
 
 @dataclass(frozen=True)
@@ -130,6 +131,8 @@ class EstimatorConfig:
             raise ValueError(f"unknown aggregate mode {self.mode!r}")
         if self.kind == "cv-kfold" and self.num_folds < 2:
             raise ValueError("cv-kfold needs num_folds >= 2")
+        if self.max_folds is not None and self.max_folds < 1:
+            raise ValueError(f"max_folds must be >= 1, got {self.max_folds}")
         if self.kind in ("cv-leave-l-out", "poisson-rescaled"):
             if self.leave_out < 1:
                 raise ValueError("leave_out must be >= 1")
@@ -328,6 +331,8 @@ def leave_l_out_reward(
     """
     if leave_out < 1:
         raise ValueError("leave_out must be >= 1")
+    if max_folds is not None and max_folds < 1:
+        raise ValueError(f"max_folds must be >= 1, got {max_folds}")
     sizes = {arm.num_units for arm in exp.arms}
     if len(sizes) != 1:
         raise ValueError(
@@ -449,7 +454,6 @@ def bootstrap_aggregates(
     mode: str,
     n_replicates: int,
     rng: np.random.Generator,
-    max_redraws: int = 10_000,
 ) -> tuple[np.ndarray, int]:
     """Experiment-level cluster bootstrap of the aggregate.
 
@@ -457,7 +461,7 @@ def bootstrap_aggregates(
     (n_replicates, n) index draw; per-experiment contributions are held
     fixed (fold assignments and decisions are not recomputed).  Resamples
     with zero total weight in mean mode are then redrawn in replicate
-    order and counted, up to ``max_redraws`` total.
+    order and counted, up to ``MAX_BOOTSTRAP_REDRAWS`` total.
     """
     n = len(contributions)
     idx = rng.integers(0, n, size=(n_replicates, n))
@@ -466,7 +470,7 @@ def bootstrap_aggregates(
         for b in np.flatnonzero(~(weights[idx].sum(axis=1) > 0)):
             while not weights[idx[b]].sum() > 0:
                 redraws += 1
-                if redraws > max_redraws:
+                if redraws > MAX_BOOTSTRAP_REDRAWS:
                     raise RuntimeError(
                         "bootstrap exceeded the redraw cap: all-zero-weight "
                         "resamples keep occurring"

@@ -18,17 +18,17 @@ from .simulator import (
     DEFAULT_PROXIES,
     DEFAULT_REPLICATIONS,
     SimulationConfig,
+    SweepPointRow,
     SweepSpec,
     bivariate_model_for_proxy,
     run_bias_sweep,
 )
-from .tableio import write_csv_atomic, write_json_atomic
+from .tableio import write_csv_atomic, write_json_atomic, write_rows_atomic
 
 __all__ = [
     "FIG2_NOISE_GRID",
     "FIG3_UNITS_GRID",
     "FIG4_EXPERIMENTS_GRID",
-    "SWEEP_HEADER",
     "run_figure",
 ]
 
@@ -42,19 +42,6 @@ FIG2_NOISE_GRID = tuple(float(v) for v in np.geomspace(4.0, 24.0, 9))
 FIG3_UNITS_GRID = (1e5, 3e5, 1e6, 3e6, 1e7)
 FIG4_EXPERIMENTS_GRID = (25.0, 50.0, 100.0, 200.0, 400.0)
 
-SWEEP_HEADER = [
-    "variant",
-    "sweep_field",
-    "sweep_value",
-    "estimator",
-    "mean",
-    "se",
-    "closed_form",
-    "rel_bias",
-    "replications",
-    "num_experiments",
-]
-
 LEVELSET_HEADER = ["rho_tau", "rho", "true", "naive", "cv"]
 
 # Figures 2-4: (swept field, default grid, CSV name, (variant, model) pairs).
@@ -67,24 +54,6 @@ _SWEEPS = {
     4: ("num_experiments", FIG4_EXPERIMENTS_GRID, "figure4_experiments_sweep.csv",
         (("default", DEFAULT_MODEL),)),
 }
-
-
-def _sweep_rows(result) -> list[list]:
-    return [
-        [
-            row.variant,
-            row.sweep_field,
-            row.sweep_value,
-            row.estimator,
-            row.mean,
-            row.se,
-            row.closed_form,
-            row.rel_bias,
-            row.replications,
-            row.num_experiments,
-        ]
-        for row in result.rows
-    ]
 
 
 def run_figure(
@@ -102,13 +71,16 @@ def run_figure(
     reps = DEFAULT_REPLICATIONS if replications is None else int(replications)
 
     if figure == 1:
-        name, header = "figure1_levelsets.csv", LEVELSET_HEADER
+        name = "figure1_levelsets.csv"
+        csv_path = os.path.join(out_dir, name)
         rows = levelset_grid(DEFAULT_MODEL, resolution=resolution).tolist()
+        write_csv_atomic(csv_path, LEVELSET_HEADER, rows)
         config = {"resolution": resolution, "model": _model_dict(DEFAULT_MODEL)}
     else:
         sweep_field, default_grid, name, variants = _SWEEPS[figure]
+        csv_path = os.path.join(out_dir, name)
         sweep = SweepSpec(sweep_field, grid or default_grid)
-        header, rows, configs = SWEEP_HEADER, [], {}
+        rows, configs = [], {}
         for variant, model in variants:
             sim_config = SimulationConfig(
                 model=model,
@@ -117,12 +89,11 @@ def run_figure(
                 sweep=sweep,
                 mode="cumulative",
             )
-            rows.extend(_sweep_rows(run_bias_sweep(sim_config, variant=variant)))
+            rows.extend(run_bias_sweep(sim_config, variant=variant).rows)
             configs[variant] = _config_dict(sim_config)
+        write_rows_atomic(csv_path, SweepPointRow, rows)
         # Figure 3 keeps one config per proxy; the others have a single one.
         config = configs if figure == 3 else configs["default"]
-    csv_path = os.path.join(out_dir, name)
-    write_csv_atomic(csv_path, header, rows)
     manifest = {
         "command": f"replicate-figure {figure}",
         "config": config,

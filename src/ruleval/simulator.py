@@ -242,31 +242,30 @@ def cov_factor(mat: np.ndarray) -> np.ndarray:
 def _simulate_estimates(
     effect_chol: np.ndarray,
     noise_chol: np.ndarray,
-    noise_cov: np.ndarray,
     m: int,
     num_folds: int,
     n: int,
     rules: tuple[DecisionRule, ...],
-    psi: np.ndarray,
     rng: np.random.Generator,
 ) -> dict[str, np.ndarray]:
     """Fast-path draws for ``n`` two-arm experiments; returns (n, n_rules)
     arrays.
 
     Simulates true effects and per-arm fold means, then evaluates for each
-    rule the true earned reward, the plug-in estimate, and the k-fold
-    cross-validation estimate.  Fold means carry ``noise_cov / m_p``
-    covariance and are only ever seen through their projections on the
-    reward ``psi`` and on every rule's blend matrix, so one GEMM maps the
-    standard-normal draws straight onto those directions.  A second GEMM
-    turns each blend direction's P fold projections into every
-    leave-fold-out sum (a sum over the other folds, with no cancellation
-    against the total) and the full sum.  Per rule, one ``decide_kept``
-    call decides every held-out fold on the remaining folds' sums and the
-    full data on the arm sums, with the known per-unit blend variance for
-    the gate; launch means arm 2.  The draws are taken in row blocks, each
-    temporary holding at most ``BLOCK_ELEMENTS`` values, that continue one
-    stream, so the result does not depend on the block size.
+    rule the true earned reward (the north star, metric 0), the plug-in
+    estimate, and the k-fold cross-validation estimate.  Fold means carry
+    ``noise_chol noise_chol' / m_p`` covariance and are only ever seen
+    through their projections on the reward and on every rule's blend
+    matrix, so one GEMM maps the standard-normal draws straight onto those
+    directions.  A second GEMM turns each blend direction's P fold
+    projections into every leave-fold-out sum (a sum over the other folds,
+    with no cancellation against the total) and the full sum.  Per rule,
+    one ``decide_kept`` call decides every held-out fold on the remaining
+    folds' sums and the full data on the arm sums; a gate gets the known
+    per-unit blend variance, the squared norm of the blend's noise
+    projection.  Launch means arm 2.  The draws are taken in row blocks,
+    each temporary holding at most ``BLOCK_ELEMENTS`` values, that continue
+    one stream, so the result does not depend on the block size.
     """
     n_metrics = effect_chol.shape[0]
     if m < num_folds:
@@ -276,13 +275,15 @@ def _simulate_estimates(
     sizes = _fold_sizes(m, num_folds)
     root = np.sqrt(sizes)
     matrices = [blend_matrix(rule, n_metrics) for rule in rules]
-    directions = np.column_stack([psi] + matrices)  # (J, D): reward, then blends
+    # (J, D): the reward, then every blend column.
+    directions = np.column_stack([np.eye(n_metrics)[0]] + matrices)
     ends = np.cumsum([0] + [mat.shape[1] for mat in matrices])
-    variances = [
-        None if rule.gate == "none" else np.diag(mat.T @ noise_cov @ mat)
-        for rule, mat in zip(rules, matrices)
-    ]
     noise_directions = (noise_chol.T @ directions).T  # (D, J)
+    unit_variances = np.square(noise_directions[1:]).sum(axis=1)
+    variances = [
+        None if rule.gate == "none" else unit_variances[ends[r]:ends[r + 1]]
+        for r, rule in enumerate(rules)
+    ]
     # Fold q's blend sum is sqrt(m_q) times its projection, plus m_q effects
     # in arm 2.  Column p < P sums every fold but p; column P sums them all.
     fold_sums = root[:, None] * (1.0 - np.eye(num_folds, num_folds + 1))
@@ -346,28 +347,20 @@ def _model_at(model: EffectModel, sweep_field: str | None, value: float) -> Effe
     raise ValueError(f"unknown sweep field {sweep_field!r}")
 
 
-def _closed_forms(
-    model: EffectModel, rule: DecisionRule, psi: np.ndarray
-) -> dict[str, float] | None:
+def _closed_forms(model: EffectModel, rule: DecisionRule) -> dict[str, float] | None:
     """Exact expectations when the rule is the ungated positive-proxy rule.
 
-    Available for two-metric models with the blend on the proxy axis and
-    the reward a positive multiple of the north star; both estimators and
-    the truth scale linearly in the reward coefficient.
+    Available for two-metric models with the blend on the proxy axis; the
+    reward is the north star.
     """
-    if rule.gate != "none":
-        return None
-    if psi.shape != (2,) or rule.blend.shape != (2,):
-        return None
-    if psi[1] != 0.0 or psi[0] <= 0.0:
+    if rule.gate != "none" or rule.blend.shape != (2,):
         return None
     if rule.blend[0] != 0.0 or rule.blend[1] <= 0.0:
         return None
-    scale = float(psi[0])
     return {
-        "true": scale * true_reward(model),
-        "naive": scale * naive_expectation(model),
-        "cv": scale * cv_expectation(model),
+        "true": true_reward(model),
+        "naive": naive_expectation(model),
+        "cv": cv_expectation(model),
     }
 
 
@@ -380,7 +373,6 @@ def _sweep_chunk(args) -> tuple[dict[str, tuple[float, float]], int]:
     (config, variant, point_idx, chunk_idx, chunk_reps, model) = args
     n_exps = model.num_experiments
     n = chunk_reps * n_exps
-    psi = np.array([1.0, 0.0])
     effect_chol = cov_factor(model.effect_cov)
     noise_chol = cov_factor(model.noise_cov)
     rules = (config.rule,)
@@ -389,8 +381,8 @@ def _sweep_chunk(args) -> tuple[dict[str, tuple[float, float]], int]:
     if config.size_mode == "fixed":
         rng = substream(config.seed, "sweep", variant, point_idx, chunk_idx)
         values = _simulate_estimates(
-            effect_chol, noise_chol, model.noise_cov, model.units_per_arm,
-            model.num_folds, n, rules, psi, rng,
+            effect_chol, noise_chol, model.units_per_arm, model.num_folds, n,
+            rules, rng,
         )
     else:
         size_rng = substream(
@@ -413,8 +405,8 @@ def _sweep_chunk(args) -> tuple[dict[str, tuple[float, float]], int]:
             )
             idx = np.flatnonzero(sizes == m)
             got = _simulate_estimates(
-                effect_chol, noise_chol, model.noise_cov, int(m),
-                model.num_folds, len(idx), rules, psi, rng,
+                effect_chol, noise_chol, int(m), model.num_folds, len(idx),
+                rules, rng,
             )
             for key in values:
                 values[key][idx] = got[key]
@@ -466,12 +458,11 @@ def run_bias_sweep(config: SimulationConfig, variant: str = "default") -> Simula
             slot[key][0] += s
             slot[key][1] += s2
 
-    psi = np.array([1.0, 0.0])
     rows = []
     r = config.num_replications
     for point_idx, (sweep_field, value) in enumerate(points):
         model = point_models[point_idx]
-        closed = _closed_forms(model, config.rule, psi)
+        closed = _closed_forms(model, config.rule)
         scale = model.num_experiments if config.mode == "cumulative" else 1
         truth = closed["true"] * scale if closed else None
         for estimator in ("true", "naive", "cv"):
@@ -515,14 +506,12 @@ class RescalingCheckReport:
     difference: float
     se_combined: float
     passed: bool
-    negative_control_difference: float | None = None
-    negative_control_se: float | None = None
-    negative_control_rejected: bool | None = None
+    negative_control_difference: float
+    negative_control_se: float
+    negative_control_rejected: bool
 
     @property
     def overall_passed(self) -> bool:
-        if self.negative_control_rejected is None:
-            return self.passed
         return self.passed and self.negative_control_rejected
 
 
@@ -536,16 +525,15 @@ def _subset_reward_sums(
     leave_out: int,
     rule_kind: str,
     constant_arm: int,
-    fallback_arm: int,
 ) -> np.ndarray:
     """Raw leave-l-out fold-reward sums for a batch of equal-size experiments.
 
     ``x`` has shape (n, arms, m), reward = the single metric itself.  Every
     size-l subset of unit positions is scored at once by
     ``estimators.subset_rewards``, the data-driven rule deciding on the kept
-    units.  Decisions on an emptied experiment fall back to
-    ``fallback_arm`` so the estimator stays defined down to m == leave_out;
-    constant rules ignore the data entirely.
+    units.  Decisions on an emptied experiment fall back to arm 1 so the
+    estimator stays defined down to m == leave_out; constant rules ignore
+    the data entirely.
     """
     n, _, m = x.shape
     if leave_out not in (1, 2):
@@ -557,7 +545,7 @@ def _subset_reward_sums(
 
     subsets = np.array(list(combinations(range(m), leave_out)))  # (S, l)
     if rule_kind == "constant" or m == leave_out:
-        arm = constant_arm if rule_kind == "constant" else fallback_arm
+        arm = constant_arm if rule_kind == "constant" else 1
         return x[:, arm - 1, subsets].mean(axis=2).sum(axis=1)
     return subset_rewards(
         x[..., None], x, subsets, _ARGMAX_RULE, "rescaling check"
@@ -572,8 +560,6 @@ def check_poisson_rescaling(
     constant_arm: int = 1,
     replications: int = 1_000_000,
     seed: int = 0,
-    fallback_arm: int = 1,
-    negative_control: bool = True,
 ) -> RescalingCheckReport:
     """Empirical check that rescaled leave-l-out CV is unbiased under
     Poisson enrollment.
@@ -581,10 +567,10 @@ def check_poisson_rescaling(
     Per-arm unit counts are drawn Poisson(m0); outcomes are Bernoulli with
     the given per-arm means.  One side is the mean of
     ``l!/m0**l * sum of fold rewards``; the other is the mean true reward
-    of the arm the rule picks on the full data.  The check passes when the
-    two means agree within four combined standard errors.  The negative
-    control re-runs the comparison with the rescaling omitted and must be
-    rejected by the same test.
+    of the arm the rule picks on the full data (arm 1 for an empty
+    experiment).  The check passes when the two means agree within four
+    combined standard errors.  The negative control re-runs the comparison
+    with the rescaling omitted and must be rejected by the same test.
     """
     if m0 <= 0:
         raise ValueError("m0 must be > 0")
@@ -594,8 +580,6 @@ def check_poisson_rescaling(
     n_arms = len(means)
     if n_arms < 1:
         raise ValueError("need at least one arm")
-    if not 1 <= fallback_arm <= n_arms:
-        raise ValueError("fallback_arm out of range")
     if rule_kind == "constant" and not 1 <= constant_arm <= n_arms:
         raise ValueError("constant_arm out of range")
 
@@ -607,7 +591,7 @@ def check_poisson_rescaling(
     for m in sorted(np.unique(sizes)):
         idx_count = int((sizes == m).sum())
         if m == 0:
-            rhs = np.full(idx_count, means[fallback_arm - 1])
+            rhs = np.full(idx_count, means[0])
             rhs_sum += float(rhs.sum())
             rhs_sq += float((rhs**2).sum())
             continue
@@ -618,9 +602,7 @@ def check_poisson_rescaling(
         # Row blocks bound the (rows, arms, subsets) temporaries.
         step = max(1, BLOCK_ELEMENTS // max(1, math.comb(int(m), leave_out)))
         raw = np.concatenate([
-            _subset_reward_sums(
-                x[i:i + step], leave_out, rule_kind, constant_arm, fallback_arm
-            )
+            _subset_reward_sums(x[i:i + step], leave_out, rule_kind, constant_arm)
             for i in range(0, idx_count, step)
         ])
         lhs = raw * scale
@@ -644,14 +626,11 @@ def check_poisson_rescaling(
     diff = lhs_mean - rhs_mean
     passed = abs(diff) < 4.0 * se
 
-    nc_diff = nc_se = nc_rejected = None
-    if negative_control:
-        # Same draws, scaling omitted: means and variances rescale exactly.
-        nc_mean = lhs_mean / scale
-        nc_var = lhs_var / scale**2
-        nc_se = math.sqrt(nc_var / r + rhs_var / r)
-        nc_diff = nc_mean - rhs_mean
-        nc_rejected = not (abs(nc_diff) < 4.0 * nc_se)
+    # Same draws, scaling omitted: means and variances rescale exactly.
+    nc_mean = lhs_mean / scale
+    nc_var = lhs_var / scale**2
+    nc_se = math.sqrt(nc_var / r + rhs_var / r)
+    nc_diff = nc_mean - rhs_mean
 
     return RescalingCheckReport(
         m0=m0,
@@ -664,7 +643,7 @@ def check_poisson_rescaling(
         passed=passed,
         negative_control_difference=nc_diff,
         negative_control_se=nc_se,
-        negative_control_rejected=nc_rejected,
+        negative_control_rejected=not (abs(nc_diff) < 4.0 * nc_se),
     )
 
 
@@ -740,16 +719,13 @@ def _selection_chunk(args) -> tuple[float, float, int, int]:
     (base, proxies, n_exps, chunk_reps, seed, point_idx, chunk_idx, gammas) = args
     effect_chol, noise_chol = joint_proxy_model(base, proxies)
     n_metrics = 1 + len(proxies)
-    noise_cov = noise_chol @ noise_chol.T
-    psi = np.zeros(n_metrics)
-    psi[0] = 1.0
     rules = tuple(
         DecisionRule(blend=np.eye(n_metrics)[1 + j]) for j in range(len(proxies))
     )
     rng = substream(seed, "selection", point_idx, chunk_idx)
     got = _simulate_estimates(
-        effect_chol, noise_chol, noise_cov, base.units_per_arm, base.num_folds,
-        chunk_reps * n_exps, rules, psi, rng,
+        effect_chol, noise_chol, base.units_per_arm, base.num_folds,
+        chunk_reps * n_exps, rules, rng,
     )
     cv = got["cv"].reshape(chunk_reps, n_exps, len(proxies)).sum(axis=1)
     picked = np.argmax(cv, axis=1)

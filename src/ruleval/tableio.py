@@ -9,12 +9,20 @@ comma, a double quote or a line break, with inner quotes doubled.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import tempfile
 from typing import Iterable
 
-__all__ = ["fmt", "quote", "write_csv_atomic", "write_json_atomic", "write_text_atomic"]
+__all__ = [
+    "fmt",
+    "quote",
+    "write_csv_atomic",
+    "write_json_atomic",
+    "write_rows_atomic",
+    "write_text_atomic",
+]
 
 
 def quote(text: str) -> str:
@@ -54,6 +62,13 @@ def write_csv_atomic(path: str, header: list[str], rows: Iterable[Iterable]) -> 
     for row in rows:
         lines.append(",".join(fmt(cell) for cell in row))
     write_text_atomic(path, "\n".join(lines) + "\n")
+
+
+def write_rows_atomic(path: str, row_type: type, rows: Iterable) -> None:
+    """A CSV of dataclass rows: the header is ``row_type``'s field names and
+    each line holds one row's fields in that order."""
+    names = [f.name for f in dataclasses.fields(row_type)]
+    write_csv_atomic(path, names, ([getattr(row, n) for n in names] for row in rows))
 
 
 def write_json_atomic(path: str, payload: dict) -> None:

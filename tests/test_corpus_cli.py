@@ -435,6 +435,55 @@ def test_cli_evaluate_rejects_non_finite_cells_and_weights(tmp_path, capsys):
     assert not (tmp_path / "r.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("mode", "cumulitive"),
+        ("level", 0),
+        ("level", 1.5),
+        ("level", "0.9"),
+        ("level", None),
+        ("bootstrap_replicates", 0),
+        ("bootstrap_replicates", -5),
+        ("bootstrap_replicates", 100.0),
+        ("bootstrap_replicates", "100"),
+        ("seed", 1.5),
+        ("seed", "0"),
+        ("seed", True),
+        ("fold_counts", "25"),
+        ("fold_counts", [2.7]),
+        ("fold_counts", [2, 2]),
+        ("fold_counts", [1]),
+        ("rules", {}),
+        ("rules", []),
+    ],
+)
+def test_cli_evaluate_rejects_bad_rules_config_values(tmp_path, capsys, key, value):
+    corpus_path = tmp_path / "corpus.csv"
+    write(
+        corpus_path,
+        BASIC_CSV + "expB,1,u1,2.0,1.0\nexpB,1,u2,1.0,3.0\n"
+        "expB,2,u1,4.0,2.0\nexpB,2,u2,0.0,5.0\n",
+    )
+    rules = {
+        "reward": {"metric": "clicks"},
+        "rules": [{"name": "r", "blend": {"metric": "visits"}}],
+        "fold_counts": [2],
+        "bootstrap_replicates": 100,
+        key: value,
+    }
+    rules_path = tmp_path / "rules.json"
+    write(rules_path, json.dumps(rules))
+    report_path = tmp_path / "r.csv"
+    assert main(
+        ["evaluate", "--corpus", str(corpus_path), "--rules", str(rules_path),
+         "--out", str(report_path)]
+    ) == 1
+    # The error names the key, not just the file's own label.
+    assert key in capsys.readouterr().err.replace("evaluate rules", "")
+    assert not report_path.exists()
+
+
 def test_cli_degenerate_arm_exits_two(tmp_path):
     # A single-unit arm cannot support the significance gate: exit code 2.
     corpus_path = tmp_path / "corpus.csv"

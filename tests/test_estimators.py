@@ -242,6 +242,15 @@ def test_leave_l_out_rejects_bad_shapes():
         leave_l_out_reward(uneven, ARGMAX_RULE, REWARD, 1)
 
 
+@pytest.mark.parametrize("max_folds", [0, -1])
+def test_max_folds_below_one_is_rejected(max_folds):
+    with pytest.raises(ValueError, match="max_folds"):
+        EstimatorConfig(kind="cv-leave-l-out", max_folds=max_folds)
+    exp = two_arm([[1.0], [2.0], [3.0]], [[3.0], [4.0], [5.0]])
+    with pytest.raises(ValueError, match="max_folds"):
+        leave_l_out_reward(exp, ARGMAX_RULE, REWARD, 1, max_folds=max_folds)
+
+
 # ---------------------------------------------------------------------------
 # poisson_rescaled_reward
 

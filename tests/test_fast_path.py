@@ -93,7 +93,7 @@ def test_fast_path_matches_fold_mean_oracle(name, monkeypatch):
 
     monkeypatch.setattr(simulator, "decide_kept", recording_decide_kept)
     got = _simulate_estimates(
-        effect_chol, noise_chol, noise_cov, m, num_folds, n, rules, psi,
+        effect_chol, noise_chol, m, num_folds, n, rules,
         substream(17, "oracle", name),
     )
     want = oracle_estimates(
@@ -125,10 +125,9 @@ def _block_runs():
     """Fast-path outputs that must not depend on the row-block size."""
     gated = DecisionRule(blend=[0.0, 1.0], **GATED)
     rules = (DecisionRule(blend=[0.0, 1.0]), gated)
-    effect_chol, noise_chol, noise_cov, m, num_folds, _, psi = _case(SMALL, rules)
+    effect_chol, noise_chol, _, m, num_folds, _, _ = _case(SMALL, rules)
     direct = _simulate_estimates(
-        effect_chol, noise_chol, noise_cov, m, num_folds, 611, rules, psi,
-        substream(5, "blocks"),
+        effect_chol, noise_chol, m, num_folds, 611, rules, substream(5, "blocks"),
     )
     fixed = run_bias_sweep(
         SimulationConfig(

@@ -177,8 +177,7 @@ def test_fast_path_matches_unit_level_distributions(gate, units_per_arm):
     ec = cov_factor(model.effect_cov)
     nc = cov_factor(model.noise_cov)
     fast = _simulate_estimates(
-        ec, nc, model.noise_cov, units_per_arm, 5, 50_000,
-        (rule,), np.array([1.0, 0.0]), substream(98, "fast"),
+        ec, nc, units_per_arm, 5, 50_000, (rule,), substream(98, "fast"),
     )
     for key in ("naive", "cv", "true"):
         u, f = unit[key], fast[key][:, 0]
@@ -221,12 +220,10 @@ def test_fast_path_gate_reduces_launch_rate():
     # only the known-variance gate can decide.
     for m, num_folds in ((model.units_per_arm, model.num_folds), (2, 2)):
         ungated = _simulate_estimates(
-            ec, nc, model.noise_cov, m, num_folds, 20_000,
-            (ungated_rule,), psi, substream(6, "u"),
+            ec, nc, m, num_folds, 20_000, (ungated_rule,), substream(6, "u"),
         )
         gated = _simulate_estimates(
-            ec, nc, model.noise_cov, m, num_folds, 20_000,
-            (gated_rule,), psi, substream(6, "u"),
+            ec, nc, m, num_folds, 20_000, (gated_rule,), substream(6, "u"),
         )
         launched_ungated = (ungated["true"][:, 0] != 0).mean()
         launched_gated = (gated["true"][:, 0] != 0).mean()
@@ -374,7 +371,7 @@ def test_rescaling_kernel_agrees_with_library_estimator():
         for leave_out in (1, 2):
             if m <= leave_out:
                 continue
-            kernel = _subset_reward_sums(x, leave_out, "argmax", 1, 1)[0]
+            kernel = _subset_reward_sums(x, leave_out, "argmax", 1)[0]
             library = leave_l_out_reward(exp, rule, reward, leave_out)
             assert kernel == pytest.approx(library, abs=1e-12)
         # A constant rule's leave-two-out sum is its arm's mean over every
@@ -384,18 +381,18 @@ def test_rescaling_kernel_agrees_with_library_estimator():
             pairs = sum(
                 (values[a] + values[b]) / 2 for a, b in combinations(range(m), 2)
             )
-            assert _subset_reward_sums(x, 2, "constant", arm, 1)[0] == pairs
+            assert _subset_reward_sums(x, 2, "constant", arm)[0] == pairs
 
 
 def test_rescaling_kernel_fallback_edges():
     # m == leave_out: every decision sees no data and falls back to arm 1.
     x = np.array([[[0.25], [0.75]]])  # one replication, 2 arms, 1 unit
-    assert _subset_reward_sums(x, 1, "argmax", 1, 1)[0] == 0.25
+    assert _subset_reward_sums(x, 1, "argmax", 1)[0] == 0.25
     x2 = np.array([[[0.25, 0.5], [0.75, 0.25]]])  # 2 arms, 2 units
-    got = _subset_reward_sums(x2, 2, "argmax", 1, 1)[0]
+    got = _subset_reward_sums(x2, 2, "argmax", 1)[0]
     assert got == pytest.approx(0.375)  # mean of arm 1's two units
     # m < leave_out contributes nothing (no subsets exist).
-    assert _subset_reward_sums(x, 2, "argmax", 1, 1)[0] == 0.0
+    assert _subset_reward_sums(x, 2, "argmax", 1)[0] == 0.0
 
 
 # ---------------------------------------------------------------------------

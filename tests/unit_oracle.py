@@ -202,8 +202,11 @@ def simulate_estimates(
     """The fast path written over full fold-mean vectors: one (n, 2, P, J)
     draw, the noise transform, fold means, then one projection per rule.
 
-    Takes the same arguments and draws the same stream as
-    ``simulator._simulate_estimates``; besides its three estimates, returns
+    Draws the same stream as ``simulator._simulate_estimates``, which
+    rewards metric 0 and derives the gate's unit variance from
+    ``noise_chol``; this reference takes the reward ``psi`` and
+    ``noise_cov`` as given, so it checks both.  Besides its three estimates,
+    it returns
     each rule's full-data launch decisions (``launch``, (n, rules)) and
     held-out ones (``launch_loo``, (n, rules, P)).
     """
