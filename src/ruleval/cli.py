@@ -81,6 +81,35 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_number(value) -> bool:
+    """Whether a JSON value is a number (JSON true/false are not)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_numbers(value) -> bool:
+    return isinstance(value, list) and all(map(_is_number, value))
+
+
+_JSON_KINDS = {
+    "an integer": _is_int,
+    "a number": _is_number,
+    "a number or null": lambda v: v is None or _is_number(v),
+    "a list of numbers": _is_numbers,
+    "a list of lists of numbers": lambda v: isinstance(v, list) and all(map(_is_numbers, v)),
+    "a list of strings": lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
+}
+
+
+def _typed(obj: dict, key: str, kind: str, where: str, default=None):
+    """``obj[key]``, or ``default`` when it is absent, after checking that
+    the JSON value is of ``kind`` (a key of ``_JSON_KINDS``)."""
+    if key not in obj:
+        return default
+    if not _JSON_KINDS[kind](obj[key]):
+        raise ConfigError(f"{where}.{key}: must be {kind}, got {obj[key]!r}")
+    return obj[key]
+
+
 def _load_json(path: str, where: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -120,94 +149,89 @@ _MODEL_KEYS = {
 
 def _parse_model(obj: dict, where: str) -> EffectModel:
     _check_keys(obj, _MODEL_KEYS, set(), where)
-    try:
-        if "effect_cov" in obj or "noise_cov" in obj:
-            _check_keys(
-                obj,
-                {"effect_cov", "noise_cov", "units_per_arm", "num_experiments",
-                 "num_folds"},
-                {"effect_cov", "noise_cov", "units_per_arm"},
-                where,
-            )
-            return EffectModel(
-                effect_cov=np.array(obj["effect_cov"], dtype=float),
-                noise_cov=np.array(obj["noise_cov"], dtype=float),
-                units_per_arm=int(obj["units_per_arm"]),
-                num_experiments=int(obj.get("num_experiments", 100)),
-                num_folds=int(obj.get("num_folds", 10)),
-            )
+    explicit = "effect_cov" in obj or "noise_cov" in obj
+    if explicit:
+        required = {"effect_cov", "noise_cov", "units_per_arm"}
+        _check_keys(obj, required | {"num_experiments", "num_folds"}, required, where)
+        matrices = {
+            key: np.array(_typed(obj, key, "a list of lists of numbers", where), dtype=float)
+            for key in ("effect_cov", "noise_cov")
+        }
+    else:
         required = {
             "effect_sd_y", "effect_sd_proxy", "effect_corr",
             "noise_sd_y", "noise_sd_proxy", "noise_corr", "units_per_arm",
         }
         _check_keys(obj, _MODEL_KEYS, required, where)
-        return EffectModel.from_correlations(
-            effect_sd_y=float(obj["effect_sd_y"]),
-            effect_sd_proxy=float(obj["effect_sd_proxy"]),
-            effect_corr=float(obj["effect_corr"]),
-            noise_sd_y=float(obj["noise_sd_y"]),
-            noise_sd_proxy=float(obj["noise_sd_proxy"]),
-            noise_corr=float(obj["noise_corr"]),
-            units_per_arm=int(obj["units_per_arm"]),
-            num_experiments=int(obj.get("num_experiments", 100)),
-            num_folds=int(obj.get("num_folds", 10)),
-        )
+        scales = {
+            key: float(_typed(obj, key, "a number", where))
+            for key in sorted(required - {"units_per_arm"})
+        }
+    sizes = {
+        "units_per_arm": _typed(obj, "units_per_arm", "an integer", where),
+        "num_experiments": _typed(obj, "num_experiments", "an integer", where, 100),
+        "num_folds": _typed(obj, "num_folds", "an integer", where, 10),
+    }
+    try:
+        if explicit:
+            return EffectModel(**matrices, **sizes)
+        return EffectModel.from_correlations(**scales, **sizes)
     except (TypeError, ValueError) as err:
         raise ConfigError(f"{where}: {err}") from err
 
 
 def _parse_sim_config(obj: dict, overrides: argparse.Namespace) -> SimulationConfig:
+    where = "simulate config"
     allowed = {
         "model", "size_mode", "m0", "num_replications", "seed", "rule",
         "estimators", "sweep", "mode",
     }
-    _check_keys(obj, allowed, set(), "simulate config")
-    model = _parse_model(obj["model"], "simulate config.model") if "model" in obj \
+    _check_keys(obj, allowed, set(), where)
+    model = _parse_model(obj["model"], f"{where}.model") if "model" in obj \
         else DEFAULT_MODEL
     rule = DecisionRule(blend=[0.0, 1.0])
     if "rule" in obj:
-        _check_keys(
-            obj["rule"], {"blend", "gate", "gate_alpha"}, {"blend"},
-            "simulate config.rule",
-        )
+        spec, at = obj["rule"], f"{where}.rule"
+        _check_keys(spec, {"blend", "gate", "gate_alpha"}, {"blend"}, at)
+        blend = _typed(spec, "blend", "a list of numbers", at)
+        gate_alpha = _typed(spec, "gate_alpha", "a number", at, 0.05)
         try:
             rule = DecisionRule(
-                blend=np.array(obj["rule"]["blend"], dtype=float),
-                gate=obj["rule"].get("gate", "none"),
-                gate_alpha=float(obj["rule"].get("gate_alpha", 0.05)),
+                blend=np.array(blend, dtype=float),
+                gate=spec.get("gate", "none"),
+                gate_alpha=float(gate_alpha),
             )
         except ValueError as err:
-            raise ConfigError(f"simulate config.rule: {err}") from err
+            raise ConfigError(f"{at}: {err}") from err
     sweep = None
     if "sweep" in obj and obj["sweep"] is not None:
-        _check_keys(
-            obj["sweep"], {"field", "grid"}, {"field", "grid"},
-            "simulate config.sweep",
-        )
+        spec, at = obj["sweep"], f"{where}.sweep"
+        _check_keys(spec, {"field", "grid"}, {"field", "grid"}, at)
+        grid = _typed(spec, "grid", "a list of numbers", at)
         try:
-            sweep = SweepSpec(obj["sweep"]["field"], tuple(obj["sweep"]["grid"]))
+            sweep = SweepSpec(spec["field"], tuple(grid))
         except ValueError as err:
-            raise ConfigError(f"simulate config.sweep: {err}") from err
+            raise ConfigError(f"{at}: {err}") from err
+    replications = _typed(obj, "num_replications", "an integer", where, 1000)
+    seed = _typed(obj, "seed", "an integer", where, 0)
+    m0 = _typed(obj, "m0", "a number or null", where)
+    estimators = _typed(obj, "estimators", "a list of strings", where, ["true", "naive", "cv"])
     try:
         return SimulationConfig(
             model=model,
             size_mode=obj.get("size_mode", "fixed"),
-            m0=obj.get("m0"),
-            num_replications=int(
-                overrides.replications
-                if overrides.replications is not None
-                else obj.get("num_replications", 1000)
+            m0=m0,
+            num_replications=(
+                replications if overrides.replications is None else overrides.replications
             ),
-            seed=int(
-                overrides.seed if overrides.seed is not None else obj.get("seed", 0)
-            ),
+            seed=seed if overrides.seed is None else overrides.seed,
             rule=rule,
-            estimators=tuple(obj.get("estimators", ("true", "naive", "cv"))),
+            estimators=tuple(estimators),
             sweep=sweep,
             mode=obj.get("mode", "cumulative"),
         )
     except ValueError as err:
-        raise ConfigError(f"simulate config: {err}") from err
+        raise ConfigError(f"{where}: {err}") from err
 
 
 def _parse_blend(obj, metric_names: tuple[str, ...], where: str) -> np.ndarray:
@@ -434,14 +458,9 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
             f"evaluate rules.fold_counts: must be a list of distinct integers "
             f">= 2, got {fold_counts!r}"
         )
-    for key in ("bootstrap_replicates", "seed"):
-        if key in obj and not _is_int(obj[key]):
-            raise ConfigError(
-                f"evaluate rules.{key}: must be an integer, got {obj[key]!r}"
-            )
-    level = obj.get("level", 0.95)
-    if isinstance(level, bool) or not isinstance(level, (int, float)):
-        raise ConfigError(f"evaluate rules.level: must be a number, got {level!r}")
+    replicates = _typed(obj, "bootstrap_replicates", "an integer", "evaluate rules", 1000)
+    seed = _typed(obj, "seed", "an integer", "evaluate rules", 0)
+    level = _typed(obj, "level", "a number", "evaluate rules", 0.95)
     rules = [
         _parse_rule(r, corpus.metric_names, f"evaluate rules.rules[{i}]")
         for i, r in enumerate(obj["rules"])
@@ -454,9 +473,9 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         rules,
         reward,
         fold_counts=tuple(fold_counts),
-        bootstrap_replicates=obj.get("bootstrap_replicates", 1000),
+        bootstrap_replicates=replicates,
         level=level,
-        seed=obj.get("seed", 0) if args.seed is None else args.seed,
+        seed=seed if args.seed is None else args.seed,
         mode=obj.get("mode", "cumulative"),
         baseline=obj.get("baseline"),
     )

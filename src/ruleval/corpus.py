@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,14 +77,15 @@ def ingest_csv(path: str, weights_path: str | None = None) -> ExperimentCorpus:
     Errors name the offending file line and column.  Duplicate
     (experiment_id, arm, unit_id) triples, missing, non-numeric or
     non-finite cells, ragged rows, and non-contiguous arm indices are all
-    rejected.  Cells are converted and checked in bulk; only when a check
-    fails are the rows walked one by one to name the first fault.
+    rejected.  NumPy's C parser reads every row in one call and the cells
+    are checked in bulk.  When it rejects a row or a check fails, the rows
+    are walked one by one with ``csv.reader``, ``int`` and ``float``: the
+    walk names the first fault, or parses the file when only Python's
+    number syntax accepts a cell (such as ``1_000``).
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
+        header = next(csv.reader(fh), None)
+        if header is None:
             raise CorpusFormatError(f"{path}: file is empty, header required")
         header = [h.strip() for h in header]
         if tuple(header[:3]) != _FIXED_COLUMNS:
@@ -96,32 +98,13 @@ def ingest_csv(path: str, weights_path: str | None = None) -> ExperimentCorpus:
             raise CorpusFormatError(f"{path}: no metric columns in header")
         if len(set(metric_names)) != len(metric_names):
             raise CorpusFormatError(f"{path}: duplicate metric names in header")
-        rows = list(reader)
+        columns = _bulk_columns(fh, len(metric_names))
+    if columns is None:
+        columns = _walk_rows(path, header)
+    ids, arms, units, values = columns
 
-    data = rows if all(rows) else [row for row in rows if row]
-    if not data:
-        raise CorpusFormatError(f"{path}: no data rows")
-    try:
-        if set(map(len, data)) != {len(header)}:
-            raise ValueError
-        ids, arms, units, *cells = zip(*data)
-        ids = np.array(list(map(str.strip, ids)))
-        units = np.array(list(map(str.strip, units)))
-        arms = np.fromiter(map(int, arms), np.int64, len(data))
-        values = np.array([np.fromiter(map(float, c), float, len(data)) for c in cells])
-        if not ((ids != "").all() and (units != "").all() and arms.min() >= 1
-                and np.isfinite(values).all()):
-            raise ValueError
-        order = np.lexsort((units, arms, ids))
-        ids, arms, units = ids[order], arms[order], units[order]
-        new_exp = ids[1:] != ids[:-1]
-        new_arm = new_exp | (arms[1:] != arms[:-1])
-        if not (new_arm | (units[1:] != units[:-1])).all():  # a duplicate unit
-            raise ValueError
-    except (ValueError, OverflowError):
-        raise _first_fault(path, rows, header) from None
-
-    values = np.ascontiguousarray(values.T[order])
+    new_exp = ids[1:] != ids[:-1]
+    new_arm = new_exp | (arms[1:] != arms[:-1])
     exp_starts = np.flatnonzero(np.r_[True, new_exp, True])
     arm_starts = np.flatnonzero(np.r_[True, new_arm, True])
     exp_ids = ids[exp_starts[:-1]].tolist()
@@ -143,15 +126,69 @@ def ingest_csv(path: str, weights_path: str | None = None) -> ExperimentCorpus:
     return ExperimentCorpus(tuple(experiments), metric_names, provenance=path)
 
 
-def _first_fault(path: str, rows: list[list[str]], header: list[str]) -> CorpusFormatError:
-    """The error for the first faulty data row, in file order (the bulk parse
-    also fails on an arm index beyond 64 bits, which no row check names)."""
+def _sorted_columns(ids, arms, units, values):
+    """The rows' (ids, arms, units, values) sorted by (experiment_id, arm,
+    unit_id), or None when a unit repeats."""
+    order = np.lexsort((units, arms, ids))
+    ids, arms, units = ids[order], arms[order], units[order]
+    same_arm = (ids[1:] == ids[:-1]) & (arms[1:] == arms[:-1])
+    if (same_arm & (units[1:] == units[:-1])).any():
+        return None
+    return ids, arms, units, np.ascontiguousarray(values[order])
+
+
+def _bulk_columns(fh, num_metrics: int):
+    """The data rows after the header, read by ``np.loadtxt`` and checked:
+    ``_sorted_columns`` of them, or None when the parser rejects a row (a
+    ragged or whitespace-only one, a cell it cannot convert) or a check
+    fails.  Its cells are the ones ``csv.reader`` splits, and every number
+    it accepts converts as ``int`` or ``float`` converts it."""
+    row = np.dtype([("id", object), ("arm", np.int64), ("unit", object),
+                    ("values", float, (num_metrics,))])
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # no rows: the walk says so
+            table = np.loadtxt(fh, dtype=row, delimiter=",", quotechar='"',
+                               comments=None, ndmin=1)
+    except ValueError:
+        return None
+    if not len(table):
+        return None
+    ids = np.array([cell.strip() for cell in table["id"]])
+    units = np.array([cell.strip() for cell in table["unit"]])
+    arms, values = table["arm"], table["values"]
+    if not ((ids != "").all() and (units != "").all() and arms.min() >= 1
+            and np.isfinite(values).all()):
+        return None
+    return _sorted_columns(ids, arms, units, values)
+
+
+def _walk_rows(path: str, header: list[str]):
+    """Walk the data rows one by one: raise the first faulty row's error, in
+    file order, else return them parsed as ``_sorted_columns`` does."""
     seen: set[tuple[str, int, str]] = set()
-    for line_no, row in enumerate(rows, start=2):
-        fault = row and _row_fault(row, header, seen)
-        if fault:
-            return CorpusFormatError(f"{path}: line {line_no}{fault}")
-    return CorpusFormatError(f"{path}: column 'arm' is out of range")
+    rows = []
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for line_no, row in enumerate(reader, start=2):
+            fault = row and _row_fault(row, header, seen)
+            if fault:
+                raise CorpusFormatError(f"{path}: line {line_no}{fault}")
+            if row:
+                rows.append(row)
+    if not rows:
+        raise CorpusFormatError(f"{path}: no data rows")
+    try:
+        arms = np.array([int(row[1]) for row in rows], dtype=np.int64)
+    except OverflowError:
+        raise CorpusFormatError(f"{path}: column 'arm' is out of range") from None
+    return _sorted_columns(
+        np.array([row[0].strip() for row in rows]),
+        arms,
+        np.array([row[2].strip() for row in rows]),
+        np.array([[float(cell) for cell in row[3:]] for row in rows]),
+    )
 
 
 def _row_fault(row: list[str], header: list[str], seen: set) -> str | None:

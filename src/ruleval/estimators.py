@@ -17,13 +17,18 @@ Three families are implemented:
 
 Every estimator decides through the one kernel ``experiments.decide_kept``,
 fed by one of two producers.  ``experiments.fold_stats`` builds its inputs
-from per-unit fold bins: per-fold sums from ``np.bincount`` subtracted from
-the arm totals for every fold of every fold count at once, then the arm
-totals themselves.  k-fold decides all of them in one call per rule, and
-the naive estimate is that call's full-data row (with no fold at all when
-it runs alone).  ``subset_rewards`` gathers every held-out subset of an
-(S, l) array of unit positions, for a batch of experiments at once, and
-serves leave-l-out here and the Poisson-rescaling check in the simulator.
+for a whole corpus in one pass: every experiment's arms are stacked, each
+unit gets a global (arm, fold) bin per fold count, and one ``np.bincount``
+over those bins gives every fold's held-out sums of every blend column,
+subtracted from the arm totals, then the arm totals themselves.
+``batch_rewards`` decides all of them with one kernel call per rule and
+arm count, and scores every experiment's folds with one more bincount of
+the reward; the naive estimate is the full-data slot, and
+``naive_reward`` and ``cv_fold_reward`` are one-experiment calls of the
+same pass (with no fold at all for the naive estimate alone).
+``subset_rewards`` gathers every held-out subset of an (S, l) array of
+unit positions, for a batch of experiments at once, and serves
+leave-l-out here and the Poisson-rescaling check in the simulator.
 
 Aggregates over experiments come in two modes: ``mean`` (weighted mean of
 per-experiment estimates) and ``cumulative`` (weighted sum), the latter
@@ -33,25 +38,31 @@ being the natural readout for "total return across the program".
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 
 import numpy as np
 
 from .experiments import (
     ArmData,
+    ArmStack,
     DecisionRule,
     DegenerateFoldError,
     ExperimentData,
     FoldAssignment,
     RewardSpec,
-    _NO_FOLDS,
     _fold_name,
+    arm_sums,
     blend_values,
     decide_kept,
     fold_permutations,
     fold_stats,
+    missing_fallback_error,
     sample_variance,
+    short_arm_error,
+    short_experiments,
+    stack_arms,
+    stacked_product,
 )
 from .streams import substream
 
@@ -150,45 +161,88 @@ def naive_reward(exp: ExperimentData, rule: DecisionRule, reward: RewardSpec) ->
     return float(batch_rewards([exp], [rule], reward, (), 0)[0, 0, 0])
 
 
-def _fold_rewards(
-    exp: ExperimentData,
+def _fold_table(
+    stack: ArmStack,
     rules: list[DecisionRule],
     reward: RewardSpec,
-    bins: np.ndarray,
+    bins: np.ndarray | None,
     fold_counts: tuple[int, ...],
 ) -> np.ndarray:
-    """(rules, folds + 1): each rule's reward of every fold's held-out
-    decision, then of its full-data decision (the plug-in estimate).
+    """(rules, experiments, folds + 1): each rule's reward of every fold's
+    held-out decision, then of its full-data decision (the plug-in
+    estimate), in every stacked experiment.
 
-    ``bins`` holds every unit's fold bin per partition, as ``fold_stats``
-    takes them.  Fold t's decision sees every unit outside it; its reward
-    is the mean reward of the chosen arm's units in fold t.  The full-data
-    decision sees every unit and is rewarded on all of the chosen arm's
-    units.  Per rule, one kernel call decides all folds and the full data.
-    Raises DegenerateFoldError when the chosen arm has no unit in the fold,
-    besides the errors of ``fold_stats``.
+    ``bins`` holds every stacked unit's (arm, fold) bin per partition, as
+    ``fold_stats`` takes them.  Fold t's decision sees every unit of the
+    experiment outside it; its reward is the mean reward of the chosen
+    arm's units in fold t.  The full-data decision sees every unit and is
+    rewarded on all of the chosen arm's units.  Per rule, one kernel call
+    per arm count decides every fold and the full data of all experiments
+    with that many arms.  Faults are reported as a loop over experiments,
+    then rules, would meet them, for the first experiment with one: an arm
+    left with too few units (DegenerateFoldError, or DegenerateArmError on
+    the full data), a gated rule's missing fallback arm (ValueError), a
+    fold without units of the chosen arm (DegenerateFoldError).
     """
-    num_arms, total = exp.num_arms, sum(fold_counts)
-    rewards = np.concatenate([_reward_values(arm, reward) for arm in exp.arms])
-    held_rewards = np.bincount(
-        bins.ravel(), np.tile(rewards, len(bins)), num_arms * total
-    ).reshape(num_arms, total)
-    bounds = np.cumsum([0] + [arm.num_units for arm in exp.arms])
-    full_rewards = np.array([rewards[a:b].mean() for a, b in zip(bounds, bounds[1:])])
+    num_exps, total = len(stack.ids), sum(fold_counts)
+    first_arm, num_arms = stack.first_arm[:-1], np.diff(stack.first_arm)
+    groups = [(k, np.flatnonzero(num_arms == k)) for k in np.unique(num_arms)]
+    rewards = stacked_product(stack, reward.weights(stack.units.shape[1]))
+    full_rewards = arm_sums(stack, rewards) / stack.sizes
+    if total:
+        held_rewards = np.bincount(
+            bins.ravel(), np.tile(rewards, len(bins)), len(stack.sizes) * total
+        ).reshape(-1, total)
     fold = np.arange(total)
-    out = np.empty((len(rules), total + 1))
-    for r, rule in enumerate(rules):
-        counts, sums, variances = fold_stats(exp, rule, bins, fold_counts)
-        chosen = decide_kept(counts, sums, variances, rule, exp.experiment_id) - 1
-        n = counts[-1, chosen[:total]] - counts[fold, chosen[:total]]
-        if not n.all():
-            t = np.flatnonzero(n == 0)[0]
-            raise DegenerateFoldError(
-                f"experiment {exp.experiment_id!r}: {_fold_name(fold_counts, t)} "
-                f"contains no units of the chosen arm {chosen[t] + 1}"
+    out = np.empty((len(rules), num_exps, total + 1))
+    faults = np.zeros((len(rules), num_exps), dtype=int)  # first failing check
+    picks = []
+    # An arm left with too few units divides by zero; it is reported below.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for r, rule in enumerate(rules):
+            counts, sums, variances = fold_stats(stack, rule, bins, fold_counts)
+            chosen = np.empty((num_exps, total + 1), dtype=np.intp)
+            for k, group in groups:
+                arms = first_arm[group, None] + np.arange(k)
+                # Short of its fallback arm, a gated rule decides with
+                # fallback arm 1, which it picks exactly when no arm passes.
+                group_rule = rule
+                if rule.gate != "none" and rule.fallback_arm > k:
+                    group_rule = replace(rule, fallback_arm=1)
+                chosen[group] = decide_kept(
+                    counts[arms].swapaxes(1, 2),
+                    sums[arms].swapaxes(1, 2),
+                    None if variances is None else variances[arms].swapaxes(1, 2),
+                    group_rule,
+                    stack.ids[group[0]],
+                )
+                if group_rule is not rule:
+                    faults[r, group] = 2 * (chosen[group] == 1).any(axis=1)
+            arm = first_arm[:, None] + chosen - 1
+            out[r, :, total] = full_rewards[arm[:, total]]
+            if total:
+                held = counts[arm[:, :total], total] - counts[arm[:, :total], fold]
+                out[r, :, :total] = held_rewards[arm[:, :total], fold] / held
+                faults[r, (faults[r] == 0) & (held == 0).any(axis=1)] = 3
+            faults[r, short_experiments(stack, counts, 1 + (rule.gate != "none"))] = 1
+            picks.append(chosen)
+    bad = np.flatnonzero(faults.any(axis=0))
+    if bad.size:
+        i = bad[0]
+        r = np.flatnonzero(faults[:, i])[0]
+        if faults[r, i] == 1:
+            raise short_arm_error(
+                stack, counts, 1 + (rules[r].gate != "none"), i, fold_counts
             )
-        out[r, :total] = held_rewards[chosen[:total], fold] / n
-        out[r, total] = full_rewards[chosen[total]]
+        if faults[r, i] == 2:
+            raise missing_fallback_error(rules[r], stack.ids[i])
+        chosen = picks[r][i, :total]
+        arm = first_arm[i] + chosen - 1
+        t = np.flatnonzero(counts[arm, total] == counts[arm, fold])[0]
+        raise DegenerateFoldError(
+            f"experiment {stack.ids[i]!r}: {_fold_name(fold_counts, t)} "
+            f"contains no units of the chosen arm {chosen[t]}"
+        )
     return out
 
 
@@ -215,7 +269,8 @@ def cv_fold_reward(
                 f"{arm.arm_index} must give its {arm.num_units} units folds 1..{num_folds}"
             )
     bins = np.concatenate([lab + k * num_folds for k, lab in enumerate(labels)])[None]
-    return float(_fold_rewards(exp, [rule], reward, bins, (num_folds,))[0, p - 1])
+    table = _fold_table(stack_arms([exp]), [rule], reward, bins, (num_folds,))
+    return float(table[0, 0, p - 1])
 
 
 def batch_rewards(
@@ -230,27 +285,30 @@ def batch_rewards(
     the mean fold reward over the experiment's partition into that many
     folds.  All fold counts and rules share each arm's one
     ``fold_permutations`` draw, taken modulo the fold count as in
-    ``assign_folds``, and each (rule, experiment) makes one kernel call.
-    With no fold count, only slot 0 is filled and nothing is drawn.
+    ``assign_folds``; the arms of every experiment are stacked and each
+    rule makes one kernel call per arm count.  With no fold count, only
+    slot 0 is filled and nothing is drawn.
     """
     fold_counts = tuple(int(p) for p in fold_counts)
     if any(p < 2 for p in fold_counts):
         raise ValueError("cv-kfold needs num_folds >= 2")
-    periods = np.array(fold_counts, dtype=int)[:, None]
-    offsets = np.cumsum((0,) + fold_counts)[:-1, None]
-    total = sum(fold_counts)
     out = np.empty((len(rules), 1 + len(fold_counts), len(exps)))
-    for i, exp in enumerate(exps):
-        bins = _NO_FOLDS
-        if fold_counts:
-            bins = np.concatenate([
-                perm % periods + offsets + k * total
-                for k, perm in enumerate(fold_permutations(exp, fold_seed))
-            ], axis=1)
-        rewards = _fold_rewards(exp, rules, reward, bins, fold_counts)
-        out[:, 0, i] = rewards[:, -1]
-        for f, (p, o) in enumerate(zip(fold_counts, offsets[:, 0])):
-            out[:, 1 + f, i] = rewards[:, o : o + p].sum(axis=1) / p
+    if not exps:
+        return out
+    stack = stack_arms(exps)
+    offsets = np.cumsum((0,) + fold_counts)[:-1]
+    bins = None
+    if fold_counts:
+        perms = np.concatenate(
+            [perm for exp in exps for perm in fold_permutations(exp, fold_seed)]
+        )
+        arm = np.repeat(np.arange(len(stack.sizes)), stack.sizes)
+        bins = (perms % np.array(fold_counts)[:, None] + offsets[:, None]
+                + arm * sum(fold_counts))
+    table = _fold_table(stack, rules, reward, bins, fold_counts)
+    out[:, 0] = table[..., -1]
+    for f, (p, o) in enumerate(zip(fold_counts, offsets)):
+        out[:, 1 + f] = table[..., o : o + p].sum(axis=-1) / p
     return out
 
 

@@ -12,14 +12,19 @@ arm's kept unit count, the sums of the rule's blend columns over the kept
 units and the per-unit variance of each column, so estimators never rebuild
 an experiment.  The library estimators compute that variance from the kept
 units (``sample_variance``); the Monte Carlo fast path supplies the model's
-known variance.  ``fold_stats`` produces those inputs from unit data split
-into folds, for every held-out fold and then the full data; ``decide`` and
-``significance_set`` read its full-data row.
+known variance.  ``fold_stats`` produces those inputs for every arm of a
+list of experiments at once, stacked into one array by ``stack_arms``: one
+bincount over a global (arm, fold) bin gives every held-out fold's sums of
+every column, which are subtracted from the arm totals, followed by the
+full data.  Each sum adds the numbers a one-experiment computation adds, in
+its order, so no result depends on what else is in the batch.  ``decide``
+and ``significance_set`` are its one-experiment, no-fold calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy import special
@@ -28,6 +33,7 @@ from .streams import substream
 
 __all__ = [
     "ArmData",
+    "ArmStack",
     "DecisionRule",
     "DegenerateArmError",
     "DegenerateFoldError",
@@ -42,6 +48,7 @@ __all__ = [
     "fold_stats",
     "sample_variance",
     "significance_set",
+    "stack_arms",
 ]
 
 
@@ -303,19 +310,82 @@ def blend_matrix(rule: DecisionRule, num_metrics: int) -> np.ndarray:
     return np.column_stack(blends)
 
 
-def blend_values(exp: ExperimentData, rule: DecisionRule) -> list[np.ndarray]:
-    """Each arm's (units, B) ``blend_matrix`` values, all shifted by one
-    shared constant.
+class ArmStack(NamedTuple):
+    """The arms of a list of experiments stacked into one (units, metrics)
+    array: each experiment's arms in order, each arm's units in order.
 
-    The shift is arm 1's first unit: subtracting one constant from every
-    arm changes no comparison, keeps ties on integer data exact, and keeps
-    large metric levels from cancelling in the sums of squares (Chan,
-    Golub & LeVeque 1983).
+    Arm a, counted over all experiments, holds rows ``starts[a]`` to
+    ``starts[a + 1]`` (``sizes[a]`` units); experiment i holds arms
+    ``first_arm[i]`` to ``first_arm[i + 1]``.
     """
-    matrix = blend_matrix(rule, exp.num_metrics)
-    values = [arm.units @ matrix for arm in exp.arms]
-    shift = values[0][0].copy()
-    return [v - shift for v in values]
+
+    units: np.ndarray
+    sizes: np.ndarray
+    starts: np.ndarray
+    first_arm: np.ndarray
+    ids: tuple[str, ...]
+
+
+def stack_arms(exps: Sequence[ExperimentData]) -> ArmStack:
+    """Stack the arms of one or more experiments that share a metric count."""
+    units = [arm.units for exp in exps for arm in exp.arms]
+    sizes = np.array([u.shape[0] for u in units])
+    return ArmStack(
+        units=np.concatenate(units),
+        sizes=sizes,
+        starts=np.concatenate(([0], np.cumsum(sizes))),
+        first_arm=np.cumsum([0] + [exp.num_arms for exp in exps]),
+        ids=tuple(exp.experiment_id for exp in exps),
+    )
+
+
+def stacked_product(stack: ArmStack, matrix: np.ndarray) -> np.ndarray:
+    """``stack.units @ matrix``, row for row equal to each arm's own
+    ``arm.units @ matrix``: a one-row product takes another BLAS path,
+    which can round differently, so one-unit arms are multiplied alone."""
+    out = stack.units @ matrix
+    for row in stack.starts[:-1][stack.sizes == 1]:
+        out[row : row + 1] = stack.units[row : row + 1] @ matrix
+    return out
+
+
+def arm_sums(stack: ArmStack, columns: np.ndarray) -> np.ndarray:
+    """(..., arms) sums of the (..., units) ``columns`` over each arm's units.
+
+    Each is NumPy's pairwise ``add.reduce`` over the arm's units in order,
+    the float ``columns[..., lo:hi].sum(-1)`` gives (``np.add.reduceat``
+    adds sequentially, which rounds differently).  Arms of one size are
+    gathered into one contiguous block and summed together.
+    """
+    sizes = stack.sizes
+    if (sizes == sizes[0]).all():  # one block, already contiguous
+        return columns.reshape(columns.shape[:-1] + (len(sizes), sizes[0])).sum(axis=-1)
+    out = np.empty(columns.shape[:-1] + sizes.shape)
+    for m in np.unique(sizes):
+        arms = np.flatnonzero(sizes == m)
+        rows = stack.starts[arms, None] + np.arange(m)
+        out[..., arms] = np.take(columns, rows, axis=-1).sum(axis=-1)
+    return out
+
+
+def stacked_blend_values(stack: ArmStack, rule: DecisionRule) -> np.ndarray:
+    """Every stacked unit's ``blend_matrix`` values, (units, B), each
+    experiment's shifted by one constant: its arm 1's first unit's values.
+
+    Subtracting one constant from every arm changes no comparison, keeps
+    ties on integer data exact, and keeps large metric levels from
+    cancelling in the sums of squares (Chan, Golub & LeVeque 1983).
+    """
+    values = stacked_product(stack, blend_matrix(rule, stack.units.shape[1]))
+    first = stack.starts[stack.first_arm]
+    values -= np.repeat(values[first[:-1]], np.diff(first), axis=0)
+    return values
+
+
+def blend_values(exp: ExperimentData, rule: DecisionRule) -> list[np.ndarray]:
+    """Each arm's (units, B) ``stacked_blend_values``."""
+    stack = stack_arms([exp])
+    return np.split(stacked_blend_values(stack, rule), stack.starts[1:-1])
 
 
 def sample_variance(
@@ -398,12 +468,17 @@ def decide_kept(
     empty = chosen == 1
     if empty.any():
         if rule.fallback_arm > score.shape[-1]:
-            raise ValueError(
-                f"fallback arm {rule.fallback_arm} does not exist in "
-                f"experiment {experiment_id!r}"
-            )
+            raise missing_fallback_error(rule, experiment_id)
         chosen[empty] = rule.fallback_arm
     return chosen
+
+
+def missing_fallback_error(rule: DecisionRule, experiment_id: str) -> ValueError:
+    """The error for a gated rule whose fallback arm the experiment lacks."""
+    return ValueError(
+        f"fallback arm {rule.fallback_arm} does not exist in "
+        f"experiment {experiment_id!r}"
+    )
 
 
 def _fold_name(fold_counts: tuple[int, ...], t: int) -> str:
@@ -413,66 +488,98 @@ def _fold_name(fold_counts: tuple[int, ...], t: int) -> str:
     return f"fold {t - ends[f] + fold_counts[f] + 1} of {fold_counts[f]}"
 
 
-# Fold bins of zero partitions: only the full data is decided.
-_NO_FOLDS = np.empty((0, 0), dtype=np.intp)
-
-
 def fold_stats(
-    exp: ExperimentData,
+    stack: ArmStack,
     rule: DecisionRule,
-    bins: np.ndarray,
+    bins: np.ndarray | None,
     fold_counts: tuple[int, ...],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """``decide_kept`` inputs for every held-out fold, then the full data.
+    """``decide_kept`` inputs of every stacked arm, for every held-out fold,
+    then the full data.
 
-    ``bins`` is (partitions, units), one row per entry of ``fold_counts``:
-    each unit of the arms' stacked units (each arm's in order) gets the bin
-    ``(arm - 1) * total + fold``, with ``total = sum(fold_counts)`` and
-    partition f numbering its ``fold_counts[f]`` 0-based folds after the
-    earlier partitions' ones.  Returns kept counts (total + 1, K), blend
-    sums (total + 1, K, B) and, for a gated rule, their ``sample_variance``
-    (else None): row t < total keeps every unit outside fold t, the last
-    row keeps every unit.  One bincount gives every fold's held-out sums,
-    which are subtracted from the arm totals.  Raises DegenerateFoldError
-    when holding a fold out leaves an arm without a unit (two under a
-    gate); silent skips would bias any estimator built on top.  A gated
-    rule on an arm of one unit raises DegenerateArmError.
+    ``bins`` is (partitions, units), one row per entry of ``fold_counts``
+    (None when there is none): stacked unit u of arm a gets the bin
+    ``a * total + fold``, with ``total = sum(fold_counts)`` and partition f
+    numbering its ``fold_counts[f]`` 0-based folds after the earlier
+    partitions' ones.  Returns per arm its kept counts (arms, total + 1),
+    blend sums (arms, total + 1, B) and, for a gated rule, their
+    ``sample_variance`` (else None): column t < total keeps every unit
+    outside fold t, the last column keeps every unit.  One bincount gives
+    every fold's held-out sums of every column, which are subtracted from
+    the arm totals; with no fold count only the totals are formed.  Counts
+    are not checked here: ``short_experiments`` finds the arms left with
+    too few units, whose variances divide by zero.
     """
-    values = blend_values(exp, rule)
-    num_arms, total = exp.num_arms, sum(fold_counts)
-    size = num_arms * total
-    sizes = np.array([v.shape[0] for v in values])
-    held = np.bincount(bins.ravel(), minlength=size).reshape(num_arms, total)
-    counts = np.vstack([(sizes[:, None] - held).T, sizes])
+    values = stacked_blend_values(stack, rule)
+    blends = values.shape[1]
     gated = rule.gate != "none"
-    if counts.min() < 1 + gated:
-        t, k = np.argwhere(counts < 1 + gated)[0]
-        if t == total:
-            raise DegenerateArmError(
-                f"experiment {exp.experiment_id!r}: arm {k + 1} has "
-                f"{counts[t, k]} unit(s); the significance gate needs >= 2"
-            )
-        raise DegenerateFoldError(
-            f"experiment {exp.experiment_id!r}: removing "
-            f"{_fold_name(fold_counts, t)} leaves arm {k + 1} with "
-            f"{counts[t, k]} unit(s), needs >= {1 + gated}"
-        )
-    stacked = np.concatenate(values)
-    blends = stacked.shape[1]
-    columns = np.vstack([stacked.T] + ([(stacked * stacked).T] if gated else []))
-    width = len(columns)
-    bounds = np.cumsum(np.append(0, sizes))
-    arm_totals = np.stack([columns[:, a:b].sum(axis=1)
-                           for a, b in zip(bounds, bounds[1:])], axis=1)
-    index = (np.arange(width)[:, None] * size + bins.reshape(1, -1)).ravel()
-    held_sums = np.bincount(index, np.tile(columns, len(bins)).ravel(), width * size)
-    held_sums = held_sums.reshape(width, num_arms, total)
-    sums = np.concatenate([(arm_totals[..., None] - held_sums).T, arm_totals.T[None]])
+    columns = np.vstack([values.T] + ([(values * values).T] if gated else []))
+    totals = arm_sums(stack, columns)  # (columns, arms)
+    sizes = stack.sizes[:, None]
+    if not fold_counts:
+        counts, sums = sizes, totals.T[:, None]
+    else:
+        num_arms, total = len(stack.sizes), sum(fold_counts)
+        size = num_arms * total
+        held = np.bincount(bins.ravel(), minlength=size).reshape(num_arms, total)
+        counts = np.hstack([sizes - held, sizes])
+        width = len(columns)
+        index = (np.arange(width)[:, None] * size + bins.reshape(1, -1)).ravel()
+        held_sums = np.bincount(index, np.tile(columns, len(bins)).ravel(), width * size)
+        held_sums = held_sums.reshape(width, num_arms, total)
+        sums = np.concatenate([totals[..., None] - held_sums, totals[..., None]], axis=2)
+        sums = sums.transpose(1, 2, 0)
     variances = (
         sample_variance(counts, sums[..., :blends], sums[..., blends:])
         if gated else None
     )
     return counts, sums[..., :blends], variances
+
+
+def short_experiments(stack: ArmStack, counts: np.ndarray, min_units: int) -> np.ndarray:
+    """(experiments,) whether a fold or the full data leaves an arm of the
+    experiment with fewer than ``min_units`` kept units (``fold_stats``
+    counts)."""
+    return np.logical_or.reduceat((counts < min_units).any(axis=1), stack.first_arm[:-1])
+
+
+def short_arm_error(
+    stack: ArmStack,
+    counts: np.ndarray,
+    min_units: int,
+    i: int,
+    fold_counts: tuple[int, ...],
+) -> ValueError:
+    """The error for experiment i's first arm left too short, in (fold, arm)
+    order: DegenerateFoldError for a held-out fold, DegenerateArmError for
+    the full data, which silent skips would turn into a biased estimate."""
+    exp_id = stack.ids[i]
+    kept = counts[stack.first_arm[i] : stack.first_arm[i + 1]].T
+    t, k = np.argwhere(kept < min_units)[0]
+    if t == len(kept) - 1:
+        return DegenerateArmError(
+            f"experiment {exp_id!r}: arm {k + 1} has {kept[t, k]} unit(s); "
+            f"the significance gate needs >= 2"
+        )
+    return DegenerateFoldError(
+        f"experiment {exp_id!r}: removing {_fold_name(fold_counts, t)} "
+        f"leaves arm {k + 1} with {kept[t, k]} unit(s), needs >= {min_units}"
+    )
+
+
+def _full_data_stats(
+    exp: ExperimentData, rule: DecisionRule
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """``decide_kept`` inputs of one experiment's full data, (1, K) counts
+    and (1, K, B) sums and variances.  A gated rule on an arm of one unit
+    raises DegenerateArmError."""
+    stack = stack_arms([exp])
+    min_units = 1 + (rule.gate != "none")
+    if stack.sizes.min() < min_units:
+        raise short_arm_error(stack, stack.sizes[:, None], min_units, 0, ())
+    counts, sums, variances = fold_stats(stack, rule, None, ())
+    return (counts.T, sums.swapaxes(0, 1),
+            None if variances is None else variances.swapaxes(0, 1))
 
 
 def significance_set(exp: ExperimentData, rule: DecisionRule) -> set[int]:
@@ -484,7 +591,7 @@ def significance_set(exp: ExperimentData, rule: DecisionRule) -> set[int]:
     """
     if rule.gate != "significant-vs-reference":
         raise ValueError("significance_set requires gate='significant-vs-reference'")
-    mask = _gate_mask(*fold_stats(exp, rule, _NO_FOLDS, ()), rule)
+    mask = _gate_mask(*_full_data_stats(exp, rule), rule)
     return {int(k) + 1 for k in np.flatnonzero(mask[0])}
 
 
@@ -495,5 +602,5 @@ def decide(exp: ExperimentData, rule: DecisionRule) -> int:
     rules take the argmax restricted to the significance set, or the
     fallback arm when the set is empty.  Exact ties go to the lowest index.
     """
-    counts, sums, variances = fold_stats(exp, rule, _NO_FOLDS, ())
+    counts, sums, variances = _full_data_stats(exp, rule)
     return int(decide_kept(counts, sums, variances, rule, exp.experiment_id)[0])

@@ -337,6 +337,53 @@ def test_cli_simulate_rejects_unknown_keys(tmp_path):
     ) == 1
 
 
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        ("num_replications", 2.7),
+        ("num_replications", "20"),
+        ("seed", "4"),
+        ("seed", 1.5),
+        ("seed", True),
+        ("m0", "5"),
+        ("estimators", 5),
+        ("model.units_per_arm", 30.9),
+        ("model.num_experiments", "10"),
+        ("model.num_folds", 3.0),
+        ("model.effect_sd_y", "0.5"),
+        ("model.noise_corr", True),
+        ("rule.blend", ["0", 1]),
+        ("rule.gate_alpha", "0.1"),
+        ("sweep.grid", ["10", "20"]),
+    ],
+)
+def test_cli_simulate_rejects_mistyped_config_values(tmp_path, capsys, path, value):
+    config = {
+        "model": {
+            "effect_sd_y": 0.5, "effect_sd_proxy": 0.8, "effect_corr": 0.6,
+            "noise_sd_y": 1.0, "noise_sd_proxy": 1.5, "noise_corr": -0.3,
+            "units_per_arm": 30, "num_experiments": 10, "num_folds": 3,
+        },
+        "num_replications": 20,
+        "rule": {"blend": [0.0, 1.0]},
+        "sweep": {"field": "num_experiments", "grid": [10, 20]},
+        "size_mode": "poisson",
+        "m0": 30,
+    }
+    *parents, key = path.split(".")
+    target = config
+    for name in parents:
+        target = target[name]
+    target[key] = value
+    cfg_path = tmp_path / "config.json"
+    write(cfg_path, json.dumps(config))
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(cfg_path), "--out-dir", str(out)]) == 1
+    # The error names the key, and nothing is written.
+    assert f".{key}: must be " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_make_corpus_then_evaluate(tmp_path):
     corpus_path = tmp_path / "corpus.csv"
     assert main(

@@ -1,8 +1,14 @@
 """Corpus CSV export and ingestion: byte identity with the per-cell writer,
-quoting, and the bulk parser's handling of layout and faults."""
+quoting, the bulk parser's handling of layout and faults, and a
+differential test of the parser against the ``csv.reader`` one it replaced."""
+
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ruleval import (
     ArmData,
@@ -153,3 +159,102 @@ def test_ingest_reports_the_first_fault_in_file_order(tmp_path):
     write(path, "experiment_id,arm,unit_id,m1\ne,1,u1,1\ne,1.5,u2,2\n")
     with pytest.raises(CorpusFormatError, match=r"line 3: column 'arm' must be a positive"):
         ingest_csv(str(path))
+
+
+# ---------------------------------------------------------------------------
+# differential: NumPy's C parser with the row walk against csv.reader
+
+IDS = ("e", "f", "a,b", 'q"x', "n\nl", " pad ", "r\r\nn")
+METRIC_CELLS = (
+    "nan", "inf", "-Infinity", "1_000", " 2.5 ", "", "x", "1e500", "\u0663",
+    "0x1", "+.5", "-0", "1e-400", "\xa07", "1,5", '3"', " ", "1.0 \t",
+)
+ARM_CELLS = ("0", "1.5", "1_0", " 2 ", "+1", "x", "99999999999999999999", "", "\u0661")
+
+
+def render(cell: str, quoted: bool) -> str:
+    if quoted or any(c in cell for c in ',"\r\n'):
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
+@st.composite
+def corpus_texts(draw):
+    """A corpus CSV text: valid rows (random ids, arm counts, unit counts,
+    quoting, padding and line endings) with up to three faults or odd
+    lines mixed in."""
+    num_metrics = draw(st.integers(1, 3))
+    rows = []
+    for exp_id in draw(st.lists(st.sampled_from(IDS), min_size=1, max_size=3, unique=True)):
+        for arm in range(1, draw(st.integers(1, 3)) + 1):
+            for unit in range(draw(st.integers(1, 3))):
+                values = draw(st.lists(
+                    st.floats(allow_nan=False, allow_infinity=False, width=64),
+                    min_size=num_metrics, max_size=num_metrics))
+                rows.append([exp_id, str(arm), f"u{unit}"] + [repr(v) for v in values])
+    rows = draw(st.permutations(rows))
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(rows) - 1))
+        kind = draw(st.sampled_from(("metric", "arm", "id", "extra", "missing", "duplicate")))
+        row = list(rows[i])
+        if kind == "metric" and len(row) > 3:
+            row[draw(st.integers(3, len(row) - 1))] = draw(st.sampled_from(METRIC_CELLS))
+        elif kind == "arm":
+            row[1] = draw(st.sampled_from(ARM_CELLS))
+        elif kind == "id":
+            row[draw(st.sampled_from((0, 2)))] = draw(st.sampled_from(("", " ", "u0 ", "z")))
+        elif kind == "extra":
+            row.append(draw(st.sampled_from(("", "9", " "))))
+        elif kind == "missing":
+            row.pop()
+        if kind == "duplicate":
+            rows.insert(i, row)
+        else:
+            rows[i] = row
+    for _ in range(draw(st.integers(0, 2))):  # blank and whitespace-only lines
+        rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from(("", " ", "\t"))))
+    newline = draw(st.sampled_from(("\n", "\r\n")))
+    header = ["experiment_id", " arm", "unit_id"] + [f"m{j}" for j in range(num_metrics)]
+    lines = [",".join(render(c, draw(st.booleans())) for c in header)]
+    for row in rows:
+        if isinstance(row, str):  # written as is
+            lines.append(row)
+            continue
+        cells = []
+        for cell in row:
+            pad = draw(st.sampled_from(("", " ", "\t"))) if draw(st.booleans()) else ""
+            quoted = draw(st.booleans())
+            cells.append(render(cell, quoted) if quoted else pad + render(cell, False) + pad)
+        lines.append(",".join(cells))
+    return newline.join(lines) + (newline if draw(st.booleans()) else "")
+
+
+def outcome(parse, path):
+    """A parse's corpus (ids, arms and value bits) or its error."""
+    try:
+        corpus = parse(path)
+    except Exception as err:  # the type and message are compared
+        return (type(err).__name__, str(err))
+    return corpus.metric_names, [
+        (exp.experiment_id, [(arm.arm_index, arm.units.shape, arm.units.tobytes())
+                             for arm in exp.arms])
+        for exp in corpus.experiments
+    ]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(corpus_texts())
+@example('experiment_id,arm,unit_id,m\ne,1,u1,1_000\ne,2,u1,2\n')
+@example('experiment_id,arm,unit_id,m\ne,1,u1,1\n  \ne,2,u1,2\n')
+@example('experiment_id,arm,unit_id,m\ne,1,u1,1,\ne,2,u1,2\n')
+@example('experiment_id,arm,unit_id,m\n"a\nb",1,u1,1\n"a\nb",2,u1,x\n')
+@example('experiment_id,arm,unit_id,m\ne,99999999999999999999,u1,1\n')
+@example('experiment_id,arm,unit_id,m\n\n\n')
+def test_ingest_matches_the_csv_reader_parser(text):
+    fd, path = tempfile.mkstemp(suffix=".csv")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        assert outcome(ingest_csv, path) == outcome(oracle.ingest_csv, path)
+    finally:
+        os.remove(path)

@@ -151,11 +151,12 @@ def test_kfold_decisions_and_estimates_match_oracle(args):
     with kernel_decisions() as seen:
         got = estimate_reward([exp], rule, reward, config).per_experiment[0]
     folds = assign_folds(exp, num_folds, seed)
-    # The one kernel call decides every held-out fold, then the full data.
+    # The one kernel call decides every held-out fold, then the full data,
+    # of the one experiment: (1, P + 1).
     expected = [
         oracle.decide_on_fold(exp, rule, folds, p) for p in range(1, num_folds + 1)
     ] + [oracle.decide(exp, rule)]
-    assert len(seen) == 1 and seen[0].tolist() == expected
+    assert len(seen) == 1 and seen[0].tolist() == [expected]
     w = reward.weights(exp.num_metrics)
     want = oracle.kfold_reward(exp, rule, w, folds)
     assert close(got, want, reward_scale(exp, reward))

@@ -202,3 +202,98 @@ def test_bootstrap_redraws_are_counted_and_reported(tmp_path):
                  "--out", str(out), "--seed", "5"]) == 0
     manifest = json.loads((tmp_path / "report.csv.manifest.json").read_text())
     assert manifest["bootstrap_redraws"] == expected
+
+
+# ---------------------------------------------------------------------------
+# the corpus-wide kernel pass against the per-experiment producer
+
+MIXED_RULES = [rule for _, rule in RULES] + [
+    DecisionRule(blend=[1.0, 0.5, 0.0], gate="significant-vs-reference", gate_alpha=0.4,
+                 gate_metrics=([1.0, 0.0, 0.0], [0.0, 0.0, 1.0]), gate_combine="all"),
+]
+
+
+def mixed_experiments(rng, num_experiments, sizes):
+    """1-, 2- and 3-arm experiments with arm sizes from ``sizes``, in a
+    shuffled id order; integer-valued arms tie exactly."""
+    exps = []
+    for i in rng.permutation(num_experiments):
+        arms = []
+        for k in range(int(rng.integers(1, 4))):
+            units = rng.standard_normal((int(rng.choice(sizes)), 3)) + rng.normal(0, 0.8, 3) * k
+            arms.append(ArmData(k + 1, np.round(units) if i % 4 == 0 else units + 1e3))
+        exps.append(ExperimentData(f"m{i:02d}", tuple(arms)))
+    return exps
+
+
+def outcome(batch, exps, rules, reward, fold_counts, seed):
+    try:
+        return batch(exps, rules, reward, fold_counts, seed).tobytes()
+    except ValueError as err:
+        return type(err).__name__, str(err)
+
+
+@pytest.mark.parametrize("fold_counts", [(2, 5), (2, 3, 5, 7)])
+def test_corpus_pass_equals_per_experiment_producer_bit_for_bit(fold_counts):
+    rng = np.random.default_rng(sum(fold_counts))
+    exps = mixed_experiments(rng, 40, sizes=np.arange(14, 40))
+    assert {e.num_arms for e in exps} == {1, 2, 3}
+    reward = RewardSpec.combination([1.0, 0.3, -0.2])
+    got = batch_rewards(exps, MIXED_RULES, reward, fold_counts, fold_seed=4)
+    want = oracle.batch_rewards(exps, MIXED_RULES, reward, fold_counts, 4)
+    assert got.tobytes() == want.tobytes()
+    # Without folds, one-unit arms are allowed for ungated rules.
+    exps = mixed_experiments(rng, 30, sizes=[1, 1, 2, 5, 9])
+    ungated = [rule for rule in MIXED_RULES if rule.gate == "none"]
+    got = batch_rewards(exps, ungated, reward, (), fold_seed=4)
+    assert got.tobytes() == oracle.batch_rewards(exps, ungated, reward, (), 4).tobytes()
+
+
+def test_corpus_pass_names_the_first_fault_as_the_per_experiment_loop():
+    # Small arms make folds without units, arms too short for the gate and
+    # (with fallback arm 3 on two-arm experiments) missing fallback arms.
+    rules = [
+        DecisionRule(blend=[0.0, 1.0, 0.0]),
+        DecisionRule(blend=[1.0, 0.0, 0.0], gate="significant-vs-reference",
+                     gate_alpha=0.5, fallback_arm=3),
+        DecisionRule(blend=[0.0, 0.0, 1.0], gate="significant-vs-reference", gate_alpha=0.3),
+    ]
+    reward = RewardSpec.metric(1)
+    kinds = set()
+    for seed in range(150):
+        rng = np.random.default_rng(seed)
+        sizes = [1, 2, 3, 4, 6, 9] if seed % 2 else [7, 9, 12]
+        exps = mixed_experiments(rng, int(rng.integers(1, 6)), sizes)
+        for fold_counts in [(), (2, 3)]:
+            got = outcome(batch_rewards, exps, rules, reward, fold_counts, seed)
+            assert got == outcome(oracle.batch_rewards, exps, rules, reward, fold_counts, seed)
+            kinds.add("ok" if isinstance(got, bytes) else next(
+                k for k in ("fallback", "removing", "contains no units", "significance gate")
+                if k in got[1]))
+    assert kinds == {"ok", "fallback", "removing", "contains no units", "significance gate"}
+
+
+def test_cli_degenerate_fold_names_the_first_experiment_in_id_order(tmp_path, capsys):
+    # File order b, a: both are degenerate, and the report names a.
+    rows = ["b,1,u1,1", "b,1,u2,2", "b,2,u1,3", "a,1,u1,1", "a,1,u2,2", "a,1,u3,3",
+            "a,2,u1,0", "a,2,u2,1"]
+    corpus_path = tmp_path / "c.csv"
+    corpus_path.write_text("experiment_id,arm,unit_id,m\n" + "\n".join(rows) + "\n")
+    rules = {"reward": {"metric": "m"}, "fold_counts": [2], "bootstrap_replicates": 100,
+             "rules": [{"name": "g", "blend": {"metric": "m"},
+                        "gate": "significant-vs-reference"}]}
+    (tmp_path / "rules.json").write_text(json.dumps(rules))
+    argv = ["evaluate", "--corpus", str(corpus_path), "--rules",
+            str(tmp_path / "rules.json"), "--out", str(tmp_path / "r.csv")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error: experiment 'a': removing fold ")
+    assert err.endswith(" with 1 unit(s), needs >= 2\n")
+    # A missing fallback arm stays a configuration error (exit code 1).
+    rules["rules"][0].update(fallback_arm=3)
+    rules["fold_counts"] = []
+    (tmp_path / "rules.json").write_text(json.dumps(rules))
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "error: fallback arm 3 does not exist in experiment 'a'\n"
+    )

@@ -5,9 +5,14 @@ vectorized decision kernel: every held-out fold or subset rebuilds a
 smaller ``ExperimentData`` and decides on it from per-arm means and
 standard errors.  Tests compare the library against it.  It also keeps
 the unit-level draw of the simulator's Gaussian model (``draw_experiment``),
-whose fold-mean law the fast path samples directly.
+whose fold-mean law the fast path samples directly, the k-fold producer
+written one experiment at a time (``batch_rewards``), whose sums the
+corpus-wide one must reproduce bit for bit, and the row-by-row
+``csv.reader`` corpus parser (``ingest_csv``).
 """
 
+import csv
+import math
 from itertools import combinations
 
 import numpy as np
@@ -19,11 +24,19 @@ from ruleval import (
     DegenerateArmError,
     DegenerateFoldError,
     EffectModel,
+    CorpusFormatError,
     ExperimentCorpus,
     ExperimentData,
     FoldAssignment,
 )
-from ruleval.experiments import blend_matrix, decide_kept
+from ruleval.experiments import (
+    _fold_name,
+    blend_matrix,
+    blend_values,
+    decide_kept,
+    fold_permutations,
+    sample_variance,
+)
 from ruleval.simulator import _fold_sizes, cov_factor
 from ruleval.tableio import write_csv_atomic
 
@@ -299,3 +312,212 @@ def draw_experiment(
         ),
     )
     return exp, (float(tau[0]), float(tau[1]))
+
+
+def fold_stats(
+    exp: ExperimentData, rule: DecisionRule, bins: np.ndarray, fold_counts: tuple[int, ...]
+):
+    """One experiment's ``decide_kept`` inputs for every held-out fold, then
+    the full data: counts (total + 1, K), blend sums (total + 1, K, B) and,
+    gated, their sample variance.  ``bins`` is (partitions, units) over the
+    arms' stacked units, ``(arm - 1) * total + fold``."""
+    values = blend_values(exp, rule)
+    num_arms, total = exp.num_arms, sum(fold_counts)
+    size = num_arms * total
+    sizes = np.array([v.shape[0] for v in values])
+    held = np.bincount(bins.ravel(), minlength=size).reshape(num_arms, total)
+    counts = np.vstack([(sizes[:, None] - held).T, sizes])
+    gated = rule.gate != "none"
+    if counts.min() < 1 + gated:
+        t, k = np.argwhere(counts < 1 + gated)[0]
+        if t == total:
+            raise DegenerateArmError(
+                f"experiment {exp.experiment_id!r}: arm {k + 1} has "
+                f"{counts[t, k]} unit(s); the significance gate needs >= 2"
+            )
+        raise DegenerateFoldError(
+            f"experiment {exp.experiment_id!r}: removing "
+            f"{_fold_name(fold_counts, t)} leaves arm {k + 1} with "
+            f"{counts[t, k]} unit(s), needs >= {1 + gated}"
+        )
+    stacked = np.concatenate(values)
+    blends = stacked.shape[1]
+    columns = np.vstack([stacked.T] + ([(stacked * stacked).T] if gated else []))
+    width = len(columns)
+    bounds = np.cumsum(np.append(0, sizes))
+    arm_totals = np.stack([columns[:, a:b].sum(axis=1)
+                           for a, b in zip(bounds, bounds[1:])], axis=1)
+    index = (np.arange(width)[:, None] * size + bins.reshape(1, -1)).ravel()
+    held_sums = np.bincount(index, np.tile(columns, len(bins)).ravel(), width * size)
+    held_sums = held_sums.reshape(width, num_arms, total)
+    sums = np.concatenate([(arm_totals[..., None] - held_sums).T, arm_totals.T[None]])
+    variances = (
+        sample_variance(counts, sums[..., :blends], sums[..., blends:])
+        if gated else None
+    )
+    return counts, sums[..., :blends], variances
+
+
+def fold_rewards(exp, rules, reward, bins, fold_counts) -> np.ndarray:
+    """(rules, folds + 1): each rule's held-out fold rewards, then its
+    plug-in reward, for one experiment, one kernel call per rule."""
+    num_arms, total = exp.num_arms, sum(fold_counts)
+    w = reward.weights(exp.num_metrics)
+    rewards = np.concatenate([arm.units @ w for arm in exp.arms])
+    held_rewards = np.bincount(
+        bins.ravel(), np.tile(rewards, len(bins)), num_arms * total
+    ).reshape(num_arms, total)
+    bounds = np.cumsum([0] + [arm.num_units for arm in exp.arms])
+    full_rewards = np.array([rewards[a:b].mean() for a, b in zip(bounds, bounds[1:])])
+    fold = np.arange(total)
+    out = np.empty((len(rules), total + 1))
+    for r, rule in enumerate(rules):
+        counts, sums, variances = fold_stats(exp, rule, bins, fold_counts)
+        chosen = decide_kept(counts, sums, variances, rule, exp.experiment_id) - 1
+        n = counts[-1, chosen[:total]] - counts[fold, chosen[:total]]
+        if not n.all():
+            t = np.flatnonzero(n == 0)[0]
+            raise DegenerateFoldError(
+                f"experiment {exp.experiment_id!r}: {_fold_name(fold_counts, t)} "
+                f"contains no units of the chosen arm {chosen[t] + 1}"
+            )
+        out[r, :total] = held_rewards[chosen[:total], fold] / n
+        out[r, total] = full_rewards[chosen[total]]
+    return out
+
+
+def batch_rewards(exps, rules, reward, fold_counts, fold_seed) -> np.ndarray:
+    """``estimators.batch_rewards`` computed one experiment at a time."""
+    periods = np.array(fold_counts, dtype=int)[:, None]
+    offsets = np.cumsum((0,) + tuple(fold_counts))[:-1, None]
+    total = sum(fold_counts)
+    out = np.empty((len(rules), 1 + len(fold_counts), len(exps)))
+    for i, exp in enumerate(exps):
+        bins = np.empty((0, 0), dtype=np.intp)
+        if fold_counts:
+            bins = np.concatenate([
+                perm % periods + offsets + k * total
+                for k, perm in enumerate(fold_permutations(exp, fold_seed))
+            ], axis=1)
+        rewards = fold_rewards(exp, rules, reward, bins, fold_counts)
+        out[:, 0, i] = rewards[:, -1]
+        for f, (p, o) in enumerate(zip(fold_counts, offsets[:, 0])):
+            out[:, 1 + f, i] = rewards[:, o : o + p].sum(axis=1) / p
+    return out
+
+
+FIXED_COLUMNS = ("experiment_id", "arm", "unit_id")
+
+
+def ingest_csv(path: str) -> ExperimentCorpus:
+    """The corpus parser of ``csv.reader`` rows, ``int`` and ``float``, checked in
+    bulk, with a row walk that names the first fault.
+
+    Errors name the offending file line and column.  Duplicate
+    (experiment_id, arm, unit_id) triples, missing, non-numeric or
+    non-finite cells, ragged rows, and non-contiguous arm indices are all
+    rejected.  Cells are converted and checked in bulk; only when a check
+    fails are the rows walked one by one to name the first fault.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise CorpusFormatError(f"{path}: file is empty, header required")
+        header = [h.strip() for h in header]
+        if tuple(header[:3]) != FIXED_COLUMNS:
+            raise CorpusFormatError(
+                f"{path}: header must start with {','.join(FIXED_COLUMNS)}, "
+                f"got {','.join(header[:3])}"
+            )
+        metric_names = tuple(header[3:])
+        if not metric_names:
+            raise CorpusFormatError(f"{path}: no metric columns in header")
+        if len(set(metric_names)) != len(metric_names):
+            raise CorpusFormatError(f"{path}: duplicate metric names in header")
+        rows = list(reader)
+
+    data = rows if all(rows) else [row for row in rows if row]
+    if not data:
+        raise CorpusFormatError(f"{path}: no data rows")
+    try:
+        if set(map(len, data)) != {len(header)}:
+            raise ValueError
+        ids, arms, units, *cells = zip(*data)
+        ids = np.array(list(map(str.strip, ids)))
+        units = np.array(list(map(str.strip, units)))
+        arms = np.fromiter(map(int, arms), np.int64, len(data))
+        values = np.array([np.fromiter(map(float, c), float, len(data)) for c in cells])
+        if not ((ids != "").all() and (units != "").all() and arms.min() >= 1
+                and np.isfinite(values).all()):
+            raise ValueError
+        order = np.lexsort((units, arms, ids))
+        ids, arms, units = ids[order], arms[order], units[order]
+        new_exp = ids[1:] != ids[:-1]
+        new_arm = new_exp | (arms[1:] != arms[:-1])
+        if not (new_arm | (units[1:] != units[:-1])).all():  # a duplicate unit
+            raise ValueError
+    except (ValueError, OverflowError):
+        raise _first_fault(path, rows, header) from None
+
+    values = np.ascontiguousarray(values.T[order])
+    exp_starts = np.flatnonzero(np.r_[True, new_exp, True])
+    arm_starts = np.flatnonzero(np.r_[True, new_arm, True])
+    exp_ids = ids[exp_starts[:-1]].tolist()
+    experiments = []
+    for exp_id, a, b in zip(exp_ids, exp_starts, exp_starts[1:]):
+        blocks = arm_starts[(arm_starts >= a) & (arm_starts <= b)]
+        arm_indices = arms[blocks[:-1]].tolist()
+        if arm_indices != list(range(1, len(arm_indices) + 1)):
+            raise CorpusFormatError(
+                f"{path}: experiment {exp_id!r} has arm indices {arm_indices}; "
+                f"they must be contiguous starting at 1 (1 = reference)"
+            )
+        arms_data = tuple(
+            ArmData(arm_index=k, units=values[lo:hi])
+            for k, lo, hi in zip(arm_indices, blocks, blocks[1:])
+        )
+        experiments.append(ExperimentData(exp_id, arms_data))
+    return ExperimentCorpus(tuple(experiments), metric_names, provenance=path)
+
+
+def _first_fault(path: str, rows: list[list[str]], header: list[str]) -> CorpusFormatError:
+    """The error for the first faulty data row, in file order (the bulk parse
+    also fails on an arm index beyond 64 bits, which no row check names)."""
+    seen: set[tuple[str, int, str]] = set()
+    for line_no, row in enumerate(rows, start=2):
+        fault = row and _row_fault(row, header, seen)
+        if fault:
+            return CorpusFormatError(f"{path}: line {line_no}{fault}")
+    return CorpusFormatError(f"{path}: column 'arm' is out of range")
+
+
+def _row_fault(row: list[str], header: list[str], seen: set) -> str | None:
+    """What is wrong with one data row (the message after its line number)."""
+    if len(row) != len(header):
+        return f" has {len(row)} fields, header has {len(header)}"
+    exp_id, unit_id = row[0].strip(), row[2].strip()
+    if not exp_id:
+        return ": missing value in column 'experiment_id'"
+    try:
+        arm = int(row[1])
+    except ValueError:
+        return f": column 'arm' must be a positive integer, got {row[1]!r}"
+    if arm < 1:
+        return f": column 'arm' must be >= 1, got {arm}"
+    if not unit_id:
+        return ": missing value in column 'unit_id'"
+    if (exp_id, arm, unit_id) in seen:
+        return (f": duplicate unit (experiment_id={exp_id!r}, arm={arm}, "
+                f"unit_id={unit_id!r})")
+    seen.add((exp_id, arm, unit_id))
+    for col, cell in zip(header[3:], map(str.strip, row[3:])):
+        if not cell:
+            return f": missing value in column {col!r}"
+        try:
+            if not math.isfinite(float(cell)):
+                return f": column {col!r} is not finite: {cell!r}"
+        except ValueError:
+            return f": column {col!r} is not numeric: {cell!r}"
+    return None
