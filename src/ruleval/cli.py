@@ -90,12 +90,18 @@ def _is_numbers(value) -> bool:
     return isinstance(value, list) and all(map(_is_number, value))
 
 
+def _is_matrix(value) -> bool:
+    """Whether a JSON value is a list of equal-length lists of numbers."""
+    return (isinstance(value, list) and all(map(_is_numbers, value))
+            and len({len(row) for row in value}) <= 1)
+
+
 _JSON_KINDS = {
     "an integer": _is_int,
     "a number": _is_number,
     "a number or null": lambda v: v is None or _is_number(v),
     "a list of numbers": _is_numbers,
-    "a list of lists of numbers": lambda v: isinstance(v, list) and all(map(_is_numbers, v)),
+    "a list of equal-length lists of numbers": _is_matrix,
     "a list of strings": lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
 }
 
@@ -154,7 +160,7 @@ def _parse_model(obj: dict, where: str) -> EffectModel:
         required = {"effect_cov", "noise_cov", "units_per_arm"}
         _check_keys(obj, required | {"num_experiments", "num_folds"}, required, where)
         matrices = {
-            key: np.array(_typed(obj, key, "a list of lists of numbers", where), dtype=float)
+            key: _typed(obj, key, "a list of equal-length lists of numbers", where)
             for key in ("effect_cov", "noise_cov")
         }
     else:
@@ -174,7 +180,9 @@ def _parse_model(obj: dict, where: str) -> EffectModel:
     }
     try:
         if explicit:
-            return EffectModel(**matrices, **sizes)
+            return EffectModel(
+                **{key: np.array(m, dtype=float) for key, m in matrices.items()}, **sizes
+            )
         return EffectModel.from_correlations(**scales, **sizes)
     except (TypeError, ValueError) as err:
         raise ConfigError(f"{where}: {err}") from err

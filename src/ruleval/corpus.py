@@ -142,15 +142,19 @@ def _bulk_columns(fh, num_metrics: int):
     ``_sorted_columns`` of them, or None when the parser rejects a row (a
     ragged or whitespace-only one, a cell it cannot convert) or a check
     fails.  Its cells are the ones ``csv.reader`` splits, and every number
-    it accepts converts as ``int`` or ``float`` converts it."""
+    it accepts converts as ``int`` or ``float`` converts it.  Some NumPy
+    releases from 1.23 on read an ``arm`` cell such as ``1.5`` as a float,
+    truncate it and emit a DeprecationWarning: that warning is raised as
+    an error here, so the walk rejects the cell as ``int`` does."""
     row = np.dtype([("id", object), ("arm", np.int64), ("unit", object),
                     ("values", float, (num_metrics,))])
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # no rows: the walk says so
+            warnings.simplefilter("error", DeprecationWarning)
             table = np.loadtxt(fh, dtype=row, delimiter=",", quotechar='"',
                                comments=None, ndmin=1)
-    except ValueError:
+    except (ValueError, DeprecationWarning):
         return None
     if not len(table):
         return None

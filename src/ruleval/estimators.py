@@ -38,7 +38,7 @@ being the natural readout for "total return across the program".
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
@@ -51,16 +51,13 @@ from .experiments import (
     ExperimentData,
     FoldAssignment,
     RewardSpec,
-    _fold_name,
     arm_sums,
     blend_values,
     decide_kept,
+    fault_error,
+    fold_decisions,
     fold_permutations,
-    fold_stats,
-    missing_fallback_error,
     sample_variance,
-    short_arm_error,
-    short_experiments,
     stack_arms,
     stacked_product,
 )
@@ -176,17 +173,13 @@ def _fold_table(
     ``fold_stats`` takes them.  Fold t's decision sees every unit of the
     experiment outside it; its reward is the mean reward of the chosen
     arm's units in fold t.  The full-data decision sees every unit and is
-    rewarded on all of the chosen arm's units.  Per rule, one kernel call
-    per arm count decides every fold and the full data of all experiments
-    with that many arms.  Faults are reported as a loop over experiments,
-    then rules, would meet them, for the first experiment with one: an arm
-    left with too few units (DegenerateFoldError, or DegenerateArmError on
-    the full data), a gated rule's missing fallback arm (ValueError), a
-    fold without units of the chosen arm (DegenerateFoldError).
+    rewarded on all of the chosen arm's units.  ``fold_decisions`` makes
+    the decisions; the error raised is that of the first experiment with a
+    fault, for the first rule with one, as a loop over experiments, then
+    rules, would meet it.
     """
     num_exps, total = len(stack.ids), sum(fold_counts)
-    first_arm, num_arms = stack.first_arm[:-1], np.diff(stack.first_arm)
-    groups = [(k, np.flatnonzero(num_arms == k)) for k in np.unique(num_arms)]
+    first_arm = stack.first_arm[:-1]
     rewards = stacked_product(stack, reward.weights(stack.units.shape[1]))
     full_rewards = arm_sums(stack, rewards) / stack.sizes
     if total:
@@ -195,54 +188,22 @@ def _fold_table(
         ).reshape(-1, total)
     fold = np.arange(total)
     out = np.empty((len(rules), num_exps, total + 1))
-    faults = np.zeros((len(rules), num_exps), dtype=int)  # first failing check
+    faults = np.zeros((len(rules), num_exps), dtype=int)
     picks = []
-    # An arm left with too few units divides by zero; it is reported below.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for r, rule in enumerate(rules):
-            counts, sums, variances = fold_stats(stack, rule, bins, fold_counts)
-            chosen = np.empty((num_exps, total + 1), dtype=np.intp)
-            for k, group in groups:
-                arms = first_arm[group, None] + np.arange(k)
-                # Short of its fallback arm, a gated rule decides with
-                # fallback arm 1, which it picks exactly when no arm passes.
-                group_rule = rule
-                if rule.gate != "none" and rule.fallback_arm > k:
-                    group_rule = replace(rule, fallback_arm=1)
-                chosen[group] = decide_kept(
-                    counts[arms].swapaxes(1, 2),
-                    sums[arms].swapaxes(1, 2),
-                    None if variances is None else variances[arms].swapaxes(1, 2),
-                    group_rule,
-                    stack.ids[group[0]],
-                )
-                if group_rule is not rule:
-                    faults[r, group] = 2 * (chosen[group] == 1).any(axis=1)
-            arm = first_arm[:, None] + chosen - 1
-            out[r, :, total] = full_rewards[arm[:, total]]
-            if total:
-                held = counts[arm[:, :total], total] - counts[arm[:, :total], fold]
+    for r, rule in enumerate(rules):
+        counts, chosen, faults[r] = fold_decisions(stack, rule, bins, fold_counts)
+        arm = first_arm[:, None] + chosen - 1
+        out[r, :, total] = full_rewards[arm[:, total]]
+        if total:
+            held = counts[arm[:, :total], total] - counts[arm[:, :total], fold]
+            with np.errstate(divide="ignore", invalid="ignore"):  # EMPTY_FOLD
                 out[r, :, :total] = held_rewards[arm[:, :total], fold] / held
-                faults[r, (faults[r] == 0) & (held == 0).any(axis=1)] = 3
-            faults[r, short_experiments(stack, counts, 1 + (rule.gate != "none"))] = 1
-            picks.append(chosen)
+        picks.append((counts, chosen))
     bad = np.flatnonzero(faults.any(axis=0))
     if bad.size:
         i = bad[0]
         r = np.flatnonzero(faults[:, i])[0]
-        if faults[r, i] == 1:
-            raise short_arm_error(
-                stack, counts, 1 + (rules[r].gate != "none"), i, fold_counts
-            )
-        if faults[r, i] == 2:
-            raise missing_fallback_error(rules[r], stack.ids[i])
-        chosen = picks[r][i, :total]
-        arm = first_arm[i] + chosen - 1
-        t = np.flatnonzero(counts[arm, total] == counts[arm, fold])[0]
-        raise DegenerateFoldError(
-            f"experiment {stack.ids[i]!r}: {_fold_name(fold_counts, t)} "
-            f"contains no units of the chosen arm {chosen[t]}"
-        )
+        raise fault_error(stack, *picks[r], rules[r], fold_counts, i, faults[r, i])
     return out
 
 

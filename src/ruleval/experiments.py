@@ -17,13 +17,17 @@ list of experiments at once, stacked into one array by ``stack_arms``: one
 bincount over a global (arm, fold) bin gives every held-out fold's sums of
 every column, which are subtracted from the arm totals, followed by the
 full data.  Each sum adds the numbers a one-experiment computation adds, in
-its order, so no result depends on what else is in the batch.  ``decide``
-and ``significance_set`` are its one-experiment, no-fold calls.
+its order, so no result depends on what else is in the batch.
+``fold_decisions`` decides them all, one kernel call per arm count, and
+finds each experiment's first fault.  ``decide`` and ``significance_set``
+are one-experiment, no-fold calls of ``fold_stats`` with the same
+short-arm check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from itertools import accumulate
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -33,7 +37,6 @@ from .streams import substream
 
 __all__ = [
     "ArmData",
-    "ArmStack",
     "DecisionRule",
     "DegenerateArmError",
     "DegenerateFoldError",
@@ -48,7 +51,6 @@ __all__ = [
     "fold_stats",
     "sample_variance",
     "significance_set",
-    "stack_arms",
 ]
 
 
@@ -329,12 +331,12 @@ class ArmStack(NamedTuple):
 def stack_arms(exps: Sequence[ExperimentData]) -> ArmStack:
     """Stack the arms of one or more experiments that share a metric count."""
     units = [arm.units for exp in exps for arm in exp.arms]
-    sizes = np.array([u.shape[0] for u in units])
+    sizes = [len(u) for u in units]
     return ArmStack(
         units=np.concatenate(units),
-        sizes=sizes,
-        starts=np.concatenate(([0], np.cumsum(sizes))),
-        first_arm=np.cumsum([0] + [exp.num_arms for exp in exps]),
+        sizes=np.array(sizes),
+        starts=np.array([0, *accumulate(sizes)]),
+        first_arm=np.array([0, *accumulate(exp.num_arms for exp in exps)]),
         ids=tuple(exp.experiment_id for exp in exps),
     )
 
@@ -358,13 +360,11 @@ def arm_sums(stack: ArmStack, columns: np.ndarray) -> np.ndarray:
     gathered into one contiguous block and summed together.
     """
     sizes = stack.sizes
-    if (sizes == sizes[0]).all():  # one block, already contiguous
-        return columns.reshape(columns.shape[:-1] + (len(sizes), sizes[0])).sum(axis=-1)
     out = np.empty(columns.shape[:-1] + sizes.shape)
-    for m in np.unique(sizes):
-        arms = np.flatnonzero(sizes == m)
+    for m in set(sizes.tolist()):
+        arms = (sizes == m).nonzero()[0]
         rows = stack.starts[arms, None] + np.arange(m)
-        out[..., arms] = np.take(columns, rows, axis=-1).sum(axis=-1)
+        out[..., arms] = np.add.reduce(np.take(columns, rows, axis=-1), axis=-1)
     return out
 
 
@@ -507,8 +507,8 @@ def fold_stats(
     outside fold t, the last column keeps every unit.  One bincount gives
     every fold's held-out sums of every column, which are subtracted from
     the arm totals; with no fold count only the totals are formed.  Counts
-    are not checked here: ``short_experiments`` finds the arms left with
-    too few units, whose variances divide by zero.
+    are not checked here: an arm left with too few units gets a variance
+    divided by zero, and ``fold_decisions`` reports it.
     """
     values = stacked_blend_values(stack, rule)
     blends = values.shape[1]
@@ -529,31 +529,97 @@ def fold_stats(
         held_sums = held_sums.reshape(width, num_arms, total)
         sums = np.concatenate([totals[..., None] - held_sums, totals[..., None]], axis=2)
         sums = sums.transpose(1, 2, 0)
-    variances = (
-        sample_variance(counts, sums[..., :blends], sums[..., blends:])
-        if gated else None
-    )
+    variances = None
+    if gated:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            variances = sample_variance(counts, sums[..., :blends], sums[..., blends:])
     return counts, sums[..., :blends], variances
 
 
-def short_experiments(stack: ArmStack, counts: np.ndarray, min_units: int) -> np.ndarray:
+SHORT_ARM, NO_FALLBACK, EMPTY_FOLD = 1, 2, 3
+
+
+def _short(stack: ArmStack, counts: np.ndarray, rule: DecisionRule) -> np.ndarray:
     """(experiments,) whether a fold or the full data leaves an arm of the
-    experiment with fewer than ``min_units`` kept units (``fold_stats``
-    counts)."""
-    return np.logical_or.reduceat((counts < min_units).any(axis=1), stack.first_arm[:-1])
+    experiment with fewer kept units (``fold_stats`` counts) than the rule
+    needs: one, two under a gate."""
+    short = (counts < 1 + (rule.gate != "none")).any(axis=1)
+    return np.logical_or.reduceat(short, stack.first_arm[:-1])
 
 
-def short_arm_error(
+def fold_decisions(
+    stack: ArmStack,
+    rule: DecisionRule,
+    bins: np.ndarray | None,
+    fold_counts: tuple[int, ...],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rule's decision on every held-out fold, then on the full data,
+    of every stacked experiment: one ``decide_kept`` call per arm count.
+
+    ``bins`` and ``fold_counts`` are as ``fold_stats`` takes them.  Returns
+    each arm's kept counts (arms, total + 1) from ``fold_stats``, the chosen
+    1-based arm per experiment (experiments, total + 1), and per experiment
+    the code of its first fault (0 for none), in the order a one-experiment
+    computation meets them: SHORT_ARM, an arm left with too few units;
+    NO_FALLBACK, no arm passes a gated rule that lacks its fallback arm;
+    EMPTY_FOLD, a held-out fold has no unit of the arm chosen without it.
+    ``fault_error`` gives each one's error.
+    """
+    counts, sums, variances = fold_stats(stack, rule, bins, fold_counts)
+    first_arm, num_arms = stack.first_arm[:-1], np.diff(stack.first_arm)
+    total = sum(fold_counts)
+    chosen = np.empty((len(stack.ids), total + 1), dtype=np.intp)
+    faults = np.zeros(len(stack.ids), dtype=int)
+    for k in set(num_arms.tolist()):
+        group = np.flatnonzero(num_arms == k)
+        arms = first_arm[group, None] + np.arange(k)
+        # Short of its fallback arm, a gated rule decides with fallback
+        # arm 1, which it picks exactly when no arm passes.
+        group_rule = rule
+        if rule.gate != "none" and rule.fallback_arm > k:
+            group_rule = replace(rule, fallback_arm=1)
+        with np.errstate(divide="ignore", invalid="ignore"):  # SHORT_ARM
+            chosen[group] = decide_kept(
+                counts[arms].swapaxes(1, 2),
+                sums[arms].swapaxes(1, 2),
+                None if variances is None else variances[arms].swapaxes(1, 2),
+                group_rule,
+                stack.ids[group[0]],
+            )
+        if group_rule is not rule:
+            faults[group] = NO_FALLBACK * (chosen[group] == 1).any(axis=1)
+    if total:
+        arm = first_arm[:, None] + chosen[:, :total] - 1
+        empty = (counts[arm, total] == counts[arm, np.arange(total)]).any(axis=1)
+        faults[(faults == 0) & empty] = EMPTY_FOLD
+    faults[_short(stack, counts, rule)] = SHORT_ARM
+    return counts, chosen, faults
+
+
+def fault_error(
     stack: ArmStack,
     counts: np.ndarray,
-    min_units: int,
-    i: int,
+    chosen: np.ndarray | None,
+    rule: DecisionRule,
     fold_counts: tuple[int, ...],
+    i: int,
+    fault: int,
 ) -> ValueError:
-    """The error for experiment i's first arm left too short, in (fold, arm)
-    order: DegenerateFoldError for a held-out fold, DegenerateArmError for
-    the full data, which silent skips would turn into a biased estimate."""
+    """The error for experiment i's ``fold_decisions`` fault.  A short arm
+    is the first in (fold, arm) order: DegenerateFoldError for a held-out
+    fold, DegenerateArmError for the full data, which silent skips would
+    turn into a biased estimate."""
     exp_id = stack.ids[i]
+    if fault == NO_FALLBACK:
+        return missing_fallback_error(rule, exp_id)
+    if fault == EMPTY_FOLD:
+        arm = stack.first_arm[i] + chosen[i, :-1] - 1
+        t = np.flatnonzero(counts[arm, -1] == counts[arm, np.arange(len(arm))])[0]
+        return DegenerateFoldError(
+            f"experiment {exp_id!r}: {_fold_name(fold_counts, t)} "
+            f"contains no units of the chosen arm {chosen[i, t]}"
+        )
+    min_units = 1 + (rule.gate != "none")
     kept = counts[stack.first_arm[i] : stack.first_arm[i + 1]].T
     t, k = np.argwhere(kept < min_units)[0]
     if t == len(kept) - 1:
@@ -570,14 +636,15 @@ def short_arm_error(
 def _full_data_stats(
     exp: ExperimentData, rule: DecisionRule
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """``decide_kept`` inputs of one experiment's full data, (1, K) counts
-    and (1, K, B) sums and variances.  A gated rule on an arm of one unit
-    raises DegenerateArmError."""
+    """``decide_kept`` inputs of one experiment's full data from
+    ``fold_stats``, (1, K) counts and (1, K, B) sums and variances, after
+    the SHORT_ARM check ``fold_decisions`` makes: a gated rule on an arm of
+    one unit raises DegenerateArmError.  A missing fallback arm, the next
+    fault in that order, is raised by ``decide_kept``."""
     stack = stack_arms([exp])
-    min_units = 1 + (rule.gate != "none")
-    if stack.sizes.min() < min_units:
-        raise short_arm_error(stack, stack.sizes[:, None], min_units, 0, ())
     counts, sums, variances = fold_stats(stack, rule, None, ())
+    if _short(stack, counts, rule)[0]:
+        raise fault_error(stack, counts, None, rule, (), 0, SHORT_ARM)
     return (counts.T, sums.swapaxes(0, 1),
             None if variances is None else variances.swapaxes(0, 1))
 

@@ -384,6 +384,26 @@ def test_cli_simulate_rejects_mistyped_config_values(tmp_path, capsys, path, val
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key", ["effect_cov", "noise_cov"])
+def test_cli_simulate_rejects_a_ragged_covariance(tmp_path, capsys, key):
+    model = {
+        "effect_cov": [[0.25, 0.1], [0.1, 0.64]],
+        "noise_cov": [[1.0, -0.2], [-0.2, 2.25]],
+        "units_per_arm": 30,
+        "num_experiments": 10,
+    }
+    cfg_path = tmp_path / "config.json"
+    write(cfg_path, json.dumps({"model": model, "num_replications": 20}))
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(cfg_path), "--out-dir", str(out)]) == 0
+    model[key] = [[1.0, 0.0], [0.0]]
+    write(cfg_path, json.dumps({"model": model, "num_replications": 20}))
+    out = tmp_path / "p"
+    assert main(["simulate", "--config", str(cfg_path), "--out-dir", str(out)]) == 1
+    assert f"simulate config.model.{key}: must be " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_make_corpus_then_evaluate(tmp_path):
     corpus_path = tmp_path / "corpus.csv"
     assert main(

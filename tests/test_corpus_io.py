@@ -2,8 +2,10 @@
 quoting, the bulk parser's handling of layout and faults, and a
 differential test of the parser against the ``csv.reader`` one it replaced."""
 
+import io
 import os
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -159,6 +161,27 @@ def test_ingest_reports_the_first_fault_in_file_order(tmp_path):
     write(path, "experiment_id,arm,unit_id,m1\ne,1,u1,1\ne,1.5,u2,2\n")
     with pytest.raises(CorpusFormatError, match=r"line 3: column 'arm' must be a positive"):
         ingest_csv(str(path))
+
+
+def test_ingest_rejects_an_arm_that_numpy_truncates_with_a_warning(tmp_path, monkeypatch):
+    """Some NumPy releases parse an integer cell such as 1.5 as a float,
+    truncate it and emit a DeprecationWarning.  With warnings ignored, as
+    the command line runs, the walk must still reject the cell."""
+    path = tmp_path / "c.csv"
+    write(path, "experiment_id,arm,unit_id,m1\ne,1,u1,1\ne,1.5,u2,2\n")
+    loadtxt = np.loadtxt
+
+    def truncating_loadtxt(fh, dtype, **kwargs):
+        text = fh.read().replace("1.5", "1")
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                      DeprecationWarning)
+        return loadtxt(io.StringIO(text), dtype=dtype, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", truncating_loadtxt)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(CorpusFormatError, match=r"line 3: column 'arm' must be a positive"):
+            ingest_csv(str(path))
 
 
 # ---------------------------------------------------------------------------

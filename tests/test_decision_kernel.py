@@ -33,7 +33,7 @@ from ruleval import (
     naive_reward,
     significance_set,
 )
-from ruleval import estimators
+from ruleval import estimators, experiments
 from ruleval.estimators import subset_rewards
 from ruleval.experiments import blend_values
 
@@ -44,20 +44,21 @@ COEFFICIENTS = (-1.0, 0.0, 0.5, 1.0, 2.0)  # dyadic: integer data stays exact
 
 @contextmanager
 def kernel_decisions():
-    """Record every array of decisions the estimators get from the kernel."""
+    """Record every array of decisions the estimators get from the kernel,
+    called by ``subset_rewards`` or by ``experiments.fold_decisions``."""
     seen = []
-    original = estimators.decide_kept
+    original = experiments.decide_kept
 
     def spy(*args, **kwargs):
         chosen = original(*args, **kwargs)
         seen.append(chosen.copy())
         return chosen
 
-    estimators.decide_kept = spy
+    estimators.decide_kept = experiments.decide_kept = spy
     try:
         yield seen
     finally:
-        estimators.decide_kept = original
+        estimators.decide_kept = experiments.decide_kept = original
 
 
 @st.composite

@@ -28,6 +28,7 @@ from ruleval.estimators import (
     bootstrap_aggregates,
     percentile_interval,
 )
+from ruleval.experiments import fold_permutations
 from ruleval.streams import substream
 import unit_oracle as oracle
 
@@ -271,6 +272,30 @@ def test_corpus_pass_names_the_first_fault_as_the_per_experiment_loop():
                 k for k in ("fallback", "removing", "contains no units", "significance gate")
                 if k in got[1]))
     assert kinds == {"ok", "fallback", "removing", "contains no units", "significance gate"}
+
+
+def test_a_missing_fallback_arm_is_named_before_an_empty_fold():
+    # On the full data arm 2 (all 1) does not beat arm 1 (0, 0, 0, 10), and
+    # the rule lacks its fallback arm 3.  Holding out the 10, in a fold
+    # without units of arm 2, lets arm 2 pass there: the fold is empty of
+    # the chosen arm, but the decisions, which meet the fallback first,
+    # already fail.
+    seed, fold_counts = 0, (5,)
+    probe = ExperimentData("e", (ArmData(1, np.zeros((4, 1))), ArmData(2, np.ones((3, 1)))))
+    perm = fold_permutations(probe, seed)[0]
+    arm1 = np.zeros((4, 1))
+    arm1[perm % 5 == 3] = 10.0  # fold 4 of 5, which arm 2's 3 units never reach
+    exp = ExperimentData("e", (ArmData(1, arm1), ArmData(2, np.ones((3, 1)))))
+    rule = DecisionRule(blend=[1.0], gate="significant-vs-reference", fallback_arm=3)
+    reward = RewardSpec.metric(1)
+    got = outcome(batch_rewards, [exp], [rule], reward, fold_counts, seed)
+    assert got == ("ValueError", "fallback arm 3 does not exist in experiment 'e'")
+    assert got == outcome(oracle.batch_rewards, [exp], [rule], reward, fold_counts, seed)
+    # With fallback arm 1 the same data fails on the empty fold instead.
+    arm1_rule = DecisionRule(blend=[1.0], gate="significant-vs-reference")
+    got = outcome(batch_rewards, [exp], [arm1_rule], reward, fold_counts, seed)
+    assert got[1] == "experiment 'e': fold 4 of 5 contains no units of the chosen arm 2"
+    assert got == outcome(oracle.batch_rewards, [exp], [arm1_rule], reward, fold_counts, seed)
 
 
 def test_cli_degenerate_fold_names_the_first_experiment_in_id_order(tmp_path, capsys):
