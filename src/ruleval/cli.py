@@ -468,6 +468,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         )
     replicates = _typed(obj, "bootstrap_replicates", "an integer", "evaluate rules", 1000)
     seed = _typed(obj, "seed", "an integer", "evaluate rules", 0)
+    if args.seed is not None:
+        seed = args.seed
     level = _typed(obj, "level", "a number", "evaluate rules", 0.95)
     rules = [
         _parse_rule(r, corpus.metric_names, f"evaluate rules.rules[{i}]")
@@ -483,7 +485,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         fold_counts=tuple(fold_counts),
         bootstrap_replicates=replicates,
         level=level,
-        seed=seed if args.seed is None else args.seed,
+        seed=seed,
         mode=obj.get("mode", "cumulative"),
         baseline=obj.get("baseline"),
     )
@@ -494,6 +496,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
             "corpus": os.path.basename(args.corpus),
             "rules": obj,
             "weights": os.path.basename(args.weights) if args.weights else None,
+            "seed": seed,
         },
         "version": __version__,
         "outputs": [os.path.basename(args.out)],

@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 __all__ = [
     "EffectModel",
@@ -39,6 +38,8 @@ __all__ = [
 
 _SYMMETRY_TOL = 1e-12
 _PSD_TOL = -1e-12
+_SQRT2 = math.sqrt(2.0)
+_LOG_SQRT_2PI = math.log(math.sqrt(2.0 * math.pi))
 
 
 def _check_cov(name: str, mat: np.ndarray) -> np.ndarray:
@@ -132,6 +133,29 @@ class EffectModel:
         return EffectModel(**fields)
 
 
+def _log_ndtr(x: float) -> float:
+    """log Phi(x) for the standard normal CDF Phi.
+
+    ``erfc`` gives Phi(x) without cancellation for x <= 0 and 1 - Phi(x)
+    for x > 0.  Below -20, where SciPy's ``log_ndtr`` also switches, the
+    asymptotic series log phi(x) - log(-x) + log(1 - 1/x^2 + 3/x^4 - ...)
+    keeps the result finite where Phi(x) underflows; eleven terms reach
+    double precision for x^2 >= 400.
+    """
+    if x > 0:
+        return math.log1p(-0.5 * math.erfc(x / _SQRT2))
+    if x > -20:
+        return math.log(0.5 * math.erfc(-x / _SQRT2))
+    inv_x2 = 1.0 / (x * x)
+    series = term = 1.0
+    for k in range(1, 12):
+        term *= -(2 * k - 1) * inv_x2
+        series += term
+    # log phi(x) is formed as ``mills_conditional`` forms it, so the two
+    # cancel exactly in the hazard.
+    return -x * x / 2.0 - _LOG_SQRT_2PI + math.log(series / -x)
+
+
 def mills_conditional(
     mu_a: float, sigma_ab: float, mu_b: float, sigma_b: float
 ) -> float:
@@ -145,8 +169,8 @@ def mills_conditional(
     if not sigma_b > 0:
         raise ValueError(f"sigma_b must be > 0, got {sigma_b}")
     z = -mu_b / sigma_b
-    log_pdf = -z * z / 2.0 - math.log(math.sqrt(2.0 * math.pi))
-    hazard = float(np.exp(log_pdf - special.log_ndtr(-z)))
+    log_pdf = -z * z / 2.0 - _LOG_SQRT_2PI
+    hazard = float(np.exp(log_pdf - _log_ndtr(-z)))
     return float(mu_a + (sigma_ab / sigma_b) * hazard)
 
 

@@ -81,9 +81,10 @@ def ingest_csv(path: str, weights_path: str | None = None) -> ExperimentCorpus:
     are checked in bulk.  When it rejects a row or a check fails, the rows
     are walked one by one with ``csv.reader``, ``int`` and ``float``: the
     walk names the first fault, or parses the file when only Python's
-    number syntax accepts a cell (such as ``1_000``).
+    number syntax accepts a cell (such as ``1_000``).  A leading UTF-8
+    byte-order mark, in the corpus or the weight file, is skipped.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         header = next(csv.reader(fh), None)
         if header is None:
             raise CorpusFormatError(f"{path}: file is empty, header required")
@@ -172,7 +173,7 @@ def _walk_rows(path: str, header: list[str]):
     file order, else return them parsed as ``_sorted_columns`` does."""
     seen: set[tuple[str, int, str]] = set()
     rows = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         next(reader)
         for line_no, row in enumerate(reader, start=2):
@@ -227,7 +228,7 @@ def _row_fault(row: list[str], header: list[str], seen: set) -> str | None:
 
 def _read_weights(path: str, known_ids: set[str]) -> dict[str, float]:
     weights: dict[str, float] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         header = [h.strip() for h in next(reader, [])]
         if header != ["experiment_id", "weight"]:

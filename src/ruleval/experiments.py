@@ -28,10 +28,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from itertools import accumulate
+from statistics import NormalDist
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy import special
 
 from .streams import substream
 
@@ -411,16 +411,26 @@ def _first_argmax(score: np.ndarray) -> np.ndarray:
     return chosen
 
 
+def _critical_value(rule: DecisionRule) -> float:
+    """The z threshold of the rule's gate: the standard normal quantile
+    above which ``gate_alpha`` of the mass lies, ``gate_alpha / 2`` for a
+    two-sided gate."""
+    two_sided = rule.gate_sides == "two-sided"
+    return -NormalDist().inv_cdf(rule.gate_alpha / 2.0 if two_sided else rule.gate_alpha)
+
+
 def _gate_mask(
     counts: np.ndarray, sums: np.ndarray, variances: np.ndarray, rule: DecisionRule
 ) -> np.ndarray:
     """(..., K) mask of arms whose gate blends beat the reference arm.
 
     Two-sample z-test with unpooled standard errors from the per-unit
-    variances; arm 0 (the reference arm) is always False.
+    variances; arm 0 (the reference arm) is always False.  ``counts`` is
+    broadcast to its full arm axis first, so a (..., 1) or scalar count
+    pairs with every arm's variance.
     """
     cols = slice(0, 1) if rule.gate_metrics is None else slice(1, None)
-    n = counts[..., None]
+    n = np.broadcast_to(counts, np.shape(counts)[:-1] + sums.shape[-2:-1])[..., None]
     means = sums[..., cols] / n
     se2 = variances[..., cols] / n
     diff = means[..., 1:, :] - means[..., :1, :]
@@ -429,9 +439,8 @@ def _gate_mask(
             diff == 0.0, 0.0, diff / np.sqrt(se2[..., 1:, :] + se2[..., :1, :])
         )
     if rule.gate_sides == "two-sided":
-        passed = np.abs(z) > -special.ndtri(rule.gate_alpha / 2.0)
-    else:
-        passed = z > -special.ndtri(rule.gate_alpha)
+        z = np.abs(z)
+    passed = z > _critical_value(rule)
     passed = passed.all(axis=-1) if rule.gate_combine == "all" else passed.any(axis=-1)
     mask = np.zeros(passed.shape[:-1] + (passed.shape[-1] + 1,), dtype=bool)
     mask[..., 1:] = passed

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -196,6 +195,9 @@ def _ordered_parallel_map(fn, jobs: list) -> list:
     degree = parallelism_degree()
     if degree == 1 or len(jobs) <= 1:
         return [fn(job) for job in jobs]
+    # Imported here: it loads logging and queue, which a serial run never needs.
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=degree) as pool:
         return list(pool.map(fn, jobs))
 
@@ -289,8 +291,10 @@ def _simulate_estimates(
     fold_sums = root[:, None] * (1.0 - np.eye(num_folds, num_folds + 1))
     effect_units = np.append(m - sizes, m).astype(float)
     weights = sizes / m
-    # Both arms' kept unit counts: per held-out fold, then the full data.
-    counts = np.repeat(effect_units[:, None], 2, axis=1)  # (P + 1, 2)
+    # Both arms' kept unit count: per held-out fold, then the full data.
+    # One column that broadcasts over the arms keeps the score's divide on
+    # the strides of the transposed ``sums`` view below.
+    counts = effect_units[:, None]  # (P + 1, 1)
 
     tau = rng.standard_normal((n, n_metrics)) @ effect_chol.T
     effects = (tau @ directions).T  # (D, n)

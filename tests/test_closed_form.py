@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
 from ruleval import (
     EffectModel,
@@ -94,6 +95,34 @@ def test_mills_stable_for_deeply_negative_means():
     got = mills_conditional(0.0, 1.0, -40.0, 1.0)
     assert np.isfinite(got)
     assert got == pytest.approx(40.0, rel=1e-2)  # hazard(z) ~ z for large z
+
+
+def scipy_mills(mu_a, sigma_ab, mu_b, sigma_b):
+    """``mills_conditional`` written on ``scipy.special.log_ndtr``."""
+    z = -mu_b / sigma_b
+    log_pdf = -z * z / 2.0 - math.log(math.sqrt(2.0 * math.pi))
+    return float(mu_a + (sigma_ab / sigma_b) * float(np.exp(log_pdf - special.log_ndtr(-z))))
+
+
+def test_mills_hazard_matches_scipy_log_ndtr():
+    # The grid crosses both branch points of the log CDF, z = 0 and z = 20,
+    # and runs deep into the asymptotic series on either side.
+    zs = np.linspace(-35.0, 60.0, 19001)
+    got = np.array([mills_conditional(0.0, 1.0, -z, 1.0) for z in zs.tolist()])
+    want = np.array([scipy_mills(0.0, 1.0, -z, 1.0) for z in zs.tolist()])
+    rel = np.abs(got - want) / np.abs(want)
+    assert rel.max() <= 1e-12, zs[rel.argmax()]
+
+
+@pytest.mark.parametrize("mu_a, sigma_ab, sigma_b", [
+    (0.0, 0.3, 2.0), (1.7, -0.4, 0.05), (-2.0, 1e-6, 3e3), (0.0, 1e-8, 0.0141),
+])
+def test_mills_at_zero_mean_is_exactly_the_scipy_form(mu_a, sigma_ab, sigma_b):
+    # Every closed form conditions on a zero-mean proxy, so their outputs
+    # keep their bytes.
+    assert mills_conditional(mu_a, sigma_ab, 0.0, sigma_b) == scipy_mills(
+        mu_a, sigma_ab, 0.0, sigma_b
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from ruleval import (
 import unit_oracle as oracle
 
 SPECIAL = [-0.0, 5e-324, 1e22, 0.1, 1e-5]
+BOM = "\ufeff"  # a UTF-8 byte-order mark
 
 
 def write(path, text, newline="\n"):
@@ -143,6 +144,27 @@ def test_ingest_fault_on_line_three_names_line_and_column(tmp_path, line3, messa
     write(path, f"experiment_id,arm,unit_id,m1,m2\ne,1,u1,1.0,2.0\n{line3}\ne,2,u2,3,4\n")
     with pytest.raises(CorpusFormatError, match=message):
         ingest_csv(str(path))
+
+
+def test_ingest_skips_a_byte_order_mark(tmp_path):
+    corpus = three_arm_corpus()
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    write_corpus_csv(corpus, str(plain))
+    marked.write_bytes(BOM.encode("utf-8") + plain.read_bytes())
+    write(tmp_path / "w.csv", "experiment_id,weight\ne1,2.5\n")
+    write(tmp_path / "w_marked.csv", BOM + "experiment_id,weight\ne1,2.5\n")
+    for weights in (None, "w"):
+        want = ingest_csv(str(plain), weights and str(tmp_path / f"{weights}.csv"))
+        got = ingest_csv(str(marked), weights and str(tmp_path / f"{weights}_marked.csv"))
+        assert_same_corpus(got, want)
+    assert want.experiments[1].weight == 2.5
+    # A fault keeps its line and column.
+    write(tmp_path / "w_marked.csv", BOM + "experiment_id,weight\ne0,1\ne1,-1\n")
+    with pytest.raises(CorpusFormatError, match=r"line 3: column 'weight' must be nonneg"):
+        ingest_csv(str(marked), str(tmp_path / "w_marked.csv"))
+    write(marked, BOM + "experiment_id,arm,unit_id,m1,m2\ne,1,u1,1.0,2.0\ne,2,u1,1.0,x\n")
+    with pytest.raises(CorpusFormatError, match=r"line 3: column 'm2' is not numeric: 'x'"):
+        ingest_csv(str(marked))
 
 
 def test_ingest_reports_the_first_fault_in_file_order(tmp_path):

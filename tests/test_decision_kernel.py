@@ -16,8 +16,10 @@ from contextlib import contextmanager
 from itertools import combinations
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 import unit_oracle as oracle
 from ruleval import (
@@ -35,7 +37,7 @@ from ruleval import (
 )
 from ruleval import estimators, experiments
 from ruleval.estimators import subset_rewards
-from ruleval.experiments import blend_values
+from ruleval.experiments import _critical_value, blend_values
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True)
 REL = 1e-12
@@ -221,3 +223,43 @@ def test_subsets_producer_scores_each_experiment_of_a_batch(
         ]
         assert got[i].tolist() == want
         assert got[i].sum() == oracle.leave_l_out_sum(exp, rule, w, leave_out)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("variance_shape", ["per column", "per subset"])
+@pytest.mark.parametrize("gate", [
+    dict(gate="none"),
+    dict(gate="significant-vs-reference", gate_alpha=0.2),
+    dict(gate="significant-vs-reference", gate_alpha=0.1, gate_sides="two-sided"),
+])
+def test_kernel_counts_broadcast_over_arms(k, variance_shape, gate):
+    # Arms with one kept size may share a count: (S, K), (S, 1) and scalar
+    # counts give the same choices, whatever shape the variances take.
+    rng = np.random.default_rng(k)
+    sums = rng.normal(0.0, 12.0, size=(500, k, 1))
+    variances = (np.ones(1) if variance_shape == "per column"
+                 else rng.uniform(0.5, 2.0, size=sums.shape))
+    rule = DecisionRule(blend=[1.0], **gate)
+    want = experiments.decide_kept(np.full((500, k), 10.0), sums, variances, rule, "e")
+    for counts in (np.full((500, 1), 10.0), 10.0, np.float64(10.0), np.full(k, 10.0)):
+        got = experiments.decide_kept(counts, sums, variances, rule, "e")
+        assert np.array_equal(got, want), counts
+    # Every arm is chosen, arm 1 under a gate as the fallback.
+    assert set(want.tolist()) == set(range(1, k + 1))
+    two = experiments.decide_kept(np.array([[10.0]]), np.array([[[0.0], [100.0]]]),
+                                  np.ones(1), rule, "e")
+    assert two.tolist() == [2]
+
+
+def test_gate_critical_value_within_8_ulp_of_scipy():
+    alphas = np.concatenate([np.geomspace(1e-12, 1e-3, 4000, endpoint=False),
+                             np.linspace(1e-3, 0.45, 16000)])
+    for sides, level in (("one-sided-greater", alphas), ("two-sided", alphas / 2.0)):
+        got = np.array([
+            _critical_value(DecisionRule(blend=[1.0], gate="significant-vs-reference",
+                                         gate_alpha=a, gate_sides=sides))
+            for a in alphas.tolist()
+        ])
+        want = -special.ndtri(level)
+        ulps = np.abs(got - want) / np.spacing(want)
+        assert ulps.max() <= 8, (sides, alphas[ulps.argmax()])

@@ -1,7 +1,11 @@
-"""Every name a module exports in ``__all__`` exists, once."""
+"""Every name a module exports in ``__all__`` exists, once, and the CLI's
+import graph stays small."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -21,3 +25,19 @@ def test_all_entries_resolve_without_duplicates(name):
     )
     missing = [e for e in exported if not hasattr(module, e)]
     assert not missing, missing
+
+
+def test_cli_import_loads_neither_scipy_nor_a_thread_pool():
+    # Every CLI call pays this import: SciPy alone would double it, and the
+    # thread pool (with logging and queue) serves only parallel runs.
+    code = (
+        "import sys, ruleval.cli; "
+        "print(' '.join(m for m in sys.modules "
+        "if m.split('.')[0] == 'scipy' or m.startswith('concurrent.futures')))"
+    )
+    src = os.path.dirname(os.path.dirname(ruleval.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == []
