@@ -67,15 +67,6 @@ class ConfigError(ValueError):
     """Invalid configuration file or flag combination."""
 
 
-def _check_keys(obj: dict, allowed: set[str], required: set[str], where: str) -> None:
-    unknown = set(obj) - allowed
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
-    missing = required - set(obj)
-    if missing:
-        raise ConfigError(f"{where}: missing required keys {sorted(missing)}")
-
-
 def _is_int(value) -> bool:
     """Whether a JSON value is an integer (JSON true/false are not)."""
     return isinstance(value, int) and not isinstance(value, bool)
@@ -100,23 +91,57 @@ _JSON_KINDS = {
     "an integer": _is_int,
     "a number": _is_number,
     "a number or null": lambda v: v is None or _is_number(v),
+    "a string": lambda v: isinstance(v, str),
+    "a string or null": lambda v: v is None or isinstance(v, str),
+    "an object": lambda v: isinstance(v, dict),
+    "an object or null": lambda v: v is None or isinstance(v, dict),
+    "an object of numbers": lambda v: isinstance(v, dict) and all(map(_is_number, v.values())),
+    "a list": lambda v: isinstance(v, list),
+    "a non-empty list": lambda v: isinstance(v, list) and len(v) > 0,
+    "a list of integers": lambda v: isinstance(v, list) and all(map(_is_int, v)),
     "a list of numbers": _is_numbers,
     "a list of equal-length lists of numbers": _is_matrix,
     "a list of strings": lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
 }
 
-
-def _typed(obj: dict, key: str, kind: str, where: str, default=None):
-    """``obj[key]``, or ``default`` when it is absent, after checking that
-    the JSON value is of ``kind`` (a key of ``_JSON_KINDS``)."""
-    if key not in obj:
-        return default
-    if not _JSON_KINDS[kind](obj[key]):
-        raise ConfigError(f"{where}.{key}: must be {kind}, got {obj[key]!r}")
-    return obj[key]
+# The default of a key that must be given.
+REQUIRED = object()
 
 
-def _load_json(path: str, where: str) -> dict:
+def _fields(obj, schema: dict[str, tuple[str, object]], where: str) -> dict:
+    """The value of every key of ``schema`` in the JSON object ``obj``, or
+    the key's default when it is absent.
+
+    ``schema`` maps each allowed key to its JSON kind (a key of
+    ``_JSON_KINDS``) and its default, or ``REQUIRED``.  A non-object, and
+    any unknown, missing or mistyped key, is a ``ConfigError`` that names
+    ``where`` and the key.
+    """
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where}: must be an object, got {obj!r}")
+    unknown = obj.keys() - schema.keys()
+    if unknown:
+        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+    missing = [key for key, (_, default) in schema.items()
+               if default is REQUIRED and key not in obj]
+    if missing:
+        raise ConfigError(f"{where}: missing required keys {sorted(missing)}")
+    for key, value in obj.items():
+        kind = schema[key][0]
+        if not _JSON_KINDS[kind](value):
+            raise ConfigError(f"{where}.{key}: must be {kind}, got {value!r}")
+    return {key: obj.get(key, default) for key, (_, default) in schema.items()}
+
+
+def _build(where: str, factory, /, **kwargs):
+    """``factory(**kwargs)``, with a rejected value reported at ``where``."""
+    try:
+        return factory(**kwargs)
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"{where}: {err}") from err
+
+
+def _load_json(path: str, where: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -124,142 +149,104 @@ def _load_json(path: str, where: str) -> dict:
         raise ConfigError(f"{where}: file not found: {path}")
     except json.JSONDecodeError as err:
         raise ConfigError(f"{where}: invalid JSON in {path}: {err}")
-    if not isinstance(data, dict):
-        raise ConfigError(f"{where}: top level must be an object")
     # A manifest written by this tool embeds the config under "config".
-    if "config" in data and "command" in data:
-        data = data["config"]
-        if not isinstance(data, dict):
-            raise ConfigError(f"{where}: manifest 'config' must be an object")
+    if isinstance(data, dict) and "config" in data and "command" in data:
+        return data["config"]
     return data
 
 
 # ---------------------------------------------------------------------------
-# model / rule / config parsing
+# config schemas and parsing
 
-
-_MODEL_KEYS = {
-    "effect_sd_y",
-    "effect_sd_proxy",
-    "effect_corr",
-    "noise_sd_y",
-    "noise_sd_proxy",
-    "noise_corr",
-    "units_per_arm",
-    "num_experiments",
-    "num_folds",
-    "effect_cov",
-    "noise_cov",
+_SIZES = {
+    "units_per_arm": ("an integer", REQUIRED),
+    "num_experiments": ("an integer", 100),
+    "num_folds": ("an integer", 10),
 }
+_SCALES = (
+    "effect_sd_y", "effect_sd_proxy", "effect_corr",
+    "noise_sd_y", "noise_sd_proxy", "noise_corr",
+)
+_SCALE_MODEL = {key: ("a number", REQUIRED) for key in _SCALES} | _SIZES
+_COVS = ("effect_cov", "noise_cov")
+_COV_MODEL = {key: ("a list of equal-length lists of numbers", REQUIRED) for key in _COVS} | _SIZES
+_SIM_CONFIG = {
+    "model": ("an object", None),
+    "size_mode": ("a string", "fixed"),
+    "m0": ("a number or null", None),
+    "num_replications": ("an integer", 1000),
+    "seed": ("an integer", 0),
+    "rule": ("an object", {"blend": [0.0, 1.0]}),
+    "estimators": ("a list of strings", ["true", "naive", "cv"]),
+    "sweep": ("an object or null", None),
+    "mode": ("a string", "cumulative"),
+}
+_SIM_RULE = {
+    "blend": ("a list of numbers", REQUIRED),
+    "gate": ("a string", "none"),
+    "gate_alpha": ("a number", 0.05),
+}
+_SWEEP = {"field": ("a string", REQUIRED), "grid": ("a list of numbers", REQUIRED)}
+_EVALUATE = {
+    "rules": ("a non-empty list", REQUIRED),
+    "reward": ("an object", REQUIRED),
+    "fold_counts": ("a list of integers", [2, 5, 10, 20]),
+    "bootstrap_replicates": ("an integer", 1000),
+    "level": ("a number", 0.95),
+    "seed": ("an integer", 0),
+    "mode": ("a string", "cumulative"),
+    "baseline": ("a string or null", None),
+}
+_EVALUATE_RULE = {
+    "name": ("a string", REQUIRED),
+    "blend": ("an object", REQUIRED),
+    "gate": ("a string", "none"),
+    "gate_alpha": ("a number", 0.05),
+    "gate_sides": ("a string", "one-sided-greater"),
+    "gate_metrics": ("a list", None),
+    "gate_combine": ("a string", "all"),
+    "fallback_arm": ("an integer", 1),
+}
+_BLEND = {"metric": ("a string", None), "coefficients": ("an object of numbers", None)}
 
 
-def _parse_model(obj: dict, where: str) -> EffectModel:
-    _check_keys(obj, _MODEL_KEYS, set(), where)
-    explicit = "effect_cov" in obj or "noise_cov" in obj
-    if explicit:
-        required = {"effect_cov", "noise_cov", "units_per_arm"}
-        _check_keys(obj, required | {"num_experiments", "num_folds"}, required, where)
-        matrices = {
-            key: _typed(obj, key, "a list of equal-length lists of numbers", where)
-            for key in ("effect_cov", "noise_cov")
-        }
-    else:
-        required = {
-            "effect_sd_y", "effect_sd_proxy", "effect_corr",
-            "noise_sd_y", "noise_sd_proxy", "noise_corr", "units_per_arm",
-        }
-        _check_keys(obj, _MODEL_KEYS, required, where)
-        scales = {
-            key: float(_typed(obj, key, "a number", where))
-            for key in sorted(required - {"units_per_arm"})
-        }
-    sizes = {
-        "units_per_arm": _typed(obj, "units_per_arm", "an integer", where),
-        "num_experiments": _typed(obj, "num_experiments", "an integer", where, 100),
-        "num_folds": _typed(obj, "num_folds", "an integer", where, 10),
-    }
-    try:
-        if explicit:
-            return EffectModel(
-                **{key: np.array(m, dtype=float) for key, m in matrices.items()}, **sizes
-            )
-        return EffectModel.from_correlations(**scales, **sizes)
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"{where}: {err}") from err
+def _parse_model(obj, where: str) -> EffectModel:
+    cov = isinstance(obj, dict) and not obj.keys().isdisjoint(_COVS)
+    model = _fields(obj, _COV_MODEL if cov else _SCALE_MODEL, where)
+    if cov:
+        arrays = {key: np.array(model[key], dtype=float) for key in _COVS}
+        return _build(where, EffectModel, **(model | arrays))
+    scales = {key: float(model[key]) for key in _SCALES}
+    return _build(where, EffectModel.from_correlations, **(model | scales))
 
 
-def _parse_sim_config(obj: dict, overrides: argparse.Namespace) -> SimulationConfig:
+def _parse_sim_config(obj, overrides: argparse.Namespace) -> SimulationConfig:
     where = "simulate config"
-    allowed = {
-        "model", "size_mode", "m0", "num_replications", "seed", "rule",
-        "estimators", "sweep", "mode",
-    }
-    _check_keys(obj, allowed, set(), where)
-    model = _parse_model(obj["model"], f"{where}.model") if "model" in obj \
-        else DEFAULT_MODEL
-    rule = DecisionRule(blend=[0.0, 1.0])
-    if "rule" in obj:
-        spec, at = obj["rule"], f"{where}.rule"
-        _check_keys(spec, {"blend", "gate", "gate_alpha"}, {"blend"}, at)
-        blend = _typed(spec, "blend", "a list of numbers", at)
-        gate_alpha = _typed(spec, "gate_alpha", "a number", at, 0.05)
-        try:
-            rule = DecisionRule(
-                blend=np.array(blend, dtype=float),
-                gate=spec.get("gate", "none"),
-                gate_alpha=float(gate_alpha),
-            )
-        except ValueError as err:
-            raise ConfigError(f"{at}: {err}") from err
-    sweep = None
-    if "sweep" in obj and obj["sweep"] is not None:
-        spec, at = obj["sweep"], f"{where}.sweep"
-        _check_keys(spec, {"field", "grid"}, {"field", "grid"}, at)
-        grid = _typed(spec, "grid", "a list of numbers", at)
-        try:
-            sweep = SweepSpec(spec["field"], tuple(grid))
-        except ValueError as err:
-            raise ConfigError(f"{at}: {err}") from err
-    replications = _typed(obj, "num_replications", "an integer", where, 1000)
-    seed = _typed(obj, "seed", "an integer", where, 0)
-    m0 = _typed(obj, "m0", "a number or null", where)
-    estimators = _typed(obj, "estimators", "a list of strings", where, ["true", "naive", "cv"])
-    try:
-        return SimulationConfig(
-            model=model,
-            size_mode=obj.get("size_mode", "fixed"),
-            m0=m0,
-            num_replications=(
-                replications if overrides.replications is None else overrides.replications
-            ),
-            seed=seed if overrides.seed is None else overrides.seed,
-            rule=rule,
-            estimators=tuple(estimators),
-            sweep=sweep,
-            mode=obj.get("mode", "cumulative"),
-        )
-    except ValueError as err:
-        raise ConfigError(f"{where}: {err}") from err
+    config = _fields(obj, _SIM_CONFIG, where)
+    config["model"] = DEFAULT_MODEL if config["model"] is None \
+        else _parse_model(config["model"], f"{where}.model")
+    config["rule"] = _build(f"{where}.rule", DecisionRule,
+                            **_fields(config["rule"], _SIM_RULE, f"{where}.rule"))
+    if config["sweep"] is not None:
+        config["sweep"] = _build(f"{where}.sweep", SweepSpec,
+                                 **_fields(config["sweep"], _SWEEP, f"{where}.sweep"))
+    config["estimators"] = tuple(config["estimators"])
+    if overrides.replications is not None:
+        config["num_replications"] = overrides.replications
+    if overrides.seed is not None:
+        config["seed"] = overrides.seed
+    return _build(where, SimulationConfig, **config)
 
 
 def _parse_blend(obj, metric_names: tuple[str, ...], where: str) -> np.ndarray:
     """A blend is either {"metric": name} or {"coefficients": {name: coef}}."""
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where}: blend must be an object")
-    _check_keys(obj, {"metric", "coefficients"}, set(), where)
-    if ("metric" in obj) == ("coefficients" in obj):
+    blend = _fields(obj, _BLEND, where)
+    if (blend["metric"] is None) == (blend["coefficients"] is None):
         raise ConfigError(f"{where}: give exactly one of 'metric'/'coefficients'")
+    coefficients = blend["coefficients"] if blend["metric"] is None \
+        else {blend["metric"]: 1.0}
     vec = np.zeros(len(metric_names))
-    if "metric" in obj:
-        name = obj["metric"]
-        if name not in metric_names:
-            raise ConfigError(
-                f"{where}: unknown metric {name!r}; corpus has "
-                f"{list(metric_names)}"
-            )
-        vec[metric_names.index(name)] = 1.0
-        return vec
-    for name, coef in obj["coefficients"].items():
+    for name, coef in coefficients.items():
         if name not in metric_names:
             raise ConfigError(
                 f"{where}: unknown metric {name!r}; corpus has "
@@ -269,31 +256,15 @@ def _parse_blend(obj, metric_names: tuple[str, ...], where: str) -> np.ndarray:
     return vec
 
 
-def _parse_rule(obj: dict, metric_names: tuple[str, ...], where: str) -> tuple[str, DecisionRule]:
-    allowed = {
-        "name", "blend", "gate", "gate_alpha", "gate_sides", "gate_metrics",
-        "gate_combine", "fallback_arm",
-    }
-    _check_keys(obj, allowed, {"name", "blend"}, where)
-    gate_metrics = None
-    if "gate_metrics" in obj:
-        gate_metrics = tuple(
+def _parse_rule(obj, metric_names: tuple[str, ...], where: str) -> tuple[str, DecisionRule]:
+    rule = _fields(obj, _EVALUATE_RULE, where)
+    if rule["gate_metrics"] is not None:
+        rule["gate_metrics"] = tuple(
             _parse_blend(g, metric_names, f"{where}.gate_metrics[{i}]")
-            for i, g in enumerate(obj["gate_metrics"])
+            for i, g in enumerate(rule["gate_metrics"])
         )
-    try:
-        rule = DecisionRule(
-            blend=_parse_blend(obj["blend"], metric_names, f"{where}.blend"),
-            gate=obj.get("gate", "none"),
-            gate_alpha=float(obj.get("gate_alpha", 0.05)),
-            gate_sides=obj.get("gate_sides", "one-sided-greater"),
-            gate_metrics=gate_metrics,
-            gate_combine=obj.get("gate_combine", "all"),
-            fallback_arm=int(obj.get("fallback_arm", 1)),
-        )
-    except ValueError as err:
-        raise ConfigError(f"{where}: {err}") from err
-    return str(obj["name"]), rule
+    rule["blend"] = _parse_blend(rule["blend"], metric_names, f"{where}.blend")
+    return rule.pop("name"), _build(where, DecisionRule, **rule)
 
 
 # ---------------------------------------------------------------------------
@@ -450,45 +421,18 @@ def _cmd_make_corpus(args: argparse.Namespace) -> int:
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     corpus = ingest_csv(args.corpus, weights_path=args.weights)
-    obj = _load_json(args.rules, "evaluate rules")
-    allowed = {
-        "rules", "reward", "fold_counts", "bootstrap_replicates", "level",
-        "seed", "mode", "baseline",
-    }
-    _check_keys(obj, allowed, {"rules", "reward"}, "evaluate rules")
-    if not isinstance(obj["rules"], list) or not obj["rules"]:
-        raise ConfigError("evaluate rules.rules: must be a non-empty list")
-    fold_counts = obj.get("fold_counts", [2, 5, 10, 20])
-    if not (isinstance(fold_counts, list)
-            and all(_is_int(p) and p >= 2 for p in fold_counts)
-            and len(set(fold_counts)) == len(fold_counts)):
-        raise ConfigError(
-            f"evaluate rules.fold_counts: must be a list of distinct integers "
-            f">= 2, got {fold_counts!r}"
-        )
-    replicates = _typed(obj, "bootstrap_replicates", "an integer", "evaluate rules", 1000)
-    seed = _typed(obj, "seed", "an integer", "evaluate rules", 0)
-    if args.seed is not None:
-        seed = args.seed
-    level = _typed(obj, "level", "a number", "evaluate rules", 0.95)
-    rules = [
-        _parse_rule(r, corpus.metric_names, f"evaluate rules.rules[{i}]")
-        for i, r in enumerate(obj["rules"])
+    where, names = "evaluate rules", corpus.metric_names
+    obj = _load_json(args.rules, where)
+    config = _fields(obj, _EVALUATE, where)
+    config["rules"] = [
+        _parse_rule(r, names, f"{where}.rules[{i}]") for i, r in enumerate(config["rules"])
     ]
-    reward = RewardSpec.combination(
-        _parse_blend(obj["reward"], corpus.metric_names, "evaluate rules.reward")
+    config["reward"] = RewardSpec.combination(
+        _parse_blend(config["reward"], names, f"{where}.reward")
     )
-    report = evaluate_rules(
-        corpus,
-        rules,
-        reward,
-        fold_counts=tuple(fold_counts),
-        bootstrap_replicates=replicates,
-        level=level,
-        seed=seed,
-        mode=obj.get("mode", "cumulative"),
-        baseline=obj.get("baseline"),
-    )
+    if args.seed is not None:
+        config["seed"] = args.seed
+    report = evaluate_rules(corpus, **config)
     report.write_csv(args.out)
     manifest = {
         "command": "evaluate",
@@ -496,7 +440,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
             "corpus": os.path.basename(args.corpus),
             "rules": obj,
             "weights": os.path.basename(args.weights) if args.weights else None,
-            "seed": seed,
+            "seed": config["seed"],
         },
         "version": __version__,
         "outputs": [os.path.basename(args.out)],

@@ -25,6 +25,7 @@ from .estimators import (
     aggregate,
     batch_rewards,
     bootstrap_aggregates,
+    check_count,
     percentile_interval,
 )
 from .experiments import ArmData, DecisionRule, ExperimentData, RewardSpec
@@ -398,7 +399,8 @@ def evaluate_rules(
     Experiments are processed in experiment-id order regardless of their
     order in the corpus, so the report does not depend on input layout.
     Raises ValueError for a ``mode`` outside ``AGGREGATE_MODES``, a
-    ``level`` outside (0, 1) or fewer than one bootstrap replicate.
+    ``level`` outside (0, 1), fewer than one bootstrap replicate, or fold
+    counts that are not distinct integers >= 2.
     """
     if mode not in AGGREGATE_MODES:
         raise ValueError(f"mode must be one of {AGGREGATE_MODES}, got {mode!r}")
@@ -408,6 +410,11 @@ def evaluate_rules(
         raise ValueError(
             f"bootstrap_replicates must be >= 1, got {bootstrap_replicates!r}"
         )
+    fold_counts = tuple(
+        check_count(f"fold_counts[{i}]", p, 2) for i, p in enumerate(fold_counts)
+    )
+    if len(set(fold_counts)) != len(fold_counts):
+        raise ValueError(f"fold_counts must be distinct, got {fold_counts!r}")
     names = [name for name, _ in rules]
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate rule names: {names}")
@@ -430,7 +437,7 @@ def evaluate_rules(
     weights = np.array([e.weight for e in exps])
     can_bootstrap = len(exps) >= 2
 
-    keys = [("naive", 0)] + [("cv-kfold", int(p)) for p in fold_counts]
+    keys = [("naive", 0)] + [("cv-kfold", p) for p in fold_counts]
     batch = batch_rewards(exps, [rule for _, rule in rules], reward, fold_counts, seed)
     contributions = {
         (name, *key): column

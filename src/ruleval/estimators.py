@@ -82,6 +82,16 @@ AGGREGATE_MODES = ("mean", "cumulative")
 MAX_BOOTSTRAP_REDRAWS = 10_000
 
 
+def check_count(name: str, value, low: int, high: int | None = None) -> int:
+    """``value`` as an int, after checking that it is an integer (not a bool
+    or a float such as 2.0) in [low, high]; a ValueError names ``name``."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < low or (high is not None and value > high)):
+        bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class RewardEstimate:
     """A point estimate of rule reward with estimator provenance.
@@ -137,13 +147,12 @@ class EstimatorConfig:
             raise ValueError(f"unknown estimator kind {self.kind!r}")
         if self.mode not in AGGREGATE_MODES:
             raise ValueError(f"unknown aggregate mode {self.mode!r}")
-        if self.kind == "cv-kfold" and self.num_folds < 2:
-            raise ValueError("cv-kfold needs num_folds >= 2")
-        if self.max_folds is not None and self.max_folds < 1:
-            raise ValueError(f"max_folds must be >= 1, got {self.max_folds}")
+        if self.kind == "cv-kfold":
+            check_count("num_folds", self.num_folds, 2)
+        if self.max_folds is not None:
+            check_count("max_folds", self.max_folds, 1)
         if self.kind in ("cv-leave-l-out", "poisson-rescaled"):
-            if self.leave_out < 1:
-                raise ValueError("leave_out must be >= 1")
+            check_count("leave_out", self.leave_out, 1)
         if self.kind == "poisson-rescaled":
             if self.m0 is None or not self.m0 > 0:
                 raise ValueError("poisson-rescaled needs m0 > 0")
@@ -250,9 +259,9 @@ def batch_rewards(
     rule makes one kernel call per arm count.  With no fold count, only
     slot 0 is filled and nothing is drawn.
     """
-    fold_counts = tuple(int(p) for p in fold_counts)
-    if any(p < 2 for p in fold_counts):
-        raise ValueError("cv-kfold needs num_folds >= 2")
+    fold_counts = tuple(
+        check_count(f"fold_counts[{i}]", p, 2) for i, p in enumerate(fold_counts)
+    )
     out = np.empty((len(rules), 1 + len(fold_counts), len(exps)))
     if not exps:
         return out
@@ -348,10 +357,9 @@ def leave_l_out_reward(
     Note this is the raw sum, not a mean: the Poisson-rescaled estimator
     multiplies it by ``l! / m0**l``.
     """
-    if leave_out < 1:
-        raise ValueError("leave_out must be >= 1")
-    if max_folds is not None and max_folds < 1:
-        raise ValueError(f"max_folds must be >= 1, got {max_folds}")
+    leave_out = check_count("leave_out", leave_out, 1)
+    if max_folds is not None:
+        max_folds = check_count("max_folds", max_folds, 1)
     sizes = {arm.num_units for arm in exp.arms}
     if len(sizes) != 1:
         raise ValueError(
@@ -480,21 +488,24 @@ def bootstrap_aggregates(
     (n_replicates, n) index draw; per-experiment contributions are held
     fixed (fold assignments and decisions are not recomputed).  Resamples
     with zero total weight in mean mode are then redrawn in replicate
-    order and counted, up to ``MAX_BOOTSTRAP_REDRAWS`` total.
+    order and counted, up to ``MAX_BOOTSTRAP_REDRAWS`` times in a row for
+    any one replicate.
     """
     n = len(contributions)
     idx = rng.integers(0, n, size=(n_replicates, n))
     redraws = 0
     if mode != "cumulative":
         for b in np.flatnonzero(~(weights[idx].sum(axis=1) > 0)):
+            tries = 0
             while not weights[idx[b]].sum() > 0:
-                redraws += 1
-                if redraws > MAX_BOOTSTRAP_REDRAWS:
+                if tries == MAX_BOOTSTRAP_REDRAWS:
                     raise RuntimeError(
-                        "bootstrap exceeded the redraw cap: all-zero-weight "
-                        "resamples keep occurring"
+                        f"bootstrap replicate {b} exceeded the redraw cap: "
+                        f"{tries} all-zero-weight resamples in a row"
                     )
                 idx[b] = rng.integers(0, n, size=n)
+                tries += 1
+            redraws += tries
     w = weights[idx]
     totals = np.sum(w * contributions[idx], axis=1)
     if mode == "cumulative":

@@ -41,7 +41,7 @@ from itertools import combinations
 import numpy as np
 
 from .closed_form import EffectModel, cv_expectation, naive_expectation, true_reward
-from .estimators import subset_rewards
+from .estimators import check_count, subset_rewards
 from .experiments import (
     DecisionRule,
     DegenerateFoldError,
@@ -537,13 +537,9 @@ def _subset_reward_sums(
     ``estimators.subset_rewards``, the data-driven rule deciding on the kept
     units.  Decisions on an emptied experiment fall back to arm 1 so the
     estimator stays defined down to m == leave_out; constant rules ignore
-    the data entirely.
+    the data entirely.  ``check_poisson_rescaling`` checks the arguments.
     """
     n, _, m = x.shape
-    if leave_out not in (1, 2):
-        raise ValueError("only leave_out in (1, 2) is supported here")
-    if rule_kind not in ("argmax", "constant"):
-        raise ValueError(f"unknown rule kind {rule_kind!r}")
     if m < leave_out:
         return np.zeros(n)
 
@@ -578,6 +574,9 @@ def check_poisson_rescaling(
     """
     if m0 <= 0:
         raise ValueError("m0 must be > 0")
+    leave_out = check_count("leave_out", leave_out, 1, 2)
+    if rule_kind not in ("argmax", "constant"):
+        raise ValueError(f"unknown rule kind {rule_kind!r}")
     if replications < 2:
         raise ValueError("replications must be >= 2")
     means = np.asarray(arm_means, dtype=float)

@@ -37,6 +37,9 @@ expA,1,u2,3.0,4.0
 expA,2,u1,5.0,6.0
 expA,2,u2,7.0,8.0
 """
+TWO_EXPERIMENTS_CSV = BASIC_CSV + (
+    "expB,1,u1,2.0,1.0\nexpB,1,u2,1.0,3.0\nexpB,2,u1,4.0,2.0\nexpB,2,u2,0.0,5.0\n"
+)
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +210,35 @@ def test_evaluate_rules_rejects_mismatched_blend():
             corpus, [("a", DecisionRule(blend=[1.0, 0.0]))], REWARD,
             fold_counts=(2,), bootstrap_replicates=200, baseline="zzz",
         )
+
+
+@pytest.mark.parametrize("fold_counts", [(2, 2), (2.7,), (3.0,), (1,), (2, True)])
+def test_evaluate_rules_requires_distinct_integer_fold_counts(fold_counts):
+    # (2, 2) wrote the cv-kfold 2 rows twice; 2.7 ran 2-fold.
+    rules = [("direct", DecisionRule(blend=[1.0, 0.0]))]
+    with pytest.raises(ValueError, match="fold_counts"):
+        evaluate_rules(noise_free_corpus(), rules, REWARD, fold_counts=fold_counts)
+
+
+def test_evaluate_rules_mean_mode_survives_many_zero_weight_redraws():
+    # 30,000 replicates over one weighted experiment among 50 make about
+    # 17,000 redraws; the cap applies to each replicate, not to the call.
+    exps = tuple(
+        ExperimentData(
+            f"e{i:02d}",
+            (ArmData(1, np.array([[0.0, 1.0], [0.0, 2.0]])),
+             ArmData(2, np.array([[1.0, 0.0], [3.0, 1.0]]))),
+            weight=float(i == 0),
+        )
+        for i in range(50)
+    )
+    report = evaluate_rules(
+        ExperimentCorpus(exps, ("reward", "proxy")),
+        [("proxy", DecisionRule(blend=[0.0, 1.0]))], REWARD, fold_counts=(),
+        bootstrap_replicates=30_000, mode="mean",
+    )
+    assert report.bootstrap_redraws > 10_000
+    assert report.value("proxy", "naive", 0) == 0.0
 
 
 def test_evaluate_rules_invariant_to_experiment_order():
@@ -527,11 +559,7 @@ def test_cli_evaluate_rejects_non_finite_cells_and_weights(tmp_path, capsys):
 )
 def test_cli_evaluate_rejects_bad_rules_config_values(tmp_path, capsys, key, value):
     corpus_path = tmp_path / "corpus.csv"
-    write(
-        corpus_path,
-        BASIC_CSV + "expB,1,u1,2.0,1.0\nexpB,1,u2,1.0,3.0\n"
-        "expB,2,u1,4.0,2.0\nexpB,2,u2,0.0,5.0\n",
-    )
+    write(corpus_path, TWO_EXPERIMENTS_CSV)
     rules = {
         "reward": {"metric": "clicks"},
         "rules": [{"name": "r", "blend": {"metric": "visits"}}],
@@ -549,6 +577,79 @@ def test_cli_evaluate_rejects_bad_rules_config_values(tmp_path, capsys, key, val
     # The error names the key, not just the file's own label.
     assert key in capsys.readouterr().err.replace("evaluate rules", "")
     assert not report_path.exists()
+
+
+SIM_MODEL = {
+    "effect_sd_y": 0.5, "effect_sd_proxy": 0.8, "effect_corr": 0.6,
+    "noise_sd_y": 1.0, "noise_sd_proxy": 1.5, "noise_corr": -0.3,
+    "units_per_arm": 30, "num_experiments": 10, "num_folds": 3,
+}
+
+
+READER_CASES = [
+    ("evaluate", ("rules", 0, "fallback_arm"), 2.7, "rules[0].fallback_arm: must be an integer"),
+    ("evaluate", ("rules", 0, "gate_alpha"), "0.1", "rules[0].gate_alpha: must be a number"),
+    ("evaluate", ("rules", 0, "name"), 7, "rules[0].name: must be a string"),
+    ("evaluate", ("rules", 0, "blend"), {"coefficients": {"visits": True}},
+     "rules[0].blend.coefficients: must be an object of numbers"),
+    ("evaluate", ("reward",), {"coefficients": [1, 0, 0]},
+     "reward.coefficients: must be an object of numbers"),
+    ("evaluate", ("rules",), [5], "rules[0]: must be an object, got 5"),
+    ("simulate", ("model",), 5, "model: must be an object, got 5"),
+    ("simulate", ("model",), None, "model: must be an object, got None"),
+    ("simulate", ("rule",), 5, "rule: must be an object, got 5"),
+    ("simulate", ("rule",), None, "rule: must be an object, got None"),
+    ("simulate", ("sweep",), 5, "sweep: must be an object or null, got 5"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, path, value, location",
+    READER_CASES,
+    ids=[f"{c}-{'.'.join(map(str, p))}={v!r}" for c, p, v, _ in READER_CASES],
+)
+def test_cli_config_reader_rejects_mistyped_objects(
+    tmp_path, capsys, command, path, value, location
+):
+    # Each config object is read through one schema: a value of the wrong
+    # JSON type exits 1 with its key named, whatever its nesting, and
+    # nothing is written.
+    if command == "evaluate":
+        config = {
+            "reward": {"metric": "clicks"},
+            "rules": [{"name": "r", "blend": {"metric": "visits"}}],
+            "fold_counts": [2],
+            "bootstrap_replicates": 100,
+        }
+        corpus_path = tmp_path / "corpus.csv"
+        write(corpus_path, TWO_EXPERIMENTS_CSV)
+        out = tmp_path / "r.csv"
+        argv = ["evaluate", "--corpus", str(corpus_path), "--out", str(out), "--rules"]
+    else:
+        config = {"model": dict(SIM_MODEL), "num_replications": 20,
+                  "rule": {"blend": [0.0, 1.0]}}
+        out = tmp_path / "o"
+        argv = ["simulate", "--out-dir", str(out), "--config"]
+    *parents, key = path
+    target = config
+    for name in parents:
+        target = target[name]
+    target[key] = value
+    cfg_path = tmp_path / "config.json"
+    write(cfg_path, json.dumps(config))
+    assert main(argv + [str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert location in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_cli_simulate_accepts_a_null_sweep(tmp_path):
+    cfg_path = tmp_path / "config.json"
+    write(cfg_path, json.dumps({"model": SIM_MODEL, "num_replications": 20, "sweep": None}))
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(cfg_path), "--out-dir", str(out)]) == 0
+    assert (out / "simulation.csv").exists()
 
 
 def test_cli_degenerate_arm_exits_two(tmp_path):

@@ -22,7 +22,7 @@ from ruleval import (
     naive_reward,
     poisson_rescaled_reward,
 )
-from ruleval.estimators import aggregate, bootstrap_aggregates
+from ruleval.estimators import MAX_BOOTSTRAP_REDRAWS, aggregate, bootstrap_aggregates
 from ruleval.experiments import FoldAssignment
 from ruleval.streams import substream
 import unit_oracle as oracle
@@ -351,6 +351,33 @@ def test_estimator_config_validation():
         EstimatorConfig(mode="median")
 
 
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [
+        ({"kind": "cv-kfold", "num_folds": 2.7}, "num_folds"),
+        ({"kind": "cv-kfold", "num_folds": 3.0}, "num_folds"),
+        ({"kind": "cv-kfold", "num_folds": True}, "num_folds"),
+        ({"kind": "cv-leave-l-out", "leave_out": 1.5}, "leave_out"),
+        ({"kind": "poisson-rescaled", "m0": 3.0, "leave_out": 1.0}, "leave_out"),
+        ({"kind": "cv-leave-l-out", "max_folds": 2.5}, "max_folds"),
+    ],
+)
+def test_estimator_config_requires_integer_counts(kwargs, name):
+    # A float count was truncated by the estimator while ``params`` kept it
+    # (num_folds 2.7 ran 2-fold), or failed inside math.comb (leave_out 1.5).
+    with pytest.raises(ValueError, match=name):
+        EstimatorConfig(**kwargs)
+
+
+def test_estimators_require_integer_counts():
+    exp = two_arm([[1.0], [2.0], [3.0]], [[3.0], [4.0], [5.0]])
+    with pytest.raises(ValueError, match="leave_out"):
+        leave_l_out_reward(exp, ARGMAX_RULE, REWARD, 1.5)
+    with pytest.raises(ValueError, match="leave_out"):
+        poisson_rescaled_reward(exp, ARGMAX_RULE, REWARD, 1.5, m0=3.0)
+    assert EstimatorConfig(kind="cv-kfold", num_folds=np.int64(3)).num_folds == 3
+
+
 # ---------------------------------------------------------------------------
 # bootstrap
 
@@ -411,6 +438,22 @@ def test_bootstrap_redraws_zero_weight_resamples():
     # Some resamples miss the only weighted experiment and are redrawn.
     assert redraws > 0
     assert np.all(draws == 1.0)
+
+
+def test_bootstrap_redraw_cap_applies_to_each_replicate():
+    # One weighted experiment among 50: about 36% of resamples miss it, so
+    # 30,000 replicates need about 17,000 redraws in all, far more than the
+    # cap, but never many in a row.
+    weights = np.zeros(50)
+    weights[7] = 1.0
+    contributions = np.arange(50.0)
+    draws, redraws = bootstrap_aggregates(
+        contributions, weights, "mean", 30_000, substream(2, "cap")
+    )
+    assert MAX_BOOTSTRAP_REDRAWS < redraws < 20_000
+    assert np.all(draws == 7.0)
+    with pytest.raises(RuntimeError, match="redraw cap"):
+        bootstrap_aggregates(contributions, np.zeros(50), "mean", 10, substream(2, "cap"))
 
 
 def test_bootstrap_validation_and_ci_type():

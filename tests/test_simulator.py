@@ -27,6 +27,7 @@ from ruleval import (
     naive_reward,
     run_bias_sweep,
 )
+from ruleval import simulator
 from ruleval.simulator import (
     _fold_sizes,
     cov_factor,
@@ -330,6 +331,16 @@ def test_fold_sizes_near_equal():
 
 # ---------------------------------------------------------------------------
 # Poisson rescaling check
+
+
+@pytest.mark.parametrize("leave_out", [-1, 0, 3, 1.0, True])
+def test_rescaling_check_rejects_leave_out_before_drawing(leave_out, monkeypatch):
+    def no_draws(*key):
+        raise AssertionError(f"drew {key} before checking leave_out")
+
+    monkeypatch.setattr(simulator, "substream", no_draws)
+    with pytest.raises(ValueError, match="leave_out"):
+        check_poisson_rescaling(leave_out=leave_out, replications=1000)
 
 
 def test_rescaling_check_passes_for_leave_one_out():
