@@ -20,9 +20,7 @@ from .closed_form import (
 )
 from .corpus import (
     CorpusFormatError,
-    EvaluationReport,
     ExperimentCorpus,
-    RuleEstimateRow,
     evaluate_rules,
     ingest_csv,
     make_synthetic_corpus,
@@ -31,9 +29,7 @@ from .corpus import (
 from .estimators import (
     ConfidenceInterval,
     EstimatorConfig,
-    RewardEstimate,
     bootstrap_ci,
-    cv_fold_reward,
     estimate_reward,
     leave_l_out_reward,
     naive_reward,
@@ -46,9 +42,7 @@ from .experiments import (
     DegenerateArmError,
     DegenerateFoldError,
     ExperimentData,
-    FoldAssignment,
     RewardSpec,
-    assign_folds,
     decide,
     significance_set,
 )
@@ -57,10 +51,7 @@ from .simulator import (
     DEFAULT_MODEL,
     DEFAULT_PROXIES,
     ProxySpec,
-    RescalingCheckReport,
-    SelectionCheckReport,
     SimulationConfig,
-    SimulationResult,
     SweepSpec,
     check_poisson_rescaling,
     check_rule_selection,
@@ -78,25 +69,16 @@ __all__ = [
     "DegenerateFoldError",
     "EffectModel",
     "EstimatorConfig",
-    "EvaluationReport",
     "ExperimentCorpus",
     "ExperimentData",
-    "FoldAssignment",
     "ProxySpec",
-    "RescalingCheckReport",
-    "RewardEstimate",
     "RewardSpec",
-    "RuleEstimateRow",
-    "SelectionCheckReport",
     "SimulationConfig",
-    "SimulationResult",
     "SweepSpec",
-    "assign_folds",
     "bootstrap_ci",
     "check_poisson_rescaling",
     "check_rule_selection",
     "cv_expectation",
-    "cv_fold_reward",
     "decide",
     "estimate_reward",
     "evaluate_rules",

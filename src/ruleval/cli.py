@@ -73,8 +73,11 @@ def _is_int(value) -> bool:
 
 
 def _is_number(value) -> bool:
-    """Whether a JSON value is a number (JSON true/false are not)."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """Whether a JSON value is a finite number: not JSON true/false, nor the
+    NaN, Infinity and out-of-range (1e400) literals that Python's json
+    reads as non-finite floats."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
 def _is_numbers(value) -> bool:
@@ -149,8 +152,14 @@ def _load_json(path: str, where: str):
         raise ConfigError(f"{where}: file not found: {path}")
     except json.JSONDecodeError as err:
         raise ConfigError(f"{where}: invalid JSON in {path}: {err}")
-    # A manifest written by this tool embeds the config under "config".
+    # A manifest written by this tool embeds the config under "config";
+    # only a simulate manifest replays, as the config of simulate.
     if isinstance(data, dict) and "config" in data and "command" in data:
+        if (where, data["command"]) != ("simulate", "simulate"):
+            raise ConfigError(
+                f"{where}: {path} is a manifest of {data['command']!r}; only "
+                f"simulate manifests replay, through simulate --config"
+            )
         return data["config"]
     return data
 

@@ -24,11 +24,13 @@ subtracted from the arm totals, then the arm totals themselves.
 ``batch_rewards`` decides all of them with one kernel call per rule and
 arm count, and scores every experiment's folds with one more bincount of
 the reward; the naive estimate is the full-data slot, and
-``naive_reward`` and ``cv_fold_reward`` are one-experiment calls of the
-same pass (with no fold at all for the naive estimate alone).
-``subset_rewards`` gathers every held-out subset of an (S, l) array of
-unit positions, for a batch of experiments at once, and serves
-leave-l-out here and the Poisson-rescaling check in the simulator.
+``naive_reward`` is a one-experiment call of the same pass (with no fold
+at all).  ``subset_rewards`` decides every held-out subset of an (S, l)
+array of unit positions, for a batch of equal-size experiments at once.
+It serves the Poisson-rescaling check in the simulator, and leave-l-out
+here: ``per_experiment_rewards`` stacks the experiments once and makes
+one call per (arm count, arm size), and ``leave_l_out_reward`` and
+``poisson_rescaled_reward`` are one-experiment calls of that path.
 
 Aggregates over experiments come in two modes: ``mean`` (weighted mean of
 per-experiment estimates) and ``cumulative`` (weighted sum), the latter
@@ -44,21 +46,21 @@ from itertools import combinations
 import numpy as np
 
 from .experiments import (
-    ArmData,
     ArmStack,
     DecisionRule,
     DegenerateFoldError,
     ExperimentData,
-    FoldAssignment,
     RewardSpec,
     arm_sums,
-    blend_values,
     decide_kept,
+    fallback_one,
     fault_error,
     fold_decisions,
     fold_permutations,
+    missing_fallback_error,
     sample_variance,
     stack_arms,
+    stacked_blend_values,
     stacked_product,
 )
 from .streams import substream
@@ -69,7 +71,6 @@ __all__ = [
     "RewardEstimate",
     "aggregate",
     "bootstrap_ci",
-    "cv_fold_reward",
     "estimate_reward",
     "leave_l_out_reward",
     "naive_reward",
@@ -80,6 +81,8 @@ __all__ = [
 ESTIMATOR_KINDS = ("naive", "cv-kfold", "cv-leave-l-out", "poisson-rescaled")
 AGGREGATE_MODES = ("mean", "cumulative")
 MAX_BOOTSTRAP_REDRAWS = 10_000
+# Most values per temporary array of a row block, here and in the simulator.
+BLOCK_ELEMENTS = 1 << 16
 
 
 def check_count(name: str, value, low: int, high: int | None = None) -> int:
@@ -90,6 +93,14 @@ def check_count(name: str, value, low: int, high: int | None = None) -> int:
         bound = f">= {low}" if high is None else f"in [{low}, {high}]"
         raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
     return int(value)
+
+
+def check_m0(m0) -> None:
+    """Raise a ValueError naming ``m0``, the Poisson enrollment rate, unless
+    it is a finite number > 0 (not a bool)."""
+    number = isinstance(m0, (int, float, np.integer, np.floating))
+    if isinstance(m0, bool) or not number or not 0 < m0 < math.inf:
+        raise ValueError(f"m0 must be a finite number > 0, got {m0!r}")
 
 
 @dataclass(frozen=True)
@@ -127,11 +138,12 @@ class ConfidenceInterval:
 class EstimatorConfig:
     """Which estimator to run and with what parameters.
 
-    ``fold_seed`` fixes the random fold assignment for cv-kfold;
-    ``max_folds`` caps leave-l-out enumeration (subsets beyond the cap are
-    sampled uniformly and rescaled, keeping the estimate unbiased for the
-    exact sum); ``m0`` is the Poisson enrollment rate used by the rescaled
-    estimator and must be supplied by the caller, not estimated from data.
+    ``fold_seed`` fixes the random fold assignment for cv-kfold and the
+    sampled subsets of leave-l-out; ``max_folds`` caps leave-l-out
+    enumeration (subsets beyond the cap are sampled uniformly and rescaled,
+    keeping the estimate unbiased for the exact sum); ``m0`` is the Poisson
+    enrollment rate used by the rescaled estimator and must be supplied by
+    the caller, not estimated from data.
     """
 
     kind: str = "cv-kfold"
@@ -149,17 +161,14 @@ class EstimatorConfig:
             raise ValueError(f"unknown aggregate mode {self.mode!r}")
         if self.kind == "cv-kfold":
             check_count("num_folds", self.num_folds, 2)
-        if self.max_folds is not None:
-            check_count("max_folds", self.max_folds, 1)
-        if self.kind in ("cv-leave-l-out", "poisson-rescaled"):
-            check_count("leave_out", self.leave_out, 1)
         if self.kind == "poisson-rescaled":
-            if self.m0 is None or not self.m0 > 0:
-                raise ValueError("poisson-rescaled needs m0 > 0")
-
-
-def _reward_values(arm: ArmData, reward: RewardSpec) -> np.ndarray:
-    return arm.units @ reward.weights(arm.num_metrics)
+            check_m0(self.m0)
+        # Stored as ints: a NumPy integer's repr would change the substream
+        # key of sampled leave-l-out subsets.
+        if self.kind in ("cv-leave-l-out", "poisson-rescaled"):
+            object.__setattr__(self, "leave_out", check_count("leave_out", self.leave_out, 1))
+        if self.max_folds is not None:
+            object.__setattr__(self, "max_folds", check_count("max_folds", self.max_folds, 1))
 
 
 def naive_reward(exp: ExperimentData, rule: DecisionRule, reward: RewardSpec) -> float:
@@ -216,33 +225,6 @@ def _fold_table(
     return out
 
 
-def cv_fold_reward(
-    exp: ExperimentData,
-    rule: DecisionRule,
-    reward: RewardSpec,
-    folds: FoldAssignment,
-    p: int,
-) -> float:
-    """Reward of the decision made without fold ``p``, measured on fold ``p``.
-
-    The decision sees every unit outside the fold; the estimate is the mean
-    reward over the fold's units in the chosen arm only.
-    """
-    num_folds = folds.num_folds
-    if not 1 <= p <= num_folds:
-        raise ValueError(f"held-out fold {p} out of range [1, {num_folds}]")
-    labels = [folds.folds[arm.arm_index] - 1 for arm in exp.arms]
-    for arm, lab in zip(exp.arms, labels):
-        if lab.shape != (arm.num_units,) or not 0 <= lab.min() <= lab.max() < num_folds:
-            raise ValueError(
-                f"fold assignment for experiment {exp.experiment_id!r} arm "
-                f"{arm.arm_index} must give its {arm.num_units} units folds 1..{num_folds}"
-            )
-    bins = np.concatenate([lab + k * num_folds for k, lab in enumerate(labels)])[None]
-    table = _fold_table(stack_arms([exp]), [rule], reward, bins, (num_folds,))
-    return float(table[0, 0, p - 1])
-
-
 def batch_rewards(
     exps: list[ExperimentData],
     rules: list[DecisionRule],
@@ -254,10 +236,10 @@ def batch_rewards(
     plug-in estimate, slot 1 + f the k-fold estimate at ``fold_counts[f]``,
     the mean fold reward over the experiment's partition into that many
     folds.  All fold counts and rules share each arm's one
-    ``fold_permutations`` draw, taken modulo the fold count as in
-    ``assign_folds``; the arms of every experiment are stacked and each
-    rule makes one kernel call per arm count.  With no fold count, only
-    slot 0 is filled and nothing is drawn.
+    ``fold_permutations`` draw: unit i of an arm with permutation ``perm``
+    is in fold ``perm[i] % P``.  The arms of every experiment are stacked
+    and each rule makes one kernel call per arm count.  With no fold
+    count, only slot 0 is filled and nothing is drawn.
     """
     fold_counts = tuple(
         check_count(f"fold_counts[{i}]", p, 2) for i, p in enumerate(fold_counts)
@@ -300,41 +282,107 @@ def subset_rewards(
     subsets: np.ndarray,
     rule: DecisionRule,
     experiment_id: str,
-) -> np.ndarray:
-    """(n, S) held-out reward of every subset of unit positions, in each of
-    n experiments whose K arms have m units each.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The rule's choice with each subset of unit positions held out, and
+    the subset's held-out reward: two (n, S) arrays, for n experiments
+    whose K arms have m units each.
 
     ``values`` is (n, K, m, B): each unit's ``blend_matrix`` values;
     ``rewards`` is (n, K, m).  ``subsets`` is (S, l); each row's positions
     are removed from every arm, the rule decides on the rest through one
-    kernel call, and the subset's reward is the mean reward over the row's
-    positions in the chosen arm.  Raises DegenerateFoldError when holding l
-    units out leaves fewer than one (two under a gate).
+    kernel call (whose error names ``experiment_id``), and the subset's
+    reward is the mean reward over the row's positions in the chosen arm.
+    The caller checks that every arm keeps enough units: one, two under a
+    gate.
     """
-    leave_out = subsets.shape[1]
-    gated = rule.gate != "none"
-    kept = values.shape[2] - leave_out
-    min_units = 2 if gated else 1
-    if kept < min_units:
-        raise DegenerateFoldError(
-            f"experiment {experiment_id!r}: holding out {leave_out} "
-            f"unit(s) leaves {kept}, needs >= {min_units}"
-        )
 
     def kept_sums(x: np.ndarray) -> np.ndarray:
         held = x[:, :, subsets].sum(axis=3)  # (n, K, S, B)
         return (x.sum(axis=2)[:, :, None] - held).transpose(0, 2, 1, 3)
 
-    counts = np.full(values.shape[1], float(kept))
+    counts = np.full(values.shape[1], float(values.shape[2] - subsets.shape[1]))
     sums = kept_sums(values)
-    variances = (
-        sample_variance(counts, sums, kept_sums(values * values)) if gated else None
-    )
+    variances = None
+    if rule.gate != "none":
+        variances = sample_variance(counts, sums, kept_sums(values * values))
     chosen = decide_kept(counts, sums, variances, rule, experiment_id)  # (n, S)
     held = rewards[:, :, subsets].mean(axis=3)  # (n, K, S)
     out = held[:, 0]
     for k in range(1, held.shape[1]):
         out = np.where(chosen == k + 1, held[:, k], out)
+    return chosen, out
+
+
+def _leave_l_out_sums(
+    exps: list[ExperimentData],
+    rule: DecisionRule,
+    reward: RewardSpec,
+    config: EstimatorConfig,
+) -> np.ndarray:
+    """(experiments,) each experiment's ``leave_l_out_reward`` at the
+    config's ``leave_out``, ``max_folds`` and ``fold_seed``.
+
+    The experiments are stacked once.  Those scored on every subset make
+    one ``subset_rewards`` call per (arm count, arm size), in row blocks of
+    at most ``BLOCK_ELEMENTS`` values per temporary; an experiment whose
+    subsets are sampled draws its own from ``substream(fold_seed,
+    "leave-l-out", id, l)`` and makes a call of its own.  The error raised
+    is that of the first experiment with a fault, as a loop over
+    experiments would meet it.
+    """
+    leave_out, max_folds = config.leave_out, config.max_folds
+    faults: dict[int, ValueError] = {}
+    sizes = []
+    for i, exp in enumerate(exps):
+        m = sorted({arm.num_units for arm in exp.arms})
+        if len(m) > 1 or leave_out >= m[0]:
+            faults[i] = ValueError(f"experiment {exp.experiment_id!r}: " + (
+                f"leave-l-out needs equal arm sizes, got {m}" if len(m) > 1 else
+                f"leave_out={leave_out} requires arms larger than {leave_out}, got {m[0]}"
+            ))
+            break
+        sizes.append(m[0])
+    out = np.empty(len(sizes))
+    groups: dict[tuple[int, int, int], list[int]] = {}
+    cap = max_folds or (math.inf if leave_out == 1 else 10_000)
+    if sizes:
+        stack = stack_arms(exps[: len(sizes)])
+        for i, (k, m) in enumerate(zip(np.diff(stack.first_arm).tolist(), sizes)):
+            sampled = i if math.comb(m, leave_out) > cap else -1
+            groups.setdefault((k, m, sampled), []).append(i)
+        values = stacked_blend_values(stack, rule)
+        rewards = stacked_product(stack, reward.weights(stack.units.shape[1]))
+    min_units = 1 + (rule.gate != "none")
+    for (k, m, sampled), group in groups.items():
+        if m - leave_out < min_units:
+            faults.update((i, DegenerateFoldError(
+                f"experiment {stack.ids[i]!r}: holding out {leave_out} "
+                f"unit(s) leaves {m - leave_out}, needs >= {min_units}"
+            )) for i in group)
+            continue
+        if sampled < 0:
+            subsets = np.array(list(combinations(range(m), leave_out)))
+        else:
+            rng = substream(config.fold_seed, "leave-l-out", stack.ids[sampled], leave_out)
+            subsets = np.array([rng.choice(m, leave_out, replace=False) for _ in range(cap)])
+        group_rule = fallback_one(rule, k)
+        rows = stack.starts[stack.first_arm[group], None] + np.arange(k * m)
+        step = max(1, BLOCK_ELEMENTS // (k * subsets.size * values.shape[1]))
+        for lo in range(0, len(group), step):
+            block = group[lo : lo + step]
+            chosen, held = subset_rewards(
+                values[rows[lo : lo + step]].reshape(len(block), k, m, -1),
+                rewards[rows[lo : lo + step]].reshape(len(block), k, m),
+                subsets, group_rule, stack.ids[block[0]],
+            )
+            out[block] = held.sum(axis=1)
+            if group_rule is not rule:
+                for i in np.compress((chosen == 1).any(axis=1), block):
+                    faults[i] = missing_fallback_error(rule, stack.ids[i])
+        if sampled >= 0:
+            out[sampled] = math.comb(m, leave_out) * float(out[sampled]) / cap
+    if faults:
+        raise faults[min(faults)]
     return out
 
 
@@ -357,36 +405,9 @@ def leave_l_out_reward(
     Note this is the raw sum, not a mean: the Poisson-rescaled estimator
     multiplies it by ``l! / m0**l``.
     """
-    leave_out = check_count("leave_out", leave_out, 1)
-    if max_folds is not None:
-        max_folds = check_count("max_folds", max_folds, 1)
-    sizes = {arm.num_units for arm in exp.arms}
-    if len(sizes) != 1:
-        raise ValueError(
-            f"experiment {exp.experiment_id!r}: leave-l-out needs equal arm "
-            f"sizes, got {sorted(sizes)}"
-        )
-    m = sizes.pop()
-    if leave_out >= m:
-        raise ValueError(
-            f"experiment {exp.experiment_id!r}: leave_out={leave_out} "
-            f"requires arms larger than {leave_out}, got {m}"
-        )
-    num_subsets = math.comb(m, leave_out)
-    if max_folds is None:
-        max_folds = num_subsets if leave_out == 1 else 10_000
-    if num_subsets <= max_folds:
-        subsets = np.array(list(combinations(range(m), leave_out)))
-    else:
-        rng = substream(seed, "leave-l-out", exp.experiment_id, leave_out)
-        subsets = np.array(
-            [rng.choice(m, size=leave_out, replace=False) for _ in range(max_folds)]
-        )
-    values = np.stack(blend_values(exp, rule))[None]
-    rewards = np.stack([_reward_values(arm, reward) for arm in exp.arms])[None]
-    held_out = subset_rewards(values, rewards, subsets, rule, exp.experiment_id)
-    acc = float(held_out[0].sum())
-    return acc if num_subsets <= max_folds else num_subsets * acc / max_folds
+    config = EstimatorConfig("cv-leave-l-out", leave_out=leave_out, max_folds=max_folds,
+                             fold_seed=seed)
+    return float(_leave_l_out_sums([exp], rule, reward, config)[0])
 
 
 def poisson_rescaled_reward(
@@ -405,10 +426,9 @@ def poisson_rescaled_reward(
     experiment.  ``m0`` is the enrollment-rate design parameter and is
     supplied, not estimated.
     """
-    if not m0 > 0:
-        raise ValueError("m0 must be > 0")
-    total = leave_l_out_reward(exp, rule, reward, leave_out, max_folds, seed)
-    return float(math.factorial(leave_out) * total / m0**leave_out)
+    config = EstimatorConfig("poisson-rescaled", leave_out=leave_out, m0=m0,
+                             max_folds=max_folds, fold_seed=seed)
+    return float(per_experiment_rewards([exp], rule, reward, config)[0])
 
 
 def per_experiment_rewards(
@@ -421,29 +441,19 @@ def per_experiment_rewards(
 
     naive: plug-in estimate; cv-kfold: mean over fold rewards;
     cv-leave-l-out: mean over held-out subsets; poisson-rescaled: the
-    rescaled leave-l-out sum.
+    rescaled leave-l-out sum.  Every experiment is scored in one batched
+    pass: ``batch_rewards`` for the first two, ``_leave_l_out_sums`` for
+    the others, of which ``poisson_rescaled_reward`` is a one-experiment
+    call.
     """
-    if config.kind == "cv-kfold":
-        return batch_rewards(
-            exps, [rule], reward, (config.num_folds,), config.fold_seed
-        )[0, 1]
-    if config.kind == "naive":
-        return batch_rewards(exps, [rule], reward, (), config.fold_seed)[0, 0]
-    out = np.empty(len(exps))
-    for i, exp in enumerate(exps):
-        if config.kind == "cv-leave-l-out":
-            m = exp.arms[0].num_units
-            total = leave_l_out_reward(
-                exp, rule, reward, config.leave_out, config.max_folds,
-                config.fold_seed,
-            )
-            out[i] = total / math.comb(m, config.leave_out)
-        else:
-            out[i] = poisson_rescaled_reward(
-                exp, rule, reward, config.leave_out, config.m0,
-                config.max_folds, config.fold_seed,
-            )
-    return out
+    if config.kind in ("naive", "cv-kfold"):
+        folds = (config.num_folds,) if config.kind == "cv-kfold" else ()
+        return batch_rewards(exps, [rule], reward, folds, config.fold_seed)[0, len(folds)]
+    l = config.leave_out
+    totals = _leave_l_out_sums(exps, rule, reward, config)
+    if config.kind == "poisson-rescaled":
+        return float(math.factorial(l)) * totals / config.m0**l
+    return totals / [float(math.comb(exp.arms[0].num_units, l)) for exp in exps]
 
 
 def estimate_reward(

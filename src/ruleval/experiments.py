@@ -41,11 +41,8 @@ __all__ = [
     "DegenerateArmError",
     "DegenerateFoldError",
     "ExperimentData",
-    "FoldAssignment",
     "RewardSpec",
-    "assign_folds",
     "blend_matrix",
-    "blend_values",
     "decide",
     "decide_kept",
     "fold_stats",
@@ -250,29 +247,14 @@ class DecisionRule:
         return (self.blend,)
 
 
-@dataclass(frozen=True)
-class FoldAssignment:
-    """A partition of each arm's units into ``num_folds`` folds.
-
-    ``folds`` maps arm index to an integer array of fold labels in
-    [1, num_folds], one per unit position.  Assignments are stratified by
-    arm so each arm's fold sizes differ by at most one.
-    """
-
-    experiment_id: str
-    num_folds: int
-    folds: dict[int, np.ndarray]
-    seed: int
-
-    def __post_init__(self) -> None:
-        if self.num_folds < 2:
-            raise ValueError("num_folds must be >= 2")
-
-
 def fold_permutations(exp: ExperimentData, seed: int) -> list[np.ndarray]:
     """Each arm's random permutation of its unit positions, a deterministic
     function of (seed, experiment id, arm sizes): each arm gets its own
     substream, so the draw does not depend on what else was sampled.
+
+    The permutation splits the arm into near-equal folds for every fold
+    count at once: unit i of an arm with permutation ``perm`` is in fold
+    ``perm[i] % P`` (0-based) of P, as ``estimators.batch_rewards`` bins it.
     """
     return [
         substream(seed, "folds", exp.experiment_id, arm.arm_index).permutation(
@@ -280,19 +262,6 @@ def fold_permutations(exp: ExperimentData, seed: int) -> list[np.ndarray]:
         )
         for arm in exp.arms
     ]
-
-
-def assign_folds(exp: ExperimentData, num_folds: int, seed: int) -> FoldAssignment:
-    """Randomly split each arm's units into ``num_folds`` near-equal folds:
-    unit i of an arm with permutation ``perm`` goes to fold
-    ``perm[i] % num_folds + 1``, so every fold count shares one draw."""
-    if num_folds < 2:
-        raise ValueError("num_folds must be >= 2")
-    folds = {
-        arm.arm_index: perm % num_folds + 1
-        for arm, perm in zip(exp.arms, fold_permutations(exp, seed))
-    }
-    return FoldAssignment(exp.experiment_id, num_folds, folds, seed)
 
 
 def blend_matrix(rule: DecisionRule, num_metrics: int) -> np.ndarray:
@@ -380,12 +349,6 @@ def stacked_blend_values(stack: ArmStack, rule: DecisionRule) -> np.ndarray:
     first = stack.starts[stack.first_arm]
     values -= np.repeat(values[first[:-1]], np.diff(first), axis=0)
     return values
-
-
-def blend_values(exp: ExperimentData, rule: DecisionRule) -> list[np.ndarray]:
-    """Each arm's (units, B) ``stacked_blend_values``."""
-    stack = stack_arms([exp])
-    return np.split(stacked_blend_values(stack, rule), stack.starts[1:-1])
 
 
 def sample_variance(
@@ -480,6 +443,15 @@ def decide_kept(
             raise missing_fallback_error(rule, experiment_id)
         chosen[empty] = rule.fallback_arm
     return chosen
+
+
+def fallback_one(rule: DecisionRule, num_arms: int) -> DecisionRule:
+    """``rule``, or, if it is gated and lacks its fallback arm among
+    ``num_arms``, the rule with fallback arm 1: that one picks arm 1
+    exactly when no arm passes, where ``rule`` has no arm to fall back to."""
+    if rule.gate != "none" and rule.fallback_arm > num_arms:
+        return replace(rule, fallback_arm=1)
+    return rule
 
 
 def missing_fallback_error(rule: DecisionRule, experiment_id: str) -> ValueError:
@@ -582,11 +554,7 @@ def fold_decisions(
     for k in set(num_arms.tolist()):
         group = np.flatnonzero(num_arms == k)
         arms = first_arm[group, None] + np.arange(k)
-        # Short of its fallback arm, a gated rule decides with fallback
-        # arm 1, which it picks exactly when no arm passes.
-        group_rule = rule
-        if rule.gate != "none" and rule.fallback_arm > k:
-            group_rule = replace(rule, fallback_arm=1)
+        group_rule = fallback_one(rule, k)
         with np.errstate(divide="ignore", invalid="ignore"):  # SHORT_ARM
             chosen[group] = decide_kept(
                 counts[arms].swapaxes(1, 2),

@@ -41,7 +41,7 @@ from itertools import combinations
 import numpy as np
 
 from .closed_form import EffectModel, cv_expectation, naive_expectation, true_reward
-from .estimators import check_count, subset_rewards
+from .estimators import BLOCK_ELEMENTS, check_count, check_m0, subset_rewards
 from .experiments import (
     DecisionRule,
     DegenerateFoldError,
@@ -68,7 +68,6 @@ __all__ = [
 
 PARALLELISM_ENV_VAR = "RULEVAL_PARALLEL"
 CHUNK_REPLICATIONS = 256
-BLOCK_ELEMENTS = 1 << 16
 
 # Default generative parameters: a weak signal-to-noise regime with one
 # hundred experiments of a million units per arm.
@@ -143,8 +142,8 @@ class SimulationConfig:
     def __post_init__(self) -> None:
         if self.size_mode not in ("fixed", "poisson"):
             raise ValueError(f"unknown size_mode {self.size_mode!r}")
-        if self.size_mode == "poisson" and (self.m0 is None or not self.m0 > 0):
-            raise ValueError("poisson size mode needs m0 > 0")
+        if self.size_mode == "poisson":
+            check_m0(self.m0)
         if self.num_replications < 1:
             raise ValueError("num_replications must be >= 1")
         if self.mode not in ("mean", "cumulative"):
@@ -547,9 +546,8 @@ def _subset_reward_sums(
     if rule_kind == "constant" or m == leave_out:
         arm = constant_arm if rule_kind == "constant" else 1
         return x[:, arm - 1, subsets].mean(axis=2).sum(axis=1)
-    return subset_rewards(
-        x[..., None], x, subsets, _ARGMAX_RULE, "rescaling check"
-    ).sum(axis=1)
+    _, held = subset_rewards(x[..., None], x, subsets, _ARGMAX_RULE, "rescaling check")
+    return held.sum(axis=1)
 
 
 def check_poisson_rescaling(
@@ -572,8 +570,7 @@ def check_poisson_rescaling(
     combined standard errors.  The negative control re-runs the comparison
     with the rescaling omitted and must be rejected by the same test.
     """
-    if m0 <= 0:
-        raise ValueError("m0 must be > 0")
+    check_m0(m0)
     leave_out = check_count("leave_out", leave_out, 1, 2)
     if rule_kind not in ("argmax", "constant"):
         raise ValueError(f"unknown rule kind {rule_kind!r}")

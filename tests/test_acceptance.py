@@ -19,10 +19,8 @@ from ruleval import (
     RewardSpec,
     SimulationConfig,
     SweepSpec,
-    assign_folds,
     check_poisson_rescaling,
     check_rule_selection,
-    cv_fold_reward,
     estimate_reward,
     evaluate_rules,
     ingest_csv,
@@ -32,6 +30,7 @@ from ruleval import (
     write_corpus_csv,
 )
 from ruleval.cli import main
+from ruleval.estimators import batch_rewards
 from ruleval.figures import FIG2_NOISE_GRID, FIG3_UNITS_GRID, FIG4_EXPERIMENTS_GRID
 from ruleval.simulator import bivariate_model_for_proxy
 from ruleval.streams import substream
@@ -205,10 +204,7 @@ def test_criterion_7_data_independent_rule_identity():
             ),
         )
         naive_vals[i] = naive_reward(exp, rule, REWARD)
-        folds = assign_folds(exp, 3, seed=i)
-        cv_vals[i] = np.mean(
-            [cv_fold_reward(exp, rule, REWARD, folds, p) for p in (1, 2, 3)]
-        )
+        cv_vals[i] = batch_rewards([exp], [rule], REWARD, (3,), fold_seed=i)[0, 1, 0]
     diff = naive_vals - cv_vals
     assert diff.std() > 0
     se_diff = diff.std(ddof=1) / np.sqrt(reps)

@@ -268,8 +268,7 @@ def test_evaluate_rules_invariant_to_experiment_order():
 
 def test_cv_fold_rewards_invariant_to_fold_relabeling():
     # Renaming folds permutes the per-fold rewards but not their mean.
-    from ruleval import assign_folds, cv_fold_reward
-    from ruleval.experiments import FoldAssignment
+    from unit_oracle import cv_fold_rewards, fold_labels
 
     rng = np.random.default_rng(14)
     exp = ExperimentData(
@@ -280,19 +279,13 @@ def test_cv_fold_rewards_invariant_to_fold_relabeling():
         ),
     )
     rule = DecisionRule(blend=[1.0])
-    folds = assign_folds(exp, 3, seed=2)
+    folds = fold_labels(exp, 3, seed=2)
     perm = {1: 3, 2: 1, 3: 2}
-    relabeled = FoldAssignment(
-        "e",
-        3,
-        {
-            a: np.array([perm[int(v)] for v in labels])
-            for a, labels in folds.folds.items()
-        },
-        seed=2,
-    )
-    original = [cv_fold_reward(exp, rule, REWARD, folds, p) for p in (1, 2, 3)]
-    shuffled = [cv_fold_reward(exp, rule, REWARD, relabeled, p) for p in (1, 2, 3)]
+    relabeled = {
+        a: np.array([perm[int(v)] for v in labels]) for a, labels in folds.items()
+    }
+    original = cv_fold_rewards(exp, rule, REWARD, folds, 3).tolist()
+    shuffled = cv_fold_rewards(exp, rule, REWARD, relabeled, 3).tolist()
     assert sorted(original) == sorted(shuffled)
     assert np.mean(original) == pytest.approx(np.mean(shuffled), rel=1e-15)
 
@@ -642,6 +635,71 @@ def test_cli_config_reader_rejects_mistyped_objects(
     assert location in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
+def test_cli_rejects_non_finite_json_numbers(tmp_path, capsys, literal):
+    # Python's json reads these literals as non-finite floats.  A NaN
+    # coefficient scored every arm NaN, so the rule always picked arm 1 and
+    # the run exited 0 with an ordinary-looking report.
+    corpus_path = tmp_path / "corpus.csv"
+    write(corpus_path, TWO_EXPERIMENTS_CSV)
+    rules_path = tmp_path / "rules.json"
+    write(rules_path, (
+        '{"reward": {"metric": "clicks"}, "fold_counts": [2], '
+        '"bootstrap_replicates": 100, "rules": [{"name": "r", "blend": '
+        '{"coefficients": {"visits": 1.0, "clicks": %s}}}]}' % literal
+    ))
+    report_path = tmp_path / "r.csv"
+    assert main(["evaluate", "--corpus", str(corpus_path), "--rules", str(rules_path),
+                 "--out", str(report_path)]) == 1
+    assert "rules[0].blend.coefficients: must be " in capsys.readouterr().err
+    assert not report_path.exists()
+
+    cfg_path = tmp_path / "config.json"
+    write(cfg_path, '{"num_replications": 20, "size_mode": "poisson", "m0": %s}' % literal)
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(cfg_path), "--out-dir", str(out)]) == 1
+    assert "simulate config.m0: must be " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_replays_only_simulate_manifests(tmp_path, capsys):
+    # A manifest passed where a config is read: simulate replays its own,
+    # every other pairing names the manifest's command and refuses.
+    corpus_path = tmp_path / "corpus.csv"
+    assert main(["make-corpus", "--out", str(corpus_path), "--experiments", "4",
+                 "--units", "6"]) == 0
+    rules_path = tmp_path / "rules.json"
+    write(rules_path, json.dumps({
+        "reward": {"metric": "north_star"}, "fold_counts": [2],
+        "bootstrap_replicates": 100,
+        "rules": [{"name": "good", "blend": {"metric": "good_proxy"}}],
+    }))
+    report_path = tmp_path / "r.csv"
+    evaluate = ["evaluate", "--corpus", str(corpus_path), "--out", str(report_path),
+                "--rules"]
+    assert main(evaluate + [str(rules_path)]) == 0
+    sim_dir = tmp_path / "sim"
+    simulate = ["simulate", "--out-dir", str(sim_dir), "--config"]
+    write(tmp_path / "config.json", json.dumps({"num_replications": 20}))
+    assert main(simulate + [str(tmp_path / "config.json")]) == 0
+    capsys.readouterr()
+    sim_manifest = sim_dir / "simulation_manifest.json"
+    cases = [
+        (evaluate, tmp_path / "r.csv.manifest.json", "evaluate rules", "evaluate"),
+        (evaluate, sim_manifest, "evaluate rules", "simulate"),
+        (simulate, tmp_path / "r.csv.manifest.json", "simulate", "evaluate"),
+        (simulate, corpus_path.with_name("corpus.csv.manifest.json"), "simulate",
+         "make-corpus"),
+    ]
+    for argv, manifest, where, command in cases:
+        assert main(argv + [str(manifest)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {where}: {manifest} is a manifest of {command!r}; only "
+            f"simulate manifests replay, through simulate --config\n"
+        )
+    assert main(simulate + [str(sim_manifest)]) == 0
 
 
 def test_cli_simulate_accepts_a_null_sweep(tmp_path):

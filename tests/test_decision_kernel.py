@@ -28,7 +28,6 @@ from ruleval import (
     EstimatorConfig,
     ExperimentData,
     RewardSpec,
-    assign_folds,
     decide,
     estimate_reward,
     leave_l_out_reward,
@@ -37,7 +36,7 @@ from ruleval import (
 )
 from ruleval import estimators, experiments
 from ruleval.estimators import subset_rewards
-from ruleval.experiments import _critical_value, blend_values
+from ruleval.experiments import _critical_value, stack_arms, stacked_blend_values
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True)
 REL = 1e-12
@@ -153,7 +152,7 @@ def test_kfold_decisions_and_estimates_match_oracle(args):
     config = EstimatorConfig(kind="cv-kfold", num_folds=num_folds, fold_seed=seed)
     with kernel_decisions() as seen:
         got = estimate_reward([exp], rule, reward, config).per_experiment[0]
-    folds = assign_folds(exp, num_folds, seed)
+    folds = oracle.fold_labels(exp, num_folds, seed)
     # The one kernel call decides every held-out fold, then the full data,
     # of the one experiment: (1, P + 1).
     expected = [
@@ -161,7 +160,7 @@ def test_kfold_decisions_and_estimates_match_oracle(args):
     ] + [oracle.decide(exp, rule)]
     assert len(seen) == 1 and seen[0].tolist() == [expected]
     w = reward.weights(exp.num_metrics)
-    want = oracle.kfold_reward(exp, rule, w, folds)
+    want = oracle.kfold_reward(exp, rule, w, folds, num_folds)
     assert close(got, want, reward_scale(exp, reward))
 
 
@@ -184,6 +183,54 @@ def test_leave_l_out_decisions_and_estimates_match_oracle(args):
     w = reward.weights(exp.num_metrics)
     want = oracle.leave_l_out_sum(exp, rule, w, leave_out)
     assert close(got, want, len(subsets) * reward_scale(exp, reward))
+
+
+@pytest.mark.parametrize("leave_out, max_folds", [(1, 6), (2, 20)])
+@pytest.mark.parametrize("kind", ["cv-leave-l-out", "poisson-rescaled"])
+@pytest.mark.parametrize("gated", [False, True])
+def test_leave_l_out_corpus_makes_one_kernel_call_per_group(
+    leave_out, max_folds, kind, gated, monkeypatch
+):
+    # Two- and three-arm experiments of 5 and 6 units per arm, shuffled, and
+    # one of 8 units per arm, whose C(8, l) subsets exceed max_folds and are
+    # sampled.  Dyadic data keeps every sum exact, so the per-experiment
+    # reference must agree exactly.
+    rng = np.random.default_rng(leave_out)
+    shapes = [(k, m) for k in (2, 3) for m in (5, 6) for _ in range(3)] + [(2, 8)]
+    exps = [
+        ExperimentData(f"x{i:02d}", tuple(
+            ArmData(a + 1, rng.integers(-4, 5, size=(m, 3)) / 2.0 + a / 2.0)
+            for a in range(k)
+        ))
+        for i, (k, m) in enumerate(shapes[j] for j in rng.permutation(len(shapes)))
+    ]
+    rule = DecisionRule(
+        blend=[1.0, 0.5, 0.0],
+        gate="significant-vs-reference" if gated else "none",
+        gate_alpha=0.3,
+    )
+    reward = RewardSpec.combination([1.0, 0.0, -0.5])
+    config = EstimatorConfig(
+        kind=kind, leave_out=leave_out, m0=4.0, max_folds=max_folds, fold_seed=3
+    )
+    with kernel_decisions() as seen:
+        got = estimators.per_experiment_rewards(exps, rule, reward, config)
+    want = oracle.leave_l_out_rewards(exps, rule, reward, config)
+    assert got.tolist() == want.tolist()
+    # One call per (arm count, arm size) scored on every subset, one for
+    # the sampled experiment.
+    assert len(seen) == 4 + 1
+    assert sorted(chosen.shape for chosen in seen) == sorted(
+        [(3, math.comb(m, leave_out)) for m in (5, 6) for _ in (2, 3)] + [(1, max_folds)]
+    )
+    if gated:
+        assert set(np.concatenate([c.ravel() for c in seen]).tolist()) == {1, 2, 3}
+    # Row blocks of one experiment each change no value.
+    monkeypatch.setattr(estimators, "BLOCK_ELEMENTS", 1)
+    with kernel_decisions() as seen:
+        blocked = estimators.per_experiment_rewards(exps, rule, reward, config)
+    assert blocked.tolist() == want.tolist()
+    assert len(seen) == len(exps)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -211,16 +258,17 @@ def test_subsets_producer_scores_each_experiment_of_a_batch(
         ExperimentData(f"e{i}", tuple(ArmData(a + 1, units[i, a]) for a in range(k)))
         for i in range(n)
     ]
-    values = np.stack([np.stack(blend_values(exp, rule)) for exp in exps])
+    values = stacked_blend_values(stack_arms(exps), rule).reshape(n, k, m, -1)
     subsets = np.array(list(combinations(range(m), leave_out)))
-    got = subset_rewards(values, units @ w, subsets, rule, "batch")
-    assert got.shape == (n, len(subsets))
+    decided, got = subset_rewards(values, units @ w, subsets, rule, "batch")
+    assert decided.shape == got.shape == (n, len(subsets))
     for i, exp in enumerate(exps):
         chosen = [oracle.decide_without(exp, rule, s) for s in subsets]
         want = [
             float((exp.arm(c).units @ w)[list(s)].mean())
             for c, s in zip(chosen, subsets)
         ]
+        assert decided[i].tolist() == chosen
         assert got[i].tolist() == want
         assert got[i].sum() == oracle.leave_l_out_sum(exp, rule, w, leave_out)
 

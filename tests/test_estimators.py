@@ -10,12 +10,13 @@ from ruleval import (
     ArmData,
     ConfidenceInterval,
     DecisionRule,
+    DegenerateFoldError,
     EstimatorConfig,
     ExperimentData,
     RewardSpec,
-    assign_folds,
+    SimulationConfig,
     bootstrap_ci,
-    cv_fold_reward,
+    check_poisson_rescaling,
     decide,
     estimate_reward,
     leave_l_out_reward,
@@ -23,7 +24,6 @@ from ruleval import (
     poisson_rescaled_reward,
 )
 from ruleval.estimators import MAX_BOOTSTRAP_REDRAWS, aggregate, bootstrap_aggregates
-from ruleval.experiments import FoldAssignment
 from ruleval.streams import substream
 import unit_oracle as oracle
 
@@ -82,13 +82,14 @@ def test_naive_reward_winner_s_curse_is_positive_under_the_null():
 
 
 # ---------------------------------------------------------------------------
-# cv_fold_reward
+# k-fold rewards, one fold at a time (oracle.cv_fold_rewards)
+
+UNIT_FOLDS = {1: np.array([1, 2, 3]), 2: np.array([1, 2, 3])}
 
 
 def test_cv_fold_reward_constant_rule_is_fold_mean():
     exp = two_arm([[1.0], [5.0], [9.0]], [[7.0], [7.0], [7.0]])
-    folds = FoldAssignment("e", 3, {1: np.array([1, 2, 3]), 2: np.array([1, 2, 3])}, 0)
-    assert cv_fold_reward(exp, CONSTANT_RULE, REWARD, folds, 2) == 5.0
+    assert oracle.cv_fold_rewards(exp, CONSTANT_RULE, REWARD, UNIT_FOLDS, 3)[1] == 5.0
 
 
 def test_cv_fold_reward_leave_one_out_toy():
@@ -97,16 +98,16 @@ def test_cv_fold_reward_leave_one_out_toy():
     # (2, 4) -> arm 2, value 1; p=3 remaining (1, 1) -> tie -> arm 1,
     # value 4.
     exp = two_arm([[0.0], [2.0], [4.0]], [[1.0], [1.0], [7.0]])
-    folds = FoldAssignment("e", 3, {1: np.array([1, 2, 3]), 2: np.array([1, 2, 3])}, 0)
-    values = [cv_fold_reward(exp, ARGMAX_RULE, REWARD, folds, p) for p in (1, 2, 3)]
+    values = oracle.cv_fold_rewards(exp, ARGMAX_RULE, REWARD, UNIT_FOLDS, 3).tolist()
     assert values == [1.0, 1.0, 4.0]
 
 
 def test_cv_fold_reward_identical_units_returns_constant():
     exp = two_arm(np.full((6, 1), 3.25), np.full((6, 1), 3.25))
-    folds = assign_folds(exp, 3, seed=0)
+    folds = oracle.fold_labels(exp, 3, seed=0)
+    values = oracle.cv_fold_rewards(exp, ARGMAX_RULE, REWARD, folds, 3)
     for p in (1, 2, 3):
-        assert cv_fold_reward(exp, ARGMAX_RULE, REWARD, folds, p) == 3.25
+        assert values[p - 1] == 3.25
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +243,23 @@ def test_leave_l_out_rejects_bad_shapes():
         leave_l_out_reward(uneven, ARGMAX_RULE, REWARD, 1)
 
 
+def test_leave_l_out_corpus_raises_the_first_experiments_fault():
+    # The batched pass scores (arm count, arm size) groups in any order, yet
+    # names the fault a loop over the experiments would meet first: c lacks
+    # the fallback arm 3 when no arm passes, b's one kept unit per arm
+    # cannot be gated.
+    rule = DecisionRule(blend=[1.0], gate="significant-vs-reference", fallback_arm=3)
+    a = two_arm(np.arange(6.0)[:, None], 100 + np.arange(6.0)[:, None], exp_id="a")
+    b = ExperimentData("b", tuple(ArmData(k, np.array([[0.0], [1.0]])) for k in (1, 2, 3)))
+    c = two_arm(np.arange(6.0)[:, None], np.arange(6.0)[:, None], exp_id="c")
+    config = EstimatorConfig(kind="cv-leave-l-out", leave_out=1)
+    with pytest.raises(ValueError, match="fallback arm 3 does not exist in experiment 'c'"):
+        estimate_reward([a, c, b], rule, REWARD, config)
+    with pytest.raises(DegenerateFoldError, match="experiment 'b': holding out 1"):
+        estimate_reward([a, b, c], rule, REWARD, config)
+    assert estimate_reward([a], rule, REWARD, config).value == 100 + 2.5
+
+
 @pytest.mark.parametrize("max_folds", [0, -1])
 def test_max_folds_below_one_is_rejected(max_folds):
     with pytest.raises(ValueError, match="max_folds"):
@@ -271,6 +289,23 @@ def test_rescaled_requires_positive_m0():
         poisson_rescaled_reward(exp, CONSTANT_RULE, REWARD, 1, 0.0)
 
 
+@pytest.mark.parametrize("m0", [np.inf, np.nan, -np.inf, 0.0, -2.0, True, "5"])
+def test_m0_must_be_finite_and_positive(m0):
+    # One check for every user of m0: an infinite m0 rescaled every sum to
+    # -0.0 or 0.0, and a NaN one reached NumPy's Poisson draw.
+    exp = two_arm([[1.0], [2.0]], [[3.0], [4.0]])
+    message = "m0 must be a finite number > 0"
+    with pytest.raises(ValueError, match=message):
+        poisson_rescaled_reward(exp, CONSTANT_RULE, REWARD, 1, m0)
+    with pytest.raises(ValueError, match=message):
+        EstimatorConfig(kind="poisson-rescaled", m0=m0)
+    with pytest.raises(ValueError, match=message):
+        SimulationConfig(size_mode="poisson", m0=m0)
+    with pytest.raises(ValueError, match=message):
+        check_poisson_rescaling(m0=m0, replications=100)
+    assert EstimatorConfig(kind="poisson-rescaled", m0=np.int64(3)).m0 == 3
+
+
 # ---------------------------------------------------------------------------
 # reward translation
 
@@ -288,11 +323,11 @@ def test_adding_a_constant_shifts_estimators_by_psi_of_it():
     assert naive_reward(shifted, rule, reward) == pytest.approx(
         naive_reward(exp, rule, reward) + shift, rel=1e-12
     )
-    folds = assign_folds(exp, 3, seed=0)
+    folds = oracle.fold_labels(exp, 3, seed=0)
+    moved = oracle.cv_fold_rewards(shifted, rule, reward, folds, 3)
+    unmoved = oracle.cv_fold_rewards(exp, rule, reward, folds, 3)
     for p in (1, 2, 3):
-        assert cv_fold_reward(shifted, rule, reward, folds, p) == pytest.approx(
-            cv_fold_reward(exp, rule, reward, folds, p) + shift, rel=1e-12
-        )
+        assert moved[p - 1] == pytest.approx(unmoved[p - 1] + shift, rel=1e-12)
     # Decisions are unchanged by a common shift.
     assert decide(shifted, rule) == decide(exp, rule)
 
@@ -313,10 +348,9 @@ def test_estimate_reward_kinds_agree_with_direct_calls():
     )
     direct = np.mean(
         [
-            np.mean(
-                [cv_fold_reward(e, ARGMAX_RULE, REWARD, assign_folds(e, 2, 0), p)
-                 for p in (1, 2)]
-            )
+            np.mean(oracle.cv_fold_rewards(
+                e, ARGMAX_RULE, REWARD, oracle.fold_labels(e, 2, 0), 2
+            ))
             for e in exps
         ]
     )

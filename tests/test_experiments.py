@@ -2,7 +2,8 @@
 and fold machinery.
 
 ``blend_mean_and_se`` is the unit-level oracle's (tests/unit_oracle.py);
-held-out-fold decisions are observed through ``cv_fold_reward``.
+held-out-fold decisions are observed through its ``cv_fold_rewards``, the
+library's k-fold table scored on given fold labels.
 """
 
 import statistics
@@ -17,14 +18,12 @@ from ruleval import (
     DegenerateFoldError,
     ExperimentData,
     RewardSpec,
-    assign_folds,
-    cv_fold_reward,
     decide,
     significance_set,
 )
-from ruleval.experiments import FoldAssignment
+from ruleval.experiments import fold_permutations
 from ruleval.streams import substream
-from unit_oracle import blend_mean_and_se
+from unit_oracle import blend_mean_and_se, cv_fold_rewards, fold_labels
 
 REWARD = RewardSpec.metric(1)
 
@@ -261,19 +260,19 @@ def test_status_quo_and_challenger_rules_are_expressible():
 
 
 def test_assign_folds_near_equal_sizes_and_reproducible():
+    # Fold labels are each arm's fold_permutations draw modulo the count.
     exp = two_arm(np.zeros((11, 1)), np.zeros((7, 1)))
-    folds = assign_folds(exp, 3, seed=5)
-    for arm_index, m in ((1, 11), (2, 7)):
-        labels = folds.folds[arm_index]
+    folds = [perm % 3 + 1 for perm in fold_permutations(exp, seed=5)]
+    for labels, m in zip(folds, (11, 7)):
         assert labels.shape == (m,)
         counts = np.bincount(labels, minlength=4)[1:]
         assert counts.max() - counts.min() <= 1
-    again = assign_folds(exp, 3, seed=5)
-    for arm_index in (1, 2):
-        assert np.array_equal(folds.folds[arm_index], again.folds[arm_index])
-    different = assign_folds(exp, 3, seed=6)
+    again = fold_permutations(exp, seed=5)
+    for labels, perm in zip(folds, again):
+        assert np.array_equal(labels, perm % 3 + 1)
+    different = fold_permutations(exp, seed=6)
     assert any(
-        not np.array_equal(folds.folds[a], different.folds[a]) for a in (1, 2)
+        not np.array_equal(labels, perm % 3 + 1) for labels, perm in zip(folds, different)
     )
 
 
@@ -281,10 +280,10 @@ def test_assign_folds_depends_only_on_seed_id_and_sizes():
     rng = np.random.default_rng(0)
     a = two_arm(rng.standard_normal((9, 1)), rng.standard_normal((5, 1)))
     b = two_arm(rng.standard_normal((9, 1)), rng.standard_normal((5, 1)))
-    fa = assign_folds(a, 4, seed=11)
-    fb = assign_folds(b, 4, seed=11)
-    for arm_index in (1, 2):
-        assert np.array_equal(fa.folds[arm_index], fb.folds[arm_index])
+    fa = fold_permutations(a, seed=11)
+    fb = fold_permutations(b, seed=11)
+    for pa, pb in zip(fa, fb):
+        assert np.array_equal(pa % 4 + 1, pb % 4 + 1)
 
 
 def test_decide_on_folds_mirror_halves():
@@ -293,21 +292,23 @@ def test_decide_on_folds_mirror_halves():
     units1 = np.array([[1.0], [1.0]])
     units2 = np.array([[2.0], [2.0]])
     exp = two_arm(units1, units2)
-    folds = FoldAssignment("e", 2, {1: np.array([1, 2]), 2: np.array([1, 2])}, 0)
+    folds = {1: np.array([1, 2]), 2: np.array([1, 2])}
     rule = DecisionRule(blend=[1.0])
     assert decide(exp, rule) == 2
-    assert cv_fold_reward(exp, rule, REWARD, folds, 1) == 2.0  # arm 2's unit
-    assert cv_fold_reward(exp, rule, REWARD, folds, 2) == 2.0
+    values = cv_fold_rewards(exp, rule, REWARD, folds, 2)
+    assert values[0] == 2.0  # arm 2's unit
+    assert values[1] == 2.0
 
 
 def test_decide_on_folds_data_independent_rule():
     rng = np.random.default_rng(3)
     exp = two_arm(rng.standard_normal((6, 1)), rng.standard_normal((6, 1)))
-    folds = assign_folds(exp, 3, seed=0)
+    folds = fold_labels(exp, 3, seed=0)
     rule = DecisionRule(blend=[0.0])
+    values = cv_fold_rewards(exp, rule, REWARD, folds, 3)
     for p in (1, 2, 3):
-        arm1_fold = exp.arm(1).units[folds.folds[1] == p, 0]
-        assert cv_fold_reward(exp, rule, REWARD, folds, p) == arm1_fold.mean()
+        arm1_fold = exp.arm(1).units[folds[1] == p, 0]
+        assert values[p - 1] == arm1_fold.mean()
 
 
 def test_decide_on_folds_matches_brute_force_subsets():
@@ -315,38 +316,37 @@ def test_decide_on_folds_matches_brute_force_subsets():
     for trial in range(20):
         units = rng.standard_normal((2, 6, 2))
         exp = two_arm(units[0], units[1], exp_id=f"e{trial}")
-        folds = assign_folds(exp, 3, seed=trial)
+        folds = fold_labels(exp, 3, seed=trial)
         rule = DecisionRule(blend=[1.0, -0.5])
+        values = cv_fold_rewards(exp, rule, REWARD, folds, 3)
         for p in (1, 2, 3):
             manual_arms = []
             for arm in exp.arms:
-                keep = folds.folds[arm.arm_index] != p
+                keep = folds[arm.arm_index] != p
                 manual_arms.append(ArmData(arm.arm_index, arm.units[keep]))
             manual = ExperimentData(exp.experiment_id, tuple(manual_arms))
             chosen = decide(manual, rule)
-            held = exp.arm(chosen).units[folds.folds[chosen] == p, 0]
-            assert cv_fold_reward(exp, rule, REWARD, folds, p) == held.mean()
+            held = exp.arm(chosen).units[folds[chosen] == p, 0]
+            assert values[p - 1] == held.mean()
 
 
 def test_decide_on_folds_degenerate_fold_names_arm_and_fold():
     exp = two_arm([[1.0], [2.0]], [[3.0], [4.0]])
-    folds = FoldAssignment("e", 2, {1: np.array([1, 1]), 2: np.array([1, 2])}, 0)
+    folds = {1: np.array([1, 1]), 2: np.array([1, 2])}  # arm 1 has no fold 2
     with pytest.raises(DegenerateFoldError, match="fold 1") as excinfo:
-        cv_fold_reward(exp, DecisionRule(blend=[1.0]), REWARD, folds, 1)
+        cv_fold_rewards(exp, DecisionRule(blend=[1.0]), REWARD, folds, 2)
     assert "arm 1" in str(excinfo.value)
 
 
 def test_remove_fold_gated_needs_two_remaining_units():
     exp = two_arm([[1.0], [2.0], [3.0]], [[4.0], [5.0], [6.0]])
-    folds = FoldAssignment(
-        "e", 2, {1: np.array([1, 1, 2]), 2: np.array([1, 1, 2])}, 0
-    )
+    folds = {1: np.array([1, 1, 2]), 2: np.array([1, 1, 2])}
     # Removing the two-unit fold leaves one unit per arm: fine ungated
     # (arm 2 wins and scores its held-out units 4 and 5), degenerate under
     # a significance gate.
-    assert cv_fold_reward(exp, DecisionRule(blend=[1.0]), REWARD, folds, 1) == 4.5
+    assert cv_fold_rewards(exp, DecisionRule(blend=[1.0]), REWARD, folds, 2)[0] == 4.5
     with pytest.raises(DegenerateFoldError):
-        cv_fold_reward(exp, gated_rule(), REWARD, folds, 1)
+        cv_fold_rewards(exp, gated_rule(), REWARD, folds, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """The batched k-fold path of ``evaluate_rules``: one fold permutation per
-arm shared by every fold count, checked against separate ``assign_folds``
-calls per fold count, and the bootstrap redraw count it reports."""
+arm shared by every fold count, checked against fold labels drawn per fold
+count and scored one fold at a time (``unit_oracle.fold_labels`` and
+``cv_fold_rewards``), and the bootstrap redraw count it reports."""
 
 import json
 
@@ -15,8 +16,6 @@ from ruleval import (
     ExperimentCorpus,
     ExperimentData,
     RewardSpec,
-    assign_folds,
-    cv_fold_reward,
     evaluate_rules,
     per_experiment_rewards,
     write_corpus_csv,
@@ -62,7 +61,7 @@ def corpus(num_experiments=9, seed=0):
 
 def oracle_rows(corp, reward, mode, seed, replicates, level):
     """(rule, estimator, folds) -> (estimate, ci_lower, ci_upper), with k-fold
-    contributions from one ``assign_folds`` call per experiment and fold count."""
+    contributions from fold labels drawn per experiment and fold count."""
     exps = sorted(corp.experiments, key=lambda e: e.experiment_id)
     weights = np.array([e.weight for e in exps])
     reward_w = reward.weights(len(corp.metric_names))
@@ -73,13 +72,11 @@ def oracle_rows(corp, reward, mode, seed, replicates, level):
         for p in FOLD_COUNTS:
             per_fold = []
             for exp in exps:
-                folds = assign_folds(exp, p, seed)
-                fold_rewards = np.array(
-                    [cv_fold_reward(exp, rule, reward, folds, q) for q in range(1, p + 1)]
-                )
+                folds = oracle.fold_labels(exp, p, seed)
+                fold_rewards = oracle.cv_fold_rewards(exp, rule, reward, folds, p)
                 # Unit-level reference: same decisions, sums in another order.
                 assert fold_rewards.mean() == pytest.approx(
-                    oracle.kfold_reward(exp, rule, reward_w, folds), rel=1e-12, abs=1e-12
+                    oracle.kfold_reward(exp, rule, reward_w, folds, p), rel=1e-12, abs=1e-12
                 )
                 per_fold.append(fold_rewards.mean())
             columns[("cv-kfold", p)] = np.array(per_fold)
@@ -153,12 +150,13 @@ def test_assign_folds_is_the_permutation_modulo_the_fold_count(num_folds):
         "perm", tuple(ArmData(k + 1, rng.standard_normal((m, 1))) for k, m in enumerate(sizes))
     )
     for seed in (0, 7):
-        folds = assign_folds(exp, num_folds, seed)
-        for arm in exp.arms:
+        folds = oracle.fold_labels(exp, num_folds, seed)
+        for arm, drawn in zip(exp.arms, fold_permutations(exp, seed)):
             perm = substream(seed, "folds", "perm", arm.arm_index).permutation(arm.num_units)
-            assert np.array_equal(folds.folds[arm.arm_index], perm % num_folds + 1)
+            assert np.array_equal(drawn, perm)
+            assert np.array_equal(folds[arm.arm_index], perm % num_folds + 1)
             assert np.array_equal(
-                folds.folds[arm.arm_index], (np.arange(arm.num_units) % num_folds + 1)[perm]
+                folds[arm.arm_index], (np.arange(arm.num_units) % num_folds + 1)[perm]
             )
 
 

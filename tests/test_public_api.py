@@ -1,5 +1,6 @@
-"""Every name a module exports in ``__all__`` exists, once, and the CLI's
-import graph stays small."""
+"""Every name a module exports in ``__all__`` exists, once, the package's
+names are documented in the README, and the CLI's import graph stays
+small."""
 
 import importlib
 import os
@@ -25,6 +26,14 @@ def test_all_entries_resolve_without_duplicates(name):
     )
     missing = [e for e in exported if not hasattr(module, e)]
     assert not missing, missing
+
+
+def test_every_package_name_is_documented_in_the_readme():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    undocumented = [name for name in ruleval.__all__ if f"`{name}`" not in text]
+    assert not undocumented, undocumented
 
 
 def test_cli_import_loads_neither_scipy_nor_a_thread_pool():

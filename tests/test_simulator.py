@@ -18,16 +18,15 @@ from ruleval import (
     RewardSpec,
     SimulationConfig,
     SweepSpec,
-    assign_folds,
     check_poisson_rescaling,
     check_rule_selection,
-    cv_fold_reward,
     decide,
     leave_l_out_reward,
     naive_reward,
     run_bias_sweep,
 )
 from ruleval import simulator
+from ruleval.estimators import batch_rewards
 from ruleval.simulator import (
     _fold_sizes,
     cov_factor,
@@ -170,10 +169,7 @@ def test_fast_path_matches_unit_level_distributions(gate, units_per_arm):
         exp, tau = draw_experiment(model, "fixed", substream(99, "unit", i))
         unit["true"][i] = tau[0] if decide(exp, rule) == 2 else 0.0
         unit["naive"][i] = naive_reward(exp, rule, psi)
-        folds = assign_folds(exp, 5, seed=i)
-        unit["cv"][i] = np.mean(
-            [cv_fold_reward(exp, rule, psi, folds, p) for p in range(1, 6)]
-        )
+        unit["cv"][i] = batch_rewards([exp], [rule], psi, (5,), fold_seed=i)[0, 1, 0]
 
     ec = cov_factor(model.effect_cov)
     nc = cov_factor(model.noise_cov)

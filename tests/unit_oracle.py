@@ -7,8 +7,14 @@ standard errors.  Tests compare the library against it.  It also keeps
 the unit-level draw of the simulator's Gaussian model (``draw_experiment``),
 whose fold-mean law the fast path samples directly, the k-fold producer
 written one experiment at a time (``batch_rewards``), whose sums the
-corpus-wide one must reproduce bit for bit, and the row-by-row
+corpus-wide one must reproduce bit for bit, the leave-l-out estimators
+written the same way (``leave_l_out_rewards``), and the row-by-row
 ``csv.reader`` corpus parser (``ingest_csv``).
+
+Folds are given as labels: a dict from arm index to each unit's fold in
+1..P.  ``fold_labels`` draws the ones the library's k-fold estimate uses,
+and ``cv_fold_rewards`` scores any labels through the library's k-fold
+table, ``estimators._fold_table``.
 """
 
 import csv
@@ -27,17 +33,19 @@ from ruleval import (
     CorpusFormatError,
     ExperimentCorpus,
     ExperimentData,
-    FoldAssignment,
 )
+from ruleval.estimators import _fold_table
 from ruleval.experiments import (
     _fold_name,
     blend_matrix,
-    blend_values,
     decide_kept,
     fold_permutations,
     sample_variance,
+    stack_arms,
+    stacked_blend_values,
 )
 from ruleval.simulator import _fold_sizes, cov_factor
+from ruleval.streams import substream
 from ruleval.tableio import write_csv_atomic
 
 
@@ -113,13 +121,36 @@ def decide(exp: ExperimentData, rule: DecisionRule) -> int:
     return int(best)
 
 
+def fold_labels(exp: ExperimentData, num_folds: int, seed: int) -> dict[int, np.ndarray]:
+    """Each arm's fold labels in 1..num_folds as the k-fold estimate draws
+    them: unit i of an arm with ``fold_permutations`` draw ``perm`` is in
+    fold ``perm[i] % num_folds + 1``."""
+    return {
+        arm.arm_index: perm % num_folds + 1
+        for arm, perm in zip(exp.arms, fold_permutations(exp, seed))
+    }
+
+
+def cv_fold_rewards(
+    exp: ExperimentData, rule: DecisionRule, reward, labels: dict, num_folds: int
+) -> np.ndarray:
+    """(num_folds,) the library's reward of the decision made without each
+    fold, measured on that fold's units of the chosen arm, for any fold
+    labels: they become the bins of ``estimators._fold_table``."""
+    bins = np.concatenate(
+        [labels[arm.arm_index] - 1 + k * num_folds for k, arm in enumerate(exp.arms)]
+    )[None]
+    table = _fold_table(stack_arms([exp]), [rule], reward, bins, (num_folds,))
+    return table[0, 0, :num_folds]
+
+
 def remove_fold(
-    exp: ExperimentData, folds: FoldAssignment, held_out: int, min_units: int
+    exp: ExperimentData, labels: dict, held_out: int, min_units: int
 ) -> ExperimentData:
     """Experiment with the held-out fold's units removed from every arm."""
     arms = []
     for arm in exp.arms:
-        keep = folds.folds[arm.arm_index] != held_out
+        keep = labels[arm.arm_index] != held_out
         if int(keep.sum()) < min_units:
             raise DegenerateFoldError(
                 f"removing fold {held_out} leaves arm {arm.arm_index} with "
@@ -134,9 +165,9 @@ def _min_units(rule: DecisionRule) -> int:
 
 
 def decide_on_fold(
-    exp: ExperimentData, rule: DecisionRule, folds: FoldAssignment, held_out: int
+    exp: ExperimentData, rule: DecisionRule, labels: dict, held_out: int
 ) -> int:
-    return decide(remove_fold(exp, folds, held_out, _min_units(rule)), rule)
+    return decide(remove_fold(exp, labels, held_out, _min_units(rule)), rule)
 
 
 def naive_reward(exp: ExperimentData, rule: DecisionRule, reward_w: np.ndarray) -> float:
@@ -144,13 +175,17 @@ def naive_reward(exp: ExperimentData, rule: DecisionRule, reward_w: np.ndarray) 
 
 
 def kfold_reward(
-    exp: ExperimentData, rule: DecisionRule, reward_w: np.ndarray, folds: FoldAssignment
+    exp: ExperimentData,
+    rule: DecisionRule,
+    reward_w: np.ndarray,
+    labels: dict,
+    num_folds: int,
 ) -> float:
     """Mean over folds of the held-out fold reward of the chosen arm."""
     values = []
-    for p in range(1, folds.num_folds + 1):
-        chosen = decide_on_fold(exp, rule, folds, p)
-        mask = folds.folds[chosen] == p
+    for p in range(1, num_folds + 1):
+        chosen = decide_on_fold(exp, rule, labels, p)
+        mask = labels[chosen] == p
         values.append(float((exp.arm(chosen).units @ reward_w)[mask].mean()))
     return float(np.mean(values))
 
@@ -168,14 +203,47 @@ def decide_without(exp: ExperimentData, rule: DecisionRule, subset) -> int:
 
 
 def leave_l_out_sum(
-    exp: ExperimentData, rule: DecisionRule, reward_w: np.ndarray, leave_out: int
+    exp: ExperimentData,
+    rule: DecisionRule,
+    reward_w: np.ndarray,
+    leave_out: int,
+    subsets=None,
 ) -> float:
-    """Sum over every size-l subset of its held-out mean reward in the chosen arm."""
+    """Sum over every size-l subset (or the given ``subsets``) of its
+    held-out mean reward in the chosen arm."""
+    if subsets is None:
+        subsets = combinations(range(exp.arms[0].num_units), leave_out)
     total = 0.0
-    for subset in combinations(range(exp.arms[0].num_units), leave_out):
+    for subset in subsets:
         chosen = decide_without(exp, rule, subset)
         total += float((exp.arm(chosen).units @ reward_w)[list(subset)].mean())
     return total
+
+
+def leave_l_out_rewards(exps, rule, reward, config) -> np.ndarray:
+    """``per_experiment_rewards`` for the two leave-l-out kinds, one
+    experiment and one subset at a time.  An experiment with more than
+    ``max_folds`` subsets (default 10,000 for l >= 2) draws that many from
+    its own ``substream(fold_seed, "leave-l-out", id, l)`` and scales
+    their sum by C(m, l) / max_folds."""
+    l = config.leave_out
+    out = np.empty(len(exps))
+    for i, exp in enumerate(exps):
+        m = exp.arms[0].num_units
+        num_subsets = math.comb(m, l)
+        cap = config.max_folds or (num_subsets if l == 1 else 10_000)
+        subsets = None
+        if num_subsets > cap:
+            rng = substream(config.fold_seed, "leave-l-out", exp.experiment_id, l)
+            subsets = [rng.choice(m, size=l, replace=False) for _ in range(cap)]
+        total = leave_l_out_sum(exp, rule, reward.weights(exp.num_metrics), l, subsets)
+        if subsets is not None:
+            total = num_subsets * total / cap
+        if config.kind == "poisson-rescaled":
+            out[i] = math.factorial(l) * total / config.m0**l
+        else:
+            out[i] = total / num_subsets
+    return out
 
 
 def bootstrap_loop(
@@ -321,10 +389,10 @@ def fold_stats(
     the full data: counts (total + 1, K), blend sums (total + 1, K, B) and,
     gated, their sample variance.  ``bins`` is (partitions, units) over the
     arms' stacked units, ``(arm - 1) * total + fold``."""
-    values = blend_values(exp, rule)
+    stack = stack_arms([exp])
     num_arms, total = exp.num_arms, sum(fold_counts)
     size = num_arms * total
-    sizes = np.array([v.shape[0] for v in values])
+    sizes = stack.sizes
     held = np.bincount(bins.ravel(), minlength=size).reshape(num_arms, total)
     counts = np.vstack([(sizes[:, None] - held).T, sizes])
     gated = rule.gate != "none"
@@ -340,7 +408,7 @@ def fold_stats(
             f"{_fold_name(fold_counts, t)} leaves arm {k + 1} with "
             f"{counts[t, k]} unit(s), needs >= {1 + gated}"
         )
-    stacked = np.concatenate(values)
+    stacked = stacked_blend_values(stack, rule)
     blends = stacked.shape[1]
     columns = np.vstack([stacked.T] + ([(stacked * stacked).T] if gated else []))
     width = len(columns)
