@@ -27,6 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .estimators import check_count
+
 __all__ = [
     "EffectModel",
     "cv_expectation",
@@ -72,12 +74,8 @@ class EffectModel:
     def __post_init__(self) -> None:
         object.__setattr__(self, "effect_cov", _check_cov("effect_cov", self.effect_cov))
         object.__setattr__(self, "noise_cov", _check_cov("noise_cov", self.noise_cov))
-        if self.units_per_arm < 1:
-            raise ValueError("units_per_arm must be >= 1")
-        if self.num_experiments < 1:
-            raise ValueError("num_experiments must be >= 1")
-        if self.num_folds < 2:
-            raise ValueError("num_folds must be >= 2")
+        for name, low in (("units_per_arm", 1), ("num_experiments", 1), ("num_folds", 2)):
+            object.__setattr__(self, name, check_count(name, getattr(self, name), low))
 
     @classmethod
     def from_correlations(

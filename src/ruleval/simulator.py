@@ -26,9 +26,11 @@ row blocks that continue one random stream, with at most ``BLOCK_ELEMENTS``
 values per temporary, so memory stays bounded and the block size never
 changes a result.
 
-Reductions are deterministic and independent of parallelism: work is cut
-into fixed-size chunks keyed by (seed, point, chunk), executed in any
-order, and reduced in chunk order.
+Reductions are deterministic and independent of parallelism.  The bias
+sweep and the rule-selection check plan, run and reduce their work in one
+place, ``_chunk_sums``: it cuts the replications at every point into
+fixed-size chunks keyed by (seed, point, chunk), runs them in any order and
+sums each point's chunk results in chunk order.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import combinations
 
 import numpy as np
@@ -68,6 +71,7 @@ __all__ = [
 
 PARALLELISM_ENV_VAR = "RULEVAL_PARALLEL"
 CHUNK_REPLICATIONS = 256
+ESTIMATORS = ("true", "naive", "cv")
 
 # Default generative parameters: a weak signal-to-noise regime with one
 # hundred experiments of a million units per arm.
@@ -122,6 +126,15 @@ class SweepSpec:
             raise ValueError("sweep grid is empty")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("sweep grid must be strictly increasing")
+        # The other two fields are counts: a fractional grid value would be
+        # simulated rounded but reported as given.
+        if self.field != "noise_sd_proxy":
+            for value in grid:
+                if not (value >= 1 and value.is_integer()):
+                    raise ValueError(
+                        f"every {self.field} in the sweep grid must be an "
+                        f"integer >= 1, got {value!r}"
+                    )
         object.__setattr__(self, "grid", grid)
 
 
@@ -135,7 +148,7 @@ class SimulationConfig:
     rule: DecisionRule = field(
         default_factory=lambda: DecisionRule(blend=[0.0, 1.0])
     )
-    estimators: tuple[str, ...] = ("true", "naive", "cv")
+    estimators: tuple[str, ...] = ESTIMATORS
     sweep: SweepSpec | None = None
     mode: str = "cumulative"
 
@@ -144,11 +157,15 @@ class SimulationConfig:
             raise ValueError(f"unknown size_mode {self.size_mode!r}")
         if self.size_mode == "poisson":
             check_m0(self.m0)
-        if self.num_replications < 1:
-            raise ValueError("num_replications must be >= 1")
+        check_count("num_replications", self.num_replications, 1)
+        if self.rule.gate != "none" and self.rule.fallback_arm > 2:
+            raise ValueError(
+                f"fallback_arm must be 1 or 2 for the two-arm fast path, "
+                f"got {self.rule.fallback_arm}"
+            )
         if self.mode not in ("mean", "cumulative"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        unknown = set(self.estimators) - {"true", "naive", "cv"}
+        unknown = set(self.estimators) - set(ESTIMATORS)
         if unknown:
             raise ValueError(f"unknown estimators {sorted(unknown)}")
         if not self.estimators:
@@ -201,13 +218,24 @@ def _ordered_parallel_map(fn, jobs: list) -> list:
         return list(pool.map(fn, jobs))
 
 
-def _chunk_plan(replications: int) -> list[tuple[int, int]]:
-    """(chunk index, replication count) pairs cutting ``replications`` into
-    fixed-size chunks."""
-    return [
-        (chunk_idx, min(CHUNK_REPLICATIONS, replications - start))
-        for chunk_idx, start in enumerate(range(0, replications, CHUNK_REPLICATIONS))
+def _chunk_sums(chunk_fn, num_points: int, replications: int) -> list[list[float]]:
+    """Per point, the chunk-order sum of ``chunk_fn``'s float arrays.
+
+    ``replications`` is cut into chunks of ``CHUNK_REPLICATIONS`` at each of
+    ``num_points`` points, and ``chunk_fn(point, chunk, chunk_reps)`` runs
+    once per chunk, in any order.  Each point's arrays are added in chunk
+    order, so the sums do not depend on the parallelism degree; they come
+    back as Python floats.
+    """
+    starts = range(0, replications, CHUNK_REPLICATIONS)
+    jobs = [
+        (point, chunk, min(CHUNK_REPLICATIONS, replications - start))
+        for point in range(num_points)
+        for chunk, start in enumerate(starts)
     ]
+    results = _ordered_parallel_map(lambda job: chunk_fn(*job), jobs)
+    n = len(starts)
+    return [sum(results[i:i + n]).tolist() for i in range(0, len(results), n)]
 
 
 def _mean_and_var(total: float, squares: float, r: int) -> tuple[float, float]:
@@ -297,7 +325,7 @@ def _simulate_estimates(
 
     tau = rng.standard_normal((n, n_metrics)) @ effect_chol.T
     effects = (tau @ directions).T  # (D, n)
-    out = {key: np.empty((n, len(rules))) for key in ("true", "naive", "cv")}
+    out = {key: np.empty((n, len(rules))) for key in ESTIMATORS}
     width = 2 * (num_folds + 1) * max(n_metrics, directions.shape[1])
     step = max(1, BLOCK_ELEMENTS // width)
     for start in range(0, n, step):
@@ -335,10 +363,8 @@ def _simulate_estimates(
 def _model_at(model: EffectModel, sweep_field: str | None, value: float) -> EffectModel:
     if sweep_field is None:
         return model
-    if sweep_field == "units_per_arm":
-        return model.replace(units_per_arm=int(round(value)))
-    if sweep_field == "num_experiments":
-        return model.replace(num_experiments=int(round(value)))
+    if sweep_field in ("units_per_arm", "num_experiments"):
+        return model.replace(**{sweep_field: int(value)})
     if sweep_field == "noise_sd_proxy":
         sd_y = float(np.sqrt(model.noise_cov[0, 0]))
         old_sd = float(np.sqrt(model.noise_cov[1, 1]))
@@ -367,30 +393,28 @@ def _closed_forms(model: EffectModel, rule: DecisionRule) -> dict[str, float] | 
     }
 
 
-def _sweep_chunk(args) -> tuple[dict[str, tuple[float, float]], int]:
-    """Simulate one chunk of replications at one sweep point.
+def _sweep_chunk(config, variant, models, point, chunk, reps) -> np.ndarray:
+    """Simulate ``reps`` replications at sweep point ``point``.
 
-    Returns per-estimator (sum, sum of squares) over the chunk's
-    per-replication aggregates, plus the zero-size redraw count.
+    Returns per estimator the sum and sum of squares of the per-replication
+    aggregates, then the zero-size redraw count.
     """
-    (config, variant, point_idx, chunk_idx, chunk_reps, model) = args
+    model = models[point]
     n_exps = model.num_experiments
-    n = chunk_reps * n_exps
+    n = reps * n_exps
     effect_chol = cov_factor(model.effect_cov)
     noise_chol = cov_factor(model.noise_cov)
     rules = (config.rule,)
     redraws = 0
 
     if config.size_mode == "fixed":
-        rng = substream(config.seed, "sweep", variant, point_idx, chunk_idx)
+        rng = substream(config.seed, "sweep", variant, point, chunk)
         values = _simulate_estimates(
             effect_chol, noise_chol, model.units_per_arm, model.num_folds, n,
             rules, rng,
         )
     else:
-        size_rng = substream(
-            config.seed, "sweep-sizes", variant, point_idx, chunk_idx
-        )
+        size_rng = substream(config.seed, "sweep-sizes", variant, point, chunk)
         sizes = size_rng.poisson(config.m0, size=n)
         while True:
             zero = sizes == 0
@@ -399,13 +423,9 @@ def _sweep_chunk(args) -> tuple[dict[str, tuple[float, float]], int]:
                 break
             redraws += n_zero
             sizes[zero] = size_rng.poisson(config.m0, size=n_zero)
-        values = {
-            key: np.empty((n, 1)) for key in ("true", "naive", "cv")
-        }
+        values = {key: np.empty((n, 1)) for key in ESTIMATORS}
         for m in np.unique(sizes):
-            rng = substream(
-                config.seed, "sweep", variant, point_idx, chunk_idx, int(m)
-            )
+            rng = substream(config.seed, "sweep", variant, point, chunk, int(m))
             idx = np.flatnonzero(sizes == m)
             got = _simulate_estimates(
                 effect_chol, noise_chol, int(m), model.num_folds, len(idx),
@@ -414,14 +434,13 @@ def _sweep_chunk(args) -> tuple[dict[str, tuple[float, float]], int]:
             for key in values:
                 values[key][idx] = got[key]
 
-    reduced: dict[str, tuple[float, float]] = {}
-    for key, arr in values.items():
-        per_exp = arr[:, 0].reshape(chunk_reps, n_exps)
-        per_rep = per_exp.sum(axis=1)
+    sums = []
+    for arr in values.values():
+        per_rep = arr[:, 0].reshape(reps, n_exps).sum(axis=1)
         if config.mode == "mean":
             per_rep = per_rep / n_exps
-        reduced[key] = (float(per_rep.sum()), float((per_rep**2).sum()))
-    return reduced, redraws
+        sums += [per_rep.sum(), (per_rep**2).sum()]
+    return np.array(sums + [redraws])
 
 
 def run_bias_sweep(config: SimulationConfig, variant: str = "default") -> SimulationResult:
@@ -433,48 +452,22 @@ def run_bias_sweep(config: SimulationConfig, variant: str = "default") -> Simula
     where it exists.  Identical configs give bit-identical results at any
     parallelism degree.
     """
-    if config.sweep is None:
-        points: list[tuple[str | None, float]] = [(None, 0.0)]
-    else:
-        points = [(config.sweep.field, v) for v in config.sweep.grid]
-
-    jobs = []
-    point_models = []
-    for point_idx, (sweep_field, value) in enumerate(points):
-        model = _model_at(config.model, sweep_field, value)
-        point_models.append(model)
-        for chunk_idx, chunk in _chunk_plan(config.num_replications):
-            jobs.append((config, variant, point_idx, chunk_idx, chunk, model))
-
-    results = _ordered_parallel_map(_sweep_chunk, jobs)
-
-    # Reduce in fixed (point, chunk) order regardless of execution order.
-    acc: dict[int, dict[str, list[float]]] = {}
-    redraws = 0
-    for job, (reduced, job_redraws) in zip(jobs, results):
-        point_idx = job[2]
-        redraws += job_redraws
-        slot = acc.setdefault(
-            point_idx, {k: [0.0, 0.0] for k in ("true", "naive", "cv")}
-        )
-        for key, (s, s2) in reduced.items():
-            slot[key][0] += s
-            slot[key][1] += s2
+    sweep_field = None if config.sweep is None else config.sweep.field
+    values = (0.0,) if config.sweep is None else config.sweep.grid
+    models = [_model_at(config.model, sweep_field, value) for value in values]
+    r = config.num_replications
+    sums = _chunk_sums(partial(_sweep_chunk, config, variant, models), len(models), r)
 
     rows = []
-    r = config.num_replications
-    for point_idx, (sweep_field, value) in enumerate(points):
-        model = point_models[point_idx]
+    for value, model, point_sums in zip(values, models, sums):
         closed = _closed_forms(model, config.rule)
         scale = model.num_experiments if config.mode == "cumulative" else 1
         truth = closed["true"] * scale if closed else None
-        for estimator in ("true", "naive", "cv"):
+        for k, estimator in enumerate(ESTIMATORS):
             if estimator not in config.estimators:
                 continue
-            mean, var = _mean_and_var(*acc[point_idx][estimator], r)
-            se = math.sqrt(var / r)
+            mean, var = _mean_and_var(*point_sums[2 * k:2 * k + 2], r)
             cf = closed[estimator] * scale if closed else None
-            rel = (mean - truth) / truth if truth else None
             rows.append(
                 SweepPointRow(
                     variant=variant,
@@ -482,13 +475,14 @@ def run_bias_sweep(config: SimulationConfig, variant: str = "default") -> Simula
                     sweep_value=float(value),
                     estimator=estimator,
                     mean=mean,
-                    se=se,
+                    se=math.sqrt(var / r),
                     closed_form=cf,
-                    rel_bias=rel,
+                    rel_bias=(mean - truth) / truth if truth else None,
                     replications=r,
                     num_experiments=model.num_experiments,
                 )
             )
+    redraws = int(sum(point_sums[-1] for point_sums in sums))
     return SimulationResult(rows=tuple(rows), zero_size_redraws=redraws)
 
 
@@ -574,8 +568,7 @@ def check_poisson_rescaling(
     leave_out = check_count("leave_out", leave_out, 1, 2)
     if rule_kind not in ("argmax", "constant"):
         raise ValueError(f"unknown rule kind {rule_kind!r}")
-    if replications < 2:
-        raise ValueError("replications must be >= 2")
+    replications = check_count("replications", replications, 2)
     means = np.asarray(arm_means, dtype=float)
     n_arms = len(means)
     if n_arms < 1:
@@ -715,29 +708,26 @@ def bivariate_model_for_proxy(base: EffectModel, proxy: ProxySpec) -> EffectMode
     )
 
 
-def _selection_chunk(args) -> tuple[float, float, int, int]:
-    (base, proxies, n_exps, chunk_reps, seed, point_idx, chunk_idx, gammas) = args
+def _selection_chunk(base, proxies, grid, seed, gammas, point, chunk, reps) -> np.ndarray:
+    """Select a proxy rule by cumulative CV in ``reps`` replications of
+    ``grid[point]`` experiments; returns the sum and sum of squares of the
+    regrets, then the count of correct selections."""
+    n_exps = grid[point]
     effect_chol, noise_chol = joint_proxy_model(base, proxies)
     n_metrics = 1 + len(proxies)
     rules = tuple(
         DecisionRule(blend=np.eye(n_metrics)[1 + j]) for j in range(len(proxies))
     )
-    rng = substream(seed, "selection", point_idx, chunk_idx)
+    rng = substream(seed, "selection", point, chunk)
     got = _simulate_estimates(
         effect_chol, noise_chol, base.units_per_arm, base.num_folds,
-        chunk_reps * n_exps, rules, rng,
+        reps * n_exps, rules, rng,
     )
-    cv = got["cv"].reshape(chunk_reps, n_exps, len(proxies)).sum(axis=1)
+    cv = got["cv"].reshape(reps, n_exps, len(proxies)).sum(axis=1)
     picked = np.argmax(cv, axis=1)
-    best = float(np.max(gammas))
+    best = np.max(gammas)
     regrets = best - gammas[picked]
-    correct = int((gammas[picked] == best).sum())
-    return (
-        float(regrets.sum()),
-        float((regrets**2).sum()),
-        correct,
-        chunk_reps,
-    )
+    return np.array([regrets.sum(), (regrets**2).sum(), (gammas[picked] == best).sum()])
 
 
 def check_rule_selection(
@@ -759,52 +749,34 @@ def check_rule_selection(
     """
     if len(proxies) < 2:
         raise ValueError("need at least two candidate proxies")
-    if replications < 1:
-        raise ValueError(f"replications must be >= 1, got {replications}")
+    r = check_count("replications", replications, 1)
     if not n_grid:
         raise ValueError("n_grid is empty")
-    if min(n_grid) < 1:
-        raise ValueError(f"every N in n_grid must be >= 1, got {tuple(n_grid)}")
-    if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
+    grid = tuple(check_count("every N in n_grid", n, 1) for n in n_grid)
+    if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("n_grid must be strictly increasing")
     gammas = np.array(
         [true_reward(bivariate_model_for_proxy(base, p)) for p in proxies]
     )
-
-    jobs = []
-    for point_idx, n_exps in enumerate(n_grid):
-        for chunk_idx, chunk in _chunk_plan(replications):
-            jobs.append(
-                (base, proxies, int(n_exps), chunk, seed, point_idx, chunk_idx, gammas)
-            )
-    results = _ordered_parallel_map(_selection_chunk, jobs)
-
-    sums = {i: [0.0, 0.0, 0, 0] for i in range(len(n_grid))}
-    for job, (s, s2, correct, n) in zip(jobs, results):
-        slot = sums[job[5]]
-        slot[0] += s
-        slot[1] += s2
-        slot[2] += correct
-        slot[3] += n
+    sums = _chunk_sums(
+        partial(_selection_chunk, base, proxies, grid, seed, gammas), len(grid), r
+    )
 
     regrets, ses, accuracies = [], [], []
-    for i in range(len(n_grid)):
-        s, s2, correct, r = sums[i]
-        mean, var = _mean_and_var(s, s2, r)
+    for total, squares, correct in sums:
+        mean, var = _mean_and_var(total, squares, r)
         regrets.append(mean)
         ses.append(math.sqrt(var / r))
         accuracies.append(correct / r)
 
     nonincreasing = all(b <= a for a, b in zip(regrets, regrets[1:]))
-    ratio_ok = True
-    grid = [int(n) for n in n_grid]
-    for i, n in enumerate(grid):
-        if 4 * n in grid:
-            j = grid.index(4 * n)
-            if regrets[j] > ratio_threshold * regrets[i]:
-                ratio_ok = False
+    ratio_ok = not any(
+        regrets[grid.index(4 * n)] > ratio_threshold * regrets[i]
+        for i, n in enumerate(grid)
+        if 4 * n in grid
+    )
     return SelectionCheckReport(
-        n_grid=tuple(grid),
+        n_grid=grid,
         regrets=tuple(regrets),
         regret_ses=tuple(ses),
         accuracies=tuple(accuracies),

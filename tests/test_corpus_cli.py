@@ -758,7 +758,7 @@ def test_cli_check_rejects_zero_selection_replications(capsys):
     code = main(["check-theorems", "--selection-replications", "0"])
     err = capsys.readouterr().err
     assert code == 1
-    assert err.startswith("error: replications must be >= 1")
+    assert err.startswith("error: replications must be an integer >= 1")
     assert "Traceback" not in err
 
 

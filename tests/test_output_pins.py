@@ -1,11 +1,14 @@
-"""Byte pins of ``evaluate`` outputs across versions of the code.
+"""Byte pins of ``evaluate`` and simulator outputs across versions of the code.
 
 Criterion 9 checks that one version gives the same bytes run after run;
 these pins check that a change to the kernel or the parser does not move
 them either.  The report digests were computed before the corpus-wide
 k-fold pass and the NumPy-parsed ingest were introduced, which had to
 reproduce them; the manifest digests changed once, when the manifest began
-to record the seed.
+to record the seed.  The simulator digests were computed before the bias
+sweep and the rule-selection check shared one chunk driver, which had to
+reproduce them.  A report is pinned through its ``repr``, which also shows
+a NumPy scalar where a Python float belongs.
 They also depend on the float results of NumPy and its BLAS, so a
 different build may move them; check such a move against the previous
 version of the code on the same build before updating a pin.
@@ -16,6 +19,7 @@ import json
 
 import pytest
 
+from ruleval import EffectModel, check_poisson_rescaling, check_rule_selection
 from ruleval.cli import main
 
 RULES = {
@@ -61,3 +65,81 @@ def test_evaluate_report_and_manifest_bytes_are_pinned(tmp_path, seed):
 
 def test_manifest_pins_differ_by_seed():
     assert len(set(MANIFESTS.values())) == len(MANIFESTS) == len(REPORTS)
+
+
+SIM_MODEL = {
+    "effect_sd_y": 0.5, "effect_sd_proxy": 0.8, "effect_corr": 0.6,
+    "noise_sd_y": 1.0, "noise_sd_proxy": 1.5, "noise_corr": -0.3,
+    "units_per_arm": 40, "num_experiments": 20, "num_folds": 3,
+}
+# (config, output file -> digest).  The gated sweep spans two chunks per
+# point; the Poisson run redraws one zero-size experiment.
+SIMULATE = {
+    "gated-sweep": (
+        {"model": SIM_MODEL, "num_replications": 300, "seed": 2,
+         "rule": {"blend": [0.0, 1.0], "gate": "significant-vs-reference",
+                  "gate_alpha": 0.2},
+         "sweep": {"field": "noise_sd_proxy", "grid": [1.0, 2.0, 4.0]}},
+        {"simulation.csv":
+         "40fdababa39b507fc3f3d6adb57c8d0d190d65c8f9b0a454fa42a4d5ac68c5d9"},
+    ),
+    "poisson": (
+        {"model": SIM_MODEL | {"num_experiments": 5, "num_folds": 2},
+         "size_mode": "poisson", "m0": 3.0, "num_replications": 4, "seed": 3,
+         "mode": "mean"},
+        {"simulation.csv":
+         "3ef8bcaaec9d8040359c17cbefad2389c78e63abc231423b45f000d881207d5d",
+         "simulation_manifest.json":
+         "69e3f873fe793538c61f1227838ce3934de59c80e0902c24468e83f0d1daf43f"},
+    ),
+}
+FIGURE2 = {
+    "figure2_noise_sweep.csv":
+    "358a5f591f0dc41092791478b75b7e9a25e73aa35f0f6c1df4d1a36f22605beb",
+    "figure2_manifest.json":
+    "f52428a9ec77c66e2385bd1ca5409302ea8537fecd54197f94eebe4c3a1ac6e5",
+}
+SMALL = EffectModel.from_correlations(
+    0.5, 0.8, 0.6, 1.0, 1.5, -0.3, units_per_arm=40, num_experiments=20, num_folds=3,
+)
+CHECKS = {
+    "selection": (
+        lambda: check_rule_selection(base=SMALL, n_grid=(5, 20), replications=300, seed=3),
+        "32a29154e54da2021d5d936579f7b61c89946b19a17ddf26ecff347d909b5f56",
+    ),
+    "rescaling-l1": (
+        lambda: check_poisson_rescaling(replications=2000, seed=1),
+        "ca1fc02f45014b562093eacb450d4153dbda1f3af7d92aa0ba3e8da8e4730e54",
+    ),
+    "rescaling-l2": (
+        lambda: check_poisson_rescaling(leave_out=2, replications=2000, seed=1),
+        "c98d91b99fba08e43100baa099628d34e7da92f2d79311db8151e79beb2fdf7e",
+    ),
+}
+
+
+@pytest.mark.parametrize("degree", ["1", "2"])
+@pytest.mark.parametrize("name", sorted(SIMULATE))
+def test_simulate_outputs_are_pinned(tmp_path, monkeypatch, name, degree):
+    monkeypatch.setenv("RULEVAL_PARALLEL", degree)
+    config, pins = SIMULATE[name]
+    config_path, out = tmp_path / "config.json", tmp_path / "out"
+    config_path.write_text(json.dumps(config))
+    assert main(["simulate", "--config", str(config_path), "--out-dir", str(out)]) == 0
+    assert {f: sha256(out / f) for f in pins} == pins
+    manifest = json.loads((out / "simulation_manifest.json").read_text())
+    assert (manifest["zero_size_redraws"] > 0) == (name == "poisson")
+
+
+def test_replicate_figure_2_is_pinned(tmp_path):
+    assert main(["replicate-figure", "2", "--out-dir", str(tmp_path),
+                 "--replications", "16"]) == 0
+    assert {f: sha256(tmp_path / f) for f in FIGURE2} == FIGURE2
+
+
+@pytest.mark.parametrize("degree", ["1", "2"])
+@pytest.mark.parametrize("name", sorted(CHECKS))
+def test_check_report_reprs_are_pinned(monkeypatch, name, degree):
+    monkeypatch.setenv("RULEVAL_PARALLEL", degree)
+    run, digest = CHECKS[name]
+    assert hashlib.sha256(repr(run()).encode()).hexdigest() == digest

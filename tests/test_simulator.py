@@ -318,6 +318,49 @@ def test_sweep_spec_validation():
         SimulationConfig(estimators=("bogus",))
 
 
+def test_simulation_config_rejects_a_fallback_arm_the_fast_path_lacks(monkeypatch):
+    # The fast path simulates two arms: a gated rule falling back to arm 3
+    # is refused when the config is built, before anything is drawn.
+    monkeypatch.setattr(simulator, "substream", lambda *key: pytest.fail(f"drew {key}"))
+    gated = {"blend": [0.0, 1.0], "gate": "significant-vs-reference"}
+    with pytest.raises(ValueError, match="fallback_arm must be 1 or 2"):
+        SimulationConfig(rule=DecisionRule(**gated, fallback_arm=3), num_replications=10)
+    SimulationConfig(rule=DecisionRule(**gated, fallback_arm=2))
+    SimulationConfig(rule=DecisionRule(blend=[0.0, 1.0], fallback_arm=3))
+
+
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        ("num_replications", lambda: SimulationConfig(num_replications=2.5)),
+        ("num_replications", lambda: SimulationConfig(num_replications=True)),
+        ("replications", lambda: check_poisson_rescaling(replications=1e4)),
+        ("replications", lambda: check_rule_selection(replications=2.5)),
+        ("replications", lambda: check_rule_selection(replications=True)),
+        ("every N in n_grid", lambda: check_rule_selection(n_grid=(5.5, 10))),
+        ("units_per_arm", lambda: SMALL_MODEL.replace(units_per_arm=2.5)),
+        ("units_per_arm", lambda: SMALL_MODEL.replace(units_per_arm=True)),
+        ("num_experiments", lambda: SMALL_MODEL.replace(num_experiments=2.5)),
+        ("num_experiments", lambda: SMALL_MODEL.replace(num_experiments=True)),
+        ("num_folds", lambda: SMALL_MODEL.replace(num_folds=2.5)),
+        ("num_folds", lambda: SMALL_MODEL.replace(num_folds=True)),
+        ("every num_experiments in the sweep grid",
+         lambda: SweepSpec("num_experiments", (5.5, 10))),
+        ("every units_per_arm in the sweep grid",
+         lambda: SweepSpec("units_per_arm", (0.5, 10))),
+    ],
+    ids=[
+        "config-reps-float", "config-reps-bool", "rescaling-reps-float",
+        "selection-reps-float", "selection-reps-bool", "selection-grid-float",
+        "units-float", "units-bool", "experiments-float", "experiments-bool",
+        "folds-float", "folds-bool", "sweep-experiments-float", "sweep-units-zero",
+    ],
+)
+def test_simulator_entry_points_require_integer_counts(name, call):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer "):
+        call()
+
+
 def test_fold_sizes_near_equal():
     for m, p in ((10, 3), (9, 3), (7, 2), (100, 7)):
         sizes = _fold_sizes(m, p)
@@ -428,9 +471,9 @@ def test_selection_check_identical_rules_zero_regret():
 @pytest.mark.parametrize(
     "kwargs, match",
     [
-        ({"replications": 0}, "replications must be >= 1"),
+        ({"replications": 0}, "replications must be an integer >= 1"),
         ({"n_grid": ()}, "n_grid is empty"),
-        ({"n_grid": (0, 1)}, "every N in n_grid must be >= 1"),
+        ({"n_grid": (0, 1)}, "every N in n_grid must be an integer >= 1"),
     ],
     ids=["zero-replications", "empty-grid", "zero-experiments"],
 )
