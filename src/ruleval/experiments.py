@@ -363,12 +363,17 @@ def sample_variance(
 def _first_argmax(score: np.ndarray) -> np.ndarray:
     """``np.argmax`` over the last (arm) axis, lowest index on exact ties,
     as one vectorized comparison per arm: ``np.argmax`` makes one short
-    reduction per row, which dominates on large batches of few arms."""
+    reduction per row, which dominates on large batches of few arms.  The
+    choice is updated arithmetically, not by a masked store, which would
+    branch on random data."""
     best = score[..., 0]
     chosen = np.zeros(best.shape, dtype=np.intp)
     for k in range(1, score.shape[-1]):
         better = score[..., k] > best
-        chosen[better] = k
+        if k == 1:
+            chosen += better
+        else:
+            chosen += better * (k - chosen)
         if k + 1 < score.shape[-1]:
             best = np.maximum(best, score[..., k])
     return chosen

@@ -23,8 +23,9 @@ projection of them, so one GEMM maps the standard-normal draws onto the
 reward and every blend direction at once, and a second maps each blend's
 fold projections to its leave-fold-out and full-data sums.  Draws come in
 row blocks that continue one random stream, with at most ``BLOCK_ELEMENTS``
-values per temporary, so memory stays bounded and the block size never
-changes a result.
+values per temporary, so only the effect projections and the estimates a
+caller asks for grow with the rows, and the block size never changes a
+result.
 
 Reductions are deterministic and independent of parallelism.  The bias
 sweep and the rule-selection check plan, run and reduce their work in one
@@ -126,6 +127,15 @@ class SweepSpec:
             raise ValueError("sweep grid is empty")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("sweep grid must be strictly increasing")
+        # A negative proxy noise sd would flip the sign of the noise
+        # correlation in ``_model_at``; NaN passes the order check above.
+        if self.field == "noise_sd_proxy":
+            for value in grid:
+                if not 0.0 <= value < math.inf:
+                    raise ValueError(
+                        "every noise_sd_proxy in the sweep grid must be finite "
+                        f"and >= 0, got {value!r}"
+                    )
         # The other two fields are counts: a fractional grid value would be
         # simulated rounded but reported as given.
         if self.field != "noise_sd_proxy":
@@ -276,9 +286,10 @@ def _simulate_estimates(
     n: int,
     rules: tuple[DecisionRule, ...],
     rng: np.random.Generator,
+    estimators: tuple[str, ...] = ESTIMATORS,
 ) -> dict[str, np.ndarray]:
-    """Fast-path draws for ``n`` two-arm experiments; returns (n, n_rules)
-    arrays.
+    """Fast-path draws for ``n`` two-arm experiments; returns an (n, n_rules)
+    array for each of the ``estimators`` asked for.
 
     Simulates true effects and per-arm fold means, then evaluates for each
     rule the true earned reward (the north star, metric 0), the plug-in
@@ -290,11 +301,16 @@ def _simulate_estimates(
     projections into every leave-fold-out sum (a sum over the other folds,
     with no cancellation against the total) and the full sum.  Per rule,
     one ``decide_kept`` call decides every held-out fold on the remaining
-    folds' sums and the full data on the arm sums; a gate gets the known
-    per-unit blend variance, the squared norm of the blend's noise
-    projection.  Launch means arm 2.  The draws are taken in row blocks,
-    each temporary holding at most ``BLOCK_ELEMENTS`` values, that continue
-    one stream, so the result does not depend on the block size.
+    folds' sums and, when ``true`` or ``naive`` is asked for, the full data
+    on the arm sums; a gate gets the known per-unit blend variance, the
+    squared norm of the blend's noise projection.  Launch means arm 2.
+
+    The draws are taken in row blocks, each temporary holding at most
+    ``BLOCK_ELEMENTS`` values, that continue one stream: first every
+    block's effects, projected at once onto the directions, then every
+    block's fold draws.  So the result does not depend on the block size,
+    and nothing but the (D, n) effect projections and the requested
+    outputs grows with ``n``.
     """
     n_metrics = effect_chol.shape[0]
     if m < num_folds:
@@ -318,45 +334,59 @@ def _simulate_estimates(
     fold_sums = root[:, None] * (1.0 - np.eye(num_folds, num_folds + 1))
     effect_units = np.append(m - sizes, m).astype(float)
     weights = sizes / m
-    # Both arms' kept unit count: per held-out fold, then the full data.
-    # One column that broadcasts over the arms keeps the score's divide on
-    # the strides of the transposed ``sums`` view below.
-    counts = effect_units[:, None]  # (P + 1, 1)
+    # The full-data decision (the last column) only feeds true and naive.
+    full_data = "true" in estimators or "naive" in estimators
+    decided = slice(None) if full_data else slice(num_folds)
+    # Both arms' kept unit count: per decided column.  One column that
+    # broadcasts over the arms keeps the score's divide on the strides of
+    # the transposed ``sums`` view below.
+    counts = effect_units[decided, None]
 
-    tau = rng.standard_normal((n, n_metrics)) @ effect_chol.T
-    effects = (tau @ directions).T  # (D, n)
-    out = {key: np.empty((n, len(rules))) for key in ESTIMATORS}
     width = 2 * (num_folds + 1) * max(n_metrics, directions.shape[1])
     step = max(1, BLOCK_ELEMENTS // width)
-    for start in range(0, n, step):
-        rows = slice(start, min(start + step, n))
-        z = rng.standard_normal((rows.stop - start, 2, num_folds, n_metrics))
+    blocks = [slice(start, min(start + step, n)) for start in range(0, n, step)]
+    effects = np.empty((directions.shape[1], n))
+    for rows in blocks:
+        tau = rng.standard_normal((rows.stop - rows.start, n_metrics)) @ effect_chol.T
+        effects[:, rows] = (tau @ directions).T
+    out = {key: np.empty((n, len(rules))) for key in ESTIMATORS if key in estimators}
+    z_buffer = np.empty((min(step, n), 2, num_folds, n_metrics))
+    for rows in blocks:
+        z = rng.standard_normal(out=z_buffer[:rows.stop - rows.start])
         # Direction-major: (D, rows, 2, P).
         proj = (noise_directions @ z.reshape(-1, n_metrics).T).reshape(
             (-1,) + z.shape[:3]
         )
         fold_means = proj[0] / root  # reward fold means, (rows, 2, P)
         fold_means[:, 1] += effects[0, rows, None]
-        # Arm means as size-weighted sums of the fold means in fold order,
-        # the rounding of the fold-mean algebra in tests/unit_oracle.py.
-        naive = fold_means[:, :, 0] * weights[0]
-        for p in range(1, num_folds):
-            naive += fold_means[:, :, p] * weights[p]
+        if "naive" in out:
+            # Arm means as size-weighted sums of the fold means in fold
+            # order, the rounding of the fold-mean algebra in
+            # tests/unit_oracle.py.
+            naive = fold_means[:, :, 0] * weights[0]
+            for p in range(1, num_folds):
+                naive += fold_means[:, :, p] * weights[p]
         sums = (proj[1:].reshape(-1, num_folds) @ fold_sums).reshape(
             (-1,) + z.shape[:2] + (num_folds + 1,)
         )  # (blend columns, rows, 2, P + 1)
         sums[:, :, 1] += effects[1:, rows, None] * effect_units
-        sums = sums.transpose(1, 3, 2, 0)  # (rows, P + 1, 2, blend columns) view
+        # (rows, decided columns, 2, blend columns) view
+        sums = sums.transpose(1, 3, 2, 0)[:, decided]
         for r, rule in enumerate(rules):
             cols = slice(ends[r], ends[r + 1])
             launch = decide_kept(
                 counts, sums[..., cols], variances[r], rule, "simulated"
-            ) == 2  # (rows, P + 1)
-            out["true"][rows, r] = np.where(launch[:, -1], effects[0, rows], 0.0)
-            out["naive"][rows, r] = np.where(launch[:, -1], naive[:, 1], naive[:, 0])
-            out["cv"][rows, r] = np.where(
-                launch[:, :-1], fold_means[:, 1], fold_means[:, 0]
-            ).mean(axis=1)
+            ) == 2  # (rows, decided columns)
+            if "true" in out:
+                out["true"][rows, r] = np.where(launch[:, -1], effects[0, rows], 0.0)
+            if "naive" in out:
+                out["naive"][rows, r] = np.where(
+                    launch[:, -1], naive[:, 1], naive[:, 0]
+                )
+            if "cv" in out:
+                out["cv"][rows, r] = np.where(
+                    launch[:, :num_folds], fold_means[:, 1], fold_means[:, 0]
+                ).mean(axis=1)
     return out
 
 
@@ -396,8 +426,9 @@ def _closed_forms(model: EffectModel, rule: DecisionRule) -> dict[str, float] | 
 def _sweep_chunk(config, variant, models, point, chunk, reps) -> np.ndarray:
     """Simulate ``reps`` replications at sweep point ``point``.
 
-    Returns per estimator the sum and sum of squares of the per-replication
-    aggregates, then the zero-size redraw count.
+    Returns per estimator, in ``ESTIMATORS`` order, the sum and sum of
+    squares of the per-replication aggregates (zeros for an estimator the
+    config leaves out), then the zero-size redraw count.
     """
     model = models[point]
     n_exps = model.num_experiments
@@ -411,7 +442,7 @@ def _sweep_chunk(config, variant, models, point, chunk, reps) -> np.ndarray:
         rng = substream(config.seed, "sweep", variant, point, chunk)
         values = _simulate_estimates(
             effect_chol, noise_chol, model.units_per_arm, model.num_folds, n,
-            rules, rng,
+            rules, rng, config.estimators,
         )
     else:
         size_rng = substream(config.seed, "sweep-sizes", variant, point, chunk)
@@ -423,20 +454,23 @@ def _sweep_chunk(config, variant, models, point, chunk, reps) -> np.ndarray:
                 break
             redraws += n_zero
             sizes[zero] = size_rng.poisson(config.m0, size=n_zero)
-        values = {key: np.empty((n, 1)) for key in ESTIMATORS}
+        values = {key: np.empty((n, 1)) for key in config.estimators}
         for m in np.unique(sizes):
             rng = substream(config.seed, "sweep", variant, point, chunk, int(m))
             idx = np.flatnonzero(sizes == m)
             got = _simulate_estimates(
                 effect_chol, noise_chol, int(m), model.num_folds, len(idx),
-                rules, rng,
+                rules, rng, config.estimators,
             )
             for key in values:
                 values[key][idx] = got[key]
 
     sums = []
-    for arr in values.values():
-        per_rep = arr[:, 0].reshape(reps, n_exps).sum(axis=1)
+    for key in ESTIMATORS:
+        if key not in values:
+            sums += [0.0, 0.0]  # not configured; run_bias_sweep drops it
+            continue
+        per_rep = values[key][:, 0].reshape(reps, n_exps).sum(axis=1)
         if config.mode == "mean":
             per_rep = per_rep / n_exps
         sums += [per_rep.sum(), (per_rep**2).sum()]
@@ -573,39 +607,46 @@ def check_poisson_rescaling(
     n_arms = len(means)
     if n_arms < 1:
         raise ValueError("need at least one arm")
+    if not np.all((means >= 0.0) & (means <= 1.0)):
+        raise ValueError(
+            f"arm_means must be Bernoulli means in [0, 1], got {tuple(arm_means)}"
+        )
     if rule_kind == "constant" and not 1 <= constant_arm <= n_arms:
         raise ValueError("constant_arm out of range")
 
     size_rng = substream(seed, "rescaling-sizes", leave_out)
-    sizes = size_rng.poisson(m0, size=replications)
+    size_counts = np.bincount(size_rng.poisson(m0, size=replications))
 
     scale = math.factorial(leave_out) / m0**leave_out
     lhs_sum = lhs_sq = rhs_sum = rhs_sq = 0.0
-    for m in sorted(np.unique(sizes)):
-        idx_count = int((sizes == m).sum())
+    for m in np.flatnonzero(size_counts).tolist():
+        count = int(size_counts[m])
         if m == 0:
-            rhs = np.full(idx_count, means[0])
+            rhs = np.full(count, means[0])
             rhs_sum += float(rhs.sum())
             rhs_sq += float((rhs**2).sum())
             continue
-        rng = substream(seed, "rescaling-data", leave_out, int(m))
-        x = (rng.random((idx_count, n_arms, int(m))) < means[None, :, None]).astype(
-            float
-        )
-        # Row blocks bound the (rows, arms, subsets) temporaries.
-        step = max(1, BLOCK_ELEMENTS // max(1, math.comb(int(m), leave_out)))
-        raw = np.concatenate([
-            _subset_reward_sums(x[i:i + step], leave_out, rule_kind, constant_arm)
-            for i in range(0, idx_count, step)
-        ])
+        rng = substream(seed, "rescaling-data", leave_out, m)
+        # Outcomes come in row blocks, which bound the (rows, arms, subsets)
+        # temporaries; ``rng.random`` fills in C order, so the blocks see
+        # the numbers one (count, arms, m) draw would.  Only the raw sums
+        # and the choices are kept whole, so the sums below add the same
+        # numbers in the same order.
+        step = max(1, BLOCK_ELEMENTS // max(1, math.comb(m, leave_out)))
+        raw = np.empty(count)
+        chosen = np.full(count, constant_arm)
+        for i in range(0, count, step):
+            rows = slice(i, min(i + step, count))
+            x = (
+                rng.random((rows.stop - i, n_arms, m)) < means[None, :, None]
+            ).astype(float)
+            raw[rows] = _subset_reward_sums(x, leave_out, rule_kind, constant_arm)
+            if rule_kind != "constant":
+                chosen[rows] = decide_kept(
+                    np.full(n_arms, float(m)), x.sum(axis=2)[..., None], None,
+                    _ARGMAX_RULE, "rescaling check",
+                )
         lhs = raw * scale
-        if rule_kind == "constant":
-            chosen = np.full(idx_count, constant_arm)
-        else:
-            chosen = decide_kept(
-                np.full(n_arms, float(m)), x.sum(axis=2)[..., None], None,
-                _ARGMAX_RULE, "rescaling check",
-            )
         rhs = means[chosen - 1]
         lhs_sum += float(lhs.sum())
         lhs_sq += float((lhs**2).sum())
@@ -721,7 +762,7 @@ def _selection_chunk(base, proxies, grid, seed, gammas, point, chunk, reps) -> n
     rng = substream(seed, "selection", point, chunk)
     got = _simulate_estimates(
         effect_chol, noise_chol, base.units_per_arm, base.num_folds,
-        reps * n_exps, rules, rng,
+        reps * n_exps, rules, rng, ("cv",),
     )
     cv = got["cv"].reshape(reps, n_exps, len(proxies)).sum(axis=1)
     picked = np.argmax(cv, axis=1)

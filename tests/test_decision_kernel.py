@@ -311,3 +311,14 @@ def test_gate_critical_value_within_8_ulp_of_scipy():
         want = -special.ndtri(level)
         ulps = np.abs(got - want) / np.spacing(want)
         assert ulps.max() <= 8, (sides, alphas[ulps.argmax()])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_first_argmax_is_numpys_lowest_index_argmax(k):
+    # Small integer scores tie often; -inf is a gated-out arm.
+    rng = np.random.default_rng(k)
+    score = rng.integers(0, 4, size=(500, 3, k)).astype(float)
+    score[score == 0] = -np.inf
+    np.testing.assert_array_equal(
+        experiments._first_argmax(score), np.argmax(score, axis=-1)
+    )

@@ -1,5 +1,9 @@
-"""Fast path: agreement with the fold-mean reference algebra, and results
-that do not depend on the row-block size or on parallelism."""
+"""Fast path: agreement with the fold-mean reference algebra, results that
+do not depend on the row-block size, on parallelism or on the estimators
+asked for, and a working set that grows only with the outputs."""
+
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -143,7 +147,12 @@ def _block_runs():
     selection = check_rule_selection(
         base=SMALL, n_grid=(5, 20), replications=40, seed=3
     )
-    return direct, fixed, poisson, selection
+    # The selection check's own call: three metrics, two rules, cv only.
+    effect_chol, noise_chol, _, _, _, rules, _ = _selection_case()
+    cv_only = _simulate_estimates(
+        effect_chol, noise_chol, 40, 3, 200, rules, substream(5, "cv-only"), ("cv",),
+    )
+    return {**direct, "cv-only": cv_only["cv"]}, fixed, poisson, selection
 
 
 def test_fast_path_is_independent_of_block_size_and_parallelism(monkeypatch):
@@ -157,12 +166,69 @@ def test_fast_path_is_independent_of_block_size_and_parallelism(monkeypatch):
     for elements in (1, 1000):
         monkeypatch.setattr(simulator, "BLOCK_ELEMENTS", elements)
         blocked = _block_runs()
-        for key in ("true", "naive", "cv"):
+        for key in ("true", "naive", "cv", "cv-only"):
             np.testing.assert_array_equal(blocked[0][key], reference[0][key])
         assert blocked[1:] == reference[1:]
     monkeypatch.undo()
     monkeypatch.setenv("RULEVAL_PARALLEL", "2")
     parallel = _block_runs()
-    for key in ("true", "naive", "cv"):
+    for key in ("true", "naive", "cv", "cv-only"):
         np.testing.assert_array_equal(parallel[0][key], reference[0][key])
     assert parallel[1:] == reference[1:]
+
+
+def test_cv_only_calls_and_sweeps_match_the_full_estimator_set():
+    effect_chol, noise_chol, _, m, num_folds, rules, _ = _selection_case()
+    full = _simulate_estimates(
+        effect_chol, noise_chol, m, num_folds, 3_000, rules, substream(8, "cv"),
+    )
+    cv_only = _simulate_estimates(
+        effect_chol, noise_chol, m, num_folds, 3_000, rules, substream(8, "cv"),
+        ("cv",),
+    )
+    assert list(cv_only) == ["cv"]
+    np.testing.assert_array_equal(cv_only["cv"], full["cv"])
+    gated = DecisionRule(blend=[0.0, 1.0], **GATED)
+    for config in (
+        SimulationConfig(
+            model=SMALL, num_replications=300, seed=2, rule=gated,
+            sweep=SweepSpec("noise_sd_proxy", (1.0, 2.0)),
+        ),
+        SimulationConfig(
+            model=SMALL, size_mode="poisson", m0=30.0, num_replications=30, seed=4,
+        ),
+    ):
+        every = run_bias_sweep(config)
+        only = run_bias_sweep(replace(config, estimators=("cv",)))
+        assert only.rows == tuple(row for row in every.rows if row.estimator == "cv")
+        assert only.zero_size_redraws == every.zero_size_redraws
+
+
+def _peak_bytes(call) -> int:
+    """Peak traced allocation while ``call`` runs; NumPy reports its
+    buffers to ``tracemalloc``."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("estimators", [simulator.ESTIMATORS, ("cv",)])
+def test_fast_path_working_set_grows_only_with_the_requested_outputs(estimators):
+    # Per row, only the D effect projections and R values per requested
+    # estimator survive the row blocks: 8 (D + R len(estimators)) bytes,
+    # here D = 3 directions and R = 2 rules.  Both sizes span many blocks,
+    # so the block temporaries cancel in the difference.
+    effect_chol, noise_chol, _, m, num_folds, rules, _ = _selection_case()
+
+    def peak(n):
+        return _peak_bytes(lambda: _simulate_estimates(
+            effect_chol, noise_chol, m, num_folds, n, rules, substream(9, "memory"),
+            estimators,
+        ))
+
+    small, large = 2**16, 2**17
+    per_row = (peak(large) - peak(small)) / (large - small)
+    assert per_row <= 1.25 * 8 * (3 + len(rules) * len(estimators))

@@ -1,6 +1,7 @@
 """Simulation engine: generative fidelity, fast-path exactness, determinism,
 and the two statistical checks."""
 
+import tracemalloc
 from itertools import combinations
 from statistics import NormalDist
 
@@ -318,6 +319,18 @@ def test_sweep_spec_validation():
         SimulationConfig(estimators=("bogus",))
 
 
+@pytest.mark.parametrize(
+    "grid", [(-2.0, 1.5), (1.0, float("nan")), (1.0, float("inf"))],
+    ids=["negative", "nan", "inf"],
+)
+def test_sweep_spec_rejects_a_negative_or_non_finite_noise_sd_proxy(grid):
+    # A negative sd would flip the sign of the proxy noise correlation, and
+    # NaN passes the strictly-increasing check.
+    with pytest.raises(ValueError, match="every noise_sd_proxy in the sweep grid"):
+        SweepSpec("noise_sd_proxy", grid)
+    assert SweepSpec("noise_sd_proxy", (0.0, 1.5)).grid == (0.0, 1.5)
+
+
 def test_simulation_config_rejects_a_fallback_arm_the_fast_path_lacks(monkeypatch):
     # The fast path simulates two arms: a gated rule falling back to arm 3
     # is refused when the config is built, before anything is drawn.
@@ -380,6 +393,38 @@ def test_rescaling_check_rejects_leave_out_before_drawing(leave_out, monkeypatch
     monkeypatch.setattr(simulator, "substream", no_draws)
     with pytest.raises(ValueError, match="leave_out"):
         check_poisson_rescaling(leave_out=leave_out, replications=1000)
+
+
+@pytest.mark.parametrize(
+    "arm_means",
+    [(0.5, 1.5), (-0.1, 0.5), (0.5, float("nan")), (float("inf"), 0.5)],
+    ids=["above-one", "negative", "nan", "inf"],
+)
+def test_rescaling_check_rejects_impossible_arm_means_before_drawing(
+    arm_means, monkeypatch
+):
+    def no_draws(*key):
+        raise AssertionError(f"drew {key} before checking arm_means")
+
+    monkeypatch.setattr(simulator, "substream", no_draws)
+    with pytest.raises(ValueError, match="arm_means must be Bernoulli means"):
+        check_poisson_rescaling(arm_means=arm_means, replications=1000)
+
+
+def test_rescaling_check_working_set_per_replication_is_small():
+    # Outcomes are drawn and scored in row blocks; what grows with the
+    # replications is the unit-count draw and, per unit count, the raw sums
+    # and choices.  NumPy reports its buffers to ``tracemalloc``.
+    def peak(replications):
+        tracemalloc.start()
+        try:
+            check_poisson_rescaling(replications=replications, seed=2)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = 200_000, 1_000_000
+    assert (peak(large) - peak(small)) / (large - small) <= 16
 
 
 def test_rescaling_check_passes_for_leave_one_out():
