@@ -38,6 +38,7 @@ from .estimators import (
 )
 from .experiments import (
     ArmData,
+    ArmStack,
     DecisionRule,
     DegenerateArmError,
     DegenerateFoldError,
@@ -60,6 +61,7 @@ from .simulator import (
 
 __all__ = [
     "ArmData",
+    "ArmStack",
     "ConfidenceInterval",
     "CorpusFormatError",
     "DEFAULT_MODEL",

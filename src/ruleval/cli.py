@@ -25,6 +25,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -47,7 +48,6 @@ from .figures import FIGURE_IDS, run_figure, _config_dict
 from .simulator import (
     DEFAULT_MODEL,
     DEFAULT_PROXIES,
-    ProxySpec,
     SimulationConfig,
     SweepPointRow,
     SweepSpec,
@@ -376,21 +376,12 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_make_corpus(args: argparse.Namespace) -> int:
-    proxies = (
-        ProxySpec("good_proxy", DEFAULT_PROXIES[0].effect_corr,
-                  DEFAULT_PROXIES[0].noise_corr),
-        ProxySpec("bad_proxy", DEFAULT_PROXIES[1].effect_corr,
-                  DEFAULT_PROXIES[1].noise_corr),
-    )
+    proxies = tuple(replace(p, name=f"{p.name}_proxy") for p in DEFAULT_PROXIES)
+    sds = {name: getattr(args, name)
+           for name in ("effect_sd_y", "effect_sd_proxy", "noise_sd_y", "noise_sd_proxy")}
     corpus, effects = make_synthetic_corpus(
-        num_experiments=args.experiments,
-        units_per_arm=args.units,
-        effect_sd_y=args.effect_sd_y,
-        effect_sd_proxy=args.effect_sd_proxy,
-        noise_sd_y=args.noise_sd_y,
-        noise_sd_proxy=args.noise_sd_proxy,
-        proxies=proxies,
-        seed=args.seed,
+        num_experiments=args.experiments, units_per_arm=args.units, **sds,
+        proxies=proxies, seed=args.seed,
     )
     write_corpus_csv(corpus, args.out)
     outputs = [os.path.basename(args.out)]
@@ -398,27 +389,14 @@ def _cmd_make_corpus(args: argparse.Namespace) -> int:
         write_csv_atomic(
             args.truth_out,
             ["experiment_id"] + list(corpus.metric_names),
-            (
-                [exp.experiment_id] + [float(v) for v in effects[i]]
-                for i, exp in enumerate(corpus.experiments)
-            ),
+            ([exp_id] + effect.tolist() for exp_id, effect in zip(corpus.stack.ids, effects)),
         )
         outputs.append(os.path.basename(args.truth_out))
     manifest = {
         "command": "make-corpus",
         "config": {
-            "experiments": args.experiments,
-            "units": args.units,
-            "effect_sd_y": args.effect_sd_y,
-            "effect_sd_proxy": args.effect_sd_proxy,
-            "noise_sd_y": args.noise_sd_y,
-            "noise_sd_proxy": args.noise_sd_proxy,
-            "proxies": [
-                {"name": p.name, "effect_corr": p.effect_corr,
-                 "noise_corr": p.noise_corr}
-                for p in proxies
-            ],
-            "seed": args.seed,
+            "experiments": args.experiments, "units": args.units, **sds,
+            "proxies": [asdict(p) for p in proxies], "seed": args.seed,
         },
         "version": __version__,
         "outputs": outputs,

@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 import warnings
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -28,7 +30,7 @@ from .estimators import (
     check_count,
     percentile_interval,
 )
-from .experiments import ArmData, DecisionRule, ExperimentData, RewardSpec
+from .experiments import ArmStack, DecisionRule, ExperimentData, RewardSpec
 from .simulator import ProxySpec, joint_proxy_model
 from .streams import substream
 from . import tableio
@@ -52,24 +54,42 @@ class CorpusFormatError(ValueError):
     """The corpus or weight file violates the input schema."""
 
 
-@dataclass(frozen=True)
 class ExperimentCorpus:
-    """A set of experiments sharing one metric schema."""
+    """A set of experiments sharing one metric schema, stored as one
+    ``ArmStack`` (``stack``): every arm's units in one (units, metrics)
+    array, with arm sizes, arm starts, each experiment's first arm, ids and
+    weights.
 
-    experiments: tuple[ExperimentData, ...]
-    metric_names: tuple[str, ...]
-    provenance: str = ""
+    ``experiments`` is a sequence of ``ExperimentData``, stacked once in
+    the order given, or an ``ArmStack`` to store as it is: ``ingest_csv``
+    and ``make_synthetic_corpus`` build theirs directly, in id order.
+    ``experiments`` is built from the stack on each access, with arms that
+    are views of its units.
+    """
 
-    def __post_init__(self) -> None:
-        j = len(self.metric_names)
+    def __init__(
+        self,
+        experiments: ArmStack | Sequence[ExperimentData],
+        metric_names: Sequence[str],
+        provenance: str = "",
+    ) -> None:
+        j = len(metric_names)
         if j < 1:
             raise CorpusFormatError("corpus needs at least one metric")
-        for exp in self.experiments:
-            if exp.num_metrics != j:
-                raise CorpusFormatError(
-                    f"experiment {exp.experiment_id!r} has {exp.num_metrics} "
-                    f"metrics, corpus schema has {j}"
-                )
+        if not isinstance(experiments, ArmStack):
+            for exp in experiments:
+                if exp.num_metrics != j:
+                    raise CorpusFormatError(
+                        f"experiment {exp.experiment_id!r} has {exp.num_metrics} "
+                        f"metrics, corpus schema has {j}"
+                    )
+            experiments = ArmStack.of(experiments)
+        self.stack, self.metric_names, self.provenance = (
+            experiments, tuple(metric_names), provenance)
+
+    @property
+    def experiments(self) -> tuple[ExperimentData, ...]:
+        return self.stack.experiments()
 
 
 def ingest_csv(path: str, weights_path: str | None = None) -> ExperimentCorpus:
@@ -77,19 +97,22 @@ def ingest_csv(path: str, weights_path: str | None = None) -> ExperimentCorpus:
 
     Errors name the offending file line and column.  Duplicate
     (experiment_id, arm, unit_id) triples, missing, non-numeric or
-    non-finite cells, ragged rows, and non-contiguous arm indices are all
-    rejected.  NumPy's C parser reads every row in one call and the cells
-    are checked in bulk.  When it rejects a row or a check fails, the rows
-    are walked one by one with ``csv.reader``, ``int`` and ``float``: the
-    walk names the first fault, or parses the file when only Python's
-    number syntax accepts a cell (such as ``1_000``).  A leading UTF-8
-    byte-order mark, in the corpus or the weight file, is skipped.
+    non-finite cells, NUL characters in id cells, ragged rows, and
+    non-contiguous arm indices are all rejected.  NumPy's C parser reads
+    every row in one call, the cells are checked in bulk, and the rows are
+    sorted only when they are not already in (experiment_id, arm, unit_id)
+    order.  When it rejects a row or a check fails, the rows are walked one
+    by one with ``csv.reader``, ``int`` and ``float``: the walk names the
+    first fault, or parses the file when only Python's number syntax
+    accepts a cell (such as ``1_000``).  A leading UTF-8 byte-order mark,
+    in the corpus or the weight file, is skipped.  The sorted rows are the
+    corpus's ``ArmStack``; no per-arm object is built.
     """
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        header = next(csv.reader(fh), None)
-        if header is None:
+        raw_header = next(csv.reader(fh), None)
+        if raw_header is None:
             raise CorpusFormatError(f"{path}: file is empty, header required")
-        header = [h.strip() for h in header]
+        header = [h.strip() for h in raw_header]
         if tuple(header[:3]) != _FIXED_COLUMNS:
             raise CorpusFormatError(
                 f"{path}: header must start with {','.join(_FIXED_COLUMNS)}, "
@@ -98,48 +121,56 @@ def ingest_csv(path: str, weights_path: str | None = None) -> ExperimentCorpus:
         metric_names = tuple(header[3:])
         if not metric_names:
             raise CorpusFormatError(f"{path}: no metric columns in header")
+        if "" in metric_names:
+            raise CorpusFormatError(
+                f"{path}: header column {metric_names.index('') + 4} has an "
+                f"empty metric name"
+            )
         if len(set(metric_names)) != len(metric_names):
             raise CorpusFormatError(f"{path}: duplicate metric names in header")
-        columns = _bulk_columns(fh, len(metric_names))
+        header_lines = 1 + "".join(raw_header).count("\n")
+        columns = _bulk_columns(path, fh, header_lines, len(metric_names))
     if columns is None:
         columns = _walk_rows(path, header)
     ids, arms, units, values = columns
 
     new_exp = ids[1:] != ids[:-1]
-    new_arm = new_exp | (arms[1:] != arms[:-1])
-    exp_starts = np.flatnonzero(np.r_[True, new_exp, True])
-    arm_starts = np.flatnonzero(np.r_[True, new_arm, True])
-    exp_ids = ids[exp_starts[:-1]].tolist()
-    weights = _read_weights(weights_path, set(exp_ids)) if weights_path else {}
-    experiments = []
-    for exp_id, a, b in zip(exp_ids, exp_starts, exp_starts[1:]):
-        blocks = arm_starts[(arm_starts >= a) & (arm_starts <= b)]
-        arm_indices = arms[blocks[:-1]].tolist()
-        if arm_indices != list(range(1, len(arm_indices) + 1)):
-            raise CorpusFormatError(
-                f"{path}: experiment {exp_id!r} has arm indices {arm_indices}; "
-                f"they must be contiguous starting at 1 (1 = reference)"
-            )
-        arms_data = tuple(
-            ArmData(arm_index=k, units=values[lo:hi])
-            for k, lo, hi in zip(arm_indices, blocks, blocks[1:])
+    starts = np.flatnonzero(np.r_[True, new_exp | (arms[1:] != arms[:-1]), True])
+    first_arm = np.flatnonzero(np.r_[True, new_exp[starts[1:-1] - 1], True])
+    num_arms, arm_index = np.diff(first_arm), arms[starts[:-1]]
+    exp_ids = ids[starts[first_arm[:-1]]]
+    bad = arm_index != np.arange(len(arm_index)) + 1 - np.repeat(first_arm[:-1], num_arms)
+    if bad.any():
+        i = np.searchsorted(first_arm, bad.argmax(), side="right") - 1
+        raise CorpusFormatError(
+            f"{path}: experiment {exp_ids[i].item()!r} has arm indices "
+            f"{arm_index[first_arm[i] : first_arm[i + 1]].tolist()}; "
+            f"they must be contiguous starting at 1 (1 = reference)"
         )
-        experiments.append(ExperimentData(exp_id, arms_data, weights.get(exp_id, 1.0)))
-    return ExperimentCorpus(tuple(experiments), metric_names, provenance=path)
+    weights = _read_weights(weights_path, exp_ids) if weights_path else np.ones(len(exp_ids))
+    stack = ArmStack.from_sizes(values, np.diff(starts), num_arms, exp_ids.tolist(), weights)
+    return ExperimentCorpus(stack, metric_names, provenance=path)
 
 
 def _sorted_columns(ids, arms, units, values):
-    """The rows' (ids, arms, units, values) sorted by (experiment_id, arm,
-    unit_id), or None when a unit repeats."""
-    order = np.lexsort((units, arms, ids))
-    ids, arms, units = ids[order], arms[order], units[order]
-    same_arm = (ids[1:] == ids[:-1]) & (arms[1:] == arms[:-1])
+    """The rows' (ids, arms, units, values) in (experiment_id, arm,
+    unit_id) order, or None when a unit repeats.  One vectorized pass
+    checks the order; ``np.lexsort`` runs only when the rows are out of
+    it."""
+    same_id = ids[1:] == ids[:-1]
+    same_arm = same_id & (arms[1:] == arms[:-1])
+    ordered = (ids[1:] > ids[:-1]) | same_id & (
+        (arms[1:] > arms[:-1]) | same_arm & (units[1:] >= units[:-1]))
+    if not ordered.all():
+        order = np.lexsort((units, arms, ids))
+        ids, arms, units, values = ids[order], arms[order], units[order], values[order]
+        same_arm = (ids[1:] == ids[:-1]) & (arms[1:] == arms[:-1])
     if (same_arm & (units[1:] == units[:-1])).any():
         return None
-    return ids, arms, units, np.ascontiguousarray(values[order])
+    return ids, arms, units, np.ascontiguousarray(values)
 
 
-def _bulk_columns(fh, num_metrics: int):
+def _bulk_columns(path: str, fh, header_lines: int, num_metrics: int):
     """The data rows after the header, read by ``np.loadtxt`` and checked:
     ``_sorted_columns`` of them, or None when the parser rejects a row (a
     ragged or whitespace-only one, a cell it cannot convert) or a check
@@ -147,21 +178,38 @@ def _bulk_columns(fh, num_metrics: int):
     it accepts converts as ``int`` or ``float`` converts it.  Some NumPy
     releases from 1.23 on read an ``arm`` cell such as ``1.5`` as a float,
     truncate it and emit a DeprecationWarning: that warning is raised as
-    an error here, so the walk rejects the cell as ``int`` does."""
+    an error here, so the walk rejects the cell as ``int`` does.  A NumPy
+    string array drops a trailing NUL character, which would merge two
+    ids, so a file holding a NUL is left to the walk.
+
+    ``np.loadtxt`` reads a file it opens itself from its path in chunks,
+    faster than it reads the lines of ``fh`` (the rest of the file after
+    the header's ``header_lines`` lines).  It opens the path with universal
+    newlines, which turn a quoted ``\r`` into ``\n``, and decompresses by
+    file extension, so a file holding a ``\r``, or named as compressed, is
+    read from ``fh``."""
+    with open(path, "rb") as raw:
+        data = raw.read()
+    if b"\0" in data:
+        return None
+    source, skip = os.path.abspath(path), header_lines
+    if b"\r" in data or source.endswith((".gz", ".bz2", ".xz", ".lzma")):
+        source, skip = fh, 0
+    del data
     row = np.dtype([("id", object), ("arm", np.int64), ("unit", object),
                     ("values", float, (num_metrics,))])
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # no rows: the walk says so
             warnings.simplefilter("error", DeprecationWarning)
-            table = np.loadtxt(fh, dtype=row, delimiter=",", quotechar='"',
-                               comments=None, ndmin=1)
+            table = np.loadtxt(source, dtype=row, delimiter=",", quotechar='"',
+                               comments=None, ndmin=1, skiprows=skip,
+                               encoding="utf-8-sig")
     except (ValueError, DeprecationWarning):
         return None
     if not len(table):
         return None
-    ids = np.array([cell.strip() for cell in table["id"]])
-    units = np.array([cell.strip() for cell in table["unit"]])
+    ids, units = np.char.strip(np.array([table["id"], table["unit"]], dtype=str))
     arms, values = table["arm"], table["values"]
     if not ((ids != "").all() and (units != "").all() and arms.min() >= 1
             and np.isfinite(values).all()):
@@ -185,13 +233,9 @@ def _walk_rows(path: str, header: list[str]):
                 rows.append(row)
     if not rows:
         raise CorpusFormatError(f"{path}: no data rows")
-    try:
-        arms = np.array([int(row[1]) for row in rows], dtype=np.int64)
-    except OverflowError:
-        raise CorpusFormatError(f"{path}: column 'arm' is out of range") from None
     return _sorted_columns(
         np.array([row[0].strip() for row in rows]),
-        arms,
+        np.array([int(row[1]) for row in rows], dtype=np.int64),
         np.array([row[2].strip() for row in rows]),
         np.array([[float(cell) for cell in row[3:]] for row in rows]),
     )
@@ -204,14 +248,20 @@ def _row_fault(row: list[str], header: list[str], seen: set) -> str | None:
     exp_id, unit_id = row[0].strip(), row[2].strip()
     if not exp_id:
         return ": missing value in column 'experiment_id'"
+    if "\0" in exp_id:
+        return f": column 'experiment_id' holds a NUL character: {exp_id!r}"
     try:
         arm = int(row[1])
     except ValueError:
         return f": column 'arm' must be a positive integer, got {row[1]!r}"
     if arm < 1:
         return f": column 'arm' must be >= 1, got {arm}"
+    if arm >= 1 << 63:
+        return f": column 'arm' is out of range, got {arm}"
     if not unit_id:
         return ": missing value in column 'unit_id'"
+    if "\0" in unit_id:
+        return f": column 'unit_id' holds a NUL character: {unit_id!r}"
     if (exp_id, arm, unit_id) in seen:
         return (f": duplicate unit (experiment_id={exp_id!r}, arm={arm}, "
                 f"unit_id={unit_id!r})")
@@ -227,8 +277,9 @@ def _row_fault(row: list[str], header: list[str], seen: set) -> str | None:
     return None
 
 
-def _read_weights(path: str, known_ids: set[str]) -> dict[str, float]:
-    weights: dict[str, float] = {}
+def _read_weights(path: str, ids: np.ndarray) -> np.ndarray:
+    """The weight of each of the sorted ``ids``, 1.0 where the weight file
+    has none: the file's ids are joined with one ``np.searchsorted``."""
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         header = [h.strip() for h in next(reader, [])]
@@ -236,47 +287,47 @@ def _read_weights(path: str, known_ids: set[str]) -> dict[str, float]:
             raise CorpusFormatError(
                 f"{path}: weight file header must be experiment_id,weight"
             )
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            exp_id, fault = row[0].strip(), None
-            if len(row) != 2:
-                fault = f" has {len(row)} fields, expected 2"
-            elif exp_id not in known_ids:
-                fault = f": unknown experiment_id {exp_id!r}"
-            elif exp_id in weights:
-                fault = f": duplicate experiment_id {exp_id!r}"
+        rows = [(line_no, row) for line_no, row in enumerate(reader, start=2) if row]
+    slots = np.searchsorted(ids, np.array([row[0].strip() for _, row in rows], dtype=str))
+    weights = np.full(len(ids), np.nan)  # NaN: not given yet
+    for (line_no, row), i in zip(rows, slots.tolist()):
+        exp_id, fault = row[0].strip(), None
+        if len(row) != 2:
+            fault = f" has {len(row)} fields, expected 2"
+        elif i == len(ids) or ids[i] != exp_id:
+            fault = f": unknown experiment_id {exp_id!r}"
+        elif not np.isnan(weights[i]):
+            fault = f": duplicate experiment_id {exp_id!r}"
+        else:
+            try:
+                weights[i] = w = float(row[1])
+            except ValueError:
+                fault = f": column 'weight' is not numeric: {row[1]!r}"
             else:
-                try:
-                    weights[exp_id] = w = float(row[1])
-                except ValueError:
-                    fault = f": column 'weight' is not numeric: {row[1]!r}"
-                else:
-                    if not math.isfinite(w):
-                        fault = f": column 'weight' is not finite: {row[1]!r}"
-                    elif w < 0:
-                        fault = ": column 'weight' must be nonnegative"
-            if fault:
-                raise CorpusFormatError(f"{path}: line {line_no}{fault}")
-    return weights
+                if not math.isfinite(w):
+                    fault = f": column 'weight' is not finite: {row[1]!r}"
+                elif w < 0:
+                    fault = ": column 'weight' must be nonnegative"
+        if fault:
+            raise CorpusFormatError(f"{path}: line {line_no}{fault}")
+    return np.where(np.isnan(weights), 1.0, weights)
 
 
 def write_corpus_csv(corpus: ExperimentCorpus, path: str) -> None:
     """Export a corpus in the ingestion schema (canonical unit ids).
 
-    Each arm is one ``%`` over its positions and values with a row template
-    holding the experiment id and arm; ``"%.17g" % v == format(v, ".17g")``.
+    Each arm of the stack is one ``%`` over its positions and values with a
+    row template holding the experiment id and arm; ``"%.17g" % v ==
+    format(v, ".17g")``.
     """
+    stack = corpus.stack
     row = ",u%06d" + ",%.17g" * len(corpus.metric_names) + "\n"
     text = [",".join(map(quote, (*_FIXED_COLUMNS, *corpus.metric_names))) + "\n"]
-    for exp in corpus.experiments:
-        prefix = quote(exp.experiment_id).replace("%", "%%")
-        for arm in exp.arms:
-            cells = np.column_stack([np.arange(arm.num_units), arm.units])
-            text.append(
-                (f"{prefix},{arm.arm_index}{row}" * arm.num_units)
-                % tuple(cells.ravel().tolist())
-            )
+    starts = stack.starts.tolist()
+    for (exp_id, k), lo, hi in zip(stack.arm_keys(), starts, starts[1:]):
+        cells = np.column_stack([np.arange(hi - lo), stack.units[lo:hi]])
+        text.append((f"{quote(exp_id).replace('%', '%%')},{k}{row}" * (hi - lo))
+                    % tuple(cells.ravel().tolist()))
     # Through the module, so a wrapper of it (the benchmark tracer) sees it.
     tableio.write_text_atomic(path, "".join(text))
 
@@ -296,7 +347,9 @@ def make_synthetic_corpus(
     Metrics are the north star followed by one column per proxy; each
     experiment has a control arm centered at zero and a treatment arm
     centered at the drawn true-effect vector.  Returns the corpus and the
-    (num_experiments, 1 + len(proxies)) matrix of true effects.
+    (num_experiments, 1 + len(proxies)) matrix of true effects.  Every
+    arm's draw is multiplied into its slice of one (experiments, 2, units,
+    metrics) array, which the corpus's stack holds.
     """
     from .closed_form import EffectModel
 
@@ -311,31 +364,20 @@ def make_synthetic_corpus(
         num_experiments=num_experiments,
     )
     effect_chol, noise_chol = joint_proxy_model(base, tuple(proxies))
-    n_metrics = 1 + len(proxies)
-    width = len(str(max(num_experiments - 1, 1)))
-    experiments = []
-    effects = np.empty((num_experiments, n_metrics))
-    for i in range(num_experiments):
+    n, m, j = num_experiments, units_per_arm, 1 + len(proxies)
+    units = np.empty((n, 2, m, j))
+    effects = np.empty((n, j))
+    for i in range(n):
         rng = substream(seed, "corpus", i)
-        tau = effect_chol @ rng.standard_normal(n_metrics)
-        effects[i] = tau
-        control = rng.standard_normal((units_per_arm, n_metrics)) @ noise_chol.T
-        treatment = tau + rng.standard_normal((units_per_arm, n_metrics)) @ noise_chol.T
-        experiments.append(
-            ExperimentData(
-                experiment_id=f"exp{i:0{width}d}",
-                arms=(
-                    ArmData(arm_index=1, units=control),
-                    ArmData(arm_index=2, units=treatment),
-                ),
-            )
-        )
-    corpus = ExperimentCorpus(
-        experiments=tuple(experiments),
-        metric_names=("north_star",) + tuple(p.name for p in proxies),
-        provenance=f"synthetic(seed={seed})",
-    )
-    return corpus, effects
+        effects[i] = effect_chol @ rng.standard_normal(j)
+        np.matmul(rng.standard_normal((m, j)), noise_chol.T, out=units[i, 0])
+        np.matmul(rng.standard_normal((m, j)), noise_chol.T, out=units[i, 1])
+        units[i, 1] += effects[i]
+    width = len(str(max(n - 1, 1)))
+    ids = [f"exp{i:0{width}d}" for i in range(n)]
+    stack = ArmStack.from_sizes(units.reshape(2 * n * m, j), [m] * 2 * n, [2] * n, ids, np.ones(n))
+    names = ("north_star",) + tuple(p.name for p in proxies)
+    return ExperimentCorpus(stack, names, provenance=f"synthetic(seed={seed})"), effects
 
 
 @dataclass(frozen=True)
@@ -422,23 +464,20 @@ def evaluate_rules(
         raise ValueError(f"baseline {baseline!r} is not a configured rule")
     j = len(corpus.metric_names)
     for name, rule in rules:
-        if rule.blend.shape != (j,):
-            raise ValueError(
-                f"rule {name!r}: blend has length {rule.blend.shape[0]}, "
-                f"corpus has {j} metrics"
-            )
-        for g in rule.gate_blends():
+        for what, g in [("blend", rule.blend)] + [("gate blend", g) for g in rule.gate_blends()]:
             if g.shape != (j,):
                 raise ValueError(
-                    f"rule {name!r}: gate blend has length {g.shape[0]}, "
-                    f"corpus has {j} metrics"
+                    f"rule {name!r}: {what} has length {g.shape[0]}, corpus has {j} metrics"
                 )
-    exps = sorted(corpus.experiments, key=lambda e: e.experiment_id)
-    weights = np.array([e.weight for e in exps])
-    can_bootstrap = len(exps) >= 2
+    stack = corpus.stack
+    # Only an in-memory corpus can be out of id order.
+    if any(a > b for a, b in zip(stack.ids, stack.ids[1:])):
+        stack = ArmStack.of(sorted(corpus.experiments, key=lambda e: e.experiment_id))
+    weights = stack.weights
+    can_bootstrap = len(stack.ids) >= 2
 
     keys = [("naive", 0)] + [("cv-kfold", p) for p in fold_counts]
-    batch = batch_rewards(exps, [rule for _, rule in rules], reward, fold_counts, seed)
+    batch = batch_rewards(stack, [rule for _, rule in rules], reward, fold_counts, seed)
     contributions = {
         (name, *key): column
         for (name, _), per_key in zip(rules, batch)
@@ -467,22 +506,11 @@ def evaluate_rules(
                 f"{scale}; normalization needs a positive baseline"
             )
 
-    rows = []
-    for name, _ in rules:
-        for estimator, num_folds in keys:
-            key = (name, estimator, num_folds)
-            ci = intervals[key]
-            rows.append(
-                RuleEstimateRow(
-                    rule=name,
-                    estimator=estimator,
-                    num_folds=num_folds,
-                    estimate=values[key],
-                    ci_lower=ci[0] if ci else None,
-                    ci_upper=ci[1] if ci else None,
-                    normalized=values[key] / scale if scale else None,
-                )
-            )
+    rows = [  # rule by rule, as ``contributions`` holds them
+        RuleEstimateRow(*key, values[key], *(intervals[key] or (None, None)),
+                        normalized=values[key] / scale if scale else None)
+        for key in contributions
+    ]
     return EvaluationReport(
         rows=tuple(rows), mode=mode, level=level, baseline=baseline,
         bootstrap_redraws=redraws,

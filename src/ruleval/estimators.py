@@ -59,7 +59,6 @@ from .experiments import (
     fold_permutations,
     missing_fallback_error,
     sample_variance,
-    stack_arms,
     stacked_blend_values,
     stacked_product,
 )
@@ -226,7 +225,7 @@ def _fold_table(
 
 
 def batch_rewards(
-    exps: list[ExperimentData],
+    exps: ArmStack | list[ExperimentData],
     rules: list[DecisionRule],
     reward: RewardSpec,
     fold_counts: tuple[int, ...],
@@ -238,22 +237,21 @@ def batch_rewards(
     folds.  All fold counts and rules share each arm's one
     ``fold_permutations`` draw: unit i of an arm with permutation ``perm``
     is in fold ``perm[i] % P``.  The arms of every experiment are stacked
-    and each rule makes one kernel call per arm count.  With no fold
-    count, only slot 0 is filled and nothing is drawn.
+    and each rule makes one kernel call per arm count; ``exps`` is a list
+    of experiments or their ``ArmStack``.  With no fold count, only slot 0
+    is filled and nothing is drawn.
     """
     fold_counts = tuple(
         check_count(f"fold_counts[{i}]", p, 2) for i, p in enumerate(fold_counts)
     )
-    out = np.empty((len(rules), 1 + len(fold_counts), len(exps)))
-    if not exps:
+    stack = exps if isinstance(exps, ArmStack) else ArmStack.of(exps)
+    out = np.empty((len(rules), 1 + len(fold_counts), len(stack.ids)))
+    if not stack.ids:
         return out
-    stack = stack_arms(exps)
     offsets = np.cumsum((0,) + fold_counts)[:-1]
     bins = None
     if fold_counts:
-        perms = np.concatenate(
-            [perm for exp in exps for perm in fold_permutations(exp, fold_seed)]
-        )
+        perms = np.concatenate(fold_permutations(stack, fold_seed))
         arm = np.repeat(np.arange(len(stack.sizes)), stack.sizes)
         bins = (perms % np.array(fold_counts)[:, None] + offsets[:, None]
                 + arm * sum(fold_counts))
@@ -346,7 +344,7 @@ def _leave_l_out_sums(
     groups: dict[tuple[int, int, int], list[int]] = {}
     cap = max_folds or (math.inf if leave_out == 1 else 10_000)
     if sizes:
-        stack = stack_arms(exps[: len(sizes)])
+        stack = ArmStack.of(exps[: len(sizes)])
         for i, (k, m) in enumerate(zip(np.diff(stack.first_arm).tolist(), sizes)):
             sampled = i if math.comb(m, leave_out) > cap else -1
             groups.setdefault((k, m, sampled), []).append(i)
@@ -526,10 +524,8 @@ def bootstrap_aggregates(
 def percentile_interval(draws: np.ndarray, level: float) -> tuple[float, float]:
     """Equal-tailed empirical quantiles of bootstrap draws at ``level``."""
     alpha = 1.0 - level
-    return (
-        float(np.quantile(draws, alpha / 2.0)),
-        float(np.quantile(draws, 1.0 - alpha / 2.0)),
-    )
+    lower, upper = np.quantile(draws, [alpha / 2.0, 1.0 - alpha / 2.0]).tolist()
+    return lower, upper
 
 
 def bootstrap_ci(

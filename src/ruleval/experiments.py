@@ -12,8 +12,8 @@ arm's kept unit count, the sums of the rule's blend columns over the kept
 units and the per-unit variance of each column, so estimators never rebuild
 an experiment.  The library estimators compute that variance from the kept
 units (``sample_variance``); the Monte Carlo fast path supplies the model's
-known variance.  ``fold_stats`` produces those inputs for every arm of a
-list of experiments at once, stacked into one array by ``stack_arms``: one
+known variance.  ``fold_stats`` produces those inputs for every arm of an
+``ArmStack``, the experiments' units stacked into one array, at once: one
 bincount over a global (arm, fold) bin gives every held-out fold's sums of
 every column, which are subtracted from the arm totals, followed by the
 full data.  Each sum adds the numbers a one-experiment computation adds, in
@@ -27,7 +27,6 @@ short-arm check.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from itertools import accumulate
 from statistics import NormalDist
 from typing import NamedTuple, Sequence
 
@@ -37,6 +36,7 @@ from .streams import substream
 
 __all__ = [
     "ArmData",
+    "ArmStack",
     "DecisionRule",
     "DegenerateArmError",
     "DegenerateFoldError",
@@ -247,20 +247,19 @@ class DecisionRule:
         return (self.blend,)
 
 
-def fold_permutations(exp: ExperimentData, seed: int) -> list[np.ndarray]:
-    """Each arm's random permutation of its unit positions, a deterministic
-    function of (seed, experiment id, arm sizes): each arm gets its own
-    substream, so the draw does not depend on what else was sampled.
+def fold_permutations(stack: ArmStack, seed: int) -> list[np.ndarray]:
+    """Each stacked arm's random permutation of its unit positions, a
+    deterministic function of (seed, experiment id, arm index, arm size):
+    each arm gets its own substream, so the draw does not depend on what
+    else was sampled.
 
     The permutation splits the arm into near-equal folds for every fold
     count at once: unit i of an arm with permutation ``perm`` is in fold
     ``perm[i] % P`` (0-based) of P, as ``estimators.batch_rewards`` bins it.
     """
     return [
-        substream(seed, "folds", exp.experiment_id, arm.arm_index).permutation(
-            arm.num_units
-        )
-        for arm in exp.arms
+        substream(seed, "folds", exp_id, k).permutation(m)
+        for (exp_id, k), m in zip(stack.arm_keys(), stack.sizes.tolist())
     ]
 
 
@@ -286,8 +285,10 @@ class ArmStack(NamedTuple):
     array: each experiment's arms in order, each arm's units in order.
 
     Arm a, counted over all experiments, holds rows ``starts[a]`` to
-    ``starts[a + 1]`` (``sizes[a]`` units); experiment i holds arms
-    ``first_arm[i]`` to ``first_arm[i + 1]``.
+    ``starts[a + 1]`` (``sizes[a]`` units); experiment i, with id
+    ``ids[i]`` and weight ``weights[i]``, holds arms ``first_arm[i]`` to
+    ``first_arm[i + 1]``.  ``of`` stacks ``ExperimentData``; the corpus
+    readers build their stacks from arrays with ``from_sizes``.
     """
 
     units: np.ndarray
@@ -295,19 +296,45 @@ class ArmStack(NamedTuple):
     starts: np.ndarray
     first_arm: np.ndarray
     ids: tuple[str, ...]
+    weights: np.ndarray
 
+    @classmethod
+    def of(cls, exps: Sequence[ExperimentData]) -> ArmStack:
+        """Stack the arms of experiments that share a metric count."""
+        units = [arm.units for exp in exps for arm in exp.arms]
+        return cls.from_sizes(
+            np.concatenate(units) if units else np.empty((0, 0)),
+            [len(u) for u in units], [exp.num_arms for exp in exps],
+            [exp.experiment_id for exp in exps], [exp.weight for exp in exps],
+        )
 
-def stack_arms(exps: Sequence[ExperimentData]) -> ArmStack:
-    """Stack the arms of one or more experiments that share a metric count."""
-    units = [arm.units for exp in exps for arm in exp.arms]
-    sizes = [len(u) for u in units]
-    return ArmStack(
-        units=np.concatenate(units),
-        sizes=np.array(sizes),
-        starts=np.array([0, *accumulate(sizes)]),
-        first_arm=np.array([0, *accumulate(exp.num_arms for exp in exps)]),
-        ids=tuple(exp.experiment_id for exp in exps),
-    )
+    @classmethod
+    def from_sizes(cls, units: np.ndarray, sizes: Sequence[int], num_arms: Sequence[int],
+                   ids: Sequence[str], weights: Sequence[float]) -> ArmStack:
+        """The stack of ``units`` whose consecutive arms have ``sizes``
+        units and whose consecutive experiments have ``num_arms`` arms."""
+        sizes = np.asarray(sizes, dtype=np.intp)
+        first_arm = np.r_[0, np.cumsum(num_arms, dtype=np.intp)]
+        return cls(units, sizes, np.r_[0, np.cumsum(sizes)], first_arm, tuple(ids),
+                   np.asarray(weights, dtype=float))
+
+    def arm_keys(self) -> list[tuple[str, int]]:
+        """(experiment id, 1-based arm index) of every stacked arm."""
+        return [(exp_id, k + 1)
+                for exp_id, n in zip(self.ids, np.diff(self.first_arm).tolist())
+                for k in range(n)]
+
+    def experiments(self) -> tuple[ExperimentData, ...]:
+        """Every stacked experiment as an ``ExperimentData``, its arms views
+        of ``units``."""
+        starts, first = self.starts.tolist(), self.first_arm.tolist()
+        return tuple(
+            ExperimentData(exp_id, tuple(
+                ArmData(a - lo + 1, self.units[starts[a] : starts[a + 1]])
+                for a in range(lo, hi)
+            ), weight)
+            for exp_id, lo, hi, weight in zip(self.ids, first, first[1:], self.weights.tolist())
+        )
 
 
 def stacked_product(stack: ArmStack, matrix: np.ndarray) -> np.ndarray:
@@ -623,7 +650,7 @@ def _full_data_stats(
     the SHORT_ARM check ``fold_decisions`` makes: a gated rule on an arm of
     one unit raises DegenerateArmError.  A missing fallback arm, the next
     fault in that order, is raised by ``decide_kept``."""
-    stack = stack_arms([exp])
+    stack = ArmStack.of([exp])
     counts, sums, variances = fold_stats(stack, rule, None, ())
     if _short(stack, counts, rule)[0]:
         raise fault_error(stack, counts, None, rule, (), 0, SHORT_ARM)

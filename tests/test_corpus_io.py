@@ -15,11 +15,18 @@ from hypothesis import strategies as st
 from ruleval import (
     ArmData,
     CorpusFormatError,
+    DecisionRule,
     ExperimentCorpus,
     ExperimentData,
+    RewardSpec,
+    evaluate_rules,
     ingest_csv,
+    make_synthetic_corpus,
     write_corpus_csv,
 )
+from ruleval import corpus as corpus_module
+from ruleval.cli import main
+from ruleval.simulator import DEFAULT_PROXIES
 import unit_oracle as oracle
 
 SPECIAL = [-0.0, 5e-324, 1e22, 0.1, 1e-5]
@@ -193,8 +200,13 @@ def test_ingest_rejects_an_arm_that_numpy_truncates_with_a_warning(tmp_path, mon
     write(path, "experiment_id,arm,unit_id,m1\ne,1,u1,1\ne,1.5,u2,2\n")
     loadtxt = np.loadtxt
 
-    def truncating_loadtxt(fh, dtype, **kwargs):
-        text = fh.read().replace("1.5", "1")
+    def truncating_loadtxt(source, dtype, **kwargs):
+        # ``source`` is the corpus path, or the open file after its header.
+        if isinstance(source, str):
+            with open(source, encoding="utf-8") as fh:
+                text = fh.read().replace("1.5", "1")
+        else:
+            text = source.read().replace("1.5", "1")
         warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
                       DeprecationWarning)
         return loadtxt(io.StringIO(text), dtype=dtype, **kwargs)
@@ -204,6 +216,169 @@ def test_ingest_rejects_an_arm_that_numpy_truncates_with_a_warning(tmp_path, mon
         warnings.simplefilter("ignore")
         with pytest.raises(CorpusFormatError, match=r"line 3: column 'arm' must be a positive"):
             ingest_csv(str(path))
+
+
+def test_ingest_rejects_an_empty_metric_name_naming_its_column(tmp_path):
+    path = tmp_path / "c.csv"
+    for header, column in (("experiment_id,arm,unit_id,,y", 4),
+                           ("experiment_id,arm,unit_id,y,", 5)):
+        write(path, f"{header}\ne,1,u1,1,2\n")
+        with pytest.raises(CorpusFormatError,
+                           match=f"header column {column} has an empty metric name"):
+            ingest_csv(str(path))
+
+
+def test_ingest_names_the_line_of_an_arm_beyond_64_bits(tmp_path):
+    path = tmp_path / "c.csv"
+    write(path, "experiment_id,arm,unit_id,m\ne,1,u1,1\ne,9223372036854775808,u1,2\n")
+    with pytest.raises(CorpusFormatError,
+                       match=r"line 3: column 'arm' is out of range, got 9223372036854775808"):
+        ingest_csv(str(path))
+
+
+@pytest.mark.parametrize("cell", ["2", "2_0"])  # 2_0: the C parser fails, the rows are walked
+def test_ingest_rejects_a_nul_in_an_id_cell(tmp_path, cell):
+    # A NumPy string array drops a trailing NUL: e1\0 arm 1 and e1 arm 2
+    # must not ingest as one two-arm experiment e1.
+    path = tmp_path / "c.csv"
+    write(path, f"experiment_id,arm,unit_id,m\ne1,2,u1,{cell}\ne1\0,1,u1,1\n")
+    with pytest.raises(CorpusFormatError,
+                       match=r"line 3: column 'experiment_id' holds a NUL character: 'e1\\x00'"):
+        ingest_csv(str(path))
+    write(path, f"experiment_id,arm,unit_id,m\ne,1,u1,{cell}\ne,1,u\x001,1\ne,2,u1,1\n")
+    with pytest.raises(CorpusFormatError,
+                       match=r"line 3: column 'unit_id' holds a NUL character: 'u\\x001'"):
+        ingest_csv(str(path))
+
+
+def test_ingest_parses_from_the_path_unless_newlines_or_the_name_forbid_it(tmp_path, monkeypatch):
+    # np.loadtxt reads a path it opens itself faster than an open file, but
+    # with universal newlines and decompression by file extension.
+    sources, loadtxt = [], np.loadtxt
+
+    def spy(source, *args, **kwargs):
+        sources.append(isinstance(source, str))
+        return loadtxt(source, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    header = 'experiment_id,arm,unit_id,"m\nx"\n'  # a header of two lines
+    for name, rows, by_path in (
+        ("c.csv", 'e,1,u1,1\ne,2,u1,2\n', True),
+        ("c.csv.gz", 'e,1,u1,1\ne,2,u1,2\n', False),
+        ("r.csv", '"e\rf",1,u1,1\n"e\rf",2,u1,2\n', False),
+    ):
+        write(tmp_path / name, header + rows)
+        corpus = ingest_csv(str(tmp_path / name))
+        assert corpus.metric_names == ("m\nx",)
+        assert corpus.stack.ids == (rows[: rows.index(",")].strip('"'),)
+        assert corpus.stack.units.tolist() == [[1.0], [2.0]]
+        assert sources.pop() is by_path
+
+
+@pytest.fixture
+def lexsort_calls(monkeypatch):
+    """Every ``np.lexsort`` call the test makes, counted."""
+    calls, lexsort = [], np.lexsort
+    monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(1) or lexsort(keys))
+    return calls
+
+
+def test_ingest_sorts_only_rows_out_of_order_and_reports_the_same_bytes(tmp_path, lexsort_calls):
+    corpus = tmp_path / "c.csv"
+    assert main(["make-corpus", "--out", str(corpus), "--experiments", "12",
+                 "--units", "9", "--seed", "3"]) == 0
+    header, *rows = corpus.read_text().splitlines()
+    shuffled = tmp_path / "s.csv"
+    order = np.random.default_rng(0).permutation(len(rows))
+    write(shuffled, "\n".join([header] + [rows[i] for i in order]) + "\n")
+    rules = tmp_path / "rules.json"
+    write(rules, '{"reward": {"metric": "north_star"}, "fold_counts": [2, 3], '
+                 '"bootstrap_replicates": 100, "rules": ['
+                 '{"name": "good", "blend": {"metric": "good_proxy"}}, '
+                 '{"name": "gated", "blend": {"metric": "bad_proxy"}, '
+                 '"gate": "significant-vs-reference"}]}')
+    reports = []
+    for path in (corpus, shuffled):
+        out = tmp_path / f"{path.stem}_report.csv"
+        calls = len(lexsort_calls)
+        assert main(["evaluate", "--corpus", str(path), "--rules", str(rules),
+                     "--out", str(out), "--seed", "1"]) == 0
+        reports.append((out.read_bytes(), len(lexsort_calls) - calls))
+    assert reports[0][0] == reports[1][0]
+    assert [calls for _, calls in reports] == [0, 1]
+
+
+def test_ingest_strips_unicode_whitespace_around_ids_without_walking(tmp_path, monkeypatch):
+    plain, padded = tmp_path / "plain.csv", tmp_path / "padded.csv"
+    write(plain, "experiment_id,arm,unit_id,m\ne,1,u1,1\ne,1,u2,2\ne,2,u1,3\n")
+    write(padded, "experiment_id,arm,unit_id,m\n\xa0e ,1,\tu1\xa0,1\n"
+                  "e\u2003,1, u2\u3000,2\n\u00a0 e\t,2,\xa0u1,3\n")
+    monkeypatch.setattr(corpus_module, "_walk_rows", lambda *args: pytest.fail("rows walked"))
+    assert_same_corpus(ingest_csv(str(padded)), ingest_csv(str(plain)))
+
+
+@pytest.mark.parametrize("rows, sorts", [
+    ("e,1,u1,1\ne,1,u2,2\ne,1,u2,3\ne,2,u1,4\n", 0),
+    ("e,2,u1,4\ne,1,u2,2\ne,1,u1,1\ne,1,u2,3\n", 1),
+])
+def test_ingest_catches_a_duplicate_with_and_without_sorting(tmp_path, lexsort_calls, rows, sorts):
+    path = tmp_path / "c.csv"
+    write(path, "experiment_id,arm,unit_id,m\n" + rows)
+    line = 4 if sorts == 0 else 5
+    with pytest.raises(CorpusFormatError, match=(
+            rf"line {line}: duplicate unit \(experiment_id='e', arm=1, unit_id='u2'\)")):
+        ingest_csv(str(path))
+    assert len(lexsort_calls) == sorts
+
+
+def test_weight_file_joins_on_the_ids(tmp_path):
+    path, weights = tmp_path / "c.csv", tmp_path / "w.csv"
+    write(path, "".join(["experiment_id,arm,unit_id,m\n"]
+                        + [f"{e},{k},u1,{k}\n" for e in ("c", "a", "b") for k in (1, 2)]))
+    write(weights, "experiment_id,weight\nc,3\n a ,0.5\n")
+    corpus = ingest_csv(str(path), str(weights))
+    assert corpus.stack.ids == ("a", "b", "c")
+    assert corpus.stack.weights.tolist() == [0.5, 1.0, 3.0]
+    assert [e.weight for e in corpus.experiments] == [0.5, 1.0, 3.0]
+    for text, message in (
+        ("c,3\nzz,1\n", r"line 3: unknown experiment_id 'zz'"),
+        ("c,3\nc\0,1\n", r"line 3: unknown experiment_id 'c\\x00'"),
+        ("b,x\na,1\na,2\n", r"line 2: column 'weight' is not numeric"),
+        ("a,1\nb,2\na,2\n", r"line 4: duplicate experiment_id 'a'"),
+    ):
+        write(weights, "experiment_id,weight\n" + text)
+        with pytest.raises(CorpusFormatError, match=message):
+            ingest_csv(str(path), str(weights))
+
+
+def test_export_ingest_and_evaluate_build_no_per_arm_objects(tmp_path, monkeypatch):
+    def refuse(self):
+        raise AssertionError("an ArmData was built")
+
+    proxies = tuple(DEFAULT_PROXIES)
+    corpus, _ = make_synthetic_corpus(8, 6, 0.2, 0.1, 1.0, 1.0, proxies, seed=2)
+    monkeypatch.setattr(ArmData, "__post_init__", refuse)
+    write_corpus_csv(corpus, str(tmp_path / "c.csv"))
+    back = ingest_csv(str(tmp_path / "c.csv"))
+    assert np.array_equal(back.stack.units, corpus.stack.units)
+    rules = [("good", DecisionRule(blend=[0.0, 1.0, 0.0])),
+             ("gated", DecisionRule(blend=[0.0, 1.0, 0.0], gate="significant-vs-reference"))]
+    evaluate_rules(back, rules, RewardSpec.metric(1), fold_counts=(2, 3),
+                   bootstrap_replicates=100)
+    with pytest.raises(AssertionError, match="an ArmData was built"):
+        back.experiments
+
+
+def test_in_memory_corpus_is_stacked_in_the_order_given():
+    corpus = three_arm_corpus(("b", "a"))
+    assert corpus.stack.ids == ("b", "a")
+    assert corpus.stack.sizes.tolist() == [4, 7, 5, 4, 7]
+    assert corpus.stack.first_arm.tolist() == [0, 3, 5]
+    assert corpus.stack.starts.tolist() == [0, 4, 11, 16, 20, 27]
+    again = ExperimentCorpus(corpus.experiments, corpus.metric_names)
+    assert_same_corpus(again, corpus)
+    with pytest.raises(CorpusFormatError, match="has 3 metrics, corpus schema has 2"):
+        ExperimentCorpus(corpus.experiments, ("y", "p"))
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +470,8 @@ def outcome(parse, path):
 @example('experiment_id,arm,unit_id,m\n"a\nb",1,u1,1\n"a\nb",2,u1,x\n')
 @example('experiment_id,arm,unit_id,m\ne,99999999999999999999,u1,1\n')
 @example('experiment_id,arm,unit_id,m\n\n\n')
+@example('experiment_id,arm,unit_id,m\ne1\0,1,u1,1\ne1,2,u1,2\n')
+@example('experiment_id,arm,unit_id,m\ne,1,u1\0,1\ne,1,u1,2_0\n')
 def test_ingest_matches_the_csv_reader_parser(text):
     fd, path = tempfile.mkstemp(suffix=".csv")
     try:

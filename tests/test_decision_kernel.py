@@ -36,7 +36,7 @@ from ruleval import (
 )
 from ruleval import estimators, experiments
 from ruleval.estimators import subset_rewards
-from ruleval.experiments import _critical_value, stack_arms, stacked_blend_values
+from ruleval.experiments import ArmStack, _critical_value, stacked_blend_values
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True)
 REL = 1e-12
@@ -258,7 +258,7 @@ def test_subsets_producer_scores_each_experiment_of_a_batch(
         ExperimentData(f"e{i}", tuple(ArmData(a + 1, units[i, a]) for a in range(k)))
         for i in range(n)
     ]
-    values = stacked_blend_values(stack_arms(exps), rule).reshape(n, k, m, -1)
+    values = stacked_blend_values(ArmStack.of(exps), rule).reshape(n, k, m, -1)
     subsets = np.array(list(combinations(range(m), leave_out)))
     decided, got = subset_rewards(values, units @ w, subsets, rule, "batch")
     assert decided.shape == got.shape == (n, len(subsets))

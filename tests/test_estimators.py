@@ -23,7 +23,12 @@ from ruleval import (
     naive_reward,
     poisson_rescaled_reward,
 )
-from ruleval.estimators import MAX_BOOTSTRAP_REDRAWS, aggregate, bootstrap_aggregates
+from ruleval.estimators import (
+    MAX_BOOTSTRAP_REDRAWS,
+    aggregate,
+    bootstrap_aggregates,
+    percentile_interval,
+)
 from ruleval.streams import substream
 import unit_oracle as oracle
 
@@ -520,3 +525,16 @@ def test_bootstrap_coverage_near_nominal():
         lo, hi = np.quantile(draws, 0.025), np.quantile(draws, 0.975)
         covered += int(lo <= 0.0 <= hi)
     assert covered / outer == pytest.approx(0.95, abs=0.02)
+
+
+def test_percentile_interval_equals_the_two_single_quantiles():
+    # One np.quantile call for both tails gives each tail's own call's bits.
+    rng = np.random.default_rng(0)
+    for n in (1, 2, 3, 10, 999, 1000):
+        for level in (0.5, 0.9, 0.95, 0.99):
+            draws = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n)
+            alpha = 1.0 - level
+            want = (float(np.quantile(draws, alpha / 2.0)),
+                    float(np.quantile(draws, 1.0 - alpha / 2.0)))
+            got = percentile_interval(draws, level)
+            assert np.array(got).view(np.int64).tolist() == np.array(want).view(np.int64).tolist()

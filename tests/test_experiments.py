@@ -21,7 +21,7 @@ from ruleval import (
     decide,
     significance_set,
 )
-from ruleval.experiments import fold_permutations
+from ruleval.experiments import ArmStack, fold_permutations
 from ruleval.streams import substream
 from unit_oracle import blend_mean_and_se, cv_fold_rewards, fold_labels
 
@@ -262,15 +262,15 @@ def test_status_quo_and_challenger_rules_are_expressible():
 def test_assign_folds_near_equal_sizes_and_reproducible():
     # Fold labels are each arm's fold_permutations draw modulo the count.
     exp = two_arm(np.zeros((11, 1)), np.zeros((7, 1)))
-    folds = [perm % 3 + 1 for perm in fold_permutations(exp, seed=5)]
+    folds = [perm % 3 + 1 for perm in fold_permutations(ArmStack.of([exp]), seed=5)]
     for labels, m in zip(folds, (11, 7)):
         assert labels.shape == (m,)
         counts = np.bincount(labels, minlength=4)[1:]
         assert counts.max() - counts.min() <= 1
-    again = fold_permutations(exp, seed=5)
+    again = fold_permutations(ArmStack.of([exp]), seed=5)
     for labels, perm in zip(folds, again):
         assert np.array_equal(labels, perm % 3 + 1)
-    different = fold_permutations(exp, seed=6)
+    different = fold_permutations(ArmStack.of([exp]), seed=6)
     assert any(
         not np.array_equal(labels, perm % 3 + 1) for labels, perm in zip(folds, different)
     )
@@ -280,8 +280,8 @@ def test_assign_folds_depends_only_on_seed_id_and_sizes():
     rng = np.random.default_rng(0)
     a = two_arm(rng.standard_normal((9, 1)), rng.standard_normal((5, 1)))
     b = two_arm(rng.standard_normal((9, 1)), rng.standard_normal((5, 1)))
-    fa = fold_permutations(a, seed=11)
-    fb = fold_permutations(b, seed=11)
+    fa = fold_permutations(ArmStack.of([a]), seed=11)
+    fb = fold_permutations(ArmStack.of([b]), seed=11)
     for pa, pb in zip(fa, fb):
         assert np.array_equal(pa % 4 + 1, pb % 4 + 1)
 

@@ -27,7 +27,7 @@ from ruleval.estimators import (
     bootstrap_aggregates,
     percentile_interval,
 )
-from ruleval.experiments import fold_permutations
+from ruleval.experiments import ArmStack, fold_permutations
 from ruleval.streams import substream
 import unit_oracle as oracle
 
@@ -151,7 +151,7 @@ def test_assign_folds_is_the_permutation_modulo_the_fold_count(num_folds):
     )
     for seed in (0, 7):
         folds = oracle.fold_labels(exp, num_folds, seed)
-        for arm, drawn in zip(exp.arms, fold_permutations(exp, seed)):
+        for arm, drawn in zip(exp.arms, fold_permutations(ArmStack.of([exp]), seed)):
             perm = substream(seed, "folds", "perm", arm.arm_index).permutation(arm.num_units)
             assert np.array_equal(drawn, perm)
             assert np.array_equal(folds[arm.arm_index], perm % num_folds + 1)
@@ -280,7 +280,7 @@ def test_a_missing_fallback_arm_is_named_before_an_empty_fold():
     # already fail.
     seed, fold_counts = 0, (5,)
     probe = ExperimentData("e", (ArmData(1, np.zeros((4, 1))), ArmData(2, np.ones((3, 1)))))
-    perm = fold_permutations(probe, seed)[0]
+    perm = fold_permutations(ArmStack.of([probe]), seed)[0]
     arm1 = np.zeros((4, 1))
     arm1[perm % 5 == 3] = 10.0  # fold 4 of 5, which arm 2's 3 units never reach
     exp = ExperimentData("e", (ArmData(1, arm1), ArmData(2, np.ones((3, 1)))))

@@ -36,12 +36,12 @@ from ruleval import (
 )
 from ruleval.estimators import _fold_table
 from ruleval.experiments import (
+    ArmStack,
     _fold_name,
     blend_matrix,
     decide_kept,
     fold_permutations,
     sample_variance,
-    stack_arms,
     stacked_blend_values,
 )
 from ruleval.simulator import _fold_sizes, cov_factor
@@ -127,7 +127,7 @@ def fold_labels(exp: ExperimentData, num_folds: int, seed: int) -> dict[int, np.
     fold ``perm[i] % num_folds + 1``."""
     return {
         arm.arm_index: perm % num_folds + 1
-        for arm, perm in zip(exp.arms, fold_permutations(exp, seed))
+        for arm, perm in zip(exp.arms, fold_permutations(ArmStack.of([exp]), seed))
     }
 
 
@@ -140,7 +140,7 @@ def cv_fold_rewards(
     bins = np.concatenate(
         [labels[arm.arm_index] - 1 + k * num_folds for k, arm in enumerate(exp.arms)]
     )[None]
-    table = _fold_table(stack_arms([exp]), [rule], reward, bins, (num_folds,))
+    table = _fold_table(ArmStack.of([exp]), [rule], reward, bins, (num_folds,))
     return table[0, 0, :num_folds]
 
 
@@ -389,7 +389,7 @@ def fold_stats(
     the full data: counts (total + 1, K), blend sums (total + 1, K, B) and,
     gated, their sample variance.  ``bins`` is (partitions, units) over the
     arms' stacked units, ``(arm - 1) * total + fold``."""
-    stack = stack_arms([exp])
+    stack = ArmStack.of([exp])
     num_arms, total = exp.num_arms, sum(fold_counts)
     size = num_arms * total
     sizes = stack.sizes
@@ -465,7 +465,7 @@ def batch_rewards(exps, rules, reward, fold_counts, fold_seed) -> np.ndarray:
         if fold_counts:
             bins = np.concatenate([
                 perm % periods + offsets + k * total
-                for k, perm in enumerate(fold_permutations(exp, fold_seed))
+                for k, perm in enumerate(fold_permutations(ArmStack.of([exp]), fold_seed))
             ], axis=1)
         rewards = fold_rewards(exp, rules, reward, bins, fold_counts)
         out[:, 0, i] = rewards[:, -1]
@@ -502,6 +502,9 @@ def ingest_csv(path: str) -> ExperimentCorpus:
         metric_names = tuple(header[3:])
         if not metric_names:
             raise CorpusFormatError(f"{path}: no metric columns in header")
+        if "" in metric_names:
+            raise CorpusFormatError(f"{path}: header column "
+                                    f"{metric_names.index('') + 4} has an empty metric name")
         if len(set(metric_names)) != len(metric_names):
             raise CorpusFormatError(f"{path}: duplicate metric names in header")
         rows = list(reader)
@@ -513,6 +516,8 @@ def ingest_csv(path: str) -> ExperimentCorpus:
         if set(map(len, data)) != {len(header)}:
             raise ValueError
         ids, arms, units, *cells = zip(*data)
+        if "\0" in "".join(ids + units):  # a string array drops a trailing NUL
+            raise ValueError
         ids = np.array(list(map(str.strip, ids)))
         units = np.array(list(map(str.strip, units)))
         arms = np.fromiter(map(int, arms), np.int64, len(data))
@@ -550,15 +555,14 @@ def ingest_csv(path: str) -> ExperimentCorpus:
     return ExperimentCorpus(tuple(experiments), metric_names, provenance=path)
 
 
-def _first_fault(path: str, rows: list[list[str]], header: list[str]) -> CorpusFormatError:
-    """The error for the first faulty data row, in file order (the bulk parse
-    also fails on an arm index beyond 64 bits, which no row check names)."""
+def _first_fault(path: str, rows: list[list[str]], header: list[str]) -> Exception:
+    """The error for the first faulty data row, in file order."""
     seen: set[tuple[str, int, str]] = set()
     for line_no, row in enumerate(rows, start=2):
         fault = row and _row_fault(row, header, seen)
         if fault:
             return CorpusFormatError(f"{path}: line {line_no}{fault}")
-    return CorpusFormatError(f"{path}: column 'arm' is out of range")
+    return AssertionError(f"{path}: the bulk parse failed, but no row is faulty")
 
 
 def _row_fault(row: list[str], header: list[str], seen: set) -> str | None:
@@ -568,14 +572,20 @@ def _row_fault(row: list[str], header: list[str], seen: set) -> str | None:
     exp_id, unit_id = row[0].strip(), row[2].strip()
     if not exp_id:
         return ": missing value in column 'experiment_id'"
+    if "\0" in exp_id:
+        return f": column 'experiment_id' holds a NUL character: {exp_id!r}"
     try:
         arm = int(row[1])
     except ValueError:
         return f": column 'arm' must be a positive integer, got {row[1]!r}"
     if arm < 1:
         return f": column 'arm' must be >= 1, got {arm}"
+    if arm >= 2**63:
+        return f": column 'arm' is out of range, got {arm}"
     if not unit_id:
         return ": missing value in column 'unit_id'"
+    if "\0" in unit_id:
+        return f": column 'unit_id' holds a NUL character: {unit_id!r}"
     if (exp_id, arm, unit_id) in seen:
         return (f": duplicate unit (experiment_id={exp_id!r}, arm={arm}, "
                 f"unit_id={unit_id!r})")
