@@ -22,6 +22,7 @@ be compared directly against Monte Carlo:
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -120,15 +121,7 @@ class EffectModel:
         return 2.0 * self.noise_cov / self.units_per_arm
 
     def replace(self, **kwargs) -> "EffectModel":
-        fields = {
-            "effect_cov": self.effect_cov,
-            "noise_cov": self.noise_cov,
-            "units_per_arm": self.units_per_arm,
-            "num_experiments": self.num_experiments,
-            "num_folds": self.num_folds,
-        }
-        fields.update(kwargs)
-        return EffectModel(**fields)
+        return dataclasses.replace(self, **kwargs)
 
 
 def _log_ndtr(x: float) -> float:

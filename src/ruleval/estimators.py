@@ -30,7 +30,10 @@ array of unit positions, for a batch of equal-size experiments at once.
 It serves the Poisson-rescaling check in the simulator, and leave-l-out
 here: ``per_experiment_rewards`` stacks the experiments once and makes
 one call per (arm count, arm size), and ``leave_l_out_reward`` and
-``poisson_rescaled_reward`` are one-experiment calls of that path.
+``poisson_rescaled_reward`` are one-experiment calls of that path.  The
+kernel raises nothing: it returns 0 where no arm passes a gated rule that
+lacks its fallback arm, and both paths raise the missing-fallback error
+for any experiment with a 0.
 
 Aggregates over experiments come in two modes: ``mean`` (weighted mean of
 per-experiment estimates) and ``cumulative`` (weighted sum), the latter
@@ -53,7 +56,6 @@ from .experiments import (
     RewardSpec,
     arm_sums,
     decide_kept,
-    fallback_one,
     fault_error,
     fold_decisions,
     fold_permutations,
@@ -79,6 +81,8 @@ __all__ = [
 
 ESTIMATOR_KINDS = ("naive", "cv-kfold", "cv-leave-l-out", "poisson-rescaled")
 AGGREGATE_MODES = ("mean", "cumulative")
+# Most redraw rounds: of one zero-weight bootstrap resample, and of the
+# zero Poisson sizes of a simulator chunk.
 MAX_BOOTSTRAP_REDRAWS = 10_000
 # Most values per temporary array of a row block, here and in the simulator.
 BLOCK_ELEMENTS = 1 << 16
@@ -275,11 +279,7 @@ def aggregate(values: np.ndarray, weights: np.ndarray, mode: str) -> float:
 
 
 def subset_rewards(
-    values: np.ndarray,
-    rewards: np.ndarray,
-    subsets: np.ndarray,
-    rule: DecisionRule,
-    experiment_id: str,
+    values: np.ndarray, rewards: np.ndarray, subsets: np.ndarray, rule: DecisionRule
 ) -> tuple[np.ndarray, np.ndarray]:
     """The rule's choice with each subset of unit positions held out, and
     the subset's held-out reward: two (n, S) arrays, for n experiments
@@ -288,10 +288,10 @@ def subset_rewards(
     ``values`` is (n, K, m, B): each unit's ``blend_matrix`` values;
     ``rewards`` is (n, K, m).  ``subsets`` is (S, l); each row's positions
     are removed from every arm, the rule decides on the rest through one
-    kernel call (whose error names ``experiment_id``), and the subset's
-    reward is the mean reward over the row's positions in the chosen arm.
-    The caller checks that every arm keeps enough units: one, two under a
-    gate.
+    kernel call, and the subset's reward is the mean reward over the row's
+    positions in the chosen arm.  The caller checks that every arm keeps
+    enough units (one, two under a gate) and reads a choice of 0 as a
+    missing fallback arm (``decide_kept``).
     """
 
     def kept_sums(x: np.ndarray) -> np.ndarray:
@@ -303,7 +303,7 @@ def subset_rewards(
     variances = None
     if rule.gate != "none":
         variances = sample_variance(counts, sums, kept_sums(values * values))
-    chosen = decide_kept(counts, sums, variances, rule, experiment_id)  # (n, S)
+    chosen = decide_kept(counts, sums, variances, rule)  # (n, S)
     held = rewards[:, :, subsets].mean(axis=3)  # (n, K, S)
     out = held[:, 0]
     for k in range(1, held.shape[1]):
@@ -363,7 +363,6 @@ def _leave_l_out_sums(
         else:
             rng = substream(config.fold_seed, "leave-l-out", stack.ids[sampled], leave_out)
             subsets = np.array([rng.choice(m, leave_out, replace=False) for _ in range(cap)])
-        group_rule = fallback_one(rule, k)
         rows = stack.starts[stack.first_arm[group], None] + np.arange(k * m)
         step = max(1, BLOCK_ELEMENTS // (k * subsets.size * values.shape[1]))
         for lo in range(0, len(group), step):
@@ -371,12 +370,11 @@ def _leave_l_out_sums(
             chosen, held = subset_rewards(
                 values[rows[lo : lo + step]].reshape(len(block), k, m, -1),
                 rewards[rows[lo : lo + step]].reshape(len(block), k, m),
-                subsets, group_rule, stack.ids[block[0]],
+                subsets, rule,
             )
             out[block] = held.sum(axis=1)
-            if group_rule is not rule:
-                for i in np.compress((chosen == 1).any(axis=1), block):
-                    faults[i] = missing_fallback_error(rule, stack.ids[i])
+            for i in np.compress((chosen == 0).any(axis=1), block):
+                faults[i] = missing_fallback_error(rule, stack.ids[i])
         if sampled >= 0:
             out[sampled] = math.comb(m, leave_out) * float(out[sampled]) / cap
     if faults:
@@ -514,11 +512,11 @@ def bootstrap_aggregates(
                 idx[b] = rng.integers(0, n, size=n)
                 tries += 1
             redraws += tries
-    w = weights[idx]
-    totals = np.sum(w * contributions[idx], axis=1)
+    # The gathered products are the products of the gathers, in order.
+    totals = np.sum((weights * contributions)[idx], axis=1)
     if mode == "cumulative":
         return totals, redraws
-    return totals / w.sum(axis=1), redraws
+    return totals / weights[idx].sum(axis=1), redraws
 
 
 def percentile_interval(draws: np.ndarray, level: float) -> tuple[float, float]:

@@ -10,8 +10,11 @@ Every decision, on the full data or with units held out, goes through one
 kernel, ``decide_kept``.  It decides many held-out subsets at once from each
 arm's kept unit count, the sums of the rule's blend columns over the kept
 units and the per-unit variance of each column, so estimators never rebuild
-an experiment.  The library estimators compute that variance from the kept
-units (``sample_variance``); the Monte Carlo fast path supplies the model's
+an experiment.  It is a pure function of those statistics and raises
+nothing: where no arm passes a gated rule whose fallback arm the experiment
+lacks, it returns 0, and its caller names the fault.  The library
+estimators compute that variance from the kept units
+(``sample_variance``); the Monte Carlo fast path supplies the model's
 known variance.  ``fold_stats`` produces those inputs for every arm of an
 ``ArmStack``, the experiments' units stacked into one array, at once: one
 bincount over a global (arm, fold) bin gives every held-out fold's sums of
@@ -19,14 +22,16 @@ every column, which are subtracted from the arm totals, followed by the
 full data.  Each sum adds the numbers a one-experiment computation adds, in
 its order, so no result depends on what else is in the batch.
 ``fold_decisions`` decides them all, one kernel call per arm count, and
-finds each experiment's first fault.  ``decide`` and ``significance_set``
-are one-experiment, no-fold calls of ``fold_stats`` with the same
-short-arm check.
+finds each experiment's first fault; ``fault_error`` words it.  ``decide``
+is a one-experiment, no-fold call of ``fold_decisions``, so full-data and
+held-out decisions on unit data find their faults in one place;
+``significance_set`` is one of ``fold_stats``, with the same short-arm
+check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from statistics import NormalDist
 from typing import NamedTuple, Sequence
 
@@ -447,7 +452,6 @@ def decide_kept(
     sums: np.ndarray,
     variances: np.ndarray | None,
     rule: DecisionRule,
-    experiment_id: str,
 ) -> np.ndarray:
     """Decide many held-out subsets of one or more experiments at once.
 
@@ -459,8 +463,9 @@ def decide_kept(
     rule): the library passes the kept units' ``sample_variance``, the
     Monte Carlo fast path the model's known variance.  Returns the chosen
     1-based arm per subset: the argmax of blend means, restricted under a
-    gate to the arms that pass it, or the fallback arm when none does.
-    Exact ties go to the lowest index.
+    gate to the arms that pass it, or the fallback arm when none does, 0
+    when none does and the K arms lack the fallback arm.  Exact ties go to
+    the lowest index.
     """
     score = sums[..., 0] / counts
     if rule.gate == "none":
@@ -469,21 +474,10 @@ def decide_kept(
     chosen = _first_argmax(np.where(mask, score, -np.inf)) + 1
     # The reference arm never passes the gate, so it comes out of the
     # masked argmax exactly when no arm does.
-    empty = chosen == 1
-    if empty.any():
-        if rule.fallback_arm > score.shape[-1]:
-            raise missing_fallback_error(rule, experiment_id)
-        chosen[empty] = rule.fallback_arm
+    if rule.fallback_arm != 1:
+        has_fallback = rule.fallback_arm <= score.shape[-1]
+        chosen[chosen == 1] = rule.fallback_arm if has_fallback else 0
     return chosen
-
-
-def fallback_one(rule: DecisionRule, num_arms: int) -> DecisionRule:
-    """``rule``, or, if it is gated and lacks its fallback arm among
-    ``num_arms``, the rule with fallback arm 1: that one picks arm 1
-    exactly when no arm passes, where ``rule`` has no arm to fall back to."""
-    if rule.gate != "none" and rule.fallback_arm > num_arms:
-        return replace(rule, fallback_arm=1)
-    return rule
 
 
 def missing_fallback_error(rule: DecisionRule, experiment_id: str) -> ValueError:
@@ -574,9 +568,9 @@ def fold_decisions(
     1-based arm per experiment (experiments, total + 1), and per experiment
     the code of its first fault (0 for none), in the order a one-experiment
     computation meets them: SHORT_ARM, an arm left with too few units;
-    NO_FALLBACK, no arm passes a gated rule that lacks its fallback arm;
-    EMPTY_FOLD, a held-out fold has no unit of the arm chosen without it.
-    ``fault_error`` gives each one's error.
+    NO_FALLBACK, a 0 from the kernel, where no arm passes a gated rule that
+    lacks its fallback arm; EMPTY_FOLD, a held-out fold has no unit of the
+    arm chosen without it.  ``fault_error`` gives each one's error.
     """
     counts, sums, variances = fold_stats(stack, rule, bins, fold_counts)
     first_arm, num_arms = stack.first_arm[:-1], np.diff(stack.first_arm)
@@ -586,17 +580,14 @@ def fold_decisions(
     for k in set(num_arms.tolist()):
         group = np.flatnonzero(num_arms == k)
         arms = first_arm[group, None] + np.arange(k)
-        group_rule = fallback_one(rule, k)
         with np.errstate(divide="ignore", invalid="ignore"):  # SHORT_ARM
             chosen[group] = decide_kept(
                 counts[arms].swapaxes(1, 2),
                 sums[arms].swapaxes(1, 2),
                 None if variances is None else variances[arms].swapaxes(1, 2),
-                group_rule,
-                stack.ids[group[0]],
+                rule,
             )
-        if group_rule is not rule:
-            faults[group] = NO_FALLBACK * (chosen[group] == 1).any(axis=1)
+    faults[(chosen == 0).any(axis=1)] = NO_FALLBACK
     if total:
         arm = first_arm[:, None] + chosen[:, :total] - 1
         empty = (counts[arm, total] == counts[arm, np.arange(total)]).any(axis=1)
@@ -642,33 +633,22 @@ def fault_error(
     )
 
 
-def _full_data_stats(
-    exp: ExperimentData, rule: DecisionRule
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """``decide_kept`` inputs of one experiment's full data from
-    ``fold_stats``, (1, K) counts and (1, K, B) sums and variances, after
-    the SHORT_ARM check ``fold_decisions`` makes: a gated rule on an arm of
-    one unit raises DegenerateArmError.  A missing fallback arm, the next
-    fault in that order, is raised by ``decide_kept``."""
-    stack = ArmStack.of([exp])
-    counts, sums, variances = fold_stats(stack, rule, None, ())
-    if _short(stack, counts, rule)[0]:
-        raise fault_error(stack, counts, None, rule, (), 0, SHORT_ARM)
-    return (counts.T, sums.swapaxes(0, 1),
-            None if variances is None else variances.swapaxes(0, 1))
-
-
 def significance_set(exp: ExperimentData, rule: DecisionRule) -> set[int]:
     """Arms whose gate metrics are significant versus the reference arm.
 
     Uses a two-sample z-test with unpooled standard errors per gate blend;
     an arm is in the set when the per-blend results combine to true under
     ``rule.gate_combine``.  The reference arm (arm 1) is never included.
+    An arm of one unit raises DegenerateArmError.
     """
     if rule.gate != "significant-vs-reference":
         raise ValueError("significance_set requires gate='significant-vs-reference'")
-    mask = _gate_mask(*_full_data_stats(exp, rule), rule)
-    return {int(k) + 1 for k in np.flatnonzero(mask[0])}
+    stack = ArmStack.of([exp])
+    counts, sums, variances = fold_stats(stack, rule, None, ())
+    if _short(stack, counts, rule)[0]:
+        raise fault_error(stack, counts, None, rule, (), 0, SHORT_ARM)
+    mask = _gate_mask(counts[:, 0], sums[:, 0], variances[:, 0], rule)
+    return {int(k) + 1 for k in np.flatnonzero(mask)}
 
 
 def decide(exp: ExperimentData, rule: DecisionRule) -> int:
@@ -677,6 +657,10 @@ def decide(exp: ExperimentData, rule: DecisionRule) -> int:
     Ungated rules take the argmax of blend means over all arms.  Gated
     rules take the argmax restricted to the significance set, or the
     fallback arm when the set is empty.  Exact ties go to the lowest index.
+    It is a ``fold_decisions`` call with no fold, whose fault it raises.
     """
-    counts, sums, variances = _full_data_stats(exp, rule)
-    return int(decide_kept(counts, sums, variances, rule, exp.experiment_id)[0])
+    stack = ArmStack.of([exp])
+    counts, chosen, faults = fold_decisions(stack, rule, None, ())
+    if faults[0]:
+        raise fault_error(stack, counts, chosen, rule, (), 0, faults[0])
+    return int(chosen[0, 0])

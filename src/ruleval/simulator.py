@@ -45,7 +45,13 @@ from itertools import combinations
 import numpy as np
 
 from .closed_form import EffectModel, cv_expectation, naive_expectation, true_reward
-from .estimators import BLOCK_ELEMENTS, check_count, check_m0, subset_rewards
+from .estimators import (
+    BLOCK_ELEMENTS,
+    MAX_BOOTSTRAP_REDRAWS,
+    check_count,
+    check_m0,
+    subset_rewards,
+)
 from .experiments import (
     DecisionRule,
     DegenerateFoldError,
@@ -374,9 +380,8 @@ def _simulate_estimates(
         sums = sums.transpose(1, 3, 2, 0)[:, decided]
         for r, rule in enumerate(rules):
             cols = slice(ends[r], ends[r + 1])
-            launch = decide_kept(
-                counts, sums[..., cols], variances[r], rule, "simulated"
-            ) == 2  # (rows, decided columns)
+            # (rows, decided columns)
+            launch = decide_kept(counts, sums[..., cols], variances[r], rule) == 2
             if "true" in out:
                 out["true"][rows, r] = np.where(launch[:, -1], effects[0, rows], 0.0)
             if "naive" in out:
@@ -428,7 +433,9 @@ def _sweep_chunk(config, variant, models, point, chunk, reps) -> np.ndarray:
 
     Returns per estimator, in ``ESTIMATORS`` order, the sum and sum of
     squares of the per-replication aggregates (zeros for an estimator the
-    config leaves out), then the zero-size redraw count.
+    config leaves out), then the zero-size redraw count.  Poisson sizes of
+    zero are redrawn in at most ``MAX_BOOTSTRAP_REDRAWS`` rounds; a zero
+    left after them raises a ValueError naming ``m0``.
     """
     model = models[point]
     n_exps = model.num_experiments
@@ -447,13 +454,18 @@ def _sweep_chunk(config, variant, models, point, chunk, reps) -> np.ndarray:
     else:
         size_rng = substream(config.seed, "sweep-sizes", variant, point, chunk)
         sizes = size_rng.poisson(config.m0, size=n)
-        while True:
-            zero = sizes == 0
-            n_zero = int(zero.sum())
-            if n_zero == 0:
+        zero = np.flatnonzero(sizes == 0)
+        for _ in range(MAX_BOOTSTRAP_REDRAWS):
+            if not zero.size:
                 break
-            redraws += n_zero
-            sizes[zero] = size_rng.poisson(config.m0, size=n_zero)
+            redraws += zero.size
+            sizes[zero] = size_rng.poisson(config.m0, size=zero.size)
+            zero = zero[sizes[zero] == 0]
+        if zero.size:
+            raise ValueError(
+                f"m0={config.m0!r} leaves {zero.size} experiment size(s) zero "
+                f"after {MAX_BOOTSTRAP_REDRAWS} redraw rounds"
+            )
         values = {key: np.empty((n, 1)) for key in config.estimators}
         for m in np.unique(sizes):
             rng = substream(config.seed, "sweep", variant, point, chunk, int(m))
@@ -574,7 +586,7 @@ def _subset_reward_sums(
     if rule_kind == "constant" or m == leave_out:
         arm = constant_arm if rule_kind == "constant" else 1
         return x[:, arm - 1, subsets].mean(axis=2).sum(axis=1)
-    _, held = subset_rewards(x[..., None], x, subsets, _ARGMAX_RULE, "rescaling check")
+    _, held = subset_rewards(x[..., None], x, subsets, _ARGMAX_RULE)
     return held.sum(axis=1)
 
 
@@ -644,7 +656,7 @@ def check_poisson_rescaling(
             if rule_kind != "constant":
                 chosen[rows] = decide_kept(
                     np.full(n_arms, float(m)), x.sum(axis=2)[..., None], None,
-                    _ARGMAX_RULE, "rescaling check",
+                    _ARGMAX_RULE,
                 )
         lhs = raw * scale
         rhs = means[chosen - 1]

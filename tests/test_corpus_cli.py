@@ -664,6 +664,15 @@ def test_cli_rejects_non_finite_json_numbers(tmp_path, capsys, literal):
     assert not out.exists()
 
 
+def test_cli_simulate_exits_1_when_m0_leaves_every_size_zero(tmp_path, capsys):
+    cfg_path = tmp_path / "config.json"
+    write(cfg_path, '{"size_mode": "poisson", "m0": 1e-7, "num_replications": 1}')
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(cfg_path), "--out-dir", str(out)]) == 1
+    assert "m0=1e-07 leaves " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_replays_only_simulate_manifests(tmp_path, capsys):
     # A manifest passed where a config is read: simulate replays its own,
     # every other pairing names the manifest's command and refuses.

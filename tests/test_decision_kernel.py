@@ -260,7 +260,7 @@ def test_subsets_producer_scores_each_experiment_of_a_batch(
     ]
     values = stacked_blend_values(ArmStack.of(exps), rule).reshape(n, k, m, -1)
     subsets = np.array(list(combinations(range(m), leave_out)))
-    decided, got = subset_rewards(values, units @ w, subsets, rule, "batch")
+    decided, got = subset_rewards(values, units @ w, subsets, rule)
     assert decided.shape == got.shape == (n, len(subsets))
     for i, exp in enumerate(exps):
         chosen = [oracle.decide_without(exp, rule, s) for s in subsets]
@@ -288,15 +288,31 @@ def test_kernel_counts_broadcast_over_arms(k, variance_shape, gate):
     variances = (np.ones(1) if variance_shape == "per column"
                  else rng.uniform(0.5, 2.0, size=sums.shape))
     rule = DecisionRule(blend=[1.0], **gate)
-    want = experiments.decide_kept(np.full((500, k), 10.0), sums, variances, rule, "e")
+    want = experiments.decide_kept(np.full((500, k), 10.0), sums, variances, rule)
     for counts in (np.full((500, 1), 10.0), 10.0, np.float64(10.0), np.full(k, 10.0)):
-        got = experiments.decide_kept(counts, sums, variances, rule, "e")
+        got = experiments.decide_kept(counts, sums, variances, rule)
         assert np.array_equal(got, want), counts
     # Every arm is chosen, arm 1 under a gate as the fallback.
     assert set(want.tolist()) == set(range(1, k + 1))
     two = experiments.decide_kept(np.array([[10.0]]), np.array([[[0.0], [100.0]]]),
-                                  np.ones(1), rule, "e")
+                                  np.ones(1), rule)
     assert two.tolist() == [2]
+
+
+def test_kernel_returns_0_where_a_gated_rule_lacks_its_fallback_arm():
+    # Three arms of 10 units: no arm passes the gate, arm 2 passes, arms 2
+    # and 3 pass.  The kernel raises nothing; a 0 marks the first row only.
+    sums = np.array([[0.0, 0.0, 0.0], [0.0, 100.0, 0.0], [0.0, 50.0, 100.0]])[..., None]
+    counts, variances = np.full(3, 10.0), np.ones(1)
+    gated = DecisionRule(blend=[1.0], gate="significant-vs-reference", fallback_arm=4)
+    assert experiments.decide_kept(counts, sums, variances, gated).tolist() == [0, 2, 3]
+    for fallback in (1, 3):
+        rule = DecisionRule(blend=[1.0], gate="significant-vs-reference",
+                            fallback_arm=fallback)
+        got = experiments.decide_kept(counts, sums, variances, rule)
+        assert got.tolist() == [fallback, 2, 3]
+    ungated = DecisionRule(blend=[1.0], fallback_arm=4)
+    assert experiments.decide_kept(counts, sums, None, ungated).tolist() == [1, 2, 3]
 
 
 def test_gate_critical_value_within_8_ulp_of_scipy():

@@ -186,6 +186,8 @@ def test_decide_gated_empty_set_returns_fallback():
     exp = two_arm(units, units.copy())
     assert decide(exp, gated_rule()) == 1
     assert decide(exp, gated_rule(fallback_arm=2)) == 2
+    with pytest.raises(ValueError, match="^fallback arm 3 does not exist in experiment 'e'$"):
+        decide(exp, gated_rule(fallback_arm=3))
 
 
 def test_decide_matches_direct_metric_argmax_on_random_instances():

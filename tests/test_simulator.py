@@ -308,6 +308,14 @@ def test_poisson_sweep_runs_and_counts_redraws():
     assert len(result.rows) == 3
 
 
+def test_poisson_sweep_stops_redrawing_zero_sizes_at_the_cap():
+    # At this m0 nearly every Poisson size is zero, round after round: the
+    # redraw loop ends at the cap with an error that names m0.
+    config = SimulationConfig(size_mode="poisson", m0=1e-7, num_replications=1)
+    with pytest.raises(ValueError, match=r"^m0=1e-07 leaves \d+ experiment size"):
+        run_bias_sweep(config)
+
+
 def test_sweep_spec_validation():
     with pytest.raises(ValueError):
         SweepSpec("sigma", (1.0, 2.0))

@@ -323,9 +323,9 @@ def simulate_estimates(
         )
         full_sums = (arm_means @ matrix) * m  # (n, 2, B)
         kept_sums = full_sums[:, :, None] - projected * sizes[:, None]
-        launch = decide_kept(full_counts, full_sums, variances, rule, "simulated") == 2
+        launch = decide_kept(full_counts, full_sums, variances, rule) == 2
         launch_loo = decide_kept(  # (n, P), from an (n, P, 2, B) view
-            kept_counts, kept_sums.transpose(0, 2, 1, 3), variances, rule, "simulated"
+            kept_counts, kept_sums.transpose(0, 2, 1, 3), variances, rule
         ) == 2
         out["launch"][:, r] = launch
         out["launch_loo"][:, r] = launch_loo
@@ -441,7 +441,12 @@ def fold_rewards(exp, rules, reward, bins, fold_counts) -> np.ndarray:
     out = np.empty((len(rules), total + 1))
     for r, rule in enumerate(rules):
         counts, sums, variances = fold_stats(exp, rule, bins, fold_counts)
-        chosen = decide_kept(counts, sums, variances, rule, exp.experiment_id) - 1
+        chosen = decide_kept(counts, sums, variances, rule) - 1
+        if (chosen < 0).any():
+            raise ValueError(
+                f"fallback arm {rule.fallback_arm} does not exist in "
+                f"experiment {exp.experiment_id!r}"
+            )
         n = counts[-1, chosen[:total]] - counts[fold, chosen[:total]]
         if not n.all():
             t = np.flatnonzero(n == 0)[0]
