@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import check_count
+from .experiments import check_count
 
 __all__ = [
     "EffectModel",

@@ -27,10 +27,9 @@ from .estimators import (
     aggregate,
     batch_rewards,
     bootstrap_aggregates,
-    check_count,
     percentile_interval,
 )
-from .experiments import ArmStack, DecisionRule, ExperimentData, RewardSpec
+from .experiments import ArmStack, DecisionRule, ExperimentData, RewardSpec, check_count
 from .simulator import ProxySpec, joint_proxy_model
 from .streams import substream
 from . import tableio
@@ -441,17 +440,14 @@ def evaluate_rules(
     Experiments are processed in experiment-id order regardless of their
     order in the corpus, so the report does not depend on input layout.
     Raises ValueError for a ``mode`` outside ``AGGREGATE_MODES``, a
-    ``level`` outside (0, 1), fewer than one bootstrap replicate, or fold
-    counts that are not distinct integers >= 2.
+    ``level`` outside (0, 1), a replicate count that is not an integer
+    >= 1, or fold counts that are not distinct integers >= 2.
     """
     if mode not in AGGREGATE_MODES:
         raise ValueError(f"mode must be one of {AGGREGATE_MODES}, got {mode!r}")
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0, 1), got {level!r}")
-    if bootstrap_replicates < 1:
-        raise ValueError(
-            f"bootstrap_replicates must be >= 1, got {bootstrap_replicates!r}"
-        )
+    bootstrap_replicates = check_count("bootstrap_replicates", bootstrap_replicates, 1)
     fold_counts = tuple(
         check_count(f"fold_counts[{i}]", p, 2) for i, p in enumerate(fold_counts)
     )

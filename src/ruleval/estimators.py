@@ -26,14 +26,16 @@ arm count, and scores every experiment's folds with one more bincount of
 the reward; the naive estimate is the full-data slot, and
 ``naive_reward`` is a one-experiment call of the same pass (with no fold
 at all).  ``subset_rewards`` decides every held-out subset of an (S, l)
-array of unit positions, for a batch of equal-size experiments at once.
-It serves the Poisson-rescaling check in the simulator, and leave-l-out
-here: ``per_experiment_rewards`` stacks the experiments once and makes
-one call per (arm count, arm size), and ``leave_l_out_reward`` and
+array of unit positions and then the full data, for a batch of
+equal-size experiments at once, in one kernel call.  It serves the
+Poisson-rescaling check in the simulator, which reads the full-data
+choice, and leave-l-out here, which reads the subsets':
+``per_experiment_rewards`` stacks the experiments once and makes one call
+per (arm count, arm size), and ``leave_l_out_reward`` and
 ``poisson_rescaled_reward`` are one-experiment calls of that path.  The
 kernel raises nothing: it returns 0 where no arm passes a gated rule that
-lacks its fallback arm, and both paths raise the missing-fallback error
-for any experiment with a 0.
+lacks its fallback arm, and both library paths raise the missing-fallback
+error for any experiment with a 0 among the decisions they score.
 
 Aggregates over experiments come in two modes: ``mean`` (weighted mean of
 per-experiment estimates) and ``cumulative`` (weighted sum), the latter
@@ -55,6 +57,7 @@ from .experiments import (
     ExperimentData,
     RewardSpec,
     arm_sums,
+    check_count,
     decide_kept,
     fault_error,
     fold_decisions,
@@ -86,16 +89,6 @@ AGGREGATE_MODES = ("mean", "cumulative")
 MAX_BOOTSTRAP_REDRAWS = 10_000
 # Most values per temporary array of a row block, here and in the simulator.
 BLOCK_ELEMENTS = 1 << 16
-
-
-def check_count(name: str, value, low: int, high: int | None = None) -> int:
-    """``value`` as an int, after checking that it is an integer (not a bool
-    or a float such as 2.0) in [low, high]; a ValueError names ``name``."""
-    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
-            or value < low or (high is not None and value > high)):
-        bound = f">= {low}" if high is None else f"in [{low}, {high}]"
-        raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
-    return int(value)
 
 
 def check_m0(m0) -> None:
@@ -281,33 +274,36 @@ def aggregate(values: np.ndarray, weights: np.ndarray, mode: str) -> float:
 def subset_rewards(
     values: np.ndarray, rewards: np.ndarray, subsets: np.ndarray, rule: DecisionRule
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The rule's choice with each subset of unit positions held out, and
-    the subset's held-out reward: two (n, S) arrays, for n experiments
-    whose K arms have m units each.
+    """The rule's choice with each subset of unit positions held out and
+    then on the full data, (n, S + 1), and each subset's held-out reward,
+    (n, S), for n experiments whose K arms have m units each.
 
     ``values`` is (n, K, m, B): each unit's ``blend_matrix`` values;
-    ``rewards`` is (n, K, m).  ``subsets`` is (S, l); each row's positions
-    are removed from every arm, the rule decides on the rest through one
-    kernel call, and the subset's reward is the mean reward over the row's
-    positions in the chosen arm.  The caller checks that every arm keeps
-    enough units (one, two under a gate) and reads a choice of 0 as a
-    missing fallback arm (``decide_kept``).
+    ``rewards`` is (n, K, m).  ``subsets`` is an integer (S, l) array;
+    each row's positions are removed from every arm, one kernel call
+    decides every subset on the rest and the full data on every unit, and
+    the subset's reward is the mean reward over the row's positions in the
+    chosen arm.  The caller checks that every arm keeps enough units (one,
+    two under a gate) and reads a choice of 0 as a missing fallback arm
+    (``decide_kept``).
     """
 
     def kept_sums(x: np.ndarray) -> np.ndarray:
-        held = x[:, :, subsets].sum(axis=3)  # (n, K, S, B)
-        return (x.sum(axis=2)[:, :, None] - held).transpose(0, 2, 1, 3)
+        totals = x.sum(axis=2)[:, :, None]  # (n, K, 1, B)
+        kept = totals - x[:, :, subsets].sum(axis=3)  # (n, K, S, B)
+        return np.concatenate([kept, totals], axis=2).transpose(0, 2, 1, 3)
 
-    counts = np.full(values.shape[1], float(values.shape[2] - subsets.shape[1]))
-    sums = kept_sums(values)
+    m, l = values.shape[2], subsets.shape[1]
+    counts = np.append(np.full(len(subsets), float(m - l)), m)[:, None]  # (S + 1, 1)
+    sums = kept_sums(values)  # (n, S + 1, K, B)
     variances = None
     if rule.gate != "none":
         variances = sample_variance(counts, sums, kept_sums(values * values))
-    chosen = decide_kept(counts, sums, variances, rule)  # (n, S)
+    chosen = decide_kept(counts, sums, variances, rule)  # (n, S + 1)
     held = rewards[:, :, subsets].mean(axis=3)  # (n, K, S)
     out = held[:, 0]
     for k in range(1, held.shape[1]):
-        out = np.where(chosen == k + 1, held[:, k], out)
+        out = np.where(chosen[:, :-1] == k + 1, held[:, k], out)
     return chosen, out
 
 
@@ -373,7 +369,7 @@ def _leave_l_out_sums(
                 subsets, rule,
             )
             out[block] = held.sum(axis=1)
-            for i in np.compress((chosen == 0).any(axis=1), block):
+            for i in np.compress((chosen[:, :-1] == 0).any(axis=1), block):
                 faults[i] = missing_fallback_error(rule, stack.ids[i])
         if sampled >= 0:
             out[sampled] = math.comb(m, leave_out) * float(out[sampled]) / cap
@@ -501,22 +497,25 @@ def bootstrap_aggregates(
     idx = rng.integers(0, n, size=(n_replicates, n))
     redraws = 0
     if mode != "cumulative":
-        for b in np.flatnonzero(~(weights[idx].sum(axis=1) > 0)):
+        # Each replicate's total weight, gathered once; a redraw updates its row.
+        weight_totals = weights[idx].sum(axis=1)
+        for b in np.flatnonzero(~(weight_totals > 0)):
             tries = 0
-            while not weights[idx[b]].sum() > 0:
+            while not weight_totals[b] > 0:
                 if tries == MAX_BOOTSTRAP_REDRAWS:
                     raise RuntimeError(
                         f"bootstrap replicate {b} exceeded the redraw cap: "
                         f"{tries} all-zero-weight resamples in a row"
                     )
                 idx[b] = rng.integers(0, n, size=n)
+                weight_totals[b] = weights[idx[b]].sum()
                 tries += 1
             redraws += tries
     # The gathered products are the products of the gathers, in order.
     totals = np.sum((weights * contributions)[idx], axis=1)
     if mode == "cumulative":
         return totals, redraws
-    return totals / weights[idx].sum(axis=1), redraws
+    return totals / weight_totals, redraws
 
 
 def percentile_interval(draws: np.ndarray, level: float) -> tuple[float, float]:
@@ -543,8 +542,7 @@ def bootstrap_ci(
     """
     if len(exps) < 2:
         raise ValueError("bootstrap needs at least 2 experiments")
-    if n_replicates < 100:
-        raise ValueError("bootstrap needs at least 100 replicates")
+    n_replicates = check_count("n_replicates", n_replicates, 100)
     if not 0.0 < level < 1.0:
         raise ValueError("level must be in (0, 1)")
     contributions = per_experiment_rewards(exps, rule, reward, config)

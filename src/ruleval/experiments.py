@@ -64,6 +64,25 @@ class DegenerateFoldError(ValueError):
     """Holding out a fold or subset left an arm without enough units."""
 
 
+def check_count(name: str, value, low: int, high: int | None = None) -> int:
+    """``value`` as an int, after checking that it is an integer (not a bool
+    or a float such as 2.0) in [low, high]; a ValueError names ``name``."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < low or (high is not None and value > high)):
+        bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
+    return int(value)
+
+
+def finite_vector(name: str, value) -> np.ndarray:
+    """``value`` as a float array, after checking that every entry is
+    finite; a ValueError names ``name``."""
+    array = np.asarray(value, dtype=float)
+    if not np.isfinite(array).all():
+        raise ValueError(f"{name} must be finite, got {array.tolist()!r}")
+    return array
+
+
 @dataclass(frozen=True)
 class ArmData:
     """One treatment arm: a 1-based index and a (units, metrics) matrix.
@@ -165,12 +184,10 @@ class RewardSpec:
     coefficients: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if self.coefficients is None:
-            if self.index < 1:
-                raise ValueError("metric index must be >= 1")
-        else:
+        object.__setattr__(self, "index", check_count("index", self.index, 1))
+        if self.coefficients is not None:
             object.__setattr__(
-                self, "coefficients", np.asarray(self.coefficients, dtype=float)
+                self, "coefficients", finite_vector("coefficients", self.coefficients)
             )
 
     @classmethod
@@ -228,7 +245,7 @@ class DecisionRule:
     fallback_arm: int = 1
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "blend", np.asarray(self.blend, dtype=float))
+        object.__setattr__(self, "blend", finite_vector("blend", self.blend))
         if self.gate not in ("none", "significant-vs-reference"):
             raise ValueError(f"unknown gate {self.gate!r}")
         if not 0.0 < self.gate_alpha < 1.0:
@@ -237,10 +254,12 @@ class DecisionRule:
             raise ValueError(f"unknown gate_sides {self.gate_sides!r}")
         if self.gate_combine not in ("all", "any"):
             raise ValueError(f"unknown gate_combine {self.gate_combine!r}")
-        if self.fallback_arm < 1:
-            raise ValueError("fallback_arm must be >= 1")
+        object.__setattr__(
+            self, "fallback_arm", check_count("fallback_arm", self.fallback_arm, 1)
+        )
         if self.gate_metrics is not None:
-            gates = tuple(np.asarray(g, dtype=float) for g in self.gate_metrics)
+            gates = tuple(finite_vector(f"gate_metrics[{i}]", g)
+                          for i, g in enumerate(self.gate_metrics))
             if not gates:
                 raise ValueError("gate_metrics must be nonempty when given")
             object.__setattr__(self, "gate_metrics", gates)

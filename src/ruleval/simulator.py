@@ -16,7 +16,8 @@ variance is the one difference from scoring unit data: a gated rule tests
 against the true unit noise, which is accurate in the large-M regime the
 model targets.  The Poisson-rescaling check draws unit-level Bernoulli
 outcomes and scores them with the library's leave-l-out producer,
-``estimators.subset_rewards``.
+``estimators.subset_rewards``: one call per row block gives every held-out
+subset's reward and the full-data choice, at every unit count down to 0.
 
 The fast path never forms fold-mean vectors.  Everything it reads is a
 projection of them, so one GEMM maps the standard-normal draws onto the
@@ -45,19 +46,8 @@ from itertools import combinations
 import numpy as np
 
 from .closed_form import EffectModel, cv_expectation, naive_expectation, true_reward
-from .estimators import (
-    BLOCK_ELEMENTS,
-    MAX_BOOTSTRAP_REDRAWS,
-    check_count,
-    check_m0,
-    subset_rewards,
-)
-from .experiments import (
-    DecisionRule,
-    DegenerateFoldError,
-    blend_matrix,
-    decide_kept,
-)
+from .estimators import BLOCK_ELEMENTS, MAX_BOOTSTRAP_REDRAWS, check_m0, subset_rewards
+from .experiments import DecisionRule, DegenerateFoldError, blend_matrix, check_count, decide_kept
 from .streams import substream
 
 __all__ = [
@@ -563,31 +553,28 @@ class RescalingCheckReport:
 _ARGMAX_RULE = DecisionRule(blend=[1.0])
 
 
-def _subset_reward_sums(
-    x: np.ndarray,
-    leave_out: int,
-    rule_kind: str,
-    constant_arm: int,
-) -> np.ndarray:
-    """Raw leave-l-out fold-reward sums for a batch of equal-size experiments.
+def _score_block(
+    x: np.ndarray, leave_out: int, rule_kind: str, constant_arm: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Raw leave-l-out fold-reward sums and full-data choices for a batch
+    of equal-size experiments, two (n,) arrays.
 
-    ``x`` has shape (n, arms, m), reward = the single metric itself.  Every
-    size-l subset of unit positions is scored at once by
-    ``estimators.subset_rewards``, the data-driven rule deciding on the kept
-    units.  Decisions on an emptied experiment fall back to arm 1 so the
-    estimator stays defined down to m == leave_out; constant rules ignore
-    the data entirely.  ``check_poisson_rescaling`` checks the arguments.
+    ``x`` has shape (n, arms, m), reward = the single metric itself.  One
+    ``estimators.subset_rewards`` call scores every size-l subset of unit
+    positions and decides the full data.  Where m <= l nothing is kept:
+    every arm's mean is NaN and the argmax picks arm 1; where m < l there
+    is no subset and the sum is 0.  Constant rules ignore the data
+    entirely.  ``check_poisson_rescaling`` checks the arguments.
     """
-    n, _, m = x.shape
-    if m < leave_out:
-        return np.zeros(n)
-
-    subsets = np.array(list(combinations(range(m), leave_out)))  # (S, l)
-    if rule_kind == "constant" or m == leave_out:
-        arm = constant_arm if rule_kind == "constant" else 1
-        return x[:, arm - 1, subsets].mean(axis=2).sum(axis=1)
-    _, held = subset_rewards(x[..., None], x, subsets, _ARGMAX_RULE)
-    return held.sum(axis=1)
+    m = x.shape[2]
+    subsets = np.array(list(combinations(range(m), leave_out)), dtype=np.intp)
+    subsets = subsets.reshape(-1, leave_out)  # (S, l), S = 0 where m < l
+    if rule_kind == "constant":
+        held = x[:, constant_arm - 1, subsets].mean(axis=2)
+        return held.sum(axis=1), np.full(len(x), constant_arm)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        chosen, held = subset_rewards(x[..., None], x, subsets, _ARGMAX_RULE)
+    return held.sum(axis=1), chosen[:, -1]
 
 
 def check_poisson_rescaling(
@@ -605,10 +592,11 @@ def check_poisson_rescaling(
     Per-arm unit counts are drawn Poisson(m0); outcomes are Bernoulli with
     the given per-arm means.  One side is the mean of
     ``l!/m0**l * sum of fold rewards``; the other is the mean true reward
-    of the arm the rule picks on the full data (arm 1 for an empty
-    experiment).  The check passes when the two means agree within four
-    combined standard errors.  The negative control re-runs the comparison
-    with the rescaling omitted and must be rejected by the same test.
+    of the arm the rule picks on the full data (the argmax rule picks arm
+    1 for an empty experiment, a constant rule its own arm).  The check
+    passes when the two means agree within four combined standard errors.
+    The negative control re-runs the comparison with the rescaling omitted
+    and must be rejected by the same test.
     """
     check_m0(m0)
     leave_out = check_count("leave_out", leave_out, 1, 2)
@@ -623,8 +611,8 @@ def check_poisson_rescaling(
         raise ValueError(
             f"arm_means must be Bernoulli means in [0, 1], got {tuple(arm_means)}"
         )
-    if rule_kind == "constant" and not 1 <= constant_arm <= n_arms:
-        raise ValueError("constant_arm out of range")
+    if rule_kind == "constant":
+        check_count("constant_arm", constant_arm, 1, n_arms)
 
     size_rng = substream(seed, "rescaling-sizes", leave_out)
     size_counts = np.bincount(size_rng.poisson(m0, size=replications))
@@ -633,11 +621,6 @@ def check_poisson_rescaling(
     lhs_sum = lhs_sq = rhs_sum = rhs_sq = 0.0
     for m in np.flatnonzero(size_counts).tolist():
         count = int(size_counts[m])
-        if m == 0:
-            rhs = np.full(count, means[0])
-            rhs_sum += float(rhs.sum())
-            rhs_sq += float((rhs**2).sum())
-            continue
         rng = substream(seed, "rescaling-data", leave_out, m)
         # Outcomes come in row blocks, which bound the (rows, arms, subsets)
         # temporaries; ``rng.random`` fills in C order, so the blocks see
@@ -646,18 +629,13 @@ def check_poisson_rescaling(
         # numbers in the same order.
         step = max(1, BLOCK_ELEMENTS // max(1, math.comb(m, leave_out)))
         raw = np.empty(count)
-        chosen = np.full(count, constant_arm)
+        chosen = np.empty(count, dtype=np.intp)
         for i in range(0, count, step):
             rows = slice(i, min(i + step, count))
             x = (
                 rng.random((rows.stop - i, n_arms, m)) < means[None, :, None]
             ).astype(float)
-            raw[rows] = _subset_reward_sums(x, leave_out, rule_kind, constant_arm)
-            if rule_kind != "constant":
-                chosen[rows] = decide_kept(
-                    np.full(n_arms, float(m)), x.sum(axis=2)[..., None], None,
-                    _ARGMAX_RULE,
-                )
+            raw[rows], chosen[rows] = _score_block(x, leave_out, rule_kind, constant_arm)
         lhs = raw * scale
         rhs = means[chosen - 1]
         lhs_sum += float(lhs.sum())
@@ -802,6 +780,10 @@ def check_rule_selection(
     """
     if len(proxies) < 2:
         raise ValueError("need at least two candidate proxies")
+    if not 0.0 < ratio_threshold < math.inf:
+        raise ValueError(
+            f"ratio_threshold must be a finite number > 0, got {ratio_threshold!r}"
+        )
     r = check_count("replications", replications, 1)
     if not n_grid:
         raise ValueError("n_grid is empty")

@@ -220,6 +220,15 @@ def test_evaluate_rules_requires_distinct_integer_fold_counts(fold_counts):
         evaluate_rules(noise_free_corpus(), rules, REWARD, fold_counts=fold_counts)
 
 
+@pytest.mark.parametrize("replicates", [True, 10.5, 0])
+def test_evaluate_rules_requires_an_integer_replicate_count(replicates):
+    # True and 10.5 failed in NumPy's index draw with a TypeError.
+    rules = [("direct", DecisionRule(blend=[1.0, 0.0]))]
+    with pytest.raises(ValueError, match="bootstrap_replicates must be an integer >= 1"):
+        evaluate_rules(noise_free_corpus(), rules, REWARD, fold_counts=(2,),
+                       bootstrap_replicates=replicates)
+
+
 def test_evaluate_rules_mean_mode_survives_many_zero_weight_redraws():
     # 30,000 replicates over one weighted experiment among 50 make about
     # 17,000 redraws; the cap applies to each replicate, not to the call.

@@ -178,8 +178,9 @@ def test_leave_l_out_decisions_and_estimates_match_oracle(args):
     m = exp.arms[0].num_units
     subsets = list(combinations(range(m), leave_out))
     expected = [oracle.decide_without(exp, rule, s) for s in subsets]
-    # One kernel call decides every subset of the one experiment: (1, S).
-    assert len(seen) == 1 and seen[0].tolist() == [expected]
+    # One kernel call decides every subset of the one experiment, then its
+    # full data: (1, S + 1).
+    assert len(seen) == 1 and seen[0].tolist() == [expected + [oracle.decide(exp, rule)]]
     w = reward.weights(exp.num_metrics)
     want = oracle.leave_l_out_sum(exp, rule, w, leave_out)
     assert close(got, want, len(subsets) * reward_scale(exp, reward))
@@ -218,11 +219,20 @@ def test_leave_l_out_corpus_makes_one_kernel_call_per_group(
     want = oracle.leave_l_out_rewards(exps, rule, reward, config)
     assert got.tolist() == want.tolist()
     # One call per (arm count, arm size) scored on every subset, one for
-    # the sampled experiment.
+    # the sampled experiment; each decides the full data last.
     assert len(seen) == 4 + 1
     assert sorted(chosen.shape for chosen in seen) == sorted(
-        [(3, math.comb(m, leave_out)) for m in (5, 6) for _ in (2, 3)] + [(1, max_folds)]
+        [(3, math.comb(m, leave_out) + 1) for m in (5, 6) for _ in (2, 3)]
+        + [(1, max_folds + 1)]
     )
+    # Groups are scored in order of first appearance, each experiment's
+    # full-data choice in the last column of its row.
+    groups: dict[tuple[int, int], list[int]] = {}
+    for exp in exps:
+        groups.setdefault((exp.num_arms, exp.arms[0].num_units), []).append(
+            oracle.decide(exp, rule)
+        )
+    assert [chosen[:, -1].tolist() for chosen in seen] == list(groups.values())
     if gated:
         assert set(np.concatenate([c.ravel() for c in seen]).tolist()) == {1, 2, 3}
     # Row blocks of one experiment each change no value.
@@ -231,6 +241,7 @@ def test_leave_l_out_corpus_makes_one_kernel_call_per_group(
         blocked = estimators.per_experiment_rewards(exps, rule, reward, config)
     assert blocked.tolist() == want.tolist()
     assert len(seen) == len(exps)
+    assert [chosen[0, -1] for chosen in seen] == sum(groups.values(), [])
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -261,14 +272,14 @@ def test_subsets_producer_scores_each_experiment_of_a_batch(
     values = stacked_blend_values(ArmStack.of(exps), rule).reshape(n, k, m, -1)
     subsets = np.array(list(combinations(range(m), leave_out)))
     decided, got = subset_rewards(values, units @ w, subsets, rule)
-    assert decided.shape == got.shape == (n, len(subsets))
+    assert decided.shape == (n, len(subsets) + 1) and got.shape == (n, len(subsets))
     for i, exp in enumerate(exps):
         chosen = [oracle.decide_without(exp, rule, s) for s in subsets]
         want = [
             float((exp.arm(c).units @ w)[list(s)].mean())
             for c, s in zip(chosen, subsets)
         ]
-        assert decided[i].tolist() == chosen
+        assert decided[i].tolist() == chosen + [oracle.decide(exp, rule)]
         assert got[i].tolist() == want
         assert got[i].sum() == oracle.leave_l_out_sum(exp, rule, w, leave_out)
 

@@ -509,6 +509,18 @@ def test_bootstrap_validation_and_ci_type():
         ConfidenceInterval(lower=2.0, upper=1.0, level=0.95)
 
 
+@pytest.mark.parametrize("n_replicates", [100.5, 1000.0, True])
+def test_bootstrap_ci_requires_an_integer_replicate_count(n_replicates):
+    # 100.5 failed in NumPy's index draw with a TypeError.
+    exps = [
+        two_arm(np.full((3, 1), 1.0), np.full((3, 1), 0.0), exp_id=f"e{i}")
+        for i in range(3)
+    ]
+    with pytest.raises(ValueError, match="n_replicates must be an integer >= 100"):
+        bootstrap_ci(exps, CONSTANT_RULE, REWARD, EstimatorConfig(kind="naive"),
+                     n_replicates=n_replicates)
+
+
 def test_bootstrap_coverage_near_nominal():
     # Gaussian per-experiment contributions with a known mean: nominal 95%
     # percentile intervals over 60 experiments should cover close to 95%.

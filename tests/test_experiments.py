@@ -384,6 +384,46 @@ def test_reward_spec_default_picks_first_metric():
         RewardSpec.combination([1.0]).weights(2)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("kwargs, field", [
+    ({"blend": [1.0, NAN]}, "blend"),
+    ({"blend": [INF, 0.0]}, "blend"),
+    ({"blend": [1.0, 0.0], "gate": "significant-vs-reference",
+      "gate_metrics": ([0.0, 1.0], [NAN, 1.0])}, r"gate_metrics\[1\]"),
+    ({"blend": [1.0], "fallback_arm": 2.5}, "fallback_arm"),
+    ({"blend": [1.0], "fallback_arm": 2.0}, "fallback_arm"),
+    ({"blend": [1.0], "fallback_arm": True}, "fallback_arm"),
+], ids=["nan-blend", "inf-blend", "nan-gate-blend", "fractional-fallback",
+        "float-fallback", "bool-fallback"])
+def test_rule_rejects_non_finite_blends_and_non_integer_fallback_arms(kwargs, field):
+    # A NaN or inf blend made every arm's score NaN: an "always arm 1" rule.
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        DecisionRule(**kwargs)
+
+
+@pytest.mark.parametrize("kwargs, field", [
+    ({"coefficients": [1.0, INF]}, "coefficients"),
+    ({"coefficients": [NAN]}, "coefficients"),
+    ({"index": 1.5}, "index"),
+    ({"index": 0}, "index"),
+    ({"index": True}, "index"),
+], ids=["inf-coefficient", "nan-coefficient", "fractional-index", "zero-index",
+        "bool-index"])
+def test_reward_rejects_non_finite_coefficients_and_non_integer_indices(kwargs, field):
+    # An inf coefficient returned NaN rewards; index 1.5 raised an IndexError.
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        RewardSpec(**kwargs)
+
+
+def test_validated_rule_fields_keep_their_values():
+    rule = DecisionRule(blend=[1, 2], fallback_arm=np.int64(2))
+    assert rule.blend.dtype == float and type(rule.fallback_arm) is int
+    assert rule.fallback_arm == 2
+    assert type(RewardSpec(index=np.int32(3)).index) is int
+
+
 def test_rule_validation():
     with pytest.raises(ValueError):
         DecisionRule(blend=[1.0], gate="bogus")

@@ -31,8 +31,8 @@ from ruleval.estimators import batch_rewards
 from ruleval.simulator import (
     _fold_sizes,
     cov_factor,
+    _score_block,
     _simulate_estimates,
-    _subset_reward_sums,
     bivariate_model_for_proxy,
     joint_proxy_model,
     parallelism_degree,
@@ -419,6 +419,21 @@ def test_rescaling_check_rejects_impossible_arm_means_before_drawing(
         check_poisson_rescaling(arm_means=arm_means, replications=1000)
 
 
+@pytest.mark.parametrize("constant_arm", [0, 3, 1.5, True])
+def test_rescaling_check_rejects_a_constant_arm_it_lacks_before_drawing(
+    constant_arm, monkeypatch
+):
+    # 1.5 raised an IndexError, and True launched arm 1.
+    def no_draws(*key):
+        raise AssertionError(f"drew {key} before checking constant_arm")
+
+    monkeypatch.setattr(simulator, "substream", no_draws)
+    with pytest.raises(ValueError, match=r"constant_arm must be an integer in \[1, 2\]"):
+        check_poisson_rescaling(
+            rule_kind="constant", constant_arm=constant_arm, replications=1000
+        )
+
+
 def test_rescaling_check_working_set_per_replication_is_small():
     # Outcomes are drawn and scored in row blocks; what grows with the
     # replications is the unit-count draw and, per unit count, the raw sums
@@ -474,9 +489,10 @@ def test_rescaling_kernel_agrees_with_library_estimator():
         for leave_out in (1, 2):
             if m <= leave_out:
                 continue
-            kernel = _subset_reward_sums(x, leave_out, "argmax", 1)[0]
+            (kernel,), (chosen,) = _score_block(x, leave_out, "argmax", 1)
             library = leave_l_out_reward(exp, rule, reward, leave_out)
             assert kernel == pytest.approx(library, abs=1e-12)
+            assert chosen == decide(exp, rule)
         # A constant rule's leave-two-out sum is its arm's mean over every
         # held-out pair of positions, enumerated directly.
         for arm in range(1, k + 1):
@@ -484,18 +500,41 @@ def test_rescaling_kernel_agrees_with_library_estimator():
             pairs = sum(
                 (values[a] + values[b]) / 2 for a, b in combinations(range(m), 2)
             )
-            assert _subset_reward_sums(x, 2, "constant", arm)[0] == pairs
+            raw, chosen = _score_block(x, 2, "constant", arm)
+            assert raw[0] == pairs and chosen[0] == arm
 
 
 def test_rescaling_kernel_fallback_edges():
-    # m == leave_out: every decision sees no data and falls back to arm 1.
+    # m == leave_out: every decision sees no data and falls back to arm 1,
+    # while the full data picks arm 2.
     x = np.array([[[0.25], [0.75]]])  # one replication, 2 arms, 1 unit
-    assert _subset_reward_sums(x, 1, "argmax", 1)[0] == 0.25
+    raw, chosen = _score_block(x, 1, "argmax", 1)
+    assert raw.tolist() == [0.25] and chosen.tolist() == [2]
     x2 = np.array([[[0.25, 0.5], [0.75, 0.25]]])  # 2 arms, 2 units
-    got = _subset_reward_sums(x2, 2, "argmax", 1)[0]
-    assert got == pytest.approx(0.375)  # mean of arm 1's two units
+    raw, chosen = _score_block(x2, 2, "argmax", 1)
+    assert raw[0] == pytest.approx(0.375)  # mean of arm 1's two units
+    assert chosen.tolist() == [2]
     # m < leave_out contributes nothing (no subsets exist).
-    assert _subset_reward_sums(x, 2, "argmax", 1)[0] == 0.0
+    raw, chosen = _score_block(x, 2, "argmax", 1)
+    assert raw.tolist() == [0.0] and chosen.tolist() == [2]
+    # m == 0: no subset, and the full data is empty, so arm 1.
+    empty = np.empty((3, 2, 0))
+    for leave_out in (1, 2):
+        raw, chosen = _score_block(empty, leave_out, "argmax", 1)
+        assert raw.tolist() == [0.0] * 3 and chosen.tolist() == [1] * 3
+        raw, chosen = _score_block(empty, leave_out, "constant", 2)
+        assert raw.tolist() == [0.0] * 3 and chosen.tolist() == [2] * 3
+
+
+def test_rescaling_check_constant_rule_launches_its_arm_on_empty_experiments():
+    # At m0 = 0.5 about 61% of the experiments are empty.  A constant rule
+    # launches its own arm there too, so the realized side is that arm's
+    # mean exactly, not pulled towards arm 1's by e**-m0 * (0.9 - 0.1).
+    report = check_poisson_rescaling(
+        m0=0.5, arm_means=(0.1, 0.9), rule_kind="constant", constant_arm=2,
+        replications=2_000, seed=4,
+    )
+    assert report.realized_mean == pytest.approx(0.9, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -527,8 +566,12 @@ def test_selection_check_identical_rules_zero_regret():
         ({"replications": 0}, "replications must be an integer >= 1"),
         ({"n_grid": ()}, "n_grid is empty"),
         ({"n_grid": (0, 1)}, "every N in n_grid must be an integer >= 1"),
+        ({"ratio_threshold": float("nan")}, "ratio_threshold must be a finite number > 0"),
+        ({"ratio_threshold": 0.0}, "ratio_threshold must be a finite number > 0"),
+        ({"ratio_threshold": float("inf")}, "ratio_threshold must be a finite number > 0"),
     ],
-    ids=["zero-replications", "empty-grid", "zero-experiments"],
+    ids=["zero-replications", "empty-grid", "zero-experiments", "nan-threshold",
+         "zero-threshold", "inf-threshold"],
 )
 def test_selection_check_rejects_bad_input(kwargs, match):
     with pytest.raises(ValueError, match=match):
