@@ -31,10 +31,7 @@ from .estimators import (
     EstimatorConfig,
     bootstrap_ci,
     estimate_reward,
-    leave_l_out_reward,
-    naive_reward,
     per_experiment_rewards,
-    poisson_rescaled_reward,
 )
 from .experiments import (
     ArmData,
@@ -85,14 +82,11 @@ __all__ = [
     "estimate_reward",
     "evaluate_rules",
     "ingest_csv",
-    "leave_l_out_reward",
     "levelset_grid",
     "make_synthetic_corpus",
     "mills_conditional",
     "naive_expectation",
-    "naive_reward",
     "per_experiment_rewards",
-    "poisson_rescaled_reward",
     "run_bias_sweep",
     "run_figure",
     "significance_set",

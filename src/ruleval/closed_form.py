@@ -204,9 +204,7 @@ def cv_expectation(model: EffectModel, num_folds: int | None = None) -> float:
     the denominator widens slightly; held-out evaluation noise is
     independent of the decision and contributes nothing to the numerator.
     """
-    p = model.num_folds if num_folds is None else num_folds
-    if p < 2:
-        raise ValueError("num_folds must be >= 2")
+    p = model.num_folds if num_folds is None else check_count("num_folds", num_folds, 2)
     m_decide = model.units_per_arm * (p - 1) / p
     sigma_b = _observed_proxy_sd(model, m_decide)
     cov_ab = model.effect_cov[0, 1]
@@ -220,8 +218,7 @@ def levelset_grid(model_template: EffectModel, resolution: int = 41) -> np.ndarr
     (effect corr, noise corr, true, naive, cv), ordered row-major with the
     effect correlation varying slowest.  Suitable for heatmap rendering.
     """
-    if resolution < 2:
-        raise ValueError("resolution must be >= 2")
+    resolution = check_count("resolution", resolution, 2)
     effect_sd_y = float(np.sqrt(model_template.effect_cov[0, 0]))
     effect_sd_proxy = float(np.sqrt(model_template.effect_cov[1, 1]))
     noise_sd_y = float(np.sqrt(model_template.noise_cov[0, 0]))

@@ -23,29 +23,30 @@ over those bins gives every fold's held-out sums of every blend column,
 subtracted from the arm totals, then the arm totals themselves.
 ``batch_rewards`` decides all of them with one kernel call per rule and
 arm count, and scores every experiment's folds with one more bincount of
-the reward; the naive estimate is the full-data slot, and
-``naive_reward`` is a one-experiment call of the same pass (with no fold
-at all).  ``subset_rewards`` decides every held-out subset of an (S, l)
-array of unit positions and then the full data, for a batch of
-equal-size experiments at once, in one kernel call.  It serves the
-Poisson-rescaling check in the simulator, which reads the full-data
-choice, and leave-l-out here, which reads the subsets':
-``per_experiment_rewards`` stacks the experiments once and makes one call
-per (arm count, arm size), and ``leave_l_out_reward`` and
-``poisson_rescaled_reward`` are one-experiment calls of that path.  The
-kernel raises nothing: it returns 0 where no arm passes a gated rule that
-lacks its fallback arm, and both library paths raise the missing-fallback
-error for any experiment with a 0 among the decisions they score.
+the reward; the naive estimate is the full-data slot.  ``subset_rewards``
+decides every held-out subset of an (S, l) array of unit positions and
+then the full data, for a batch of equal-size experiments at once, in one
+kernel call.  It serves the Poisson-rescaling check in the simulator,
+which reads the full-data choice, and leave-l-out here, which reads the
+subsets'; the experiments are stacked once and make one call per (arm
+count, arm size).  The kernel raises nothing: it returns 0 where no arm
+passes a gated rule that lacks its fallback arm, and both library paths
+raise the missing-fallback error for any experiment with a 0 among the
+decisions they score.
 
-Aggregates over experiments come in two modes: ``mean`` (weighted mean of
-per-experiment estimates) and ``cumulative`` (weighted sum), the latter
-being the natural readout for "total return across the program".
+Every estimator is reached through ``per_experiment_rewards`` (one
+contribution per experiment) or ``estimate_reward`` (their aggregate),
+with an ``EstimatorConfig``.  Aggregates over experiments come in two
+modes: ``mean`` (weighted mean of per-experiment estimates) and
+``cumulative`` (weighted sum), the latter being the natural readout for
+"total return across the program".  ``bootstrap_ci`` resamples the
+contributions of a ``RewardEstimate`` and scores nothing again.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -76,10 +77,7 @@ __all__ = [
     "aggregate",
     "bootstrap_ci",
     "estimate_reward",
-    "leave_l_out_reward",
-    "naive_reward",
     "per_experiment_rewards",
-    "poisson_rescaled_reward",
 ]
 
 ESTIMATOR_KINDS = ("naive", "cv-kfold", "cv-leave-l-out", "poisson-rescaled")
@@ -101,27 +99,31 @@ def check_m0(m0) -> None:
 
 @dataclass(frozen=True)
 class RewardEstimate:
-    """A point estimate of rule reward with estimator provenance.
+    """A point estimate of rule reward with estimator provenance, as
+    ``estimate_reward`` returns it.
 
-    When ``per_experiment`` is present, ``value`` is exactly the weighted
-    mean (mode="mean") or weighted sum (mode="cumulative") of those
-    contributions.
+    ``value`` is exactly the weighted mean (mode="mean") or weighted sum
+    (mode="cumulative") of the ``per_experiment`` contributions under
+    ``weights``.
     """
 
     value: float
     estimator: str
-    mode: str = "mean"
-    params: dict = field(default_factory=dict)
-    per_experiment: tuple[float, ...] | None = None
-    weights: tuple[float, ...] | None = None
+    mode: str
+    per_experiment: tuple[float, ...]
+    weights: tuple[float, ...]
 
 
 @dataclass(frozen=True)
 class ConfidenceInterval:
+    """A percentile bootstrap interval over experiments, as ``bootstrap_ci``
+    returns it; ``redraws`` counts the zero-weight resamples redrawn (mean
+    mode only)."""
+
     lower: float
     upper: float
     level: float
-    method: str = "bootstrap-experiments"
+    redraws: int = 0
 
     def __post_init__(self) -> None:
         if not self.lower <= self.upper:
@@ -165,11 +167,6 @@ class EstimatorConfig:
             object.__setattr__(self, "leave_out", check_count("leave_out", self.leave_out, 1))
         if self.max_folds is not None:
             object.__setattr__(self, "max_folds", check_count("max_folds", self.max_folds, 1))
-
-
-def naive_reward(exp: ExperimentData, rule: DecisionRule, reward: RewardSpec) -> float:
-    """Plug-in estimate: mean reward over the units of the arm the rule picks."""
-    return float(batch_rewards([exp], [rule], reward, (), 0)[0, 0, 0])
 
 
 def _fold_table(
@@ -313,8 +310,14 @@ def _leave_l_out_sums(
     reward: RewardSpec,
     config: EstimatorConfig,
 ) -> np.ndarray:
-    """(experiments,) each experiment's ``leave_l_out_reward`` at the
-    config's ``leave_out``, ``max_folds`` and ``fold_seed``.
+    """(experiments,) each experiment's sum of held-out rewards over every
+    size-l subset of unit positions, at the config's ``leave_out``,
+    ``max_folds`` and ``fold_seed``.
+
+    All arms must have the same unit count M; a held-out subset of
+    positions applies to every arm at once.  When C(M, l) exceeds
+    ``max_folds`` (default 10,000 for l >= 2), the sum is estimated without
+    bias from ``max_folds`` uniformly sampled subsets, scaled by C(M, l).
 
     The experiments are stacked once.  Those scored on every subset make
     one ``subset_rewards`` call per (arm count, arm size), in row blocks of
@@ -378,51 +381,6 @@ def _leave_l_out_sums(
     return out
 
 
-def leave_l_out_reward(
-    exp: ExperimentData,
-    rule: DecisionRule,
-    reward: RewardSpec,
-    leave_out: int,
-    max_folds: int | None = None,
-    seed: int = 0,
-) -> float:
-    """Sum of fold rewards over every size-l held-out subset of unit positions.
-
-    All arms must have the same unit count M; a held-out subset of
-    positions applies to every arm at once.  Returns the sum over all
-    C(M, l) subsets.  When that count exceeds ``max_folds`` (default
-    10,000 for l >= 2), the sum is estimated without bias from
-    ``max_folds`` uniformly sampled subsets, scaled by C(M, l).
-
-    Note this is the raw sum, not a mean: the Poisson-rescaled estimator
-    multiplies it by ``l! / m0**l``.
-    """
-    config = EstimatorConfig("cv-leave-l-out", leave_out=leave_out, max_folds=max_folds,
-                             fold_seed=seed)
-    return float(_leave_l_out_sums([exp], rule, reward, config)[0])
-
-
-def poisson_rescaled_reward(
-    exp: ExperimentData,
-    rule: DecisionRule,
-    reward: RewardSpec,
-    leave_out: int,
-    m0: float,
-    max_folds: int | None = None,
-    seed: int = 0,
-) -> float:
-    """Leave-l-out sum rescaled by ``l! / m0**l``.
-
-    Under per-arm unit counts drawn Poisson with mean ``m0``, the rescaled
-    sum is unbiased for the expected reward of the rule applied to the full
-    experiment.  ``m0`` is the enrollment-rate design parameter and is
-    supplied, not estimated.
-    """
-    config = EstimatorConfig("poisson-rescaled", leave_out=leave_out, m0=m0,
-                             max_folds=max_folds, fold_seed=seed)
-    return float(per_experiment_rewards([exp], rule, reward, config)[0])
-
-
 def per_experiment_rewards(
     exps: list[ExperimentData],
     rule: DecisionRule,
@@ -433,10 +391,10 @@ def per_experiment_rewards(
 
     naive: plug-in estimate; cv-kfold: mean over fold rewards;
     cv-leave-l-out: mean over held-out subsets; poisson-rescaled: the
-    rescaled leave-l-out sum.  Every experiment is scored in one batched
-    pass: ``batch_rewards`` for the first two, ``_leave_l_out_sums`` for
-    the others, of which ``poisson_rescaled_reward`` is a one-experiment
-    call.
+    leave-l-out sum times ``l! / m0**l``, unbiased for the rule's expected
+    full-data reward when per-arm unit counts are Poisson with mean ``m0``.
+    Every experiment is scored in one batched pass: ``batch_rewards`` for
+    the first two, ``_leave_l_out_sums`` for the others.
     """
     if config.kind in ("naive", "cv-kfold"):
         folds = (config.num_folds,) if config.kind == "cv-kfold" else ()
@@ -459,19 +417,10 @@ def estimate_reward(
         raise ValueError("need at least one experiment")
     contributions = per_experiment_rewards(exps, rule, reward, config)
     weights = np.array([e.weight for e in exps])
-    value = aggregate(contributions, weights, config.mode)
-    params: dict = {"mode": config.mode}
-    if config.kind == "cv-kfold":
-        params.update(num_folds=config.num_folds, fold_seed=config.fold_seed)
-    elif config.kind == "cv-leave-l-out":
-        params.update(leave_out=config.leave_out, max_folds=config.max_folds)
-    elif config.kind == "poisson-rescaled":
-        params.update(leave_out=config.leave_out, m0=config.m0)
     return RewardEstimate(
-        value=value,
+        value=aggregate(contributions, weights, config.mode),
         estimator=config.kind,
         mode=config.mode,
-        params=params,
         per_experiment=tuple(float(c) for c in contributions),
         weights=tuple(float(w) for w in weights),
     )
@@ -526,30 +475,28 @@ def percentile_interval(draws: np.ndarray, level: float) -> tuple[float, float]:
 
 
 def bootstrap_ci(
-    exps: list[ExperimentData],
-    rule: DecisionRule,
-    reward: RewardSpec,
-    config: EstimatorConfig,
+    estimate: RewardEstimate,
     n_replicates: int = 1000,
     level: float = 0.95,
     seed: int = 0,
 ) -> ConfidenceInterval:
-    """Percentile bootstrap interval for the aggregate reward estimate.
+    """Percentile bootstrap interval for an ``estimate_reward`` result.
 
-    Experiments are the independent sampling unit.  Fold noise is held
-    fixed across resamples; the interval reflects cross-experiment
-    variation only.
+    Experiments are the independent sampling unit: the estimate's
+    per-experiment contributions are resampled under its weights and
+    aggregate mode, on ``substream(seed, "bootstrap", estimator,
+    n_replicates)``.  Fold noise is held fixed across resamples; the
+    interval reflects cross-experiment variation only.
     """
-    if len(exps) < 2:
+    if len(estimate.per_experiment) < 2:
         raise ValueError("bootstrap needs at least 2 experiments")
     n_replicates = check_count("n_replicates", n_replicates, 100)
     if not 0.0 < level < 1.0:
         raise ValueError("level must be in (0, 1)")
-    contributions = per_experiment_rewards(exps, rule, reward, config)
-    weights = np.array([e.weight for e in exps])
-    rng = substream(seed, "bootstrap", config.kind, n_replicates)
-    draws, _ = bootstrap_aggregates(
-        contributions, weights, config.mode, n_replicates, rng
+    rng = substream(seed, "bootstrap", estimate.estimator, n_replicates)
+    draws, redraws = bootstrap_aggregates(
+        np.array(estimate.per_experiment), np.array(estimate.weights),
+        estimate.mode, n_replicates, rng,
     )
     lower, upper = percentile_interval(draws, level)
-    return ConfidenceInterval(lower=lower, upper=upper, level=level)
+    return ConfidenceInterval(lower=lower, upper=upper, level=level, redraws=redraws)

@@ -13,6 +13,7 @@ import numpy as np
 
 from . import __version__
 from .closed_form import levelset_grid
+from .experiments import check_count
 from .simulator import (
     DEFAULT_MODEL,
     DEFAULT_PROXIES,
@@ -67,8 +68,10 @@ def run_figure(
     """Write the CSV artifacts for one figure; returns the written paths."""
     if figure not in FIGURE_IDS:
         raise ValueError(f"unknown figure {figure}; choose from {FIGURE_IDS}")
+    reps = (DEFAULT_REPLICATIONS if replications is None
+            else check_count("replications", replications, 1))
+    resolution = check_count("resolution", resolution, 2)
     os.makedirs(out_dir, exist_ok=True)
-    reps = DEFAULT_REPLICATIONS if replications is None else int(replications)
 
     if figure == 1:
         name = "figure1_levelsets.csv"

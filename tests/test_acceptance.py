@@ -25,7 +25,6 @@ from ruleval import (
     evaluate_rules,
     ingest_csv,
     make_synthetic_corpus,
-    naive_reward,
     run_bias_sweep,
     write_corpus_csv,
 )
@@ -203,7 +202,7 @@ def test_criterion_7_data_independent_rule_identity():
                 ArmData(2, 0.5 + rng.standard_normal((10, 1))),
             ),
         )
-        naive_vals[i] = naive_reward(exp, rule, REWARD)
+        naive_vals[i] = batch_rewards([exp], [rule], REWARD, (), 0)[0, 0, 0]
         cv_vals[i] = batch_rewards([exp], [rule], REWARD, (3,), fold_seed=i)[0, 1, 0]
     diff = naive_vals - cv_vals
     assert diff.std() > 0

@@ -8,6 +8,7 @@ import pytest
 from scipy import special
 
 from ruleval import (
+    DEFAULT_MODEL,
     EffectModel,
     cv_expectation,
     levelset_grid,
@@ -287,3 +288,17 @@ def test_levelset_grid_good_vs_bad_proxy_ranking():
 def test_levelset_grid_requires_resolution_two():
     with pytest.raises(ValueError):
         levelset_grid(APPENDIX_MODEL, resolution=1)
+
+
+@pytest.mark.parametrize("resolution", [2.5, 3.0, True])
+def test_levelset_grid_requires_an_integer_resolution(resolution):
+    # 2.5 failed inside NumPy with a bare TypeError.
+    with pytest.raises(ValueError, match="^resolution must be an integer >= 2"):
+        levelset_grid(APPENDIX_MODEL, resolution=resolution)
+
+
+@pytest.mark.parametrize("num_folds", [2.5, 2.0, True, 1])
+def test_cv_expectation_requires_an_integer_fold_count(num_folds):
+    # 2.5 returned 1.533e-05 for a fold count no partition has.
+    with pytest.raises(ValueError, match="^num_folds must be an integer >= 2"):
+        cv_expectation(DEFAULT_MODEL, num_folds=num_folds)

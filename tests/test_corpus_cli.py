@@ -19,6 +19,7 @@ from ruleval import (
     evaluate_rules,
     ingest_csv,
     make_synthetic_corpus,
+    run_figure,
     write_corpus_csv,
 )
 from ruleval.cli import main
@@ -229,6 +230,18 @@ def test_evaluate_rules_requires_an_integer_replicate_count(replicates):
                        bootstrap_replicates=replicates)
 
 
+@pytest.mark.parametrize("seed", [1.5, True])
+def test_evaluate_rules_requires_an_integer_seed(seed):
+    # 1.5 was truncated to 1 when keying the fold and bootstrap streams.
+    rules = [("direct", DecisionRule(blend=[1.0, 0.0]))]
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        evaluate_rules(noise_free_corpus(), rules, REWARD, fold_counts=(2,), seed=seed)
+    assert evaluate_rules(noise_free_corpus(), rules, REWARD, fold_counts=(2,),
+                          seed=np.int64(1)) == (
+        evaluate_rules(noise_free_corpus(), rules, REWARD, fold_counts=(2,), seed=1)
+    )
+
+
 def test_evaluate_rules_mean_mode_survives_many_zero_weight_redraws():
     # 30,000 replicates over one weighted experiment among 50 make about
     # 17,000 redraws; the cap applies to each replicate, not to the call.
@@ -335,6 +348,21 @@ def test_cli_figure1_grid_shape(tmp_path):
     assert lines[0] == "rho_tau,rho,true,naive,cv"
     assert len(lines) == 1 + 25
     manifest = json.loads((out / "figure1_manifest.json").read_text())
+    assert manifest["config"]["resolution"] == 5
+
+
+@pytest.mark.parametrize("replications", [16.7, 16.0, True, 0])
+def test_run_figure_requires_an_integer_replication_count(tmp_path, replications):
+    # 16.7 ran 16 replications and wrote 16 into the manifest.
+    with pytest.raises(ValueError, match="^replications must be an integer >= 1"):
+        run_figure(2, str(tmp_path / "fig"), replications=replications)
+    assert not (tmp_path / "fig").exists()
+
+
+def test_run_figure_records_a_numpy_integer_resolution_as_an_int(tmp_path):
+    # np.int64(5) wrote the CSV and then failed to serialize the manifest.
+    run_figure(1, str(tmp_path), resolution=np.int64(5))
+    manifest = json.loads((tmp_path / "figure1_manifest.json").read_text())
     assert manifest["config"]["resolution"] == 5
 
 

@@ -30,12 +30,10 @@ from ruleval import (
     RewardSpec,
     decide,
     estimate_reward,
-    leave_l_out_reward,
-    naive_reward,
     significance_set,
 )
 from ruleval import estimators, experiments
-from ruleval.estimators import subset_rewards
+from ruleval.estimators import _leave_l_out_sums, batch_rewards, subset_rewards
 from ruleval.experiments import ArmStack, _critical_value, stacked_blend_values
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True)
@@ -136,7 +134,7 @@ def test_naive_decisions_match_oracle(case):
     if rule.gate != "none":
         assert significance_set(exp, rule) == oracle.significance_set(exp, rule)
     w = reward.weights(exp.num_metrics)
-    assert naive_reward(exp, rule, reward) == oracle.naive_reward(exp, rule, w)
+    assert batch_rewards([exp], [rule], reward, (), 0)[0, 0, 0] == oracle.naive_reward(exp, rule, w)
 
 
 @PROPERTY
@@ -174,7 +172,8 @@ def test_kfold_decisions_and_estimates_match_oracle(args):
 def test_leave_l_out_decisions_and_estimates_match_oracle(args):
     leave_out, (exp, rule, reward) = args
     with kernel_decisions() as seen:
-        got = leave_l_out_reward(exp, rule, reward, leave_out)
+        config = EstimatorConfig("cv-leave-l-out", leave_out=leave_out)
+        got = _leave_l_out_sums([exp], rule, reward, config)[0]
     m = exp.arms[0].num_units
     subsets = list(combinations(range(m), leave_out))
     expected = [oracle.decide_without(exp, rule, s) for s in subsets]

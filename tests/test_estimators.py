@@ -19,13 +19,13 @@ from ruleval import (
     check_poisson_rescaling,
     decide,
     estimate_reward,
-    leave_l_out_reward,
-    naive_reward,
-    poisson_rescaled_reward,
+    per_experiment_rewards,
 )
 from ruleval.estimators import (
     MAX_BOOTSTRAP_REDRAWS,
+    _leave_l_out_sums,
     aggregate,
+    batch_rewards,
     bootstrap_aggregates,
     percentile_interval,
 )
@@ -54,17 +54,17 @@ def random_two_arm(rng, m=8, exp_id="e", loc=(0.0, 0.0)):
 
 
 # ---------------------------------------------------------------------------
-# naive_reward
+# plug-in estimate (batch_rewards with no fold count)
 
 
 def test_naive_reward_constant_rule_is_fixed_arm_mean():
     exp = two_arm([[1.0], [3.0]], [[10.0], [20.0]])
-    assert naive_reward(exp, CONSTANT_RULE, REWARD) == 2.0
+    assert batch_rewards([exp], [CONSTANT_RULE], REWARD, (), 0)[0, 0, 0] == 2.0
 
 
 def test_naive_reward_single_arm_is_plain_mean():
     exp = ExperimentData("solo", (ArmData(1, np.array([[2.0], [4.0], [9.0]])),))
-    assert naive_reward(exp, ARGMAX_RULE, REWARD) == 5.0
+    assert batch_rewards([exp], [ARGMAX_RULE], REWARD, (), 0)[0, 0, 0] == 5.0
 
 
 def test_naive_reward_winner_s_curse_is_positive_under_the_null():
@@ -80,10 +80,10 @@ def test_naive_reward_winner_s_curse_is_positive_under_the_null():
     se = kernel_values.std(ddof=1) / np.sqrt(reps)
     assert kernel_values.mean() > 4 * se
 
-    # The vectorized kernel above must agree exactly with naive_reward.
+    # The vectorized kernel above must agree exactly with the plug-in estimate.
     for i in range(200):
         exp = two_arm(draws[i, 0][:, None], draws[i, 1][:, None])
-        assert naive_reward(exp, ARGMAX_RULE, REWARD) == kernel_values[i]
+        assert batch_rewards([exp], [ARGMAX_RULE], REWARD, (), 0)[0, 0, 0] == kernel_values[i]
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +134,7 @@ def test_cv_reward_constant_rule_matches_naive_in_expectation():
     for i in range(reps):
         rng = substream(55, "cvnaive", i)
         exp = random_two_arm(rng, m=10, exp_id=f"e{i}", loc=(0.3, 0.5))
-        nv = naive_reward(exp, CONSTANT_RULE, REWARD)
+        nv = batch_rewards([exp], [CONSTANT_RULE], REWARD, (), 0)[0, 0, 0]
         cv = kfold([exp], CONSTANT_RULE, num_folds=3, seed=i)
         diffs[i] = nv - cv.value
     assert diffs.std() > 0
@@ -177,12 +177,14 @@ def test_reward_estimate_aggregate_invariant():
 
 
 # ---------------------------------------------------------------------------
-# leave_l_out_reward
+# leave-l-out sums (_leave_l_out_sums)
 
 
 def test_leave_one_out_constant_rule_sums_to_m_times_mean():
     exp = two_arm([[1.0], [2.0], [3.0]], [[0.0], [0.0], [0.0]])
-    total = leave_l_out_reward(exp, CONSTANT_RULE, REWARD, 1)
+    total = _leave_l_out_sums(
+        [exp], CONSTANT_RULE, REWARD, EstimatorConfig("cv-leave-l-out", leave_out=1)
+    )[0]
     assert total == pytest.approx(3 * 2.0, abs=1e-12)
 
 
@@ -204,7 +206,8 @@ def test_leave_one_out_fast_path_matches_re_mean_oracle_exactly():
                 "r", tuple(ArmData(i + 1, units[i][keep]) for i in range(k))
             )
             total += units[decide(reduced, ARGMAX_RULE) - 1, held, 0]
-        assert leave_l_out_reward(exp, ARGMAX_RULE, REWARD, 1) == total
+        config = EstimatorConfig("cv-leave-l-out", leave_out=1)
+        assert _leave_l_out_sums([exp], ARGMAX_RULE, REWARD, config)[0] == total
 
 
 def test_leave_two_out_matches_brute_force_on_four_units():
@@ -217,7 +220,8 @@ def test_leave_two_out_matches_brute_force_on_four_units():
         reduced = two_arm(units[0][keep], units[1][keep])
         chosen = decide(reduced, ARGMAX_RULE)
         total += units[chosen - 1, list(subset), 0].mean()
-    got = leave_l_out_reward(exp, ARGMAX_RULE, REWARD, 2)
+    config = EstimatorConfig("cv-leave-l-out", leave_out=2)
+    got = _leave_l_out_sums([exp], ARGMAX_RULE, REWARD, config)[0]
     assert got == pytest.approx(total, abs=1e-12)
 
 
@@ -225,10 +229,14 @@ def test_leave_l_out_subset_sampling_is_unbiased():
     rng = np.random.default_rng(3)
     units = rng.standard_normal((2, 8, 1))
     exp = two_arm(units[0], units[1])
-    exact = leave_l_out_reward(exp, ARGMAX_RULE, REWARD, 2)  # 28 subsets
+    exact = _leave_l_out_sums(  # 28 subsets
+        [exp], ARGMAX_RULE, REWARD, EstimatorConfig("cv-leave-l-out", leave_out=2)
+    )[0]
     draws = np.array(
         [
-            leave_l_out_reward(exp, ARGMAX_RULE, REWARD, 2, max_folds=7, seed=s)
+            _leave_l_out_sums([exp], ARGMAX_RULE, REWARD, EstimatorConfig(
+                "cv-leave-l-out", leave_out=2, max_folds=7, fold_seed=s
+            ))[0]
             for s in range(2000)
         ]
     )
@@ -239,13 +247,17 @@ def test_leave_l_out_subset_sampling_is_unbiased():
 def test_leave_l_out_rejects_bad_shapes():
     exp = two_arm([[1.0], [2.0]], [[3.0], [4.0]])
     with pytest.raises(ValueError, match="larger than"):
-        leave_l_out_reward(exp, ARGMAX_RULE, REWARD, 2)
+        _leave_l_out_sums(
+            [exp], ARGMAX_RULE, REWARD, EstimatorConfig("cv-leave-l-out", leave_out=2)
+        )
     uneven = ExperimentData(
         "u",
         (ArmData(1, np.zeros((3, 1))), ArmData(2, np.zeros((4, 1)))),
     )
     with pytest.raises(ValueError, match="equal arm sizes"):
-        leave_l_out_reward(uneven, ARGMAX_RULE, REWARD, 1)
+        _leave_l_out_sums(
+            [uneven], ARGMAX_RULE, REWARD, EstimatorConfig("cv-leave-l-out", leave_out=1)
+        )
 
 
 def test_leave_l_out_corpus_raises_the_first_experiments_fault():
@@ -269,39 +281,36 @@ def test_leave_l_out_corpus_raises_the_first_experiments_fault():
 def test_max_folds_below_one_is_rejected(max_folds):
     with pytest.raises(ValueError, match="max_folds"):
         EstimatorConfig(kind="cv-leave-l-out", max_folds=max_folds)
-    exp = two_arm([[1.0], [2.0], [3.0]], [[3.0], [4.0], [5.0]])
-    with pytest.raises(ValueError, match="max_folds"):
-        leave_l_out_reward(exp, ARGMAX_RULE, REWARD, 1, max_folds=max_folds)
 
 
 # ---------------------------------------------------------------------------
-# poisson_rescaled_reward
+# Poisson-rescaled leave-l-out
 
 
 def test_rescaled_constant_rule_recovers_scaled_mean():
     exp = two_arm([[2.0], [4.0], [6.0]], [[0.0], [0.0], [0.0]])
     m0 = 3.0
-    got = poisson_rescaled_reward(exp, CONSTANT_RULE, REWARD, 1, m0)
+    config = EstimatorConfig("poisson-rescaled", leave_out=1, m0=m0)
+    got = per_experiment_rewards([exp], CONSTANT_RULE, REWARD, config)[0]
     # leave-one-out sum = M * mean; rescaling gives mean * (M / m0)
     assert got == pytest.approx(4.0 * (3 / m0), abs=1e-12)
-    doubled = poisson_rescaled_reward(exp, CONSTANT_RULE, REWARD, 1, 2 * m0)
+    config = EstimatorConfig("poisson-rescaled", leave_out=1, m0=2 * m0)
+    doubled = per_experiment_rewards([exp], CONSTANT_RULE, REWARD, config)[0]
     assert doubled == pytest.approx(got / 2, abs=1e-12)
 
 
 def test_rescaled_requires_positive_m0():
     exp = two_arm([[1.0], [2.0]], [[3.0], [4.0]])
     with pytest.raises(ValueError):
-        poisson_rescaled_reward(exp, CONSTANT_RULE, REWARD, 1, 0.0)
+        per_experiment_rewards([exp], CONSTANT_RULE, REWARD,
+                               EstimatorConfig("poisson-rescaled", leave_out=1, m0=0.0))
 
 
 @pytest.mark.parametrize("m0", [np.inf, np.nan, -np.inf, 0.0, -2.0, True, "5"])
 def test_m0_must_be_finite_and_positive(m0):
     # One check for every user of m0: an infinite m0 rescaled every sum to
     # -0.0 or 0.0, and a NaN one reached NumPy's Poisson draw.
-    exp = two_arm([[1.0], [2.0]], [[3.0], [4.0]])
     message = "m0 must be a finite number > 0"
-    with pytest.raises(ValueError, match=message):
-        poisson_rescaled_reward(exp, CONSTANT_RULE, REWARD, 1, m0)
     with pytest.raises(ValueError, match=message):
         EstimatorConfig(kind="poisson-rescaled", m0=m0)
     with pytest.raises(ValueError, match=message):
@@ -325,8 +334,8 @@ def test_adding_a_constant_shifts_estimators_by_psi_of_it():
     shifted = two_arm(units[0] + delta, units[1] + delta)
     shift = float(reward.weights(2) @ delta)
 
-    assert naive_reward(shifted, rule, reward) == pytest.approx(
-        naive_reward(exp, rule, reward) + shift, rel=1e-12
+    assert batch_rewards([shifted], [rule], reward, (), 0)[0, 0, 0] == pytest.approx(
+        batch_rewards([exp], [rule], reward, (), 0)[0, 0, 0] + shift, rel=1e-12
     )
     folds = oracle.fold_labels(exp, 3, seed=0)
     moved = oracle.cv_fold_rewards(shifted, rule, reward, folds, 3)
@@ -346,7 +355,8 @@ def test_estimate_reward_kinds_agree_with_direct_calls():
     exps = [random_two_arm(rng, m=6, exp_id=f"e{i}") for i in range(3)]
     nv = estimate_reward(exps, ARGMAX_RULE, REWARD, EstimatorConfig(kind="naive"))
     assert nv.value == pytest.approx(
-        np.mean([naive_reward(e, ARGMAX_RULE, REWARD) for e in exps]), abs=1e-15
+        np.mean([batch_rewards([e], [ARGMAX_RULE], REWARD, (), 0)[0, 0, 0] for e in exps]),
+        abs=1e-15,
     )
     cv = estimate_reward(
         exps, ARGMAX_RULE, REWARD, EstimatorConfig(kind="cv-kfold", num_folds=2)
@@ -363,8 +373,9 @@ def test_estimate_reward_kinds_agree_with_direct_calls():
     loo = estimate_reward(
         exps, ARGMAX_RULE, REWARD, EstimatorConfig(kind="cv-leave-l-out", leave_out=1)
     )
+    config = EstimatorConfig("cv-leave-l-out", leave_out=1)
     expected = np.mean(
-        [leave_l_out_reward(e, ARGMAX_RULE, REWARD, 1) / 6 for e in exps]
+        [_leave_l_out_sums([e], ARGMAX_RULE, REWARD, config)[0] / 6 for e in exps]
     )
     assert loo.value == pytest.approx(expected, abs=1e-15)
     rescaled = estimate_reward(
@@ -373,8 +384,9 @@ def test_estimate_reward_kinds_agree_with_direct_calls():
         REWARD,
         EstimatorConfig(kind="poisson-rescaled", leave_out=1, m0=6.0),
     )
+    config = EstimatorConfig("poisson-rescaled", leave_out=1, m0=6.0)
     expected = np.mean(
-        [poisson_rescaled_reward(e, ARGMAX_RULE, REWARD, 1, 6.0) for e in exps]
+        [per_experiment_rewards([e], ARGMAX_RULE, REWARD, config)[0] for e in exps]
     )
     assert rescaled.value == pytest.approx(expected, abs=1e-15)
 
@@ -409,11 +421,6 @@ def test_estimator_config_requires_integer_counts(kwargs, name):
 
 
 def test_estimators_require_integer_counts():
-    exp = two_arm([[1.0], [2.0], [3.0]], [[3.0], [4.0], [5.0]])
-    with pytest.raises(ValueError, match="leave_out"):
-        leave_l_out_reward(exp, ARGMAX_RULE, REWARD, 1.5)
-    with pytest.raises(ValueError, match="leave_out"):
-        poisson_rescaled_reward(exp, ARGMAX_RULE, REWARD, 1.5, m0=3.0)
     assert EstimatorConfig(kind="cv-kfold", num_folds=np.int64(3)).num_folds == 3
 
 
@@ -427,9 +434,48 @@ def test_bootstrap_identical_contributions_zero_width():
         for i in range(5)
     ]
     ci = bootstrap_ci(
-        exps, CONSTANT_RULE, REWARD, EstimatorConfig(kind="naive"), seed=3
+        estimate_reward(exps, CONSTANT_RULE, REWARD, EstimatorConfig(kind="naive")), seed=3
     )
     assert ci.lower == ci.upper == 2.0
+
+
+@pytest.mark.parametrize("mode", ["mean", "cumulative"])
+def test_bootstrap_ci_resamples_the_estimate_it_is_given(mode):
+    # The interval is bootstrap_aggregates over the estimate's own
+    # contributions and weights, then percentile_interval, on the key
+    # (seed, "bootstrap", estimator kind, replicates); nothing is rescored.
+    rng = np.random.default_rng(21)
+    exps = [random_two_arm(rng, m=6, exp_id=f"e{i}") for i in range(12)]
+    config = EstimatorConfig(kind="cv-kfold", num_folds=3, mode=mode)
+    estimate = estimate_reward(exps, ARGMAX_RULE, REWARD, config)
+    draws, redraws = bootstrap_aggregates(
+        np.array(estimate.per_experiment), np.array(estimate.weights), mode, 400,
+        substream(6, "bootstrap", "cv-kfold", 400),
+    )
+    ci = bootstrap_ci(estimate, n_replicates=400, level=0.9, seed=6)
+    assert (ci.lower, ci.upper) == percentile_interval(draws, 0.9)
+    assert (ci.level, ci.redraws) == (0.9, redraws)
+
+
+@pytest.mark.parametrize("mode", ["mean", "cumulative"])
+def test_bootstrap_ci_reports_the_zero_weight_redraws(mode):
+    # Two weighted experiments among eight: a mean-mode resample that misses
+    # both is redrawn, and the interval reports how many were.  A cumulative
+    # resample needs no positive total weight and is never redrawn.
+    rng = np.random.default_rng(22)
+    exps = [
+        two_arm(rng.standard_normal((4, 1)), rng.standard_normal((4, 1)),
+                weight=1.0 if i < 2 else 0.0, exp_id=f"e{i}")
+        for i in range(8)
+    ]
+    estimate = estimate_reward(exps, ARGMAX_RULE, REWARD, EstimatorConfig("naive", mode=mode))
+    _, redraws = bootstrap_aggregates(
+        np.array(estimate.per_experiment), np.array(estimate.weights), mode, 500,
+        substream(0, "bootstrap", "naive", 500),
+    )
+    ci = bootstrap_ci(estimate, n_replicates=500)
+    assert ci.redraws == redraws
+    assert (redraws > 0) if mode == "mean" else (redraws == 0)
 
 
 def test_bootstrap_percentile_definition():
@@ -502,9 +548,9 @@ def test_bootstrap_validation_and_ci_type():
     ]
     config = EstimatorConfig(kind="naive")
     with pytest.raises(ValueError):
-        bootstrap_ci(exps[:1], CONSTANT_RULE, REWARD, config)
+        bootstrap_ci(estimate_reward(exps[:1], CONSTANT_RULE, REWARD, config))
     with pytest.raises(ValueError):
-        bootstrap_ci(exps, CONSTANT_RULE, REWARD, config, n_replicates=10)
+        bootstrap_ci(estimate_reward(exps, CONSTANT_RULE, REWARD, config), n_replicates=10)
     with pytest.raises(ValueError):
         ConfidenceInterval(lower=2.0, upper=1.0, level=0.95)
 
@@ -517,7 +563,7 @@ def test_bootstrap_ci_requires_an_integer_replicate_count(n_replicates):
         for i in range(3)
     ]
     with pytest.raises(ValueError, match="n_replicates must be an integer >= 100"):
-        bootstrap_ci(exps, CONSTANT_RULE, REWARD, EstimatorConfig(kind="naive"),
+        bootstrap_ci(estimate_reward(exps, CONSTANT_RULE, REWARD, EstimatorConfig(kind="naive")),
                      n_replicates=n_replicates)
 
 

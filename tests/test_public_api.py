@@ -1,10 +1,11 @@
 """Every name a module exports in ``__all__`` exists, once, the package's
-names are documented in the README, and the CLI's import graph stays
-small."""
+names are documented in the README and the README's API table names
+nothing else, and the CLI's import graph stays small."""
 
 import importlib
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 
@@ -28,12 +29,26 @@ def test_all_entries_resolve_without_duplicates(name):
     assert not missing, missing
 
 
-def test_every_package_name_is_documented_in_the_readme():
+def readme_text() -> str:
     readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
     with open(readme, encoding="utf-8") as fh:
-        text = fh.read()
+        return fh.read()
+
+
+def test_every_package_name_is_documented_in_the_readme():
+    text = readme_text()
     undocumented = [name for name in ruleval.__all__ if f"`{name}`" not in text]
     assert not undocumented, undocumented
+
+
+def test_every_name_in_the_readme_api_table_is_exported():
+    # The other direction: a name deleted from the package cannot stay in
+    # the table.
+    section = readme_text().split("## Library API", 1)[1].split("\n## ", 1)[0]
+    names = re.findall(r"^\| `([^`]+)` \|", section, flags=re.MULTILINE)
+    assert len(names) > 30
+    stale = [name for name in names if name not in ruleval.__all__]
+    assert not stale, stale
 
 
 def test_cli_import_loads_neither_scipy_nor_a_thread_pool():

@@ -14,6 +14,7 @@ from ruleval import (
     ArmData,
     DecisionRule,
     EffectModel,
+    EstimatorConfig,
     ExperimentData,
     ProxySpec,
     RewardSpec,
@@ -22,12 +23,10 @@ from ruleval import (
     check_poisson_rescaling,
     check_rule_selection,
     decide,
-    leave_l_out_reward,
-    naive_reward,
     run_bias_sweep,
 )
 from ruleval import simulator
-from ruleval.estimators import batch_rewards
+from ruleval.estimators import _leave_l_out_sums, batch_rewards
 from ruleval.simulator import (
     _fold_sizes,
     cov_factor,
@@ -169,7 +168,7 @@ def test_fast_path_matches_unit_level_distributions(gate, units_per_arm):
     for i in range(reps):
         exp, tau = draw_experiment(model, "fixed", substream(99, "unit", i))
         unit["true"][i] = tau[0] if decide(exp, rule) == 2 else 0.0
-        unit["naive"][i] = naive_reward(exp, rule, psi)
+        unit["naive"][i] = batch_rewards([exp], [rule], psi, (), 0)[0, 0, 0]
         unit["cv"][i] = batch_rewards([exp], [rule], psi, (5,), fold_seed=i)[0, 1, 0]
 
     ec = cov_factor(model.effect_cov)
@@ -382,6 +381,22 @@ def test_simulator_entry_points_require_integer_counts(name, call):
         call()
 
 
+@pytest.mark.parametrize("seed", [1.9, 1.0, True, "1", None])
+def test_seeds_must_be_integers(seed):
+    # 1.9 was truncated to 1: the rescaling check returned seed 1's report.
+    with pytest.raises(ValueError, match="^seed must be an integer"):
+        check_poisson_rescaling(replications=2000, seed=seed)
+    with pytest.raises(ValueError, match="^seed must be an integer"):
+        substream(seed, "any")
+
+
+def test_a_numpy_integer_seed_keys_the_same_streams():
+    assert check_poisson_rescaling(replications=2000, seed=np.int64(1)) == (
+        check_poisson_rescaling(replications=2000, seed=1)
+    )
+    assert substream(np.int64(1), "a").random() == substream(1, "a").random()
+
+
 def test_fold_sizes_near_equal():
     for m, p in ((10, 3), (9, 3), (7, 2), (100, 7)):
         sizes = _fold_sizes(m, p)
@@ -490,7 +505,8 @@ def test_rescaling_kernel_agrees_with_library_estimator():
             if m <= leave_out:
                 continue
             (kernel,), (chosen,) = _score_block(x, leave_out, "argmax", 1)
-            library = leave_l_out_reward(exp, rule, reward, leave_out)
+            config = EstimatorConfig("cv-leave-l-out", leave_out=leave_out)
+            library = _leave_l_out_sums([exp], rule, reward, config)[0]
             assert kernel == pytest.approx(library, abs=1e-12)
             assert chosen == decide(exp, rule)
         # A constant rule's leave-two-out sum is its arm's mean over every
