@@ -47,6 +47,7 @@ from .experiments import (
 from .figures import FIGURE_IDS, run_figure, _config_dict
 from .simulator import (
     DEFAULT_MODEL,
+    DEFAULT_MODEL_ARGS,
     DEFAULT_PROXIES,
     SimulationConfig,
     SweepPointRow,
@@ -55,7 +56,7 @@ from .simulator import (
     check_rule_selection,
     run_bias_sweep,
 )
-from .tableio import fmt, write_csv_atomic, write_json_atomic, write_rows_atomic
+from .tableio import fmt, write_csv_atomic, write_manifest, write_rows_atomic
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -280,16 +281,13 @@ def _parse_rule(obj, metric_names: tuple[str, ...], where: str) -> tuple[str, De
 # subcommands
 
 
+# The closed forms do not depend on the number of experiments.
+_CLOSED_FORM_FLAGS = tuple(key for key in DEFAULT_MODEL_ARGS if key != "num_experiments")
+
+
 def _cmd_closed_form(args: argparse.Namespace) -> int:
     model = EffectModel.from_correlations(
-        effect_sd_y=args.effect_sd_y,
-        effect_sd_proxy=args.effect_sd_proxy,
-        effect_corr=args.effect_corr,
-        noise_sd_y=args.noise_sd_y,
-        noise_sd_proxy=args.noise_sd_proxy,
-        noise_corr=args.noise_corr,
-        units_per_arm=args.units_per_arm,
-        num_folds=args.num_folds,
+        **{key: getattr(args, key) for key in _CLOSED_FORM_FLAGS}
     )
     header = "true,naive,cv"
     row = ",".join(
@@ -328,15 +326,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     csv_path = os.path.join(args.out_dir, "simulation.csv")
     write_rows_atomic(csv_path, SweepPointRow, result.rows)
-    manifest = {
-        "command": "simulate",
-        "config": _config_dict(config),
-        "version": __version__,
-        "outputs": ["simulation.csv"],
-        "zero_size_redraws": result.zero_size_redraws,
-    }
     manifest_path = os.path.join(args.out_dir, "simulation_manifest.json")
-    write_json_atomic(manifest_path, manifest)
+    write_manifest(manifest_path, "simulate", _config_dict(config), ["simulation.csv"],
+                   zero_size_redraws=result.zero_size_redraws)
     print(csv_path)
     print(manifest_path)
     return EXIT_OK
@@ -392,16 +384,11 @@ def _cmd_make_corpus(args: argparse.Namespace) -> int:
             ([exp_id] + effect.tolist() for exp_id, effect in zip(corpus.stack.ids, effects)),
         )
         outputs.append(os.path.basename(args.truth_out))
-    manifest = {
-        "command": "make-corpus",
-        "config": {
-            "experiments": args.experiments, "units": args.units, **sds,
-            "proxies": [asdict(p) for p in proxies], "seed": args.seed,
-        },
-        "version": __version__,
-        "outputs": outputs,
+    config = {
+        "experiments": args.experiments, "units": args.units, **sds,
+        "proxies": [asdict(p) for p in proxies], "seed": args.seed,
     }
-    write_json_atomic(args.out + ".manifest.json", manifest)
+    write_manifest(args.out + ".manifest.json", "make-corpus", config, outputs)
     print(args.out)
     return EXIT_OK
 
@@ -421,19 +408,14 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         config["seed"] = args.seed
     report = evaluate_rules(corpus, **config)
     report.write_csv(args.out)
-    manifest = {
-        "command": "evaluate",
-        "config": {
-            "corpus": os.path.basename(args.corpus),
-            "rules": obj,
-            "weights": os.path.basename(args.weights) if args.weights else None,
-            "seed": config["seed"],
-        },
-        "version": __version__,
-        "outputs": [os.path.basename(args.out)],
-        "bootstrap_redraws": report.bootstrap_redraws,
+    manifest_config = {
+        "corpus": os.path.basename(args.corpus),
+        "rules": obj,
+        "weights": os.path.basename(args.weights) if args.weights else None,
+        "seed": config["seed"],
     }
-    write_json_atomic(args.out + ".manifest.json", manifest)
+    write_manifest(args.out + ".manifest.json", "evaluate", manifest_config,
+                   [os.path.basename(args.out)], bootstrap_redraws=report.bootstrap_redraws)
     print(args.out)
     return EXIT_OK
 
@@ -447,14 +429,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     cf = sub.add_parser("closed-form", help="evaluate the exact expectations")
-    cf.add_argument("--effect-sd-y", type=float, default=1e-4)
-    cf.add_argument("--effect-sd-proxy", type=float, default=0.01)
-    cf.add_argument("--effect-corr", type=float, default=0.8)
-    cf.add_argument("--noise-sd-y", type=float, default=0.10)
-    cf.add_argument("--noise-sd-proxy", type=float, default=10.0)
-    cf.add_argument("--noise-corr", type=float, default=0.4)
-    cf.add_argument("--units-per-arm", type=int, default=1_000_000)
-    cf.add_argument("--num-folds", type=int, default=10)
+    for key in _CLOSED_FORM_FLAGS:
+        default = DEFAULT_MODEL_ARGS[key]
+        cf.add_argument("--" + key.replace("_", "-"), type=type(default), default=default)
     cf.add_argument("--out", default=None)
     cf.set_defaults(func=_cmd_closed_form)
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,7 @@ from .experiments import check_count
 
 __all__ = [
     "EffectModel",
+    "check_sd",
     "cv_expectation",
     "levelset_grid",
     "mills_conditional",
@@ -45,10 +47,25 @@ _SQRT2 = math.sqrt(2.0)
 _LOG_SQRT_2PI = math.log(math.sqrt(2.0 * math.pi))
 
 
+def check_sd(name: str, value) -> float:
+    """``value`` as a float, after checking that it is a real number (not a
+    bool) >= 0 whose square is finite; a ValueError names ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number >= 0, got {value!r}")
+    value = float(value)
+    if not (value >= 0.0 and math.isfinite(value * value)):
+        raise ValueError(
+            f"{name} must be a number >= 0 with a finite square, got {value!r}"
+        )
+    return value
+
+
 def _check_cov(name: str, mat: np.ndarray) -> np.ndarray:
     mat = np.asarray(mat, dtype=float)
     if mat.shape != (2, 2):
         raise ValueError(f"{name} must be 2x2, got shape {mat.shape}")
+    if not np.isfinite(mat).all():
+        raise ValueError(f"{name} must be finite, got {mat.tolist()!r}")
     if abs(mat[0, 1] - mat[1, 0]) > _SYMMETRY_TOL * max(1.0, abs(mat[0, 1])):
         raise ValueError(f"{name} must be symmetric")
     eigvals = np.linalg.eigvalsh(mat)
@@ -95,6 +112,10 @@ class EffectModel:
             raise ValueError("effect_corr must be in [-1, 1]")
         if not -1.0 <= noise_corr <= 1.0:
             raise ValueError("noise_corr must be in [-1, 1]")
+        effect_sd_y = check_sd("effect_sd_y", effect_sd_y)
+        effect_sd_proxy = check_sd("effect_sd_proxy", effect_sd_proxy)
+        noise_sd_y = check_sd("noise_sd_y", noise_sd_y)
+        noise_sd_proxy = check_sd("noise_sd_proxy", noise_sd_proxy)
         effect_cov = np.array(
             [
                 [effect_sd_y**2, effect_corr * effect_sd_y * effect_sd_proxy],
@@ -113,6 +134,26 @@ class EffectModel:
             units_per_arm=units_per_arm,
             num_experiments=num_experiments,
             num_folds=num_folds,
+        )
+
+    @property
+    def sds(self) -> tuple[float, float, float, float]:
+        """The four standard deviations in ``from_correlations`` order:
+        effect (north star, proxy), then noise (north star, proxy)."""
+        return tuple(
+            float(np.sqrt(cov[i, i]))
+            for cov in (self.effect_cov, self.noise_cov)
+            for i in (0, 1)
+        )
+
+    def with_correlations(self, effect_corr: float, noise_corr: float) -> "EffectModel":
+        """This model with the same standard deviations and sizes and the
+        given effect and noise correlations."""
+        effect_sd_y, effect_sd_proxy, noise_sd_y, noise_sd_proxy = self.sds
+        return EffectModel.from_correlations(
+            effect_sd_y, effect_sd_proxy, effect_corr,
+            noise_sd_y, noise_sd_proxy, noise_corr,
+            self.units_per_arm, self.num_experiments, self.num_folds,
         )
 
     @property
@@ -219,26 +260,12 @@ def levelset_grid(model_template: EffectModel, resolution: int = 41) -> np.ndarr
     effect correlation varying slowest.  Suitable for heatmap rendering.
     """
     resolution = check_count("resolution", resolution, 2)
-    effect_sd_y = float(np.sqrt(model_template.effect_cov[0, 0]))
-    effect_sd_proxy = float(np.sqrt(model_template.effect_cov[1, 1]))
-    noise_sd_y = float(np.sqrt(model_template.noise_cov[0, 0]))
-    noise_sd_proxy = float(np.sqrt(model_template.noise_cov[1, 1]))
     rho_grid = np.linspace(-1.0, 1.0, resolution)
     rows = np.empty((resolution * resolution, 5))
     i = 0
     for rho_tau in rho_grid:
         for rho in rho_grid:
-            model = EffectModel.from_correlations(
-                effect_sd_y,
-                effect_sd_proxy,
-                float(rho_tau),
-                noise_sd_y,
-                noise_sd_proxy,
-                float(rho),
-                model_template.units_per_arm,
-                model_template.num_experiments,
-                model_template.num_folds,
-            )
+            model = model_template.with_correlations(float(rho_tau), float(rho))
             rows[i] = (
                 rho_tau,
                 rho,

@@ -22,6 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .closed_form import check_sd
 from .estimators import (
     AGGREGATE_MODES,
     aggregate,
@@ -350,20 +351,16 @@ def make_synthetic_corpus(
     arm's draw is multiplied into its slice of one (experiments, 2, units,
     metrics) array, which the corpus's stack holds.
     """
-    from .closed_form import EffectModel
-
-    base = EffectModel.from_correlations(
-        effect_sd_y=effect_sd_y,
-        effect_sd_proxy=effect_sd_proxy,
-        effect_corr=0.0,
-        noise_sd_y=noise_sd_y,
-        noise_sd_proxy=noise_sd_proxy,
-        noise_corr=0.0,
-        units_per_arm=units_per_arm,
-        num_experiments=num_experiments,
+    sds = (
+        check_sd("effect_sd_y", effect_sd_y),
+        check_sd("effect_sd_proxy", effect_sd_proxy),
+        check_sd("noise_sd_y", noise_sd_y),
+        check_sd("noise_sd_proxy", noise_sd_proxy),
     )
-    effect_chol, noise_chol = joint_proxy_model(base, tuple(proxies))
-    n, m, j = num_experiments, units_per_arm, 1 + len(proxies)
+    effect_chol, noise_chol = joint_proxy_model(sds, tuple(proxies))
+    n = check_count("num_experiments", num_experiments, 1)
+    m = check_count("units_per_arm", units_per_arm, 1)
+    j = 1 + len(proxies)
     units = np.empty((n, 2, m, j))
     effects = np.empty((n, j))
     for i in range(n):

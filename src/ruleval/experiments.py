@@ -132,6 +132,15 @@ class ExperimentData:
     weight: float = 1.0
 
     def __post_init__(self) -> None:
+        # What ``ingest_csv`` reads back (it strips each cell), so a corpus
+        # exports and ingests again under the same ids, and ids sort.
+        exp_id = self.experiment_id
+        if not (isinstance(exp_id, str) and exp_id and exp_id == exp_id.strip()
+                and "\0" not in exp_id):
+            raise ValueError(
+                f"experiment_id must be a non-empty string without a NUL "
+                f"character or surrounding whitespace, got {exp_id!r}"
+            )
         arms = tuple(self.arms)
         if not arms:
             raise ValueError(f"experiment {self.experiment_id!r} has no arms")

@@ -11,7 +11,6 @@ import os
 
 import numpy as np
 
-from . import __version__
 from .closed_form import levelset_grid
 from .experiments import check_count
 from .simulator import (
@@ -21,10 +20,9 @@ from .simulator import (
     SimulationConfig,
     SweepPointRow,
     SweepSpec,
-    bivariate_model_for_proxy,
     run_bias_sweep,
 )
-from .tableio import write_csv_atomic, write_json_atomic, write_rows_atomic
+from .tableio import write_csv_atomic, write_manifest, write_rows_atomic
 
 __all__ = [
     "FIG2_NOISE_GRID",
@@ -50,7 +48,7 @@ _SWEEPS = {
     2: ("noise_sd_proxy", FIG2_NOISE_GRID, "figure2_noise_sweep.csv",
         (("default", DEFAULT_MODEL),)),
     3: ("units_per_arm", FIG3_UNITS_GRID, "figure3_units_sweep.csv",
-        tuple((p.name, bivariate_model_for_proxy(DEFAULT_MODEL, p))
+        tuple((p.name, DEFAULT_MODEL.with_correlations(p.effect_corr, p.noise_corr))
               for p in DEFAULT_PROXIES)),
     4: ("num_experiments", FIG4_EXPERIMENTS_GRID, "figure4_experiments_sweep.csv",
         (("default", DEFAULT_MODEL),)),
@@ -97,14 +95,8 @@ def run_figure(
         write_rows_atomic(csv_path, SweepPointRow, rows)
         # Figure 3 keeps one config per proxy; the others have a single one.
         config = configs if figure == 3 else configs["default"]
-    manifest = {
-        "command": f"replicate-figure {figure}",
-        "config": config,
-        "version": __version__,
-        "outputs": [name],
-    }
     manifest_path = os.path.join(out_dir, f"figure{figure}_manifest.json")
-    write_json_atomic(manifest_path, manifest)
+    write_manifest(manifest_path, f"replicate-figure {figure}", config, [name])
     return [csv_path, manifest_path]
 
 
@@ -124,7 +116,7 @@ def _config_dict(config: SimulationConfig) -> dict:
         "size_mode": config.size_mode,
         "m0": config.m0,
         "num_replications": config.num_replications,
-        "seed": config.seed,
+        "seed": int(config.seed),
         "rule": {
             "blend": [float(v) for v in config.rule.blend],
             "gate": config.rule.gate,

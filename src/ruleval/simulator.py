@@ -45,13 +45,14 @@ from itertools import combinations
 
 import numpy as np
 
-from .closed_form import EffectModel, cv_expectation, naive_expectation, true_reward
+from .closed_form import EffectModel, check_sd, cv_expectation, naive_expectation, true_reward
 from .estimators import BLOCK_ELEMENTS, MAX_BOOTSTRAP_REDRAWS, check_m0, subset_rewards
 from .experiments import DecisionRule, DegenerateFoldError, blend_matrix, check_count, decide_kept
 from .streams import substream
 
 __all__ = [
     "DEFAULT_MODEL",
+    "DEFAULT_MODEL_ARGS",
     "DEFAULT_PROXIES",
     "ProxySpec",
     "RescalingCheckReport",
@@ -70,19 +71,21 @@ PARALLELISM_ENV_VAR = "RULEVAL_PARALLEL"
 CHUNK_REPLICATIONS = 256
 ESTIMATORS = ("true", "naive", "cv")
 
-# Default generative parameters: a weak signal-to-noise regime with one
-# hundred experiments of a million units per arm.
-DEFAULT_MODEL = EffectModel.from_correlations(
-    effect_sd_y=1e-4,
-    effect_sd_proxy=0.01,
-    effect_corr=0.8,
-    noise_sd_y=0.10,
-    noise_sd_proxy=10.0,
-    noise_corr=0.4,
-    units_per_arm=1_000_000,
-    num_experiments=100,
-    num_folds=10,
-)
+# Default generative parameters, as ``EffectModel.from_correlations``
+# arguments in its order: a weak signal-to-noise regime with one hundred
+# experiments of a million units per arm.
+DEFAULT_MODEL_ARGS = {
+    "effect_sd_y": 1e-4,
+    "effect_sd_proxy": 0.01,
+    "effect_corr": 0.8,
+    "noise_sd_y": 0.10,
+    "noise_sd_proxy": 10.0,
+    "noise_corr": 0.4,
+    "units_per_arm": 1_000_000,
+    "num_experiments": 100,
+    "num_folds": 10,
+}
+DEFAULT_MODEL = EffectModel.from_correlations(**DEFAULT_MODEL_ARGS)
 DEFAULT_REPLICATIONS = 10_000
 
 
@@ -127,11 +130,7 @@ class SweepSpec:
         # correlation in ``_model_at``; NaN passes the order check above.
         if self.field == "noise_sd_proxy":
             for value in grid:
-                if not 0.0 <= value < math.inf:
-                    raise ValueError(
-                        "every noise_sd_proxy in the sweep grid must be finite "
-                        f"and >= 0, got {value!r}"
-                    )
+                check_sd("every noise_sd_proxy in the sweep grid", value)
         # The other two fields are counts: a fractional grid value would be
         # simulated rounded but reported as given.
         if self.field != "noise_sd_proxy":
@@ -163,7 +162,10 @@ class SimulationConfig:
             raise ValueError(f"unknown size_mode {self.size_mode!r}")
         if self.size_mode == "poisson":
             check_m0(self.m0)
-        check_count("num_replications", self.num_replications, 1)
+        object.__setattr__(
+            self, "num_replications",
+            check_count("num_replications", self.num_replications, 1),
+        )
         if self.rule.gate != "none" and self.rule.fallback_arm > 2:
             raise ValueError(
                 f"fallback_arm must be 1 or 2 for the two-arm fast path, "
@@ -391,8 +393,7 @@ def _model_at(model: EffectModel, sweep_field: str | None, value: float) -> Effe
     if sweep_field in ("units_per_arm", "num_experiments"):
         return model.replace(**{sweep_field: int(value)})
     if sweep_field == "noise_sd_proxy":
-        sd_y = float(np.sqrt(model.noise_cov[0, 0]))
-        old_sd = float(np.sqrt(model.noise_cov[1, 1]))
+        _, _, sd_y, old_sd = model.sds
         corr = float(model.noise_cov[0, 1] / (sd_y * old_sd)) if old_sd > 0 else 0.0
         noise_cov = np.array(
             [[sd_y**2, corr * sd_y * value], [corr * sd_y * value, value**2]]
@@ -703,18 +704,16 @@ def _factor_chol(
 
 
 def joint_proxy_model(
-    base: EffectModel, proxies: tuple[ProxySpec, ...]
+    sds: tuple[float, float, float, float], proxies: tuple[ProxySpec, ...]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Cholesky factors of the joint (north star + proxies) model.
 
-    Proxies share the base model's scale parameters and relate to the
-    north star through their own correlations; cross-proxy covariance
-    follows from the single shared factor.
+    ``sds`` are the four standard deviations in ``EffectModel.sds`` order,
+    shared by every proxy; each proxy relates to the north star through
+    its own correlations, and cross-proxy covariance follows from the
+    single shared factor.
     """
-    effect_sd_y = float(np.sqrt(base.effect_cov[0, 0]))
-    effect_sd_proxy = float(np.sqrt(base.effect_cov[1, 1]))
-    noise_sd_y = float(np.sqrt(base.noise_cov[0, 0]))
-    noise_sd_proxy = float(np.sqrt(base.noise_cov[1, 1]))
+    effect_sd_y, effect_sd_proxy, noise_sd_y, noise_sd_proxy = sds
     effect_chol = _factor_chol(
         effect_sd_y, effect_sd_proxy, tuple(p.effect_corr for p in proxies)
     )
@@ -724,27 +723,12 @@ def joint_proxy_model(
     return effect_chol, noise_chol
 
 
-def bivariate_model_for_proxy(base: EffectModel, proxy: ProxySpec) -> EffectModel:
-    """Two-metric marginal model (north star, one proxy) of the joint model."""
-    return EffectModel.from_correlations(
-        effect_sd_y=float(np.sqrt(base.effect_cov[0, 0])),
-        effect_sd_proxy=float(np.sqrt(base.effect_cov[1, 1])),
-        effect_corr=proxy.effect_corr,
-        noise_sd_y=float(np.sqrt(base.noise_cov[0, 0])),
-        noise_sd_proxy=float(np.sqrt(base.noise_cov[1, 1])),
-        noise_corr=proxy.noise_corr,
-        units_per_arm=base.units_per_arm,
-        num_experiments=base.num_experiments,
-        num_folds=base.num_folds,
-    )
-
-
 def _selection_chunk(base, proxies, grid, seed, gammas, point, chunk, reps) -> np.ndarray:
     """Select a proxy rule by cumulative CV in ``reps`` replications of
     ``grid[point]`` experiments; returns the sum and sum of squares of the
     regrets, then the count of correct selections."""
     n_exps = grid[point]
-    effect_chol, noise_chol = joint_proxy_model(base, proxies)
+    effect_chol, noise_chol = joint_proxy_model(base.sds, proxies)
     n_metrics = 1 + len(proxies)
     rules = tuple(
         DecisionRule(blend=np.eye(n_metrics)[1 + j]) for j in range(len(proxies))
@@ -791,7 +775,7 @@ def check_rule_selection(
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("n_grid must be strictly increasing")
     gammas = np.array(
-        [true_reward(bivariate_model_for_proxy(base, p)) for p in proxies]
+        [true_reward(base.with_correlations(p.effect_corr, p.noise_corr)) for p in proxies]
     )
     sums = _chunk_sums(
         partial(_selection_chunk, base, proxies, grid, seed, gammas), len(grid), r

@@ -15,11 +15,13 @@ import os
 import tempfile
 from typing import Iterable
 
+from . import __version__
+
 __all__ = [
     "fmt",
     "quote",
     "write_csv_atomic",
-    "write_json_atomic",
+    "write_manifest",
     "write_rows_atomic",
     "write_text_atomic",
 ]
@@ -71,5 +73,10 @@ def write_rows_atomic(path: str, row_type: type, rows: Iterable) -> None:
     write_csv_atomic(path, names, ([getattr(row, n) for n in names] for row in rows))
 
 
-def write_json_atomic(path: str, payload: dict) -> None:
-    write_text_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def write_manifest(path: str, command: str, config: dict, outputs: list[str], **counters) -> None:
+    """A command's JSON manifest: the command, its resolved config, the
+    package version, the names of the files it wrote and any counters,
+    with sorted keys."""
+    manifest = {"command": command, "config": config, "version": __version__,
+                "outputs": outputs, **counters}
+    write_text_atomic(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")

@@ -31,7 +31,6 @@ from ruleval import (
 from ruleval.cli import main
 from ruleval.estimators import batch_rewards
 from ruleval.figures import FIG2_NOISE_GRID, FIG3_UNITS_GRID, FIG4_EXPERIMENTS_GRID
-from ruleval.simulator import bivariate_model_for_proxy
 from ruleval.streams import substream
 
 REWARD = RewardSpec.metric(1)
@@ -113,7 +112,7 @@ def test_criterion_4_units_sweep_ranking_reversal():
     means: dict[tuple[str, float, str], float] = {}
     for proxy in DEFAULT_PROXIES:
         config = SimulationConfig(
-            model=bivariate_model_for_proxy(DEFAULT_MODEL, proxy),
+            model=DEFAULT_MODEL.with_correlations(proxy.effect_corr, proxy.noise_corr),
             num_replications=10_000,
             seed=0,
             sweep=sweep,

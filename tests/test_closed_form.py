@@ -246,6 +246,13 @@ def test_effect_model_validation():
             noise_cov=np.eye(2),
             units_per_arm=10,
         )
+    # Every comparison with NaN is false, so only an explicit check
+    # rejects it.
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="^effect_cov must be finite"):
+            EffectModel(effect_cov=[[bad, 0], [0, 1]], noise_cov=np.eye(2), units_per_arm=10)
+        with pytest.raises(ValueError, match="^noise_cov must be finite"):
+            EffectModel(effect_cov=np.eye(2), noise_cov=[[1, 0], [0, bad]], units_per_arm=10)
     model = model_with()
     assert np.allclose(
         model.sampling_cov, 2 * model.noise_cov / model.units_per_arm

@@ -2,11 +2,13 @@
 command-line interface."""
 
 import json
+import os
 
 import numpy as np
 import pytest
 
 from ruleval import (
+    DEFAULT_MODEL,
     ArmData,
     DecisionRule,
     EstimatorConfig,
@@ -15,14 +17,19 @@ from ruleval import (
     ProxySpec,
     RewardSpec,
     CorpusFormatError,
+    SimulationConfig,
+    cv_expectation,
     estimate_reward,
     evaluate_rules,
     ingest_csv,
     make_synthetic_corpus,
+    naive_expectation,
     run_figure,
+    true_reward,
     write_corpus_csv,
 )
 from ruleval.cli import main
+from ruleval.tableio import fmt
 
 REWARD = RewardSpec.metric(1)
 
@@ -337,6 +344,50 @@ def test_cli_closed_form_stdout(capsys):
     assert true == pytest.approx(1.84e-5, rel=0.01)
     assert naive == pytest.approx(2 * true, rel=0.01)
     assert 0 < cv < true
+
+
+def test_cli_closed_form_defaults_are_the_default_model(capsys):
+    assert main(["closed-form"]) == 0
+    values = (true_reward(DEFAULT_MODEL), naive_expectation(DEFAULT_MODEL),
+              cv_expectation(DEFAULT_MODEL))
+    assert capsys.readouterr().out == "true,naive,cv\n" + ",".join(map(fmt, values)) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        # -10 ran with the noise correlation's sign flipped, nan printed
+        # nan and 1e200 overflowed squaring; each exited 0 or with a
+        # traceback.
+        (["closed-form", "--noise-sd-proxy=-10"], "noise_sd_proxy"),
+        (["closed-form", "--effect-sd-y", "nan"], "effect_sd_y"),
+        (["closed-form", "--effect-sd-y", "1e200"], "effect_sd_y"),
+        (["closed-form", "--noise-sd-y", "inf"], "noise_sd_y"),
+        # -1 wrote the corpus of +1 under a manifest recording -1.
+        (["make-corpus", "--experiments", "2", "--units", "3", "--noise-sd-y=-1"],
+         "noise_sd_y"),
+        (["make-corpus", "--experiments", "2", "--units", "3", "--effect-sd-proxy", "nan"],
+         "effect_sd_proxy"),
+    ],
+)
+def test_cli_rejects_bad_standard_deviations(tmp_path, capsys, argv, name):
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {name} must be a number >= 0")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_run_figure_writes_its_manifest_for_numpy_integers(tmp_path):
+    # A NumPy seed used to fail JSON encoding after the CSV was written.
+    paths = run_figure(2, str(tmp_path), replications=np.int64(2), seed=np.int64(1),
+                       grid=(4.0,))
+    assert all(map(os.path.exists, paths))
+    config = json.loads((tmp_path / "figure2_manifest.json").read_text())["config"]
+    assert (config["seed"], config["num_replications"]) == (1, 2)
+    sim = SimulationConfig(num_replications=np.int64(2), seed=np.int64(1))
+    assert type(sim.num_replications) is int
 
 
 def test_cli_figure1_grid_shape(tmp_path):

@@ -371,6 +371,12 @@ def test_experiment_validation():
             ArmData(1, np.array([[1.0], [bad]]))
     with pytest.raises(DegenerateArmError):
         ArmData(1, np.zeros((0, 1)))
+    # Ids that do not survive export and ingest: a number (which also
+    # fails to sort among strings), an empty id, one holding a NUL and one
+    # that ingest would strip.
+    for bad_id in (5, "", "a\0b", " a"):
+        with pytest.raises(ValueError, match="^experiment_id must be a non-empty string"):
+            ExperimentData(bad_id, (ArmData(1, np.zeros((1, 1))),))
 
 
 def test_reward_spec_default_picks_first_metric():

@@ -13,7 +13,6 @@ from ruleval import (
     DEFAULT_PROXIES,
     DecisionRule,
     EffectModel,
-    ProxySpec,
     SimulationConfig,
     SweepSpec,
     check_rule_selection,
@@ -22,7 +21,6 @@ from ruleval import (
 from ruleval import simulator
 from ruleval.simulator import (
     _simulate_estimates,
-    bivariate_model_for_proxy,
     cov_factor,
     joint_proxy_model,
 )
@@ -35,7 +33,7 @@ GATED = dict(gate="significant-vs-reference", gate_alpha=0.05)
 
 
 def _bivariate(units_per_arm, num_folds):
-    model = bivariate_model_for_proxy(DEFAULT_MODEL, ProxySpec("p", 0.8, 0.4))
+    model = DEFAULT_MODEL.with_correlations(0.8, 0.4)
     return model.replace(units_per_arm=units_per_arm, num_folds=num_folds)
 
 
@@ -49,7 +47,7 @@ def _case(model, rules):
 
 def _selection_case():
     """Three metrics and one rule per proxy, as in ``_selection_chunk``."""
-    effect_chol, noise_chol = joint_proxy_model(DEFAULT_MODEL, DEFAULT_PROXIES)
+    effect_chol, noise_chol = joint_proxy_model(DEFAULT_MODEL.sds, DEFAULT_PROXIES)
     rules = tuple(DecisionRule(blend=np.eye(3)[1 + j]) for j in range(2))
     return (
         effect_chol, noise_chol, noise_chol @ noise_chol.T,

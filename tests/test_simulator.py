@@ -11,6 +11,7 @@ import pytest
 from unit_oracle import draw_experiment
 from ruleval import (
     DEFAULT_MODEL,
+    DEFAULT_PROXIES,
     ArmData,
     DecisionRule,
     EffectModel,
@@ -32,7 +33,6 @@ from ruleval.simulator import (
     cov_factor,
     _score_block,
     _simulate_estimates,
-    bivariate_model_for_proxy,
     joint_proxy_model,
     parallelism_degree,
 )
@@ -205,7 +205,7 @@ def _z_gate_cv(ec, nc, noise_cov, m, num_folds, n, blend, alpha, psi, rng):
 
 
 def test_fast_path_gate_reduces_launch_rate():
-    model = bivariate_model_for_proxy(DEFAULT_MODEL, ProxySpec("p", 0.8, 0.4))
+    model = DEFAULT_MODEL.with_correlations(0.8, 0.4)
     ec = cov_factor(model.effect_cov)
     nc = cov_factor(model.noise_cov)
     psi = np.array([1.0, 0.0])
@@ -594,14 +594,31 @@ def test_selection_check_rejects_bad_input(kwargs, match):
         check_rule_selection(**kwargs)
 
 
+@pytest.mark.parametrize("proxy", DEFAULT_PROXIES, ids=lambda p: p.name)
+def test_with_correlations_is_bit_identical_to_rebuilding_from_the_diagonals(proxy):
+    base = DEFAULT_MODEL
+    rebuilt = EffectModel.from_correlations(
+        float(np.sqrt(base.effect_cov[0, 0])), float(np.sqrt(base.effect_cov[1, 1])),
+        proxy.effect_corr,
+        float(np.sqrt(base.noise_cov[0, 0])), float(np.sqrt(base.noise_cov[1, 1])),
+        proxy.noise_corr,
+        base.units_per_arm, base.num_experiments, base.num_folds,
+    )
+    got = base.with_correlations(proxy.effect_corr, proxy.noise_corr)
+    assert got.effect_cov.tobytes() == rebuilt.effect_cov.tobytes()
+    assert got.noise_cov.tobytes() == rebuilt.noise_cov.tobytes()
+    assert (got.units_per_arm, got.num_experiments, got.num_folds) == (
+        rebuilt.units_per_arm, rebuilt.num_experiments, rebuilt.num_folds)
+
+
 def test_joint_proxy_model_marginals_match_bivariate():
     base = DEFAULT_MODEL
     proxies = (ProxySpec("g", 0.8, 0.1), ProxySpec("b", 0.05, 0.9))
-    effect_chol, noise_chol = joint_proxy_model(base, proxies)
+    effect_chol, noise_chol = joint_proxy_model(base.sds, proxies)
     effect_cov = effect_chol @ effect_chol.T
     noise_cov = noise_chol @ noise_chol.T
     for j, proxy in enumerate(proxies, start=1):
-        marginal = bivariate_model_for_proxy(base, proxy)
+        marginal = base.with_correlations(proxy.effect_corr, proxy.noise_corr)
         pair = np.ix_([0, j], [0, j])
         assert np.allclose(effect_cov[pair], marginal.effect_cov, atol=1e-15)
         assert np.allclose(noise_cov[pair], marginal.noise_cov, atol=1e-15)
