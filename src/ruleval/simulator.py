@@ -16,8 +16,11 @@ variance is the one difference from scoring unit data: a gated rule tests
 against the true unit noise, which is accurate in the large-M regime the
 model targets.  The Poisson-rescaling check draws unit-level Bernoulli
 outcomes and scores them with the library's leave-l-out producer,
-``estimators.subset_rewards``: one call per row block gives every held-out
-subset's reward and the full-data choice, at every unit count down to 0.
+``estimators.subset_rewards``, which gives every held-out subset's reward
+and the full-data choice, at every unit count down to 0.  It scores one
+experiment per distinct tally of per-position arm-outcome patterns: such
+experiments differ only by a joint permutation of the unit positions,
+which changes none of those values.
 
 The fast path never forms fold-mean vectors.  Everything it reads is a
 projection of them, so one GEMM maps the standard-normal draws onto the
@@ -578,6 +581,66 @@ def _score_block(
     return held.sum(axis=1), chosen[:, -1]
 
 
+def _sum_and_squares(values: np.ndarray) -> tuple[float, float]:
+    """Sum and sum of squares of ``values``, each added in array order."""
+    return float(values.sum()), float((values**2).sum())
+
+
+def _tally_fits(n_arms: int, m: int) -> bool:
+    """Whether every tally of m units over ``n_arms`` arms has an int64 key:
+    its 2**arms - 1 digits in base m + 1 stay below 2**63."""
+    return (2**n_arms - 1) * (m + 1).bit_length() <= 63
+
+
+def _tally_keys(outcomes: np.ndarray) -> np.ndarray:
+    """Each experiment's tally as one integer, for (n, arms, m) 0/1 outcomes.
+
+    A unit position shows the pattern p = sum over arms k of its outcome
+    times 2**k.  The tally counts the positions that show each pattern
+    p >= 1 (the rest show 0), and the key reads the count for p as the
+    digit of (m + 1)**(p - 1).  Equal keys mean equal tallies, that is
+    outcomes equal up to a permutation of the unit positions applied to
+    every arm at once.  ``_tally_fits`` must hold.
+    """
+    n_arms, m = outcomes.shape[1:]
+    patterns = outcomes[:, 0].astype(np.intp)
+    for k in range(1, n_arms):
+        patterns += outcomes[:, k] * (1 << k)
+    digits = np.append(0, (m + 1) ** np.arange(2**n_arms - 1, dtype=np.int64))
+    # One integer GEMV: a sum over the short unit axis is slower.
+    return digits[patterns] @ np.ones(m, dtype=np.int64)
+
+
+def _tally_groups(draws, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct ``_tally_keys`` of ``count`` experiments drawn in
+    blocks, sorted, and each experiment's index among them."""
+    keys = np.empty(count, dtype=np.int64)
+    start = 0
+    for x in draws:
+        keys[start:start + len(x)] = _tally_keys(x)
+        start += len(x)
+    if keys.max() < max(count, BLOCK_ELEMENTS):
+        # A table over the key range is no larger than the keys, and one
+        # pass over it is several times faster than a sort and a search.
+        present = np.bincount(keys) > 0
+        return np.flatnonzero(present), (np.cumsum(present) - 1)[keys]
+    distinct = np.unique(keys)
+    return distinct, np.searchsorted(distinct, keys)
+
+
+def _tally_outcomes(keys: np.ndarray, n_arms: int, m: int) -> np.ndarray:
+    """One (n, arms, m) float experiment per ``_tally_keys`` key: its
+    positions show pattern 1 as often as the tally counts, then pattern 2,
+    and so on, and pattern 0 after the last."""
+    base = m + 1
+    counts = keys[:, None] // base ** np.arange(2**n_arms - 1, dtype=np.int64) % base
+    ends = np.cumsum(counts, axis=1)  # (n, patterns)
+    # Position j shows 1 + the number of pattern runs ending at or before
+    # it; past the last run that is 2**arms, which wraps to 0.
+    patterns = ((ends[:, :, None] <= np.arange(m)).sum(axis=1) + 1) % 2**n_arms
+    return ((patterns[:, None, :] >> np.arange(n_arms)[:, None]) & 1).astype(float)
+
+
 def check_poisson_rescaling(
     m0: float = 5.0,
     leave_out: int = 1,
@@ -598,6 +661,17 @@ def check_poisson_rescaling(
     passes when the two means agree within four combined standard errors.
     The negative control re-runs the comparison with the rescaling omitted
     and must be rejected by the same test.
+
+    Each unit count's outcomes are drawn in row blocks from its own stream
+    and keyed by their tally (``_tally_keys``).  One experiment per
+    distinct key is scored, and every replication reads its key's raw sum
+    and choice.  That is exact: leave-l-out over every subset does not see
+    a joint permutation of the unit positions, held-out rewards are
+    multiples of 1/l, so their sum is exact in any order, and the full-data
+    choice reads integer arm sums.  Both sides are summed per replication
+    in replication order, so the report is the same bit for bit as scoring
+    every replication.  Where the key would overflow int64
+    (``_tally_fits``), the unit count is scored without grouping.
     """
     check_m0(m0)
     leave_out = check_count("leave_out", leave_out, 1, 2)
@@ -605,6 +679,11 @@ def check_poisson_rescaling(
         raise ValueError(f"unknown rule kind {rule_kind!r}")
     replications = check_count("replications", replications, 2)
     means = np.asarray(arm_means, dtype=float)
+    if means.ndim != 1:
+        raise ValueError(
+            f"arm_means must be a flat sequence of Bernoulli means, one per arm, "
+            f"got shape {means.shape}"
+        )
     n_arms = len(means)
     if n_arms < 1:
         raise ValueError("need at least one arm")
@@ -615,36 +694,51 @@ def check_poisson_rescaling(
     if rule_kind == "constant":
         check_count("constant_arm", constant_arm, 1, n_arms)
 
+    # Unit counts in blocks too: Poisson draws continue the stream the same.
     size_rng = substream(seed, "rescaling-sizes", leave_out)
-    size_counts = np.bincount(size_rng.poisson(m0, size=replications))
+    size_counts = np.zeros(0, dtype=np.intp)
+    for i in range(0, replications, BLOCK_ELEMENTS):
+        sizes = size_rng.poisson(m0, size=min(BLOCK_ELEMENTS, replications - i))
+        counts = np.bincount(sizes, minlength=len(size_counts))
+        counts[:len(size_counts)] += size_counts
+        size_counts = counts
 
     scale = math.factorial(leave_out) / m0**leave_out
-    lhs_sum = lhs_sq = rhs_sum = rhs_sq = 0.0
+    totals = np.zeros(4)  # lhs sum and sum of squares, then rhs's
     for m in np.flatnonzero(size_counts).tolist():
         count = int(size_counts[m])
         rng = substream(seed, "rescaling-data", leave_out, m)
-        # Outcomes come in row blocks, which bound the (rows, arms, subsets)
-        # temporaries; ``rng.random`` fills in C order, so the blocks see
-        # the numbers one (count, arms, m) draw would.  Only the raw sums
-        # and the choices are kept whole, so the sums below add the same
-        # numbers in the same order.
-        step = max(1, BLOCK_ELEMENTS // max(1, math.comb(m, leave_out)))
-        raw = np.empty(count)
-        chosen = np.empty(count, dtype=np.intp)
-        for i in range(0, count, step):
-            rows = slice(i, min(i + step, count))
-            x = (
-                rng.random((rows.stop - i, n_arms, m)) < means[None, :, None]
-            ).astype(float)
-            raw[rows], chosen[rows] = _score_block(x, leave_out, rule_kind, constant_arm)
-        lhs = raw * scale
-        rhs = means[chosen - 1]
-        lhs_sum += float(lhs.sum())
-        lhs_sq += float((lhs**2).sum())
-        rhs_sum += float(rhs.sum())
-        rhs_sq += float((rhs**2).sum())
+        # Outcomes come in row blocks, which bound the temporaries;
+        # ``rng.random`` fills in C order, so the blocks see the numbers one
+        # (count, arms, m) draw would.
+        step = max(1, BLOCK_ELEMENTS // max(1, n_arms * m, math.comb(m, leave_out)))
+        draws = (
+            rng.random((min(step, count - i), n_arms, m)) < means[None, :, None]
+            for i in range(0, count, step)
+        )
+        if _tally_fits(n_arms, m):
+            # Score one experiment per distinct tally; ``group`` maps every
+            # replication to its tally's row.
+            distinct, group = _tally_groups(draws, count)
+            experiments = (
+                _tally_outcomes(distinct[i:i + step], n_arms, m)
+                for i in range(0, len(distinct), step)
+            )
+        else:
+            group = slice(None)
+            experiments = (x.astype(float) for x in draws)
+        raw, chosen = map(np.concatenate, zip(*(
+            _score_block(x, leave_out, rule_kind, constant_arm) for x in experiments
+        )))
+        # Per replication and in replication order, so each sum adds the
+        # same numbers in the same order however the rows were scored; one
+        # side at a time, so only one such array is alive besides ``group``.
+        totals += _sum_and_squares((raw * scale)[group]) + _sum_and_squares(
+            means[chosen - 1][group]
+        )
 
     r = replications
+    lhs_sum, lhs_sq, rhs_sum, rhs_sq = totals.tolist()
     lhs_mean, lhs_var = _mean_and_var(lhs_sum, lhs_sq, r)
     rhs_mean, rhs_var = _mean_and_var(rhs_sum, rhs_sq, r)
     se = math.sqrt(lhs_var / r + rhs_var / r)

@@ -7,8 +7,10 @@ k-fold pass and the NumPy-parsed ingest were introduced, which had to
 reproduce them; the manifest digests changed once, when the manifest began
 to record the seed.  The simulator digests were computed before the bias
 sweep and the rule-selection check shared one chunk driver, which had to
-reproduce them.  A report is pinned through its ``repr``, which also shows
-a NumPy scalar where a Python float belongs.
+reproduce them; the rescaling-check digests beyond the first two were
+computed before that check scored one experiment per distinct tally,
+which had to reproduce them.  A report is pinned through its ``repr``,
+which also shows a NumPy scalar where a Python float belongs.
 They also depend on the float results of NumPy and its BLAS, so a
 different build may move them; check such a move against the previous
 version of the code on the same build before updating a pin.
@@ -114,6 +116,35 @@ CHECKS = {
     "rescaling-l2": (
         lambda: check_poisson_rescaling(leave_out=2, replications=2000, seed=1),
         "c98d91b99fba08e43100baa099628d34e7da92f2d79311db8151e79beb2fdf7e",
+    ),
+    "rescaling-one-arm": (
+        lambda: check_poisson_rescaling(arm_means=(0.3,), replications=2000, seed=4),
+        "3e9a233e37e8a4cfb6a2bc1abda95ffb9fbc2608bb7fe05ab14b917f69ca54be",
+    ),
+    "rescaling-three-arms-l2": (
+        lambda: check_poisson_rescaling(
+            leave_out=2, arm_means=(0.2, 0.5, 0.45), replications=2000, seed=5
+        ),
+        "9ba26396b0b4a0f137ede5d4fe16de37e024a68083a36901c1bf8b0a2b36ff4c",
+    ),
+    "rescaling-constant": (
+        lambda: check_poisson_rescaling(
+            rule_kind="constant", constant_arm=2, replications=2000, seed=6
+        ),
+        "a9609547e756f0d21be301dadca2c2e3c2c1dc3b83f30fdd9c51f383a1f5573b",
+    ),
+    # Unit counts up to about 60, the widest tally keys of two arms.
+    "rescaling-m0-40-l2": (
+        lambda: check_poisson_rescaling(m0=40.0, leave_out=2, replications=2000, seed=7),
+        "a33967161a6e29b449504215dc8f4889800fa3fa8c415a454dd420d3c8fb9857",
+    ),
+    # Four arms: unit counts from 15 on have tallies too wide for an int64
+    # key, and are scored without grouping.
+    "rescaling-four-arms-m0-20": (
+        lambda: check_poisson_rescaling(
+            m0=20.0, arm_means=(0.2, 0.4, 0.6, 0.5), replications=3000, seed=9
+        ),
+        "94f1b453ef4e7766d64ee9e7e9df957f518a69ba18942def2c98af1e8e6266ff",
     ),
 }
 

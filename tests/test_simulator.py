@@ -33,6 +33,10 @@ from ruleval.simulator import (
     cov_factor,
     _score_block,
     _simulate_estimates,
+    _tally_fits,
+    _tally_groups,
+    _tally_keys,
+    _tally_outcomes,
     joint_proxy_model,
     parallelism_degree,
 )
@@ -434,6 +438,19 @@ def test_rescaling_check_rejects_impossible_arm_means_before_drawing(
         check_poisson_rescaling(arm_means=arm_means, replications=1000)
 
 
+@pytest.mark.parametrize("arm_means", [[[0.5, 0.6]], 0.5], ids=["nested", "scalar"])
+def test_rescaling_check_rejects_arm_means_that_are_not_a_flat_sequence(
+    arm_means, monkeypatch
+):
+    # A nested list died in the kernel with a NumPy broadcast error.
+    def no_draws(*key):
+        raise AssertionError(f"drew {key} before checking arm_means")
+
+    monkeypatch.setattr(simulator, "substream", no_draws)
+    with pytest.raises(ValueError, match="^arm_means must be a flat sequence"):
+        check_poisson_rescaling(arm_means=arm_means, replications=1000)
+
+
 @pytest.mark.parametrize("constant_arm", [0, 3, 1.5, True])
 def test_rescaling_check_rejects_a_constant_arm_it_lacks_before_drawing(
     constant_arm, monkeypatch
@@ -463,6 +480,83 @@ def test_rescaling_check_working_set_per_replication_is_small():
 
     small, large = 200_000, 1_000_000
     assert (peak(large) - peak(small)) / (large - small) <= 16
+
+
+def test_rescaling_check_scores_each_distinct_tally_once(monkeypatch):
+    # 50,000 replications at m0 = 5 show about 1,100 distinct tallies; each
+    # is scored once, not once per replication.
+    scored = []
+
+    def counting(values, *args):
+        scored.append(len(values))
+        return subset_rewards(values, *args)
+
+    subset_rewards = simulator.subset_rewards
+    monkeypatch.setattr(simulator, "subset_rewards", counting)
+    report = check_poisson_rescaling(leave_out=2, replications=50_000, seed=3)
+    assert report.passed
+    assert 0 < sum(scored) < 3_000
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"leave_out": 1},
+        {"leave_out": 2, "arm_means": (0.2, 0.5, 0.45)},
+        {"leave_out": 2, "arm_means": (0.3,), "m0": 12.0},
+        {"rule_kind": "constant", "constant_arm": 2, "m0": 0.5},
+    ],
+    ids=["two-arms", "three-arms-l2", "one-arm-l2", "constant"],
+)
+def test_rescaling_check_grouped_by_tally_equals_scoring_every_replication(
+    kwargs, monkeypatch
+):
+    grouped = check_poisson_rescaling(replications=3000, seed=12, **kwargs)
+    monkeypatch.setattr(simulator, "_tally_fits", lambda n_arms, m: False)
+    assert repr(check_poisson_rescaling(replications=3000, seed=12, **kwargs)) == repr(grouped)
+
+
+@pytest.mark.parametrize("n_arms, m", [(1, 0), (1, 7), (2, 5), (3, 12), (4, 6)])
+def test_tally_keys_identify_outcomes_up_to_a_joint_permutation(n_arms, m):
+    rng = np.random.default_rng(n_arms * 100 + m)
+    outcomes = rng.random((400, n_arms, m)) < 0.5
+    keys = _tally_keys(outcomes)
+    # A joint permutation of the unit positions keeps the key.
+    shuffled = outcomes[:, :, rng.permutation(m)]
+    assert np.array_equal(_tally_keys(shuffled), keys)
+    # Equal keys exactly where the sorted per-position patterns agree.
+    patterns = np.sort((outcomes * (1 << np.arange(n_arms))[:, None]).sum(axis=1), axis=1)
+    same_key = keys[:, None] == keys[None, :]
+    same_tally = (patterns[:, None] == patterns[None, :]).all(axis=2)
+    assert np.array_equal(same_key, same_tally)
+    # Each key's representative experiment has that key and 0/1 outcomes.
+    rebuilt = _tally_outcomes(keys, n_arms, m)
+    assert rebuilt.shape == outcomes.shape and set(np.unique(rebuilt)) <= {0.0, 1.0}
+    assert np.array_equal(_tally_keys(rebuilt.astype(bool)), keys)
+
+
+@pytest.mark.parametrize("n_arms, m", [(2, 5), (3, 6)], ids=["table", "sort"])
+def test_tally_groups_index_the_sorted_distinct_keys(n_arms, m):
+    # Two arms' keys stay below a table's length; three arms' at m = 6
+    # reach 7**7 and are grouped by sorting.
+    rng = np.random.default_rng(m)
+    blocks = [rng.random((rows, n_arms, m)) < 0.5 for rows in (700, 1, 299)]
+    keys = np.concatenate([_tally_keys(x) for x in blocks])
+    distinct, group = _tally_groups(iter(blocks), len(keys))
+    assert np.array_equal(distinct, np.unique(keys))
+    assert np.array_equal(distinct[group], keys)
+    assert (keys.max() >= 2**16) == (n_arms == 3)
+
+
+def test_tally_keys_fit_int64_exactly_where_the_bound_allows():
+    # The largest key is (m + 1)**(2**arms - 1) - 1.
+    for n_arms in range(1, 8):
+        for m in (0, 1, 2, 3, 5, 17, 60, 510, 511, 2**20):
+            if _tally_fits(n_arms, m):
+                assert (m + 1) ** (2**n_arms - 1) - 1 <= np.iinfo(np.int64).max
+    assert _tally_fits(2, 60) and _tally_fits(3, 510) and not _tally_fits(4, 20)
+    # All units showing the highest pattern give the highest digit.
+    assert _tally_keys(np.ones((1, 3, 510), dtype=bool))[0] == 511**6 * 510
 
 
 def test_rescaling_check_passes_for_leave_one_out():
