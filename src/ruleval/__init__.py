@@ -11,7 +11,9 @@ and a Monte Carlo harness validate the estimators end to end.
 __version__ = "0.1.0"
 
 from .closed_form import (
+    DEFAULT_PROXIES,
     EffectModel,
+    ProxySpec,
     cv_expectation,
     levelset_grid,
     mills_conditional,
@@ -47,8 +49,6 @@ from .experiments import (
 from .figures import run_figure
 from .simulator import (
     DEFAULT_MODEL,
-    DEFAULT_PROXIES,
-    ProxySpec,
     SimulationConfig,
     SweepSpec,
     check_poisson_rescaling,

@@ -30,7 +30,8 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from . import __version__
-from .closed_form import EffectModel, cv_expectation, naive_expectation, true_reward
+from .closed_form import (DEFAULT_PROXIES, EffectModel, cv_expectation, naive_expectation,
+                          true_reward)
 from .corpus import (
     CorpusFormatError,
     evaluate_rules,
@@ -48,7 +49,6 @@ from .figures import FIGURE_IDS, run_figure, _config_dict
 from .simulator import (
     DEFAULT_MODEL,
     DEFAULT_MODEL_ARGS,
-    DEFAULT_PROXIES,
     SimulationConfig,
     SweepPointRow,
     SweepSpec,

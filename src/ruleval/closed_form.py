@@ -1,4 +1,4 @@
-"""Exact expected rewards for proxy-threshold rules under a Gaussian model.
+"""The Gaussian experiment model and its exact expected rewards.
 
 Model: each experiment has two arms with ``units_per_arm`` units each.  True
 per-experiment effects on (north star, proxy) are drawn from a zero-mean
@@ -7,6 +7,13 @@ noise with covariance ``noise_cov``, so difference-in-means effect
 estimates are normal around the true effects with covariance
 ``(2 / units_per_arm) * noise_cov``.  The rule launches the treatment arm
 exactly when the observed proxy effect is positive.
+
+The model has two parameterizations, both here: ``EffectModel``, the two
+metrics above, and the one-factor proxy model (``ProxySpec``,
+``joint_proxy_model``), where several proxies share the four standard
+deviations and each relates to the north star through its own effect and
+noise correlations.  The Monte Carlo engine draws from both, and
+``make_synthetic_corpus`` from the second.
 
 The three expectations below are exact (no dropped constants), so they can
 be compared directly against Monte Carlo:
@@ -18,11 +25,14 @@ be compared directly against Monte Carlo:
 * ``cv_expectation``: expected value of the k-fold cross-validation
   estimate, whose only distortion is that decisions see a (P-1)/P fraction
   of the data.
+
+Each is half the mean of a north-star quantity given a positive observed
+proxy effect.  A proxy with zero variance is observed as exactly 0, so the
+rule never launches and all three are 0.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import numbers
 from dataclasses import dataclass
@@ -32,9 +42,12 @@ import numpy as np
 from .experiments import check_count
 
 __all__ = [
+    "DEFAULT_PROXIES",
     "EffectModel",
+    "ProxySpec",
     "check_sd",
     "cv_expectation",
+    "joint_proxy_model",
     "levelset_grid",
     "mills_conditional",
     "naive_expectation",
@@ -58,6 +71,23 @@ def check_sd(name: str, value) -> float:
             f"{name} must be a number >= 0 with a finite square, got {value!r}"
         )
     return value
+
+
+# The four standard deviations of either parameterization, in
+# ``EffectModel.sds`` order.
+_SD_NAMES = ("effect_sd_y", "effect_sd_proxy", "noise_sd_y", "noise_sd_proxy")
+
+
+def _check_sds(sds) -> tuple[float, float, float, float]:
+    """The four standard deviations in ``_SD_NAMES`` order, each checked by
+    ``check_sd`` in that order."""
+    return tuple(check_sd(name, sd) for name, sd in zip(_SD_NAMES, sds))
+
+
+def _cov(sd_a: float, sd_b: float, corr: float) -> np.ndarray:
+    """The 2x2 covariance of two variables with these standard deviations
+    and this correlation."""
+    return np.array([[sd_a**2, corr * sd_a * sd_b], [corr * sd_a * sd_b, sd_b**2]])
 
 
 def _check_cov(name: str, mat: np.ndarray) -> np.ndarray:
@@ -112,25 +142,12 @@ class EffectModel:
             raise ValueError("effect_corr must be in [-1, 1]")
         if not -1.0 <= noise_corr <= 1.0:
             raise ValueError("noise_corr must be in [-1, 1]")
-        effect_sd_y = check_sd("effect_sd_y", effect_sd_y)
-        effect_sd_proxy = check_sd("effect_sd_proxy", effect_sd_proxy)
-        noise_sd_y = check_sd("noise_sd_y", noise_sd_y)
-        noise_sd_proxy = check_sd("noise_sd_proxy", noise_sd_proxy)
-        effect_cov = np.array(
-            [
-                [effect_sd_y**2, effect_corr * effect_sd_y * effect_sd_proxy],
-                [effect_corr * effect_sd_y * effect_sd_proxy, effect_sd_proxy**2],
-            ]
-        )
-        noise_cov = np.array(
-            [
-                [noise_sd_y**2, noise_corr * noise_sd_y * noise_sd_proxy],
-                [noise_corr * noise_sd_y * noise_sd_proxy, noise_sd_proxy**2],
-            ]
+        effect_sd_y, effect_sd_proxy, noise_sd_y, noise_sd_proxy = _check_sds(
+            (effect_sd_y, effect_sd_proxy, noise_sd_y, noise_sd_proxy)
         )
         return cls(
-            effect_cov=effect_cov,
-            noise_cov=noise_cov,
+            effect_cov=_cov(effect_sd_y, effect_sd_proxy, effect_corr),
+            noise_cov=_cov(noise_sd_y, noise_sd_proxy, noise_corr),
             units_per_arm=units_per_arm,
             num_experiments=num_experiments,
             num_folds=num_folds,
@@ -156,13 +173,57 @@ class EffectModel:
             self.units_per_arm, self.num_experiments, self.num_folds,
         )
 
-    @property
-    def sampling_cov(self) -> np.ndarray:
-        """Covariance of difference-in-means effect estimates given true effects."""
-        return 2.0 * self.noise_cov / self.units_per_arm
 
-    def replace(self, **kwargs) -> "EffectModel":
-        return dataclasses.replace(self, **kwargs)
+@dataclass(frozen=True)
+class ProxySpec:
+    """A candidate proxy metric: its true-effect and unit-noise correlations
+    with the north star."""
+
+    name: str
+    effect_corr: float
+    noise_corr: float
+
+
+# A proxy whose treatment effects track the north star, and one whose
+# apparent alignment is almost entirely correlated measurement noise.
+DEFAULT_PROXIES = (
+    ProxySpec("good", effect_corr=0.8, noise_corr=0.1),
+    ProxySpec("bad", effect_corr=0.05, noise_corr=0.9),
+)
+
+
+def _factor_chol(
+    sd_y: float, sd_proxy: float, corrs: tuple[float, ...]
+) -> np.ndarray:
+    """Lower Cholesky of a one-factor covariance: metric 0 drives each proxy
+    through its correlation, residuals are independent."""
+    j = 1 + len(corrs)
+    chol = np.zeros((j, j))
+    chol[0, 0] = sd_y
+    for i, corr in enumerate(corrs, start=1):
+        chol[i, 0] = corr * sd_proxy
+        chol[i, i] = math.sqrt(max(1.0 - corr**2, 0.0)) * sd_proxy
+    return chol
+
+
+def joint_proxy_model(
+    sds: tuple[float, float, float, float], proxies: tuple[ProxySpec, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cholesky factors of the joint (north star + proxies) model.
+
+    ``sds`` are the four standard deviations in ``EffectModel.sds`` order,
+    checked as ``from_correlations`` checks them and shared by every proxy;
+    each proxy relates to the north star through its own correlations, and
+    cross-proxy covariance follows from the single shared factor.
+    """
+    effect_sd_y, effect_sd_proxy, noise_sd_y, noise_sd_proxy = _check_sds(sds)
+    effect_chol = _factor_chol(
+        effect_sd_y, effect_sd_proxy, tuple(p.effect_corr for p in proxies)
+    )
+    noise_chol = _factor_chol(
+        noise_sd_y, noise_sd_proxy, tuple(p.noise_corr for p in proxies)
+    )
+    return effect_chol, noise_chol
 
 
 def _log_ndtr(x: float) -> float:
@@ -206,22 +267,22 @@ def mills_conditional(
     return float(mu_a + (sigma_ab / sigma_b) * hazard)
 
 
-def _launch_probability_factor() -> float:
-    # P(B > 0) for the zero-mean proxy estimate; kept explicit so the
-    # closed forms are full expectations rather than proportionalities.
-    return 0.5
-
-
-def _observed_proxy_sd(model: EffectModel, units: float) -> float:
-    var = model.effect_cov[1, 1] + 2.0 * model.noise_cov[1, 1] / units
-    return float(np.sqrt(var))
+def _launch_reward(model: EffectModel, decision_units: float, cov_ab: float) -> float:
+    """P(B > 0) E[A | B > 0] for the zero-mean proxy estimate B made on
+    ``decision_units`` units per arm and a north-star quantity A with
+    covariance ``cov_ab`` with it; P(B > 0) is 1/2, so the closed forms are
+    full expectations rather than proportionalities.  A B of zero variance
+    is never positive, so the rule never launches and the value is 0."""
+    var = model.effect_cov[1, 1] + 2.0 * model.noise_cov[1, 1] / decision_units
+    sigma_b = float(np.sqrt(var))
+    if sigma_b == 0.0:
+        return 0.0
+    return 0.5 * mills_conditional(0.0, cov_ab, 0.0, sigma_b)
 
 
 def true_reward(model: EffectModel) -> float:
     """Expected true north-star effect earned by the launch-on-positive-proxy rule."""
-    sigma_b = _observed_proxy_sd(model, model.units_per_arm)
-    cov_ab = model.effect_cov[0, 1]
-    return _launch_probability_factor() * mills_conditional(0.0, cov_ab, 0.0, sigma_b)
+    return _launch_reward(model, model.units_per_arm, model.effect_cov[0, 1])
 
 
 def naive_expectation(model: EffectModel) -> float:
@@ -233,23 +294,18 @@ def naive_expectation(model: EffectModel) -> float:
     noise term enters with the full 2/M factor.
     """
     m = model.units_per_arm
-    sigma_b = _observed_proxy_sd(model, m)
-    cov_ab = model.effect_cov[0, 1] + 2.0 * model.noise_cov[0, 1] / m
-    return _launch_probability_factor() * mills_conditional(0.0, cov_ab, 0.0, sigma_b)
+    return _launch_reward(model, m, model.effect_cov[0, 1] + 2.0 * model.noise_cov[0, 1] / m)
 
 
-def cv_expectation(model: EffectModel, num_folds: int | None = None) -> float:
+def cv_expectation(model: EffectModel) -> float:
     """Expected value of the k-fold cross-validation estimate.
 
     Decisions are made on M(P-1)/P units, so the proxy-estimate scale in
     the denominator widens slightly; held-out evaluation noise is
     independent of the decision and contributes nothing to the numerator.
     """
-    p = model.num_folds if num_folds is None else check_count("num_folds", num_folds, 2)
-    m_decide = model.units_per_arm * (p - 1) / p
-    sigma_b = _observed_proxy_sd(model, m_decide)
-    cov_ab = model.effect_cov[0, 1]
-    return _launch_probability_factor() * mills_conditional(0.0, cov_ab, 0.0, sigma_b)
+    p = model.num_folds
+    return _launch_reward(model, model.units_per_arm * (p - 1) / p, model.effect_cov[0, 1])
 
 
 def levelset_grid(model_template: EffectModel, resolution: int = 41) -> np.ndarray:

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .closed_form import check_sd
+from .closed_form import ProxySpec, joint_proxy_model
 from .estimators import (
     AGGREGATE_MODES,
     aggregate,
@@ -31,7 +31,6 @@ from .estimators import (
     percentile_interval,
 )
 from .experiments import ArmStack, DecisionRule, ExperimentData, RewardSpec, check_count
-from .simulator import ProxySpec, joint_proxy_model
 from .streams import substream
 from . import tableio
 from .tableio import quote, write_rows_atomic
@@ -63,15 +62,14 @@ class ExperimentCorpus:
     ``experiments`` is a sequence of ``ExperimentData``, stacked once in
     the order given, or an ``ArmStack`` to store as it is: ``ingest_csv``
     and ``make_synthetic_corpus`` build theirs directly, in id order.
-    ``experiments`` is built from the stack on each access, with arms that
-    are views of its units.
+    Experiment ids are unique.  ``experiments`` is built from the stack on
+    each access, with arms that are views of its units.
     """
 
     def __init__(
         self,
         experiments: ArmStack | Sequence[ExperimentData],
         metric_names: Sequence[str],
-        provenance: str = "",
     ) -> None:
         j = len(metric_names)
         if j < 1:
@@ -84,8 +82,12 @@ class ExperimentCorpus:
                         f"metrics, corpus schema has {j}"
                     )
             experiments = ArmStack.of(experiments)
-        self.stack, self.metric_names, self.provenance = (
-            experiments, tuple(metric_names), provenance)
+        seen: set[str] = set()
+        for exp_id in experiments.ids:
+            if exp_id in seen:
+                raise CorpusFormatError(f"experiment id {exp_id!r} appears more than once")
+            seen.add(exp_id)
+        self.stack, self.metric_names = experiments, tuple(metric_names)
 
     @property
     def experiments(self) -> tuple[ExperimentData, ...]:
@@ -149,7 +151,7 @@ def ingest_csv(path: str, weights_path: str | None = None) -> ExperimentCorpus:
         )
     weights = _read_weights(weights_path, exp_ids) if weights_path else np.ones(len(exp_ids))
     stack = ArmStack.from_sizes(values, np.diff(starts), num_arms, exp_ids.tolist(), weights)
-    return ExperimentCorpus(stack, metric_names, provenance=path)
+    return ExperimentCorpus(stack, metric_names)
 
 
 def _sorted_columns(ids, arms, units, values):
@@ -351,13 +353,9 @@ def make_synthetic_corpus(
     arm's draw is multiplied into its slice of one (experiments, 2, units,
     metrics) array, which the corpus's stack holds.
     """
-    sds = (
-        check_sd("effect_sd_y", effect_sd_y),
-        check_sd("effect_sd_proxy", effect_sd_proxy),
-        check_sd("noise_sd_y", noise_sd_y),
-        check_sd("noise_sd_proxy", noise_sd_proxy),
+    effect_chol, noise_chol = joint_proxy_model(
+        (effect_sd_y, effect_sd_proxy, noise_sd_y, noise_sd_proxy), tuple(proxies)
     )
-    effect_chol, noise_chol = joint_proxy_model(sds, tuple(proxies))
     n = check_count("num_experiments", num_experiments, 1)
     m = check_count("units_per_arm", units_per_arm, 1)
     j = 1 + len(proxies)
@@ -373,7 +371,7 @@ def make_synthetic_corpus(
     ids = [f"exp{i:0{width}d}" for i in range(n)]
     stack = ArmStack.from_sizes(units.reshape(2 * n * m, j), [m] * 2 * n, [2] * n, ids, np.ones(n))
     names = ("north_star",) + tuple(p.name for p in proxies)
-    return ExperimentCorpus(stack, names, provenance=f"synthetic(seed={seed})"), effects
+    return ExperimentCorpus(stack, names), effects
 
 
 @dataclass(frozen=True)

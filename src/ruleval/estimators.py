@@ -238,7 +238,7 @@ def batch_rewards(
     fold_counts = tuple(
         check_count(f"fold_counts[{i}]", p, 2) for i, p in enumerate(fold_counts)
     )
-    stack = exps if isinstance(exps, ArmStack) else ArmStack.of(exps)
+    stack = ArmStack.of(exps)
     out = np.empty((len(rules), 1 + len(fold_counts), len(stack.ids)))
     if not stack.ids:
         return out
@@ -305,35 +305,38 @@ def subset_rewards(
 
 
 def _leave_l_out_sums(
-    exps: list[ExperimentData],
+    exps: ArmStack | list[ExperimentData],
     rule: DecisionRule,
     reward: RewardSpec,
     config: EstimatorConfig,
 ) -> np.ndarray:
     """(experiments,) each experiment's sum of held-out rewards over every
     size-l subset of unit positions, at the config's ``leave_out``,
-    ``max_folds`` and ``fold_seed``.
+    ``max_folds`` and ``fold_seed``; ``exps`` is a list of experiments or
+    their ``ArmStack``.
 
     All arms must have the same unit count M; a held-out subset of
     positions applies to every arm at once.  When C(M, l) exceeds
     ``max_folds`` (default 10,000 for l >= 2), the sum is estimated without
     bias from ``max_folds`` uniformly sampled subsets, scaled by C(M, l).
 
-    The experiments are stacked once.  Those scored on every subset make
-    one ``subset_rewards`` call per (arm count, arm size), in row blocks of
-    at most ``BLOCK_ELEMENTS`` values per temporary; an experiment whose
-    subsets are sampled draws its own from ``substream(fold_seed,
-    "leave-l-out", id, l)`` and makes a call of its own.  The error raised
-    is that of the first experiment with a fault, as a loop over
-    experiments would meet it.
+    The experiments scored on every subset make one ``subset_rewards``
+    call per (arm count, arm size), in row blocks of at most
+    ``BLOCK_ELEMENTS`` values per temporary; an experiment whose subsets
+    are sampled draws its own from ``substream(fold_seed, "leave-l-out",
+    id, l)`` and makes a call of its own.  The error raised is that of the
+    first experiment with a fault, as a loop over experiments would meet
+    it.
     """
+    stack = ArmStack.of(exps)
     leave_out, max_folds = config.leave_out, config.max_folds
     faults: dict[int, ValueError] = {}
     sizes = []
-    for i, exp in enumerate(exps):
-        m = sorted({arm.num_units for arm in exp.arms})
+    arm_sizes, first = stack.sizes.tolist(), stack.first_arm.tolist()
+    for i, exp_id in enumerate(stack.ids):
+        m = sorted(set(arm_sizes[first[i] : first[i + 1]]))
         if len(m) > 1 or leave_out >= m[0]:
-            faults[i] = ValueError(f"experiment {exp.experiment_id!r}: " + (
+            faults[i] = ValueError(f"experiment {exp_id!r}: " + (
                 f"leave-l-out needs equal arm sizes, got {m}" if len(m) > 1 else
                 f"leave_out={leave_out} requires arms larger than {leave_out}, got {m[0]}"
             ))
@@ -343,7 +346,6 @@ def _leave_l_out_sums(
     groups: dict[tuple[int, int, int], list[int]] = {}
     cap = max_folds or (math.inf if leave_out == 1 else 10_000)
     if sizes:
-        stack = ArmStack.of(exps[: len(sizes)])
         for i, (k, m) in enumerate(zip(np.diff(stack.first_arm).tolist(), sizes)):
             sampled = i if math.comb(m, leave_out) > cap else -1
             groups.setdefault((k, m, sampled), []).append(i)
@@ -382,7 +384,7 @@ def _leave_l_out_sums(
 
 
 def per_experiment_rewards(
-    exps: list[ExperimentData],
+    exps: ArmStack | list[ExperimentData],
     rule: DecisionRule,
     reward: RewardSpec,
     config: EstimatorConfig,
@@ -394,29 +396,33 @@ def per_experiment_rewards(
     leave-l-out sum times ``l! / m0**l``, unbiased for the rule's expected
     full-data reward when per-arm unit counts are Poisson with mean ``m0``.
     Every experiment is scored in one batched pass: ``batch_rewards`` for
-    the first two, ``_leave_l_out_sums`` for the others.
+    the first two, ``_leave_l_out_sums`` for the others.  ``exps`` is a
+    list of experiments or their ``ArmStack``.
     """
+    stack = ArmStack.of(exps)
     if config.kind in ("naive", "cv-kfold"):
         folds = (config.num_folds,) if config.kind == "cv-kfold" else ()
-        return batch_rewards(exps, [rule], reward, folds, config.fold_seed)[0, len(folds)]
+        return batch_rewards(stack, [rule], reward, folds, config.fold_seed)[0, len(folds)]
     l = config.leave_out
-    totals = _leave_l_out_sums(exps, rule, reward, config)
+    totals = _leave_l_out_sums(stack, rule, reward, config)
     if config.kind == "poisson-rescaled":
         return float(math.factorial(l)) * totals / config.m0**l
-    return totals / [float(math.comb(exp.arms[0].num_units, l)) for exp in exps]
+    return totals / [float(math.comb(m, l)) for m in stack.sizes[stack.first_arm[:-1]].tolist()]
 
 
 def estimate_reward(
-    exps: list[ExperimentData],
+    exps: ArmStack | list[ExperimentData],
     rule: DecisionRule,
     reward: RewardSpec,
     config: EstimatorConfig,
 ) -> RewardEstimate:
-    """Aggregate reward estimate over a corpus of experiments."""
-    if not exps:
+    """Aggregate reward estimate over a corpus of experiments, given as a
+    list or as their ``ArmStack``."""
+    stack = ArmStack.of(exps)
+    if not stack.ids:
         raise ValueError("need at least one experiment")
-    contributions = per_experiment_rewards(exps, rule, reward, config)
-    weights = np.array([e.weight for e in exps])
+    contributions = per_experiment_rewards(stack, rule, reward, config)
+    weights = stack.weights
     return RewardEstimate(
         value=aggregate(contributions, weights, config.mode),
         estimator=config.kind,

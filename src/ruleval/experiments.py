@@ -332,8 +332,11 @@ class ArmStack(NamedTuple):
     weights: np.ndarray
 
     @classmethod
-    def of(cls, exps: Sequence[ExperimentData]) -> ArmStack:
-        """Stack the arms of experiments that share a metric count."""
+    def of(cls, exps: ArmStack | Sequence[ExperimentData]) -> ArmStack:
+        """Stack the arms of experiments that share a metric count; a stack
+        is returned unchanged."""
+        if isinstance(exps, ArmStack):
+            return exps
         units = [arm.units for exp in exps for arm in exp.arms]
         return cls.from_sizes(
             np.concatenate(units) if units else np.empty((0, 0)),

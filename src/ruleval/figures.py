@@ -11,11 +11,10 @@ import os
 
 import numpy as np
 
-from .closed_form import levelset_grid
+from .closed_form import DEFAULT_PROXIES, levelset_grid
 from .experiments import check_count
 from .simulator import (
     DEFAULT_MODEL,
-    DEFAULT_PROXIES,
     DEFAULT_REPLICATIONS,
     SimulationConfig,
     SweepPointRow,

@@ -1,5 +1,8 @@
 """Monte Carlo engine for the Gaussian experiment model.
 
+The model, in both its parameterizations, and its closed forms live in
+``closed_form``; this module draws from the model and checks the
+estimators against those closed forms.
 The bias sweeps and the rule-selection check simulate through a
 sufficient-statistics fast path that draws fold-level means directly.  For
 ungated linear-blend rules every quantity the estimators touch (full-data
@@ -42,13 +45,14 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import combinations
 
 import numpy as np
 
-from .closed_form import EffectModel, check_sd, cv_expectation, naive_expectation, true_reward
+from .closed_form import (DEFAULT_PROXIES, EffectModel, ProxySpec, _cov, check_sd,
+                          cv_expectation, joint_proxy_model, naive_expectation, true_reward)
 from .estimators import BLOCK_ELEMENTS, MAX_BOOTSTRAP_REDRAWS, check_m0, subset_rewards
 from .experiments import DecisionRule, DegenerateFoldError, blend_matrix, check_count, decide_kept
 from .streams import substream
@@ -56,8 +60,6 @@ from .streams import substream
 __all__ = [
     "DEFAULT_MODEL",
     "DEFAULT_MODEL_ARGS",
-    "DEFAULT_PROXIES",
-    "ProxySpec",
     "RescalingCheckReport",
     "SelectionCheckReport",
     "SimulationConfig",
@@ -90,24 +92,6 @@ DEFAULT_MODEL_ARGS = {
 }
 DEFAULT_MODEL = EffectModel.from_correlations(**DEFAULT_MODEL_ARGS)
 DEFAULT_REPLICATIONS = 10_000
-
-
-@dataclass(frozen=True)
-class ProxySpec:
-    """A candidate proxy metric: its true-effect and unit-noise correlations
-    with the north star."""
-
-    name: str
-    effect_corr: float
-    noise_corr: float
-
-
-# A proxy whose treatment effects track the north star, and one whose
-# apparent alignment is almost entirely correlated measurement noise.
-DEFAULT_PROXIES = (
-    ProxySpec("good", effect_corr=0.8, noise_corr=0.1),
-    ProxySpec("bad", effect_corr=0.05, noise_corr=0.9),
-)
 
 
 @dataclass(frozen=True)
@@ -394,14 +378,11 @@ def _model_at(model: EffectModel, sweep_field: str | None, value: float) -> Effe
     if sweep_field is None:
         return model
     if sweep_field in ("units_per_arm", "num_experiments"):
-        return model.replace(**{sweep_field: int(value)})
+        return replace(model, **{sweep_field: int(value)})
     if sweep_field == "noise_sd_proxy":
         _, _, sd_y, old_sd = model.sds
         corr = float(model.noise_cov[0, 1] / (sd_y * old_sd)) if old_sd > 0 else 0.0
-        noise_cov = np.array(
-            [[sd_y**2, corr * sd_y * value], [corr * sd_y * value, value**2]]
-        )
-        return model.replace(noise_cov=noise_cov)
+        return replace(model, noise_cov=_cov(sd_y, value, corr))
     raise ValueError(f"unknown sweep field {sweep_field!r}")
 
 
@@ -781,40 +762,6 @@ class SelectionCheckReport:
     true_rewards: dict[str, float]
     ratio_threshold: float
     passed: bool
-
-
-def _factor_chol(
-    sd_y: float, sd_proxy: float, corrs: tuple[float, ...]
-) -> np.ndarray:
-    """Lower Cholesky of a one-factor covariance: metric 0 drives each proxy
-    through its correlation, residuals are independent."""
-    j = 1 + len(corrs)
-    chol = np.zeros((j, j))
-    chol[0, 0] = sd_y
-    for i, corr in enumerate(corrs, start=1):
-        chol[i, 0] = corr * sd_proxy
-        chol[i, i] = math.sqrt(max(1.0 - corr**2, 0.0)) * sd_proxy
-    return chol
-
-
-def joint_proxy_model(
-    sds: tuple[float, float, float, float], proxies: tuple[ProxySpec, ...]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Cholesky factors of the joint (north star + proxies) model.
-
-    ``sds`` are the four standard deviations in ``EffectModel.sds`` order,
-    shared by every proxy; each proxy relates to the north star through
-    its own correlations, and cross-proxy covariance follows from the
-    single shared factor.
-    """
-    effect_sd_y, effect_sd_proxy, noise_sd_y, noise_sd_proxy = sds
-    effect_chol = _factor_chol(
-        effect_sd_y, effect_sd_proxy, tuple(p.effect_corr for p in proxies)
-    )
-    noise_chol = _factor_chol(
-        noise_sd_y, noise_sd_proxy, tuple(p.noise_corr for p in proxies)
-    )
-    return effect_chol, noise_chol
 
 
 def _selection_chunk(base, proxies, grid, seed, gammas, point, chunk, reps) -> np.ndarray:

@@ -346,6 +346,23 @@ def test_cli_closed_form_stdout(capsys):
     assert 0 < cv < true
 
 
+def test_cli_closed_form_with_a_zero_variance_proxy_is_zero(capsys):
+    # The observed proxy effect is exactly 0, so the rule never launches;
+    # this exited 1 with "sigma_b must be > 0".
+    assert main(["closed-form", "--effect-sd-proxy", "0", "--noise-sd-proxy", "0"]) == 0
+    assert capsys.readouterr().out == "true,naive,cv\n0,0,0\n"
+
+
+def test_cli_closed_form_out_holds_the_stdout_text(tmp_path, capsys):
+    argv = ["closed-form", "--noise-corr", "-0.2", "--num-folds", "4"]
+    assert main(argv) == 0
+    shown = capsys.readouterr().out
+    out = tmp_path / "cf.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text() == shown
+
+
 def test_cli_closed_form_defaults_are_the_default_model(capsys):
     assert main(["closed-form"]) == 0
     values = (true_reward(DEFAULT_MODEL), naive_expectation(DEFAULT_MODEL),
@@ -440,6 +457,37 @@ def test_cli_simulate_with_config_and_manifest_rerun(tmp_path):
     manifest_path = out1 / "simulation_manifest.json"
     assert main(["simulate", "--config", str(manifest_path), "--out-dir", str(out2)]) == 0
     assert (out2 / "simulation.csv").read_bytes() == csv1
+
+
+def test_cli_simulate_flags_override_the_config(tmp_path):
+    def run(config, name, flags=()):
+        cfg_path = tmp_path / f"{name}.json"
+        write(cfg_path, json.dumps(config))
+        out = tmp_path / name
+        assert main(["simulate", "--config", str(cfg_path), "--out-dir", str(out), *flags]) == 0
+        return (out / "simulation.csv").read_bytes()
+
+    flagged = run({"model": SIM_MODEL}, "flags", ["--replications", "40", "--seed", "3"])
+    assert flagged == run({"model": SIM_MODEL, "num_replications": 40, "seed": 3}, "config")
+    assert flagged != run({"model": SIM_MODEL, "num_replications": 40, "seed": 4}, "other")
+
+
+def test_cli_simulate_with_a_zero_variance_proxy(tmp_path):
+    # The whole Monte Carlo ran, then the closed forms raised and nothing
+    # was written.
+    model = dict(SIM_MODEL, effect_sd_proxy=0.0, noise_sd_proxy=0.0, units_per_arm=1000)
+    cfg_path = tmp_path / "config.json"
+    write(cfg_path, json.dumps({"model": model, "num_replications": 50}))
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(cfg_path), "--out-dir", str(out)]) == 0
+    lines = (out / "simulation.csv").read_text().strip().split("\n")
+    header = lines[0].split(",")
+    rows = {row["estimator"]: row for row in (dict(zip(header, line.split(",")))
+                                               for line in lines[1:])}
+    assert (rows["true"]["mean"], rows["true"]["closed_form"]) == ("0", "0")
+    for name in ("naive", "cv"):
+        assert rows[name]["closed_form"] == "0"
+        assert abs(float(rows[name]["mean"])) < 5 * float(rows[name]["se"])
 
 
 def test_cli_simulate_rejects_unknown_keys(tmp_path):
@@ -554,6 +602,22 @@ def test_cli_make_corpus_then_evaluate(tmp_path):
     assert len(lines) == 1 + 3 * 3  # 3 rules x (naive + 2 fold counts)
     manifest = json.loads((report_path.parent / "report.csv.manifest.json").read_text())
     assert manifest["command"] == "evaluate"
+
+
+def test_cli_make_corpus_truth_out(tmp_path):
+    corpus_path, truth_path = tmp_path / "corpus.csv", tmp_path / "truth.csv"
+    assert main(["make-corpus", "--out", str(corpus_path), "--truth-out", str(truth_path),
+                 "--experiments", "12", "--units", "3", "--seed", "5"]) == 0
+    proxies = (ProxySpec("good_proxy", 0.8, 0.1), ProxySpec("bad_proxy", 0.05, 0.9))
+    corpus, effects = make_synthetic_corpus(12, 3, 0.15, 0.07, 1.0, 1.0, proxies, seed=5)
+    lines = truth_path.read_text().strip().split("\n")
+    assert lines[0].split(",") == ["experiment_id", *corpus.metric_names]
+    rows = [line.split(",") for line in lines[1:]]
+    assert [row[0] for row in rows] == list(corpus.stack.ids)
+    back = np.array([[float(v) for v in row[1:]] for row in rows])
+    assert back.tobytes() == effects.tobytes()
+    manifest = json.loads((tmp_path / "corpus.csv.manifest.json").read_text())
+    assert manifest["outputs"] == ["corpus.csv", "truth.csv"]
 
 
 def test_cli_evaluate_unknown_metric_is_config_error(tmp_path):

@@ -381,6 +381,15 @@ def test_in_memory_corpus_is_stacked_in_the_order_given():
         ExperimentCorpus(corpus.experiments, ("y", "p"))
 
 
+def test_in_memory_corpus_rejects_a_repeated_experiment_id():
+    # Accepted, the two were scored as separate experiments sharing every
+    # fold permutation, and exported under one id that ingest_csv rejects.
+    exps = three_arm_corpus(("a", "b")).experiments
+    repeated = (exps[0], exps[1], ExperimentData("a", exps[1].arms))
+    with pytest.raises(CorpusFormatError, match="^experiment id 'a' appears more than once"):
+        ExperimentCorpus(repeated, ("north_star", "p1", "p2"))
+
+
 # ---------------------------------------------------------------------------
 # differential: NumPy's C parser with the row walk against csv.reader
 

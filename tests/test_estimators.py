@@ -9,6 +9,7 @@ import pytest
 from ruleval import (
     ArmData,
     ConfidenceInterval,
+    ExperimentCorpus,
     DecisionRule,
     DegenerateFoldError,
     EstimatorConfig,
@@ -389,6 +390,37 @@ def test_estimate_reward_kinds_agree_with_direct_calls():
         [per_experiment_rewards([e], ARGMAX_RULE, REWARD, config)[0] for e in exps]
     )
     assert rescaled.value == pytest.approx(expected, abs=1e-15)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        EstimatorConfig(kind="naive"),
+        EstimatorConfig(kind="cv-kfold", num_folds=3),
+        EstimatorConfig(kind="cv-leave-l-out", leave_out=1),
+        EstimatorConfig(kind="poisson-rescaled", leave_out=2, m0=6.0, mode="cumulative"),
+    ],
+    ids=lambda c: c.kind,
+)
+def test_estimators_take_a_corpus_stack(config):
+    # A stack is a corpus's storage; leave-l-out and poisson-rescaled read
+    # ``.arms`` of it, and estimate_reward ``.weight``.
+    rng = np.random.default_rng(21)
+    exps = [
+        ExperimentData(f"e{i}", tuple(
+            ArmData(k + 1, rng.standard_normal((6, 2))) for k in range(2 + i % 2)
+        ), weight=0.5 + i)
+        for i in range(5)
+    ]
+    corpus = ExperimentCorpus(exps, ("y", "p"))
+    rule = DecisionRule(blend=[0.0, 1.0])
+    reward = RewardSpec.metric(2)
+    listed = list(corpus.experiments)
+    got = per_experiment_rewards(corpus.stack, rule, reward, config)
+    assert got.tobytes() == per_experiment_rewards(listed, rule, reward, config).tobytes()
+    assert estimate_reward(corpus.stack, rule, reward, config) == estimate_reward(
+        listed, rule, reward, config
+    )
 
 
 def test_estimator_config_validation():

@@ -34,7 +34,7 @@ GATED = dict(gate="significant-vs-reference", gate_alpha=0.05)
 
 def _bivariate(units_per_arm, num_folds):
     model = DEFAULT_MODEL.with_correlations(0.8, 0.4)
-    return model.replace(units_per_arm=units_per_arm, num_folds=num_folds)
+    return replace(model, units_per_arm=units_per_arm, num_folds=num_folds)
 
 
 def _case(model, rules):

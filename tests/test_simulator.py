@@ -2,6 +2,7 @@
 and the two statistical checks."""
 
 import tracemalloc
+from dataclasses import replace
 from itertools import combinations
 from statistics import NormalDist
 
@@ -99,7 +100,8 @@ def test_draw_experiment_moment_fidelity():
         taus[i] = tau
         errs[i] = est - np.asarray(tau)
 
-    for sample, target in ((taus, SMALL_MODEL.effect_cov), (errs, SMALL_MODEL.sampling_cov)):
+    sampling_cov = 2 * SMALL_MODEL.noise_cov / SMALL_MODEL.units_per_arm
+    for sample, target in ((taus, SMALL_MODEL.effect_cov), (errs, sampling_cov)):
         emp = np.cov(sample.T)
         for a in range(2):
             for b in range(2):
@@ -362,12 +364,12 @@ def test_simulation_config_rejects_a_fallback_arm_the_fast_path_lacks(monkeypatc
         ("replications", lambda: check_rule_selection(replications=2.5)),
         ("replications", lambda: check_rule_selection(replications=True)),
         ("every N in n_grid", lambda: check_rule_selection(n_grid=(5.5, 10))),
-        ("units_per_arm", lambda: SMALL_MODEL.replace(units_per_arm=2.5)),
-        ("units_per_arm", lambda: SMALL_MODEL.replace(units_per_arm=True)),
-        ("num_experiments", lambda: SMALL_MODEL.replace(num_experiments=2.5)),
-        ("num_experiments", lambda: SMALL_MODEL.replace(num_experiments=True)),
-        ("num_folds", lambda: SMALL_MODEL.replace(num_folds=2.5)),
-        ("num_folds", lambda: SMALL_MODEL.replace(num_folds=True)),
+        ("units_per_arm", lambda: replace(SMALL_MODEL, units_per_arm=2.5)),
+        ("units_per_arm", lambda: replace(SMALL_MODEL, units_per_arm=True)),
+        ("num_experiments", lambda: replace(SMALL_MODEL, num_experiments=2.5)),
+        ("num_experiments", lambda: replace(SMALL_MODEL, num_experiments=True)),
+        ("num_folds", lambda: replace(SMALL_MODEL, num_folds=2.5)),
+        ("num_folds", lambda: replace(SMALL_MODEL, num_folds=True)),
         ("every num_experiments in the sweep grid",
          lambda: SweepSpec("num_experiments", (5.5, 10))),
         ("every units_per_arm in the sweep grid",
@@ -467,9 +469,10 @@ def test_rescaling_check_rejects_a_constant_arm_it_lacks_before_drawing(
 
 
 def test_rescaling_check_working_set_per_replication_is_small():
-    # Outcomes are drawn and scored in row blocks; what grows with the
-    # replications is the unit-count draw and, per unit count, the raw sums
-    # and choices.  NumPy reports its buffers to ``tracemalloc``.
+    # Unit counts and outcomes are drawn, and outcomes scored, in row
+    # blocks; what grows with the replications is, per unit count, a group
+    # index and one side's values per replication.  NumPy reports its
+    # buffers to ``tracemalloc``.
     def peak(replications):
         tracemalloc.start()
         try:

@@ -557,7 +557,7 @@ def ingest_csv(path: str) -> ExperimentCorpus:
             for k, lo, hi in zip(arm_indices, blocks, blocks[1:])
         )
         experiments.append(ExperimentData(exp_id, arms_data))
-    return ExperimentCorpus(tuple(experiments), metric_names, provenance=path)
+    return ExperimentCorpus(tuple(experiments), metric_names)
 
 
 def _first_fault(path: str, rows: list[list[str]], header: list[str]) -> Exception:
