@@ -101,6 +101,10 @@ def _check_cov(name: str, mat: np.ndarray) -> np.ndarray:
     eigvals = np.linalg.eigvalsh(mat)
     if eigvals.min() < _PSD_TOL * max(1.0, eigvals.max()):
         raise ValueError(f"{name} must be positive semidefinite, eigvals {eigvals}")
+    variances = np.diag(mat)
+    if (variances < 0.0).any():  # within the tolerance above: a variance of 0
+        mat = mat.copy()
+        np.fill_diagonal(mat, np.maximum(variances, 0.0))
     return mat
 
 

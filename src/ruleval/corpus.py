@@ -62,8 +62,9 @@ class ExperimentCorpus:
     ``experiments`` is a sequence of ``ExperimentData``, stacked once in
     the order given, or an ``ArmStack`` to store as it is: ``ingest_csv``
     and ``make_synthetic_corpus`` build theirs directly, in id order.
-    Experiment ids are unique.  ``experiments`` is built from the stack on
-    each access, with arms that are views of its units.
+    Experiment ids are unique, and metric names are distinct non-empty
+    strings without surrounding whitespace.  ``experiments`` is built from
+    the stack on each access, with arms that are views of its units.
     """
 
     def __init__(
@@ -71,9 +72,23 @@ class ExperimentCorpus:
         experiments: ArmStack | Sequence[ExperimentData],
         metric_names: Sequence[str],
     ) -> None:
+        metric_names = tuple(metric_names)
         j = len(metric_names)
         if j < 1:
             raise CorpusFormatError("corpus needs at least one metric")
+        # So that ingest_csv reads back what the export writes: no name is
+        # empty or padded (ingest strips header cells), and none repeats.
+        for column, name in enumerate(metric_names, start=4):
+            if not isinstance(name, str):
+                raise CorpusFormatError(f"column {column} has a metric name that is "
+                                        f"not a string: {name!r}")
+            if not name:
+                raise CorpusFormatError(f"column {column} has an empty metric name")
+            if name != name.strip():
+                raise CorpusFormatError(f"column {column} has a metric name with "
+                                        f"surrounding whitespace: {name!r}")
+        if len(set(metric_names)) != j:
+            raise CorpusFormatError(f"duplicate metric names {metric_names!r}")
         if not isinstance(experiments, ArmStack):
             for exp in experiments:
                 if exp.num_metrics != j:
@@ -87,7 +102,7 @@ class ExperimentCorpus:
             if exp_id in seen:
                 raise CorpusFormatError(f"experiment id {exp_id!r} appears more than once")
             seen.add(exp_id)
-        self.stack, self.metric_names = experiments, tuple(metric_names)
+        self.stack, self.metric_names = experiments, metric_names
 
     @property
     def experiments(self) -> tuple[ExperimentData, ...]:
@@ -189,7 +204,13 @@ def _bulk_columns(path: str, fh, header_lines: int, num_metrics: int):
     the header's ``header_lines`` lines).  It opens the path with universal
     newlines, which turn a quoted ``\r`` into ``\n``, and decompresses by
     file extension, so a file holding a ``\r``, or named as compressed, is
-    read from ``fh``."""
+    read from ``fh``.
+
+    A file read from its path parses its id and unit cells into
+    fixed-width string columns, as wide as ``_cell_widths`` finds the
+    widest cell of each in bytes, when it bounds them.  A UTF-8 character
+    takes at least one byte, so no cell is cut.  Otherwise the cells are
+    parsed as ``str`` objects and then copied into string arrays."""
     with open(path, "rb") as raw:
         data = raw.read()
     if b"\0" in data:
@@ -197,8 +218,10 @@ def _bulk_columns(path: str, fh, header_lines: int, num_metrics: int):
     source, skip = os.path.abspath(path), header_lines
     if b"\r" in data or source.endswith((".gz", ".bz2", ".xz", ".lzma")):
         source, skip = fh, 0
+    widths = _cell_widths(data, num_metrics) if skip else None
     del data
-    row = np.dtype([("id", object), ("arm", np.int64), ("unit", object),
+    id_type, unit_type = (f"U{w}" for w in widths) if widths else (object, object)
+    row = np.dtype([("id", id_type), ("arm", np.int64), ("unit", unit_type),
                     ("values", float, (num_metrics,))])
     try:
         with warnings.catch_warnings():
@@ -211,12 +234,42 @@ def _bulk_columns(path: str, fh, header_lines: int, num_metrics: int):
         return None
     if not len(table):
         return None
-    ids, units = np.char.strip(np.array([table["id"], table["unit"]], dtype=str))
+    ids, units = table["id"], table["unit"]
+    if not widths:
+        ids, units = np.array([ids, units], dtype=str)
+    ids, units = np.char.strip(ids), np.char.strip(units)
     arms, values = table["arm"], table["values"]
     if not ((ids != "").all() and (units != "").all() and arms.min() >= 1
             and np.isfinite(values).all()):
         return None
     return _sorted_columns(ids, arms, units, values)
+
+
+def _cell_widths(data: bytes, num_metrics: int) -> tuple[int, int] | None:
+    """The widths in bytes of the widest ``experiment_id`` and the widest
+    ``unit_id`` cell on the lines of ``data`` after the first, found from
+    the positions of its newlines and commas.  None when ``data`` holds a
+    ``"``, so that a cell may be quoted, or when a line lacks
+    2 + ``num_metrics`` commas."""
+    if b'"' in data:
+        return None
+    buf = np.frombuffer(data, np.uint8)
+    newlines = np.flatnonzero(buf == ord("\n"))
+    starts, ends = newlines + 1, np.append(newlines[1:], len(buf))
+    if len(starts) and starts[-1] == len(buf):  # the file ends with a newline
+        starts, ends = starts[:-1], ends[:-1]
+    n, k = len(starts), 2 + num_metrics
+    if not n:
+        return None
+    commas = np.flatnonzero(buf[starts[0]:] == ord(",")) + starts[0]
+    if len(commas) != n * k:
+        return None
+    # Line i holds commas k*i to k*i + k - 1 when its first and last lie in it.
+    commas = commas.reshape(n, k)
+    if (commas[:, 0] < starts).any() or (commas[:, -1] >= ends).any():
+        return None
+    id_widths, unit_widths = commas[:, 0] - starts, commas[:, 2] - commas[:, 1] - 1
+    return max(int(id_widths.max()), 1), max(int(unit_widths.max()), 1)
 
 
 def _walk_rows(path: str, header: list[str]):

@@ -92,6 +92,9 @@ DEFAULT_MODEL_ARGS = {
 }
 DEFAULT_MODEL = EffectModel.from_correlations(**DEFAULT_MODEL_ARGS)
 DEFAULT_REPLICATIONS = 10_000
+# The fast path holds fold sizes as 64-bit integers; the closed forms take
+# any size.
+MAX_UNITS_PER_ARM = 1 << 63
 
 
 @dataclass(frozen=True)
@@ -127,6 +130,11 @@ class SweepSpec:
                         f"every {self.field} in the sweep grid must be an "
                         f"integer >= 1, got {value!r}"
                     )
+                if self.field == "units_per_arm" and value >= MAX_UNITS_PER_ARM:
+                    raise ValueError(
+                        f"every units_per_arm in the sweep grid must be < 2**63, "
+                        f"got {value!r}"
+                    )
         object.__setattr__(self, "grid", grid)
 
 
@@ -147,6 +155,10 @@ class SimulationConfig:
     def __post_init__(self) -> None:
         if self.size_mode not in ("fixed", "poisson"):
             raise ValueError(f"unknown size_mode {self.size_mode!r}")
+        if self.model.units_per_arm >= MAX_UNITS_PER_ARM:
+            raise ValueError(
+                f"model.units_per_arm must be < 2**63, got {self.model.units_per_arm}"
+            )
         if self.size_mode == "poisson":
             check_m0(self.m0)
         object.__setattr__(

@@ -257,6 +257,16 @@ def test_effect_model_validation():
             EffectModel(effect_cov=[[bad, 0], [0, 1]], noise_cov=np.eye(2), units_per_arm=10)
         with pytest.raises(ValueError, match="^noise_cov must be finite"):
             EffectModel(effect_cov=np.eye(2), noise_cov=[[1, 0], [0, bad]], units_per_arm=10)
+    # A variance below 0 within the semidefinite tolerance is stored as 0,
+    # a proxy that does not vary, not one whose standard deviation is NaN.
+    effect_cov = np.array([[1.0, 0.0], [0.0, -1e-13]])
+    model = EffectModel(effect_cov=effect_cov, noise_cov=[[1, 0], [0, 0]], units_per_arm=10)
+    assert model.effect_cov.tolist() == [[1.0, 0.0], [0.0, 0.0]]
+    assert effect_cov[1, 1] == -1e-13
+    assert model.sds == (1.0, 0.0, 1.0, 0.0)
+    assert true_reward(model) == naive_expectation(model) == cv_expectation(model) == 0.0
+    model = EffectModel(effect_cov=np.eye(2), noise_cov=[[-1e-13, 0], [0, 1]], units_per_arm=10)
+    assert model.noise_cov.tolist() == [[0.0, 0.0], [0.0, 1.0]]
 
 
 # ---------------------------------------------------------------------------

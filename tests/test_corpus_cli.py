@@ -934,3 +934,21 @@ def test_cli_figure_output_is_parallelism_invariant(tmp_path, monkeypatch):
         assert main(args) == 0
         outputs.append((out / "figure2_noise_sweep.csv").read_bytes())
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"model": dict(SIM_MODEL, units_per_arm=2**63)},
+     "simulate config: model.units_per_arm must be < 2**63, got 9223372036854775808"),
+    ({"model": SIM_MODEL, "sweep": {"field": "units_per_arm", "grid": [1e20]}},
+     "simulate config.sweep: every units_per_arm in the sweep grid must be < 2**63, "
+     "got 1e+20"),
+])
+def test_cli_simulate_rejects_units_per_arm_beyond_64_bits(tmp_path, capsys, config, message):
+    # The fast path's fold sizes are 64-bit integers; this ended in an
+    # OverflowError traceback.
+    cfg_path = tmp_path / "config.json"
+    write(cfg_path, json.dumps(dict(config, num_replications=5)))
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(cfg_path), "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()

@@ -331,6 +331,44 @@ def test_ingest_catches_a_duplicate_with_and_without_sorting(tmp_path, lexsort_c
     assert len(lexsort_calls) == sorts
 
 
+def test_ingest_parses_unquoted_ids_into_fixed_width_columns(tmp_path, monkeypatch):
+    # Fixed-width id and unit columns, as wide as the widest cell in bytes,
+    # for an unquoted file, also one with an id of 100,000 characters (short
+    # of ``csv.reader``'s default field limit of 131,072, so the walk reads
+    # it too); str objects for a quoted one.  All give the walk's stack.
+    dtypes, loadtxt = [], np.loadtxt
+
+    def spy(source, *args, dtype, **kwargs):
+        dtypes.append(np.dtype(dtype))
+        return loadtxt(source, *args, dtype=dtype, **kwargs)
+
+    made = tmp_path / "made.csv"
+    assert main(["make-corpus", "--out", str(made), "--experiments", "12",
+                 "--units", "9", "--seed", "4"]) == 0
+    text = made.read_text()
+    write(tmp_path / "unended.csv", text.rstrip("\n"))
+    write(tmp_path / "quoted.csv", '"experiment_id"' + text[len("experiment_id"):])
+    write(tmp_path / "wide.csv", "experiment_id,arm,unit_id,m\ne,1,u1,1\n"
+                                 + "x" * 100_000 + ",1,u1,2\ne,2,u1,3\n")
+    walk = corpus_module._walk_rows
+    for name, id_type, unit_type in (("made.csv", "U5", "U7"), ("unended.csv", "U5", "U7"),
+                                     ("quoted.csv", object, object), ("wide.csv", "U100000", "U2")):
+        path = str(tmp_path / name)
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "loadtxt", spy)
+            patch.setattr(corpus_module, "_walk_rows", lambda *args: pytest.fail("rows walked"))
+            bulk = ingest_csv(path).stack
+        assert (dtypes[-1]["id"], dtypes[-1]["unit"]) == (np.dtype(id_type), np.dtype(unit_type))
+        with monkeypatch.context() as patch:
+            patch.setattr(corpus_module, "_bulk_columns", lambda *args: None)
+            patch.setattr(corpus_module, "_walk_rows", walk)
+            walked = ingest_csv(path).stack
+        assert bulk.ids == walked.ids
+        for field in ("units", "sizes", "starts", "first_arm", "weights"):
+            a, b = getattr(bulk, field), getattr(walked, field)
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def test_weight_file_joins_on_the_ids(tmp_path):
     path, weights = tmp_path / "c.csv", tmp_path / "w.csv"
     write(path, "".join(["experiment_id,arm,unit_id,m\n"]
@@ -388,6 +426,20 @@ def test_in_memory_corpus_rejects_a_repeated_experiment_id():
     repeated = (exps[0], exps[1], ExperimentData("a", exps[1].arms))
     with pytest.raises(CorpusFormatError, match="^experiment id 'a' appears more than once"):
         ExperimentCorpus(repeated, ("north_star", "p1", "p2"))
+
+
+@pytest.mark.parametrize("names, message", [
+    (("y", "p", "y"), r"^duplicate metric names \('y', 'p', 'y'\)"),
+    (("y", "", "p"), "^column 5 has an empty metric name"),
+    (("y", " z", "p"), r"^column 5 has a metric name with surrounding whitespace: ' z'"),
+    (("y\n", "p", "z"), r"^column 4 has a metric name with surrounding whitespace: 'y\\n'"),
+    (("y", 2, "p"), "^column 5 has a metric name that is not a string: 2"),
+])
+def test_in_memory_corpus_rejects_metric_names_ingest_cannot_read_back(names, message):
+    # Accepted, the export wrote them and ingest rejected the file or read
+    # back a different name.
+    with pytest.raises(CorpusFormatError, match=message):
+        ExperimentCorpus(three_arm_corpus(("a",)).experiments, names)
 
 
 # ---------------------------------------------------------------------------
@@ -481,6 +533,10 @@ def outcome(parse, path):
 @example('experiment_id,arm,unit_id,m\n\n\n')
 @example('experiment_id,arm,unit_id,m\ne1\0,1,u1,1\ne1,2,u1,2\n')
 @example('experiment_id,arm,unit_id,m\ne,1,u1\0,1\ne,1,u1,2_0\n')
+@example('experiment_id,arm,unit_id,m\neeee,1,uuuu,1\n\U0001d522\xe9,1,\xfc\U0001d532,2\n'
+         '\U0001d522\xe9,2,\xfc\U0001d532,3\neeee,2,uuuu,4\n')
+@example('experiment_id,arm,unit_id,m\ne,1,u1,1\ne,2,u1,2\nwidest,1,unit_widest,3')
+@example('experiment_id,arm,unit_id,m\ne,1,u1,1\n' + "x" * 100_000 + ',1,u1,2\ne,2,u1,3\n')
 def test_ingest_matches_the_csv_reader_parser(text):
     fd, path = tempfile.mkstemp(suffix=".csv")
     try:
@@ -489,3 +545,37 @@ def test_ingest_matches_the_csv_reader_parser(text):
         assert outcome(ingest_csv, path) == outcome(oracle.ingest_csv, path)
     finally:
         os.remove(path)
+
+
+# Id characters: ASCII, two-, three- and four-byte UTF-8, and whitespace that
+# ``str.strip`` removes.
+ID_CHARS = "ab09_. \t\xa0\xe9\u2003\u3000\U0001d522"
+
+
+@st.composite
+def unquoted_corpus_texts(draw):
+    """A corpus CSV text with no quote and no carriage return, which the bulk
+    parser reads into fixed-width id and unit columns unless a line is
+    ragged: ids and unit ids of up to six ``ID_CHARS``, at most one ragged
+    line, with or without a final newline."""
+    num_metrics = draw(st.integers(1, 3))
+    cells = st.text(ID_CHARS, max_size=6)
+    lines = [",".join(["experiment_id", "arm", "unit_id"]
+                      + [f"m{j}" for j in range(num_metrics)])]
+    for exp_id in draw(st.lists(cells, min_size=1, max_size=3)):
+        for arm in range(1, draw(st.integers(1, 3)) + 1):
+            for unit_id in draw(st.lists(cells, min_size=1, max_size=3)):
+                values = draw(st.lists(
+                    st.floats(allow_nan=False, allow_infinity=False, width=64),
+                    min_size=num_metrics, max_size=num_metrics))
+                lines.append(",".join([exp_id, str(arm), unit_id] + [repr(v) for v in values]))
+    if draw(st.booleans()):
+        i = draw(st.integers(1, len(lines) - 1))
+        lines[i] = draw(st.sampled_from((lines[i] + ",1", lines[i][: lines[i].rindex(",")])))
+    return "\n".join(lines) + draw(st.sampled_from(("", "\n")))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(unquoted_corpus_texts())
+def test_fixed_width_ingest_matches_the_csv_reader_parser(text):
+    test_ingest_matches_the_csv_reader_parser.hypothesis.inner_test(text)

@@ -355,6 +355,22 @@ def test_simulation_config_rejects_a_fallback_arm_the_fast_path_lacks(monkeypatc
     SimulationConfig(rule=DecisionRule(blend=[0.0, 1.0], fallback_arm=3))
 
 
+def test_fast_path_rejects_units_per_arm_beyond_64_bits():
+    # Its fold sizes are 64-bit integers: 2**63 units per arm, in the model
+    # or a sweep grid, ended in an OverflowError from _fold_sizes.
+    big = replace(SMALL_MODEL, units_per_arm=2**63)
+    with pytest.raises(ValueError, match=(
+            r"^model.units_per_arm must be < 2\*\*63, got 9223372036854775808$")):
+        SimulationConfig(model=big)
+    with pytest.raises(ValueError, match=(
+            r"^every units_per_arm in the sweep grid must be < 2\*\*63, got 1e\+20$")):
+        SweepSpec("units_per_arm", (10, 1e20))
+    largest = replace(SMALL_MODEL, units_per_arm=2**63 - 1, num_experiments=4)
+    (row,) = run_bias_sweep(SimulationConfig(model=largest, num_replications=2,
+                                             estimators=("true",))).rows
+    assert np.isfinite(row.mean)
+
+
 @pytest.mark.parametrize(
     "name, call",
     [
