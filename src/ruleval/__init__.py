@@ -43,8 +43,6 @@ from .experiments import (
     DegenerateFoldError,
     ExperimentData,
     RewardSpec,
-    decide,
-    significance_set,
 )
 from .figures import run_figure
 from .simulator import (
@@ -78,7 +76,6 @@ __all__ = [
     "check_poisson_rescaling",
     "check_rule_selection",
     "cv_expectation",
-    "decide",
     "estimate_reward",
     "evaluate_rules",
     "ingest_csv",
@@ -89,7 +86,6 @@ __all__ = [
     "per_experiment_rewards",
     "run_bias_sweep",
     "run_figure",
-    "significance_set",
     "true_reward",
     "write_corpus_csv",
 ]

@@ -153,6 +153,8 @@ def _load_json(path: str, where: str):
         raise ConfigError(f"{where}: file not found: {path}")
     except json.JSONDecodeError as err:
         raise ConfigError(f"{where}: invalid JSON in {path}: {err}")
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"{where}: {path} is not valid UTF-8: {err}")
     # A manifest written by this tool embeds the config under "config";
     # only a simulate manifest replays, as the config of simulate.
     if isinstance(data, dict) and "config" in data and "command" in data:

@@ -14,6 +14,7 @@ An optional weight file (``experiment_id,weight``) is joined by id.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import os
 import warnings
@@ -121,12 +122,16 @@ def ingest_csv(path: str, weights_path: str | None = None) -> ExperimentCorpus:
     order.  When it rejects a row or a check fails, the rows are walked one
     by one with ``csv.reader``, ``int`` and ``float``: the walk names the
     first fault, or parses the file when only Python's number syntax
-    accepts a cell (such as ``1_000``).  A leading UTF-8 byte-order mark,
-    in the corpus or the weight file, is skipped.  The sorted rows are the
-    corpus's ``ArmStack``; no per-arm object is built.
+    accepts a cell (such as ``1_000``).  The walk converts each cell after
+    stripping it, as the bulk parse does, so a cell padded with a character
+    that ``str.strip`` removes but ``int`` and ``float`` refuse (the
+    separators U+001C to U+001F) reads the same on both paths.  A leading
+    UTF-8 byte-order mark, in the corpus or the weight file, is skipped; a
+    byte that is not UTF-8 is an error naming its line.  The sorted rows
+    are the corpus's ``ArmStack``; no per-arm object is built.
     """
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        raw_header = next(csv.reader(fh), None)
+        raw_header = next(_csv_rows(path, fh), None)
         if raw_header is None:
             raise CorpusFormatError(f"{path}: file is empty, header required")
         header = [h.strip() for h in raw_header]
@@ -167,6 +172,28 @@ def ingest_csv(path: str, weights_path: str | None = None) -> ExperimentCorpus:
     weights = _read_weights(weights_path, exp_ids) if weights_path else np.ones(len(exp_ids))
     stack = ArmStack.from_sizes(values, np.diff(starts), num_arms, exp_ids.tolist(), weights)
     return ExperimentCorpus(stack, metric_names)
+
+
+def _csv_rows(path: str, fh):
+    """The ``csv.reader`` rows of ``fh``, the open text file ``path``.  A
+    byte that is not UTF-8 raises a CorpusFormatError naming its line,
+    counted in records as other errors are: the records ``csv.reader``
+    finds in the valid bytes before it with one character in its place."""
+    try:
+        yield from csv.reader(fh)
+    except UnicodeDecodeError:
+        with open(path, "rb") as raw:
+            data = raw.read()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as err:
+            before = io.StringIO(data[: err.start].decode("utf-8-sig") + "x", newline="")
+            line = sum(1 for _ in csv.reader(before))
+            raise CorpusFormatError(
+                f"{path}: line {line} is not valid UTF-8 (byte {err.start} of the "
+                f"file, {data[err.start]:#04x}: {err.reason})"
+            ) from None
+        raise
 
 
 def _sorted_columns(ids, arms, units, values):
@@ -210,7 +237,9 @@ def _bulk_columns(path: str, fh, header_lines: int, num_metrics: int):
     fixed-width string columns, as wide as ``_cell_widths`` finds the
     widest cell of each in bytes, when it bounds them.  A UTF-8 character
     takes at least one byte, so no cell is cut.  Otherwise the cells are
-    parsed as ``str`` objects and then copied into string arrays."""
+    parsed as ``str`` objects and then copied into one string array per
+    column, each as wide as its own widest cell, so that one long id does
+    not widen the unit column."""
     with open(path, "rb") as raw:
         data = raw.read()
     if b"\0" in data:
@@ -236,7 +265,7 @@ def _bulk_columns(path: str, fh, header_lines: int, num_metrics: int):
         return None
     ids, units = table["id"], table["unit"]
     if not widths:
-        ids, units = np.array([ids, units], dtype=str)
+        ids, units = ids.astype(str), units.astype(str)
     ids, units = np.char.strip(ids), np.char.strip(units)
     arms, values = table["arm"], table["values"]
     if not ((ids != "").all() and (units != "").all() and arms.min() >= 1
@@ -278,7 +307,7 @@ def _walk_rows(path: str, header: list[str]):
     seen: set[tuple[str, int, str]] = set()
     rows = []
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
+        reader = _csv_rows(path, fh)
         next(reader)
         for line_no, row in enumerate(reader, start=2):
             fault = row and _row_fault(row, header, seen)
@@ -290,9 +319,9 @@ def _walk_rows(path: str, header: list[str]):
         raise CorpusFormatError(f"{path}: no data rows")
     return _sorted_columns(
         np.array([row[0].strip() for row in rows]),
-        np.array([int(row[1]) for row in rows], dtype=np.int64),
+        np.array([int(row[1].strip()) for row in rows], dtype=np.int64),
         np.array([row[2].strip() for row in rows]),
-        np.array([[float(cell) for cell in row[3:]] for row in rows]),
+        np.array([[float(cell.strip()) for cell in row[3:]] for row in rows]),
     )
 
 
@@ -306,7 +335,7 @@ def _row_fault(row: list[str], header: list[str], seen: set) -> str | None:
     if "\0" in exp_id:
         return f": column 'experiment_id' holds a NUL character: {exp_id!r}"
     try:
-        arm = int(row[1])
+        arm = int(row[1].strip())
     except ValueError:
         return f": column 'arm' must be a positive integer, got {row[1]!r}"
     if arm < 1:
@@ -336,7 +365,7 @@ def _read_weights(path: str, ids: np.ndarray) -> np.ndarray:
     """The weight of each of the sorted ``ids``, 1.0 where the weight file
     has none: the file's ids are joined with one ``np.searchsorted``."""
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
+        reader = _csv_rows(path, fh)
         header = [h.strip() for h in next(reader, [])]
         if header != ["experiment_id", "weight"]:
             raise CorpusFormatError(

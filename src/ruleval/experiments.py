@@ -22,11 +22,9 @@ every column, which are subtracted from the arm totals, followed by the
 full data.  Each sum adds the numbers a one-experiment computation adds, in
 its order, so no result depends on what else is in the batch.
 ``fold_decisions`` decides them all, one kernel call per arm count, and
-finds each experiment's first fault; ``fault_error`` words it.  ``decide``
-is a one-experiment, no-fold call of ``fold_decisions``, so full-data and
-held-out decisions on unit data find their faults in one place;
-``significance_set`` is one of ``fold_stats``, with the same short-arm
-check.
+finds each experiment's first fault; ``fault_error`` words it.  A rule's
+full-data decision on one experiment is a ``fold_decisions`` call on its
+one-experiment stack with no fold.
 """
 
 from __future__ import annotations
@@ -48,11 +46,9 @@ __all__ = [
     "ExperimentData",
     "RewardSpec",
     "blend_matrix",
-    "decide",
     "decide_kept",
     "fold_stats",
     "sample_variance",
-    "significance_set",
 ]
 
 
@@ -577,14 +573,6 @@ def fold_stats(
 SHORT_ARM, NO_FALLBACK, EMPTY_FOLD = 1, 2, 3
 
 
-def _short(stack: ArmStack, counts: np.ndarray, rule: DecisionRule) -> np.ndarray:
-    """(experiments,) whether a fold or the full data leaves an arm of the
-    experiment with fewer kept units (``fold_stats`` counts) than the rule
-    needs: one, two under a gate."""
-    short = (counts < 1 + (rule.gate != "none")).any(axis=1)
-    return np.logical_or.reduceat(short, stack.first_arm[:-1])
-
-
 def fold_decisions(
     stack: ArmStack,
     rule: DecisionRule,
@@ -623,14 +611,16 @@ def fold_decisions(
         arm = first_arm[:, None] + chosen[:, :total] - 1
         empty = (counts[arm, total] == counts[arm, np.arange(total)]).any(axis=1)
         faults[(faults == 0) & empty] = EMPTY_FOLD
-    faults[_short(stack, counts, rule)] = SHORT_ARM
+    # An arm left with fewer units than the rule needs: one, two under a gate.
+    short = (counts < 1 + (rule.gate != "none")).any(axis=1)
+    faults[np.logical_or.reduceat(short, first_arm)] = SHORT_ARM
     return counts, chosen, faults
 
 
 def fault_error(
     stack: ArmStack,
     counts: np.ndarray,
-    chosen: np.ndarray | None,
+    chosen: np.ndarray,
     rule: DecisionRule,
     fold_counts: tuple[int, ...],
     i: int,
@@ -662,36 +652,3 @@ def fault_error(
         f"experiment {exp_id!r}: removing {_fold_name(fold_counts, t)} "
         f"leaves arm {k + 1} with {kept[t, k]} unit(s), needs >= {min_units}"
     )
-
-
-def significance_set(exp: ExperimentData, rule: DecisionRule) -> set[int]:
-    """Arms whose gate metrics are significant versus the reference arm.
-
-    Uses a two-sample z-test with unpooled standard errors per gate blend;
-    an arm is in the set when the per-blend results combine to true under
-    ``rule.gate_combine``.  The reference arm (arm 1) is never included.
-    An arm of one unit raises DegenerateArmError.
-    """
-    if rule.gate != "significant-vs-reference":
-        raise ValueError("significance_set requires gate='significant-vs-reference'")
-    stack = ArmStack.of([exp])
-    counts, sums, variances = fold_stats(stack, rule, None, ())
-    if _short(stack, counts, rule)[0]:
-        raise fault_error(stack, counts, None, rule, (), 0, SHORT_ARM)
-    mask = _gate_mask(counts[:, 0], sums[:, 0], variances[:, 0], rule)
-    return {int(k) + 1 for k in np.flatnonzero(mask)}
-
-
-def decide(exp: ExperimentData, rule: DecisionRule) -> int:
-    """Apply a decision rule to an experiment, returning the chosen arm index.
-
-    Ungated rules take the argmax of blend means over all arms.  Gated
-    rules take the argmax restricted to the significance set, or the
-    fallback arm when the set is empty.  Exact ties go to the lowest index.
-    It is a ``fold_decisions`` call with no fold, whose fault it raises.
-    """
-    stack = ArmStack.of([exp])
-    counts, chosen, faults = fold_decisions(stack, rule, None, ())
-    if faults[0]:
-        raise fault_error(stack, counts, chosen, rule, (), 0, faults[0])
-    return int(chosen[0, 0])

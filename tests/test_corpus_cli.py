@@ -679,6 +679,43 @@ def test_cli_evaluate_rejects_non_finite_cells_and_weights(tmp_path, capsys):
     assert not (tmp_path / "r.csv").exists()
 
 
+LONG_CORPUS = b"experiment_id,arm,unit_id,m1\n" + b"".join(
+    b"e,%d,u%04d,1\n" % (1 + i % 2, i) for i in range(1000))
+
+
+@pytest.mark.parametrize("name, data, message", [
+    # A quoted line break: line 3 counts records, as other errors do.
+    ("corpus.csv", b'experiment_id,arm,unit_id,m1\ne,1,u1,1\n"a\nb",1,u1,\xff\n',
+     "{path}: line 3 is not valid UTF-8 (byte 49 of the file, 0xff: "
+     "invalid start byte)"),
+    # Past the header's first read: the bulk parse fails, and the walk names it.
+    ("corpus.csv", LONG_CORPUS + b"e,1,u\xe9,1\n",
+     f"{{path}}: line 1002 is not valid UTF-8 (byte {len(LONG_CORPUS) + 5} of the "
+     "file, 0xe9: invalid continuation byte)"),
+    ("weights.csv", b"experiment_id,weight\ne,1\n\xfe\n",
+     "{path}: line 3 is not valid UTF-8 (byte 25 of the file, 0xfe: "
+     "invalid start byte)"),
+    ("rules.json", b'{"reward": {"metric": "m1"}, "rules": [{"name": "\xc3"}]}',
+     "evaluate rules: {path} is not valid UTF-8: 'utf-8' codec can't decode "
+     "byte 0xc3 in position 49: invalid continuation byte"),
+])
+def test_cli_evaluate_names_a_file_that_is_not_utf8(tmp_path, capsys, name, data, message):
+    write(tmp_path / "corpus.csv",
+          "experiment_id,arm,unit_id,m1\ne,1,u1,1.0\ne,1,u2,2.0\ne,2,u1,3.0\ne,2,u2,4.0\n")
+    write(tmp_path / "weights.csv", "experiment_id,weight\ne,1\n")
+    write(tmp_path / "rules.json", json.dumps(
+        {"reward": {"metric": "m1"}, "rules": [{"name": "r", "blend": {"metric": "m1"}}]}))
+    (tmp_path / name).write_bytes(data)
+    argv = ["evaluate", "--out", str(tmp_path / "r.csv")] + [
+        arg for key in ("corpus", "rules", "weights")
+        for arg in (f"--{key}", str(tmp_path / ("rules.json" if key == "rules" else f"{key}.csv")))
+    ]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == "error: " + message.format(path=tmp_path / name) + "\n"
+    assert not (tmp_path / "r.csv").exists()
+
+
 @pytest.mark.parametrize(
     "key, value",
     [

@@ -5,6 +5,7 @@ differential test of the parser against the ``csv.reader`` one it replaced."""
 import io
 import os
 import tempfile
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -369,6 +370,25 @@ def test_ingest_parses_unquoted_ids_into_fixed_width_columns(tmp_path, monkeypat
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def test_ingest_of_a_quoted_file_with_one_wide_id_keeps_the_unit_column_narrow(tmp_path):
+    # A quoted file is parsed into str objects.  Copied into one array per
+    # column, only the ids are as wide as the 5,000-character id: the ids
+    # and their stripped copy take 2 x 1,000 x 5,000 x 4 bytes = 40 MB.  A
+    # shared array would make the units as wide, and the peak twice that.
+    rows = [f'"{"w" * 5000 if i == 0 else f"e{i // 10}"}",{i % 2 + 1},"u{i}",{i}\n'
+            for i in range(1000)]
+    path = tmp_path / "wide.csv"
+    write(path, "experiment_id,arm,unit_id,m\n" + "".join(rows))
+    tracemalloc.start()
+    try:
+        corpus = ingest_csv(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(corpus.stack.ids) == 101 and corpus.stack.units.shape == (1000, 1)
+    assert peak < 60e6, peak
+
+
 def test_weight_file_joins_on_the_ids(tmp_path):
     path, weights = tmp_path / "c.csv", tmp_path / "w.csv"
     write(path, "".join(["experiment_id,arm,unit_id,m\n"]
@@ -537,6 +557,15 @@ def outcome(parse, path):
          '\U0001d522\xe9,2,\xfc\U0001d532,3\neeee,2,uuuu,4\n')
 @example('experiment_id,arm,unit_id,m\ne,1,u1,1\ne,2,u1,2\nwidest,1,unit_widest,3')
 @example('experiment_id,arm,unit_id,m\ne,1,u1,1\n' + "x" * 100_000 + ',1,u1,2\ne,2,u1,3\n')
+# Information separators, which ``str.strip`` removes and ``int`` and
+# ``float`` refuse: in an arm cell, in a metric cell (also of a file that
+# ``1_000`` sends to the walk to parse), and in an arm cell of a file whose
+# duplicate unit on line 6 sends it to the walk.
+@example('experiment_id,arm,unit_id,m\ne,1\x1c,u1,2\ne,2,u1,3\n')
+@example('experiment_id,arm,unit_id,m\ne,1,u1,2\x1c\ne,2,u1,3\n')
+@example('experiment_id,arm,unit_id,m\ne,1,u1,2\x1c\ne,1,u2,1_000\ne,2,u1,3\n')
+@example('experiment_id,arm,unit_id,m\ne,1\x1c,u1,2\ne,1,u2,1\ne,2,u1,3\ne,2,u2,4\n'
+         'e,2,u2,5\n')
 def test_ingest_matches_the_csv_reader_parser(text):
     fd, path = tempfile.mkstemp(suffix=".csv")
     try:

@@ -28,13 +28,18 @@ from ruleval import (
     EstimatorConfig,
     ExperimentData,
     RewardSpec,
-    decide,
     estimate_reward,
-    significance_set,
 )
 from ruleval import estimators, experiments
 from ruleval.estimators import _leave_l_out_sums, batch_rewards, subset_rewards
-from ruleval.experiments import ArmStack, _critical_value, stacked_blend_values
+from ruleval.experiments import (
+    ArmStack,
+    _critical_value,
+    _gate_mask,
+    fold_decisions,
+    fold_stats,
+    stacked_blend_values,
+)
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True)
 REL = 1e-12
@@ -129,10 +134,16 @@ GATED = DecisionRule(blend=[1.0], gate="significant-vs-reference")
           RewardSpec.metric(1)))  # single arm
 def test_naive_decisions_match_oracle(case):
     exp, rule, reward = case
-    chosen = decide(exp, rule)
-    assert chosen == oracle.decide(exp, rule)
+    stack = ArmStack.of([exp])
+    _, chosen, faults = fold_decisions(stack, rule, None, ())
+    assert faults.tolist() == [0]
+    assert chosen[0, 0] == oracle.decide(exp, rule)
     if rule.gate != "none":
-        assert significance_set(exp, rule) == oracle.significance_set(exp, rule)
+        # The gate mask of the full data, as ``decide_kept`` forms it.
+        counts, sums, variances = fold_stats(stack, rule, None, ())
+        mask = _gate_mask(counts[:, -1], sums[:, -1], variances[:, -1], rule)
+        significant = oracle.significance_set(exp, rule)
+        assert mask.tolist() == [k + 1 in significant for k in range(exp.num_arms)]
     w = reward.weights(exp.num_metrics)
     assert batch_rewards([exp], [rule], reward, (), 0)[0, 0, 0] == oracle.naive_reward(exp, rule, w)
 

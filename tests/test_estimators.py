@@ -18,10 +18,10 @@ from ruleval import (
     SimulationConfig,
     bootstrap_ci,
     check_poisson_rescaling,
-    decide,
     estimate_reward,
     per_experiment_rewards,
 )
+from ruleval.experiments import ArmStack, fold_decisions
 from ruleval.estimators import (
     MAX_BOOTSTRAP_REDRAWS,
     _leave_l_out_sums,
@@ -206,7 +206,7 @@ def test_leave_one_out_fast_path_matches_re_mean_oracle_exactly():
             reduced = ExperimentData(
                 "r", tuple(ArmData(i + 1, units[i][keep]) for i in range(k))
             )
-            total += units[decide(reduced, ARGMAX_RULE) - 1, held, 0]
+            total += units[oracle.decide(reduced, ARGMAX_RULE) - 1, held, 0]
         config = EstimatorConfig("cv-leave-l-out", leave_out=1)
         assert _leave_l_out_sums([exp], ARGMAX_RULE, REWARD, config)[0] == total
 
@@ -219,7 +219,7 @@ def test_leave_two_out_matches_brute_force_on_four_units():
     for subset in combinations(range(4), 2):
         keep = [x for x in range(4) if x not in subset]
         reduced = two_arm(units[0][keep], units[1][keep])
-        chosen = decide(reduced, ARGMAX_RULE)
+        chosen = oracle.decide(reduced, ARGMAX_RULE)
         total += units[chosen - 1, list(subset), 0].mean()
     config = EstimatorConfig("cv-leave-l-out", leave_out=2)
     got = _leave_l_out_sums([exp], ARGMAX_RULE, REWARD, config)[0]
@@ -344,7 +344,8 @@ def test_adding_a_constant_shifts_estimators_by_psi_of_it():
     for p in (1, 2, 3):
         assert moved[p - 1] == pytest.approx(unmoved[p - 1] + shift, rel=1e-12)
     # Decisions are unchanged by a common shift.
-    assert decide(shifted, rule) == decide(exp, rule)
+    _, chosen, faults = fold_decisions(ArmStack.of([shifted, exp]), rule, None, ())
+    assert faults.tolist() == [0, 0] and chosen[0, 0] == chosen[1, 0]
 
 
 # ---------------------------------------------------------------------------

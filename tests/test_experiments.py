@@ -3,7 +3,9 @@ and fold machinery.
 
 ``blend_mean_and_se`` is the unit-level oracle's (tests/unit_oracle.py);
 held-out-fold decisions are observed through its ``cv_fold_rewards``, the
-library's k-fold table scored on given fold labels.
+library's k-fold table scored on given fold labels.  Full-data decisions
+are ``fold_decisions`` on a one-experiment stack, and the significance set
+is the gate mask that ``decide_kept`` restricts its argmax to.
 """
 
 import statistics
@@ -16,12 +18,18 @@ from ruleval import (
     DecisionRule,
     DegenerateArmError,
     DegenerateFoldError,
+    EstimatorConfig,
     ExperimentData,
     RewardSpec,
-    decide,
-    significance_set,
+    per_experiment_rewards,
 )
-from ruleval.experiments import ArmStack, fold_permutations
+from ruleval.experiments import (
+    ArmStack,
+    _gate_mask,
+    fold_decisions,
+    fold_permutations,
+    fold_stats,
+)
 from ruleval.streams import substream
 from unit_oracle import blend_mean_and_se, cv_fold_rewards, fold_labels
 
@@ -34,6 +42,19 @@ def two_arm(units1, units2, weight=1.0, exp_id="e"):
         (ArmData(1, np.asarray(units1, float)), ArmData(2, np.asarray(units2, float))),
         weight=weight,
     )
+
+
+def decide(exp, rule):
+    """The library's full-data choice: the no-fold column of
+    ``fold_decisions`` on the experiment alone, which must find no fault."""
+    _, chosen, faults = fold_decisions(ArmStack.of([exp]), rule, None, ())
+    assert faults.tolist() == [0]
+    return int(chosen[0, 0])
+
+
+def naive(exp, rule):
+    """The plug-in estimate, which raises the full-data decision's fault."""
+    return per_experiment_rewards([exp], rule, REWARD, EstimatorConfig("naive"))
 
 
 # ---------------------------------------------------------------------------
@@ -74,13 +95,21 @@ def test_blend_mean_and_se_rejects_single_unit():
 
 
 # ---------------------------------------------------------------------------
-# significance_set
+# significance set
 
 
 def gated_rule(**kwargs):
     defaults = dict(blend=[1.0], gate="significant-vs-reference")
     defaults.update(kwargs)
     return DecisionRule(**defaults)
+
+
+def significance_set(exp, rule):
+    """The arms whose gate blends beat arm 1: ``_gate_mask`` on the
+    full-data column of ``fold_stats``, as ``decide_kept`` computes it."""
+    counts, sums, variances = fold_stats(ArmStack.of([exp]), rule, None, ())
+    mask = _gate_mask(counts[:, -1], sums[:, -1], variances[:, -1], rule)
+    return {int(k) + 1 for k in np.flatnonzero(mask)}
 
 
 def test_significance_set_huge_effect_included():
@@ -139,7 +168,7 @@ def test_significance_set_monotone_in_alpha():
 def test_significance_set_needs_two_units_per_arm():
     exp = two_arm([[1.0]], [[2.0], [3.0]])
     with pytest.raises(DegenerateArmError):
-        significance_set(exp, gated_rule())
+        naive(exp, gated_rule())
 
 
 def test_gate_metrics_any_vs_all():
@@ -187,7 +216,7 @@ def test_decide_gated_empty_set_returns_fallback():
     assert decide(exp, gated_rule()) == 1
     assert decide(exp, gated_rule(fallback_arm=2)) == 2
     with pytest.raises(ValueError, match="^fallback arm 3 does not exist in experiment 'e'$"):
-        decide(exp, gated_rule(fallback_arm=3))
+        naive(exp, gated_rule(fallback_arm=3))
 
 
 def test_decide_matches_direct_metric_argmax_on_random_instances():

@@ -24,11 +24,11 @@ from ruleval import (
     SweepSpec,
     check_poisson_rescaling,
     check_rule_selection,
-    decide,
     run_bias_sweep,
 )
 from ruleval import simulator
 from ruleval.estimators import _leave_l_out_sums, batch_rewards
+from ruleval.experiments import ArmStack, fold_decisions
 from ruleval.simulator import (
     _fold_sizes,
     cov_factor,
@@ -173,7 +173,9 @@ def test_fast_path_matches_unit_level_distributions(gate, units_per_arm):
     unit = {"naive": np.empty(reps), "cv": np.empty(reps), "true": np.empty(reps)}
     for i in range(reps):
         exp, tau = draw_experiment(model, "fixed", substream(99, "unit", i))
-        unit["true"][i] = tau[0] if decide(exp, rule) == 2 else 0.0
+        _, chosen, faults = fold_decisions(ArmStack.of([exp]), rule, None, ())
+        assert faults.tolist() == [0]
+        unit["true"][i] = tau[0] if chosen[0, 0] == 2 else 0.0
         unit["naive"][i] = batch_rewards([exp], [rule], psi, (), 0)[0, 0, 0]
         unit["cv"][i] = batch_rewards([exp], [rule], psi, (5,), fold_seed=i)[0, 1, 0]
 
@@ -621,7 +623,8 @@ def test_rescaling_kernel_agrees_with_library_estimator():
             config = EstimatorConfig("cv-leave-l-out", leave_out=leave_out)
             library = _leave_l_out_sums([exp], rule, reward, config)[0]
             assert kernel == pytest.approx(library, abs=1e-12)
-            assert chosen == decide(exp, rule)
+            _, decided, faults = fold_decisions(ArmStack.of([exp]), rule, None, ())
+            assert faults.tolist() == [0] and chosen == decided[0, 0]
         # A constant rule's leave-two-out sum is its arm's mean over every
         # held-out pair of positions, enumerated directly.
         for arm in range(1, k + 1):

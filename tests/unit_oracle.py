@@ -525,8 +525,9 @@ def ingest_csv(path: str) -> ExperimentCorpus:
             raise ValueError
         ids = np.array(list(map(str.strip, ids)))
         units = np.array(list(map(str.strip, units)))
-        arms = np.fromiter(map(int, arms), np.int64, len(data))
-        values = np.array([np.fromiter(map(float, c), float, len(data)) for c in cells])
+        arms = np.fromiter(map(int, map(str.strip, arms)), np.int64, len(data))
+        values = np.array([np.fromiter(map(float, map(str.strip, c)), float, len(data))
+                           for c in cells])
         if not ((ids != "").all() and (units != "").all() and arms.min() >= 1
                 and np.isfinite(values).all()):
             raise ValueError
@@ -580,7 +581,7 @@ def _row_fault(row: list[str], header: list[str], seen: set) -> str | None:
     if "\0" in exp_id:
         return f": column 'experiment_id' holds a NUL character: {exp_id!r}"
     try:
-        arm = int(row[1])
+        arm = int(row[1].strip())
     except ValueError:
         return f": column 'arm' must be a positive integer, got {row[1]!r}"
     if arm < 1:
