@@ -11,6 +11,8 @@ reproduce them; the rescaling-check digests beyond the first two were
 computed before that check scored one experiment per distinct tally,
 which had to reproduce them.  A report is pinned through its ``repr``,
 which also shows a NumPy scalar where a Python float belongs.
+The ``make-corpus`` CSV digests were computed before the export formatted
+its floats in bulk, which had to reproduce them byte for byte.
 They also depend on the float results of NumPy and its BLAS, so a
 different build may move them; check such a move against the previous
 version of the code on the same build before updating a pin.
@@ -40,6 +42,11 @@ MANIFESTS = {
     1: "b05f9bb1a2670eda66337812899fde262107f42413fddef13d98131f881ce86e",
     2: "36d8664fc7e7b099146b0fa8c69127c3d1058ed5616ed6e50f2dd628c38fd18c",
 }
+CORPORA = {
+    0: "fcf65132eda0592e6869810023b8da35d197fdfa79877e9985cceadcd1fc2598",
+    1: "4754535a456ab81b7b0bec2a6cc806a74f87547307683c89e63ab2e3bb2fd625",
+    2: "2a1f95d1f884ef3cef831544f998702644ff1f2edfff47e506b56046dddd110c",
+}
 REPORTS = {
     0: "57ba455b1c2f9a035b1de37b4767cb3a8bbec401dfe688eb70b5205a2b3e02a1",
     1: "1dd5a8b816f11d3a60fa1a65eeaa70584b9d79bcdc2027371f40387a2e507103",
@@ -51,12 +58,23 @@ def sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-@pytest.mark.parametrize("seed", sorted(REPORTS))
-def test_evaluate_report_and_manifest_bytes_are_pinned(tmp_path, seed):
-    corpus, rules, report = (tmp_path / name for name in ("corpus.csv", "rules.json", "report.csv"))
-    rules.write_text(json.dumps(RULES))
+def make_corpus(tmp_path, seed):
+    corpus = tmp_path / "corpus.csv"
     assert main(["make-corpus", "--out", str(corpus), "--experiments", "20",
                  "--units", "30", "--seed", str(seed)]) == 0
+    return corpus
+
+
+@pytest.mark.parametrize("seed", sorted(CORPORA))
+def test_make_corpus_bytes_are_pinned(tmp_path, seed):
+    assert sha256(make_corpus(tmp_path, seed)) == CORPORA[seed]
+
+
+@pytest.mark.parametrize("seed", sorted(REPORTS))
+def test_evaluate_report_and_manifest_bytes_are_pinned(tmp_path, seed):
+    corpus = make_corpus(tmp_path, seed)
+    rules, report = tmp_path / "rules.json", tmp_path / "report.csv"
+    rules.write_text(json.dumps(RULES))
     assert main(["evaluate", "--corpus", str(corpus), "--rules", str(rules),
                  "--out", str(report), "--seed", str(seed)]) == 0
     assert sha256(report) == REPORTS[seed]
