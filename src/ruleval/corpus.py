@@ -384,7 +384,7 @@ def _read_weights(path: str, ids: np.ndarray) -> np.ndarray:
             fault = f": duplicate experiment_id {exp_id!r}"
         else:
             try:
-                weights[i] = w = float(row[1])
+                weights[i] = w = float(row[1].strip())
             except ValueError:
                 fault = f": column 'weight' is not numeric: {row[1]!r}"
             else:
@@ -397,23 +397,63 @@ def _read_weights(path: str, ids: np.ndarray) -> np.ndarray:
     return np.where(np.isnan(weights), 1.0, weights)
 
 
+# Slots of the corpus export's block buffer: the rows formatted at once are
+# as many as fit, so its memory is bounded however wide the rows are.
+_EXPORT_BLOCK_SLOTS = 1 << 18
+
+
 def write_corpus_csv(corpus: ExperimentCorpus, path: str) -> None:
     """Export a corpus in the ingestion schema (canonical unit ids).
 
-    Each arm of the stack is one ``%`` over its positions and values with a
-    row template holding the experiment id and arm; ``"%.17g" % v ==
-    format(v, ".17g")``.
+    Rows are built in blocks, each as one uint8 array of slots with a mask
+    of the slots it keeps; the kept slots, in order, are the block's text.
+    A row's slots hold its arm's prefix (quoted experiment id, arm and
+    ``u``), the unit position in at least 6 digits, a comma and the
+    ``tableio.format_floats`` cell of each metric, and the newline.  Every
+    float reads as ``format(v, ".17g")``: NumPy computes it for
+    1e-4 <= |v| < 1e16 and ``format`` gives the others (0, -0, smaller
+    and larger values).
     """
     stack = corpus.stack
-    row = ",u%06d" + ",%.17g" * len(corpus.metric_names) + "\n"
-    text = [",".join(map(quote, (*_FIXED_COLUMNS, *corpus.metric_names))) + "\n"]
-    starts = stack.starts.tolist()
-    for (exp_id, k), lo, hi in zip(stack.arm_keys(), starts, starts[1:]):
-        cells = np.column_stack([np.arange(hi - lo), stack.units[lo:hi]])
-        text.append((f"{quote(exp_id).replace('%', '%%')},{k}{row}" * (hi - lo))
-                    % tuple(cells.ravel().tolist()))
+    j = len(corpus.metric_names)
+    starts = stack.starts
+    prefixes = [f"{quote(exp_id)},{k},u".encode() for exp_id, k in stack.arm_keys()]
+    prefix_len = np.array([len(p) for p in prefixes], dtype=np.intp)
+    pw = int(prefix_len.max(initial=1))
+    # Unit positions in 8-digit words, of which at least 6 digits are kept.
+    groups = -(-len(str(int(stack.sizes.max(initial=1)) - 1)) // 8)
+    cells_at = pw + 8 * groups
+    row_slots = cells_at + j * (1 + tableio.FLOAT_SLOTS) + 1
+    rows = max(1, _EXPORT_BLOCK_SLOTS // row_slots)
+    chars = np.empty((rows, row_slots), np.uint8)
+    keep = np.ones((rows, row_slots), bool)
+    prefix_chars, prefix_keep = (a[:, :pw].view(f"V{pw}")[:, 0] for a in (chars, keep))
+    unit_words = chars[:, pw:cells_at].view("<u8")
+    cell_chars = chars[:, cells_at:-1].reshape(rows, j, 1 + tableio.FLOAT_SLOTS)
+    cell_keep = keep[:, cells_at:-1].reshape(rows, j, 1 + tableio.FLOAT_SLOTS)
+    cell_chars[..., 0] = ord(",")
+    chars[:, -1] = ord("\n")
+    out = [(",".join(map(quote, (*_FIXED_COLUMNS, *corpus.metric_names))) + "\n").encode()]
+    for lo in range(0, len(stack.units), rows):
+        hi = min(lo + rows, len(stack.units))
+        n = hi - lo
+        # The arms a0 to a1 - 1 hold rows lo to hi - 1.
+        a0 = int(np.searchsorted(starts, lo, "right")) - 1
+        a1 = int(np.searchsorted(starts, hi, "left"))
+        counts = np.diff(np.clip(starts[a0 : a1 + 1], lo, hi))
+        table = b"".join(p.ljust(pw, b"\0") for p in prefixes[a0:a1])
+        prefix_chars[:n] = np.repeat(np.frombuffer(table, f"V{pw}"), counts)
+        widths = np.arange(pw) < prefix_len[a0:a1, None]
+        prefix_keep[:n] = np.repeat(widths.view(f"V{pw}")[:, 0], counts)
+        position = np.arange(lo, hi) - np.repeat(starts[a0:a1], counts)
+        for g in range(groups):
+            unit_words[:n, -1 - g] = tableio.digits8(position // 10 ** (8 * g) % 10**8)
+        for r in range(6, 8 * groups):  # the slot of the digit of 10**r
+            keep[:n, cells_at - 1 - r] = position >= 10**r
+        tableio.format_floats(stack.units[lo:hi], cell_chars[:n, :, 1:], cell_keep[:n, :, 1:])
+        out.append(chars[:n][keep[:n]])
     # Through the module, so a wrapper of it (the benchmark tracer) sees it.
-    tableio.write_text_atomic(path, "".join(text))
+    tableio.write_text_atomic(path, b"".join(out))
 
 
 def make_synthetic_corpus(

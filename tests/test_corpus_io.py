@@ -80,6 +80,26 @@ def test_writer_matches_per_cell_oracle_byte_for_byte(tmp_path):
     assert_same_corpus(ingest_csv(str(tmp_path / "fast.csv")), corpus)
 
 
+def test_writer_matches_per_cell_oracle_across_row_blocks(tmp_path, monkeypatch):
+    # Blocks of a few rows: arms and ids of different widths span them.
+    monkeypatch.setattr(corpus_module, "_EXPORT_BLOCK_SLOTS", 1000)
+    corpus = three_arm_corpus(("e", 'q"x', "a,b", "long-id-" * 5))
+    write_corpus_csv(corpus, str(tmp_path / "fast.csv"))
+    oracle.write_corpus_csv(corpus, str(tmp_path / "cells.csv"))
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
+
+
+def test_writer_pads_unit_positions_to_at_least_six_digits(tmp_path):
+    units = np.full((1_000_001, 1), 0.5)
+    corpus = ExperimentCorpus((ExperimentData("e", (ArmData(1, units),)),), ("m",))
+    write_corpus_csv(corpus, str(tmp_path / "c.csv"))
+    text = (tmp_path / "c.csv").read_bytes()
+    assert text.startswith(b"experiment_id,arm,unit_id,m\ne,1,u000000,0.5\n")
+    assert text.endswith(b"\ne,1,u999999,0.5\ne,1,u1000000,0.5\n")
+    # Every position below 10**6 has 6 digits: 16-byte lines, then 17.
+    assert len(text) == 28 + 1_000_000 * 16 + 17
+
+
 def test_round_trip_quotes_ids_and_metric_names(tmp_path):
     ids = ("a,b", 'q"x', "50%")
     corpus = three_arm_corpus(ids)
@@ -407,6 +427,18 @@ def test_weight_file_joins_on_the_ids(tmp_path):
         write(weights, "experiment_id,weight\n" + text)
         with pytest.raises(CorpusFormatError, match=message):
             ingest_csv(str(path), str(weights))
+
+
+def test_weight_cell_is_stripped_as_metric_cells_are(tmp_path):
+    # float() refuses the information separators (\x1c-\x1f) that
+    # str.strip removes; metric cells were already stripped first.
+    path, weights = tmp_path / "c.csv", tmp_path / "w.csv"
+    write(path, "experiment_id,arm,unit_id,m\na,1,u1,1\na,2,u1,2\n")
+    write(weights, "experiment_id,weight\na,2\x1c\n")
+    assert ingest_csv(str(path), str(weights)).stack.weights.tolist() == [2.0]
+    write(weights, "experiment_id,weight\na,x\x1c\n")
+    with pytest.raises(CorpusFormatError, match=r"not numeric: 'x\\x1c'$"):
+        ingest_csv(str(path), str(weights))
 
 
 def test_export_ingest_and_evaluate_build_no_per_arm_objects(tmp_path, monkeypatch):
