@@ -412,7 +412,7 @@ def write_corpus_csv(corpus: ExperimentCorpus, path: str) -> None:
     ``tableio.format_floats`` cell of each metric, and the newline.  Every
     float reads as ``format(v, ".17g")``: NumPy computes it for
     1e-4 <= |v| < 1e16 and ``format`` gives the others (0, -0, smaller
-    and larger values).
+    and larger magnitudes, non-finite values).
     """
     stack = corpus.stack
     j = len(corpus.metric_names)
@@ -421,7 +421,7 @@ def write_corpus_csv(corpus: ExperimentCorpus, path: str) -> None:
     prefix_len = np.array([len(p) for p in prefixes], dtype=np.intp)
     pw = int(prefix_len.max(initial=1))
     # Unit positions in 8-digit words, of which at least 6 digits are kept.
-    groups = -(-len(str(int(stack.sizes.max(initial=1)) - 1)) // 8)
+    groups = (len(str(int(stack.sizes.max(initial=1)) - 1)) + 7) // 8
     cells_at = pw + 8 * groups
     row_slots = cells_at + j * (1 + tableio.FLOAT_SLOTS) + 1
     rows = max(1, _EXPORT_BLOCK_SLOTS // row_slots)
