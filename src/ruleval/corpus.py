@@ -63,8 +63,10 @@ class ExperimentCorpus:
     ``experiments`` is a sequence of ``ExperimentData``, stacked once in
     the order given, or an ``ArmStack`` to store as it is: ``ingest_csv``
     and ``make_synthetic_corpus`` build theirs directly, in id order.
-    Experiment ids are unique, and metric names are distinct non-empty
-    strings without surrounding whitespace.  ``experiments`` is built from
+    Experiment ids are unique, metric names are distinct non-empty strings
+    without surrounding whitespace, units are finite and weights finite
+    and nonnegative, so that ``write_corpus_csv`` writes a file that
+    ``ingest_csv`` reads back.  ``experiments`` is built from
     the stack on each access, with arms that are views of its units.
     """
 
@@ -98,6 +100,7 @@ class ExperimentCorpus:
                         f"metrics, corpus schema has {j}"
                     )
             experiments = ArmStack.of(experiments)
+        _check_values(experiments, metric_names)
         seen: set[str] = set()
         for exp_id in experiments.ids:
             if exp_id in seen:
@@ -108,6 +111,28 @@ class ExperimentCorpus:
     @property
     def experiments(self) -> tuple[ExperimentData, ...]:
         return self.stack.experiments()
+
+
+def _check_values(stack: ArmStack, metric_names: tuple[str, ...]) -> None:
+    """Require finite units and finite, nonnegative weights, as
+    ``ArmData`` and ``ExperimentData`` do, so that the export reads back."""
+    bad = ~np.isfinite(stack.units)
+    if bad.any():
+        row, column = np.argwhere(bad)[0].tolist()
+        arm = int(np.searchsorted(stack.starts, row, "right")) - 1
+        i = int(np.searchsorted(stack.first_arm, arm, "right")) - 1
+        raise CorpusFormatError(
+            f"experiment {stack.ids[i]!r}, arm {arm - stack.first_arm[i] + 1}, unit "
+            f"{row - stack.starts[arm]}: metric {metric_names[column]!r} is not finite: "
+            f"{float(stack.units[row, column])!r}"
+        )
+    bad = ~((stack.weights >= 0) & (stack.weights < np.inf))
+    if bad.any():
+        i = int(bad.argmax())
+        raise CorpusFormatError(
+            f"experiment {stack.ids[i]!r}: weight must be finite and nonnegative, "
+            f"got {float(stack.weights[i])!r}"
+        )
 
 
 def ingest_csv(path: str, weights_path: str | None = None) -> ExperimentCorpus:
@@ -214,43 +239,158 @@ def _sorted_columns(ids, arms, units, values):
     return ids, arms, units, np.ascontiguousarray(values)
 
 
+# Files that np.loadtxt decompresses by their name.
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
+# The byte parse reads rows in blocks whose temporaries take about this
+# many bytes, at about _CELL_TEMP_BYTES per number cell and twice its width
+# per text cell, however long the file is.
+_INGEST_BLOCK_BYTES = 1 << 21
+_CELL_TEMP_BYTES = 256
+_SCAN_CHUNK_BYTES = 1 << 18
+
+
 def _bulk_columns(path: str, fh, header_lines: int, num_metrics: int):
-    """The data rows after the header, read by ``np.loadtxt`` and checked:
-    ``_sorted_columns`` of them, or None when the parser rejects a row (a
-    ragged or whitespace-only one, a cell it cannot convert) or a check
-    fails.  Its cells are the ones ``csv.reader`` splits, and every number
-    it accepts converts as ``int`` or ``float`` converts it.  Some NumPy
-    releases from 1.23 on read an ``arm`` cell such as ``1.5`` as a float,
-    truncate it and emit a DeprecationWarning: that warning is raised as
-    an error here, so the walk rejects the cell as ``int`` does.  A NumPy
-    string array drops a trailing NUL character, which would merge two
-    ids, so a file holding a NUL is left to the walk.
+    """The data rows after the header, parsed in bulk and checked:
+    ``_sorted_columns`` of them, or None when a row does not parse (a
+    ragged, blank or whitespace-only one, a cell that ``int`` or ``float``
+    rejects) or a check fails.  The cells are the ones ``csv.reader``
+    splits, and every number equals ``int`` or ``float`` of its stripped
+    cell.  A NumPy string array drops a trailing NUL character, which
+    would merge two ids, so a file holding a NUL is left to the walk.
 
-    ``np.loadtxt`` reads a file it opens itself from its path in chunks,
-    faster than it reads the lines of ``fh`` (the rest of the file after
-    the header's ``header_lines`` lines).  It opens the path with universal
-    newlines, which turn a quoted ``\r`` into ``\n``, and decompresses by
-    file extension, so a file holding a ``\r``, or named as compressed, is
-    read from ``fh``.
-
-    A file read from its path parses its id and unit cells into
-    fixed-width string columns, as wide as ``_cell_widths`` finds the
-    widest cell of each in bytes, when it bounds them.  A UTF-8 character
-    takes at least one byte, so no cell is cut.  Otherwise the cells are
-    parsed as ``str`` objects and then copied into one string array per
-    column, each as wide as its own widest cell, so that one long id does
-    not widen the unit column."""
+    A file without a ``"``, a ``\r`` or a compressed name is parsed from
+    its bytes (``_byte_columns``).  Others go to ``np.loadtxt`` with
+    ``object`` fields (``_object_columns``).
+    """
     with open(path, "rb") as raw:
         data = raw.read()
     if b"\0" in data:
         return None
-    source, skip = os.path.abspath(path), header_lines
-    if b"\r" in data or source.endswith((".gz", ".bz2", ".xz", ".lzma")):
-        source, skip = fh, 0
-    widths = _cell_widths(data, num_metrics) if skip else None
-    del data
-    id_type, unit_type = (f"U{w}" for w in widths) if widths else (object, object)
-    row = np.dtype([("id", id_type), ("arm", np.int64), ("unit", unit_type),
+    from_fh = b"\r" in data or path.endswith(_COMPRESSED)
+    if from_fh or b'"' in data:
+        del data
+        columns = (_object_columns(fh, 0, num_metrics) if from_fh else
+                   _object_columns(os.path.abspath(path), header_lines, num_metrics))
+    else:
+        columns = _byte_columns(data, num_metrics)
+    if columns is None:
+        return None
+    ids, arms, units, values = columns
+    if not ((ids != "").all() and (units != "").all() and arms.min() >= 1
+            and np.isfinite(values).all()):
+        return None
+    return _sorted_columns(ids, arms, units, values)
+
+
+def _byte_columns(data: bytes, num_metrics: int):
+    """The (ids, arms, units, values) of an unquoted file's data rows, read
+    from its bytes at the cell bounds ``_cell_bounds`` finds, or None.
+
+    Rows are read in blocks.  The id and unit cells are gathered into
+    fixed-width bytes columns, as wide as the widest cell of each, then
+    decoded (as ASCII when every byte is, else as UTF-8); a UTF-8
+    character takes at least one byte, so no cell is cut.  ``tableio``'s
+    ``parse_ints`` reads the arm cells and ``parse_floats`` the metric
+    cells: each converts the plain decimal cells in NumPy and hands every
+    other cell to ``int`` or ``float``.
+    """
+    bounds = _cell_bounds(data, num_metrics)
+    if bounds is None:
+        return None
+    buf = np.frombuffer(data, np.uint8)
+    n, j = len(bounds), num_metrics
+    widths = [max(int((bounds[:, c + 1] - bounds[:, c]).max()) - 1, 1) for c in (0, 2)]
+    if bounds[-1, 2] + 1 + max(widths) > len(buf):  # room for the last row's cells
+        buf = np.concatenate((buf, np.zeros(max(widths), np.uint8)))
+    ids, units = (np.empty(n, f"U{w}") for w in widths)
+    arms, values = np.empty(n, np.int64), np.empty((n, j))
+    rows = max(1, _INGEST_BLOCK_BYTES // (_CELL_TEMP_BYTES * (1 + j) + 8 * sum(widths)))
+    for lo in range(0, n, rows):
+        # Cell c of each row spans s[:, c] to e[:, c].
+        s, e = bounds[lo : lo + rows, :-1] + 1, bounds[lo : lo + rows, 1:]
+        arm = tableio.parse_ints(buf, s[:, 1], e[:, 1])
+        cells = tableio.parse_floats(buf, s[:, 3:].ravel(), e[:, 3:].ravel())
+        if arm is None or cells is None:
+            return None
+        arms[lo : lo + rows], values[lo : lo + rows] = arm, cells.reshape(-1, j)
+        for column, c in ((ids, 0), (units, 2)):
+            text = tableio.byte_cells(buf, s[:, c], e[:, c], column.itemsize // 4)
+            try:
+                column[lo : lo + rows] = _stripped_text(text)
+            except UnicodeDecodeError:  # the walk names the line
+                return None
+    return ids, arms, units, values
+
+
+def _stripped_text(cells: np.ndarray) -> np.ndarray:
+    """A bytes array decoded as UTF-8 and stripped as ``str.strip`` strips.
+    When every byte is ASCII, each one is its own code point, widened into
+    the ``str`` array's 4 bytes, and only a cell with a byte from 0x01 to
+    0x20 (where ASCII whitespace lies) can need stripping."""
+    chars = cells.view(np.uint8)
+    if chars.max(initial=0) >= 0x80:
+        return np.char.strip(np.char.decode(cells, "utf-8"))
+    text = chars.astype(np.uint32).view(f"U{cells.itemsize}")
+    return np.char.strip(text) if ((chars - np.uint8(1)) < 0x20).any() else text
+
+
+def _cell_bounds(data: bytes, num_metrics: int) -> np.ndarray | None:
+    """The cell bounds of the lines of ``data`` after the first, from one
+    scan for its commas and newlines: row i holds the position of the
+    newline before line i, of its 2 + ``num_metrics`` commas and of its end
+    (its newline, or the end of ``data``), so cell c of line i is
+    ``data[bounds[i, c] + 1 : bounds[i, c + 1]]``.  Rows share their
+    first and last entries, as one array's overlapping windows.  None when
+    there is no line after the first or a line has another comma count,
+    as a blank line has."""
+    header_end = data.find(b"\n")
+    if header_end < 0:
+        return None
+    buf = np.frombuffer(data, np.uint8)
+    # Commas and newlines are among the bytes <= 44 ("," is 44), found a
+    # chunk at a time so that the mask stays small; int32 offsets halve the
+    # array when the file is under 2 GiB.
+    offset = np.int32 if len(data) < 1 << 31 else np.int64
+    delims = np.concatenate([
+        (np.flatnonzero(buf[lo : lo + _SCAN_CHUNK_BYTES] <= ord(",")) + lo).astype(offset)
+        for lo in range(header_end, len(buf), _SCAN_CHUNK_BYTES)])
+    kinds = buf[delims]
+    keep = (kinds == ord(",")) | (kinds == ord("\n"))
+    if not keep.all():
+        delims, kinds = delims[keep], kinds[keep]
+    newline = kinds == ord("\n")
+    k = 3 + num_metrics  # the delimiters that end a line's cells
+    unended = data[-1:] != b"\n"
+    n = (len(delims) - 1 + unended) // k
+    if not n or len(delims) + unended != 1 + n * k:
+        return None
+    # Each line's last delimiter is a newline (or the end), and no other.
+    if not newline[::k].all() or int(newline.sum()) != 1 + n - unended:
+        return None
+    if unended:
+        delims = np.concatenate((delims, np.array([len(data)], offset)))
+    return np.lib.stride_tricks.sliding_window_view(delims, k + 1)[::k]
+
+
+def _object_columns(source, skip: int, num_metrics: int):
+    """The (ids, arms, units, values) of the data rows, read by
+    ``np.loadtxt`` with ``object`` id and unit fields from ``source`` after
+    ``skip`` lines, or None when it rejects a row.  Its cells are the ones
+    ``csv.reader`` splits, and every number it accepts converts as ``int``
+    or ``float`` converts it.  Some NumPy releases from 1.23 on read an
+    ``arm`` cell such as ``1.5`` as a float, truncate it and emit a
+    DeprecationWarning: that warning is raised as an error here, so the
+    walk rejects the cell as ``int`` does.
+
+    ``np.loadtxt`` reads a file it opens itself from its path in chunks,
+    faster than it reads the lines of the open file after the header.  It
+    opens the path with universal newlines, which turn a quoted ``\r``
+    into ``\n``, and decompresses by file extension, so a file holding a
+    ``\r``, or named as compressed, is read from the open file.  The id
+    and unit cells are then copied into one string array per column, each
+    as wide as its own widest cell, so that one long id does not widen the
+    unit column."""
+    row = np.dtype([("id", object), ("arm", np.int64), ("unit", object),
                     ("values", float, (num_metrics,))])
     try:
         with warnings.catch_warnings():
@@ -263,42 +403,8 @@ def _bulk_columns(path: str, fh, header_lines: int, num_metrics: int):
         return None
     if not len(table):
         return None
-    ids, units = table["id"], table["unit"]
-    if not widths:
-        ids, units = ids.astype(str), units.astype(str)
-    ids, units = np.char.strip(ids), np.char.strip(units)
-    arms, values = table["arm"], table["values"]
-    if not ((ids != "").all() and (units != "").all() and arms.min() >= 1
-            and np.isfinite(values).all()):
-        return None
-    return _sorted_columns(ids, arms, units, values)
-
-
-def _cell_widths(data: bytes, num_metrics: int) -> tuple[int, int] | None:
-    """The widths in bytes of the widest ``experiment_id`` and the widest
-    ``unit_id`` cell on the lines of ``data`` after the first, found from
-    the positions of its newlines and commas.  None when ``data`` holds a
-    ``"``, so that a cell may be quoted, or when a line lacks
-    2 + ``num_metrics`` commas."""
-    if b'"' in data:
-        return None
-    buf = np.frombuffer(data, np.uint8)
-    newlines = np.flatnonzero(buf == ord("\n"))
-    starts, ends = newlines + 1, np.append(newlines[1:], len(buf))
-    if len(starts) and starts[-1] == len(buf):  # the file ends with a newline
-        starts, ends = starts[:-1], ends[:-1]
-    n, k = len(starts), 2 + num_metrics
-    if not n:
-        return None
-    commas = np.flatnonzero(buf[starts[0]:] == ord(",")) + starts[0]
-    if len(commas) != n * k:
-        return None
-    # Line i holds commas k*i to k*i + k - 1 when its first and last lie in it.
-    commas = commas.reshape(n, k)
-    if (commas[:, 0] < starts).any() or (commas[:, -1] >= ends).any():
-        return None
-    id_widths, unit_widths = commas[:, 0] - starts, commas[:, 2] - commas[:, 1] - 1
-    return max(int(id_widths.max()), 1), max(int(unit_widths.max()), 1)
+    return (np.char.strip(table["id"].astype(str)), table["arm"],
+            np.char.strip(table["unit"].astype(str)), np.ascontiguousarray(table["values"]))
 
 
 def _walk_rows(path: str, header: list[str]):

@@ -18,7 +18,7 @@ import dataclasses
 import functools
 import json
 import os
-import tempfile
+import secrets
 from typing import Iterable
 
 import numpy as np
@@ -27,9 +27,12 @@ from . import __version__
 
 __all__ = [
     "FLOAT_SLOTS",
+    "byte_cells",
     "digits8",
     "fmt",
     "format_floats",
+    "parse_floats",
+    "parse_ints",
     "quote",
     "write_csv_atomic",
     "write_manifest",
@@ -181,20 +184,214 @@ def format_floats(values: np.ndarray, chars: np.ndarray, keep: np.ndarray) -> No
         keep[i][: len(text)] = True
 
 
+# The bytes of a cell that ``parse_floats`` and ``parse_ints`` read at
+# once: the last 24 after its sign, as three little-endian uint64 words.
+_CELL_BYTES = 24
+_BYTES_01 = np.uint64(0x0101010101010101)
+_BYTES_76 = np.uint64(0x7676767676767676)
+_BYTES_80 = np.uint64(0x8080808080808080)
+_POINTS = np.uint64(0x2E2E2E2E2E2E2E2E)  # "........"
+_U64 = [np.uint64(k) for k in (7, 8, 16, 32, 56, 0xFF, 0x00FF00FF00FF00FF,
+                                 0x0000FFFF0000FFFF, 10 << 8 | 1, 100 << 16 | 1,
+                                 10_000 << 32 | 1, 10**8, 9, 10**18)]
+
+
+@functools.cache
+def _pow10_u64() -> np.ndarray:
+    """10**k for k in [0, 19], as uint64."""
+    return np.array([10**k for k in range(20)], np.uint64)
+
+
+@functools.cache
+def _pow10_split() -> np.ndarray:
+    """10**f for f in [0, 22], an exact double, and its Veltkamp halves."""
+    p = _POW10[5:]
+    t = p * _VELTKAMP
+    high = t - (t - p)
+    return np.array([p, high, p - high])
+
+
+@functools.cache
+def _inside_masks() -> np.ndarray:
+    """For each count c in [0, 24] of leading bytes outside a cell, the
+    24-byte mask of the bytes from c on, as one ``V24`` item."""
+    inside = np.arange(_CELL_BYTES) >= np.arange(_CELL_BYTES + 1)[:, None]
+    return (inside * np.uint8(0xFF)).view(f"V{_CELL_BYTES}")[:, 0]
+
+
+def _windows(data: np.ndarray, width: int) -> np.ndarray:
+    """Every ``width`` bytes of ``data`` from each offset, as ``V{width}``
+    items sharing its memory: indexing them copies one cell per row."""
+    return np.ndarray((len(data) - width + 1,), f"V{width}", data, strides=(1,))
+
+
+def _decimal_cells(data: np.ndarray, starts: np.ndarray, ends: np.ndarray):
+    """Read each cell ``data[starts[i]:ends[i]]`` of the uint8 array
+    ``data`` that has the form ``-?digits[.digits]``, with at most 24 bytes
+    after the sign and at most 18 significant digits.
+
+    Returns ``(fast, negative, m, f, point)``: which cells have that form,
+    and for those the sign, the digits as one int64 ``m`` (the cell reads
+    as -?m / 10**f), the count ``f`` of digits after the point and whether
+    it has a point; ``m`` and ``f`` are 0 for the other cells.  The 24
+    bytes that end a cell are three uint64 words, each read as 8 digits at
+    once.  The bytes before the first digit and the point read as 0, so
+    the words hold the digits of ``v`` = (integer part) * 10**(f + 1) +
+    (fraction part), and m = v - 9 * (v // 10**(f + 1)) * 10**f.
+    """
+    w = _CELL_BYTES
+    (seven, eight, sixteen, thirty_two, fifty_six, ff, pairs, quads, times10,
+     times100, times10k, e8, nine, e18) = _U64
+    if len(data) < w or ends.min(initial=w) < w:  # room for the first window
+        data = np.concatenate((np.zeros(w, np.uint8), data))
+        starts, ends = starts + w, ends + w
+    length = ends - starts
+    negative = (length > 0) & (data.take(starts, mode="clip") == ord("-"))
+    first = w - length + negative  # the window's first byte after the sign
+    words = _windows(data, w)[ends - w].view("<u8").reshape(-1, 3)
+    inside = _inside_masks()[np.maximum(first, 0)].view("<u8").reshape(-1, 3)
+    # The top bit of each "." byte: x - 0x01.. borrows only out of a zero
+    # byte of x, and the byte it then marks next is "/", never a digit.
+    x = words ^ _POINTS
+    ones = ((x - _BYTES_01) & ~x & _BYTES_80 & inside) >> seven
+    digits = (words ^ _ASCII_ZERO) & (inside ^ ones * ff)
+    # Every byte is 0..9 when no top bit is set in digits + 0x76..: a carry
+    # out of a byte comes only from a byte above 9, which is marked itself.
+    bad = ((digits + _BYTES_76) | digits) & _BYTES_80
+    counts = ones * _BYTES_01 >> fifty_six  # "." bytes in each word
+    count = counts[:, 0] + counts[:, 1] + counts[:, 2]
+    point = count == 1
+    # The point's bit, one of 192, read from one float; k is its byte.
+    bit = ones.astype(np.float64) @ np.array([1.0, 2.0**64, 2.0**128])
+    k = np.frexp(bit)[1] - 1 >> 3
+    f = np.where(point, w - 1 - k, 0)
+    fast = ((bad[:, 0] | bad[:, 1] | bad[:, 2]) == 0) & (count <= 1) & (first >= 0) & (
+        first < w) & ~(point & ((k <= first) | (f < 1)))
+    # Eight digits per word, the first the most significant (Lemire 2021).
+    v = (digits * times10) >> eight & pairs
+    v = (v * times100) >> sixteen & quads
+    v = (v * times10k) >> thirty_two
+    fast &= v[:, 0] < 1000  # so v < 10**19 < 2**64
+    v = (v[:, 0] * e8 + v[:, 1]) * e8 + v[:, 2]
+    pow10 = _pow10_u64()
+    f_cap = np.minimum(f, 18)  # v < 10**19, so v // 10**(f + 1) = 0 from there
+    m = v - v // pow10[f_cap + 1] * nine * pow10[f_cap] * point
+    fast &= m < e18
+    m = np.where(fast, m, np.uint64(0)).astype(np.int64)
+    return fast, negative, m, np.where(fast, f, 0), point
+
+
+def _cell_text(data: np.ndarray, start: int, end: int) -> str:
+    """One cell, decoded as UTF-8 and stripped as ``str.strip`` strips."""
+    return bytes(data[start:end]).decode("utf-8").strip()
+
+
+def parse_floats(data: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray | None:
+    """``float`` of each cell ``data[starts[i]:ends[i]]`` of the uint8
+    array ``data``, decoded as UTF-8 and stripped, as a float64 array; None
+    when ``float`` (or the decoding) rejects a cell.
+
+    Cells of the form ``-?digits[.digits]`` with at most 24 bytes after the
+    sign and at most 18 significant digits m (the cell reads as -?m / 10**f,
+    f <= 22) are converted in NumPy; every other cell (exponent notation,
+    padding, ``+``, ``1_000``, ``.5``, ``5.``, ``nan``, non-ASCII bytes,
+    longer digit strings) goes to ``float``.  The NumPy value is the
+    correctly rounded m / 10**f, as ``float`` gives it:
+
+    * for m < 2**53, m and 10**f are exact doubles, so one IEEE division
+      q = m / 10**f rounds correctly (Clinger's fast path);
+    * for larger m, q = float(m) / 10**f is within 1.5 ulp of x = m / 10**f,
+      so the answer is q or a neighbour.  The residual r = m - q * 10**f is
+      exact: q * 10**f = h + l exactly (Dekker's product), h is an integer
+      as h >= 2**52, and r = (m - int(h)) - l is a multiple of
+      min(1, ulp(q) * 2**f) below 2**53 times it (|r| <= 1.5 ulp(q) *
+      10**f, 5**22 < 2**52).  Half the gap to each neighbour times 10**f
+      is exact too, so comparing r with it picks the neighbour nearest x,
+      ties to the even one; the gap below a power of two is the smaller.
+
+    Checked with exact fractions on random and adversarial cells (halfway
+    cases, each 10**k and power of two +-1 ulp), and by the differential
+    test against ``float``.  Temporaries take about 1 kB per cell, so
+    callers pass cells in blocks.
+    """
+    fast, negative, m, f, _ = _decimal_cells(data, starts, ends)
+    with np.errstate(all="ignore"):
+        p, p_hi, p_lo = _pow10_split()[:, f]
+        q = m.astype(np.float64) / p
+        t = q * _VELTKAMP
+        q_hi = t - (t - q)
+        q_lo = q - q_hi
+        h = q * p
+        r = (m - h.astype(np.int64)).astype(np.float64) - (
+            ((q_hi * p_hi - h) + q_hi * p_lo + q_lo * p_hi) + q_lo * p_lo)
+        # Step to the neighbour on the side of x when |r| is more than half
+        # the gap to it times 10**f, or half and q is odd (ties to even).
+        bits = q.view(np.int64)
+        toward = np.sign(r).astype(np.int64)
+        gap = np.abs((bits + toward).view(np.float64) - q) * p
+        twice = np.abs(r) * 2.0
+        step = ((twice > gap) | (twice == gap) & (bits & 1 == 1)) & (m >= 2**53)
+        values = (bits + toward * step).view(np.float64)
+    values = np.where(negative, -values, values)
+    for i in np.flatnonzero(~fast).tolist():
+        try:
+            values[i] = float(_cell_text(data, starts[i], ends[i]))
+        except ValueError:
+            return None
+    return values
+
+
+def parse_ints(data: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray | None:
+    """``int`` of each cell ``data[starts[i]:ends[i]]`` of the uint8 array
+    ``data``, decoded as UTF-8 and stripped, as an int64 array; None when
+    ``int`` (or the decoding) rejects a cell or its value does not fit.
+    A cell of one ASCII digit is that digit.  Other cells of ``-?digits``
+    with at most 24 bytes after the sign and at most 18 significant digits
+    are read in NumPy, and the rest by ``int``."""
+    values = data.take(starts, mode="clip").astype(np.int64) - ord("0")
+    rest = np.flatnonzero((ends - starts != 1) | (values < 0) | (values > 9))
+    if not len(rest):
+        return values
+    fast, negative, m, _, point = _decimal_cells(data, starts[rest], ends[rest])
+    values[rest] = np.where(negative, -m, m)
+    for i in rest[~fast | point].tolist():
+        try:
+            value = int(_cell_text(data, starts[i], ends[i]))
+        except ValueError:
+            return None
+        if not -(1 << 63) <= value < 1 << 63:
+            return None
+        values[i] = value
+    return values
+
+
+def byte_cells(data: np.ndarray, starts: np.ndarray, ends: np.ndarray, width: int) -> np.ndarray:
+    """The cells ``data[starts[i]:ends[i]]`` of the uint8 array ``data`` as
+    an ``S{width}`` array.  No cell is wider than ``width`` bytes, and
+    ``data`` holds ``width`` bytes from each start."""
+    cells = _windows(data, width)[starts]
+    chars = cells.view(np.uint8).reshape(-1, width)
+    chars *= np.arange(width) < (ends - starts)[:, None]
+    return cells.view(f"S{width}")
+
+
 def write_text_atomic(path: str, text: str | bytes) -> None:
     """Write ``text`` (a str, or bytes already encoded) to ``path`` as UTF-8,
-    atomically, with mode 0o666 less the process umask."""
+    atomically, with mode 0o666 less the process umask: the temporary file
+    is created with that mode, which the kernel reduces by the umask."""
     data = text.encode("utf-8") if isinstance(text, str) else text
     directory = os.path.dirname(os.path.abspath(path)) or "."
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    while True:
+        tmp = os.path.join(directory, f"tmp{secrets.token_hex(8)}.tmp")
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        except FileExistsError:
+            continue
+        break
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
-        # mkstemp makes the file 0o600; give it the mode open() would.
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -353,10 +353,11 @@ def test_ingest_catches_a_duplicate_with_and_without_sorting(tmp_path, lexsort_c
 
 
 def test_ingest_parses_unquoted_ids_into_fixed_width_columns(tmp_path, monkeypatch):
-    # Fixed-width id and unit columns, as wide as the widest cell in bytes,
-    # for an unquoted file, also one with an id of 100,000 characters (short
+    # An unquoted file is parsed from its bytes, its ids and unit ids into
+    # fixed-width columns, also one with an id of 100,000 characters (short
     # of ``csv.reader``'s default field limit of 131,072, so the walk reads
-    # it too); str objects for a quoted one.  All give the walk's stack.
+    # it too): neither np.loadtxt nor the walk runs.  A quoted file goes to
+    # np.loadtxt with str objects.  All give the walk's stack.
     dtypes, loadtxt = [], np.loadtxt
 
     def spy(source, *args, dtype, **kwargs):
@@ -372,14 +373,16 @@ def test_ingest_parses_unquoted_ids_into_fixed_width_columns(tmp_path, monkeypat
     write(tmp_path / "wide.csv", "experiment_id,arm,unit_id,m\ne,1,u1,1\n"
                                  + "x" * 100_000 + ",1,u1,2\ne,2,u1,3\n")
     walk = corpus_module._walk_rows
-    for name, id_type, unit_type in (("made.csv", "U5", "U7"), ("unended.csv", "U5", "U7"),
-                                     ("quoted.csv", object, object), ("wide.csv", "U100000", "U2")):
+    for name, loadtxt_types in (("made.csv", []), ("unended.csv", []), ("wide.csv", []),
+                                ("quoted.csv", [(object, object)])):
         path = str(tmp_path / name)
         with monkeypatch.context() as patch:
             patch.setattr(np, "loadtxt", spy)
             patch.setattr(corpus_module, "_walk_rows", lambda *args: pytest.fail("rows walked"))
             bulk = ingest_csv(path).stack
-        assert (dtypes[-1]["id"], dtypes[-1]["unit"]) == (np.dtype(id_type), np.dtype(unit_type))
+        assert [(d["id"], d["unit"]) for d in dtypes] == [
+            (np.dtype(id_type), np.dtype(unit_type)) for id_type, unit_type in loadtxt_types]
+        dtypes.clear()
         with monkeypatch.context() as patch:
             patch.setattr(corpus_module, "_bulk_columns", lambda *args: None)
             patch.setattr(corpus_module, "_walk_rows", walk)
@@ -478,6 +481,24 @@ def test_in_memory_corpus_rejects_a_repeated_experiment_id():
     repeated = (exps[0], exps[1], ExperimentData("a", exps[1].arms))
     with pytest.raises(CorpusFormatError, match="^experiment id 'a' appears more than once"):
         ExperimentCorpus(repeated, ("north_star", "p1", "p2"))
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("units", np.nan, r"^experiment 'b', arm 2, unit 1: metric 'p1' is not finite: nan$"),
+    ("units", -np.inf, r"^experiment 'b', arm 2, unit 1: metric 'p1' is not finite: -inf$"),
+    ("weights", np.inf, r"^experiment 'b': weight must be finite and nonnegative, got inf$"),
+    ("weights", -1.0, r"^experiment 'b': weight must be finite and nonnegative, got -1.0$"),
+])
+def test_in_memory_stack_rejects_values_the_export_cannot_write_back(field, value, message):
+    # Accepted, a NaN unit was exported as "nan", which ingest_csv rejects.
+    stack = three_arm_corpus(("a", "b")).stack
+    array = getattr(stack, field).copy()
+    if field == "units":
+        array[stack.starts[4] + 1, 1] = value  # arm 2 of "b", its unit 1
+    else:
+        array[1] = value
+    with pytest.raises(CorpusFormatError, match=message):
+        ExperimentCorpus(stack._replace(**{field: array}), ("north_star", "p1", "p2"))
 
 
 @pytest.mark.parametrize("names, message", [
@@ -598,6 +619,11 @@ def outcome(parse, path):
 @example('experiment_id,arm,unit_id,m\ne,1,u1,2\x1c\ne,1,u2,1_000\ne,2,u1,3\n')
 @example('experiment_id,arm,unit_id,m\ne,1\x1c,u1,2\ne,1,u2,1\ne,2,u1,3\ne,2,u2,4\n'
          'e,2,u2,5\n')
+# Cells that the byte parse hands to float or int, and a non-ASCII id.
+@example('experiment_id,arm,unit_id,m\ne,1,u1,+1.5\ne,1,u2, 2.5 \ne,1,u3,1_000\n'
+         'e,2,u1,1E5\ne,2,u2,.5\ne,2,u3,5.\n')
+@example('experiment_id,arm,unit_id,m\ne, 2,u1,1\ne,1,u1,2\n')
+@example('experiment_id,arm,unit_id,m\n\xe9\U0001d522,1,u1,1\n\xe9\U0001d522,2,u1,2\n')
 def test_ingest_matches_the_csv_reader_parser(text):
     fd, path = tempfile.mkstemp(suffix=".csv")
     try:
