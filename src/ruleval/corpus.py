@@ -141,19 +141,25 @@ def ingest_csv(path: str, weights_path: str | None = None) -> ExperimentCorpus:
     Errors name the offending file line and column.  Duplicate
     (experiment_id, arm, unit_id) triples, missing, non-numeric or
     non-finite cells, NUL characters in id cells, ragged rows, and
-    non-contiguous arm indices are all rejected.  NumPy's C parser reads
-    every row in one call, the cells are checked in bulk, and the rows are
-    sorted only when they are not already in (experiment_id, arm, unit_id)
-    order.  When it rejects a row or a check fails, the rows are walked one
-    by one with ``csv.reader``, ``int`` and ``float``: the walk names the
-    first fault, or parses the file when only Python's number syntax
-    accepts a cell (such as ``1_000``).  The walk converts each cell after
-    stripping it, as the bulk parse does, so a cell padded with a character
-    that ``str.strip`` removes but ``int`` and ``float`` refuse (the
-    separators U+001C to U+001F) reads the same on both paths.  A leading
-    UTF-8 byte-order mark, in the corpus or the weight file, is skipped; a
-    byte that is not UTF-8 is an error naming its line.  The sorted rows
-    are the corpus's ``ArmStack``; no per-arm object is built.
+    non-contiguous arm indices are all rejected.  A file without a ``"``,
+    a ``\r`` or a compressed name, as every ``make-corpus`` file is, is
+    parsed from its bytes in blocks of rows: one scan of its commas and
+    newlines bounds every cell, and ``tableio.parse_ints`` and
+    ``parse_floats`` convert the arm and metric cells in NumPy, each value
+    equal to ``int`` or ``float`` of the stripped cell.  Other files are
+    read by NumPy's C parser.  The cells are checked in bulk, and the rows
+    are sorted only when they are not already in (experiment_id, arm,
+    unit_id) order.  When a row does not parse or a check fails, the rows
+    are walked one by one with ``csv.reader``, ``int`` and ``float``: the
+    walk names the first fault, or parses the file when only it accepts
+    the layout (a blank line, or a cell such as ``1_000`` in a quoted
+    file).  Every path converts a cell after stripping it, so a cell
+    padded with a character that ``str.strip`` removes but ``int`` and
+    ``float`` refuse (the separators U+001C to U+001F) reads the same on
+    all of them.  A leading UTF-8 byte-order mark, in the corpus or the
+    weight file, is skipped; a byte that is not UTF-8 is an error naming
+    its line.  The sorted rows are the corpus's ``ArmStack``; no per-arm
+    object is built.
     """
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         raw_header = next(_csv_rows(path, fh), None)
@@ -242,8 +248,8 @@ def _sorted_columns(ids, arms, units, values):
 # Files that np.loadtxt decompresses by their name.
 _COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 # The byte parse reads rows in blocks whose temporaries take about this
-# many bytes, at about _CELL_TEMP_BYTES per number cell and twice its width
-# per text cell, however long the file is.
+# many bytes, at about _CELL_TEMP_BYTES per number cell and 8 per byte of a
+# text cell's width, however long the file is.
 _INGEST_BLOCK_BYTES = 1 << 21
 _CELL_TEMP_BYTES = 256
 _SCAN_CHUNK_BYTES = 1 << 18
@@ -251,16 +257,18 @@ _SCAN_CHUNK_BYTES = 1 << 18
 
 def _bulk_columns(path: str, fh, header_lines: int, num_metrics: int):
     """The data rows after the header, parsed in bulk and checked:
-    ``_sorted_columns`` of them, or None when a row does not parse (a
-    ragged, blank or whitespace-only one, a cell that ``int`` or ``float``
-    rejects) or a check fails.  The cells are the ones ``csv.reader``
-    splits, and every number equals ``int`` or ``float`` of its stripped
-    cell.  A NumPy string array drops a trailing NUL character, which
-    would merge two ids, so a file holding a NUL is left to the walk.
+    ``_sorted_columns`` of them, with stripped id and unit cells, or None
+    when a row does not parse (a ragged, blank or whitespace-only one, a
+    cell that ``int`` or ``float`` rejects) or a check fails.  The cells
+    are the ones ``csv.reader`` splits, and every number equals ``int`` or
+    ``float`` of its stripped cell.  A NumPy string array drops a trailing
+    NUL character, which would merge two ids, so a file holding a NUL is
+    left to the walk.
 
     A file without a ``"``, a ``\r`` or a compressed name is parsed from
-    its bytes (``_byte_columns``).  Others go to ``np.loadtxt`` with
-    ``object`` fields (``_object_columns``).
+    its bytes (``_byte_columns``): with no quote, each comma and newline
+    ends a cell, as ``csv.reader`` splits them.  The others go to
+    ``np.loadtxt`` with ``object`` fields (``_object_columns``).
     """
     with open(path, "rb") as raw:
         data = raw.read()
@@ -286,13 +294,19 @@ def _byte_columns(data: bytes, num_metrics: int):
     """The (ids, arms, units, values) of an unquoted file's data rows, read
     from its bytes at the cell bounds ``_cell_bounds`` finds, or None.
 
-    Rows are read in blocks.  The id and unit cells are gathered into
-    fixed-width bytes columns, as wide as the widest cell of each, then
-    decoded (as ASCII when every byte is, else as UTF-8); a UTF-8
-    character takes at least one byte, so no cell is cut.  ``tableio``'s
-    ``parse_ints`` reads the arm cells and ``parse_floats`` the metric
-    cells: each converts the plain decimal cells in NumPy and hands every
-    other cell to ``int`` or ``float``.
+    Rows are read in blocks whose temporaries stay near
+    ``_INGEST_BLOCK_BYTES``.  The id and unit cells are gathered into
+    fixed-width bytes, as wide as the widest cell of each column, then
+    decoded (each byte is its own character when all are ASCII, else as
+    UTF-8; a character takes at least one byte, so no cell is cut) and
+    stripped.  ``tableio.parse_ints`` reads the arm cells and
+    ``parse_floats`` the metric cells.  Each converts plain decimal cells
+    (``-?digits[.digits]``, at most 18 significant digits) in NumPy, exactly
+    as ``int`` and ``float`` do, and hands every other cell (exponent
+    notation, padding, ``+``, ``1_000``, non-ASCII bytes, longer digit
+    strings) to ``int`` or ``float`` of the decoded, stripped cell, as the
+    walk converts it; a cell they reject sends the file to the walk, which
+    names it.
     """
     bounds = _cell_bounds(data, num_metrics)
     if bounds is None:

@@ -10,6 +10,11 @@ a comma, a double quote or a line break, with inner quotes doubled.
 ``format_floats`` gives the same float strings for a whole array at once.
 It computes them in NumPy for 1e-4 <= |v| < 1e16, where ``.17g`` uses
 fixed notation, and calls ``format`` for every other value.
+
+The corpus reader's bulk parsers read cells at given offsets of a file's
+bytes: ``parse_floats`` and ``parse_ints`` give what ``float`` and ``int``
+give for each stripped cell, converting the plain decimal ones in NumPy,
+and ``byte_cells`` gathers text cells into a fixed-width bytes array.
 """
 
 from __future__ import annotations
@@ -187,28 +192,17 @@ def format_floats(values: np.ndarray, chars: np.ndarray, keep: np.ndarray) -> No
 # The bytes of a cell that ``parse_floats`` and ``parse_ints`` read at
 # once: the last 24 after its sign, as three little-endian uint64 words.
 _CELL_BYTES = 24
-_BYTES_01 = np.uint64(0x0101010101010101)
 _BYTES_76 = np.uint64(0x7676767676767676)
 _BYTES_80 = np.uint64(0x8080808080808080)
-_POINTS = np.uint64(0x2E2E2E2E2E2E2E2E)  # "........"
-_U64 = [np.uint64(k) for k in (7, 8, 16, 32, 56, 0xFF, 0x00FF00FF00FF00FF,
-                                 0x0000FFFF0000FFFF, 10 << 8 | 1, 100 << 16 | 1,
-                                 10_000 << 32 | 1, 10**8, 9, 10**18)]
 
 
 @functools.cache
-def _pow10_u64() -> np.ndarray:
-    """10**k for k in [0, 19], as uint64."""
-    return np.array([10**k for k in range(20)], np.uint64)
-
-
-@functools.cache
-def _pow10_split() -> np.ndarray:
+def _pow10_split() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """10**f for f in [0, 22], an exact double, and its Veltkamp halves."""
     p = _POW10[5:]
     t = p * _VELTKAMP
     high = t - (t - p)
-    return np.array([p, high, p - high])
+    return p, high, p - high
 
 
 @functools.cache
@@ -234,14 +228,11 @@ def _decimal_cells(data: np.ndarray, starts: np.ndarray, ends: np.ndarray):
     and for those the sign, the digits as one int64 ``m`` (the cell reads
     as -?m / 10**f), the count ``f`` of digits after the point and whether
     it has a point; ``m`` and ``f`` are 0 for the other cells.  The 24
-    bytes that end a cell are three uint64 words, each read as 8 digits at
-    once.  The bytes before the first digit and the point read as 0, so
-    the words hold the digits of ``v`` = (integer part) * 10**(f + 1) +
-    (fraction part), and m = v - 9 * (v // 10**(f + 1)) * 10**f.
+    bytes that end a cell are three uint64 words.  The bytes before the
+    first digit read as 0, the point is dropped by moving the bytes before
+    it up by one, and each word is then read as 8 digits at once.
     """
     w = _CELL_BYTES
-    (seven, eight, sixteen, thirty_two, fifty_six, ff, pairs, quads, times10,
-     times100, times10k, e8, nine, e18) = _U64
     if len(data) < w or ends.min(initial=w) < w:  # room for the first window
         data = np.concatenate((np.zeros(w, np.uint8), data))
         starts, ends = starts + w, ends + w
@@ -250,33 +241,33 @@ def _decimal_cells(data: np.ndarray, starts: np.ndarray, ends: np.ndarray):
     first = w - length + negative  # the window's first byte after the sign
     words = _windows(data, w)[ends - w].view("<u8").reshape(-1, 3)
     inside = _inside_masks()[np.maximum(first, 0)].view("<u8").reshape(-1, 3)
-    # The top bit of each "." byte: x - 0x01.. borrows only out of a zero
-    # byte of x, and the byte it then marks next is "/", never a digit.
-    x = words ^ _POINTS
-    ones = ((x - _BYTES_01) & ~x & _BYTES_80 & inside) >> seven
-    digits = (words ^ _ASCII_ZERO) & (inside ^ ones * ff)
-    # Every byte is 0..9 when no top bit is set in digits + 0x76..: a carry
-    # out of a byte comes only from a byte above 9, which is marked itself.
-    bad = ((digits + _BYTES_76) | digits) & _BYTES_80
-    counts = ones * _BYTES_01 >> fifty_six  # "." bytes in each word
-    count = counts[:, 0] + counts[:, 1] + counts[:, 2]
-    point = count == 1
-    # The point's bit, one of 192, read from one float; k is its byte.
-    bit = ones.astype(np.float64) @ np.array([1.0, 2.0**64, 2.0**128])
-    k = np.frexp(bit)[1] - 1 >> 3
+    # 0..9 for a digit, 0x1E for ".", other bytes above 9, 0 outside.
+    digits = (words ^ _ASCII_ZERO) & inside
+    # The top bit of each byte above 9 is set in digits + 0x76.. | digits,
+    # exactly up to the lowest byte whose carry reaches the next one; that
+    # byte is above 9 itself.  k is the highest marked byte, one of 24, read
+    # from one float (-1 when there is none); it is the point if any.
+    above = ((digits + _BYTES_76) | digits) & _BYTES_80
+    k = np.frexp(above.astype(np.float64) @ np.array([1.0, 2.0**64, 2.0**128]))[1] - 8 >> 3
+    point = (k >= 0) & (data.take(ends - w + k) == ord("."))
     f = np.where(point, w - 1 - k, 0)
-    fast = ((bad[:, 0] | bad[:, 1] | bad[:, 2]) == 0) & (count <= 1) & (first >= 0) & (
-        first < w) & ~(point & ((k <= first) | (f < 1)))
+    # Drop the point: the bytes up to it take the byte before them.
+    u64 = np.uint64
+    before = ~_inside_masks()[np.where(point, k + 1, 0)].view("<u8").reshape(-1, 3)
+    shifted = digits << u64(8)
+    shifted.reshape(-1)[1:] |= digits.reshape(-1)[:-1] >> u64(56)
+    shifted[:, 0] = digits[:, 0] << u64(8)  # nothing comes from the cell before
+    digits ^= (digits ^ shifted) & before
+    # Every byte must now be a digit.
+    above = ((digits + _BYTES_76) | digits) & _BYTES_80
+    fast = ((above[:, 0] | above[:, 1] | above[:, 2]) == 0) & (first >= 0) & (first < w) & ~(
+        point & ((k <= first) | (f < 1)))
     # Eight digits per word, the first the most significant (Lemire 2021).
-    v = (digits * times10) >> eight & pairs
-    v = (v * times100) >> sixteen & quads
-    v = (v * times10k) >> thirty_two
-    fast &= v[:, 0] < 1000  # so v < 10**19 < 2**64
-    v = (v[:, 0] * e8 + v[:, 1]) * e8 + v[:, 2]
-    pow10 = _pow10_u64()
-    f_cap = np.minimum(f, 18)  # v < 10**19, so v // 10**(f + 1) = 0 from there
-    m = v - v // pow10[f_cap + 1] * nine * pow10[f_cap] * point
-    fast &= m < e18
+    v = (digits * u64(10 << 8 | 1)) >> u64(8) & u64(0x00FF00FF00FF00FF)
+    v = (v * u64(100 << 16 | 1)) >> u64(16) & u64(0x0000FFFF0000FFFF)
+    v = (v * u64(10_000 << 32 | 1)) >> u64(32)
+    fast &= v[:, 0] < 100  # m < 10**18
+    m = (v[:, 0] * u64(10**8) + v[:, 1]) * u64(10**8) + v[:, 2]
     m = np.where(fast, m, np.uint64(0)).astype(np.int64)
     return fast, negative, m, np.where(fast, f, 0), point
 
@@ -299,24 +290,25 @@ def parse_floats(data: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.n
     correctly rounded m / 10**f, as ``float`` gives it:
 
     * for m < 2**53, m and 10**f are exact doubles, so one IEEE division
-      q = m / 10**f rounds correctly (Clinger's fast path);
+      q = m / 10**f rounds correctly (Clinger 1990);
     * for larger m, q = float(m) / 10**f is within 1.5 ulp of x = m / 10**f,
-      so the answer is q or a neighbour.  The residual r = m - q * 10**f is
-      exact: q * 10**f = h + l exactly (Dekker's product), h is an integer
-      as h >= 2**52, and r = (m - int(h)) - l is a multiple of
-      min(1, ulp(q) * 2**f) below 2**53 times it (|r| <= 1.5 ulp(q) *
-      10**f, 5**22 < 2**52).  Half the gap to each neighbour times 10**f
-      is exact too, so comparing r with it picks the neighbour nearest x,
-      ties to the even one; the gap below a power of two is the smaller.
+      so the answer is q or one of its neighbours.  Dekker's product gives
+      q * 10**f = h + l exactly, and h >= 2**52 is an integer, so the
+      residual r = m - q * 10**f = (m - int(h)) - l takes one rounding,
+      which is exact: r is a multiple of g = min(1, ulp(q) * 2**f) and
+      |r| <= 1.5 ulp(q) * 10**f, fewer than 2**53 multiples of g as
+      5**22 < 2**52.  The gap from q to its neighbour on the side of r
+      (the smaller one below a power of two) times 10**f is exact too, so
+      comparing 2|r| with it picks the double nearest x, ties to even.
 
-    Checked with exact fractions on random and adversarial cells (halfway
-    cases, each 10**k and power of two +-1 ulp), and by the differential
-    test against ``float``.  Temporaries take about 1 kB per cell, so
-    callers pass cells in blocks.
+    Checked with exact fractions on 400,000 cells, random and adversarial
+    (halfway cases, powers of two and their neighbours), and by the
+    differential test against ``float``.  Temporaries take about 250 bytes
+    per cell, so callers pass cells in blocks.
     """
     fast, negative, m, f, _ = _decimal_cells(data, starts, ends)
     with np.errstate(all="ignore"):
-        p, p_hi, p_lo = _pow10_split()[:, f]
+        p, p_hi, p_lo = (table[f] for table in _pow10_split())
         q = m.astype(np.float64) / p
         t = q * _VELTKAMP
         q_hi = t - (t - q)
@@ -370,8 +362,10 @@ def byte_cells(data: np.ndarray, starts: np.ndarray, ends: np.ndarray, width: in
     an ``S{width}`` array.  No cell is wider than ``width`` bytes, and
     ``data`` holds ``width`` bytes from each start."""
     cells = _windows(data, width)[starts]
-    chars = cells.view(np.uint8).reshape(-1, width)
-    chars *= np.arange(width) < (ends - starts)[:, None]
+    # A cell of n bytes keeps the bytes of the window at width - n.
+    keep = _windows(np.repeat(np.uint8([0xFF, 0]), width), width)[width - (ends - starts)]
+    chars = cells.view(np.uint8)
+    chars &= keep.view(np.uint8)
     return cells.view(f"S{width}")
 
 

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ruleval import tableio
 from ruleval.tableio import (
     FLOAT_SLOTS,
     digits8,
@@ -128,9 +129,26 @@ def test_parse_floats_matches_float(values, decimals, halfway):
     assert float_bits(parse_floats(*cell_bounds(formatted(finite)))) == float_bits(finite)
 
 
-@pytest.mark.parametrize("cell", ["", " ", "x", "1,5", "0x1", "--1", "1.5.1", "\ufeff1"])
+@pytest.mark.parametrize("cell", ["", " ", ".", "-.", "-", "x", "1,5", "0x1", "--1", "1.5.1",
+                                  "1..5", "\ufeff1"])
 def test_parse_floats_returns_none_for_a_cell_float_rejects(cell):
     assert parse_floats(*cell_bounds(["1.5", cell, "2"])) is None
+
+
+def test_parse_floats_calls_float_only_outside_plain_decimals(monkeypatch):
+    # Every fixed-notation cell of the export is converted in NumPy; a cell
+    # without a digit on each side of its point, or in exponent notation,
+    # goes to float.
+    calls, cell_text = [], tableio._cell_text
+    monkeypatch.setattr(tableio, "_cell_text", lambda *args: calls.append(1) or cell_text(*args))
+    rng = np.random.default_rng(0)
+    values = rng.standard_normal(3000) * 10.0 ** rng.integers(-4, 16, 3000)
+    cells = [c for c in formatted(values) if "e" not in c]
+    assert len(cells) > 2800
+    assert float_bits(parse_floats(*cell_bounds(cells))) == float_bits([float(c) for c in cells])
+    assert calls == []
+    parse_floats(*cell_bounds(["1", ".5", "5.", "-.5", "1e5", "+1", "0." + "0" * 30 + "1"]))
+    assert len(calls) == 6
 
 
 def test_parse_ints_matches_int_and_refuses_what_int_or_int64_refuses():
