@@ -64,9 +64,9 @@ class ExperimentCorpus:
     the order given, or an ``ArmStack`` to store as it is: ``ingest_csv``
     and ``make_synthetic_corpus`` build theirs directly, in id order.
     Experiment ids are unique, metric names are distinct non-empty strings
-    without surrounding whitespace, units are finite and weights finite
-    and nonnegative, so that ``write_corpus_csv`` writes a file that
-    ``ingest_csv`` reads back.  ``experiments`` is built from
+    without surrounding whitespace, units are finite, one column per
+    metric, and weights finite and nonnegative, so that
+    ``write_corpus_csv`` writes a file that ``ingest_csv`` reads back.  ``experiments`` is built from
     the stack on each access, with arms that are views of its units.
     """
 
@@ -100,6 +100,9 @@ class ExperimentCorpus:
                         f"metrics, corpus schema has {j}"
                     )
             experiments = ArmStack.of(experiments)
+        elif experiments.units.shape[1:] != (j,):
+            raise CorpusFormatError(f"stack units have shape {experiments.units.shape}, "
+                                    f"corpus schema has {j} metrics")
         _check_values(experiments, metric_names)
         seen: set[str] = set()
         for exp_id in experiments.ids:
@@ -267,20 +270,22 @@ def _bulk_columns(path: str, fh, header_lines: int, num_metrics: int):
 
     A file without a ``"``, a ``\r`` or a compressed name is parsed from
     its bytes (``_byte_columns``): with no quote, each comma and newline
-    ends a cell, as ``csv.reader`` splits them.  The others go to
-    ``np.loadtxt`` with ``object`` fields (``_object_columns``).
+    ends a cell, as ``csv.reader`` splits them.  The others, and files
+    with a blank or ragged line, go to ``np.loadtxt`` with ``object``
+    fields (``_object_columns``).
     """
     with open(path, "rb") as raw:
         data = raw.read()
     if b"\0" in data:
         return None
     from_fh = b"\r" in data or path.endswith(_COMPRESSED)
-    if from_fh or b'"' in data:
+    bounds = None if from_fh or b'"' in data else _cell_bounds(data, num_metrics)
+    if bounds is None:
         del data
         columns = (_object_columns(fh, 0, num_metrics) if from_fh else
                    _object_columns(os.path.abspath(path), header_lines, num_metrics))
     else:
-        columns = _byte_columns(data, num_metrics)
+        columns = _byte_columns(data, bounds, num_metrics)
     if columns is None:
         return None
     ids, arms, units, values = columns
@@ -290,9 +295,10 @@ def _bulk_columns(path: str, fh, header_lines: int, num_metrics: int):
     return _sorted_columns(ids, arms, units, values)
 
 
-def _byte_columns(data: bytes, num_metrics: int):
+def _byte_columns(data: bytes, bounds: np.ndarray, num_metrics: int):
     """The (ids, arms, units, values) of an unquoted file's data rows, read
-    from its bytes at the cell bounds ``_cell_bounds`` finds, or None.
+    from its bytes at the cell ``bounds`` that ``_cell_bounds`` found, or
+    None.
 
     Rows are read in blocks whose temporaries stay near
     ``_INGEST_BLOCK_BYTES``.  The id and unit cells are gathered into
@@ -308,9 +314,6 @@ def _byte_columns(data: bytes, num_metrics: int):
     walk converts it; a cell they reject sends the file to the walk, which
     names it.
     """
-    bounds = _cell_bounds(data, num_metrics)
-    if bounds is None:
-        return None
     buf = np.frombuffer(data, np.uint8)
     n, j = len(bounds), num_metrics
     widths = [max(int((bounds[:, c + 1] - bounds[:, c]).max()) - 1, 1) for c in (0, 2)]

@@ -23,7 +23,6 @@ import dataclasses
 import functools
 import json
 import os
-import secrets
 from typing import Iterable
 
 import numpy as np
@@ -377,7 +376,7 @@ def write_text_atomic(path: str, text: str | bytes) -> None:
     directory = os.path.dirname(os.path.abspath(path)) or "."
     os.makedirs(directory, exist_ok=True)
     while True:
-        tmp = os.path.join(directory, f"tmp{secrets.token_hex(8)}.tmp")
+        tmp = os.path.join(directory, f"tmp{os.urandom(8).hex()}.tmp")
         try:
             fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         except FileExistsError:

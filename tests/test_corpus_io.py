@@ -216,12 +216,14 @@ def test_ingest_reports_the_first_fault_in_file_order(tmp_path):
 def test_ingest_rejects_an_arm_that_numpy_truncates_with_a_warning(tmp_path, monkeypatch):
     """Some NumPy releases parse an integer cell such as 1.5 as a float,
     truncate it and emit a DeprecationWarning.  With warnings ignored, as
-    the command line runs, the walk must still reject the cell."""
+    the command line runs, the walk must still reject the cell.  The file
+    is quoted, so that np.loadtxt reads it."""
     path = tmp_path / "c.csv"
-    write(path, "experiment_id,arm,unit_id,m1\ne,1,u1,1\ne,1.5,u2,2\n")
-    loadtxt = np.loadtxt
+    write(path, 'experiment_id,arm,unit_id,m1\n"e",1,u1,1\n"e",1.5,u2,2\n')
+    loadtxt, calls = np.loadtxt, []
 
     def truncating_loadtxt(source, dtype, **kwargs):
+        calls.append(source)
         # ``source`` is the corpus path, or the open file after its header.
         if isinstance(source, str):
             with open(source, encoding="utf-8") as fh:
@@ -237,6 +239,7 @@ def test_ingest_rejects_an_arm_that_numpy_truncates_with_a_warning(tmp_path, mon
         warnings.simplefilter("ignore")
         with pytest.raises(CorpusFormatError, match=r"line 3: column 'arm' must be a positive"):
             ingest_csv(str(path))
+    assert calls == [str(path)]
 
 
 def test_ingest_rejects_an_empty_metric_name_naming_its_column(tmp_path):
@@ -357,7 +360,8 @@ def test_ingest_parses_unquoted_ids_into_fixed_width_columns(tmp_path, monkeypat
     # fixed-width columns, also one with an id of 100,000 characters (short
     # of ``csv.reader``'s default field limit of 131,072, so the walk reads
     # it too): neither np.loadtxt nor the walk runs.  A quoted file goes to
-    # np.loadtxt with str objects.  All give the walk's stack.
+    # np.loadtxt with str objects, and so does one with a blank line.  All
+    # give the walk's stack.
     dtypes, loadtxt = [], np.loadtxt
 
     def spy(source, *args, dtype, **kwargs):
@@ -370,11 +374,13 @@ def test_ingest_parses_unquoted_ids_into_fixed_width_columns(tmp_path, monkeypat
     text = made.read_text()
     write(tmp_path / "unended.csv", text.rstrip("\n"))
     write(tmp_path / "quoted.csv", '"experiment_id"' + text[len("experiment_id"):])
+    write(tmp_path / "blank.csv", text + "\n")
     write(tmp_path / "wide.csv", "experiment_id,arm,unit_id,m\ne,1,u1,1\n"
                                  + "x" * 100_000 + ",1,u1,2\ne,2,u1,3\n")
     walk = corpus_module._walk_rows
     for name, loadtxt_types in (("made.csv", []), ("unended.csv", []), ("wide.csv", []),
-                                ("quoted.csv", [(object, object)])):
+                                ("quoted.csv", [(object, object)]),
+                                ("blank.csv", [(object, object)])):
         path = str(tmp_path / name)
         with monkeypatch.context() as patch:
             patch.setattr(np, "loadtxt", spy)
@@ -499,6 +505,14 @@ def test_in_memory_stack_rejects_values_the_export_cannot_write_back(field, valu
         array[1] = value
     with pytest.raises(CorpusFormatError, match=message):
         ExperimentCorpus(stack._replace(**{field: array}), ("north_star", "p1", "p2"))
+
+
+def test_in_memory_stack_needs_a_column_per_metric():
+    # Accepted, the export failed on a NumPy broadcast error.
+    stack = three_arm_corpus(("a", "b")).stack
+    with pytest.raises(CorpusFormatError,
+                       match=r"^stack units have shape \(27, 3\), corpus schema has 2 metrics$"):
+        ExperimentCorpus(stack, ("north_star", "p1"))
 
 
 @pytest.mark.parametrize("names, message", [
