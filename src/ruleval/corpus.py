@@ -368,10 +368,13 @@ def _cell_bounds(data: bytes, num_metrics: int) -> np.ndarray | None:
     # chunk at a time so that the mask stays small; int32 offsets halve the
     # array when the file is under 2 GiB.
     offset = np.int32 if len(data) < 1 << 31 else np.int64
-    delims = np.concatenate([
-        (np.flatnonzero(buf[lo : lo + _SCAN_CHUNK_BYTES] <= ord(",")) + lo).astype(offset)
-        for lo in range(header_end, len(buf), _SCAN_CHUNK_BYTES)])
-    kinds = buf[delims]
+    delims, kinds = [], []
+    for lo in range(header_end, len(buf), _SCAN_CHUNK_BYTES):
+        chunk = buf[lo : lo + _SCAN_CHUNK_BYTES]
+        found = np.flatnonzero(chunk <= ord(","))
+        delims.append((found + lo).astype(offset))
+        kinds.append(chunk[found])
+    delims, kinds = np.concatenate(delims), np.concatenate(kinds)
     keep = (kinds == ord(",")) | (kinds == ord("\n"))
     if not keep.all():
         delims, kinds = delims[keep], kinds[keep]

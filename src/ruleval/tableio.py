@@ -206,9 +206,9 @@ def _pow10_split() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 @functools.cache
 def _inside_masks() -> np.ndarray:
-    """For each count c in [0, 24] of leading bytes outside a cell, the
+    """For each count c in [0, 25] of leading bytes outside a cell, the
     24-byte mask of the bytes from c on, as one ``V24`` item."""
-    inside = np.arange(_CELL_BYTES) >= np.arange(_CELL_BYTES + 1)[:, None]
+    inside = np.arange(_CELL_BYTES) >= np.arange(_CELL_BYTES + 2)[:, None]
     return (inside * np.uint8(0xFF)).view(f"V{_CELL_BYTES}")[:, 0]
 
 
@@ -236,7 +236,9 @@ def _decimal_cells(data: np.ndarray, starts: np.ndarray, ends: np.ndarray):
         data = np.concatenate((np.zeros(w, np.uint8), data))
         starts, ends = starts + w, ends + w
     length = ends - starts
-    negative = (length > 0) & (data.take(starts, mode="clip") == ord("-"))
+    # An empty cell's start is the next cell's, so its sign may be read
+    # from there; its first byte after the sign is then 25.
+    negative = data.take(starts, mode="clip") == ord("-")
     first = w - length + negative  # the window's first byte after the sign
     words = _windows(data, w)[ends - w].view("<u8").reshape(-1, 3)
     inside = _inside_masks()[np.maximum(first, 0)].view("<u8").reshape(-1, 3)
@@ -259,8 +261,9 @@ def _decimal_cells(data: np.ndarray, starts: np.ndarray, ends: np.ndarray):
     digits ^= (digits ^ shifted) & before
     # Every byte must now be a digit.
     above = ((digits + _BYTES_76) | digits) & _BYTES_80
-    fast = ((above[:, 0] | above[:, 1] | above[:, 2]) == 0) & (first >= 0) & (first < w) & ~(
-        point & ((k <= first) | (f < 1)))
+    # A digit before the point (or in a cell without one), and one after.
+    fast = ((above[:, 0] | above[:, 1] | above[:, 2]) == 0) & (first >= 0) & (
+        first <= w - 1 - f - point) & (k < w - 1)
     # Eight digits per word, the first the most significant (Lemire 2021).
     v = (digits * u64(10 << 8 | 1)) >> u64(8) & u64(0x00FF00FF00FF00FF)
     v = (v * u64(100 << 16 | 1)) >> u64(16) & u64(0x0000FFFF0000FFFF)
@@ -361,10 +364,12 @@ def byte_cells(data: np.ndarray, starts: np.ndarray, ends: np.ndarray, width: in
     an ``S{width}`` array.  No cell is wider than ``width`` bytes, and
     ``data`` holds ``width`` bytes from each start."""
     cells = _windows(data, width)[starts]
-    # A cell of n bytes keeps the bytes of the window at width - n.
-    keep = _windows(np.repeat(np.uint8([0xFF, 0]), width), width)[width - (ends - starts)]
-    chars = cells.view(np.uint8)
-    chars &= keep.view(np.uint8)
+    lengths = ends - starts
+    if (lengths != width).any():
+        # A cell of n bytes keeps the bytes of the window at width - n.
+        keep = _windows(np.repeat(np.uint8([0xFF, 0]), width), width)[width - lengths]
+        chars = cells.view(np.uint8)
+        chars &= keep.view(np.uint8)
     return cells.view(f"S{width}")
 
 
