@@ -218,6 +218,16 @@ def _windows(data: np.ndarray, width: int) -> np.ndarray:
     return np.ndarray((len(data) - width + 1,), f"V{width}", data, strides=(1,))
 
 
+def _above_nine(digits: np.ndarray) -> np.ndarray:
+    """The top bit of each byte of the uint64 words ``digits`` that is above
+    9: set in digits + 0x76.. | digits, exactly up to the lowest byte whose
+    carry reaches the next one, which is above 9 itself."""
+    above = digits + _BYTES_76
+    above |= digits
+    above &= _BYTES_80
+    return above
+
+
 def _decimal_cells(data: np.ndarray, starts: np.ndarray, ends: np.ndarray):
     """Read each cell ``data[starts[i]:ends[i]]`` of the uint8 array
     ``data`` that has the form ``-?digits[.digits]``, with at most 24 bytes
@@ -240,34 +250,42 @@ def _decimal_cells(data: np.ndarray, starts: np.ndarray, ends: np.ndarray):
     # from there; its first byte after the sign is then 25.
     negative = data.take(starts, mode="clip") == ord("-")
     first = w - length + negative  # the window's first byte after the sign
-    words = _windows(data, w)[ends - w].view("<u8").reshape(-1, 3)
-    inside = _inside_masks()[np.maximum(first, 0)].view("<u8").reshape(-1, 3)
+    u64 = np.uint64
+    digits = _windows(data, w)[ends - w].view("<u8").reshape(-1, 3)
+    digits ^= _ASCII_ZERO
     # 0..9 for a digit, 0x1E for ".", other bytes above 9, 0 outside.
-    digits = (words ^ _ASCII_ZERO) & inside
-    # The top bit of each byte above 9 is set in digits + 0x76.. | digits,
-    # exactly up to the lowest byte whose carry reaches the next one; that
-    # byte is above 9 itself.  k is the highest marked byte, one of 24, read
-    # from one float (-1 when there is none); it is the point if any.
-    above = ((digits + _BYTES_76) | digits) & _BYTES_80
-    k = np.frexp(above.astype(np.float64) @ np.array([1.0, 2.0**64, 2.0**128]))[1] - 8 >> 3
+    digits &= _inside_masks()[np.maximum(first, 0)].view("<u8").reshape(-1, 3)
+    # k is the highest byte above 9, one of 24, read from one float (-1 when
+    # there is none); it is the point if any.
+    bit = _above_nine(digits).astype(np.float64) @ np.array([1.0, 2.0**64, 2.0**128])
+    k = np.frexp(bit)[1] - 8 >> 3
     point = (k >= 0) & (data.take(ends - w + k) == ord("."))
     f = np.where(point, w - 1 - k, 0)
-    # Drop the point: the bytes up to it take the byte before them.
-    u64 = np.uint64
-    before = ~_inside_masks()[np.where(point, k + 1, 0)].view("<u8").reshape(-1, 3)
-    shifted = digits << u64(8)
-    shifted.reshape(-1)[1:] |= digits.reshape(-1)[:-1] >> u64(56)
-    shifted[:, 0] = digits[:, 0] << u64(8)  # nothing comes from the cell before
-    digits ^= (digits ^ shifted) & before
-    # Every byte must now be a digit.
-    above = ((digits + _BYTES_76) | digits) & _BYTES_80
-    # A digit before the point (or in a cell without one), and one after.
+    # Drop the point: the bytes up to it take the byte before them, those
+    # after it keep theirs.
+    moved = digits << u64(8)
+    moved.reshape(-1)[1:] |= digits.reshape(-1)[:-1] >> u64(56)
+    moved[:, 0] = digits[:, 0] << u64(8)  # nothing comes from the cell before
+    digits ^= moved
+    digits &= _inside_masks()[np.where(point, k + 1, 0)].view("<u8").reshape(-1, 3)
+    digits ^= moved
+    del moved
+    # Every byte must now be a digit; a digit before the point (or in a
+    # cell without one), and one after.
+    above = _above_nine(digits)
     fast = ((above[:, 0] | above[:, 1] | above[:, 2]) == 0) & (first >= 0) & (
         first <= w - 1 - f - point) & (k < w - 1)
+    del above
     # Eight digits per word, the first the most significant (Lemire 2021).
-    v = (digits * u64(10 << 8 | 1)) >> u64(8) & u64(0x00FF00FF00FF00FF)
-    v = (v * u64(100 << 16 | 1)) >> u64(16) & u64(0x0000FFFF0000FFFF)
-    v = (v * u64(10_000 << 32 | 1)) >> u64(32)
+    v = digits
+    v *= u64(10 << 8 | 1)
+    v >>= u64(8)
+    v &= u64(0x00FF00FF00FF00FF)
+    v *= u64(100 << 16 | 1)
+    v >>= u64(16)
+    v &= u64(0x0000FFFF0000FFFF)
+    v *= u64(10_000 << 32 | 1)
+    v >>= u64(32)
     fast &= v[:, 0] < 100  # m < 10**18
     m = (v[:, 0] * u64(10**8) + v[:, 1]) * u64(10**8) + v[:, 2]
     m = np.where(fast, m, np.uint64(0)).astype(np.int64)
@@ -305,27 +323,41 @@ def parse_floats(data: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.n
 
     Checked with exact fractions on 400,000 cells, random and adversarial
     (halfway cases, powers of two and their neighbours), and by the
-    differential test against ``float``.  Temporaries take about 250 bytes
+    differential test against ``float``.  Temporaries take about 110 bytes
     per cell, so callers pass cells in blocks.
     """
     fast, negative, m, f, _ = _decimal_cells(data, starts, ends)
     with np.errstate(all="ignore"):
         p, p_hi, p_lo = (table[f] for table in _pow10_split())
-        q = m.astype(np.float64) / p
-        t = q * _VELTKAMP
-        q_hi = t - (t - q)
+        q = m.astype(np.float64)
+        q /= p
+        q_hi = q * _VELTKAMP
+        q_hi -= q_hi - q
         q_lo = q - q_hi
         h = q * p
-        r = (m - h.astype(np.int64)).astype(np.float64) - (
-            ((q_hi * p_hi - h) + q_hi * p_lo + q_lo * p_hi) + q_lo * p_lo)
+        lo = q_hi * p_hi
+        lo -= h
+        lo += q_hi * p_lo
+        lo += q_lo * p_hi
+        lo += q_lo * p_lo
+        del q_hi, q_lo, p_hi, p_lo
+        r = (m - h.astype(np.int64)).astype(np.float64)
+        r -= lo
+        del h, lo
         # Step to the neighbour on the side of x when |r| is more than half
         # the gap to it times 10**f, or half and q is odd (ties to even).
         bits = q.view(np.int64)
         toward = np.sign(r).astype(np.int64)
-        gap = np.abs((bits + toward).view(np.float64) - q) * p
-        twice = np.abs(r) * 2.0
-        step = ((twice > gap) | (twice == gap) & (bits & 1 == 1)) & (m >= 2**53)
-        values = (bits + toward * step).view(np.float64)
+        gap = (bits + toward).view(np.float64)
+        gap -= q
+        np.abs(gap, out=gap)
+        gap *= p
+        twice = np.abs(r, out=r)
+        twice *= 2.0
+        step = (twice > gap) | (twice == gap) & (bits & 1 == 1)
+        step &= m >= 2**53
+        toward *= step
+        values = (bits + toward).view(np.float64)
     values = np.where(negative, -values, values)
     for i in np.flatnonzero(~fast).tolist():
         try:

@@ -530,7 +530,8 @@ def test_in_memory_corpus_rejects_metric_names_ingest_cannot_read_back(names, me
 
 
 # ---------------------------------------------------------------------------
-# differential: NumPy's C parser with the row walk against csv.reader
+# differential: the bulk parsers (bytes, or NumPy's C parser) with the row
+# walk against csv.reader
 
 IDS = ("e", "f", "a,b", 'q"x', "n\nl", " pad ", "r\r\nn")
 METRIC_CELLS = (
@@ -655,8 +656,8 @@ ID_CHARS = "ab09_. \t\xa0\xe9\u2003\u3000\U0001d522"
 
 @st.composite
 def unquoted_corpus_texts(draw):
-    """A corpus CSV text with no quote and no carriage return, which the bulk
-    parser reads into fixed-width id and unit columns unless a line is
+    """A corpus CSV text with no quote and no carriage return, which the byte
+    parse reads into fixed-width id and unit columns unless a line is
     ragged: ids and unit ids of up to six ``ID_CHARS``, at most one ragged
     line, with or without a final newline."""
     num_metrics = draw(st.integers(1, 3))

@@ -102,7 +102,7 @@ def decimal_cells(draw):
     return draw(st.sampled_from(("", "-"))) + digits
 
 
-# Cells that only float() reads, or rejects; all go to the per-cell path.
+# Cells that only float reads, each through the per-cell path.
 FALLBACK = ["+1.5", " 2.5 ", "1_000", "1E5", "-1.5e-7", ".5", "5.", "-.5", "nan",
             "-Infinity", "1e-400", "1e400", "\u0663", "\xa07", "2\x1c",
             "0." + "1" * 25, "1" * 19, "-0." + "0" * 22 + "1"]
@@ -161,9 +161,9 @@ def test_parse_ints_matches_int_and_refuses_what_int_or_int64_refuses():
 
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
 def test_written_files_get_the_mode_the_umask_gives(tmp_path, monkeypatch, umask, mode):
-    # mkstemp made the temp file 0o600, which the rename kept.  Reading the
-    # umask by setting it opens a window in which another thread's new file
-    # gets umask 0, so the writer must not call os.umask at all.
+    # The file gets 0o666 less the umask, and the writer never calls
+    # os.umask: reading the umask by setting it gives a file that another
+    # thread creates meanwhile umask 0.
     def refuse(mask):
         raise AssertionError("os.umask called")
 
