@@ -149,14 +149,14 @@ def ingest_csv(path: str, weights_path: str | None = None) -> ExperimentCorpus:
     parsed from its bytes in blocks of rows: one scan of its commas and
     newlines bounds every cell, and ``tableio.parse_ints`` and
     ``parse_floats`` convert the arm and metric cells in NumPy, each value
-    equal to ``int`` or ``float`` of the stripped cell.  Other files are
-    read by NumPy's C parser.  The cells are checked in bulk, and the rows
+    equal to ``int`` or ``float`` of the stripped cell.  Other files, and
+    files with a blank line, are read by NumPy's C parser.  The cells are checked in bulk, and the rows
     are sorted only when they are not already in (experiment_id, arm,
     unit_id) order.  When a row does not parse or a check fails, the rows
     are walked one by one with ``csv.reader``, ``int`` and ``float``: the
     walk names the first fault, or parses the file when only it accepts
-    the layout (a blank line, or a cell such as ``1_000`` in a quoted
-    file).  Every path converts a cell after stripping it, so a cell
+    the layout (a whitespace-only line, or a cell such as ``1_000`` in a
+    quoted file).  Every path converts a cell after stripping it, so a cell
     padded with a character that ``str.strip`` removes but ``int`` and
     ``float`` refuse (the separators U+001C to U+001F) reads the same on
     all of them.  A leading UTF-8 byte-order mark, in the corpus or the

@@ -321,7 +321,7 @@ def parse_floats(data: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.n
       (the smaller one below a power of two) times 10**f is exact too, so
       comparing 2|r| with it picks the double nearest x, ties to even.
 
-    Checked with exact fractions on 400,000 cells, random and adversarial
+    Checked with exact fractions on 397,227 cells, random and adversarial
     (halfway cases, powers of two and their neighbours), and by the
     differential test against ``float``.  Temporaries take about 110 bytes
     per cell, so callers pass cells in blocks.
@@ -340,7 +340,7 @@ def parse_floats(data: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.n
         lo += q_hi * p_lo
         lo += q_lo * p_hi
         lo += q_lo * p_lo
-        del q_hi, q_lo, p_hi, p_lo
+        del q_hi, q_lo, p_hi, p_lo  # freed early, as the block's peak counts
         r = (m - h.astype(np.int64)).astype(np.float64)
         r -= lo
         del h, lo
