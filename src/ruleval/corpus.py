@@ -66,8 +66,9 @@ class ExperimentCorpus:
     Experiment ids are unique, metric names are distinct non-empty strings
     without surrounding whitespace, units are finite, one column per
     metric, and weights finite and nonnegative, so that
-    ``write_corpus_csv`` writes a file that ``ingest_csv`` reads back.  ``experiments`` is built from
-    the stack on each access, with arms that are views of its units.
+    ``write_corpus_csv`` writes a file that ``ingest_csv`` reads back.
+    ``experiments`` is built from the stack on each access, with arms that
+    are views of its units.
     """
 
     def __init__(
@@ -150,19 +151,19 @@ def ingest_csv(path: str, weights_path: str | None = None) -> ExperimentCorpus:
     newlines bounds every cell, and ``tableio.parse_ints`` and
     ``parse_floats`` convert the arm and metric cells in NumPy, each value
     equal to ``int`` or ``float`` of the stripped cell.  Other files, and
-    files with a blank line, are read by NumPy's C parser.  The cells are checked in bulk, and the rows
-    are sorted only when they are not already in (experiment_id, arm,
-    unit_id) order.  When a row does not parse or a check fails, the rows
-    are walked one by one with ``csv.reader``, ``int`` and ``float``: the
-    walk names the first fault, or parses the file when only it accepts
-    the layout (a whitespace-only line, or a cell such as ``1_000`` in a
-    quoted file).  Every path converts a cell after stripping it, so a cell
-    padded with a character that ``str.strip`` removes but ``int`` and
-    ``float`` refuse (the separators U+001C to U+001F) reads the same on
-    all of them.  A leading UTF-8 byte-order mark, in the corpus or the
-    weight file, is skipped; a byte that is not UTF-8 is an error naming
-    its line.  The sorted rows are the corpus's ``ArmStack``; no per-arm
-    object is built.
+    files with a blank line, are read by NumPy's C parser.  The cells are
+    checked in bulk, and the rows are sorted only when they are not
+    already in (experiment_id, arm, unit_id) order.  When a row does not
+    parse or a check fails, the rows are walked one by one with
+    ``csv.reader``, ``int`` and ``float``: the walk names the first fault,
+    or parses the file when only it accepts the layout (a whitespace-only
+    line, or a cell such as ``1_000`` in a quoted file).  Every path
+    converts a cell after stripping it, so a cell padded with a character
+    that ``str.strip`` removes but ``int`` and ``float`` refuse (the
+    separators U+001C to U+001F) reads the same on all of them.  A leading
+    UTF-8 byte-order mark, in the corpus or the weight file, is skipped; a
+    byte that is not UTF-8 is an error naming its line.  The sorted rows
+    are the corpus's ``ArmStack``; no per-arm object is built.
     """
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         raw_header = next(_csv_rows(path, fh), None)
