@@ -16,8 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-import os
-import warnings
+import re
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -62,10 +61,12 @@ class ExperimentCorpus:
 
     ``experiments`` is a sequence of ``ExperimentData``, stacked once in
     the order given, or an ``ArmStack`` to store as it is: ``ingest_csv``
-    and ``make_synthetic_corpus`` build theirs directly, in id order.
-    Experiment ids are unique, metric names are distinct non-empty strings
-    without surrounding whitespace, units are finite, one column per
-    metric, and weights finite and nonnegative, so that
+    and ``make_synthetic_corpus`` build theirs directly, in id order.  A
+    stack's arms, of one unit or more, must cover its unit rows, and its
+    experiments, of one arm or more, its arms, with one id and one weight
+    each.  Experiment ids are unique, metric names are distinct non-empty
+    strings without surrounding whitespace, units are finite, one column
+    per metric, and weights finite and nonnegative, so that
     ``write_corpus_csv`` writes a file that ``ingest_csv`` reads back.
     ``experiments`` is built from the stack on each access, with arms that
     are views of its units.
@@ -104,7 +105,7 @@ class ExperimentCorpus:
         elif experiments.units.shape[1:] != (j,):
             raise CorpusFormatError(f"stack units have shape {experiments.units.shape}, "
                                     f"corpus schema has {j} metrics")
-        _check_values(experiments, metric_names)
+        _check_stack(experiments, metric_names)
         seen: set[str] = set()
         for exp_id in experiments.ids:
             if exp_id in seen:
@@ -117,9 +118,25 @@ class ExperimentCorpus:
         return self.stack.experiments()
 
 
-def _check_values(stack: ArmStack, metric_names: tuple[str, ...]) -> None:
-    """Require finite units and finite, nonnegative weights, as
-    ``ArmData`` and ``ExperimentData`` do, so that the export reads back."""
+def _check_stack(stack: ArmStack, metric_names: tuple[str, ...]) -> None:
+    """Require the stack's arms to partition its unit rows, and its
+    experiments, each with an id and a weight, to partition its arms; and
+    finite units and finite, nonnegative weights, as ``ArmData`` and
+    ``ExperimentData`` do, so that the export reads back."""
+    starts, sizes, first_arm = stack.starts, stack.sizes, stack.first_arm
+    if not np.array_equal(starts, np.r_[0, np.cumsum(sizes)]) or starts[-1] != len(stack.units):
+        raise CorpusFormatError(f"stack starts must be the running sums of its sizes, "
+                                f"from 0 to its {len(stack.units)} unit rows")
+    if (sizes < 1).any():
+        raise CorpusFormatError(f"stack sizes must be >= 1, got {sizes.min()} "
+                                f"for arm {int(sizes.argmin())}")
+    if not len(first_arm) or first_arm[0] != 0 or first_arm[-1] != len(sizes) or (
+            np.diff(first_arm) < 1).any():
+        raise CorpusFormatError(f"stack first_arm must rise from 0 to the arm count "
+                                f"{len(sizes)}, got {first_arm.tolist()}")
+    if not len(stack.ids) == len(stack.weights) == len(first_arm) - 1:
+        raise CorpusFormatError(f"stack has {len(stack.ids)} ids and {len(stack.weights)} "
+                                f"weights for {len(first_arm) - 1} experiments")
     bad = ~np.isfinite(stack.units)
     if bad.any():
         row, column = np.argwhere(bad)[0].tolist()
@@ -145,48 +162,49 @@ def ingest_csv(path: str, weights_path: str | None = None) -> ExperimentCorpus:
     Errors name the offending file line and column.  Duplicate
     (experiment_id, arm, unit_id) triples, missing, non-numeric or
     non-finite cells, NUL characters in id cells, ragged rows, and
-    non-contiguous arm indices are all rejected.  A file without a ``"``,
-    a ``\r`` or a compressed name, as every ``make-corpus`` file is, is
-    parsed from its bytes in blocks of rows: one scan of its commas and
-    newlines bounds every cell, and ``tableio.parse_ints`` and
-    ``parse_floats`` convert the arm and metric cells in NumPy, each value
-    equal to ``int`` or ``float`` of the stripped cell.  Other files, and
-    files with a blank line, are read by NumPy's C parser.  The cells are
-    checked in bulk, and the rows are sorted only when they are not
-    already in (experiment_id, arm, unit_id) order.  When a row does not
-    parse or a check fails, the rows are walked one by one with
-    ``csv.reader``, ``int`` and ``float``: the walk names the first fault,
-    or parses the file when only it accepts the layout (a whitespace-only
-    line, or a cell such as ``1_000`` in a quoted file).  Every path
-    converts a cell after stripping it, so a cell padded with a character
-    that ``str.strip`` removes but ``int`` and ``float`` refuse (the
-    separators U+001C to U+001F) reads the same on all of them.  A leading
-    UTF-8 byte-order mark, in the corpus or the weight file, is skipped; a
-    byte that is not UTF-8 is an error naming its line.  The sorted rows
-    are the corpus's ``ArmStack``; no per-arm object is built.
+    non-contiguous arm indices are all rejected.  The file is parsed from
+    its bytes in blocks of rows (``_bulk_columns``): one scan of its commas
+    and newlines bounds every cell, a cell quoted as a whole reads as its
+    inside, and ``tableio.parse_ints`` and ``parse_floats`` convert the arm
+    and metric cells in NumPy, each value equal to ``int`` or ``float`` of
+    the stripped cell.  The cells are checked in bulk, and the rows are
+    sorted only when they are not already in (experiment_id, arm, unit_id)
+    order.  When the byte parse refuses the file or a check fails, the rows
+    are walked one by one with ``csv.reader``, ``int`` and ``float``: the
+    walk names the first fault, or parses the file when only it accepts
+    the layout (a quoted cell holding a comma, a quote or a line break, or
+    a header cell holding a line break).  A whitespace-only line is a row
+    of one field, which the walk rejects as ragged.  Every path converts a
+    cell after stripping it, so a cell padded with a character that
+    ``str.strip`` removes but ``int`` and ``float`` refuse (the separators
+    U+001C to U+001F) reads the same on both.  A leading UTF-8 byte-order
+    mark, in the corpus or the weight file, is skipped; a byte that is not
+    UTF-8 is an error naming its line.  The sorted rows are the corpus's
+    ``ArmStack``; no per-arm object is built.
     """
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         raw_header = next(_csv_rows(path, fh), None)
-        if raw_header is None:
-            raise CorpusFormatError(f"{path}: file is empty, header required")
-        header = [h.strip() for h in raw_header]
-        if tuple(header[:3]) != _FIXED_COLUMNS:
-            raise CorpusFormatError(
-                f"{path}: header must start with {','.join(_FIXED_COLUMNS)}, "
-                f"got {','.join(header[:3])}"
-            )
-        metric_names = tuple(header[3:])
-        if not metric_names:
-            raise CorpusFormatError(f"{path}: no metric columns in header")
-        if "" in metric_names:
-            raise CorpusFormatError(
-                f"{path}: header column {metric_names.index('') + 4} has an "
-                f"empty metric name"
-            )
-        if len(set(metric_names)) != len(metric_names):
-            raise CorpusFormatError(f"{path}: duplicate metric names in header")
-        header_lines = 1 + "".join(raw_header).count("\n")
-        columns = _bulk_columns(path, fh, header_lines, len(metric_names))
+    if raw_header is None:
+        raise CorpusFormatError(f"{path}: file is empty, header required")
+    header = [h.strip() for h in raw_header]
+    if tuple(header[:3]) != _FIXED_COLUMNS:
+        raise CorpusFormatError(
+            f"{path}: header must start with {','.join(_FIXED_COLUMNS)}, "
+            f"got {','.join(header[:3])}"
+        )
+    metric_names = tuple(header[3:])
+    if not metric_names:
+        raise CorpusFormatError(f"{path}: no metric columns in header")
+    if "" in metric_names:
+        raise CorpusFormatError(
+            f"{path}: header column {metric_names.index('') + 4} has an "
+            f"empty metric name"
+        )
+    if len(set(metric_names)) != len(metric_names):
+        raise CorpusFormatError(f"{path}: duplicate metric names in header")
+    # The byte parse takes the header to be the file's first line.
+    one_line = not any("\r" in h or "\n" in h for h in raw_header)
+    columns = _bulk_columns(path, len(metric_names)) if one_line else None
     if columns is None:
         columns = _walk_rows(path, header)
     ids, arms, units, values = columns
@@ -246,69 +264,69 @@ def _sorted_columns(ids, arms, units, values):
         same_arm = (ids[1:] == ids[:-1]) & (arms[1:] == arms[:-1])
     if (same_arm & (units[1:] == units[:-1])).any():
         return None
-    return ids, arms, units, np.ascontiguousarray(values)
+    return ids, arms, units, values
 
 
-# Files that np.loadtxt decompresses by their name.
-_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 # The byte parse reads rows in blocks whose temporaries take about this
 # many bytes, at about _CELL_TEMP_BYTES per number cell and 8 per byte of a
 # text cell's width, however long the file is.  Blocks of a few thousand
-# cells stay in cache; their peak on a benchmark shard stays below that of
-# the np.loadtxt parse.
+# cells stay in cache and keep the parse's tracemalloc peak on a benchmark
+# shard (1.5 MB of text) at 4.2 MB.
 _INGEST_BLOCK_BYTES = 3 << 18
 _CELL_TEMP_BYTES = 128
 _SCAN_CHUNK_BYTES = 1 << 18
 
 
-def _bulk_columns(path: str, fh, header_lines: int, num_metrics: int):
-    """The data rows after the header, parsed in bulk and checked:
-    ``_sorted_columns`` of them, with stripped id and unit cells, or None
-    when a row does not parse (a ragged, blank or whitespace-only one, a
-    cell that ``int`` or ``float`` rejects) or a check fails.  The cells
-    are the ones ``csv.reader`` splits, and every number equals ``int`` or
-    ``float`` of its stripped cell.  A NumPy string array drops a trailing
-    NUL character, which would merge two ids, so a file holding a NUL is
-    left to the walk.
+def _bulk_columns(path: str, num_metrics: int):
+    """The data rows after the one-line header, parsed from the file's
+    bytes (``_byte_columns``) and checked: ``_sorted_columns`` of them,
+    with stripped id and unit cells, or None when the byte parse refuses a
+    row (a ragged or whitespace-only one, a quoted cell holding a comma, a
+    quote or a line break, a cell that ``int`` or ``float`` rejects) or a
+    check fails.  The cells are the ones ``csv.reader`` splits, and every
+    number equals ``int`` or ``float`` of its stripped cell.  A NumPy
+    string array drops a trailing NUL character, which would merge two
+    ids, so a file holding a NUL is left to the walk.
 
-    A file without a ``"``, a ``\r`` or a compressed name is parsed from
-    its bytes (``_byte_columns``): with no quote, each comma and newline
-    ends a cell, as ``csv.reader`` splits them.  The others, and files
-    with a blank or ragged line, go to ``np.loadtxt`` with ``object``
-    fields (``_object_columns``).
+    Outside quotes ``csv.reader`` ends a record at ``\r\n``, ``\r`` or
+    ``\n``, so each ``\r\n`` and then each ``\r`` becomes ``\n`` (a
+    ``\r`` inside a quoted cell then splits it, and the walk reads it).  It
+    skips a blank record, so when the scan finds a line without 2 + J
+    commas and the data holds an empty line, each run of newlines becomes
+    one and the data is scanned again.
     """
     with open(path, "rb") as raw:
         data = raw.read()
     if b"\0" in data:
         return None
-    from_fh = b"\r" in data or path.endswith(_COMPRESSED)
-    bounds = None if from_fh or b'"' in data else _cell_bounds(data, num_metrics)
-    if bounds is None:
-        del data
-        columns = (_object_columns(fh, 0, num_metrics) if from_fh else
-                   _object_columns(os.path.abspath(path), header_lines, num_metrics))
-    else:
-        columns = _byte_columns(data, bounds, num_metrics)
-    if columns is None:
-        return None
-    ids, arms, units, values = columns
-    if not ((ids != "").all() and (units != "").all() and arms.min() >= 1
-            and np.isfinite(values).all()):
-        return None
-    return _sorted_columns(ids, arms, units, values)
+    if b"\r" in data:  # two steps, so that at most two copies are held
+        data = data.replace(b"\r\n", b"\n")
+        data = data.replace(b"\r", b"\n")
+    bounds = _cell_bounds(data, num_metrics)
+    if bounds is None and b"\n\n" in data:
+        data = re.sub(b"\n\n+", b"\n", data)
+        bounds = _cell_bounds(data, num_metrics)
+    columns = None if bounds is None else _byte_columns(data, bounds, num_metrics)
+    return columns and _sorted_columns(*columns)
 
 
 def _byte_columns(data: bytes, bounds: np.ndarray, num_metrics: int):
-    """The (ids, arms, units, values) of an unquoted file's data rows, read
-    from its bytes at the cell ``bounds`` that ``_cell_bounds`` found, or
-    None.
+    """The (ids, arms, units, values) of the data rows, read from the
+    file's bytes at the cell ``bounds`` that ``_cell_bounds`` found, or
+    None when a cell does not parse or is empty, an arm is below 1 or a
+    value is not finite.
 
     Rows are read in blocks whose temporaries stay near
-    ``_INGEST_BLOCK_BYTES``.  The id and unit cells are gathered into
-    fixed-width bytes, as wide as the widest cell of each column, then
-    decoded (each byte is its own character when all are ASCII, else as
-    UTF-8; a character takes at least one byte, so no cell is cut) and
-    stripped.  ``tableio.parse_ints`` reads the arm cells and
+    ``_INGEST_BLOCK_BYTES``.  A cell of at least 2 bytes that starts and
+    ends with ``"`` reads as its inside (RFC 4180 quoting).  Each such cell
+    holds two of the data's quotes, so when the data holds any other, the
+    file goes to the walk: then a quoted cell held a comma or a line break
+    (and the scan split it), an escaped quote ``""``, or text after its
+    closing quote, or a cell had a quote inside.  The id and unit cells are
+    gathered into fixed-width bytes, as wide as the widest cell of each
+    column, then decoded (each byte is its own character when all are
+    ASCII, else as UTF-8; a character takes at least one byte, so no cell
+    is cut) and stripped.  ``tableio.parse_ints`` reads the arm cells and
     ``parse_floats`` the metric cells.  Each converts plain decimal cells
     (``-?digits[.digits]``, at most 18 significant digits) in NumPy, exactly
     as ``int`` and ``float`` do, and hands every other cell (exponent
@@ -319,15 +337,22 @@ def _byte_columns(data: bytes, bounds: np.ndarray, num_metrics: int):
     """
     buf = np.frombuffer(data, np.uint8)
     n, j = len(bounds), num_metrics
+    quotes = data.count(b'"', int(bounds[0, 0])) if b'"' in data else 0
     widths = [max(int((bounds[:, c + 1] - bounds[:, c]).max()) - 1, 1) for c in (0, 2)]
-    if bounds[-1, 2] + 1 + max(widths) > len(buf):  # room for the last row's cells
-        buf = np.concatenate((buf, np.zeros(max(widths), np.uint8)))
+    # Room for the last row's cells, from a start one past a quote.
+    if bounds[-1, 2] + 2 + max(widths) > len(buf):
+        buf = np.concatenate((buf, np.zeros(1 + max(widths), np.uint8)))
     ids, units = (np.empty(n, f"U{w}") for w in widths)
     arms, values = np.empty(n, np.int64), np.empty((n, j))
     rows = max(1, _INGEST_BLOCK_BYTES // (_CELL_TEMP_BYTES * (1 + j) + 8 * sum(widths)))
     for lo in range(0, n, rows):
         # Cell c of each row spans s[:, c] to e[:, c].
         s, e = bounds[lo : lo + rows, :-1] + 1, bounds[lo : lo + rows, 1:]
+        if quotes:
+            inside = ((e - s >= 2) & (buf.take(s, mode="clip") == ord('"'))
+                      & (buf[e - 1] == ord('"')))
+            s, e = s + inside, e - inside
+            quotes -= 2 * int(inside.sum())
         arm = tableio.parse_ints(buf, s[:, 1], e[:, 1])
         cells = tableio.parse_floats(buf, s[:, 3:].ravel(), e[:, 3:].ravel())
         if arm is None or cells is None:
@@ -339,6 +364,9 @@ def _byte_columns(data: bytes, bounds: np.ndarray, num_metrics: int):
                 column[lo : lo + rows] = _stripped_text(text)
             except UnicodeDecodeError:  # the walk names the line
                 return None
+    if quotes or not ((ids != "").all() and (units != "").all() and arms.min() >= 1
+                      and np.isfinite(values).all()):
+        return None
     return ids, arms, units, values
 
 
@@ -362,7 +390,9 @@ def _cell_bounds(data: bytes, num_metrics: int) -> np.ndarray | None:
     ``data[bounds[i, c] + 1 : bounds[i, c + 1]]``.  Rows share their
     first and last entries, as one array's overlapping windows.  None when
     there is no line after the first or a line has another comma count,
-    as a blank line has."""
+    as a blank line has.  Quotes are not read: a comma or newline inside
+    a quoted cell ends a cell here, and ``_byte_columns`` then finds a
+    quote that no cell quoted as a whole accounts for."""
     header_end = data.find(b"\n")
     if header_end < 0:
         return None
@@ -393,41 +423,6 @@ def _cell_bounds(data: bytes, num_metrics: int) -> np.ndarray | None:
     if unended:
         delims = np.concatenate((delims, np.array([len(data)], offset)))
     return np.lib.stride_tricks.sliding_window_view(delims, k + 1)[::k]
-
-
-def _object_columns(source, skip: int, num_metrics: int):
-    """The (ids, arms, units, values) of the data rows, read by
-    ``np.loadtxt`` with ``object`` id and unit fields from ``source`` after
-    ``skip`` lines, or None when it rejects a row.  Its cells are the ones
-    ``csv.reader`` splits, and every number it accepts converts as ``int``
-    or ``float`` converts it.  Some NumPy releases from 1.23 on read an
-    ``arm`` cell such as ``1.5`` as a float, truncate it and emit a
-    DeprecationWarning: that warning is raised as an error here, so the
-    walk rejects the cell as ``int`` does.
-
-    ``np.loadtxt`` reads a file it opens itself from its path in chunks,
-    faster than it reads the lines of the open file after the header.  It
-    opens the path with universal newlines, which turn a quoted ``\r``
-    into ``\n``, and decompresses by file extension, so a file holding a
-    ``\r``, or named as compressed, is read from the open file.  The id
-    and unit cells are then copied into one string array per column, each
-    as wide as its own widest cell, so that one long id does not widen the
-    unit column."""
-    row = np.dtype([("id", object), ("arm", np.int64), ("unit", object),
-                    ("values", float, (num_metrics,))])
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # no rows: the walk says so
-            warnings.simplefilter("error", DeprecationWarning)
-            table = np.loadtxt(source, dtype=row, delimiter=",", quotechar='"',
-                               comments=None, ndmin=1, skiprows=skip,
-                               encoding="utf-8-sig")
-    except (ValueError, DeprecationWarning):
-        return None
-    if not len(table):
-        return None
-    return (np.char.strip(table["id"].astype(str)), table["arm"],
-            np.char.strip(table["unit"].astype(str)), np.ascontiguousarray(table["values"]))
 
 
 def _walk_rows(path: str, header: list[str]):

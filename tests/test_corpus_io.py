@@ -2,11 +2,9 @@
 quoting, the bulk parser's handling of layout and faults, and a
 differential test of the parser against the ``csv.reader`` one it replaced."""
 
-import io
 import os
 import tempfile
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +13,7 @@ from hypothesis import strategies as st
 
 from ruleval import (
     ArmData,
+    ArmStack,
     CorpusFormatError,
     DecisionRule,
     ExperimentCorpus,
@@ -165,6 +164,7 @@ def test_ingest_groups_shuffled_three_arm_rows(tmp_path):
         ("e,2,,1.0,2.0", r"line 3: missing value in column 'unit_id'"),
         ("e,2,u1,-Infinity,2.0", r"line 3: column 'm1' is not finite: '-Infinity'"),
         ("e,2,u1,1.0, nan ", r"line 3: column 'm2' is not finite: 'nan'"),
+        ("   ", r"line 3 has 1 fields, header has 5"),
     ],
 )
 def test_ingest_fault_on_line_three_names_line_and_column(tmp_path, line3, message):
@@ -213,35 +213,6 @@ def test_ingest_reports_the_first_fault_in_file_order(tmp_path):
         ingest_csv(str(path))
 
 
-def test_ingest_rejects_an_arm_that_numpy_truncates_with_a_warning(tmp_path, monkeypatch):
-    """Some NumPy releases parse an integer cell such as 1.5 as a float,
-    truncate it and emit a DeprecationWarning.  With warnings ignored, as
-    the command line runs, the walk must still reject the cell.  The file
-    is quoted, so that np.loadtxt reads it."""
-    path = tmp_path / "c.csv"
-    write(path, 'experiment_id,arm,unit_id,m1\n"e",1,u1,1\n"e",1.5,u2,2\n')
-    loadtxt, calls = np.loadtxt, []
-
-    def truncating_loadtxt(source, dtype, **kwargs):
-        calls.append(source)
-        # ``source`` is the corpus path, or the open file after its header.
-        if isinstance(source, str):
-            with open(source, encoding="utf-8") as fh:
-                text = fh.read().replace("1.5", "1")
-        else:
-            text = source.read().replace("1.5", "1")
-        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
-                      DeprecationWarning)
-        return loadtxt(io.StringIO(text), dtype=dtype, **kwargs)
-
-    monkeypatch.setattr(np, "loadtxt", truncating_loadtxt)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        with pytest.raises(CorpusFormatError, match=r"line 3: column 'arm' must be a positive"):
-            ingest_csv(str(path))
-    assert calls == [str(path)]
-
-
 def test_ingest_rejects_an_empty_metric_name_naming_its_column(tmp_path):
     path = tmp_path / "c.csv"
     for header, column in (("experiment_id,arm,unit_id,,y", 4),
@@ -260,7 +231,7 @@ def test_ingest_names_the_line_of_an_arm_beyond_64_bits(tmp_path):
         ingest_csv(str(path))
 
 
-@pytest.mark.parametrize("cell", ["2", "2_0"])  # 2_0: the C parser fails, the rows are walked
+@pytest.mark.parametrize("cell", ["2", "2_0"])  # 2_0: a cell only float reads
 def test_ingest_rejects_a_nul_in_an_id_cell(tmp_path, cell):
     # A NumPy string array drops a trailing NUL: e1\0 arm 1 and e1 arm 2
     # must not ingest as one two-arm experiment e1.
@@ -275,28 +246,20 @@ def test_ingest_rejects_a_nul_in_an_id_cell(tmp_path, cell):
         ingest_csv(str(path))
 
 
-def test_ingest_parses_from_the_path_unless_newlines_or_the_name_forbid_it(tmp_path, monkeypatch):
-    # np.loadtxt reads a path it opens itself faster than an open file, but
-    # with universal newlines and decompression by file extension.
-    sources, loadtxt = [], np.loadtxt
-
-    def spy(source, *args, **kwargs):
-        sources.append(isinstance(source, str))
-        return loadtxt(source, *args, **kwargs)
-
-    monkeypatch.setattr(np, "loadtxt", spy)
-    header = 'experiment_id,arm,unit_id,"m\nx"\n'  # a header of two lines
-    for name, rows, by_path in (
-        ("c.csv", 'e,1,u1,1\ne,2,u1,2\n', True),
-        ("c.csv.gz", 'e,1,u1,1\ne,2,u1,2\n', False),
-        ("r.csv", '"e\rf",1,u1,1\n"e\rf",2,u1,2\n', False),
+def test_ingest_parses_from_the_path_unless_newlines_or_the_name_forbid_it(tmp_path):
+    # A header of two lines, a compressed-looking name and a quoted \r are
+    # read as csv.reader reads them.
+    header = 'experiment_id,arm,unit_id,"m\nx"\n'
+    for name, rows in (
+        ("c.csv", 'e,1,u1,1\ne,2,u1,2\n'),
+        ("c.csv.gz", 'e,1,u1,1\ne,2,u1,2\n'),
+        ("r.csv", '"e\rf",1,u1,1\n"e\rf",2,u1,2\n'),
     ):
         write(tmp_path / name, header + rows)
         corpus = ingest_csv(str(tmp_path / name))
         assert corpus.metric_names == ("m\nx",)
         assert corpus.stack.ids == (rows[: rows.index(",")].strip('"'),)
         assert corpus.stack.units.tolist() == [[1.0], [2.0]]
-        assert sources.pop() is by_path
 
 
 @pytest.fixture
@@ -356,54 +319,50 @@ def test_ingest_catches_a_duplicate_with_and_without_sorting(tmp_path, lexsort_c
 
 
 def test_ingest_parses_unquoted_ids_into_fixed_width_columns(tmp_path, monkeypatch):
-    # An unquoted file is parsed from its bytes, its ids and unit ids into
-    # fixed-width columns, also one with an id of 100,000 characters (short
-    # of ``csv.reader``'s default field limit of 131,072, so the walk reads
-    # it too): neither np.loadtxt nor the walk runs.  A quoted file goes to
-    # np.loadtxt with str objects, and so does one with a blank line.  All
-    # give the walk's stack.
-    dtypes, loadtxt = [], np.loadtxt
-
-    def spy(source, *args, dtype, **kwargs):
-        dtypes.append(np.dtype(dtype))
-        return loadtxt(source, *args, dtype=dtype, **kwargs)
-
+    # The byte parse reads ids and unit ids into fixed-width columns, also
+    # an id of 100,000 characters (short of ``csv.reader``'s default field
+    # limit of 131,072, so the walk reads it too), quoted ids, CRLF and CR
+    # line ends and a blank line, without the walk.  An id quoted for its
+    # comma is walked.  All give the walk's stack.
     made = tmp_path / "made.csv"
     assert main(["make-corpus", "--out", str(made), "--experiments", "12",
                  "--units", "9", "--seed", "4"]) == 0
     text = made.read_text()
     write(tmp_path / "unended.csv", text.rstrip("\n"))
-    write(tmp_path / "quoted.csv", '"experiment_id"' + text[len("experiment_id"):])
+    write(tmp_path / "quoted.csv", "".join(
+        '"' + line.replace(",", '",', 1) for line in text.splitlines(keepends=True)))
+    write(tmp_path / "crlf.csv", text, newline="\r\n")
+    write(tmp_path / "cr.csv", text, newline="\r")
     write(tmp_path / "blank.csv", text + "\n")
     write(tmp_path / "wide.csv", "experiment_id,arm,unit_id,m\ne,1,u1,1\n"
                                  + "x" * 100_000 + ",1,u1,2\ne,2,u1,3\n")
-    walk = corpus_module._walk_rows
-    for name, loadtxt_types in (("made.csv", []), ("unended.csv", []), ("wide.csv", []),
-                                ("quoted.csv", [(object, object)]),
-                                ("blank.csv", [(object, object)])):
+    write(tmp_path / "comma.csv", text.replace("exp03,", '"a,b",'))
+    walk, walks = corpus_module._walk_rows, []
+    for name, walked in (("made.csv", False), ("unended.csv", False), ("wide.csv", False),
+                         ("quoted.csv", False), ("crlf.csv", False), ("cr.csv", False),
+                         ("blank.csv", False), ("comma.csv", True)):
         path = str(tmp_path / name)
         with monkeypatch.context() as patch:
-            patch.setattr(np, "loadtxt", spy)
-            patch.setattr(corpus_module, "_walk_rows", lambda *args: pytest.fail("rows walked"))
+            patch.setattr(corpus_module, "_walk_rows",
+                          lambda *args: walks.append(name) or walk(*args))
             bulk = ingest_csv(path).stack
-        assert [(d["id"], d["unit"]) for d in dtypes] == [
-            (np.dtype(id_type), np.dtype(unit_type)) for id_type, unit_type in loadtxt_types]
-        dtypes.clear()
+        assert walks == [name] * walked
+        walks.clear()
         with monkeypatch.context() as patch:
             patch.setattr(corpus_module, "_bulk_columns", lambda *args: None)
-            patch.setattr(corpus_module, "_walk_rows", walk)
-            walked = ingest_csv(path).stack
-        assert bulk.ids == walked.ids
+            by_walk = ingest_csv(path).stack
+        assert bulk.ids == by_walk.ids
         for field in ("units", "sizes", "starts", "first_arm", "weights"):
-            a, b = getattr(bulk, field), getattr(walked, field)
+            a, b = getattr(bulk, field), getattr(by_walk, field)
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def test_ingest_of_a_quoted_file_with_one_wide_id_keeps_the_unit_column_narrow(tmp_path):
-    # A quoted file is parsed into str objects.  Copied into one array per
-    # column, only the ids are as wide as the 5,000-character id: the ids
-    # and their stripped copy take 2 x 1,000 x 5,000 x 4 bytes = 40 MB.  A
-    # shared array would make the units as wide, and the peak twice that.
+    # The byte parse gathers each column as wide as its own widest cell, so
+    # only the ids are as wide as the quoted 5,000-character id: the ids
+    # and their sorted copy take 2 x 1,000 x 5,002 x 4 bytes = 40 MB.  One
+    # width for both columns would make the units as wide, and the peak
+    # twice that.
     rows = [f'"{"w" * 5000 if i == 0 else f"e{i // 10}"}",{i % 2 + 1},"u{i}",{i}\n'
             for i in range(1000)]
     path = tmp_path / "wide.csv"
@@ -494,17 +453,42 @@ def test_in_memory_corpus_rejects_a_repeated_experiment_id():
     ("units", -np.inf, r"^experiment 'b', arm 2, unit 1: metric 'p1' is not finite: -inf$"),
     ("weights", np.inf, r"^experiment 'b': weight must be finite and nonnegative, got inf$"),
     ("weights", -1.0, r"^experiment 'b': weight must be finite and nonnegative, got -1.0$"),
+    # Stacks whose parts do not fit together (a function gives the stack).
+    ("units", lambda _: ArmStack.from_sizes(np.arange(10.0).reshape(5, 2), [2, 2], [2],
+                                            ["e"], [1.0]),
+     r"^stack starts must be the running sums of its sizes, from 0 to its 5 unit rows$"),
+    ("starts", lambda s: s._replace(starts=s.starts + [0, 1, 1, 1, 1, 0]),
+     r"^stack starts must be the running sums of its sizes, from 0 to its 27 unit rows$"),
+    ("sizes", lambda s: ArmStack.from_sizes(s.units, [4, 7, 5, 11, 0], [3, 2], s.ids,
+                                            s.weights),
+     r"^stack sizes must be >= 1, got 0 for arm 4$"),
+    ("first_arm", lambda s: s._replace(first_arm=np.array([0, 3, 4])),
+     r"^stack first_arm must rise from 0 to the arm count 5, got \[0, 3, 4\]$"),
+    ("first_arm", lambda s: s._replace(first_arm=np.array([1, 3, 5])),
+     r"^stack first_arm must rise from 0 to the arm count 5, got \[1, 3, 5\]$"),
+    ("first_arm", lambda s: s._replace(first_arm=np.array([0, 5, 5])),
+     r"^stack first_arm must rise from 0 to the arm count 5, got \[0, 5, 5\]$"),
+    ("ids", lambda s: s._replace(ids=("a",)),
+     r"^stack has 1 ids and 2 weights for 2 experiments$"),
+    ("weights", lambda s: s._replace(weights=np.ones(3)),
+     r"^stack has 2 ids and 3 weights for 2 experiments$"),
 ])
 def test_in_memory_stack_rejects_values_the_export_cannot_write_back(field, value, message):
-    # Accepted, a NaN unit was exported as "nan", which ingest_csv rejects.
+    # Accepted, a NaN unit was exported as "nan", which ingest_csv rejects,
+    # and a stack whose sizes did not cover its units failed the export
+    # with a NumPy broadcast error.
     stack = three_arm_corpus(("a", "b")).stack
-    array = getattr(stack, field).copy()
-    if field == "units":
-        array[stack.starts[4] + 1, 1] = value  # arm 2 of "b", its unit 1
+    if callable(value):
+        stack = value(stack)
     else:
-        array[1] = value
+        array = getattr(stack, field).copy()
+        if field == "units":
+            array[stack.starts[4] + 1, 1] = value  # arm 2 of "b", its unit 1
+        else:
+            array[1] = value
+        stack = stack._replace(**{field: array})
     with pytest.raises(CorpusFormatError, match=message):
-        ExperimentCorpus(stack._replace(**{field: array}), ("north_star", "p1", "p2"))
+        ExperimentCorpus(stack, ("north_star", "p1", "p2")[: stack.units.shape[1]])
 
 
 def test_in_memory_stack_needs_a_column_per_metric():
@@ -530,8 +514,7 @@ def test_in_memory_corpus_rejects_metric_names_ingest_cannot_read_back(names, me
 
 
 # ---------------------------------------------------------------------------
-# differential: the bulk parsers (bytes, or NumPy's C parser) with the row
-# walk against csv.reader
+# differential: the byte parse with the row walk against csv.reader
 
 IDS = ("e", "f", "a,b", 'q"x', "n\nl", " pad ", "r\r\nn")
 METRIC_CELLS = (
@@ -582,7 +565,7 @@ def corpus_texts(draw):
             rows[i] = row
     for _ in range(draw(st.integers(0, 2))):  # blank and whitespace-only lines
         rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from(("", " ", "\t"))))
-    newline = draw(st.sampled_from(("\n", "\r\n")))
+    newline = draw(st.sampled_from(("\n", "\r\n", "\r")))
     header = ["experiment_id", " arm", "unit_id"] + [f"m{j}" for j in range(num_metrics)]
     lines = [",".join(render(c, draw(st.booleans())) for c in header)]
     for row in rows:
@@ -639,6 +622,23 @@ def outcome(parse, path):
          'e,2,u1,1E5\ne,2,u2,.5\ne,2,u3,5.\n')
 @example('experiment_id,arm,unit_id,m\ne, 2,u1,1\ne,1,u1,2\n')
 @example('experiment_id,arm,unit_id,m\n\xe9\U0001d522,1,u1,1\n\xe9\U0001d522,2,u1,2\n')
+# Line ends and quotes that the byte parse reads (\r\r\n ends a record and
+# adds a blank one, blank lines around the data, quoted numbers) or leaves
+# to the walk (an empty quoted id, text after a closing quote, a space
+# before an opening one, an escaped quote, a line break in a header cell,
+# also one whose second line would scan as the data row e,1,u1,"1", and a
+# one-byte cell '"' whose quote opens a field that csv.reader reads across
+# two lines).
+@example('experiment_id,arm,unit_id,m\r\r\ne,1,u1,1\r\r\ne,2,u1,2\r\r\n')
+@example('experiment_id,arm,unit_id,m\n\n\ne,1,u1,1\ne,2,u1,2\n\n')
+@example('experiment_id,arm,unit_id,m\ne,1,u1,"1.5"\ne,2,u1," 2.5 "\n')
+@example('experiment_id,arm,unit_id,m\n"",1,u1,1\n"",2,u1,2\n')
+@example('experiment_id,arm,unit_id,m\n"e"x,1,u1,1\n"e"x,2,u1,2\n')
+@example('experiment_id,arm,unit_id,m\n "e",1,u1,1\n "e",2,u1,2\n')
+@example('experiment_id,arm,unit_id,m\n"q""x",1,u1,1\n"q""x",2,u1,2\n')
+@example('experiment_id,arm,unit_id,"m\rx"\ne,1,u1,1\ne,2,u1,2\n')
+@example('experiment_id,arm,unit_id,"m\ne,1,u1,"1"\ne,2,u1,2\n')
+@example('experiment_id,arm,unit_id,m\ne,1,",1\ne,2,a"b,2\n')
 def test_ingest_matches_the_csv_reader_parser(text):
     fd, path = tempfile.mkstemp(suffix=".csv")
     try:
