@@ -59,6 +59,7 @@ from .experiments import (
     RewardSpec,
     arm_sums,
     check_count,
+    check_stack,
     decide_kept,
     fault_error,
     fold_decisions,
@@ -232,13 +233,13 @@ def batch_rewards(
     ``fold_permutations`` draw: unit i of an arm with permutation ``perm``
     is in fold ``perm[i] % P``.  The arms of every experiment are stacked
     and each rule makes one kernel call per arm count; ``exps`` is a list
-    of experiments or their ``ArmStack``.  With no fold count, only slot 0
-    is filled and nothing is drawn.
+    of experiments or their ``ArmStack``, which ``check_stack`` checks.
+    With no fold count, only slot 0 is filled and nothing is drawn.
     """
     fold_counts = tuple(
         check_count(f"fold_counts[{i}]", p, 2) for i, p in enumerate(fold_counts)
     )
-    stack = ArmStack.of(exps)
+    stack = check_stack(ArmStack.of(exps))
     out = np.empty((len(rules), 1 + len(fold_counts), len(stack.ids)))
     if not stack.ids:
         return out
@@ -313,7 +314,7 @@ def _leave_l_out_sums(
     """(experiments,) each experiment's sum of held-out rewards over every
     size-l subset of unit positions, at the config's ``leave_out``,
     ``max_folds`` and ``fold_seed``; ``exps`` is a list of experiments or
-    their ``ArmStack``.
+    their ``ArmStack``, which ``check_stack`` checks.
 
     All arms must have the same unit count M; a held-out subset of
     positions applies to every arm at once.  When C(M, l) exceeds
@@ -328,7 +329,7 @@ def _leave_l_out_sums(
     first experiment with a fault, as a loop over experiments would meet
     it.
     """
-    stack = ArmStack.of(exps)
+    stack = check_stack(ArmStack.of(exps))
     leave_out, max_folds = config.leave_out, config.max_folds
     faults: dict[int, ValueError] = {}
     sizes = []
@@ -397,7 +398,9 @@ def per_experiment_rewards(
     full-data reward when per-arm unit counts are Poisson with mean ``m0``.
     Every experiment is scored in one batched pass: ``batch_rewards`` for
     the first two, ``_leave_l_out_sums`` for the others.  ``exps`` is a
-    list of experiments or their ``ArmStack``.
+    list of experiments or their ``ArmStack``; the producer checks a stack
+    once (``check_stack``), so a NaN unit, a negative weight or sizes that
+    do not cover the units raise a CorpusFormatError.
     """
     stack = ArmStack.of(exps)
     if config.kind in ("naive", "cv-kfold"):
@@ -417,7 +420,8 @@ def estimate_reward(
     config: EstimatorConfig,
 ) -> RewardEstimate:
     """Aggregate reward estimate over a corpus of experiments, given as a
-    list or as their ``ArmStack``."""
+    list or as their ``ArmStack``, checked as ``per_experiment_rewards``
+    checks it."""
     stack = ArmStack.of(exps)
     if not stack.ids:
         raise ValueError("need at least one experiment")

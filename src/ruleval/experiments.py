@@ -60,6 +60,11 @@ class DegenerateFoldError(ValueError):
     """Holding out a fold or subset left an arm without enough units."""
 
 
+class CorpusFormatError(ValueError):
+    """The corpus or weight file, or an in-memory ``ArmStack``, violates the
+    input schema."""
+
+
 def check_count(name: str, value, low: int, high: int | None = None) -> int:
     """``value`` as an int, after checking that it is an integer (not a bool
     or a float such as 2.0) in [low, high]; a ValueError names ``name``."""
@@ -68,6 +73,17 @@ def check_count(name: str, value, low: int, high: int | None = None) -> int:
         bound = f">= {low}" if high is None else f"in [{low}, {high}]"
         raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
     return int(value)
+
+
+def check_id(exp_id, error: type[ValueError] = ValueError) -> None:
+    """Raise ``error`` unless ``exp_id`` is what ``ingest_csv`` reads back
+    (it strips each cell): a non-empty string without a NUL character or
+    surrounding whitespace.  So a corpus exports and ingests again under
+    the same ids, and ids sort."""
+    if not (isinstance(exp_id, str) and exp_id and exp_id == exp_id.strip()
+            and "\0" not in exp_id):
+        raise error(f"experiment_id must be a non-empty string without a NUL "
+                    f"character or surrounding whitespace, got {exp_id!r}")
 
 
 def finite_vector(name: str, value) -> np.ndarray:
@@ -128,15 +144,7 @@ class ExperimentData:
     weight: float = 1.0
 
     def __post_init__(self) -> None:
-        # What ``ingest_csv`` reads back (it strips each cell), so a corpus
-        # exports and ingests again under the same ids, and ids sort.
-        exp_id = self.experiment_id
-        if not (isinstance(exp_id, str) and exp_id and exp_id == exp_id.strip()
-                and "\0" not in exp_id):
-            raise ValueError(
-                f"experiment_id must be a non-empty string without a NUL "
-                f"character or surrounding whitespace, got {exp_id!r}"
-            )
+        check_id(self.experiment_id)
         arms = tuple(self.arms)
         if not arms:
             raise ValueError(f"experiment {self.experiment_id!r} has no arms")
@@ -367,6 +375,50 @@ class ArmStack(NamedTuple):
             ), weight)
             for exp_id, lo, hi, weight in zip(self.ids, first, first[1:], self.weights.tolist())
         )
+
+
+def check_stack(stack: ArmStack, metric_names: Sequence[str] = ()) -> ArmStack:
+    """``stack``, after checking that its arms partition its unit rows and
+    its experiments, each with an id and a weight, its arms; and, as
+    ``ArmData`` and ``ExperimentData`` check them, that its ids are valid
+    (``check_id``), its units finite and its weights finite and
+    nonnegative.  Ids may repeat.  A CorpusFormatError names the fault, a
+    metric by its name in ``metric_names`` or else by its 1-based column."""
+    starts, sizes, first_arm = stack.starts, stack.sizes, stack.first_arm
+    if not np.array_equal(starts, np.r_[0, np.cumsum(sizes)]) or starts[-1] != len(stack.units):
+        raise CorpusFormatError(f"stack starts must be the running sums of its sizes, "
+                                f"from 0 to its {len(stack.units)} unit rows")
+    if (sizes < 1).any():
+        raise CorpusFormatError(f"stack sizes must be >= 1, got {sizes.min()} "
+                                f"for arm {int(sizes.argmin())}")
+    if not len(first_arm) or first_arm[0] != 0 or first_arm[-1] != len(sizes) or (
+            np.diff(first_arm) < 1).any():
+        raise CorpusFormatError(f"stack first_arm must rise from 0 to the arm count "
+                                f"{len(sizes)}, got {first_arm.tolist()}")
+    if not len(stack.ids) == len(stack.weights) == len(first_arm) - 1:
+        raise CorpusFormatError(f"stack has {len(stack.ids)} ids and {len(stack.weights)} "
+                                f"weights for {len(first_arm) - 1} experiments")
+    for exp_id in stack.ids:
+        check_id(exp_id, CorpusFormatError)
+    bad = ~np.isfinite(stack.units)
+    if bad.any():
+        row, column = np.argwhere(bad)[0].tolist()
+        arm = int(np.searchsorted(starts, row, "right")) - 1
+        i = int(np.searchsorted(first_arm, arm, "right")) - 1
+        metric = repr(metric_names[column]) if metric_names else column + 1
+        raise CorpusFormatError(
+            f"experiment {stack.ids[i]!r}, arm {arm - first_arm[i] + 1}, unit "
+            f"{row - starts[arm]}: metric {metric} is not finite: "
+            f"{float(stack.units[row, column])!r}"
+        )
+    bad = ~((stack.weights >= 0) & (stack.weights < np.inf))
+    if bad.any():
+        i = int(bad.argmax())
+        raise CorpusFormatError(
+            f"experiment {stack.ids[i]!r}: weight must be finite and nonnegative, "
+            f"got {float(stack.weights[i])!r}"
+        )
+    return stack
 
 
 def stacked_product(stack: ArmStack, matrix: np.ndarray) -> np.ndarray:

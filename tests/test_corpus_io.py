@@ -3,6 +3,7 @@ quoting, the bulk parser's handling of layout and faults, and a
 differential test of the parser against the ``csv.reader`` one it replaced."""
 
 import os
+import re
 import tempfile
 import tracemalloc
 
@@ -377,6 +378,45 @@ def test_ingest_of_a_quoted_file_with_one_wide_id_keeps_the_unit_column_narrow(t
     assert peak < 60e6, peak
 
 
+def test_ingest_walks_comma_ids_in_a_few_times_the_file_size(tmp_path):
+    # A quoted id holding a comma sends the file to the walk, which only
+    # names faults and hands the cells to the byte parse.  When the walk
+    # converted the rows itself, it held every row's cells and four more
+    # lists: a tracemalloc peak of 10 times the file, 3.3 MB here (115.6 MB
+    # on the 700-experiment default corpus).
+    made, comma = tmp_path / "made.csv", tmp_path / "comma.csv"
+    assert main(["make-corpus", "--out", str(made), "--experiments", "20", "--seed", "4"]) == 0
+    write(comma, re.sub(r"(?m)^exp(\d+),", r'"exp,\1",', made.read_text()))
+    tracemalloc.start()
+    try:
+        walked = ingest_csv(str(comma)).stack
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7 * os.path.getsize(comma), peak
+    plain = ingest_csv(str(made)).stack
+    assert walked.ids == tuple(exp_id.replace("exp", "exp,") for exp_id in plain.ids)
+    for field in ("units", "sizes", "starts", "first_arm", "weights"):
+        a, b = getattr(walked, field), getattr(plain, field)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_ingest_names_the_line_of_a_cell_past_the_csv_field_limit(tmp_path):
+    # csv.reader refuses a cell of more than 131,072 characters: here in a
+    # file that a quoted comma sends to the walk, and in a weight file.
+    # Its csv.Error escaped as a traceback.
+    path, weights = tmp_path / "c.csv", tmp_path / "w.csv"
+    write(path, 'experiment_id,arm,unit_id,m\n"a,b",1,u1,1\n"a,b",2,' + "u" * 200_000 + ",2\n")
+    with pytest.raises(CorpusFormatError,
+                       match=r"c\.csv: line 3: field larger than field limit \(131072\)$"):
+        ingest_csv(str(path))
+    write(path, "experiment_id,arm,unit_id,m\na,1,u1,1\na,2,u1,2\n")
+    write(weights, "experiment_id,weight\na,1\n" + "b" * 200_000 + ",2\n")
+    with pytest.raises(CorpusFormatError,
+                       match=r"w\.csv: line 3: field larger than field limit \(131072\)$"):
+        ingest_csv(str(path), str(weights))
+
+
 def test_weight_file_joins_on_the_ids(tmp_path):
     path, weights = tmp_path / "c.csv", tmp_path / "w.csv"
     write(path, "".join(["experiment_id,arm,unit_id,m\n"]
@@ -448,6 +488,14 @@ def test_in_memory_corpus_rejects_a_repeated_experiment_id():
         ExperimentCorpus(repeated, ("north_star", "p1", "p2"))
 
 
+ID_RULE = ("^experiment_id must be a non-empty string without a NUL character or "
+           "surrounding whitespace, got ")
+
+
+def one_id_stack(exp_id):
+    return lambda _: ArmStack.from_sizes(np.ones((2, 1)), [1, 1], [2], [exp_id], [1.0])
+
+
 @pytest.mark.parametrize("field, value, message", [
     ("units", np.nan, r"^experiment 'b', arm 2, unit 1: metric 'p1' is not finite: nan$"),
     ("units", -np.inf, r"^experiment 'b', arm 2, unit 1: metric 'p1' is not finite: -inf$"),
@@ -472,6 +520,13 @@ def test_in_memory_corpus_rejects_a_repeated_experiment_id():
      r"^stack has 1 ids and 2 weights for 2 experiments$"),
     ("weights", lambda s: s._replace(weights=np.ones(3)),
      r"^stack has 2 ids and 3 weights for 2 experiments$"),
+    # Ids that ExperimentData rejects: the export wrote " a" and read it
+    # back as "a", wrote "" and rejected it on ingest, stored "a\0", and
+    # raised a TypeError on 3.
+    ("ids", one_id_stack(" a"), ID_RULE + "' a'$"),
+    ("ids", one_id_stack(""), ID_RULE + "''$"),
+    ("ids", one_id_stack("a\0"), ID_RULE + r"'a\\x00'$"),
+    ("ids", one_id_stack(3), ID_RULE + "3$"),
 ])
 def test_in_memory_stack_rejects_values_the_export_cannot_write_back(field, value, message):
     # Accepted, a NaN unit was exported as "nan", which ingest_csv rejects,
@@ -639,6 +694,14 @@ def outcome(parse, path):
 @example('experiment_id,arm,unit_id,"m\rx"\ne,1,u1,1\ne,2,u1,2\n')
 @example('experiment_id,arm,unit_id,"m\ne,1,u1,"1"\ne,2,u1,2\n')
 @example('experiment_id,arm,unit_id,m\ne,1,",1\ne,2,a"b,2\n')
+# Walked files whose cells the byte parse converts as csv.reader left them,
+# reading no quote: a cell whose content starts and ends with a quote, an
+# escaped quote beside a quoted comma and a duplicate unit, and a header
+# cell holding a NUL (a file with a NUL is walked).
+@example('experiment_id,arm,unit_id,m\n"""x""",1,"u,1",1\n"""x""",2,"u,1",2\n')
+@example('experiment_id,arm,unit_id,m\n"q""y",1,"u,1",1\n"q""y",2,"u,1",2\n'
+         '"q""y",2,"u,1",3\n')
+@example('experiment_id,arm,unit_id,"m\0"\ne,1,u1,1\ne,2,u1,2\n')
 def test_ingest_matches_the_csv_reader_parser(text):
     fd, path = tempfile.mkstemp(suffix=".csv")
     try:

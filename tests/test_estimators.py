@@ -9,6 +9,7 @@ import pytest
 from ruleval import (
     ArmData,
     ConfidenceInterval,
+    CorpusFormatError,
     ExperimentCorpus,
     DecisionRule,
     DegenerateFoldError,
@@ -422,6 +423,27 @@ def test_estimators_take_a_corpus_stack(config):
     assert estimate_reward(corpus.stack, rule, reward, config) == estimate_reward(
         listed, rule, reward, config
     )
+
+
+def stack_with_nan_unit():
+    units = np.arange(4.0).reshape(4, 1)
+    units[1, 0] = np.nan
+    return ArmStack.from_sizes(units, [2, 2], [2], ["e"], [1.0])
+
+
+@pytest.mark.parametrize("stack, message", [
+    (stack_with_nan_unit(), r"^experiment 'e', arm 1, unit 1: metric 1 is not finite: nan$"),
+    (ArmStack.from_sizes(np.arange(4.0).reshape(4, 1), [2, 2], [2], ["e"], [-1.0]),
+     r"^experiment 'e': weight must be finite and nonnegative, got -1.0$"),
+    (ArmStack.from_sizes(np.arange(4.0).reshape(4, 1), [2, 3], [2], ["e"], [1.0]),
+     r"^stack starts must be the running sums of its sizes, from 0 to its 4 unit rows$"),
+], ids=["nan-unit", "negative-weight", "sizes-past-the-units"])
+def test_estimators_check_a_stack_they_are_given(stack, message):
+    # Unchecked, the NaN unit gave a NaN estimate, the weight -1 an
+    # estimate of -1.0, and the sizes an IndexError.
+    for config in (EstimatorConfig(kind="naive"), EstimatorConfig(kind="cv-leave-l-out")):
+        with pytest.raises(CorpusFormatError, match=message):
+            estimate_reward(stack, ARGMAX_RULE, REWARD, config)
 
 
 def test_estimator_config_validation():
