@@ -425,14 +425,9 @@ def test_estimators_take_a_corpus_stack(config):
     )
 
 
-def stack_with_nan_unit():
-    units = np.arange(4.0).reshape(4, 1)
-    units[1, 0] = np.nan
-    return ArmStack.from_sizes(units, [2, 2], [2], ["e"], [1.0])
-
-
 @pytest.mark.parametrize("stack, message", [
-    (stack_with_nan_unit(), r"^experiment 'e', arm 1, unit 1: metric 1 is not finite: nan$"),
+    (ArmStack.from_sizes(np.array([[0.0], [np.nan], [2.0], [3.0]]), [2, 2], [2], ["e"], [1.0]),
+     r"^experiment 'e', arm 1, unit 1: metric 1 is not finite: nan$"),
     (ArmStack.from_sizes(np.arange(4.0).reshape(4, 1), [2, 2], [2], ["e"], [-1.0]),
      r"^experiment 'e': weight must be finite and nonnegative, got -1.0$"),
     (ArmStack.from_sizes(np.arange(4.0).reshape(4, 1), [2, 3], [2], ["e"], [1.0]),
