@@ -57,14 +57,15 @@ class ExperimentCorpus:
     weights.
 
     ``experiments`` is a sequence of ``ExperimentData``, stacked once in
-    the order given, or an ``ArmStack`` to store as it is: ``ingest_csv``
-    and ``make_synthetic_corpus`` build theirs directly, in id order.  A
-    stack must pass ``check_stack``: arms of one unit or more cover its
-    unit rows, and experiments of one arm or more its arms, with one id
-    and one weight each.  Experiment ids are unique non-empty strings
-    without a NUL or surrounding whitespace, metric names are distinct
-    non-empty strings without surrounding whitespace, units are finite,
-    one column per metric, and weights finite and nonnegative, so that
+    the order given (``ArmStack.of``), or an ``ArmStack`` to store as it
+    is: ``ingest_csv`` and ``make_synthetic_corpus`` build theirs directly,
+    in id order.  The records check nothing themselves.  The stack must
+    hold one unit column per metric and pass ``check_stack``: arms of one
+    unit or more cover its unit rows, and experiments of one arm or more
+    its arms, with one id and one weight each; ids are non-empty strings
+    without a NUL or surrounding whitespace, units are finite, and weights
+    finite and nonnegative.  Ids must also be unique, and metric names
+    distinct non-empty strings without surrounding whitespace, so that
     ``write_corpus_csv`` writes a file that ``ingest_csv`` reads back.
     ``experiments`` is built from the stack on each access, with arms that
     are views of its units.
@@ -92,24 +93,25 @@ class ExperimentCorpus:
                                         f"surrounding whitespace: {name!r}")
         if len(set(metric_names)) != j:
             raise CorpusFormatError(f"duplicate metric names {metric_names!r}")
-        if not isinstance(experiments, ArmStack):
-            for exp in experiments:
-                if exp.num_metrics != j:
-                    raise CorpusFormatError(
-                        f"experiment {exp.experiment_id!r} has {exp.num_metrics} "
-                        f"metrics, corpus schema has {j}"
-                    )
-            experiments = ArmStack.of(experiments)
-        elif experiments.units.shape[1:] != (j,):
-            raise CorpusFormatError(f"stack units have shape {experiments.units.shape}, "
-                                    f"corpus schema has {j} metrics")
-        check_stack(experiments, metric_names)
+        stack = ArmStack.of(experiments)
+        if stack is experiments:
+            if stack.units.shape[1:] != (j,):
+                raise CorpusFormatError(f"stack units have shape {stack.units.shape}, "
+                                        f"corpus schema has {j} metrics")
+        elif len(stack.sizes) and stack.units.shape[1] != j:
+            # The records' arms share a metric count (ArmStack.of); records
+            # with no arm at all are left to check_stack.  Name the record
+            # of the first arm.
+            i = int(np.searchsorted(stack.first_arm, 0, "right")) - 1
+            raise CorpusFormatError(f"experiment {stack.ids[i]!r} has {stack.units.shape[1]} "
+                                    f"metrics, corpus schema has {j}")
+        check_stack(stack, metric_names)
         seen: set[str] = set()
-        for exp_id in experiments.ids:
+        for exp_id in stack.ids:
             if exp_id in seen:
                 raise CorpusFormatError(f"experiment id {exp_id!r} appears more than once")
             seen.add(exp_id)
-        self.stack, self.metric_names = experiments, metric_names
+        self.stack, self.metric_names = stack, metric_names
 
     @property
     def experiments(self) -> tuple[ExperimentData, ...]:
@@ -186,18 +188,19 @@ def ingest_csv(path: str, weights_path: str | None = None) -> ExperimentCorpus:
 
 
 def _csv_rows(path: str, fh):
-    """The ``csv.reader`` rows of ``fh``, the open text file ``path``.  A
-    ``csv.Error`` (a cell longer than ``csv.field_size_limit()``, 131,072
-    characters by default) raises a CorpusFormatError naming the line that
-    ``csv.reader`` had reached.  A byte that is not UTF-8 raises one
-    naming its line, counted in records as other errors are: the records
-    ``csv.reader`` finds in the valid bytes before it with one character
-    in its place."""
-    reader = csv.reader(fh)
+    """The ``csv.reader`` rows of ``fh``, the open text file ``path``.
+    Errors raise a CorpusFormatError naming a line counted in records, as
+    other ingest errors are.  A ``csv.Error`` (a cell longer than
+    ``csv.field_size_limit()``, 131,072 characters by default) names the
+    record ``csv.reader`` was reading.  A byte that is not UTF-8 names the
+    count of records ``csv.reader`` finds in the valid bytes before it with
+    one character in its place."""
+    line = 0
     try:
-        yield from reader
+        for line, row in enumerate(csv.reader(fh), start=1):
+            yield row
     except csv.Error as err:
-        raise CorpusFormatError(f"{path}: line {reader.line_num}: {err}") from None
+        raise CorpusFormatError(f"{path}: line {line + 1}: {err}") from None
     except UnicodeDecodeError:
         with open(path, "rb") as raw:
             data = raw.read()

@@ -75,15 +75,15 @@ def check_count(name: str, value, low: int, high: int | None = None) -> int:
     return int(value)
 
 
-def check_id(exp_id, error: type[ValueError] = ValueError) -> None:
-    """Raise ``error`` unless ``exp_id`` is what ``ingest_csv`` reads back
-    (it strips each cell): a non-empty string without a NUL character or
-    surrounding whitespace.  So a corpus exports and ingests again under
-    the same ids, and ids sort."""
+def check_id(exp_id) -> None:
+    """Raise a CorpusFormatError unless ``exp_id`` is what ``ingest_csv``
+    reads back (it strips each cell): a non-empty string without a NUL
+    character or surrounding whitespace.  So a corpus exports and ingests
+    again under the same ids, and ids sort."""
     if not (isinstance(exp_id, str) and exp_id and exp_id == exp_id.strip()
             and "\0" not in exp_id):
-        raise error(f"experiment_id must be a non-empty string without a NUL "
-                    f"character or surrounding whitespace, got {exp_id!r}")
+        raise CorpusFormatError(f"experiment_id must be a non-empty string without a NUL "
+                                f"character or surrounding whitespace, got {exp_id!r}")
 
 
 def finite_vector(name: str, value) -> np.ndarray:
@@ -99,26 +99,17 @@ def finite_vector(name: str, value) -> np.ndarray:
 class ArmData:
     """One treatment arm: a 1-based index and a (units, metrics) matrix.
 
-    Units are exchangeable; row order carries no meaning.
+    Units are exchangeable; row order carries no meaning.  A plain record:
+    ``units`` is converted to a float array and nothing is checked here;
+    ``ArmStack.of`` and ``check_stack`` check the arm when a public call
+    reads it.
     """
 
     arm_index: int
     units: np.ndarray
 
     def __post_init__(self) -> None:
-        units = np.asarray(self.units, dtype=float)
-        if units.ndim != 2:
-            raise ValueError(
-                f"arm {self.arm_index}: units must be 2-D (units x metrics), "
-                f"got shape {units.shape}"
-            )
-        if units.shape[0] < 1:
-            raise DegenerateArmError(f"arm {self.arm_index} has no units")
-        if not np.isfinite(units).all():
-            raise ValueError(f"arm {self.arm_index}: units must be finite")
-        if self.arm_index < 1:
-            raise ValueError(f"arm index must be >= 1, got {self.arm_index}")
-        object.__setattr__(self, "units", units)
+        object.__setattr__(self, "units", np.asarray(self.units, dtype=float))
 
     @property
     def num_units(self) -> int:
@@ -136,7 +127,10 @@ class ExperimentData:
     Arms are ordered and contiguously indexed from 1; arm 1 is the
     reference (control) arm.  ``weight`` scales this experiment's
     contribution in aggregate estimates.  Single-arm experiments are
-    permitted; decision rules then trivially return arm 1.
+    permitted; decision rules then trivially return arm 1.  A plain record:
+    ``arms`` is made a tuple and nothing is checked here; the first public
+    call that reads the experiment stacks it (``ArmStack.of``) and checks
+    the stack (``check_stack``), and a CorpusFormatError names the fault.
     """
 
     experiment_id: str
@@ -144,29 +138,7 @@ class ExperimentData:
     weight: float = 1.0
 
     def __post_init__(self) -> None:
-        check_id(self.experiment_id)
-        arms = tuple(self.arms)
-        if not arms:
-            raise ValueError(f"experiment {self.experiment_id!r} has no arms")
-        for pos, arm in enumerate(arms):
-            if arm.arm_index != pos + 1:
-                raise ValueError(
-                    f"experiment {self.experiment_id!r}: arm indices must be "
-                    f"contiguous from 1, found {arm.arm_index} at position {pos + 1}"
-                )
-        num_metrics = arms[0].num_metrics
-        for arm in arms:
-            if arm.num_metrics != num_metrics:
-                raise ValueError(
-                    f"experiment {self.experiment_id!r}: arm {arm.arm_index} has "
-                    f"{arm.num_metrics} metrics, expected {num_metrics}"
-                )
-        if not 0 <= self.weight < np.inf:
-            raise ValueError(
-                f"experiment {self.experiment_id!r}: weight must be finite "
-                f"and nonnegative, got {self.weight}"
-            )
-        object.__setattr__(self, "arms", arms)
+        object.__setattr__(self, "arms", tuple(self.arms))
 
     @property
     def num_arms(self) -> int:
@@ -337,11 +309,31 @@ class ArmStack(NamedTuple):
 
     @classmethod
     def of(cls, exps: ArmStack | Sequence[ExperimentData]) -> ArmStack:
-        """Stack the arms of experiments that share a metric count; a stack
-        is returned unchanged."""
+        """Stack the arms of experiments; a stack is returned unchanged.
+
+        Only the two facts a stack cannot record are checked here: that
+        each experiment's arm k sits at position k, and that every arm's
+        units are 2-D with the first arm's metric count.  A
+        CorpusFormatError names the experiment and arm.  What the stack
+        records, ``check_stack`` checks.
+        """
         if isinstance(exps, ArmStack):
             return exps
-        units = [arm.units for exp in exps for arm in exp.arms]
+        units = []
+        for exp in exps:
+            for pos, arm in enumerate(exp.arms, start=1):
+                shape = arm.units.shape
+                if arm.arm_index != pos:
+                    fault = (f"arm indices must be contiguous from 1, "
+                             f"found {arm.arm_index} at position {pos}")
+                elif len(shape) != 2:
+                    fault = f"arm {pos}: units must be 2-D (units x metrics), got shape {shape}"
+                elif units and shape[1] != units[0].shape[1]:
+                    fault = f"arm {pos} has {shape[1]} metrics, expected {units[0].shape[1]}"
+                else:
+                    units.append(arm.units)
+                    continue
+                raise CorpusFormatError(f"experiment {exp.experiment_id!r}: {fault}")
         return cls.from_sizes(
             np.concatenate(units) if units else np.empty((0, 0)),
             [len(u) for u in units], [exp.num_arms for exp in exps],
@@ -378,12 +370,18 @@ class ArmStack(NamedTuple):
 
 
 def check_stack(stack: ArmStack, metric_names: Sequence[str] = ()) -> ArmStack:
-    """``stack``, after checking that its arms partition its unit rows and
-    its experiments, each with an id and a weight, its arms; and, as
-    ``ArmData`` and ``ExperimentData`` check them, that its ids are valid
-    (``check_id``), its units finite and its weights finite and
-    nonnegative.  Ids may repeat.  A CorpusFormatError names the fault, a
-    metric by its name in ``metric_names`` or else by its 1-based column."""
+    """``stack``, after checking that its units are 2-D (units x metrics),
+    that its arms, one unit or more each, partition its unit rows and its
+    experiments, each with one arm or more, an id and a weight, its arms;
+    that its ids are valid (``check_id``), its units finite and its weights
+    finite and nonnegative.  Ids may repeat.  This is the one check of
+    in-memory data: the records ``ArmData`` and ``ExperimentData`` check
+    nothing, and every public call that reads experiments checks their
+    stack here.  A CorpusFormatError names the fault, a metric by its name
+    in ``metric_names`` or else by its 1-based column."""
+    if stack.units.ndim != 2:
+        raise CorpusFormatError(f"stack units must be 2-D (units x metrics), "
+                                f"got shape {stack.units.shape}")
     starts, sizes, first_arm = stack.starts, stack.sizes, stack.first_arm
     if not np.array_equal(starts, np.r_[0, np.cumsum(sizes)]) or starts[-1] != len(stack.units):
         raise CorpusFormatError(f"stack starts must be the running sums of its sizes, "
@@ -399,7 +397,7 @@ def check_stack(stack: ArmStack, metric_names: Sequence[str] = ()) -> ArmStack:
         raise CorpusFormatError(f"stack has {len(stack.ids)} ids and {len(stack.weights)} "
                                 f"weights for {len(first_arm) - 1} experiments")
     for exp_id in stack.ids:
-        check_id(exp_id, CorpusFormatError)
+        check_id(exp_id)
     bad = ~np.isfinite(stack.units)
     if bad.any():
         row, column = np.argwhere(bad)[0].tolist()

@@ -403,18 +403,23 @@ def test_ingest_walks_comma_ids_in_a_few_times_the_file_size(tmp_path):
 
 def test_ingest_names_the_line_of_a_cell_past_the_csv_field_limit(tmp_path):
     # csv.reader refuses a cell of more than 131,072 characters: here in a
-    # file that a quoted comma sends to the walk, and in a weight file.
-    # Its csv.Error escaped as a traceback.
+    # file that a quoted comma or line break sends to the walk, and in a
+    # weight file.  Its csv.Error escaped as a traceback, and then named
+    # the physical line csv.reader had reached (5 and 4 with the quoted
+    # line break) where other errors count records.
     path, weights = tmp_path / "c.csv", tmp_path / "w.csv"
-    write(path, 'experiment_id,arm,unit_id,m\n"a,b",1,u1,1\n"a,b",2,' + "u" * 200_000 + ",2\n")
-    with pytest.raises(CorpusFormatError,
-                       match=r"c\.csv: line 3: field larger than field limit \(131072\)$"):
-        ingest_csv(str(path))
-    write(path, "experiment_id,arm,unit_id,m\na,1,u1,1\na,2,u1,2\n")
-    write(weights, "experiment_id,weight\na,1\n" + "b" * 200_000 + ",2\n")
-    with pytest.raises(CorpusFormatError,
-                       match=r"w\.csv: line 3: field larger than field limit \(131072\)$"):
-        ingest_csv(str(path), str(weights))
+    for exp_id in ('"a,b"', '"a\nb"'):
+        write(path, f"experiment_id,arm,unit_id,m\n{exp_id},1,u1,1\n{exp_id},2,"
+              + "u" * 200_000 + ",2\n")
+        with pytest.raises(CorpusFormatError,
+                           match=r"c\.csv: line 3: field larger than field limit \(131072\)$"):
+            ingest_csv(str(path))
+    for exp_id in ("a", '"a\nb"'):
+        write(path, f"experiment_id,arm,unit_id,m\n{exp_id},1,u1,1\n{exp_id},2,u1,2\n")
+        write(weights, f"experiment_id,weight\n{exp_id},1\n" + "b" * 200_000 + ",2\n")
+        with pytest.raises(CorpusFormatError,
+                           match=r"w\.csv: line 3: field larger than field limit \(131072\)$"):
+            ingest_csv(str(path), str(weights))
 
 
 def test_weight_file_joins_on_the_ids(tmp_path):
@@ -520,7 +525,7 @@ def one_id_stack(exp_id):
      r"^stack has 1 ids and 2 weights for 2 experiments$"),
     ("weights", lambda s: s._replace(weights=np.ones(3)),
      r"^stack has 2 ids and 3 weights for 2 experiments$"),
-    # Ids that ExperimentData rejects: the export wrote " a" and read it
+    # Ids that check_id rejects: the export wrote " a" and read it
     # back as "a", wrote "" and rejected it on ingest, stored "a\0", and
     # raised a TypeError on 3.
     ("ids", one_id_stack(" a"), ID_RULE + "' a'$"),

@@ -432,13 +432,56 @@ def test_estimators_take_a_corpus_stack(config):
      r"^experiment 'e': weight must be finite and nonnegative, got -1.0$"),
     (ArmStack.from_sizes(np.arange(4.0).reshape(4, 1), [2, 3], [2], ["e"], [1.0]),
      r"^stack starts must be the running sums of its sizes, from 0 to its 4 unit rows$"),
-], ids=["nan-unit", "negative-weight", "sizes-past-the-units"])
+    (ArmStack.from_sizes(np.arange(4.0), [2, 2], [2], ["e"], [1.0]),
+     r"^stack units must be 2-D \(units x metrics\), got shape \(4,\)$"),
+], ids=["nan-unit", "negative-weight", "sizes-past-the-units", "1-d-units"])
 def test_estimators_check_a_stack_they_are_given(stack, message):
     # Unchecked, the NaN unit gave a NaN estimate, the weight -1 an
-    # estimate of -1.0, and the sizes an IndexError.
+    # estimate of -1.0, and the sizes and the 1-D units an IndexError.
     for config in (EstimatorConfig(kind="naive"), EstimatorConfig(kind="cv-leave-l-out")):
         with pytest.raises(CorpusFormatError, match=message):
             estimate_reward(stack, ARGMAX_RULE, REWARD, config)
+
+
+def one_arm_record(**kwargs):
+    return ExperimentData("e", (ArmData(1, kwargs.pop("units", [[1.0], [2.0]])),), **kwargs)
+
+
+@pytest.mark.parametrize("exp, message", [
+    (ExperimentData("e", (ArmData(2, [[1.0], [2.0]]),)),
+     r"^experiment 'e': arm indices must be contiguous from 1, found 2 at position 1$"),
+    (ExperimentData("e", (ArmData(1, [[1.0], [2.0]]), ArmData(2, [[1.0, 2.0]] * 2))),
+     r"^experiment 'e': arm 2 has 2 metrics, expected 1$"),
+    (one_arm_record(weight=-1.0),
+     r"^experiment 'e': weight must be finite and nonnegative, got -1.0$"),
+    (one_arm_record(weight=np.nan),
+     r"^experiment 'e': weight must be finite and nonnegative, got nan$"),
+    (one_arm_record(units=[[1.0], [np.nan]]),
+     r"^experiment 'e', arm 1, unit 1: metric {metric} is not finite: nan$"),
+    (ExperimentData("e", (ArmData(1, [[1.0], [2.0]]), ArmData(2, np.empty((0, 1))))),
+     r"^stack sizes must be >= 1, got 0 for arm 1$"),
+    (ExperimentData(" a", (ArmData(1, [[1.0], [2.0]]),)),
+     r"^experiment_id must be a non-empty string without a NUL character or "
+     r"surrounding whitespace, got ' a'$"),
+    (ExperimentData("e", ()),
+     r"^stack first_arm must rise from 0 to the arm count 0, got \[0, 0\]$"),
+], ids=["arm-2-first", "mixed-metric-counts", "negative-weight", "nan-weight", "nan-unit",
+        "empty-arm", "padded-id", "no-arm"])
+def test_bad_records_build_and_the_first_call_that_reads_them_rejects_them(exp, message):
+    # ArmData and ExperimentData are plain records: check_stack checks each
+    # fact once, after ArmStack.of has checked arm positions and unit
+    # shapes, so every public reader raises the same error.  The corpus
+    # names a metric by its name, the estimators by its column.
+    config = EstimatorConfig(kind="naive")
+    readers = [
+        lambda: ExperimentCorpus([exp], ("m",)),
+        lambda: estimate_reward([exp], ARGMAX_RULE, REWARD, config),
+        lambda: per_experiment_rewards([exp], ARGMAX_RULE, REWARD, config),
+        lambda: batch_rewards([exp], [ARGMAX_RULE], REWARD, (2,), 0),
+    ]
+    for reader, metric in zip(readers, ("'m'", 1, 1, 1)):
+        with pytest.raises(CorpusFormatError, match=message.format(metric=metric)):
+            reader()
 
 
 def test_estimator_config_validation():

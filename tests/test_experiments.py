@@ -15,6 +15,7 @@ import pytest
 
 from ruleval import (
     ArmData,
+    CorpusFormatError,
     DecisionRule,
     DegenerateArmError,
     DegenerateFoldError,
@@ -385,27 +386,31 @@ def test_remove_fold_gated_needs_two_remaining_units():
 
 
 def test_experiment_validation():
+    # The records check nothing: the first call that reads them does.
+    def read(exp):
+        return naive(exp, DecisionRule())
+
     with pytest.raises(ValueError, match="contiguous"):
-        ExperimentData("e", (ArmData(2, np.zeros((1, 1))),))
+        read(ExperimentData("e", (ArmData(2, np.zeros((1, 1))),)))
     with pytest.raises(ValueError, match="metrics"):
-        ExperimentData(
+        read(ExperimentData(
             "e", (ArmData(1, np.zeros((1, 1))), ArmData(2, np.zeros((1, 2))))
-        )
+        ))
     with pytest.raises(ValueError, match="weight"):
-        two_arm([[1.0]], [[2.0]], weight=-1.0)
+        read(two_arm([[1.0]], [[2.0]], weight=-1.0))
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="weight"):
-            two_arm([[1.0]], [[2.0]], weight=bad)
+            read(two_arm([[1.0]], [[2.0]], weight=bad))
         with pytest.raises(ValueError, match="finite"):
-            ArmData(1, np.array([[1.0], [bad]]))
-    with pytest.raises(DegenerateArmError):
-        ArmData(1, np.zeros((0, 1)))
+            read(ExperimentData("e", (ArmData(1, np.array([[1.0], [bad]])),)))
+    with pytest.raises(CorpusFormatError, match="sizes must be >= 1"):
+        read(ExperimentData("e", (ArmData(1, np.zeros((0, 1))),)))
     # Ids that do not survive export and ingest: a number (which also
     # fails to sort among strings), an empty id, one holding a NUL and one
     # that ingest would strip.
     for bad_id in (5, "", "a\0b", " a"):
         with pytest.raises(ValueError, match="^experiment_id must be a non-empty string"):
-            ExperimentData(bad_id, (ArmData(1, np.zeros((1, 1))),))
+            read(ExperimentData(bad_id, (ArmData(1, np.zeros((1, 1))),)))
 
 
 def test_reward_spec_default_picks_first_metric():
