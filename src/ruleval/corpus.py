@@ -60,11 +60,11 @@ class ExperimentCorpus:
     the order given (``ArmStack.of``), or an ``ArmStack`` to store as it
     is: ``ingest_csv`` and ``make_synthetic_corpus`` build theirs directly,
     in id order.  The records check nothing themselves.  The stack must
-    hold one unit column per metric and pass ``check_stack``: arms of one
-    unit or more cover its unit rows, and experiments of one arm or more
-    its arms, with one id and one weight each; ids are non-empty strings
-    without a NUL or surrounding whitespace, units are finite, and weights
-    finite and nonnegative.  Ids must also be unique, and metric names
+    hold one experiment or more and one unit column per metric, and pass
+    ``check_stack``: arms of one unit or more cover its unit rows, and
+    experiments of one arm or more its arms, with one id and one weight
+    each; ids are non-empty strings without a NUL or surrounding
+    whitespace, units are finite, and weights finite and nonnegative.  Ids must also be unique, and metric names
     distinct non-empty strings without surrounding whitespace, so that
     ``write_corpus_csv`` writes a file that ``ingest_csv`` reads back.
     ``experiments`` is built from the stack on each access, with arms that
@@ -94,6 +94,10 @@ class ExperimentCorpus:
         if len(set(metric_names)) != j:
             raise CorpusFormatError(f"duplicate metric names {metric_names!r}")
         stack = ArmStack.of(experiments)
+        if not stack.ids:
+            # write_corpus_csv would write a header-only file, which
+            # ingest_csv rejects.
+            raise CorpusFormatError("corpus needs at least one experiment")
         if stack is experiments:
             if stack.units.shape[1:] != (j,):
                 raise CorpusFormatError(f"stack units have shape {stack.units.shape}, "

@@ -16,23 +16,25 @@ Three families are implemented:
   (fixed enrollment rate over a fixed window).
 
 Every estimator decides through the one kernel ``experiments.decide_kept``,
-fed by one of two producers.  ``experiments.fold_stats`` builds its inputs
-for a whole corpus in one pass: every experiment's arms are stacked, each
-unit gets a global (arm, fold) bin per fold count, and one ``np.bincount``
-over those bins gives every fold's held-out sums of every blend column,
-subtracted from the arm totals, then the arm totals themselves.
-``batch_rewards`` decides all of them with one kernel call per rule and
-arm count, and scores every experiment's folds with one more bincount of
-the reward; the naive estimate is the full-data slot.  ``subset_rewards``
-decides every held-out subset of an (S, l) array of unit positions and
-then the full data, for a batch of equal-size experiments at once, in one
-kernel call.  It serves the Poisson-rescaling check in the simulator,
-which reads the full-data choice, and leave-l-out here, which reads the
-subsets'; the experiments are stacked once and make one call per (arm
-count, arm size).  The kernel raises nothing: it returns 0 where no arm
-passes a gated rule that lacks its fallback arm, and both library paths
-raise the missing-fallback error for any experiment with a 0 among the
-decisions they score.
+fed by one of two producers, and reads the chosen arm's reward through one
+gather, ``experiments.chosen_reward``.  ``experiments.fold_stats`` builds
+the kernel's inputs for a whole corpus in one pass: every experiment's arms
+are stacked, each unit gets a global (arm, fold) bin per fold count, and
+``experiments.fold_sums`` gives every fold's held-out sums of every blend
+column from one ``np.bincount``, subtracted from the arm totals, then the
+arm totals themselves.  ``batch_rewards`` decides all of them with one
+kernel call per rule and arm count, and scores every experiment's folds on
+one reward table, which ``fold_sums`` builds once for all rules from the
+reward column; the naive estimate is the full-data slot.
+``subset_rewards`` decides every held-out subset of an (S, l) array of
+unit positions and then the full data, for a batch of equal-size
+experiments at once, in one kernel call.  It serves the Poisson-rescaling
+check in the simulator, which reads the full-data choice, and leave-l-out
+here, which reads the subsets'; the experiments are stacked once and make
+one call per (arm count, arm size).  The kernel raises nothing: it returns
+0 where no arm passes a gated rule that lacks its fallback arm, and both
+library paths raise the missing-fallback error for any experiment with a 0
+among the decisions they score.
 
 Every estimator is reached through ``per_experiment_rewards`` (one
 contribution per experiment) or ``estimate_reward`` (their aggregate),
@@ -57,13 +59,14 @@ from .experiments import (
     DegenerateFoldError,
     ExperimentData,
     RewardSpec,
-    arm_sums,
     check_count,
     check_stack,
+    chosen_reward,
     decide_kept,
     fault_error,
     fold_decisions,
     fold_permutations,
+    fold_sums,
     missing_fallback_error,
     sample_variance,
     stacked_blend_values,
@@ -182,34 +185,33 @@ def _fold_table(
     estimate), in every stacked experiment.
 
     ``bins`` holds every stacked unit's (arm, fold) bin per partition, as
-    ``fold_stats`` takes them.  Fold t's decision sees every unit of the
-    experiment outside it; its reward is the mean reward of the chosen
-    arm's units in fold t.  The full-data decision sees every unit and is
-    rewarded on all of the chosen arm's units.  ``fold_decisions`` makes
-    the decisions; the error raised is that of the first experiment with a
-    fault, for the first rule with one, as a loop over experiments, then
-    rules, would meet it.
+    ``fold_sums`` takes them (None or 0 rows for no fold).  Fold t's
+    decision sees every unit of the experiment outside it; its reward is
+    the mean reward of the chosen arm's units in fold t.  The full-data
+    decision sees every unit and is rewarded on all of the chosen arm's
+    units.  ``fold_sums`` gives the reward column's held-out and full sums
+    once, for all rules, as one (arms, folds + 1) table of those means;
+    ``fold_decisions`` makes each rule's decisions and ``chosen_reward``
+    reads their rewards from the table.  The error raised is that of the
+    first experiment with a fault, for the first rule with one, as a loop
+    over experiments, then rules, would meet it.
     """
     num_exps, total = len(stack.ids), sum(fold_counts)
-    first_arm = stack.first_arm[:-1]
     rewards = stacked_product(stack, reward.weights(stack.units.shape[1]))
-    full_rewards = arm_sums(stack, rewards) / stack.sizes
-    if total:
-        held_rewards = np.bincount(
-            bins.ravel(), np.tile(rewards, len(bins)), len(stack.sizes) * total
-        ).reshape(-1, total)
-    fold = np.arange(total)
+    kept, totals, held = fold_sums(stack, rewards[None], bins, total)
+    with np.errstate(divide="ignore", invalid="ignore"):  # EMPTY_FOLD
+        table = np.hstack([held[0] / (kept[:, -1:] - kept[:, :-1]),
+                           totals.T / stack.sizes[:, None]])
+    # (experiments, total + 1, most arms): each experiment's arms in order,
+    # past its last arm whatever follows it, which no decision picks.
+    arms = stack.first_arm[:-1, None] + np.arange(np.diff(stack.first_arm).max())
+    table = table[np.minimum(arms, len(stack.sizes) - 1)].swapaxes(1, 2)
     out = np.empty((len(rules), num_exps, total + 1))
     faults = np.zeros((len(rules), num_exps), dtype=int)
     picks = []
     for r, rule in enumerate(rules):
         counts, chosen, faults[r] = fold_decisions(stack, rule, bins, fold_counts)
-        arm = first_arm[:, None] + chosen - 1
-        out[r, :, total] = full_rewards[arm[:, total]]
-        if total:
-            held = counts[arm[:, :total], total] - counts[arm[:, :total], fold]
-            with np.errstate(divide="ignore", invalid="ignore"):  # EMPTY_FOLD
-                out[r, :, :total] = held_rewards[arm[:, :total], fold] / held
+        out[r] = chosen_reward(table, chosen)
         picks.append((counts, chosen))
     bad = np.flatnonzero(faults.any(axis=0))
     if bad.size:
@@ -281,9 +283,9 @@ def subset_rewards(
     each row's positions are removed from every arm, one kernel call
     decides every subset on the rest and the full data on every unit, and
     the subset's reward is the mean reward over the row's positions in the
-    chosen arm.  The caller checks that every arm keeps enough units (one,
-    two under a gate) and reads a choice of 0 as a missing fallback arm
-    (``decide_kept``).
+    chosen arm, read by ``chosen_reward``.  The caller checks that every
+    arm keeps enough units (one, two under a gate) and reads a choice of 0
+    as a missing fallback arm (``decide_kept``).
     """
 
     def kept_sums(x: np.ndarray) -> np.ndarray:
@@ -299,10 +301,7 @@ def subset_rewards(
         variances = sample_variance(counts, sums, kept_sums(values * values))
     chosen = decide_kept(counts, sums, variances, rule)  # (n, S + 1)
     held = rewards[:, :, subsets].mean(axis=3)  # (n, K, S)
-    out = held[:, 0]
-    for k in range(1, held.shape[1]):
-        out = np.where(chosen[:, :-1] == k + 1, held[:, k], out)
-    return chosen, out
+    return chosen, chosen_reward(held.swapaxes(1, 2), chosen)
 
 
 def _leave_l_out_sums(

@@ -15,16 +15,20 @@ nothing: where no arm passes a gated rule whose fallback arm the experiment
 lacks, it returns 0, and its caller names the fault.  The library
 estimators compute that variance from the kept units
 (``sample_variance``); the Monte Carlo fast path supplies the model's
-known variance.  ``fold_stats`` produces those inputs for every arm of an
-``ArmStack``, the experiments' units stacked into one array, at once: one
-bincount over a global (arm, fold) bin gives every held-out fold's sums of
-every column, which are subtracted from the arm totals, followed by the
-full data.  Each sum adds the numbers a one-experiment computation adds, in
-its order, so no result depends on what else is in the batch.
+known variance.  ``fold_sums`` is the one producer of per-(arm, fold) sums
+of unit data: for every arm of an ``ArmStack``, the experiments' units
+stacked into one array, it gives the kept unit counts and the totals of
+any columns, and one bincount over a global (arm, fold) bin gives every
+held-out fold's sums of them.  ``fold_stats`` feeds it the rule's blend
+columns and subtracts the held-out sums from the totals, followed by the
+full data.  Each sum adds the numbers a one-experiment computation adds,
+in its order, so no result depends on what else is in the batch.
 ``fold_decisions`` decides them all, one kernel call per arm count, and
 finds each experiment's first fault; ``fault_error`` words it.  A rule's
 full-data decision on one experiment is a ``fold_decisions`` call on its
-one-experiment stack with no fold.
+one-experiment stack with no fold.  Every estimator, the fast path's
+included, reads the chosen arm's reward from its reward table through one
+gather, ``chosen_reward``.
 """
 
 from __future__ import annotations
@@ -572,6 +576,33 @@ def _fold_name(fold_counts: tuple[int, ...], t: int) -> str:
     return f"fold {t - ends[f] + fold_counts[f] + 1} of {fold_counts[f]}"
 
 
+def fold_sums(
+    stack: ArmStack, columns: np.ndarray, bins: np.ndarray | None, total: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per stacked arm, its kept unit counts, (arms, total + 1), and the
+    totals, (width, arms), and held-out sums, (width, arms, total), of the
+    (width, units) ``columns``: the one producer of per-(arm, fold) sums of
+    unit data.
+
+    ``bins`` is (partitions, units), one row per partition (None or 0 rows
+    for none): stacked unit u of arm a gets the bin ``a * total + fold``,
+    with ``total`` the folds of every partition and each partition
+    numbering its 0-based folds after the earlier partitions' ones.  Count
+    column t < total keeps every unit outside fold t, the last every unit.
+    The totals are ``arm_sums``; one bincount over (column, arm, fold) bins
+    gives every held-out sum, each added in unit order.
+    """
+    bins = np.empty((0, 0), dtype=np.intp) if bins is None else bins
+    num_arms, width = len(stack.sizes), len(columns)
+    size = num_arms * total
+    held = np.bincount(bins.ravel(), minlength=size).reshape(num_arms, total)
+    index = (np.arange(width)[:, None] * size + bins.reshape(1, -1)).ravel()
+    held_sums = np.bincount(index, np.tile(columns, len(bins)).ravel(), width * size)
+    sizes = stack.sizes[:, None]
+    return (np.hstack([sizes - held, sizes]), arm_sums(stack, columns),
+            held_sums.reshape(width, num_arms, total))
+
+
 def fold_stats(
     stack: ArmStack,
     rule: DecisionRule,
@@ -581,43 +612,45 @@ def fold_stats(
     """``decide_kept`` inputs of every stacked arm, for every held-out fold,
     then the full data.
 
-    ``bins`` is (partitions, units), one row per entry of ``fold_counts``
-    (None when there is none): stacked unit u of arm a gets the bin
-    ``a * total + fold``, with ``total = sum(fold_counts)`` and partition f
-    numbering its ``fold_counts[f]`` 0-based folds after the earlier
-    partitions' ones.  Returns per arm its kept counts (arms, total + 1),
+    ``bins`` holds one row per entry of ``fold_counts`` (None or 0 rows
+    when there is none), as ``fold_sums`` takes them, with ``total =
+    sum(fold_counts)``.  Returns per arm its kept counts (arms, total + 1),
     blend sums (arms, total + 1, B) and, for a gated rule, their
     ``sample_variance`` (else None): column t < total keeps every unit
-    outside fold t, the last column keeps every unit.  One bincount gives
-    every fold's held-out sums of every column, which are subtracted from
-    the arm totals; with no fold count only the totals are formed.  Counts
-    are not checked here: an arm left with too few units gets a variance
-    divided by zero, and ``fold_decisions`` reports it.
+    outside fold t, the last column keeps every unit.  ``fold_sums`` gives
+    the arm totals of the blend columns, and of their squares under a
+    gate, and every fold's held-out sums, which are subtracted from them.
+    Counts are not checked here: an arm left with too few units gets a
+    variance divided by zero, and ``fold_decisions`` reports it.
     """
     values = stacked_blend_values(stack, rule)
     blends = values.shape[1]
     gated = rule.gate != "none"
     columns = np.vstack([values.T] + ([(values * values).T] if gated else []))
-    totals = arm_sums(stack, columns)  # (columns, arms)
-    sizes = stack.sizes[:, None]
-    if not fold_counts:
-        counts, sums = sizes, totals.T[:, None]
-    else:
-        num_arms, total = len(stack.sizes), sum(fold_counts)
-        size = num_arms * total
-        held = np.bincount(bins.ravel(), minlength=size).reshape(num_arms, total)
-        counts = np.hstack([sizes - held, sizes])
-        width = len(columns)
-        index = (np.arange(width)[:, None] * size + bins.reshape(1, -1)).ravel()
-        held_sums = np.bincount(index, np.tile(columns, len(bins)).ravel(), width * size)
-        held_sums = held_sums.reshape(width, num_arms, total)
-        sums = np.concatenate([totals[..., None] - held_sums, totals[..., None]], axis=2)
-        sums = sums.transpose(1, 2, 0)
+    counts, totals, held = fold_sums(stack, columns, bins, sum(fold_counts))
+    totals = totals[..., None]
+    sums = np.concatenate([totals - held, totals], axis=2).transpose(1, 2, 0)
     variances = None
     if gated:
         with np.errstate(divide="ignore", invalid="ignore"):
             variances = sample_variance(counts, sums[..., :blends], sums[..., blends:])
     return counts, sums[..., :blends], variances
+
+
+def chosen_reward(table: np.ndarray, chosen: np.ndarray) -> np.ndarray:
+    """The chosen arm's entry of a (..., columns, arms) reward table,
+    (..., columns): every estimator reads a decision's reward here.
+
+    ``chosen`` holds 1-based arms, (..., C) with C >= columns, and its
+    first ``columns`` columns are read; any other value, such as the 0 of
+    a missing fallback arm (``decide_kept``), reads arm 1.  One comparison
+    per arm, which on few arms is faster than a fancy-index gather.
+    """
+    chosen = chosen[..., : table.shape[-2]]
+    out = table[..., 0]
+    for k in range(1, table.shape[-1]):
+        out = np.where(chosen == k + 1, table[..., k], out)
+    return out
 
 
 SHORT_ARM, NO_FALLBACK, EMPTY_FOLD = 1, 2, 3
@@ -657,10 +690,9 @@ def fold_decisions(
                 rule,
             )
     faults[(chosen == 0).any(axis=1)] = NO_FALLBACK
-    if total:
-        arm = first_arm[:, None] + chosen[:, :total] - 1
-        empty = (counts[arm, total] == counts[arm, np.arange(total)]).any(axis=1)
-        faults[(faults == 0) & empty] = EMPTY_FOLD
+    arm = first_arm[:, None] + chosen[:, :total] - 1
+    empty = (counts[arm, total] == counts[arm, np.arange(total)]).any(axis=1)
+    faults[(faults == 0) & empty] = EMPTY_FOLD
     # An arm left with fewer units than the rule needs: one, two under a gate.
     short = (counts < 1 + (rule.gate != "none")).any(axis=1)
     faults[np.logical_or.reduceat(short, first_arm)] = SHORT_ARM

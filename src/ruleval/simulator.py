@@ -12,9 +12,11 @@ exact, not an approximation.  The unit-level draw it replaces lives on as
 the reference ``draw_experiment`` in ``tests/unit_oracle.py``.
 
 The fast path decides through the library's one kernel,
-``experiments.decide_kept``, with the library's ``DecisionRule``.  It feeds
-it arm sums of the rule's blends, and in place of a sample variance the
-model's known per-unit blend variance ``diag(M' noise_cov M)``.  That known
+``experiments.decide_kept``, with the library's ``DecisionRule``, and reads
+the chosen arm's reward through the library's one gather,
+``experiments.chosen_reward``.  It feeds the kernel arm sums of the rule's
+blends, and in place of a sample variance the model's known per-unit blend
+variance ``diag(M' noise_cov M)``.  That known
 variance is the one difference from scoring unit data: a gated rule tests
 against the true unit noise, which is accurate in the large-M regime the
 model targets.  The Poisson-rescaling check draws unit-level Bernoulli
@@ -54,7 +56,8 @@ import numpy as np
 from .closed_form import (DEFAULT_PROXIES, EffectModel, ProxySpec, _cov, check_sd,
                           cv_expectation, joint_proxy_model, naive_expectation, true_reward)
 from .estimators import BLOCK_ELEMENTS, MAX_BOOTSTRAP_REDRAWS, check_m0, subset_rewards
-from .experiments import DecisionRule, DegenerateFoldError, blend_matrix, check_count, decide_kept
+from .experiments import (DecisionRule, DegenerateFoldError, blend_matrix, check_count,
+                          chosen_reward, decide_kept)
 from .streams import substream
 
 __all__ = [
@@ -301,6 +304,9 @@ def _simulate_estimates(
     folds' sums and, when ``true`` or ``naive`` is asked for, the full data
     on the arm sums; a gate gets the known per-unit blend variance, the
     squared norm of the blend's noise projection.  Launch means arm 2.
+    ``chosen_reward`` reads the chosen arm's reward from views of the
+    reward fold means, (rows, P, arms), for cv and of the arm means,
+    (rows, 1, arms), for naive; true is the launched arm's effect.
 
     The draws are taken in row blocks, each temporary holding at most
     ``BLOCK_ELEMENTS`` values, that continue one stream: first every
@@ -372,17 +378,16 @@ def _simulate_estimates(
         for r, rule in enumerate(rules):
             cols = slice(ends[r], ends[r + 1])
             # (rows, decided columns)
-            launch = decide_kept(counts, sums[..., cols], variances[r], rule) == 2
+            chosen = decide_kept(counts, sums[..., cols], variances[r], rule)
             if "true" in out:
-                out["true"][rows, r] = np.where(launch[:, -1], effects[0, rows], 0.0)
+                out["true"][rows, r] = np.where(chosen[:, -1] == 2, effects[0, rows], 0.0)
             if "naive" in out:
-                out["naive"][rows, r] = np.where(
-                    launch[:, -1], naive[:, 1], naive[:, 0]
-                )
+                out["naive"][rows, r] = chosen_reward(naive[:, None], chosen[:, -1:])[:, 0]
             if "cv" in out:
-                out["cv"][rows, r] = np.where(
-                    launch[:, :num_folds], fold_means[:, 1], fold_means[:, 0]
-                ).mean(axis=1)
+                out["cv"][rows, r] = chosen_reward(fold_means.swapaxes(1, 2), chosen).mean(axis=1)
+            # Freed before the next rule's decide_kept call: held across it,
+            # it raised the peak RSS of the selection check by about 1 MB.
+            del chosen
     return out
 
 

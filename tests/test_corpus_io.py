@@ -559,6 +559,17 @@ def test_in_memory_stack_needs_a_column_per_metric():
         ExperimentCorpus(stack, ("north_star", "p1"))
 
 
+@pytest.mark.parametrize("experiments", [
+    [],
+    ArmStack.from_sizes(np.empty((0, 1)), [], [], [], []),
+], ids=["list", "stack"])
+def test_in_memory_corpus_needs_an_experiment(experiments):
+    # Accepted, the corpus exported a header-only file that ingest_csv
+    # rejects ("no data rows"), and evaluate_rules scored it as 0.0.
+    with pytest.raises(CorpusFormatError, match="^corpus needs at least one experiment$"):
+        ExperimentCorpus(experiments, ("a",))
+
+
 @pytest.mark.parametrize("names, message", [
     (("y", "p", "y"), r"^duplicate metric names \('y', 'p', 'y'\)"),
     (("y", "", "p"), "^column 5 has an empty metric name"),

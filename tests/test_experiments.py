@@ -24,9 +24,11 @@ from ruleval import (
     RewardSpec,
     per_experiment_rewards,
 )
+from ruleval import estimators, simulator
 from ruleval.experiments import (
     ArmStack,
     _gate_mask,
+    chosen_reward,
     fold_decisions,
     fold_permutations,
     fold_stats,
@@ -285,6 +287,41 @@ def test_status_quo_and_challenger_rules_are_expressible():
     assert decide(exp, rule_old) == 2
     assert decide(exp, rule_new) == 1  # new-proxy gate fails, fallback
     assert decide(exp, rule_either) == 2  # either-gate passes via old proxy
+
+
+# ---------------------------------------------------------------------------
+# chosen-arm reward
+
+
+@pytest.mark.parametrize("num_arms", [1, 2, 3])
+def test_every_estimator_reads_the_chosen_reward_through_one_gather(num_arms, monkeypatch):
+    rng = np.random.default_rng(num_arms)
+    table = rng.standard_normal((4, 3, 5, num_arms))  # (..., columns, arms)
+    # 0 is a missing fallback arm; chosen has more columns than the table.
+    chosen = rng.integers(0, num_arms + 1, (4, 3, 7))
+    assert set(chosen.ravel().tolist()) == set(range(num_arms + 1))
+    want = np.empty(table.shape[:-1])
+    for index in np.ndindex(*want.shape):
+        k = chosen[index]
+        want[index] = table[index][k - 1 if k else 0]
+    np.testing.assert_array_equal(chosen_reward(table, chosen), want)
+
+    # A reward picked anywhere but chosen_reward would not read the sentinel.
+    def sentinel(table, chosen):
+        return np.full(chosen_reward(table, chosen).shape, 7.0)
+
+    monkeypatch.setattr(estimators, "chosen_reward", sentinel)
+    monkeypatch.setattr(simulator, "chosen_reward", sentinel)
+    rule = DecisionRule(blend=[1.0])
+    units = rng.standard_normal((2, num_arms, 6, 1))
+    exps = [ExperimentData(f"e{i}", tuple(ArmData(k + 1, arm) for k, arm in enumerate(arms)))
+            for i, arms in enumerate(units)]
+    assert (estimators.batch_rewards(exps, [rule], REWARD, (2, 3), 0) == 7.0).all()
+    _, held = estimators.subset_rewards(units, units[..., 0], np.array([[0], [3]]), rule)
+    assert held.shape == (2, 2) and (held == 7.0).all()
+    out = simulator._simulate_estimates(np.eye(1), np.eye(1), 4, 2, 10, (rule,),
+                                        substream(0, "gather"), ("naive", "cv"))
+    assert all((values == 7.0).all() for values in out.values())
 
 
 # ---------------------------------------------------------------------------
