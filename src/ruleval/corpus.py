@@ -28,11 +28,10 @@ from .estimators import (
     aggregate,
     batch_rewards,
     bootstrap_aggregates,
-    percentile_interval,
 )
 from .experiments import (ArmStack, CorpusFormatError, DecisionRule, ExperimentData,
                           RewardSpec, check_count, check_stack)
-from .streams import substream
+from .streams import substreams
 from . import tableio
 from .tableio import quote, write_rows_atomic
 
@@ -584,7 +583,9 @@ def make_synthetic_corpus(
     centered at the drawn true-effect vector.  Returns the corpus and the
     (num_experiments, 1 + len(proxies)) matrix of true effects.  Every
     arm's draw is multiplied into its slice of one (experiments, 2, units,
-    metrics) array, which the corpus's stack holds.
+    metrics) array, which the corpus's stack holds.  Experiment i draws
+    from ``substream(seed, "corpus", i)``; the experiments' streams are
+    seeded in one ``substreams`` batch.
     """
     effect_chol, noise_chol = joint_proxy_model(
         (effect_sd_y, effect_sd_proxy, noise_sd_y, noise_sd_proxy), tuple(proxies)
@@ -594,8 +595,7 @@ def make_synthetic_corpus(
     j = 1 + len(proxies)
     units = np.empty((n, 2, m, j))
     effects = np.empty((n, j))
-    for i in range(n):
-        rng = substream(seed, "corpus", i)
+    for i, rng in enumerate(substreams(seed, [("corpus", i) for i in range(n)])):
         effects[i] = effect_chol @ rng.standard_normal(j)
         np.matmul(rng.standard_normal((m, j)), noise_chol.T, out=units[i, 0])
         np.matmul(rng.standard_normal((m, j)), noise_chol.T, out=units[i, 1])
@@ -708,18 +708,21 @@ def evaluate_rules(
         for key, column in zip(keys, per_key)
     }
 
-    values: dict[tuple[str, str, int], float] = {}
-    intervals: dict[tuple[str, str, int], tuple[float, float] | None] = {}
+    values = {key: aggregate(column, weights, mode) for key, column in contributions.items()}
+    intervals = dict.fromkeys(contributions, (None, None))
     redraws = 0
-    for key, column in contributions.items():
-        values[key], intervals[key] = aggregate(column, weights, mode), None
-        if can_bootstrap:
-            rng = substream(seed, "evaluate", *key)
-            draws, count = bootstrap_aggregates(
-                column, weights, mode, bootstrap_replicates, rng
-            )
-            intervals[key] = percentile_interval(draws, level)
+    if can_bootstrap:
+        rngs = substreams(seed, [("evaluate", *key) for key in contributions])
+        draws = []
+        for column, rng in zip(contributions.values(), rngs):
+            row, count = bootstrap_aggregates(column, weights, mode, bootstrap_replicates, rng)
+            draws.append(row)
             redraws += count
+        # One quantile call for every key: each row's values are its own
+        # ``percentile_interval``'s.
+        alpha = 1.0 - level
+        bounds = np.quantile(draws, [alpha / 2.0, 1.0 - alpha / 2.0], axis=1)
+        intervals = dict(zip(contributions, zip(*bounds.tolist())))
 
     scale = None
     if baseline is not None:
@@ -731,7 +734,7 @@ def evaluate_rules(
             )
 
     rows = [  # rule by rule, as ``contributions`` holds them
-        RuleEstimateRow(*key, values[key], *(intervals[key] or (None, None)),
+        RuleEstimateRow(*key, values[key], *intervals[key],
                         normalized=values[key] / scale if scale else None)
         for key in contributions
     ]

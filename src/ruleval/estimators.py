@@ -165,8 +165,7 @@ class EstimatorConfig:
             check_count("num_folds", self.num_folds, 2)
         if self.kind == "poisson-rescaled":
             check_m0(self.m0)
-        # Stored as ints: a NumPy integer's repr would change the substream
-        # key of sampled leave-l-out subsets.
+        # Stored as ints, so a NumPy integer reads back as its int.
         if self.kind in ("cv-leave-l-out", "poisson-rescaled"):
             object.__setattr__(self, "leave_out", check_count("leave_out", self.leave_out, 1))
         if self.max_folds is not None:

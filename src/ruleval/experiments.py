@@ -39,7 +39,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .streams import substream
+from .streams import substreams
 
 __all__ = [
     "ArmData",
@@ -263,17 +263,16 @@ class DecisionRule:
 def fold_permutations(stack: ArmStack, seed: int) -> list[np.ndarray]:
     """Each stacked arm's random permutation of its unit positions, a
     deterministic function of (seed, experiment id, arm index, arm size):
-    each arm gets its own substream, so the draw does not depend on what
-    else was sampled.
+    each arm draws from its own ``substream(seed, "folds", id, arm)``, so
+    the draw does not depend on what else was sampled.  The arms' streams
+    are seeded in one ``substreams`` batch.
 
     The permutation splits the arm into near-equal folds for every fold
     count at once: unit i of an arm with permutation ``perm`` is in fold
     ``perm[i] % P`` (0-based) of P, as ``estimators.batch_rewards`` bins it.
     """
-    return [
-        substream(seed, "folds", exp_id, k).permutation(m)
-        for (exp_id, k), m in zip(stack.arm_keys(), stack.sizes.tolist())
-    ]
+    rngs = substreams(seed, [("folds", exp_id, k) for exp_id, k in stack.arm_keys()])
+    return [rng.permutation(m) for rng, m in zip(rngs, stack.sizes.tolist())]
 
 
 def blend_matrix(rule: DecisionRule, num_metrics: int) -> np.ndarray:
