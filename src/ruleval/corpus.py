@@ -711,7 +711,7 @@ def evaluate_rules(
     values = {key: aggregate(column, weights, mode) for key, column in contributions.items()}
     intervals = dict.fromkeys(contributions, (None, None))
     redraws = 0
-    if can_bootstrap:
+    if can_bootstrap and contributions:
         rngs = substreams(seed, [("evaluate", *key) for key in contributions])
         draws = []
         for column, rng in zip(contributions.values(), rngs):

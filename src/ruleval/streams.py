@@ -8,8 +8,8 @@ rest, which is what makes parallel and serial runs agree exactly.
 
 A label is keyed by its value: a ``str`` subclass (``np.str_``) keys as its
 ``str`` and a NumPy integer as its ``int``.  ``substreams`` seeds a batch of
-keys at once and yields, key by key, exactly the streams ``substream``
-gives.
+keys at once and yields, key by key, generators with the PCG64 state and
+draws ``substream`` gives; they cannot spawn or be pickled.
 """
 
 from __future__ import annotations
@@ -22,10 +22,6 @@ import numpy as np
 
 __all__ = ["substream", "substreams"]
 
-# Below this many keys, NumPy's SeedSequence per key (about 15 us) beats the
-# array mixing of ``_pcg64_seeds`` (about 65 us, then 3.5 us per key).
-BATCH_MIN = 6
-
 
 def _check_seed(seed: int) -> int:
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
@@ -35,11 +31,9 @@ def _check_seed(seed: int) -> int:
 
 def _digest(seed: int, path: Iterable[int | str]) -> bytes:
     """BLAKE2b of the key's repr, with every label as its plain value."""
-    labels = tuple(
-        str(x) if isinstance(x, str) else int(x) if isinstance(x, np.integer) else x
-        for x in path
-    )
-    return hashlib.blake2b(repr((seed,) + labels).encode("utf-8"), digest_size=16).digest()
+    key = (seed, *[str(x) if isinstance(x, str) else int(x) if isinstance(x, np.integer) else x
+                   for x in path])
+    return hashlib.blake2b(repr(key).encode("utf-8"), digest_size=16).digest()
 
 
 def substream(seed: int, *path: int | str) -> np.random.Generator:
@@ -61,15 +55,15 @@ def substreams(seed: int, paths: Iterable[tuple[int | str, ...]]) -> Iterator[np
     """``substream(seed, *path)`` for each path in order, seeded together.
 
     The seed is checked and every key hashed at the call; each generator is
-    built as it is taken.  From ``BATCH_MIN`` keys on, SeedSequence's
-    mixing runs for all keys at once (``_pcg64_seeds``) and NumPy seeds
-    each PCG64 from its precomputed words.
+    built as it is taken.  SeedSequence's mixing runs for all keys at once
+    (``_pcg64_seeds``) and NumPy seeds each PCG64 from its precomputed
+    words, so each generator has ``substream``'s PCG64 state and draws.  Its
+    seed sequence only answers PCG64's one request: it cannot spawn, and the
+    generator cannot be pickled.
     """
     seed = _check_seed(seed)
     digests = b"".join([_digest(seed, path) for path in paths])
     words = np.frombuffer(digests, "<u4").reshape(-1, 4)
-    if len(words) < BATCH_MIN:
-        return (np.random.default_rng(np.random.SeedSequence(w)) for w in words.tolist())
     seeded = _seeded()
     return (np.random.Generator(np.random.PCG64(seeded(s))) for s in _pcg64_seeds(words))
 

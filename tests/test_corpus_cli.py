@@ -206,6 +206,13 @@ def test_evaluate_rules_baseline_normalization():
     assert order_raw == order_norm
 
 
+def test_evaluate_rules_with_no_rules_gives_an_empty_report():
+    corpus = noise_free_corpus()
+    assert len(corpus.experiments) >= 2
+    report = evaluate_rules(corpus, [], REWARD, fold_counts=(2,), bootstrap_replicates=50)
+    assert report.rows == () and report.bootstrap_redraws == 0
+
+
 def test_evaluate_rules_rejects_mismatched_blend():
     corpus = noise_free_corpus()
     with pytest.raises(ValueError, match="blend has length"):

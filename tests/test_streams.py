@@ -9,7 +9,7 @@ from ruleval import DecisionRule, EstimatorConfig, ExperimentData, RewardSpec, e
 from ruleval.corpus import make_synthetic_corpus
 from ruleval.experiments import ArmStack, fold_permutations
 from ruleval.simulator import DEFAULT_PROXIES
-from ruleval.streams import BATCH_MIN, _pcg64_seeds, substream, substreams
+from ruleval.streams import _pcg64_seeds, substream, substreams
 
 LABELS = ["exp0", "a,b", 'say "hi"', "it's", "naïve", "実験-7", "", "tab\there", "\\"]
 
@@ -27,7 +27,7 @@ def paths(n: int, salt: int = 0) -> list[tuple]:
 
 
 @pytest.mark.parametrize("seed", [0, 7, -1, -(2**40), 2**70, np.int64(5), np.uint32(9), np.int8(-3)])
-@pytest.mark.parametrize("size", [0, 1, BATCH_MIN - 1, BATCH_MIN, BATCH_MIN + 1, 200])
+@pytest.mark.parametrize("size", [0, 1, 2, 15, 200])
 def test_a_batch_gives_each_key_its_substream(seed, size):
     keys = paths(size, salt=size)
     got = [fingerprint(rng) for rng in substreams(seed, keys)]
@@ -59,7 +59,7 @@ def test_array_mixing_matches_numpy_seed_sequence():
 
 
 def test_drawing_from_one_stream_leaves_the_others_unchanged():
-    keys = paths(3 * BATCH_MIN)
+    keys = paths(18)
     rngs = substreams(3, keys)
     first = next(rngs)
     first.random(10_000)  # drawn before the others are built
@@ -86,7 +86,7 @@ def test_a_bool_or_float_seed_is_rejected_before_anything_is_drawn(seed):
 
 
 def test_numpy_labels_key_the_streams_of_their_values():
-    for size in (1, 2 * BATCH_MIN):
+    for size in (1, 12):
         plain = [("folds", f"e{i}", i) for i in range(size)]
         numpy = [("folds", np.str_(f"e{i}"), np.int64(i)) for i in range(size)]
         assert ([fingerprint(rng) for rng in substreams(0, numpy)]
