@@ -13,15 +13,16 @@ Subcommands:
 * ``make-corpus``: export a synthetic unit-level corpus CSV.
 * ``evaluate``: estimate rule rewards on a corpus CSV.
 
-Exit codes: 0 success, 1 config or schema error, 2 numerical failure
-(degenerate folds or arms), 3 a check failed.  Parallelism is controlled
-only by the RULEVAL_PARALLEL environment variable; everything else is
-flags and config files.
+Exit codes: 0 success, 1 config or schema error or a file that cannot be
+read or written, 2 numerical failure (degenerate folds or arms), 3 a check
+failed.  Parallelism is controlled only by the RULEVAL_PARALLEL
+environment variable; everything else is flags and config files.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -422,7 +423,11 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process: parsing
+    leaves it unchanged, and each ``parse_args`` call returns a new
+    namespace."""
     parser = argparse.ArgumentParser(
         prog="ruleval",
         description="Evaluate A/B-test decision rules by their cumulative returns.",
@@ -489,7 +494,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, CorpusFormatError, FileNotFoundError) as err:
+    except (ConfigError, CorpusFormatError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except (DegenerateArmError, DegenerateFoldError, FloatingPointError) as err:

@@ -581,10 +581,11 @@ def make_synthetic_corpus(
     Metrics are the north star followed by one column per proxy; each
     experiment has a control arm centered at zero and a treatment arm
     centered at the drawn true-effect vector.  Returns the corpus and the
-    (num_experiments, 1 + len(proxies)) matrix of true effects.  Every
-    arm's draw is multiplied into its slice of one (experiments, 2, units,
-    metrics) array, which the corpus's stack holds.  Experiment i draws
-    from ``substream(seed, "corpus", i)``; the experiments' streams are
+    (num_experiments, 1 + len(proxies)) matrix of true effects.
+    Experiment i draws its effect and both arms' noise, in that order, in
+    one call on ``substream(seed, "corpus", i)``, and its arms' noise is
+    multiplied into its slice of one (experiments, 2, units, metrics)
+    array, which the corpus's stack holds; the experiments' streams are
     seeded in one ``substreams`` batch.
     """
     effect_chol, noise_chol = joint_proxy_model(
@@ -596,9 +597,9 @@ def make_synthetic_corpus(
     units = np.empty((n, 2, m, j))
     effects = np.empty((n, j))
     for i, rng in enumerate(substreams(seed, [("corpus", i) for i in range(n)])):
-        effects[i] = effect_chol @ rng.standard_normal(j)
-        np.matmul(rng.standard_normal((m, j)), noise_chol.T, out=units[i, 0])
-        np.matmul(rng.standard_normal((m, j)), noise_chol.T, out=units[i, 1])
+        z = rng.standard_normal((1 + 2 * m, j))
+        effects[i] = effect_chol @ z[0]
+        np.matmul(z[1:].reshape(2, m, j), noise_chol.T, out=units[i])
         units[i, 1] += effects[i]
     width = len(str(max(n - 1, 1)))
     ids = [f"exp{i:0{width}d}" for i in range(n)]

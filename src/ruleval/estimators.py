@@ -19,13 +19,14 @@ Every estimator decides through the one kernel ``experiments.decide_kept``,
 fed by one of two producers, and reads the chosen arm's reward through one
 gather, ``experiments.chosen_reward``.  ``experiments.fold_stats`` builds
 the kernel's inputs for a whole corpus in one pass: every experiment's arms
-are stacked, each unit gets a global (arm, fold) bin per fold count, and
-``experiments.fold_sums`` gives every fold's held-out sums of every blend
-column from one ``np.bincount``, subtracted from the arm totals, then the
-arm totals themselves.  ``batch_rewards`` decides all of them with one
-kernel call per rule and arm count, and scores every experiment's folds on
-one reward table, which ``fold_sums`` builds once for all rules from the
-reward column; the naive estimate is the full-data slot.
+are stacked, each unit gets a 0-based fold label per fold count, and
+``experiments.fold_sums`` bins the labels one partition at a time and gives
+every fold's held-out sums of every blend column, one ``np.bincount`` per
+partition and column, subtracted from the arm totals, then the arm totals
+themselves.  ``batch_rewards`` decides all of them with one kernel call
+per rule and arm count, and scores every experiment's folds on one reward
+table, which ``fold_sums`` builds once for all rules from the reward
+column; the naive estimate is the full-data slot.
 ``subset_rewards`` decides every held-out subset of an (S, l) array of
 unit positions and then the full data, for a batch of equal-size
 experiments at once, in one kernel call.  It serves the Poisson-rescaling
@@ -176,15 +177,15 @@ def _fold_table(
     stack: ArmStack,
     rules: list[DecisionRule],
     reward: RewardSpec,
-    bins: np.ndarray | None,
+    folds: np.ndarray | None,
     fold_counts: tuple[int, ...],
 ) -> np.ndarray:
     """(rules, experiments, folds + 1): each rule's reward of every fold's
     held-out decision, then of its full-data decision (the plug-in
     estimate), in every stacked experiment.
 
-    ``bins`` holds every stacked unit's (arm, fold) bin per partition, as
-    ``fold_sums`` takes them (None or 0 rows for no fold).  Fold t's
+    ``folds`` holds every stacked unit's 0-based fold label per partition,
+    as ``fold_sums`` takes them (None or 0 rows for no fold).  Fold t's
     decision sees every unit of the experiment outside it; its reward is
     the mean reward of the chosen arm's units in fold t.  The full-data
     decision sees every unit and is rewarded on all of the chosen arm's
@@ -197,7 +198,7 @@ def _fold_table(
     """
     num_exps, total = len(stack.ids), sum(fold_counts)
     rewards = stacked_product(stack, reward.weights(stack.units.shape[1]))
-    kept, totals, held = fold_sums(stack, rewards[None], bins, total)
+    kept, totals, held = fold_sums(stack, rewards[None], folds, fold_counts)
     with np.errstate(divide="ignore", invalid="ignore"):  # EMPTY_FOLD
         table = np.hstack([held[0] / (kept[:, -1:] - kept[:, :-1]),
                            totals.T / stack.sizes[:, None]])
@@ -209,7 +210,7 @@ def _fold_table(
     faults = np.zeros((len(rules), num_exps), dtype=int)
     picks = []
     for r, rule in enumerate(rules):
-        counts, chosen, faults[r] = fold_decisions(stack, rule, bins, fold_counts)
+        counts, chosen, faults[r] = fold_decisions(stack, rule, folds, fold_counts)
         out[r] = chosen_reward(table, chosen)
         picks.append((counts, chosen))
     bad = np.flatnonzero(faults.any(axis=0))
@@ -232,9 +233,10 @@ def batch_rewards(
     the mean fold reward over the experiment's partition into that many
     folds.  All fold counts and rules share each arm's one
     ``fold_permutations`` draw: unit i of an arm with permutation ``perm``
-    is in fold ``perm[i] % P``.  The arms of every experiment are stacked
-    and each rule makes one kernel call per arm count; ``exps`` is a list
-    of experiments or their ``ArmStack``, which ``check_stack`` checks.
+    is in fold ``perm[i] % P``, the 0-based label that ``fold_sums`` bins.
+    The arms of every experiment are stacked and each rule makes one
+    kernel call per arm count; ``exps`` is a list of experiments or their
+    ``ArmStack``, which ``check_stack`` checks.
     With no fold count, only slot 0 is filled and nothing is drawn.
     """
     fold_counts = tuple(
@@ -244,17 +246,14 @@ def batch_rewards(
     out = np.empty((len(rules), 1 + len(fold_counts), len(stack.ids)))
     if not stack.ids:
         return out
-    offsets = np.cumsum((0,) + fold_counts)[:-1]
-    bins = None
+    folds = None
     if fold_counts:
         perms = np.concatenate(fold_permutations(stack, fold_seed))
-        arm = np.repeat(np.arange(len(stack.sizes)), stack.sizes)
-        bins = (perms % np.array(fold_counts)[:, None] + offsets[:, None]
-                + arm * sum(fold_counts))
-    table = _fold_table(stack, rules, reward, bins, fold_counts)
+        folds = perms % np.array(fold_counts)[:, None]
+    table = _fold_table(stack, rules, reward, folds, fold_counts)
     out[:, 0] = table[..., -1]
-    for f, (p, o) in enumerate(zip(fold_counts, offsets)):
-        out[:, 1 + f] = table[..., o : o + p].sum(axis=-1) / p
+    for f, (p, end) in enumerate(zip(fold_counts, np.cumsum(fold_counts))):
+        out[:, 1 + f] = table[..., end - p : end].sum(axis=-1) / p
     return out
 
 

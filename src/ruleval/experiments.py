@@ -18,11 +18,12 @@ estimators compute that variance from the kept units
 known variance.  ``fold_sums`` is the one producer of per-(arm, fold) sums
 of unit data: for every arm of an ``ArmStack``, the experiments' units
 stacked into one array, it gives the kept unit counts and the totals of
-any columns, and one bincount over a global (arm, fold) bin gives every
-held-out fold's sums of them.  ``fold_stats`` feeds it the rule's blend
-columns and subtracts the held-out sums from the totals, followed by the
-full data.  Each sum adds the numbers a one-experiment computation adds,
-in its order, so no result depends on what else is in the batch.
+any columns, and from each partition's 0-based fold labels, binned one
+partition at a time by (arm, fold), every held-out fold's sums of them.
+``fold_stats`` feeds it the rule's blend columns and subtracts the
+held-out sums from the totals, followed by the full data.  Each sum adds
+the numbers a one-experiment computation adds, in its order, so no result
+depends on what else is in the batch.
 ``fold_decisions`` decides them all, one kernel call per arm count, and
 finds each experiment's first fault; ``fault_error`` words it.  A rule's
 full-data decision on one experiment is a ``fold_decisions`` call on its
@@ -269,7 +270,8 @@ def fold_permutations(stack: ArmStack, seed: int) -> list[np.ndarray]:
 
     The permutation splits the arm into near-equal folds for every fold
     count at once: unit i of an arm with permutation ``perm`` is in fold
-    ``perm[i] % P`` (0-based) of P, as ``estimators.batch_rewards`` bins it.
+    ``perm[i] % P`` (0-based) of P, the label ``estimators.batch_rewards``
+    passes to ``fold_sums``.
     """
     rngs = substreams(seed, [("folds", exp_id, k) for exp_id, k in stack.arm_keys()])
     return [rng.permutation(m) for rng, m in zip(rngs, stack.sizes.tolist())]
@@ -575,48 +577,51 @@ def _fold_name(fold_counts: tuple[int, ...], t: int) -> str:
     return f"fold {t - ends[f] + fold_counts[f] + 1} of {fold_counts[f]}"
 
 
-def fold_sums(
-    stack: ArmStack, columns: np.ndarray, bins: np.ndarray | None, total: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def fold_sums(stack: ArmStack, columns: np.ndarray, folds: np.ndarray | None,
+              fold_counts: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per stacked arm, its kept unit counts, (arms, total + 1), and the
     totals, (width, arms), and held-out sums, (width, arms, total), of the
     (width, units) ``columns``: the one producer of per-(arm, fold) sums of
-    unit data.
+    unit data, and the one place where fold labels become bins.
 
-    ``bins`` is (partitions, units), one row per partition (None or 0 rows
-    for none): stacked unit u of arm a gets the bin ``a * total + fold``,
-    with ``total`` the folds of every partition and each partition
-    numbering its 0-based folds after the earlier partitions' ones.  Count
-    column t < total keeps every unit outside fold t, the last every unit.
-    The totals are ``arm_sums``; one bincount over (column, arm, fold) bins
-    gives every held-out sum, each added in unit order.
+    ``folds`` is (partitions, units) (None or 0 rows for no fold): row f
+    holds every stacked unit's 0-based fold of partition f, one of
+    ``fold_counts[f]``.  The partitions' folds are numbered one after
+    another, ``total = sum(fold_counts)`` in all, so any two partitions may
+    share a fold count.  Count column t < total keeps every unit outside
+    fold t, the last every unit.  The totals are ``arm_sums``.  Each
+    partition is binned on its own, unit u of arm a in bin ``a * P +
+    fold``, and one bincount per column gives that partition's held-out
+    sums, each added in unit order.
     """
-    bins = np.empty((0, 0), dtype=np.intp) if bins is None else bins
-    num_arms, width = len(stack.sizes), len(columns)
-    size = num_arms * total
-    held = np.bincount(bins.ravel(), minlength=size).reshape(num_arms, total)
-    index = (np.arange(width)[:, None] * size + bins.reshape(1, -1)).ravel()
-    held_sums = np.bincount(index, np.tile(columns, len(bins)).ravel(), width * size)
-    sizes = stack.sizes[:, None]
-    return (np.hstack([sizes - held, sizes]), arm_sums(stack, columns),
-            held_sums.reshape(width, num_arms, total))
+    sizes, total = stack.sizes[:, None], sum(fold_counts)
+    held = np.empty((len(sizes), total), dtype=np.intp)
+    held_sums = np.empty((len(columns), len(sizes), total))
+    arm = np.repeat(np.arange(len(sizes)), stack.sizes)
+    for p, end, fold in zip(fold_counts, np.cumsum(fold_counts), () if folds is None else folds):
+        bins, part = arm * p + fold, slice(end - p, end)
+        held[:, part] = np.bincount(bins, minlength=len(sizes) * p).reshape(-1, p)
+        for c, column in enumerate(columns):
+            held_sums[c, :, part] = np.bincount(bins, column, len(sizes) * p).reshape(-1, p)
+    return np.hstack([sizes - held, sizes]), arm_sums(stack, columns), held_sums
 
 
 def fold_stats(
     stack: ArmStack,
     rule: DecisionRule,
-    bins: np.ndarray | None,
+    folds: np.ndarray | None,
     fold_counts: tuple[int, ...],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """``decide_kept`` inputs of every stacked arm, for every held-out fold,
     then the full data.
 
-    ``bins`` holds one row per entry of ``fold_counts`` (None or 0 rows
-    when there is none), as ``fold_sums`` takes them, with ``total =
-    sum(fold_counts)``.  Returns per arm its kept counts (arms, total + 1),
-    blend sums (arms, total + 1, B) and, for a gated rule, their
-    ``sample_variance`` (else None): column t < total keeps every unit
-    outside fold t, the last column keeps every unit.  ``fold_sums`` gives
+    ``folds`` holds each partition's 0-based fold labels, one row per entry
+    of ``fold_counts`` (None or 0 rows when there is none), as
+    ``fold_sums`` takes them, with ``total = sum(fold_counts)``.  Returns
+    per arm its kept counts (arms, total + 1), blend sums (arms, total + 1,
+    B) and, for a gated rule, their ``sample_variance`` (else None): column
+    t < total keeps every unit outside fold t, the last column keeps every
+    unit.  ``fold_sums`` gives
     the arm totals of the blend columns, and of their squares under a
     gate, and every fold's held-out sums, which are subtracted from them.
     Counts are not checked here: an arm left with too few units gets a
@@ -626,7 +631,7 @@ def fold_stats(
     blends = values.shape[1]
     gated = rule.gate != "none"
     columns = np.vstack([values.T] + ([(values * values).T] if gated else []))
-    counts, totals, held = fold_sums(stack, columns, bins, sum(fold_counts))
+    counts, totals, held = fold_sums(stack, columns, folds, fold_counts)
     totals = totals[..., None]
     sums = np.concatenate([totals - held, totals], axis=2).transpose(1, 2, 0)
     variances = None
@@ -658,13 +663,13 @@ SHORT_ARM, NO_FALLBACK, EMPTY_FOLD = 1, 2, 3
 def fold_decisions(
     stack: ArmStack,
     rule: DecisionRule,
-    bins: np.ndarray | None,
+    folds: np.ndarray | None,
     fold_counts: tuple[int, ...],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The rule's decision on every held-out fold, then on the full data,
     of every stacked experiment: one ``decide_kept`` call per arm count.
 
-    ``bins`` and ``fold_counts`` are as ``fold_stats`` takes them.  Returns
+    ``folds`` and ``fold_counts`` are as ``fold_stats`` takes them.  Returns
     each arm's kept counts (arms, total + 1) from ``fold_stats``, the chosen
     1-based arm per experiment (experiments, total + 1), and per experiment
     the code of its first fault (0 for none), in the order a one-experiment
@@ -673,7 +678,7 @@ def fold_decisions(
     lacks its fallback arm; EMPTY_FOLD, a held-out fold has no unit of the
     arm chosen without it.  ``fault_error`` gives each one's error.
     """
-    counts, sums, variances = fold_stats(stack, rule, bins, fold_counts)
+    counts, sums, variances = fold_stats(stack, rule, folds, fold_counts)
     first_arm, num_arms = stack.first_arm[:-1], np.diff(stack.first_arm)
     total = sum(fold_counts)
     chosen = np.empty((len(stack.ids), total + 1), dtype=np.intp)

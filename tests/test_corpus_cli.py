@@ -655,6 +655,48 @@ def test_cli_missing_corpus_file_exits_one(tmp_path):
     ) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["make-corpus", "--out", "{folder}", "--experiments", "2", "--units", "2"],
+    ["evaluate", "--corpus", "{folder}", "--rules", "{rules}", "--out", "{out}"],
+    ["evaluate", "--corpus", "{corpus}", "--rules", "{folder}", "--out", "{out}"],
+])
+def test_cli_directory_in_place_of_a_file_exits_one(tmp_path, capsys, argv):
+    # Every OSError is one error line, not an IsADirectoryError traceback,
+    # and the atomic writer leaves no temporary file behind.
+    paths = {name: tmp_path / name for name in ("folder", "rules", "corpus", "out")}
+    paths["folder"].mkdir()
+    write(paths["corpus"], BASIC_CSV)
+    write(paths["rules"], json.dumps(
+        {"reward": {"metric": "clicks"}, "rules": [{"name": "r", "blend": {"metric": "visits"}}]}
+    ))
+    assert main([arg.format(**paths) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert not list(tmp_path.rglob("tmp*.tmp"))
+    assert not paths["out"].exists()
+
+
+def test_cli_parser_is_built_once_and_each_call_parses_anew(tmp_path):
+    # The cached parser returns a new namespace per call: the first call's
+    # --seed does not reach the second call's manifest.
+    from ruleval.cli import _build_parser
+
+    assert _build_parser() is _build_parser()
+    corpus, rules = tmp_path / "corpus.csv", tmp_path / "rules.json"
+    write(corpus, TWO_EXPERIMENTS_CSV)
+    write(rules, json.dumps({"reward": {"metric": "clicks"}, "seed": 3, "fold_counts": [2],
+                             "rules": [{"name": "r", "blend": {"metric": "visits"}}],
+                             "bootstrap_replicates": 10}))
+    seeds = []
+    for name, extra in (("a.csv", ["--seed", "9"]), ("b.csv", [])):
+        out = tmp_path / name
+        assert main(["evaluate", "--corpus", str(corpus), "--rules", str(rules),
+                     "--out", str(out)] + extra) == 0
+        manifest = json.loads((tmp_path / f"{name}.manifest.json").read_text())
+        seeds.append(manifest["config"]["seed"])
+    assert seeds == [9, 3]
+
+
 def test_cli_evaluate_rejects_non_finite_cells_and_weights(tmp_path, capsys):
     # Non-finite metric cells and weights are input errors that name the
     # file, line and column; accepted, they would surface only as nan/inf

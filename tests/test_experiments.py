@@ -32,8 +32,10 @@ from ruleval.experiments import (
     fold_decisions,
     fold_permutations,
     fold_stats,
+    fold_sums,
 )
 from ruleval.streams import substream
+import unit_oracle
 from unit_oracle import blend_mean_and_se, cv_fold_rewards, fold_labels
 
 REWARD = RewardSpec.metric(1)
@@ -353,6 +355,32 @@ def test_assign_folds_depends_only_on_seed_id_and_sizes():
     fb = fold_permutations(ArmStack.of([b]), seed=11)
     for pa, pb in zip(fa, fb):
         assert np.array_equal(pa % 4 + 1, pb % 4 + 1)
+
+
+@pytest.mark.parametrize("sizes, fold_counts", [
+    ([7], (2, 3)),
+    ([1, 6], (3, 5)),  # a one-unit arm; five folds of a six-unit arm
+    ([4, 1, 9], (10, 2, 2)),  # ten folds of every arm: empty folds
+    ([5, 3], (4, 4, 4)),
+    ([3, 8, 1], ()),
+])
+def test_fold_sums_matches_one_global_bincount(sizes, fold_counts):
+    # Partitions with one fold count have their own labels: each is binned
+    # on its own, in unit order, as one bincount over global bins adds.
+    rng = np.random.default_rng(sum(sizes) + len(fold_counts))
+    units = sum(sizes)
+    stack = ArmStack.from_sizes(np.zeros((units, 1)), sizes, [len(sizes)], ["e"], [1.0])
+    columns = rng.standard_normal((3, units)) * 10.0 ** rng.integers(-6, 7, (3, units))
+    folds = np.array([rng.integers(0, p, units) for p in fold_counts], dtype=np.intp)
+    folds = folds.reshape(len(fold_counts), units)
+    got = fold_sums(stack, columns, folds, fold_counts)
+    want = unit_oracle.fold_sums(stack, columns, folds, fold_counts)
+    assert np.issubdtype(got[0].dtype, np.integer)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+    if not fold_counts:
+        none = fold_sums(stack, columns, None, ())
+        assert all(g.tobytes() == n.tobytes() for g, n in zip(got, none))
 
 
 def test_decide_on_folds_mirror_halves():

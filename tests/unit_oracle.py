@@ -7,9 +7,10 @@ standard errors.  Tests compare the library against it.  It also keeps
 the unit-level draw of the simulator's Gaussian model (``draw_experiment``),
 whose fold-mean law the fast path samples directly, the k-fold producer
 written one experiment at a time (``batch_rewards``), whose sums the
-corpus-wide one must reproduce bit for bit, the leave-l-out estimators
-written the same way (``leave_l_out_rewards``), and the row-by-row
-``csv.reader`` corpus parser (``ingest_csv``).
+corpus-wide one must reproduce bit for bit, the per-(arm, fold) sums on
+one global bin per unit and partition (``fold_sums``), the leave-l-out
+estimators written the same way (``leave_l_out_rewards``), and the
+row-by-row ``csv.reader`` corpus parser (``ingest_csv``).
 
 Folds are given as labels: a dict from arm index to each unit's fold in
 1..P.  ``fold_labels`` draws the ones the library's k-fold estimate uses,
@@ -136,11 +137,9 @@ def cv_fold_rewards(
 ) -> np.ndarray:
     """(num_folds,) the library's reward of the decision made without each
     fold, measured on that fold's units of the chosen arm, for any fold
-    labels: they become the bins of ``estimators._fold_table``."""
-    bins = np.concatenate(
-        [labels[arm.arm_index] - 1 + k * num_folds for k, arm in enumerate(exp.arms)]
-    )[None]
-    table = _fold_table(ArmStack.of([exp]), [rule], reward, bins, (num_folds,))
+    labels: less one, they are the fold labels of ``estimators._fold_table``."""
+    folds = np.concatenate([labels[arm.arm_index] - 1 for arm in exp.arms])[None]
+    table = _fold_table(ArmStack.of([exp]), [rule], reward, folds, (num_folds,))
     return table[0, 0, :num_folds]
 
 
@@ -380,6 +379,26 @@ def draw_experiment(
         ),
     )
     return exp, (float(tau[0]), float(tau[1]))
+
+
+def fold_sums(stack: ArmStack, columns: np.ndarray, folds: np.ndarray, fold_counts):
+    """``experiments.fold_sums`` on one global (arm, fold) bin: unit u of
+    arm a is in bin ``a * total + offset + folds[f, u]`` of partition f,
+    whose folds are numbered after the earlier partitions' ones, and one
+    bincount over a copy of the columns per partition gives every held-out
+    sum."""
+    num_arms, width, total = len(stack.sizes), len(columns), sum(fold_counts)
+    size = num_arms * total
+    offsets = np.cumsum((0,) + tuple(fold_counts))[:-1, None]
+    bins = folds + offsets + np.repeat(np.arange(num_arms), stack.sizes) * total
+    held = np.bincount(bins.ravel(), minlength=size).reshape(num_arms, total)
+    index = (np.arange(width)[:, None] * size + bins.reshape(1, -1)).ravel()
+    held_sums = np.bincount(index, np.tile(columns, len(bins)).ravel(), width * size)
+    starts = stack.starts
+    totals = np.stack([columns[:, a:b].sum(axis=1) for a, b in zip(starts, starts[1:])], axis=1)
+    sizes = stack.sizes[:, None]
+    return (np.hstack([sizes - held, sizes]), totals,
+            held_sums.reshape(width, num_arms, total))
 
 
 def fold_stats(
