@@ -150,8 +150,8 @@ def _load_json(path: str, where: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"{where}: file not found: {path}")
+    except OSError as err:
+        raise ConfigError(f"{where}: cannot read {path}: {err.strerror or err}")
     except json.JSONDecodeError as err:
         raise ConfigError(f"{where}: invalid JSON in {path}: {err}")
     except UnicodeDecodeError as err:

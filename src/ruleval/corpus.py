@@ -28,6 +28,7 @@ from .estimators import (
     aggregate,
     batch_rewards,
     bootstrap_aggregates,
+    percentile_interval,
 )
 from .experiments import (ArmStack, CorpusFormatError, DecisionRule, ExperimentData,
                           RewardSpec, check_count, check_stack)
@@ -719,11 +720,7 @@ def evaluate_rules(
             row, count = bootstrap_aggregates(column, weights, mode, bootstrap_replicates, rng)
             draws.append(row)
             redraws += count
-        # One quantile call for every key: each row's values are its own
-        # ``percentile_interval``'s.
-        alpha = 1.0 - level
-        bounds = np.quantile(draws, [alpha / 2.0, 1.0 - alpha / 2.0], axis=1)
-        intervals = dict(zip(contributions, zip(*bounds.tolist())))
+        intervals = dict(zip(contributions, zip(*percentile_interval(draws, level))))
 
     scale = None
     if baseline is not None:

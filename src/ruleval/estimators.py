@@ -19,14 +19,15 @@ Every estimator decides through the one kernel ``experiments.decide_kept``,
 fed by one of two producers, and reads the chosen arm's reward through one
 gather, ``experiments.chosen_reward``.  ``experiments.fold_stats`` builds
 the kernel's inputs for a whole corpus in one pass: every experiment's arms
-are stacked, each unit gets a 0-based fold label per fold count, and
-``experiments.fold_sums`` bins the labels one partition at a time and gives
-every fold's held-out sums of every blend column, one ``np.bincount`` per
-partition and column, subtracted from the arm totals, then the arm totals
-themselves.  ``batch_rewards`` decides all of them with one kernel call
-per rule and arm count, and scores every experiment's folds on one reward
-table, which ``fold_sums`` builds once for all rules from the reward
-column; the naive estimate is the full-data slot.
+are stacked, ``experiments.fold_labels`` gives each unit a 0-based fold
+label per fold count, and ``experiments.fold_sums`` bins the labels one
+partition at a time and gives every fold's held-out sums of every blend
+column, one ``np.bincount`` per partition and column, subtracted from the
+arm totals, then the arm totals themselves.  ``batch_rewards`` decides
+all of them with one kernel call per rule and arm count, and scores every
+experiment's folds on one reward table, which ``fold_sums`` builds once
+for all rules from the reward column; the naive estimate is the full-data
+slot.
 ``subset_rewards`` decides every held-out subset of an (S, l) array of
 unit positions and then the full data, for a batch of equal-size
 experiments at once, in one kernel call.  It serves the Poisson-rescaling
@@ -66,7 +67,7 @@ from .experiments import (
     decide_kept,
     fault_error,
     fold_decisions,
-    fold_permutations,
+    fold_labels,
     fold_sums,
     missing_fallback_error,
     sample_variance,
@@ -231,9 +232,8 @@ def batch_rewards(
     """(rules, 1 + fold counts, experiments) contributions: slot 0 the
     plug-in estimate, slot 1 + f the k-fold estimate at ``fold_counts[f]``,
     the mean fold reward over the experiment's partition into that many
-    folds.  All fold counts and rules share each arm's one
-    ``fold_permutations`` draw: unit i of an arm with permutation ``perm``
-    is in fold ``perm[i] % P``, the 0-based label that ``fold_sums`` bins.
+    folds.  All fold counts and rules share one ``fold_labels`` partition
+    per fold count, the 0-based labels that ``fold_sums`` bins.
     The arms of every experiment are stacked and each rule makes one
     kernel call per arm count; ``exps`` is a list of experiments or their
     ``ArmStack``, which ``check_stack`` checks.
@@ -246,11 +246,8 @@ def batch_rewards(
     out = np.empty((len(rules), 1 + len(fold_counts), len(stack.ids)))
     if not stack.ids:
         return out
-    folds = None
-    if fold_counts:
-        perms = np.concatenate(fold_permutations(stack, fold_seed))
-        folds = perms % np.array(fold_counts)[:, None]
-    table = _fold_table(stack, rules, reward, folds, fold_counts)
+    table = _fold_table(stack, rules, reward, fold_labels(stack, fold_seed, fold_counts),
+                        fold_counts)
     out[:, 0] = table[..., -1]
     for f, (p, end) in enumerate(zip(fold_counts, np.cumsum(fold_counts))):
         out[:, 1 + f] = table[..., end - p : end].sum(axis=-1) / p
@@ -474,11 +471,12 @@ def bootstrap_aggregates(
     return totals / weight_totals, redraws
 
 
-def percentile_interval(draws: np.ndarray, level: float) -> tuple[float, float]:
-    """Equal-tailed empirical quantiles of bootstrap draws at ``level``."""
+def percentile_interval(draws: np.ndarray, level: float) -> tuple:
+    """Equal-tailed empirical quantiles at ``level`` of bootstrap draws
+    along their last axis, (lower, upper): two floats for one row of
+    draws, two lists for stacked rows, one bound per row."""
     alpha = 1.0 - level
-    lower, upper = np.quantile(draws, [alpha / 2.0, 1.0 - alpha / 2.0]).tolist()
-    return lower, upper
+    return tuple(np.quantile(draws, [alpha / 2.0, 1.0 - alpha / 2.0], axis=-1).tolist())
 
 
 def bootstrap_ci(
@@ -505,5 +503,4 @@ def bootstrap_ci(
         np.array(estimate.per_experiment), np.array(estimate.weights),
         estimate.mode, n_replicates, rng,
     )
-    lower, upper = percentile_interval(draws, level)
-    return ConfidenceInterval(lower=lower, upper=upper, level=level, redraws=redraws)
+    return ConfidenceInterval(*percentile_interval(draws, level), level=level, redraws=redraws)

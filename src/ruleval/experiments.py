@@ -15,11 +15,15 @@ nothing: where no arm passes a gated rule whose fallback arm the experiment
 lacks, it returns 0, and its caller names the fault.  The library
 estimators compute that variance from the kept units
 (``sample_variance``); the Monte Carlo fast path supplies the model's
-known variance.  ``fold_sums`` is the one producer of per-(arm, fold) sums
-of unit data: for every arm of an ``ArmStack``, the experiments' units
-stacked into one array, it gives the kept unit counts and the totals of
-any columns, and from each partition's 0-based fold labels, binned one
-partition at a time by (arm, fold), every held-out fold's sums of them.
+known variance.  The k-fold partition is defined once, here:
+``fold_labels`` gives every stacked unit its 0-based fold under each fold
+count, from one seeded permutation per arm, and ``fold_sizes`` gives the
+fold sizes of that partition, at which the fast path draws.
+``fold_sums`` is the one producer of per-(arm, fold) sums of unit data:
+for every arm of an ``ArmStack``, the experiments' units stacked into one
+array, it gives the kept unit counts and the totals of any columns, and
+from each partition's fold labels, binned one partition at a time by
+(arm, fold), every held-out fold's sums of them.
 ``fold_stats`` feeds it the rule's blend columns and subtracts the
 held-out sums from the totals, followed by the full data.  Each sum adds
 the numbers a one-experiment computation adds, in its order, so no result
@@ -261,20 +265,38 @@ class DecisionRule:
         return (self.blend,)
 
 
-def fold_permutations(stack: ArmStack, seed: int) -> list[np.ndarray]:
-    """Each stacked arm's random permutation of its unit positions, a
-    deterministic function of (seed, experiment id, arm index, arm size):
-    each arm draws from its own ``substream(seed, "folds", id, arm)``, so
-    the draw does not depend on what else was sampled.  The arms' streams
-    are seeded in one ``substreams`` batch.
+def fold_sizes(m: int, num_folds: int) -> np.ndarray:
+    """Near-equal fold sizes; the first m % P folds take the extra unit."""
+    base, extra = divmod(m, num_folds)
+    sizes = np.full(num_folds, base, dtype=int)
+    sizes[:extra] += 1
+    return sizes
 
-    The permutation splits the arm into near-equal folds for every fold
-    count at once: unit i of an arm with permutation ``perm`` is in fold
-    ``perm[i] % P`` (0-based) of P, the label ``estimators.batch_rewards``
-    passes to ``fold_sums``.
+
+def fold_labels(stack: ArmStack, seed: int, fold_counts: Sequence[int]) -> np.ndarray:
+    """Every stacked unit's 0-based fold under each fold count, (partitions,
+    units): the k-fold partition, row f holding the folds of one of
+    ``fold_counts[f]``.
+
+    Each arm draws one random permutation ``perm`` of its unit positions
+    from its own ``substream(seed, "folds", id, arm)``, a deterministic
+    function of (seed, experiment id, arm index, arm size), so the draw
+    does not depend on what else was sampled; the arms' streams are seeded
+    in one ``substreams`` batch.  Unit i of the arm is in fold ``perm[i] %
+    P`` of P for every fold count at once, so fold q holds
+    ``fold_sizes(m, P)[q]`` units.  The labels take the narrowest unsigned
+    type that holds ``max(fold_counts) - 1`` (uint8 up to 256 folds), and
+    the permutations are dropped here.  With no fold count the array has 0
+    rows and nothing is seeded.
     """
-    rngs = substreams(seed, [("folds", exp_id, k) for exp_id, k in stack.arm_keys()])
-    return [rng.permutation(m) for rng, m in zip(rngs, stack.sizes.tolist())]
+    labels = np.empty((len(fold_counts), len(stack.units)),
+                      np.min_scalar_type(max(fold_counts, default=1) - 1))
+    if fold_counts:
+        rngs = substreams(seed, [("folds", exp_id, k) for exp_id, k in stack.arm_keys()])
+        perms = np.concatenate([rng.permutation(m) for rng, m in zip(rngs, stack.sizes.tolist())])
+        for row, p in zip(labels, fold_counts):
+            np.remainder(perms, p, out=row, casting="unsafe")
+    return labels
 
 
 def blend_matrix(rule: DecisionRule, num_metrics: int) -> np.ndarray:
@@ -595,6 +617,7 @@ def fold_sums(stack: ArmStack, columns: np.ndarray, folds: np.ndarray | None,
     sums, each added in unit order.
     """
     sizes, total = stack.sizes[:, None], sum(fold_counts)
+    totals = arm_sums(stack, columns)  # before the bins exist, which lowers the peak
     held = np.empty((len(sizes), total), dtype=np.intp)
     held_sums = np.empty((len(columns), len(sizes), total))
     arm = np.repeat(np.arange(len(sizes)), stack.sizes)
@@ -603,7 +626,7 @@ def fold_sums(stack: ArmStack, columns: np.ndarray, folds: np.ndarray | None,
         held[:, part] = np.bincount(bins, minlength=len(sizes) * p).reshape(-1, p)
         for c, column in enumerate(columns):
             held_sums[c, :, part] = np.bincount(bins, column, len(sizes) * p).reshape(-1, p)
-    return np.hstack([sizes - held, sizes]), arm_sums(stack, columns), held_sums
+    return np.hstack([sizes - held, sizes]), totals, held_sums
 
 
 def fold_stats(

@@ -14,9 +14,10 @@ the reference ``draw_experiment`` in ``tests/unit_oracle.py``.
 The fast path decides through the library's one kernel,
 ``experiments.decide_kept``, with the library's ``DecisionRule``, and reads
 the chosen arm's reward through the library's one gather,
-``experiments.chosen_reward``.  It feeds the kernel arm sums of the rule's
-blends, and in place of a sample variance the model's known per-unit blend
-variance ``diag(M' noise_cov M)``.  That known
+``experiments.chosen_reward``.  Its folds have the sizes of the library's
+k-fold partition, ``experiments.fold_sizes``.  It feeds the kernel arm
+sums of the rule's blends, and in place of a sample variance the model's
+known per-unit blend variance ``diag(M' noise_cov M)``.  That known
 variance is the one difference from scoring unit data: a gated rule tests
 against the true unit noise, which is accurate in the large-M regime the
 model targets.  The Poisson-rescaling check draws unit-level Bernoulli
@@ -57,7 +58,7 @@ from .closed_form import (DEFAULT_PROXIES, EffectModel, ProxySpec, _cov, check_s
                           cv_expectation, joint_proxy_model, naive_expectation, true_reward)
 from .estimators import BLOCK_ELEMENTS, MAX_BOOTSTRAP_REDRAWS, check_m0, subset_rewards
 from .experiments import (DecisionRule, DegenerateFoldError, blend_matrix, check_count,
-                          chosen_reward, decide_kept)
+                          chosen_reward, decide_kept, fold_sizes)
 from .streams import substream
 
 __all__ = [
@@ -256,14 +257,6 @@ def _mean_and_var(total: float, squares: float, r: int) -> tuple[float, float]:
     return mean, var
 
 
-def _fold_sizes(m: int, num_folds: int) -> np.ndarray:
-    """Near-equal fold sizes; the first m % P folds take the extra unit."""
-    base, extra = divmod(m, num_folds)
-    sizes = np.full(num_folds, base, dtype=int)
-    sizes[:extra] += 1
-    return sizes
-
-
 def cov_factor(mat: np.ndarray) -> np.ndarray:
     """A matrix F with F @ F.T equal to the covariance.
 
@@ -320,7 +313,7 @@ def _simulate_estimates(
         raise DegenerateFoldError(
             f"fast path needs units_per_arm >= num_folds, got {m} < {num_folds}"
         )
-    sizes = _fold_sizes(m, num_folds)
+    sizes = fold_sizes(m, num_folds)
     root = np.sqrt(sizes)
     matrices = [blend_matrix(rule, n_metrics) for rule in rules]
     # (J, D): the reward, then every blend column.

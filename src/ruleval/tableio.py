@@ -56,8 +56,6 @@ def fmt(value) -> str:
     """Render a cell: floats at 17 significant digits, None as empty."""
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return format(value, ".17g")
     return quote(str(value))

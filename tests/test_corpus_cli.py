@@ -92,6 +92,14 @@ def test_ingest_errors_name_line_and_column(tmp_path):
     with pytest.raises(CorpusFormatError, match="header"):
         ingest_csv(str(path))
 
+    write(path, "experiment_id,arm,unit_id\ne,1,u1\n")
+    with pytest.raises(CorpusFormatError, match="no metric columns in header"):
+        ingest_csv(str(path))
+
+    write(path, "experiment_id,arm,unit_id,m,m\ne,1,u1,1.0,2.0\n")
+    with pytest.raises(CorpusFormatError, match="duplicate metric names in header"):
+        ingest_csv(str(path))
+
     write(path, "")
     with pytest.raises(CorpusFormatError, match="empty"):
         ingest_csv(str(path))
@@ -107,6 +115,14 @@ def test_ingest_weight_file(tmp_path):
 
     write(wpath, "experiment_id,weight\nnope,1.0\n")
     with pytest.raises(CorpusFormatError, match="unknown experiment_id"):
+        ingest_csv(str(path), weights_path=str(wpath))
+
+    write(wpath, "id,weight\nexpA,1.0\n")
+    with pytest.raises(CorpusFormatError, match="header must be experiment_id,weight"):
+        ingest_csv(str(path), weights_path=str(wpath))
+
+    write(wpath, "experiment_id,weight\nexpA,1.0,2.0\n")
+    with pytest.raises(CorpusFormatError, match="line 2 has 3 fields, expected 2"):
         ingest_csv(str(path), weights_path=str(wpath))
 
 
@@ -674,6 +690,54 @@ def test_cli_directory_in_place_of_a_file_exits_one(tmp_path, capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
     assert not list(tmp_path.rglob("tmp*.tmp"))
     assert not paths["out"].exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "simulate"])
+@pytest.mark.parametrize("name, reason", [
+    ("folder", "Is a directory"), ("nope.json", "No such file or directory"),
+])
+def test_cli_unreadable_config_file_is_named(tmp_path, capsys, command, name, reason):
+    # A directory or a missing file as --rules or --config is one error
+    # line that names the input, and nothing is written.
+    (tmp_path / "folder").mkdir()
+    write(tmp_path / "corpus.csv", BASIC_CSV)
+    path, out = tmp_path / name, tmp_path / "out"
+    argv = (["evaluate", "--corpus", str(tmp_path / "corpus.csv"), "--out", str(out),
+             "--rules", str(path)] if command == "evaluate"
+            else ["simulate", "--out-dir", str(out), "--config", str(path)])
+    assert main(argv) == 1
+    where = "evaluate rules" if command == "evaluate" else "simulate"
+    assert capsys.readouterr().err == f"error: {where}: cannot read {path}: {reason}\n"
+    assert not out.exists()
+
+
+RULE = {"name": "r", "blend": {"metric": "visits"}}
+
+
+@pytest.mark.parametrize("rules, message", [
+    ('{"rules": [%s]}' % json.dumps(RULE), "evaluate rules: missing required keys ['reward']"),
+    (json.dumps({"reward": {"metric": "clicks"}, "rules": [
+        {"name": "r", "blend": {"metric": "visits", "coefficients": {"visits": 1}}}]}),
+     "evaluate rules.rules[0].blend: give exactly one of 'metric'/'coefficients'"),
+    ('{"reward": {"metric": "clicks"}, "rules": [',
+     "evaluate rules: invalid JSON in {path}: Expecting value: line 1 column 44 (char 43)"),
+    (json.dumps({"reward": {"metric": "clicks"}, "rules": [RULE, RULE]}),
+     "duplicate rule names: ['r', 'r']"),
+    (json.dumps({"reward": {"coefficients": {"clicks": -1}}, "baseline": "r",
+                 "fold_counts": [2], "bootstrap_replicates": 100, "rules": [RULE]}),
+     "baseline rule 'r' has non-positive naive estimate -8.0; normalization "
+     "needs a positive baseline"),
+], ids=["no-reward", "metric-and-coefficients", "invalid-json", "duplicate-names",
+        "non-positive-baseline"])
+def test_cli_evaluate_rejects_a_bad_rules_file(tmp_path, capsys, rules, message):
+    corpus_path, rules_path = tmp_path / "corpus.csv", tmp_path / "rules.json"
+    write(corpus_path, TWO_EXPERIMENTS_CSV)
+    write(rules_path, rules)
+    out = tmp_path / "r.csv"
+    assert main(["evaluate", "--corpus", str(corpus_path), "--rules", str(rules_path),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: " + message.format(path=rules_path) + "\n"
+    assert not out.exists()
 
 
 def test_cli_parser_is_built_once_and_each_call_parses_anew(tmp_path):

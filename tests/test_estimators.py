@@ -119,22 +119,25 @@ def test_cv_fold_reward_identical_units_returns_constant():
 
 
 def test_batch_rewards_peak_memory_scales_with_units_not_partitions():
-    # ``fold_sums`` bins one partition at a time: 137 B per unit here.
-    # Binning every partition on one global (arm, fold) bin held a tiled
-    # copy of each column and a (columns x partitions x units) index: 229 B
-    # per unit here, 228-247 B on the 700-experiment default corpus.
+    # ``fold_sums`` bins one partition at a time and ``fold_labels`` keeps
+    # one uint8 label per unit and partition: 93 B per unit here at four
+    # fold counts, 117 B at ten.  Int64 labels, with the permutations alive
+    # beside them, took 137 and 206 B; binning every partition on one
+    # global (arm, fold) bin, with a tiled copy of each column and a
+    # (columns x partitions x units) index, took 229 B at four.
     rng = np.random.default_rng(5)
     n, m = 100, 100
     stack = ArmStack.from_sizes(rng.standard_normal((2 * n * m, 3)), [m] * 2 * n,
                                 [2] * n, [f"e{i}" for i in range(n)], np.ones(n))
     rule = DecisionRule(blend=[0.0, 1.0, 0.0], gate="significant-vs-reference")
-    tracemalloc.start()
-    try:
-        batch_rewards(stack, [rule], REWARD, (2, 5, 10, 20), 0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 190 * len(stack.units), peak / len(stack.units)
+    for fold_counts, bound in (((2, 5, 10, 20), 120), ((*range(2, 11), 20), 160)):
+        tracemalloc.start()
+        try:
+            batch_rewards(stack, [rule], REWARD, fold_counts, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * len(stack.units), (fold_counts, peak / len(stack.units))
 
 
 # ---------------------------------------------------------------------------
@@ -709,3 +712,7 @@ def test_percentile_interval_equals_the_two_single_quantiles():
                     float(np.quantile(draws, 1.0 - alpha / 2.0)))
             got = percentile_interval(draws, level)
             assert np.array(got).view(np.int64).tolist() == np.array(want).view(np.int64).tolist()
+    # Stacked rows of draws give each row its own bounds.
+    rows = rng.standard_normal((5, 999))
+    lower, upper = percentile_interval(rows, 0.95)
+    assert list(zip(lower, upper)) == [percentile_interval(row, 0.95) for row in rows]

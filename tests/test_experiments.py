@@ -24,19 +24,20 @@ from ruleval import (
     RewardSpec,
     per_experiment_rewards,
 )
-from ruleval import estimators, simulator
+from ruleval import estimators, experiments, simulator
 from ruleval.experiments import (
     ArmStack,
     _gate_mask,
     chosen_reward,
     fold_decisions,
-    fold_permutations,
+    fold_labels,
+    fold_sizes,
     fold_stats,
     fold_sums,
 )
 from ruleval.streams import substream
 import unit_oracle
-from unit_oracle import blend_mean_and_se, cv_fold_rewards, fold_labels
+from unit_oracle import blend_mean_and_se, cv_fold_rewards
 
 REWARD = RewardSpec.metric(1)
 
@@ -331,30 +332,62 @@ def test_every_estimator_reads_the_chosen_reward_through_one_gather(num_arms, mo
 
 
 def test_assign_folds_near_equal_sizes_and_reproducible():
-    # Fold labels are each arm's fold_permutations draw modulo the count.
-    exp = two_arm(np.zeros((11, 1)), np.zeros((7, 1)))
-    folds = [perm % 3 + 1 for perm in fold_permutations(ArmStack.of([exp]), seed=5)]
-    for labels, m in zip(folds, (11, 7)):
-        assert labels.shape == (m,)
-        counts = np.bincount(labels, minlength=4)[1:]
+    # Fold labels are each arm's seeded permutation modulo the count.
+    stack = ArmStack.of([two_arm(np.zeros((11, 1)), np.zeros((7, 1)))])
+    (folds,) = fold_labels(stack, 5, (3,))
+    assert folds.shape == (18,)
+    for labels in np.split(folds, stack.starts[1:-1]):
+        counts = np.bincount(labels, minlength=3)
         assert counts.max() - counts.min() <= 1
-    again = fold_permutations(ArmStack.of([exp]), seed=5)
-    for labels, perm in zip(folds, again):
-        assert np.array_equal(labels, perm % 3 + 1)
-    different = fold_permutations(ArmStack.of([exp]), seed=6)
-    assert any(
-        not np.array_equal(labels, perm % 3 + 1) for labels, perm in zip(folds, different)
-    )
+    assert np.array_equal(fold_labels(stack, 5, (3,)), folds[None])
+    assert not np.array_equal(fold_labels(stack, 6, (3,)), folds[None])
 
 
 def test_assign_folds_depends_only_on_seed_id_and_sizes():
     rng = np.random.default_rng(0)
     a = two_arm(rng.standard_normal((9, 1)), rng.standard_normal((5, 1)))
     b = two_arm(rng.standard_normal((9, 1)), rng.standard_normal((5, 1)))
-    fa = fold_permutations(ArmStack.of([a]), seed=11)
-    fb = fold_permutations(ArmStack.of([b]), seed=11)
-    for pa, pb in zip(fa, fb):
-        assert np.array_equal(pa % 4 + 1, pb % 4 + 1)
+    assert np.array_equal(fold_labels(ArmStack.of([a]), 11, (4, 9)),
+                          fold_labels(ArmStack.of([b]), 11, (4, 9)))
+
+
+def test_folds_are_near_equal():
+    for m, p in ((10, 3), (9, 3), (7, 2), (100, 7)):
+        sizes = fold_sizes(m, p)
+        assert sizes.sum() == m
+        assert sizes.max() - sizes.min() <= 1
+
+
+def test_fold_labels_give_every_arm_the_fast_path_fold_counts():
+    # The unit-data partition and the fast path's fold sizes are one
+    # definition: an arm of m units holds fold_sizes(m, P)[q] units of fold
+    # q, the first m % P folds one unit more.
+    sizes = np.arange(1, 61)
+    stack = ArmStack.from_sizes(np.zeros((sizes.sum(), 1)), sizes, [2] * 30,
+                                [f"e{i}" for i in range(30)], np.ones(30))
+    fold_counts = (2, 3, 5, 7, 10, 20)
+    labels = fold_labels(stack, 3, fold_counts)
+    assert labels.shape == (6, sizes.sum()) and labels.dtype == np.uint8
+    for row, p in zip(labels, fold_counts):
+        for m, arm in zip(sizes.tolist(), np.split(row, stack.starts[1:-1])):
+            assert np.bincount(arm, minlength=p).tolist() == fold_sizes(m, p).tolist()
+
+
+def test_fold_labels_with_no_fold_count_seed_nothing(monkeypatch):
+    stack = ArmStack.of([two_arm(np.zeros((3, 1)), np.zeros((4, 1)))])
+    monkeypatch.setattr(experiments, "substreams", None)
+    assert fold_labels(stack, 0, ()).shape == (0, 7)
+
+
+def test_fold_labels_take_the_narrowest_unsigned_type():
+    # Labels hold up to P - 1; at P >= m they are the permutation itself.
+    stack = ArmStack.of([two_arm(np.zeros((300, 1)), np.zeros((2, 1)))])
+    assert fold_labels(stack, 0, (2, 256)).dtype == np.uint8
+    wide = fold_labels(stack, 0, (300, 257))
+    assert wide.dtype == np.uint16
+    assert np.array_equal(wide[0], np.concatenate([
+        substream(0, "folds", "e", k).permutation(m) for k, m in ((1, 300), (2, 2))]))
+    assert np.array_equal(wide[1], wide[0] % 257)
 
 
 @pytest.mark.parametrize("sizes, fold_counts", [
@@ -400,7 +433,7 @@ def test_decide_on_folds_mirror_halves():
 def test_decide_on_folds_data_independent_rule():
     rng = np.random.default_rng(3)
     exp = two_arm(rng.standard_normal((6, 1)), rng.standard_normal((6, 1)))
-    folds = fold_labels(exp, 3, seed=0)
+    folds = unit_oracle.fold_labels(exp, 3, seed=0)
     rule = DecisionRule(blend=[0.0])
     values = cv_fold_rewards(exp, rule, REWARD, folds, 3)
     for p in (1, 2, 3):
@@ -413,7 +446,7 @@ def test_decide_on_folds_matches_brute_force_subsets():
     for trial in range(20):
         units = rng.standard_normal((2, 6, 2))
         exp = two_arm(units[0], units[1], exp_id=f"e{trial}")
-        folds = fold_labels(exp, 3, seed=trial)
+        folds = unit_oracle.fold_labels(exp, 3, seed=trial)
         rule = DecisionRule(blend=[1.0, -0.5])
         values = cv_fold_rewards(exp, rule, REWARD, folds, 3)
         for p in (1, 2, 3):

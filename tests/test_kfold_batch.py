@@ -27,7 +27,7 @@ from ruleval.estimators import (
     bootstrap_aggregates,
     percentile_interval,
 )
-from ruleval.experiments import ArmStack, fold_permutations
+from ruleval.experiments import ArmStack, fold_labels
 from ruleval.streams import substream
 import unit_oracle as oracle
 
@@ -149,12 +149,17 @@ def test_assign_folds_is_the_permutation_modulo_the_fold_count(num_folds):
     exp = ExperimentData(
         "perm", tuple(ArmData(k + 1, rng.standard_normal((m, 1))) for k, m in enumerate(sizes))
     )
+    stack = ArmStack.of([exp])
     for seed in (0, 7):
         folds = oracle.fold_labels(exp, num_folds, seed)
-        for arm, drawn in zip(exp.arms, fold_permutations(ArmStack.of([exp]), seed)):
+        # At a fold count of at least the arm size, a label is its permutation entry.
+        labels, identity = fold_labels(stack, seed, (num_folds, max(sizes)))
+        for arm, drawn, got in zip(exp.arms, np.split(identity, stack.starts[1:-1]),
+                                   np.split(labels, stack.starts[1:-1])):
             perm = substream(seed, "folds", "perm", arm.arm_index).permutation(arm.num_units)
             assert np.array_equal(drawn, perm)
             assert np.array_equal(folds[arm.arm_index], perm % num_folds + 1)
+            assert np.array_equal(got + 1, folds[arm.arm_index])
             assert np.array_equal(
                 folds[arm.arm_index], (np.arange(arm.num_units) % num_folds + 1)[perm]
             )
@@ -280,9 +285,9 @@ def test_a_missing_fallback_arm_is_named_before_an_empty_fold():
     # already fail.
     seed, fold_counts = 0, (5,)
     probe = ExperimentData("e", (ArmData(1, np.zeros((4, 1))), ArmData(2, np.ones((3, 1)))))
-    perm = fold_permutations(ArmStack.of([probe]), seed)[0]
+    labels = fold_labels(ArmStack.of([probe]), seed, fold_counts)[0, :4]
     arm1 = np.zeros((4, 1))
-    arm1[perm % 5 == 3] = 10.0  # fold 4 of 5, which arm 2's 3 units never reach
+    arm1[labels == 3] = 10.0  # fold 4 of 5, which arm 2's 3 units never reach
     exp = ExperimentData("e", (ArmData(1, arm1), ArmData(2, np.ones((3, 1)))))
     rule = DecisionRule(blend=[1.0], gate="significant-vs-reference", fallback_arm=3)
     reward = RewardSpec.metric(1)

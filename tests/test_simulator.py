@@ -28,9 +28,8 @@ from ruleval import (
 )
 from ruleval import simulator
 from ruleval.estimators import _leave_l_out_sums, batch_rewards
-from ruleval.experiments import ArmStack, fold_decisions
+from ruleval.experiments import ArmStack, fold_decisions, fold_sizes
 from ruleval.simulator import (
-    _fold_sizes,
     cov_factor,
     _score_block,
     _simulate_estimates,
@@ -136,7 +135,7 @@ def test_effect_estimate_spread_at_reference_scale():
     n = 100_000
     rng = substream(4, "spread")
     tau = rng.standard_normal((n, 2)) @ ec.T
-    sizes = _fold_sizes(model.units_per_arm, model.num_folds)
+    sizes = fold_sizes(model.units_per_arm, model.num_folds)
     eps = rng.standard_normal((n, 2, model.num_folds, 2)) @ nc.T
     eps /= np.sqrt(sizes)[None, None, :, None]
     arm_means = np.einsum("napj,p->naj", eps, sizes / model.units_per_arm)
@@ -198,7 +197,7 @@ def test_fast_path_matches_unit_level_distributions(gate, units_per_arm):
 def _z_gate_cv(ec, nc, noise_cov, m, num_folds, n, blend, alpha, psi, rng):
     """Fast-path CV estimates of a one-sided known-variance z-gate, written
     out directly from the same draws as ``_simulate_estimates``."""
-    sizes = _fold_sizes(m, num_folds)
+    sizes = fold_sizes(m, num_folds)
     tau = rng.standard_normal((n, 2)) @ ec.T
     fold_means = rng.standard_normal((n, 2, num_folds, 2)) @ nc.T
     fold_means /= np.sqrt(sizes)[None, None, :, None]
@@ -359,7 +358,7 @@ def test_simulation_config_rejects_a_fallback_arm_the_fast_path_lacks(monkeypatc
 
 def test_fast_path_rejects_units_per_arm_beyond_64_bits():
     # Its fold sizes are 64-bit integers: 2**63 units per arm, in the model
-    # or a sweep grid, ended in an OverflowError from _fold_sizes.
+    # or a sweep grid, ended in an OverflowError from fold_sizes.
     big = replace(SMALL_MODEL, units_per_arm=2**63)
     with pytest.raises(ValueError, match=(
             r"^model.units_per_arm must be < 2\*\*63, got 9223372036854775808$")):
@@ -419,13 +418,6 @@ def test_a_numpy_integer_seed_keys_the_same_streams():
         check_poisson_rescaling(replications=2000, seed=1)
     )
     assert substream(np.int64(1), "a").random() == substream(1, "a").random()
-
-
-def test_fold_sizes_near_equal():
-    for m, p in ((10, 3), (9, 3), (7, 2), (100, 7)):
-        sizes = _fold_sizes(m, p)
-        assert sizes.sum() == m
-        assert sizes.max() - sizes.min() <= 1
 
 
 # ---------------------------------------------------------------------------

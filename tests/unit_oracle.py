@@ -13,9 +13,11 @@ estimators written the same way (``leave_l_out_rewards``), and the
 row-by-row ``csv.reader`` corpus parser (``ingest_csv``).
 
 Folds are given as labels: a dict from arm index to each unit's fold in
-1..P.  ``fold_labels`` draws the ones the library's k-fold estimate uses,
-and ``cv_fold_rewards`` scores any labels through the library's k-fold
-table, ``estimators._fold_table``.
+1..P.  ``fold_labels`` draws the ones the library's k-fold estimate uses
+from its own ``substream`` calls, one per arm, independent of the
+library's batch seeding (``arm_permutations``), and ``cv_fold_rewards``
+scores any labels through the library's k-fold table,
+``estimators._fold_table``.
 """
 
 import csv
@@ -41,11 +43,10 @@ from ruleval.experiments import (
     _fold_name,
     blend_matrix,
     decide_kept,
-    fold_permutations,
     sample_variance,
     stacked_blend_values,
 )
-from ruleval.simulator import _fold_sizes, cov_factor
+from ruleval.simulator import cov_factor
 from ruleval.streams import substream
 from ruleval.tableio import write_csv_atomic
 
@@ -122,13 +123,20 @@ def decide(exp: ExperimentData, rule: DecisionRule) -> int:
     return int(best)
 
 
+def arm_permutations(exp: ExperimentData, seed: int) -> list[np.ndarray]:
+    """Each arm's permutation of its unit positions, drawn from its own
+    ``substream(seed, "folds", id, arm)``, one call per arm."""
+    return [substream(seed, "folds", exp.experiment_id, arm.arm_index).permutation(arm.num_units)
+            for arm in exp.arms]
+
+
 def fold_labels(exp: ExperimentData, num_folds: int, seed: int) -> dict[int, np.ndarray]:
     """Each arm's fold labels in 1..num_folds as the k-fold estimate draws
-    them: unit i of an arm with ``fold_permutations`` draw ``perm`` is in
-    fold ``perm[i] % num_folds + 1``."""
+    them: unit i of an arm with permutation ``perm`` is in fold ``perm[i] %
+    num_folds + 1``."""
     return {
         arm.arm_index: perm % num_folds + 1
-        for arm, perm in zip(exp.arms, fold_permutations(ArmStack.of([exp]), seed))
+        for arm, perm in zip(exp.arms, arm_permutations(exp, seed))
     }
 
 
@@ -295,7 +303,7 @@ def simulate_estimates(
         raise DegenerateFoldError(
             f"fast path needs units_per_arm >= num_folds, got {m} < {num_folds}"
         )
-    sizes = _fold_sizes(m, num_folds)
+    sizes = np.bincount(np.arange(m) % num_folds)  # the first m % P folds are larger
 
     tau = rng.standard_normal((n, n_metrics)) @ effect_chol.T
     eps = rng.standard_normal((n, 2, num_folds, n_metrics)) @ noise_chol.T
@@ -489,7 +497,7 @@ def batch_rewards(exps, rules, reward, fold_counts, fold_seed) -> np.ndarray:
         if fold_counts:
             bins = np.concatenate([
                 perm % periods + offsets + k * total
-                for k, perm in enumerate(fold_permutations(ArmStack.of([exp]), fold_seed))
+                for k, perm in enumerate(arm_permutations(exp, fold_seed))
             ], axis=1)
         rewards = fold_rewards(exp, rules, reward, bins, fold_counts)
         out[:, 0, i] = rewards[:, -1]
